@@ -2,8 +2,10 @@
 
 use crate::column::Column;
 use crate::error::{FrameError, Result};
+use crate::key::{value_key, ValueKey};
 use crate::ops::{AggFunc, CmpOp, GroupBy};
 use netgraph::AttrValue;
+use std::collections::HashSet;
 use std::fmt;
 
 /// A two-dimensional, column-oriented table of dynamically-typed values.
@@ -318,8 +320,15 @@ impl DataFrame {
     pub fn unique(&self, column: &str) -> Result<Vec<AttrValue>> {
         let col = self.column(column)?;
         let mut seen: Vec<AttrValue> = Vec::new();
+        // Hashable values dedupe through the set; the rest equal no
+        // hashable value under `==` (see [`ValueKey`]) and scan `seen`.
+        let mut keys: HashSet<ValueKey> = HashSet::new();
         for v in col.iter() {
-            if !seen.iter().any(|s| s == v) {
+            let fresh = match value_key(v) {
+                Some(key) => keys.insert(key),
+                None => !seen.iter().any(|s| s == v),
+            };
+            if fresh {
                 seen.push(v.clone());
             }
         }

@@ -15,6 +15,8 @@
 //!   aggregation,
 //! * [`ops`] — the comparison operators ([`ops::CmpOp`]), aggregation
 //!   functions ([`ops::AggFunc`]), group-by and join implementations,
+//! * [`key`] — [`key::ValueKey`], the hashable equality that key
+//!   operations here and in the SQL engine partition by,
 //! * [`csv`] — a dependency-free CSV reader/writer for frames.
 //!
 //! Values are [`netgraph::AttrValue`]s so data moves between the graph,
@@ -37,6 +39,7 @@ mod column;
 pub mod csv;
 mod error;
 mod frame;
+pub mod key;
 pub mod ops;
 
 pub use column::{Column, DType};

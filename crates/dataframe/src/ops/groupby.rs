@@ -3,8 +3,10 @@
 use crate::column::Column;
 use crate::error::Result;
 use crate::frame::DataFrame;
+use crate::key::{value_key, ValueKey};
 use crate::ops::AggFunc;
 use netgraph::AttrValue;
+use std::collections::HashMap;
 
 /// The result of [`DataFrame::groupby`]: rows partitioned into groups that
 /// share the same values in the key columns.
@@ -40,17 +42,28 @@ impl<'a> GroupBy<'a> {
             .map(|k| frame.column(k))
             .collect::<Result<_>>()?;
         let mut groups: Vec<(Vec<AttrValue>, Vec<usize>)> = Vec::new();
+        // Hashable keys find their group through the index; a key with an
+        // unhashable part equals no hashable key under `==` (see
+        // [`ValueKey`]), so it scans the groups by comparison instead.
+        let mut index: HashMap<Vec<ValueKey>, usize> = HashMap::new();
         for row in 0..frame.n_rows() {
             let key: Vec<AttrValue> = key_cols
                 .iter()
                 .map(|c| c.get(row).expect("in range").clone())
                 .collect();
-            match groups
-                .iter_mut()
-                .find(|(k, _)| k.len() == key.len() && k.iter().zip(&key).all(|(a, b)| a == b))
-            {
-                Some((_, members)) => members.push(row),
-                None => groups.push((key, vec![row])),
+            let hashed: Option<Vec<ValueKey>> = key.iter().map(value_key).collect();
+            let found = match &hashed {
+                Some(hashed) => index.get(hashed).copied(),
+                None => groups.iter().position(|(k, _)| *k == key),
+            };
+            match found {
+                Some(group) => groups[group].1.push(row),
+                None => {
+                    if let Some(hashed) = hashed {
+                        index.insert(hashed, groups.len());
+                    }
+                    groups.push((key, vec![row]));
+                }
             }
         }
         Ok(GroupBy {

@@ -3,7 +3,9 @@
 use crate::column::Column;
 use crate::error::{FrameError, Result};
 use crate::frame::DataFrame;
+use crate::key::{value_key, ValueKey};
 use netgraph::AttrValue;
+use std::collections::HashMap;
 
 /// Joins `left` and `right` on `left_on == right_on`, keeping only matching
 /// rows (SQL `INNER JOIN`, pandas `merge(how="inner")`).
@@ -49,18 +51,38 @@ fn join(
         ));
     }
 
-    // Pair up matching (left row, Option<right row>) indices.
-    let mut pairs: Vec<(usize, Option<usize>)> = Vec::new();
-    for l in 0..left.n_rows() {
-        let lv = left_key.get(l).expect("in range");
-        let mut matched = false;
-        for r in 0..right.n_rows() {
-            if right_key.get(r).expect("in range").approx_eq(lv) {
-                pairs.push((l, Some(r)));
-                matched = true;
+    // Pair up matching (left row, Option<right row>) indices. When every
+    // key on both sides is hashable the right side is hash-partitioned;
+    // otherwise an unhashable key may `approx_eq` a hashable one (see
+    // [`ValueKey`]) and every pair is compared.
+    let left_keys: Option<Vec<ValueKey>> = left_key.iter().map(value_key).collect();
+    let right_keys: Option<Vec<ValueKey>> = right_key.iter().map(value_key).collect();
+    let hashed = left_keys
+        .zip(right_keys.as_ref())
+        .map(|(left_keys, right_keys)| {
+            let mut table: HashMap<&ValueKey, Vec<usize>> = HashMap::new();
+            for (r, key) in right_keys.iter().enumerate() {
+                table.entry(key).or_default().push(r);
             }
+            (left_keys, table)
+        });
+    let mut pairs: Vec<(usize, Option<usize>)> = Vec::new();
+    for (l, lv) in left_key.iter().enumerate() {
+        let before = pairs.len();
+        match &hashed {
+            Some((left_keys, table)) => {
+                let matches = table.get(&left_keys[l]).map_or(&[][..], Vec::as_slice);
+                pairs.extend(matches.iter().map(|&r| (l, Some(r))));
+            }
+            None => pairs.extend(
+                right_key
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, rv)| rv.approx_eq(lv))
+                    .map(|(r, _)| (l, Some(r))),
+            ),
         }
-        if !matched && keep_unmatched_left {
+        if pairs.len() == before && keep_unmatched_left {
             pairs.push((l, None));
         }
     }

@@ -9,14 +9,15 @@
 
 use crate::bindings::expect_arity;
 use crate::error::{Result, ScriptError};
-use crate::value::Value;
+use crate::value::{frame_mut, Value};
 use dataframe::ops::{inner_join, AggFunc, CmpOp};
 use dataframe::{Column, DataFrame, FrameError};
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Dispatches a method call on a dataframe.
-pub fn call(df: &Rc<RefCell<DataFrame>>, method: &str, args: &[Value]) -> Result<Value> {
+pub fn call(df: &Rc<RefCell<Arc<DataFrame>>>, method: &str, args: &[Value]) -> Result<Value> {
     match method {
         // ------------------------------------------------------- inspection
         "n_rows" | "len" => {
@@ -72,7 +73,7 @@ pub fn call(df: &Rc<RefCell<DataFrame>>, method: &str, args: &[Value]) -> Result
             let row = args[0].expect_i64(method)?.max(0) as usize;
             let col = args[1].expect_str(method)?;
             let value = args[2].to_attr()?;
-            df.borrow_mut()
+            frame_mut(df)
                 .set_value(row, &col, value)
                 .map_err(frame_err)?;
             Ok(Value::Null)
@@ -265,7 +266,7 @@ pub fn call(df: &Rc<RefCell<DataFrame>>, method: &str, args: &[Value]) -> Result
                 }
             };
             let column: Column = values.into_iter().collect();
-            let mut frame = df.borrow_mut();
+            let mut frame = frame_mut(df);
             let result = if method == "add_column" {
                 frame.add_column(&name, column)
             } else {
@@ -277,16 +278,14 @@ pub fn call(df: &Rc<RefCell<DataFrame>>, method: &str, args: &[Value]) -> Result
         "drop_column" => {
             expect_arity(method, args, &[1])?;
             let name = args[0].expect_str(method)?;
-            df.borrow_mut().drop_column(&name).map_err(frame_err)?;
+            frame_mut(df).drop_column(&name).map_err(frame_err)?;
             Ok(Value::Null)
         }
         "rename_column" => {
             expect_arity(method, args, &[2])?;
             let from = args[0].expect_str(method)?;
             let to = args[1].expect_str(method)?;
-            df.borrow_mut()
-                .rename_column(&from, &to)
-                .map_err(frame_err)?;
+            frame_mut(df).rename_column(&from, &to).map_err(frame_err)?;
             Ok(Value::Null)
         }
         "push_row" => {
@@ -304,7 +303,7 @@ pub fn call(df: &Rc<RefCell<DataFrame>>, method: &str, args: &[Value]) -> Result
                     )))
                 }
             };
-            df.borrow_mut().push_row(row).map_err(frame_err)?;
+            frame_mut(df).push_row(row).map_err(frame_err)?;
             Ok(Value::Null)
         }
         "delete_rows" => {
@@ -317,14 +316,18 @@ pub fn call(df: &Rc<RefCell<DataFrame>>, method: &str, args: &[Value]) -> Result
                 message: format!("unknown comparison operator '{op_text}'"),
             })?;
             let value = args[2].to_attr()?;
-            let mut frame = df.borrow_mut();
-            frame.column(&col).map_err(frame_err)?;
-            let kept = frame.filter_rows(|d, i| {
-                d.value(i, &col)
-                    .map(|cell| !op.eval(cell, &value))
-                    .unwrap_or(true)
-            });
-            *frame = kept;
+            let kept = {
+                let frame = df.borrow();
+                frame.column(&col).map_err(frame_err)?;
+                frame.filter_rows(|d, i| {
+                    d.value(i, &col)
+                        .map(|cell| !op.eval(cell, &value))
+                        .unwrap_or(true)
+                })
+            };
+            // A fresh frame replaces the shared one: copying it first, as
+            // a write through `frame_mut` would, is wasted work.
+            *df.borrow_mut() = Arc::new(kept);
             Ok(Value::Null)
         }
         other => Err(ScriptError::AttributeError {

@@ -10,13 +10,14 @@
 use crate::bindings::expect_arity;
 use crate::error::{Result, ScriptError};
 use crate::stdlib::graph_err;
-use crate::value::Value;
+use crate::value::{graph_mut, Value};
 use netgraph::Graph;
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Dispatches a method call on a graph.
-pub fn call(g: &Rc<RefCell<Graph>>, method: &str, args: &[Value]) -> Result<Value> {
+pub fn call(g: &Rc<RefCell<Arc<Graph>>>, method: &str, args: &[Value]) -> Result<Value> {
     match method {
         // ------------------------------------------------------- inspection
         "number_of_nodes" => {
@@ -166,7 +167,7 @@ pub fn call(g: &Rc<RefCell<Graph>>, method: &str, args: &[Value]) -> Result<Valu
             let id = args[0].expect_str(method)?;
             let key = args[1].expect_str(method)?;
             let value = args[2].to_attr()?;
-            g.borrow_mut()
+            graph_mut(g)
                 .set_node_attr(&id, &key, value)
                 .map_err(graph_err)?;
             Ok(Value::Null)
@@ -177,7 +178,7 @@ pub fn call(g: &Rc<RefCell<Graph>>, method: &str, args: &[Value]) -> Result<Valu
             let v = args[1].expect_str(method)?;
             let key = args[2].expect_str(method)?;
             let value = args[3].to_attr()?;
-            g.borrow_mut()
+            graph_mut(g)
                 .set_edge_attr(&u, &v, &key, value)
                 .map_err(graph_err)?;
             Ok(Value::Null)
@@ -196,7 +197,7 @@ pub fn call(g: &Rc<RefCell<Graph>>, method: &str, args: &[Value]) -> Result<Valu
                 Some(v) => v.to_attr_map()?,
                 None => Default::default(),
             };
-            g.borrow_mut().add_node(&id, attrs);
+            graph_mut(g).add_node(&id, attrs);
             Ok(Value::Null)
         }
         "add_edge" => {
@@ -207,20 +208,20 @@ pub fn call(g: &Rc<RefCell<Graph>>, method: &str, args: &[Value]) -> Result<Valu
                 Some(a) => a.to_attr_map()?,
                 None => Default::default(),
             };
-            g.borrow_mut().add_edge(&u, &v, attrs);
+            graph_mut(g).add_edge(&u, &v, attrs);
             Ok(Value::Null)
         }
         "remove_node" => {
             expect_arity(method, args, &[1])?;
             let id = args[0].expect_str(method)?;
-            g.borrow_mut().remove_node(&id).map_err(graph_err)?;
+            graph_mut(g).remove_node(&id).map_err(graph_err)?;
             Ok(Value::Null)
         }
         "remove_edge" => {
             expect_arity(method, args, &[2])?;
             let u = args[0].expect_str(method)?;
             let v = args[1].expect_str(method)?;
-            g.borrow_mut().remove_edge(&u, &v).map_err(graph_err)?;
+            graph_mut(g).remove_edge(&u, &v).map_err(graph_err)?;
             Ok(Value::Null)
         }
 

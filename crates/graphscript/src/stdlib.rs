@@ -426,7 +426,7 @@ fn expect_dict(context: &str, v: &Value) -> Result<BTreeMap<String, Value>> {
 fn expect_graph<'a>(
     context: &str,
     v: &'a Value,
-) -> Result<&'a std::rc::Rc<std::cell::RefCell<netgraph::Graph>>> {
+) -> Result<&'a std::rc::Rc<std::cell::RefCell<std::sync::Arc<netgraph::Graph>>>> {
     match v {
         Value::Graph(g) => Ok(g),
         other => Err(ScriptError::TypeError(format!(

@@ -4,11 +4,12 @@ use crate::ast::Stmt;
 use crate::error::{Result, ScriptError};
 use dataframe::DataFrame;
 use netgraph::{AttrMap, AttrValue, Graph};
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// A user-defined function (the body of a `fn` statement).
 #[derive(Debug, Clone, PartialEq)]
@@ -27,6 +28,14 @@ pub struct FunctionDef {
 /// from a variable mutates the original), matching the Python programs the
 /// LLM-generated code imitates. Graphs and dataframes are also shared
 /// references so the sandbox can observe mutations made by the program.
+///
+/// Inside that shared cell a graph or dataframe is an `Arc` that may be
+/// shared with owners outside the interpreter (the live network, another
+/// value made by `copy()`). Reads go straight to it; the first write
+/// through a cell (`graph_mut`, `frame_mut`) copies the substrate if
+/// anyone else holds it. A read-only program therefore never copies, and
+/// aliases made by assignment (`H = G`) keep sharing one cell, so a write
+/// through either name is seen by both.
 #[derive(Debug, Clone)]
 pub enum Value {
     /// `null` / `None`
@@ -44,9 +53,9 @@ pub enum Value {
     /// Mutable dictionary with string keys, deterministically ordered.
     Dict(Rc<RefCell<BTreeMap<String, Value>>>),
     /// A property graph (the `G` global of the NetworkX backend).
-    Graph(Rc<RefCell<Graph>>),
+    Graph(Rc<RefCell<Arc<Graph>>>),
     /// A dataframe (the `nodes` / `edges` globals of the pandas backend).
-    Frame(Rc<RefCell<DataFrame>>),
+    Frame(Rc<RefCell<Arc<DataFrame>>>),
     /// A user-defined function.
     Function(Rc<FunctionDef>),
 }
@@ -62,14 +71,14 @@ impl Value {
         Value::Dict(Rc::new(RefCell::new(map)))
     }
 
-    /// Wraps a graph.
-    pub fn graph(g: Graph) -> Value {
-        Value::Graph(Rc::new(RefCell::new(g)))
+    /// Wraps a graph. Pass an `Arc` to share it copy-on-write.
+    pub fn graph(g: impl Into<Arc<Graph>>) -> Value {
+        Value::Graph(Rc::new(RefCell::new(g.into())))
     }
 
-    /// Wraps a dataframe.
-    pub fn frame(df: DataFrame) -> Value {
-        Value::Frame(Rc::new(RefCell::new(df)))
+    /// Wraps a dataframe. Pass an `Arc` to share it copy-on-write.
+    pub fn frame(df: impl Into<Arc<DataFrame>>) -> Value {
+        Value::Frame(Rc::new(RefCell::new(df.into())))
     }
 
     /// A short lowercase type name for error messages.
@@ -298,6 +307,18 @@ impl Value {
             },
         }
     }
+}
+
+/// Write access to a graph value's graph, copying it first when an owner
+/// outside the cell shares it.
+pub(crate) fn graph_mut(g: &RefCell<Arc<Graph>>) -> RefMut<'_, Graph> {
+    RefMut::map(g.borrow_mut(), Arc::make_mut)
+}
+
+/// Write access to a dataframe value's frame, copying it first when an
+/// owner outside the cell shares it.
+pub(crate) fn frame_mut(df: &RefCell<Arc<DataFrame>>) -> RefMut<'_, DataFrame> {
+    RefMut::map(df.borrow_mut(), Arc::make_mut)
 }
 
 impl fmt::Display for Value {

@@ -74,11 +74,14 @@ impl ApplicationWrapper for TrafficApp {
     fn initial_state(&self, backend: Backend) -> NetworkState {
         match backend {
             Backend::Strawman | Backend::NetworkX => {
-                NetworkState::Graph(trafficgen::export::to_graph(&self.workload))
+                NetworkState::Graph(trafficgen::export::to_graph(&self.workload).into())
             }
             Backend::Pandas => {
                 let (nodes, edges) = trafficgen::export::to_frames(&self.workload);
-                NetworkState::Frames { nodes, edges }
+                NetworkState::Frames {
+                    nodes: nodes.into(),
+                    edges: edges.into(),
+                }
             }
             Backend::Sql => NetworkState::Database(trafficgen::export::to_database(&self.workload)),
         }
@@ -134,11 +137,14 @@ impl ApplicationWrapper for MaltApp {
     fn initial_state(&self, backend: Backend) -> NetworkState {
         match backend {
             Backend::Strawman | Backend::NetworkX => {
-                NetworkState::Graph(malt::export::to_graph(&self.model))
+                NetworkState::Graph(malt::export::to_graph(&self.model).into())
             }
             Backend::Pandas => {
                 let (nodes, edges) = malt::export::to_frames(&self.model);
-                NetworkState::Frames { nodes, edges }
+                NetworkState::Frames {
+                    nodes: nodes.into(),
+                    edges: edges.into(),
+                }
             }
             Backend::Sql => NetworkState::Database(malt::export::to_database(&self.model)),
         }

@@ -148,13 +148,14 @@ mod tests {
     use super::*;
     use crate::state::{NetworkState, OutputValue, ScriptValue};
     use netgraph::{attrs, Graph};
+    use std::sync::Arc;
 
     fn golden() -> Outcome {
         let mut g = Graph::directed();
         g.add_edge("a", "b", attrs([("bytes", 10i64)]));
         Outcome {
             value: OutputValue::Script(ScriptValue::Int(2)),
-            state: NetworkState::Graph(g),
+            state: NetworkState::Graph(g.into()),
             printed: vec![],
         }
     }
@@ -172,7 +173,7 @@ mod tests {
 
         let mut wrong_state = g.clone();
         if let NetworkState::Graph(graph) = &mut wrong_state.state {
-            graph.add_node("extra", Default::default());
+            Arc::make_mut(graph).add_node("extra", Default::default());
         }
         let v = evaluate(&Ok(wrong_state), &g);
         assert_eq!(v.category(), Some(FaultKind::WrongManipulation));

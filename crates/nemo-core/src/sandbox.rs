@@ -1,19 +1,28 @@
 //! The execution sandbox (component 5 of the paper's Figure 2).
 //!
-//! LLM-generated code never touches the live network: it runs here against a
-//! *copy* of the network state, with an interpreter step budget as a
-//! runaway-loop guard, and the caller decides afterwards whether to sync the
-//! mutated state back. Each backend uses its own engine: GraphScript over a
-//! graph (NetworkX approach), GraphScript over dataframes (pandas approach),
-//! the SQL engine (SQL approach). The strawman baseline has nothing to
-//! execute — the reply *is* the answer.
+//! LLM-generated code never touches the live network. A program runs
+//! against the state it is handed, with an interpreter step budget as a
+//! runaway-loop guard, and the caller decides afterwards whether to sync
+//! the mutated state back. The state is shared copy-on-write, not copied:
+//! the program's `G` / `nodes` / `edges` globals (and the SQL tables) start
+//! as the caller's own `Arc`s, and the first write through one of them
+//! copies that substrate privately. A read-only program therefore copies
+//! nothing, and [`Outcome::state`] hands back the caller's `Arc`s; a
+//! mutating program leaves the caller's state exactly as it was. Each
+//! backend uses its own engine: GraphScript over a graph (NetworkX
+//! approach), GraphScript over dataframes (pandas approach), the SQL engine
+//! (SQL approach). The strawman baseline has nothing to execute — the reply
+//! *is* the answer.
 
 use crate::backend::Backend;
 use crate::llm::{extract_code, LlmResponse};
 use crate::state::{NetworkState, Outcome, OutputValue, ScriptValue};
 use graphscript::{Interpreter, ScriptError, Value};
 use sqlengine::{QueryResult, SqlError};
+use std::cell::RefCell;
 use std::fmt;
+use std::rc::Rc;
+use std::sync::Arc;
 
 /// Why the sandbox could not produce an outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,7 +62,7 @@ impl std::error::Error for SandboxError {}
 /// guard; generous for benchmark-sized networks).
 pub const SANDBOX_STEP_LIMIT: u64 = 20_000_000;
 
-/// Executes an LLM reply against a copy of `state`.
+/// Executes an LLM reply against `state` (shared copy-on-write).
 ///
 /// For code-generation backends the first fenced code block is extracted
 /// and executed; for the strawman the reply text is the outcome value and
@@ -77,7 +86,7 @@ pub fn execute_response(
 }
 
 /// Executes a program (GraphScript or SQL, depending on the backend) against
-/// a copy of `state`.
+/// `state`, shared copy-on-write: `state` itself is never modified.
 pub fn execute_code(
     backend: Backend,
     code: &str,
@@ -85,75 +94,47 @@ pub fn execute_code(
 ) -> Result<Outcome, SandboxError> {
     match backend {
         Backend::NetworkX | Backend::Strawman => {
-            let graph = match state {
-                NetworkState::Graph(g) => g.clone(),
-                other => {
-                    return Err(SandboxError::StateMismatch {
-                        backend,
-                        state: other.describe(),
-                    })
-                }
+            let NetworkState::Graph(graph) = state else {
+                return Err(mismatch(backend, state));
             };
-            let graph_value = Value::graph(graph);
+            // After the run each cell holds the input's own `Arc` unless
+            // the program wrote through it.
+            let graph = Rc::new(RefCell::new(Arc::clone(graph)));
             let mut interp = Interpreter::new().with_step_limit(SANDBOX_STEP_LIMIT);
-            interp.set_global("G", graph_value.clone());
+            interp.set_global("G", Value::Graph(Rc::clone(&graph)));
             let run = interp.run(code).map_err(SandboxError::Script)?;
-            let final_graph = match &graph_value {
-                Value::Graph(g) => g.borrow().clone(),
-                _ => unreachable!("graph global is a graph"),
-            };
+            let graph = Arc::clone(&graph.borrow());
             Ok(Outcome {
                 value: OutputValue::Script(ScriptValue::from(&run.value)),
-                state: NetworkState::Graph(final_graph),
+                state: NetworkState::Graph(graph),
                 printed: run.output,
             })
         }
         Backend::Pandas => {
-            let (nodes, edges) = match state {
-                NetworkState::Frames { nodes, edges } => (nodes.clone(), edges.clone()),
-                other => {
-                    return Err(SandboxError::StateMismatch {
-                        backend,
-                        state: other.describe(),
-                    })
-                }
+            let NetworkState::Frames { nodes, edges } = state else {
+                return Err(mismatch(backend, state));
             };
-            let nodes_value = Value::frame(nodes);
-            let edges_value = Value::frame(edges);
+            let nodes = Rc::new(RefCell::new(Arc::clone(nodes)));
+            let edges = Rc::new(RefCell::new(Arc::clone(edges)));
             let mut interp = Interpreter::new().with_step_limit(SANDBOX_STEP_LIMIT);
-            interp.set_global("nodes", nodes_value.clone());
-            interp.set_global("edges", edges_value.clone());
+            interp.set_global("nodes", Value::Frame(Rc::clone(&nodes)));
+            interp.set_global("edges", Value::Frame(Rc::clone(&edges)));
             let run = interp.run(code).map_err(SandboxError::Script)?;
-            let final_nodes = match &nodes_value {
-                Value::Frame(df) => df.borrow().clone(),
-                _ => unreachable!(),
-            };
-            let final_edges = match &edges_value {
-                Value::Frame(df) => df.borrow().clone(),
-                _ => unreachable!(),
-            };
+            let (nodes, edges) = (Arc::clone(&nodes.borrow()), Arc::clone(&edges.borrow()));
             Ok(Outcome {
                 value: OutputValue::Script(ScriptValue::from(&run.value)),
-                state: NetworkState::Frames {
-                    nodes: final_nodes,
-                    edges: final_edges,
-                },
+                state: NetworkState::Frames { nodes, edges },
                 printed: run.output,
             })
         }
         Backend::Sql => {
-            let mut db = match state {
-                NetworkState::Database(db) => db.clone(),
-                other => {
-                    return Err(SandboxError::StateMismatch {
-                        backend,
-                        state: other.describe(),
-                    })
-                }
+            let NetworkState::Database(db) = state else {
+                return Err(mismatch(backend, state));
             };
+            let mut db = db.clone();
             let results = db.execute_script(code).map_err(SandboxError::Sql)?;
-            let last_rows = results.iter().rev().find_map(|r| match r {
-                QueryResult::Rows(df) => Some(df.clone()),
+            let last_rows = results.into_iter().rev().find_map(|r| match r {
+                QueryResult::Rows(df) => Some(df),
                 QueryResult::Affected(_) => None,
             });
             Ok(Outcome {
@@ -168,6 +149,13 @@ pub fn execute_code(
     }
 }
 
+fn mismatch(backend: Backend, state: &NetworkState) -> SandboxError {
+    SandboxError::StateMismatch {
+        backend,
+        state: state.describe(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,7 +167,7 @@ mod tests {
         let mut g = Graph::directed();
         g.add_edge("a", "b", attrs([("bytes", 10i64)]));
         g.add_edge("b", "c", attrs([("bytes", 20i64)]));
-        NetworkState::Graph(g)
+        NetworkState::Graph(g.into())
     }
 
     fn frame_state() -> NetworkState {
@@ -188,13 +176,15 @@ mod tests {
                 "id".to_string(),
                 Column::from_values(["a", "b", "c"]),
             )])
-            .unwrap(),
+            .unwrap()
+            .into(),
             edges: DataFrame::from_columns(vec![
                 ("source".to_string(), Column::from_values(["a", "b"])),
                 ("target".to_string(), Column::from_values(["b", "c"])),
                 ("bytes".to_string(), Column::from_values([10i64, 20])),
             ])
-            .unwrap(),
+            .unwrap()
+            .into(),
         }
     }
 
@@ -219,7 +209,7 @@ mod tests {
         assert!(outcome
             .value
             .approx_eq(&OutputValue::Script(ScriptValue::Int(2))));
-        // The sandbox ran against a copy: the input state is untouched.
+        // The program wrote to its own copy: the input state is untouched.
         if let NetworkState::Graph(g) = &state {
             assert!(g.get_node_attr_opt("a", "color").is_none());
         }
@@ -270,6 +260,101 @@ mod tests {
                 .as_f64();
             assert_eq!(total, Some(60.0));
         }
+    }
+
+    /// True when every substrate of `a` is the same allocation as in `b`.
+    fn shares_substrates(a: &NetworkState, b: &NetworkState) -> bool {
+        match (a, b) {
+            (NetworkState::Graph(a), NetworkState::Graph(b)) => Arc::ptr_eq(a, b),
+            (
+                NetworkState::Frames {
+                    nodes: an,
+                    edges: ae,
+                },
+                NetworkState::Frames {
+                    nodes: bn,
+                    edges: be,
+                },
+            ) => Arc::ptr_eq(an, bn) && Arc::ptr_eq(ae, be),
+            (NetworkState::Database(a), NetworkState::Database(b)) => {
+                // A shared table derefs to the one allocation both hold.
+                a.table_names() == b.table_names()
+                    && a.table_names()
+                        .iter()
+                        .all(|name| std::ptr::eq(a.table(name).unwrap(), b.table(name).unwrap()))
+            }
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn read_only_programs_hand_back_the_input_state() {
+        for (backend, state, program) in [
+            (
+                Backend::NetworkX,
+                graph_state(),
+                "H = G\nresult = [G.number_of_edges(), H.nodes(), G.copy().number_of_nodes()]",
+            ),
+            (
+                Backend::Pandas,
+                frame_state(),
+                "e = edges.copy()\nresult = e.filter(\"bytes\", \">\", 15).n_rows() + nodes.n_rows()",
+            ),
+            (
+                Backend::Sql,
+                db_state(),
+                "SELECT COUNT(*) AS n FROM edges; UPDATE edges SET bytes = 0 WHERE bytes > 99;",
+            ),
+        ] {
+            let outcome = execute_code(backend, program, &state).unwrap();
+            assert!(
+                shares_substrates(&outcome.state, &state),
+                "{backend}: a read-only program copied the state"
+            );
+            assert!(outcome.state.approx_eq(&state));
+        }
+    }
+
+    #[test]
+    fn mutating_programs_leave_the_input_byte_identical() {
+        for (backend, state, program) in [
+            (
+                Backend::NetworkX,
+                graph_state(),
+                "G.set_node_attr(\"a\", \"color\", \"red\")",
+            ),
+            // Assignment aliases one value: the write through `H` is the
+            // program's write to `G`, and still never reaches the input.
+            (
+                Backend::NetworkX,
+                graph_state(),
+                "H = G\nH.remove_edge(\"a\", \"b\")\nresult = G.number_of_edges()",
+            ),
+            (
+                Backend::Pandas,
+                frame_state(),
+                "edges.delete_rows(\"bytes\", \"<\", 15)",
+            ),
+            (
+                Backend::Sql,
+                db_state(),
+                "UPDATE edges SET bytes = bytes * 2;",
+            ),
+        ] {
+            let before = format!("{state:?}");
+            let outcome = execute_code(backend, program, &state).unwrap();
+            assert_eq!(format!("{state:?}"), before, "{backend}: {program}");
+            assert!(!outcome.state.approx_eq(&state), "{backend}: {program}");
+        }
+        let aliased = execute_code(
+            Backend::NetworkX,
+            "H = G\nH.remove_edge(\"a\", \"b\")\nresult = G.number_of_edges()",
+            &graph_state(),
+        )
+        .unwrap();
+        assert!(aliased
+            .value
+            .approx_eq(&OutputValue::Script(ScriptValue::Int(1))));
     }
 
     #[test]

@@ -14,18 +14,24 @@ use netgraph::{graphs_approx_eq, Graph};
 use sqlengine::Database;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// The network in one backend's representation.
+///
+/// Every substrate sits behind an `Arc` (the SQL [`Database`] shares its
+/// tables the same way), so cloning a state copies no network data. Its
+/// owners write copy-on-write: a write makes the writer's copy private
+/// first whenever another owner shares it.
 #[derive(Debug, Clone)]
 pub enum NetworkState {
     /// A property graph (NetworkX approach and strawman baseline).
-    Graph(Graph),
+    Graph(Arc<Graph>),
     /// Node and edge dataframes (pandas approach).
     Frames {
         /// The node frame.
-        nodes: DataFrame,
+        nodes: Arc<DataFrame>,
         /// The edge frame.
-        edges: DataFrame,
+        edges: Arc<DataFrame>,
     },
     /// Node and edge SQL tables (SQL approach).
     Database(Database),
@@ -34,10 +40,16 @@ pub enum NetworkState {
 impl NetworkState {
     /// True when both states use the same representation and are
     /// approximately equal (numeric tolerance, row-order insensitive for
-    /// tables).
+    /// tables). Substrates that are one shared allocation compare equal
+    /// without a scan.
     pub fn approx_eq(&self, other: &NetworkState) -> bool {
+        fn frames_eq(a: &Arc<DataFrame>, b: &Arc<DataFrame>) -> bool {
+            Arc::ptr_eq(a, b) || a.approx_eq_unordered(b)
+        }
         match (self, other) {
-            (NetworkState::Graph(a), NetworkState::Graph(b)) => graphs_approx_eq(a, b),
+            (NetworkState::Graph(a), NetworkState::Graph(b)) => {
+                Arc::ptr_eq(a, b) || graphs_approx_eq(a, b)
+            }
             (
                 NetworkState::Frames {
                     nodes: an,
@@ -47,7 +59,7 @@ impl NetworkState {
                     nodes: bn,
                     edges: be,
                 },
-            ) => an.approx_eq_unordered(bn) && ae.approx_eq_unordered(be),
+            ) => frames_eq(an, bn) && frames_eq(ae, be),
             (NetworkState::Database(a), NetworkState::Database(b)) => a.approx_eq(b),
             _ => false,
         }
@@ -79,7 +91,10 @@ impl NetworkState {
 /// the interpreter, which makes anything holding one `!Send`. The sandbox
 /// detaches results into this deep-copied tree at its boundary so outcomes
 /// (and everything built from them — golden answers, the benchmark suite)
-/// can be shared across worker threads.
+/// can be shared across worker threads. Graphs and frames are copied too,
+/// although in the interpreter they may share the caller's substrate
+/// `Arc`: a value kept past the request (a cached answer) must not pin the
+/// live state, or its next write would have to copy it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScriptValue {
     /// `null` / `None`
@@ -164,8 +179,8 @@ impl From<&Value> for ScriptValue {
                     .map(|(k, v)| (k.clone(), ScriptValue::from(v)))
                     .collect(),
             ),
-            Value::Graph(g) => ScriptValue::Graph(Box::new(g.borrow().clone())),
-            Value::Frame(df) => ScriptValue::Frame(df.borrow().clone()),
+            Value::Graph(g) => ScriptValue::Graph(Box::new(Graph::clone(&g.borrow()))),
+            Value::Frame(df) => ScriptValue::Frame(DataFrame::clone(&df.borrow())),
             Value::Function(_) => ScriptValue::Str(value.to_string()),
         }
     }
@@ -281,7 +296,8 @@ pub(crate) fn normalize_text(text: &str) -> String {
 pub struct Outcome {
     /// The value the program produced.
     pub value: OutputValue,
-    /// The network state after execution (programs may mutate it).
+    /// The network state after execution (programs may mutate it). A
+    /// substrate the program did not write is the input's own `Arc`.
     pub state: NetworkState,
     /// Anything the program printed.
     pub printed: Vec<String>,
@@ -313,7 +329,7 @@ mod tests {
     fn graph_state() -> NetworkState {
         let mut g = Graph::directed();
         g.add_edge("a", "b", attrs([("bytes", 10i64)]));
-        NetworkState::Graph(g)
+        NetworkState::Graph(g.into())
     }
 
     #[test]
@@ -323,10 +339,10 @@ mod tests {
         assert!(a.approx_eq(&b));
         let mut g = Graph::directed();
         g.add_edge("a", "b", attrs([("bytes", 99i64)]));
-        assert!(!a.approx_eq(&NetworkState::Graph(g)));
+        assert!(!a.approx_eq(&NetworkState::Graph(g.into())));
         let frames = NetworkState::Frames {
-            nodes: DataFrame::new(),
-            edges: DataFrame::new(),
+            nodes: DataFrame::new().into(),
+            edges: DataFrame::new().into(),
         };
         assert!(!a.approx_eq(&frames));
         assert!(a.describe().contains("graph"));
@@ -340,12 +356,12 @@ mod tests {
                 .unwrap();
         let shuffled = df.take(&[2, 0, 1]).unwrap();
         let a = NetworkState::Frames {
-            nodes: df.clone(),
-            edges: df.clone(),
+            nodes: df.clone().into(),
+            edges: df.clone().into(),
         };
         let b = NetworkState::Frames {
-            nodes: shuffled.clone(),
-            edges: shuffled,
+            nodes: shuffled.clone().into(),
+            edges: shuffled.into(),
         };
         assert!(a.approx_eq(&b));
     }

@@ -161,17 +161,26 @@ impl ProgramCache {
     }
 
     /// Stores an answer computed at `epoch`, pre-rendering its reply text
-    /// and dropping the post-execution state.
-    pub fn insert_answer(&mut self, query: &str, backend: Backend, epoch: Epoch, outcome: Outcome) {
+    /// and dropping the post-execution state (which may share the live
+    /// substrates). Returns the rendered text, so the caller replies
+    /// without rendering the value a second time.
+    pub fn insert_answer(
+        &mut self,
+        query: &str,
+        backend: Backend,
+        epoch: Epoch,
+        outcome: Outcome,
+    ) -> Arc<str> {
         let rendered: Arc<str> = outcome.value.render().into();
         self.answers.entry(backend).or_default().insert(
             query.to_string(),
             CachedAnswer {
                 epoch,
                 value: Some(Arc::new(outcome.value)),
-                rendered,
+                rendered: Arc::clone(&rendered),
             },
         );
+        rendered
     }
 
     /// Negatively caches an error reply at `epoch`: the same request at the
@@ -224,7 +233,7 @@ mod tests {
     fn outcome(n: i64) -> Outcome {
         Outcome {
             value: OutputValue::Script(ScriptValue::Int(n)),
-            state: NetworkState::Graph(Graph::directed()),
+            state: NetworkState::Graph(Graph::directed().into()),
             printed: Vec::new(),
         }
     }

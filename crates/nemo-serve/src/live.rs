@@ -8,6 +8,12 @@
 //! substrate in lockstep, bumps the epoch, and appends a [`WalRecord`] to
 //! the in-memory write-ahead log. A rejected mutation touches nothing and
 //! consumes no epoch.
+//!
+//! The substrates sit behind `Arc`s. [`LiveNetwork::state`] hands those
+//! `Arc`s to the sandbox instead of copying them, and a mutation writes
+//! through `Arc::make_mut`, which copies a substrate only while something
+//! else still holds it. Nothing that outlives a request keeps one, so every
+//! mutation writes in place.
 
 use crate::error::ServeError;
 use crate::mutation::{Epoch, Mutation, WalRecord};
@@ -18,15 +24,16 @@ use netgraph::json::graph_to_json;
 use netgraph::{attrs, AttrValue, Graph};
 use sqlengine::Database;
 use std::collections::HashMap;
+use std::sync::Arc;
 use trafficgen::stream::TimedEvent;
 use trafficgen::{export, TrafficWorkload};
 
 /// The serving layer's live state: all backend substrates plus the WAL.
 #[derive(Debug, Clone)]
 pub struct LiveNetwork {
-    graph: Graph,
-    nodes: DataFrame,
-    edges: DataFrame,
+    graph: Arc<Graph>,
+    nodes: Arc<DataFrame>,
+    edges: Arc<DataFrame>,
     epoch: Epoch,
     wal: Vec<WalRecord>,
     /// Row index of each node id in the node frame, kept in lockstep with
@@ -77,9 +84,9 @@ impl LiveNetwork {
         let (nodes, edges) = export::to_frames(workload);
         let (node_rows, edge_rows) = row_indices(&nodes, &edges);
         LiveNetwork {
-            graph: export::to_graph(workload),
-            nodes,
-            edges,
+            graph: Arc::new(export::to_graph(workload)),
+            nodes: Arc::new(nodes),
+            edges: Arc::new(edges),
             epoch: 0,
             wal: Vec::new(),
             node_rows,
@@ -97,13 +104,30 @@ impl LiveNetwork {
     ) -> Self {
         let (node_rows, edge_rows) = row_indices(&nodes, &edges);
         LiveNetwork {
-            graph,
-            nodes,
-            edges,
+            graph: Arc::new(graph),
+            nodes: Arc::new(nodes),
+            edges: Arc::new(edges),
             epoch,
             wal: Vec::new(),
             node_rows,
             edge_rows,
+        }
+    }
+
+    /// A copy that shares no substrate with `self` (`clone` shares them
+    /// all). A server partition starts from one: its first mutation then
+    /// writes in place even while the caller keeps the network it was
+    /// built from, and the fresh copy is laid out compactly, which
+    /// measurably speeds up the mutations that follow.
+    pub(crate) fn private_copy(&self) -> LiveNetwork {
+        LiveNetwork {
+            graph: Arc::new(Graph::clone(&self.graph)),
+            nodes: Arc::new(DataFrame::clone(&self.nodes)),
+            edges: Arc::new(DataFrame::clone(&self.edges)),
+            epoch: self.epoch,
+            wal: self.wal.clone(),
+            node_rows: self.node_rows.clone(),
+            edge_rows: self.edge_rows.clone(),
         }
     }
 
@@ -134,19 +158,22 @@ impl LiveNetwork {
         &self.edges
     }
 
-    /// The current state materialized for one backend (cloned: sandboxed
-    /// programs run against copies, never the live substrates).
+    /// The current state for one backend, sharing the live substrates
+    /// copy-on-write: no data is copied, and a sandboxed program that
+    /// writes to its state copies the substrate it writes, never touching
+    /// the live one. Drop the state before the next mutation; while it is
+    /// held, that mutation has to copy the substrates it writes.
     pub fn state(&self, backend: Backend) -> NetworkState {
         match backend {
-            Backend::Strawman | Backend::NetworkX => NetworkState::Graph(self.graph.clone()),
+            Backend::Strawman | Backend::NetworkX => NetworkState::Graph(Arc::clone(&self.graph)),
             Backend::Pandas => NetworkState::Frames {
-                nodes: self.nodes.clone(),
-                edges: self.edges.clone(),
+                nodes: Arc::clone(&self.nodes),
+                edges: Arc::clone(&self.edges),
             },
             Backend::Sql => {
                 let mut db = Database::new();
-                db.create_table("nodes", self.nodes.clone());
-                db.create_table("edges", self.edges.clone());
+                db.create_table("nodes", Arc::clone(&self.nodes));
+                db.create_table("edges", Arc::clone(&self.edges));
                 NetworkState::Database(db)
             }
         }
@@ -185,7 +212,7 @@ impl LiveNetwork {
                 prefix16,
                 prefix24,
             } => {
-                self.graph.add_node(
+                Arc::make_mut(&mut self.graph).add_node(
                     id,
                     attrs([
                         ("prefix16", AttrValue::Str(prefix16.as_str().into())),
@@ -193,7 +220,7 @@ impl LiveNetwork {
                     ]),
                 );
                 self.node_rows.insert(id.clone(), self.nodes.n_rows());
-                self.nodes
+                Arc::make_mut(&mut self.nodes)
                     .push_row(export::endpoint_row_parts(id, prefix16, prefix24))
                     .expect("node row matches schema");
             }
@@ -204,7 +231,7 @@ impl LiveNetwork {
                 connections,
                 packets,
             } => {
-                self.graph.add_edge(
+                Arc::make_mut(&mut self.graph).add_edge(
                     source,
                     target,
                     attrs([
@@ -217,7 +244,7 @@ impl LiveNetwork {
                     .entry(source.clone())
                     .or_default()
                     .insert(target.clone(), self.edges.n_rows());
-                self.edges
+                Arc::make_mut(&mut self.edges)
                     .push_row(export::flow_row_parts(
                         source,
                         target,
@@ -234,41 +261,43 @@ impl LiveNetwork {
                 connections,
                 packets,
             } => {
+                let graph = Arc::make_mut(&mut self.graph);
                 for (key, value) in [
                     ("bytes", *bytes),
                     ("connections", *connections),
                     ("packets", *packets),
                 ] {
-                    self.graph
+                    graph
                         .set_edge_attr(source, target, key, AttrValue::Int(value))
                         .expect("edge checked present");
                 }
                 let row = self
                     .edge_row(source, target)
                     .expect("edge row checked present");
+                let edges = Arc::make_mut(&mut self.edges);
                 for (column, value) in [
                     ("bytes", *bytes),
                     ("connections", *connections),
                     ("packets", *packets),
                 ] {
-                    self.edges
+                    edges
                         .set_value(row, column, AttrValue::Int(value))
                         .expect("edge columns exist");
                 }
             }
             Mutation::SetNodeAttr { id, key, value } => {
-                self.graph
+                Arc::make_mut(&mut self.graph)
                     .set_node_attr(id, key, value.clone())
                     .expect("node checked present");
                 if self.nodes.has_column(key) {
                     let row = self.node_row(id).expect("node row checked present");
-                    self.nodes
+                    Arc::make_mut(&mut self.nodes)
                         .set_value(row, key, value.clone())
                         .expect("column checked present");
                 }
             }
             Mutation::RemoveEdge { source, target } => {
-                self.graph
+                Arc::make_mut(&mut self.graph)
                     .remove_edge(source, target)
                     .expect("edge checked present");
                 let by_target = self
@@ -281,7 +310,9 @@ impl LiveNetwork {
                 if by_target.is_empty() {
                     self.edge_rows.remove(source.as_str());
                 }
-                self.edges.remove_row(row).expect("row index in range");
+                Arc::make_mut(&mut self.edges)
+                    .remove_row(row)
+                    .expect("row index in range");
                 // Rows above the removed one shifted down by one.
                 for index in self.edge_rows.values_mut().flat_map(|m| m.values_mut()) {
                     if *index > row {
@@ -410,6 +441,20 @@ impl LiveNetwork {
             }
         }
         Ok(())
+    }
+
+    /// `(strong count, address)` of the graph, node-frame and edge-frame
+    /// `Arc`s, for tests that prove nothing else holds the substrates.
+    #[cfg(test)]
+    pub(crate) fn substrate_handles(&self) -> [(usize, usize); 3] {
+        fn handle<T>(arc: &Arc<T>) -> (usize, usize) {
+            (Arc::strong_count(arc), Arc::as_ptr(arc) as usize)
+        }
+        [
+            handle(&self.graph),
+            handle(&self.nodes),
+            handle(&self.edges),
+        ]
     }
 
     pub(crate) fn node_row(&self, id: &str) -> Option<usize> {

@@ -865,9 +865,8 @@ impl<L: Llm> Server<L> {
                 let state = self.current_view().state(backend);
                 match execute_code(backend, &program, &state) {
                     Ok(outcome) => {
-                        let answer = outcome.value.render();
-                        self.caches[ci].insert_answer(query, backend, epoch, outcome);
-                        (CacheOutcome::ProgramHit, answer)
+                        let answer = self.caches[ci].insert_answer(query, backend, epoch, outcome);
+                        (CacheOutcome::ProgramHit, answer.to_string())
                     }
                     Err(e) => {
                         // The stored program no longer runs against the
@@ -906,9 +905,8 @@ impl<L: Llm> Server<L> {
                         if let Some(code) = extract_code(&response.text) {
                             caches[ci].insert_program(query, backend, code);
                         }
-                        let answer = outcome.value.render();
-                        caches[ci].insert_answer(query, backend, epoch, outcome);
-                        (CacheOutcome::Miss, answer)
+                        let answer = caches[ci].insert_answer(query, backend, epoch, outcome);
+                        (CacheOutcome::Miss, answer.to_string())
                     }
                     Err(reason) => {
                         let answer = format!("error: {reason}");
@@ -1154,6 +1152,86 @@ mod tests {
             let session_llm = &server.sessions[0].llm;
             assert_eq!(session_llm.prompts_seen.len(), 1);
         }
+    }
+
+    #[test]
+    fn no_request_leaves_the_live_substrates_shared() {
+        let program = |lang: &str, code: &str| format!("```{lang}\n{code}\n```");
+        let session = |client, backend, replies: Vec<String>| Session {
+            client,
+            backend,
+            llm: ScriptedLlm::new("scripted", replies),
+        };
+        let mut server = ServerBuilder::new()
+            .build(
+                live(),
+                vec![
+                    session(
+                        0,
+                        Backend::NetworkX,
+                        vec![
+                            program("graphscript", "result = G.number_of_edges()"),
+                            program("graphscript", "result = G.frobnicate()"),
+                        ],
+                    ),
+                    // A program that writes its frames gets private copies.
+                    session(
+                        1,
+                        Backend::Pandas,
+                        vec![program(
+                            "graphscript",
+                            "edges.delete_rows(\"bytes\", \"<\", 0)\nresult = edges.n_rows()",
+                        )],
+                    ),
+                    session(
+                        2,
+                        Backend::Sql,
+                        vec![program("sql", "SELECT COUNT(*) AS n FROM edges;")],
+                    ),
+                ],
+            )
+            .expect("in-memory build");
+        // Every substrate is held by the live network alone, so a mutation
+        // writes in place: the addresses survive it.
+        let unshared = |server: &Server<ScriptedLlm>, context: &str| {
+            let handles = server.net.partition(0).live.substrate_handles();
+            for (count, _) in handles {
+                assert_eq!(count, 1, "{context}: a substrate is still shared");
+            }
+            handles
+        };
+        let mutate = |server: &mut Server<ScriptedLlm>, octet: u8| {
+            let before = unshared(server, "before a mutation");
+            server
+                .apply_mutation(&TimedEvent {
+                    at_ms: u64::from(octet),
+                    event: NetEvent::NewEndpoint {
+                        endpoint: trafficgen::Ipv4::new(203, 0, 0, octet),
+                    },
+                })
+                .unwrap();
+            assert_eq!(unshared(server, "after a mutation"), before);
+        };
+        let q = "How many edges are there?";
+        let expect = |server: &mut Server<ScriptedLlm>, client, query, cache| {
+            let reply = server.handle_query(client, query);
+            assert_eq!(reply.cache, cache, "client {client}: {}", reply.answer);
+            unshared(server, &format!("client {client} {cache:?}"));
+            reply
+        };
+        for client in 0..3 {
+            let first = expect(&mut server, client, q, CacheOutcome::Miss);
+            assert!(first.answer.contains("14"), "{}", first.answer);
+            expect(&mut server, client, q, CacheOutcome::AnswerHit);
+        }
+        let error = expect(&mut server, 0, "How many nodes?", CacheOutcome::Miss);
+        assert!(error.answer.starts_with("error:"));
+        mutate(&mut server, 1);
+        for client in 0..3 {
+            let rerun = expect(&mut server, client, q, CacheOutcome::ProgramHit);
+            assert!(rerun.answer.contains("14"), "{}", rerun.answer);
+        }
+        mutate(&mut server, 2);
     }
 
     #[test]

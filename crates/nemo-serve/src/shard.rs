@@ -132,9 +132,10 @@ pub struct ShardedNetwork {
 
 impl ShardedNetwork {
     /// Partitions `live` into `shards` hash partitions. With `shards ==
-    /// 1` the single partition *is* `live`, verbatim. A frame whose id or
-    /// source column holds a non-string value — a recovered snapshot from
-    /// a hand-edited or damaged store can produce one — is a typed
+    /// 1` the single partition is a private copy of `live`, verbatim. A
+    /// frame whose id or source column holds a non-string value — a
+    /// recovered snapshot from a hand-edited or damaged store can produce
+    /// one — is a typed
     /// [`ServeError::Corrupt`], not a panic: partitioning sits on the
     /// recovery path, and one bad row must not take down the server.
     pub fn from_live(live: &LiveNetwork, shards: u32) -> Result<ShardedNetwork, ServeError> {
@@ -147,7 +148,7 @@ impl ShardedNetwork {
         };
         if shards == 1 {
             let partition = ShardPartition {
-                live: live.clone(),
+                live: live.private_copy(),
                 node_seqs: (0..live.nodes().n_rows() as u64).collect(),
                 edge_seqs: (0..live.edges().n_rows() as u64).collect(),
             };

@@ -4,12 +4,17 @@
 use crate::error::{Result, SqlError};
 use dataframe::DataFrame;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// An in-memory relational database.
 ///
 /// The NeMoEval "SQL approach" represents a network as two tables — `nodes`
 /// and `edges` — with the same schemas the pandas backend uses, so a table
 /// is simply a named [`DataFrame`].
+///
+/// Tables are shared copy-on-write: cloning a database, or mounting a frame
+/// another owner also holds, copies no rows. The first statement that
+/// writes a table ([`Database::table_mut`]) makes that table private.
 ///
 /// ```
 /// use sqlengine::Database;
@@ -25,7 +30,7 @@ use std::collections::BTreeMap;
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Database {
-    tables: BTreeMap<String, DataFrame>,
+    tables: BTreeMap<String, Arc<DataFrame>>,
 }
 
 /// The result of executing one statement.
@@ -61,13 +66,14 @@ impl Database {
         Database::default()
     }
 
-    /// Creates (or replaces) a table.
-    pub fn create_table(&mut self, name: &str, frame: DataFrame) {
-        self.tables.insert(name.to_string(), frame);
+    /// Creates (or replaces) a table. Pass an `Arc` to share a frame
+    /// without copying it.
+    pub fn create_table(&mut self, name: &str, frame: impl Into<Arc<DataFrame>>) {
+        self.tables.insert(name.to_string(), frame.into());
     }
 
     /// Removes a table, returning it if present.
-    pub fn drop_table(&mut self, name: &str) -> Option<DataFrame> {
+    pub fn drop_table(&mut self, name: &str) -> Option<Arc<DataFrame>> {
         self.tables.remove(name)
     }
 
@@ -80,13 +86,16 @@ impl Database {
     pub fn table(&self, name: &str) -> Result<&DataFrame> {
         self.tables
             .get(name)
+            .map(|frame| &**frame)
             .ok_or_else(|| SqlError::UnknownTable(name.to_string()))
     }
 
-    /// Mutable access to a table.
+    /// Mutable access to a table. A table shared with another owner is
+    /// copied first, so the other owner never sees the write.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut DataFrame> {
         self.tables
             .get_mut(name)
+            .map(Arc::make_mut)
             .ok_or_else(|| SqlError::UnknownTable(name.to_string()))
     }
 
@@ -109,14 +118,15 @@ impl Database {
 
     /// True when both databases contain the same tables with approximately
     /// equal contents (row order insensitive). This is the state comparison
-    /// the NeMoEval evaluator uses for the SQL backend.
+    /// the NeMoEval evaluator uses for the SQL backend. A table both
+    /// databases share compares equal without a scan.
     pub fn approx_eq(&self, other: &Database) -> bool {
         self.tables.len() == other.tables.len()
             && self.tables.iter().all(|(name, frame)| {
                 other
                     .tables
                     .get(name)
-                    .map(|o| frame.approx_eq_unordered(o))
+                    .map(|o| Arc::ptr_eq(frame, o) || frame.approx_eq_unordered(o))
                     .unwrap_or(false)
             })
     }

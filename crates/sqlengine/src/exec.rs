@@ -15,11 +15,11 @@ use crate::ast::*;
 use crate::database::{Database, QueryResult};
 use crate::error::{Result, SqlError};
 use crate::functions::{call_scalar, like_match, LikePattern};
+use dataframe::key::{value_key, ValueKey};
 use dataframe::{Column, DataFrame};
 use netgraph::AttrValue;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 /// Executes a parsed statement against the database.
 pub fn execute_statement(db: &mut Database, stmt: &Statement) -> Result<QueryResult> {
@@ -674,44 +674,6 @@ fn eval_binary(l: &AttrValue, op: BinaryOp, r: &AttrValue) -> Result<AttrValue> 
     }
 }
 
-// ---------------------------------------------------------------- hash keys
-
-/// An exactly-hashable stand-in for an [`AttrValue`] used as a join or
-/// grouping key. Within this domain, key equality coincides *exactly* with
-/// [`AttrValue::approx_eq`]:
-///
-/// * `Null`, `Bool` and `Str` compare exactly in both schemes;
-/// * numeric values map to their integer value, but only when integral and
-///   `|v| < 10^9` — beyond that, `approx_eq`'s relative tolerance of
-///   `1e-9 * |v|` reaches 1.0 and *distinct* integers start comparing
-///   equal, which a hash key cannot express.
-///
-/// Values outside the domain (non-integral floats, huge integers, lists)
-/// return `None` and force the caller onto the comparison-based slow path,
-/// keeping results identical to the historical executor.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum ValueKey {
-    Null,
-    Bool(bool),
-    Int(i64),
-    Str(Arc<str>),
-}
-
-fn value_key(v: &AttrValue) -> Option<ValueKey> {
-    const MAX_EXACT: i64 = 1_000_000_000;
-    match v {
-        AttrValue::Null => Some(ValueKey::Null),
-        AttrValue::Bool(b) => Some(ValueKey::Bool(*b)),
-        AttrValue::Int(_) | AttrValue::Float(_) => match v.as_i64() {
-            // Range check rather than `abs()`: `i64::MIN.abs()` overflows.
-            Some(i) if -MAX_EXACT < i && i < MAX_EXACT => Some(ValueKey::Int(i)),
-            _ => None,
-        },
-        AttrValue::Str(s) => Some(ValueKey::Str(Arc::clone(s))),
-        AttrValue::List(_) => None,
-    }
-}
-
 // ------------------------------------------------------------------- select
 
 fn execute_select(db: &Database, stmt: &SelectStmt) -> Result<DataFrame> {
@@ -1164,6 +1126,10 @@ fn execute_update(db: &mut Database, stmt: &UpdateStmt) -> Result<usize> {
         }
     }
     let affected = updates.len();
+    if affected == 0 {
+        // Leave a shared table shared: there is nothing to write.
+        return Ok(0);
+    }
     let frame = db.table_mut(&stmt.table)?;
     for (row, assignments) in updates {
         for (col, value) in assignments {
@@ -1253,10 +1219,14 @@ fn execute_delete(db: &mut Database, stmt: &DeleteStmt) -> Result<usize> {
         }
     }
     let affected = total - keep.len();
-    let frame = db.table_mut(&stmt.table)?;
-    *frame = frame
-        .take(&keep)
-        .map_err(|e| SqlError::Execution(e.to_string()))?;
+    if affected > 0 {
+        // Replace the table rather than write through `table_mut`, which
+        // would first copy a shared table only to overwrite it.
+        let kept = frame
+            .take(&keep)
+            .map_err(|e| SqlError::Execution(e.to_string()))?;
+        db.create_table(&stmt.table, kept);
+    }
     Ok(affected)
 }
 
