@@ -1,5 +1,5 @@
 //! Durability benchmark + crash/recovery driver for the persistent
-//! serving layer (`nemo-serve::persist` over `nemo-store`).
+//! serving layer (durable single-shard servers over `nemo-store`).
 //!
 //! Usage:
 //!
@@ -17,8 +17,8 @@
 //! The default mode records, into the `nemo-perf-report/v1` schema:
 //!
 //! * `durable_apply_ms` — per-mutation apply latency, in-memory only
-//!   (`before`) vs durably logged with `fsync: Never` (`after`): the pure
-//!   logging overhead.
+//!   (`before`) vs through a durable server with `fsync: Never`
+//!   (`after`): the logging overhead.
 //! * `durable_apply_fsync_{never,batch,record}_mps` — sustained
 //!   mutation-apply throughput under each fsync policy.
 //! * `durable_recovery_ms` / `durable_recovery_mps` — wall time to rebuild
@@ -28,13 +28,14 @@
 //! The `--sweep` mode records, into the same schema:
 //!
 //! * `append_stall_p99_ms` — 99th-percentile per-mutation apply latency
-//!   when snapshot + compaction run inline on the write path (`before`:
-//!   full snapshot plus an unbounded sweep inside the apply) vs the PR 7
-//!   write path (`after`: delta snapshots, budgeted sweep at batch
-//!   boundaries).
-//! * `snapshot_install_ms` — wall time to install one snapshot of an
-//!   append-heavy state: `before` full (O(state)), `after` delta
-//!   (O(records since the last snapshot)).
+//!   when compaction runs inline on the write path (`before`: an
+//!   unbounded sweep after every snapshot install) vs the shipping write
+//!   path (`after`: budgeted sweep at batch boundaries). Both install
+//!   snapshots through the server's own threshold, delta or full as the
+//!   chain dictates.
+//! * `snapshot_install_ms` — wall time of the apply that installs a
+//!   snapshot of an append-heavy state: `before` full (O(state)), `after`
+//!   delta (O(records since the last snapshot)).
 //!
 //! The transcript modes drive `nemo_serve::durability`: the *same*
 //! `--transcript` command transparently resumes after a `--crash-at` run
@@ -54,15 +55,16 @@
 
 use nemo_bench::perf::{self, Measurement};
 use nemo_bench::pool;
+use nemo_core::ScriptedLlm;
 use nemo_serve::durability::{self, DurabilityConfig};
-use nemo_serve::persist::{FsyncPolicy, PersistOptions, Persistence};
-use nemo_serve::LiveNetwork;
+use nemo_serve::persist::{FsyncPolicy, PersistOptions};
+use nemo_serve::{LiveNetwork, Server, ServerBuilder};
 use nemo_store::FaultKind;
 use netgraph::json::JsonValue;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
-use trafficgen::{evolve, generate, StreamConfig, TimedEvent, TrafficConfig};
+use trafficgen::{evolve, generate, StreamConfig, TimedEvent, TrafficConfig, TrafficWorkload};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -117,21 +119,30 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Applies the whole stream, one persistence handle, one latency sample
-/// per mutation. `sync_every` marks batch boundaries (0 = never).
-fn timed_apply(
-    stream: &[TimedEvent],
-    live: &mut LiveNetwork,
-    persistence: &mut Persistence,
-    sync_every: usize,
-) -> Vec<f64> {
+/// A durable single-shard server with no sessions: only its write path
+/// and its store are measured.
+type Srv = Server<ScriptedLlm>;
+
+/// A fresh durable server over `workload` under `dir`.
+fn fresh_server(dir: &Path, options: PersistOptions, workload: &TrafficWorkload) -> Srv {
+    ServerBuilder::new()
+        .options(options)
+        .persist_at(dir)
+        .build(LiveNetwork::from_workload(workload), Vec::new())
+        .expect("fresh bench store")
+}
+
+/// Applies the whole stream through the server, one latency sample per
+/// mutation. `sync_every` marks batch boundaries (0 = never).
+fn timed_apply(stream: &[TimedEvent], server: &mut Srv, sync_every: usize) -> Vec<f64> {
     let mut samples = Vec::with_capacity(stream.len());
     for (i, event) in stream.iter().enumerate() {
         let start = Instant::now();
-        live.apply_event_persisted(event, persistence)
+        server
+            .apply_mutation(event)
             .expect("stream events apply cleanly");
         if sync_every > 0 && (i + 1) % sync_every == 0 {
-            persistence.sync().expect("batch fsync");
+            server.sync_persistence().expect("batch fsync");
         }
         samples.push(start.elapsed().as_secs_f64() * 1e3);
     }
@@ -274,12 +285,10 @@ fn run_report(pr: &str, out: &str) -> ExitCode {
             stream.len()
         );
         let dir = scratch_dir(tag);
-        let mut live = LiveNetwork::from_workload(&workload);
-        let mut persistence =
-            Persistence::create(&dir, &bench_options(policy), &live).expect("fresh bench store");
-        let samples = timed_apply(&stream, &mut live, &mut persistence, sync_every);
-        persistence.sync().expect("final fsync");
-        drop(persistence);
+        let mut server = fresh_server(&dir, bench_options(policy), &workload);
+        let samples = timed_apply(&stream, &mut server, sync_every);
+        server.sync_persistence().expect("final fsync");
+        drop(server);
         if tag == "never" {
             recovery_dir = Some(dir);
         } else {
@@ -298,13 +307,17 @@ fn run_report(pr: &str, out: &str) -> ExitCode {
     let mut replayed = 0u64;
     for _ in 0..sizes.recovery_rounds {
         let start = Instant::now();
-        let (recovered, _, report) =
-            Persistence::recover(&recovery_dir, &bench_options(FsyncPolicy::Never))
-                .expect("bench store recovers");
+        let (mut recovered, reports) = ServerBuilder::new()
+            .options(bench_options(FsyncPolicy::Never))
+            .persist_at(&recovery_dir)
+            .recover_or_create::<ScriptedLlm>(Vec::new(), || {
+                panic!("the fsync-never bench store is missing")
+            })
+            .expect("bench store recovers");
         recovery_samples.push(start.elapsed().as_secs_f64() * 1e3);
-        replayed = report.replayed_records;
-        assert_eq!(recovered.epoch(), stream.len() as u64);
-        assert!(recovered == live, "recovered state diverged");
+        replayed = reports[0].replayed_records;
+        assert_eq!(recovered.network().global_epoch(), stream.len() as u64);
+        assert!(*recovered.merged_view() == live, "recovered state diverged");
     }
     let _ = std::fs::remove_dir_all(&recovery_dir);
     let recovery_median = perf::median(&recovery_samples);
@@ -416,16 +429,15 @@ impl SweepSizes {
     }
 }
 
-/// Applies the stream with periodic snapshots, one latency sample per
-/// mutation. `inline` reproduces the pre-sweep write path: a full
-/// snapshot plus an unbounded sweep inside the timed apply. Deferred is
-/// the shipping path: delta-eligible snapshots, and a budgeted sweep at
-/// every 16-event batch boundary (still timed — it *is* on the write
-/// path, just bounded).
+/// Applies the stream through a server that installs a snapshot every
+/// `snapshot_every` epochs, one latency sample per mutation. `inline`
+/// reproduces the pre-sweep write path's compaction: an unbounded sweep
+/// right after every install, inside the timed apply. Deferred is the
+/// shipping path: a budgeted sweep at every 16-event batch boundary
+/// (still timed — it *is* on the write path, just bounded).
 fn timed_apply_with_snapshots(
     stream: &[TimedEvent],
-    live: &mut LiveNetwork,
-    persistence: &mut Persistence,
+    server: &mut Srv,
     snapshot_every: usize,
     inline: bool,
 ) -> Vec<f64> {
@@ -433,20 +445,16 @@ fn timed_apply_with_snapshots(
     let mut samples = Vec::with_capacity(stream.len());
     for (i, event) in stream.iter().enumerate() {
         let start = Instant::now();
-        live.apply_event_persisted(event, persistence)
+        server
+            .apply_mutation(event)
             .expect("stream events apply cleanly");
-        if (i + 1) % snapshot_every == 0 {
-            if inline {
-                persistence
-                    .force_full_snapshot(live)
-                    .expect("inline full snapshot");
-                persistence.sweep(usize::MAX).expect("inline sweep");
-            } else {
-                persistence.force_snapshot(live).expect("deferred snapshot");
-            }
+        if inline && (i + 1) % snapshot_every == 0 {
+            server.sweep_persistence(usize::MAX).expect("inline sweep");
         }
         if !inline && (i + 1) % 16 == 0 {
-            persistence.sweep(SWEEP_BUDGET).expect("budgeted sweep");
+            server
+                .sweep_persistence(SWEEP_BUDGET)
+                .expect("budgeted sweep");
         }
         samples.push(start.elapsed().as_secs_f64() * 1e3);
     }
@@ -455,12 +463,12 @@ fn timed_apply_with_snapshots(
 
 /// Tight segments so every snapshot point has a real pile of WAL files
 /// to compact — the regime where an inline sweep visibly stalls appends.
-fn sweep_bench_options() -> PersistOptions {
+fn sweep_bench_options(snapshot_every: usize) -> PersistOptions {
     PersistOptions {
         fsync: FsyncPolicy::Never,
         segment_max_bytes: 512,
         snapshot_every_bytes: 0,
-        snapshot_every_epochs: 0,
+        snapshot_every_epochs: snapshot_every as u64,
         keep_snapshots: 2,
         ..PersistOptions::default()
     }
@@ -495,19 +503,12 @@ fn run_sweep_report(pr: &str, out: &str) -> ExitCode {
             sizes.snapshot_every
         );
         let dir = scratch_dir(&format!("sweep-{tag}"));
-        let mut live = LiveNetwork::from_workload(&workload);
-        let mut persistence = Persistence::create(&dir, &sweep_bench_options(), &live)
-            .expect("fresh sweep bench store");
-        let samples = timed_apply_with_snapshots(
-            &stream,
-            &mut live,
-            &mut persistence,
-            sizes.snapshot_every,
-            inline,
-        );
+        let mut server = fresh_server(&dir, sweep_bench_options(sizes.snapshot_every), &workload);
+        let samples =
+            timed_apply_with_snapshots(&stream, &mut server, sizes.snapshot_every, inline);
         if !inline {
             assert!(
-                persistence
+                server.shard_persistence()[0]
                     .store()
                     .snapshot_metas()
                     .iter()
@@ -515,7 +516,7 @@ fn run_sweep_report(pr: &str, out: &str) -> ExitCode {
                 "deferred run installed no delta snapshots"
             );
         }
-        drop(persistence);
+        drop(server);
         let _ = std::fs::remove_dir_all(&dir);
         let p99 = perf::percentile(&samples, 99.0);
         println!("append stall p99, {tag:<8}: {p99:>9.4} ms");
@@ -523,7 +524,10 @@ fn run_sweep_report(pr: &str, out: &str) -> ExitCode {
     }
 
     // Install cost: full snapshot of an append-heavy state vs a delta
-    // carrying only the records since the last snapshot.
+    // carrying only the records since the last snapshot. The server
+    // installs one every `per_round` epochs; the delta chain makes every
+    // fourth install full, so each round of four yields three delta
+    // samples and one full one.
     eprintln!(
         "[sweep] install timing: {}-node state, {} rounds...",
         sizes.install_nodes, sizes.install_rounds
@@ -538,55 +542,46 @@ fn run_sweep_report(pr: &str, out: &str) -> ExitCode {
     let big_stream = evolve(
         &big,
         &StreamConfig {
-            events: sizes.install_rounds * per_round * 2,
+            events: sizes.install_rounds * per_round * 4,
             seed: 7108,
         },
     );
     let dir = scratch_dir("sweep-install");
-    let mut live = LiveNetwork::from_workload(&big);
-    let mut persistence = Persistence::create(
+    let mut server = fresh_server(
         &dir,
-        &PersistOptions {
+        PersistOptions {
             segment_max_bytes: 64 << 10,
-            ..sweep_bench_options()
+            ..sweep_bench_options(per_round)
         },
-        &live,
-    )
-    .expect("fresh install bench store");
-    let mut delta_ms = Vec::with_capacity(sizes.install_rounds);
+        &big,
+    );
+    let mut delta_ms = Vec::with_capacity(sizes.install_rounds * 3);
     let mut full_ms = Vec::with_capacity(sizes.install_rounds);
-    let mut events = big_stream.iter();
-    for _ in 0..sizes.install_rounds {
-        // Delta first (chain length 1), then full (resets the chain), so
-        // every delta measurement really takes the delta path.
-        for event in events.by_ref().take(per_round) {
-            live.apply_event_persisted(event, &mut persistence)
-                .expect("stream events apply cleanly");
-        }
+    for (i, event) in big_stream.iter().enumerate() {
         let start = Instant::now();
-        persistence
-            .force_snapshot(&live)
-            .expect("delta snapshot installs");
-        delta_ms.push(start.elapsed().as_secs_f64() * 1e3);
-        assert!(
-            persistence
+        server
+            .apply_mutation(event)
+            .expect("stream events apply cleanly");
+        let took = start.elapsed().as_secs_f64() * 1e3;
+        if (i + 1) % per_round == 0 {
+            let newest = server.shard_persistence()[0]
                 .store()
                 .snapshot_metas()
-                .last()
-                .is_some_and(|m| m.base.is_some()),
-            "timed snapshot was not a delta"
-        );
-        for event in events.by_ref().take(per_round) {
-            live.apply_event_persisted(event, &mut persistence)
-                .expect("stream events apply cleanly");
+                .last();
+            let newest = newest.expect("the genesis snapshot at least");
+            assert_eq!(
+                newest.epoch,
+                i as u64 + 1,
+                "the timed apply installed no snapshot"
+            );
+            if newest.base.is_some() {
+                delta_ms.push(took);
+            } else {
+                full_ms.push(took);
+            }
         }
-        let start = Instant::now();
-        persistence
-            .force_full_snapshot(&live)
-            .expect("full snapshot installs");
-        full_ms.push(start.elapsed().as_secs_f64() * 1e3);
     }
-    drop(persistence);
+    drop(server);
     let _ = std::fs::remove_dir_all(&dir);
     println!(
         "snapshot install: delta {:>9.3} ms median ({per_round} records), \

@@ -1,10 +1,11 @@
-//! The `nemo-wal/v1` record codec: [`WalRecord`] ⇄ bytes.
+//! The `nemo-shard-wal/v1` record codec: [`WalRecord`] ⇄ bytes.
 //!
 //! A WAL record's on-disk payload is a small JSON document carrying the
-//! epoch, the stream timestamp and the serialized [`Mutation`]. The format
-//! version lives in the segment header magic ([`WAL_MAGIC`], written and
-//! verified by `nemo-store`), so every record in a segment shares one
-//! version and a future `v2` codec can coexist file by file.
+//! shard-local epoch, the global epoch, the stream timestamp and the
+//! serialized [`Mutation`]. The format version lives in the segment
+//! header magic ([`SHARD_WAL_MAGIC`], written and verified by
+//! `nemo-store`), so every record in a segment shares one version and a
+//! future codec can coexist file by file.
 //!
 //! The encoding is **lossless**, which the snapshot substrate is not
 //! required to be: [`netgraph::AttrValue`]s are tagged with their type
@@ -22,11 +23,6 @@ use std::collections::BTreeMap;
 
 /// Segment-header magic naming this codec; `nemo-store` writes it into
 /// every WAL segment and refuses segments carrying anything else.
-pub const WAL_MAGIC: &str = "nemo-wal/v1";
-
-/// Segment-header magic of *per-shard* WALs, whose records additionally
-/// carry the global epoch ([`encode_shard_record`]). A distinct magic
-/// keeps a sharded store from ever being opened as an unsharded one.
 pub const SHARD_WAL_MAGIC: &str = "nemo-shard-wal/v1";
 
 pub(crate) fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
@@ -147,18 +143,7 @@ pub(crate) fn mutation_to_json(mutation: &Mutation) -> JsonValue {
     }
 }
 
-/// Encodes one WAL record as its on-disk payload.
-pub fn encode_record(record: &WalRecord) -> Vec<u8> {
-    obj(vec![
-        ("epoch", JsonValue::Number(record.epoch as f64)),
-        ("at_ms", JsonValue::Number(record.at_ms as f64)),
-        ("mutation", mutation_to_json(&record.mutation)),
-    ])
-    .to_json()
-    .into_bytes()
-}
-
-/// Encodes one *shard* WAL record: the record's `epoch` field is the
+/// Encodes one WAL record: the record's `epoch` field is the
 /// shard's local epoch (what the store's positional check verifies), and
 /// the global epoch rides along in a `global` root field so recovery can
 /// rebuild the cross-shard sequence numbers.
@@ -242,9 +227,9 @@ pub(crate) fn mutation_from_json(m: &BTreeMap<String, JsonValue>) -> Result<Muta
     Ok(mutation)
 }
 
-/// Shared decode of a record document; `want_global` selects the shard
-/// flavor (which requires the extra `global` root field).
-fn decode_record_doc(payload: &[u8], want_global: bool) -> Result<(WalRecord, u64), ServeError> {
+/// Decodes one on-disk payload: the record (local epoch) plus the global
+/// epoch it carried.
+pub fn decode_shard_record(payload: &[u8]) -> Result<(WalRecord, u64), ServeError> {
     let text = std::str::from_utf8(payload)
         .map_err(|_| ServeError::Corrupt("WAL record is not UTF-8".to_string()))?;
     let doc = JsonValue::parse(text)
@@ -256,11 +241,7 @@ fn decode_record_doc(payload: &[u8], want_global: bool) -> Result<(WalRecord, u6
     };
     let epoch = get_u64(root, "epoch")?;
     let at_ms = get_u64(root, "at_ms")?;
-    let global = if want_global {
-        get_u64(root, "global")?
-    } else {
-        epoch
-    };
+    let global = get_u64(root, "global")?;
     let JsonValue::Object(m) = root
         .get("mutation")
         .ok_or_else(|| ServeError::Corrupt("WAL record missing 'mutation'".to_string()))?
@@ -280,27 +261,16 @@ fn decode_record_doc(payload: &[u8], want_global: bool) -> Result<(WalRecord, u6
     ))
 }
 
-/// Decodes one on-disk payload back into a [`WalRecord`].
-pub fn decode_record(payload: &[u8]) -> Result<WalRecord, ServeError> {
-    decode_record_doc(payload, false).map(|(record, _)| record)
-}
-
-/// Decodes one per-shard payload: the record (local epoch) plus the
-/// global epoch it carried.
-pub fn decode_shard_record(payload: &[u8]) -> Result<(WalRecord, u64), ServeError> {
-    decode_record_doc(payload, true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn round_trip(record: WalRecord) {
-        let bytes = encode_record(&record);
-        let back = decode_record(&bytes).unwrap();
+        let bytes = encode_shard_record(&record, record.epoch + 3);
+        let (back, global) = decode_shard_record(&bytes).unwrap();
         assert_eq!(back, record);
         // Re-encoding is byte-stable (canonical object ordering).
-        assert_eq!(encode_record(&back), bytes);
+        assert_eq!(encode_shard_record(&back, global), bytes);
     }
 
     #[test]
@@ -366,7 +336,7 @@ mod tests {
                     value: value.clone(),
                 },
             };
-            let back = decode_record(&encode_record(&record)).unwrap();
+            let (back, _) = decode_shard_record(&encode_shard_record(&record, 9)).unwrap();
             let Mutation::SetNodeAttr { value: decoded, .. } = back.mutation else {
                 panic!("wrong variant");
             };
@@ -394,9 +364,10 @@ mod tests {
         assert_eq!(back, record);
         assert_eq!(global, 11);
         assert_eq!(encode_shard_record(&back, global), bytes);
-        // A plain record is not a shard record: the global field is required.
+        // The global field is required.
+        let without_global = br#"{"at_ms":250,"epoch":3,"mutation":{"op":"remove_edge","source":"10.0.0.1","target":"10.0.0.2"}}"#;
         assert!(matches!(
-            decode_shard_record(&encode_record(&record)),
+            decode_shard_record(without_global),
             Err(ServeError::Corrupt(_))
         ));
     }
@@ -407,12 +378,12 @@ mod tests {
             b"\xff\xfe".as_slice(),
             b"not json",
             b"{}",
-            br#"{"epoch":1,"at_ms":0,"mutation":{"op":"warp_core_breach"}}"#,
-            br#"{"epoch":1.5,"at_ms":0,"mutation":{"op":"remove_edge","source":"a","target":"b"}}"#,
-            br#"{"epoch":1,"at_ms":0,"mutation":{"op":"add_node","id":"a"}}"#,
+            br#"{"epoch":1,"global":1,"at_ms":0,"mutation":{"op":"warp_core_breach"}}"#,
+            br#"{"epoch":1.5,"global":1,"at_ms":0,"mutation":{"op":"remove_edge","source":"a","target":"b"}}"#,
+            br#"{"epoch":1,"global":1,"at_ms":0,"mutation":{"op":"add_node","id":"a"}}"#,
         ] {
             assert!(
-                matches!(decode_record(bad), Err(ServeError::Corrupt(_))),
+                matches!(decode_shard_record(bad), Err(ServeError::Corrupt(_))),
                 "payload {:?} must be rejected",
                 String::from_utf8_lossy(bad)
             );

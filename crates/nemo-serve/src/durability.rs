@@ -1,9 +1,10 @@
 //! The durability driver: deterministic multi-client mutation streams over
 //! persistent stores, with crash/resume transcripts.
 //!
-//! Each client owns one store directory and one deterministic stream (a
-//! pure function of `(config, client)`), applies it with persistence
-//! attached, then answers a query round and prints a state digest. The
+//! Each client owns one single-shard durable server (its own persistence
+//! root) and one deterministic stream (a pure function of
+//! `(config, client)`), applies the stream through the server, then
+//! answers a query round and prints a state digest. The
 //! combined transcript is reassembled in client order over
 //! `nemo_bench::pool`, so it is bit-identical at any `NEMO_THREADS`.
 //!
@@ -27,8 +28,8 @@ use crate::driver::serving_knowledge;
 use crate::error::ServeError;
 use crate::live::LiveNetwork;
 use crate::mutation::Mutation;
-use crate::persist::{FsyncPolicy, PersistOptions, Persistence};
-use crate::server::{ServeEvent, ServerBuilder, Session};
+use crate::persist::{FsyncPolicy, PersistOptions};
+use crate::server::{ServeEvent, Server, ServerBuilder, Session};
 use crate::shard::route_mutation;
 use crate::snapshot::write_snapshot;
 use nemo_bench::{pool, traffic_queries};
@@ -139,28 +140,49 @@ struct ClientRun {
     crashed: bool,
 }
 
+/// Client `client`'s durable single-shard server under `base_dir`,
+/// recovered from its store or created fresh.
+fn client_server(
+    config: &DurabilityConfig,
+    base_dir: &Path,
+    client: usize,
+) -> Result<Server<SimulatedLlm>, ServeError> {
+    let session = Session {
+        client,
+        backend: Backend::CODEGEN[client % Backend::CODEGEN.len()],
+        llm: SimulatedLlm::new(
+            profiles::gpt4(),
+            serving_knowledge(),
+            config.seed ^ client as u64,
+        ),
+    };
+    let (server, _reports) = ServerBuilder::new()
+        .options(config.options.clone())
+        .persist_at(base_dir.join(format!("c{client}")))
+        .recover_or_create(vec![session], || {
+            LiveNetwork::from_workload(&generate(&config.traffic))
+        })?;
+    Ok(server)
+}
+
 fn run_client(
     config: &DurabilityConfig,
     base_dir: &Path,
     client: usize,
     crash_after: Option<u64>,
 ) -> Result<ClientRun, ServeError> {
-    let dir = base_dir.join(format!("c{client}"));
-    let (mut live, mut persistence, _report) =
-        Persistence::recover_or_create(&dir, &config.options, || {
-            LiveNetwork::from_workload(&generate(&config.traffic))
-        })?;
+    let mut server = client_server(config, base_dir, client)?;
     let stream = client_stream(config, client);
-    if live.epoch() as usize > stream.len() {
+    let recovered = server.network().global_epoch() as usize;
+    if recovered > stream.len() {
         return Err(ServeError::Corrupt(format!(
-            "store for client {client} is at epoch {} but the stream has only {} events \
-             (directory reused across configs?)",
-            live.epoch(),
+            "store for client {client} is at epoch {recovered} but the stream has only {} \
+             events (directory reused across configs?)",
             stream.len()
         )));
     }
     // Regenerate the transcript prefix for epochs recovered from disk.
-    let mut lines: Vec<String> = stream[..live.epoch() as usize]
+    let mut lines: Vec<String> = stream[..recovered]
         .iter()
         .enumerate()
         .map(|(i, timed)| mutate_line(i as u64 + 1, timed))
@@ -168,8 +190,8 @@ fn run_client(
     // Continue the stream live. The crash cut varies per client so
     // recovery is exercised at different offsets.
     let cut = crash_after.map(|k| k + client as u64);
-    for (i, timed) in stream.iter().enumerate().skip(live.epoch() as usize) {
-        let epoch = live.apply_event_persisted(timed, &mut persistence)?;
+    for (i, timed) in stream.iter().enumerate().skip(recovered) {
+        let epoch = server.apply_mutation(timed)?;
         debug_assert_eq!(epoch, i as u64 + 1);
         lines.push(mutate_line(epoch, timed));
         if cut.is_some_and(|k| epoch >= k) {
@@ -180,38 +202,19 @@ fn run_client(
             });
         }
     }
-    persistence.sync()?;
+    server.sync_persistence()?;
     // Pay off the deferred removals (snapshot pruning, WAL compaction)
     // accrued over the stream, off the apply path.
-    persistence.sweep(usize::MAX)?;
+    server.sweep_persistence(usize::MAX)?;
 
     // Query round over the final state. The digest pins the state itself;
     // the query answers pin what the pipeline computes over it.
     let digest = format!(
         "final epoch={} state-crc={:08x}",
-        live.epoch(),
-        nemo_store::crc32::crc32(write_snapshot(&live).as_bytes())
+        server.network().global_epoch(),
+        nemo_store::crc32::crc32(write_snapshot(server.merged_view()).as_bytes())
     );
     let queries = traffic_queries();
-    let backend = Backend::CODEGEN[client % Backend::CODEGEN.len()];
-    let llm = SimulatedLlm::new(
-        profiles::gpt4(),
-        serving_knowledge(),
-        config.seed ^ client as u64,
-    );
-    // The builder carries the shared options so the server's own metrics
-    // land in the same registry the store already records into.
-    let mut server = ServerBuilder::new()
-        .options(config.options.clone())
-        .attach_persistence(persistence)
-        .build(
-            live,
-            vec![Session {
-                client,
-                backend,
-                llm,
-            }],
-        )?;
     for k in 0..config.queries {
         let pick = hash_parts(&[
             "durability-query",
@@ -333,22 +336,15 @@ pub fn run_sweep_crash(
         threads,
         Some(&pool_metrics),
         |client| -> Result<(), ServeError> {
-            let dir = base_dir.join(format!("c{client}"));
-            let (mut live, mut persistence, _report) =
-                Persistence::recover_or_create(&dir, &config.options, || {
-                    LiveNetwork::from_workload(&generate(&config.traffic))
-                })?;
-            for timed in client_stream(config, client)
-                .iter()
-                .skip(live.epoch() as usize)
-            {
-                live.apply_event_persisted(timed, &mut persistence)?;
+            let mut server = client_server(config, base_dir, client)?;
+            let recovered = server.network().global_epoch() as usize;
+            for timed in client_stream(config, client).iter().skip(recovered) {
+                server.apply_mutation(timed)?;
             }
-            persistence.sync()?;
+            server.sync_persistence()?;
             // A partial sweep, then an abrupt stop: whatever the budget
             // removed stays removed, the rest is left for the next open.
-            persistence.sweep(budget)?;
-            Ok(())
+            server.sweep_persistence(budget)
         },
     );
     runs.into_iter().collect()
@@ -551,9 +547,9 @@ mod tests {
         assert_eq!(resumed, uninterrupted);
         // The full run swept everything; nothing deletable remains.
         for client in 0..config.clients {
-            let dir = sweep_dir.join(format!("c{client}"));
-            let (_, p, _) = Persistence::recover(&dir, &config.options).unwrap();
-            assert_eq!(p.store().sweep_plan().removals(), 0, "client {client}");
+            let server = client_server(&config, &sweep_dir, client).unwrap();
+            let store = server.shard_persistence()[0].store();
+            assert_eq!(store.sweep_plan().removals(), 0, "client {client}");
         }
         for dir in [full_dir, sweep_dir] {
             std::fs::remove_dir_all(&dir).unwrap();

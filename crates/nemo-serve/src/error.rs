@@ -16,12 +16,17 @@ pub enum ServeError {
     /// in an occupied directory, recovering an empty one). Failures of the
     /// store *itself* carry their context in [`ServeError::Store`].
     Storage(String),
+    /// The persistence root holds a layout this build will not open: store
+    /// files directly under the root (the single-shard layout written
+    /// before every store moved under `shard-<k>/`), or stores for only
+    /// some of the requested shards. Nothing was created or modified.
+    Layout(String),
     /// The durable store under the serving layer failed, keeping the
-    /// failure's context: which shard's store it was (`None` for an
-    /// unsharded server) and the global epoch being logged or synced when
-    /// it surfaced (`None` outside the apply path).
+    /// failure's context: which shard's store it was (`None` before the
+    /// failure was attributed to a shard) and the global epoch being
+    /// logged or synced when it surfaced (`None` outside the apply path).
     Store {
-        /// Index of the failing shard, when the server is sharded.
+        /// Index of the failing shard, once attributed.
         shard: Option<u32>,
         /// Global epoch in flight when the failure surfaced.
         epoch: Option<u64>,
@@ -33,7 +38,7 @@ pub enum ServeError {
     /// [`nemo_store::StoreError::Poisoned`]), so mutations are rejected
     /// while queries keep answering at the last durable epoch.
     Degraded {
-        /// Index of the poisoned shard, when the server is sharded.
+        /// Index of the poisoned shard, once attributed.
         shard: Option<u32>,
         /// Global epoch through which state is known durable; queries keep
         /// answering at this epoch.
@@ -99,6 +104,7 @@ impl fmt::Display for ServeError {
             ServeError::Conflict(msg) => write!(f, "mutation conflict: {msg}"),
             ServeError::Corrupt(msg) => write!(f, "corrupt snapshot or WAL: {msg}"),
             ServeError::Storage(msg) => write!(f, "storage failure: {msg}"),
+            ServeError::Layout(msg) => write!(f, "refusing the persistence layout: {msg}"),
             ServeError::Store {
                 shard,
                 epoch,

@@ -28,13 +28,15 @@
 //!   workload over `nemo_bench::pool`; every client transcript is a pure
 //!   function of `(config, client, seed)`, so the combined transcript is
 //!   bit-identical at any `NEMO_THREADS`.
-//! * **Durability** — [`Persistence`] puts a `nemo-store` segmented,
-//!   checksummed on-disk WAL plus snapshot files under the live state
-//!   ([`codec`] defines the `nemo-wal/v1` record payload): mutations are
-//!   durably logged as they apply, snapshots compact the log on
-//!   thresholds, and [`Persistence::recover`] rebuilds the exact state
-//!   after a crash — torn tails truncated, corruption refused loudly.
-//!   [`durability`] drives crash/resume transcripts over it.
+//! * **Durability** — a server given a persistence root keeps one
+//!   `nemo-store` segmented, checksummed on-disk WAL plus snapshot files
+//!   per shard under `root/shard-<k>/` — a single-shard server is the same
+//!   layout with N = 1 ([`shard_persist`]; [`codec`] defines the record
+//!   payload). Mutations are durably logged before they apply, snapshots
+//!   compact the log on thresholds, and
+//!   [`ServerBuilder::recover_or_create`] rebuilds the exact state after a
+//!   crash — torn tails truncated, corruption and unknown layouts refused
+//!   loudly. [`durability`] drives crash/resume transcripts over it.
 //!
 //! ```
 //! use nemo_serve::{LiveNetwork, Mutation};
@@ -76,7 +78,7 @@ pub use live::LiveNetwork;
 pub use metrics::{validate_chrome_doc, validate_metrics_doc, validate_trace_doc, ServeMetrics};
 pub use mutation::{Epoch, Mutation, WalRecord};
 pub use nemo_obs::trace::Tracer;
-pub use persist::{FsyncPolicy, PersistOptions, Persistence, RecoveryReport};
+pub use persist::{FsyncPolicy, PersistOptions, RecoveryReport};
 pub use protocol::{Request, Response, StatsReport};
 pub use server::{Reply, ServeEvent, Server, ServerBuilder, Session};
 pub use shard::{shard_of, ShardedNetwork};

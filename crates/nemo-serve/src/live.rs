@@ -335,44 +335,6 @@ impl LiveNetwork {
         self.apply(event.at_ms, Mutation::from_event(&event.event))
     }
 
-    /// [`LiveNetwork::apply`] plus durability, in WAL order: the record is
-    /// validated, *logged first*, then applied, then a snapshot is taken
-    /// when due. A conflict leaves both state and log untouched; a log
-    /// failure (disk full, I/O error) surfaces *before* the in-memory
-    /// state moves, so memory never runs ahead of the log. A process crash
-    /// between log and apply replays the logged record on recovery —
-    /// standard redo semantics.
-    pub fn apply_persisted(
-        &mut self,
-        at_ms: u64,
-        mutation: Mutation,
-        persistence: &mut crate::persist::Persistence,
-    ) -> Result<Epoch, ServeError> {
-        self.check(&mutation)?;
-        let record = WalRecord {
-            epoch: self.epoch + 1,
-            at_ms,
-            mutation,
-        };
-        persistence.log(&record)?;
-        let epoch = self
-            .apply(at_ms, record.mutation)
-            .expect("mutation was validated before logging");
-        debug_assert_eq!(epoch, record.epoch);
-        persistence.maybe_snapshot(self)?;
-        Ok(epoch)
-    }
-
-    /// [`LiveNetwork::apply_event`] with durability (see
-    /// [`LiveNetwork::apply_persisted`]).
-    pub fn apply_event_persisted(
-        &mut self,
-        event: &TimedEvent,
-        persistence: &mut crate::persist::Persistence,
-    ) -> Result<Epoch, ServeError> {
-        self.apply_persisted(event.at_ms, Mutation::from_event(&event.event), persistence)
-    }
-
     /// Validates a mutation against the current state without touching it.
     fn check(&self, mutation: &Mutation) -> Result<(), ServeError> {
         let conflict = |msg: String| Err(ServeError::Conflict(msg));

@@ -1,65 +1,15 @@
-//! Durable persistence for the serving layer: `nemo-store` under
-//! [`LiveNetwork`](crate::LiveNetwork).
-//!
-//! A [`Persistence`] handle owns one `nemo_store::Store` directory and the
-//! serving-side policy around it:
-//!
-//! * **Genesis snapshot** — [`Persistence::create`] installs a snapshot of
-//!   the initial state (epoch 0 for a fresh workload) before any record is
-//!   logged, so recovery never depends on re-generating the workload.
-//! * **Logging** — [`Persistence::log`] encodes each applied
-//!   [`WalRecord`] with the `nemo-wal/v1` codec and appends it; the
-//!   store's [`FsyncPolicy`] decides when it hits the platter, and
-//!   [`Persistence::sync`] marks batch boundaries.
-//! * **Snapshots** — [`Persistence::maybe_snapshot`] writes a snapshot
-//!   when the store's byte/epoch thresholds fire. A short delta chain
-//!   keeps installs O(state-delta): when the records since the newest
-//!   snapshot are few and contiguous, the writer emits a
-//!   `nemo-snapshot/v2` delta document (just those records) instead of
-//!   re-encoding the whole state; every [`MAX_DELTA_CHAIN`] installs —
-//!   or whenever the delta would be large — it writes a full
-//!   `nemo-snapshot/v1` document. For full documents, when only
-//!   `AddNode`/`AddEdge` mutations happened since the previous full
-//!   snapshot, the frames only *grew*, so the writer reuses the previous
-//!   snapshot's CSV verbatim and encodes just the appended rows
-//!   (`trafficgen::export_flows_since`-style) — the output is proven
-//!   byte-identical to a full rewrite.
-//! * **Sweep** — installing deletes nothing. Pruning old snapshots and
-//!   deleting covered WAL segments is [`Persistence::sweep`], which the
-//!   server calls at batch boundaries so `append` never waits on
-//!   filesystem removals.
-//! * **Recovery** — [`Persistence::recover`] rebuilds the live state from
-//!   the newest *valid* snapshot plus the WAL suffix. A delta snapshot
-//!   is resolved down its chain to a full base; a damaged link fails
-//!   that candidate loudly (recorded in the report) and recovery falls
-//!   back to the next older snapshot. A torn tail record is truncated
-//!   (by the store), and every unrecoverable condition — CRC mismatch,
-//!   missing segment, epoch gap, conflicting replay — fails loudly.
+//! Persistence knobs and reports shared by every durable server, plus
+//! the bounded retry around storage operations. The stores themselves —
+//! one per shard under `root/shard-<k>/`, for every shard count — live in
+//! [`crate::shard_persist`].
 
-use crate::codec::{decode_record, encode_record, WAL_MAGIC};
 use crate::error::ServeError;
-use crate::live::LiveNetwork;
-use crate::mutation::{Mutation, WalRecord};
-use crate::snapshot::{self, write_snapshot_with_frames, SnapshotDoc};
-use dataframe::csv::{to_csv, to_csv_rows};
 use nemo_obs::trace::Tracer;
 use nemo_obs::{Class, Counter, Registry};
-use nemo_store::{RealFs, Store, StoreConfig, StoreMetrics, SweepOutcome, Vfs};
-use std::path::Path;
+use nemo_store::{RealFs, Vfs};
 use std::sync::Arc;
 
 pub use nemo_store::FsyncPolicy;
-
-/// Longest run of consecutive delta snapshots before a full one is
-/// forced. Bounds both recovery's chain-resolution work and the blast
-/// radius of a damaged link (a broken base invalidates every delta above
-/// it).
-pub const MAX_DELTA_CHAIN: usize = 3;
-
-/// Largest record count a delta document may carry; a bigger backlog
-/// falls back to a full snapshot (re-encoding the state is then cheaper
-/// than replaying the delta on every recovery).
-pub const MAX_DELTA_RECORDS: usize = 4096;
 
 /// Attempts beyond the first that a transient storage fault is retried
 /// before the error propagates.
@@ -158,20 +108,7 @@ impl Default for PersistOptions {
     }
 }
 
-impl PersistOptions {
-    fn store_config(&self) -> StoreConfig {
-        StoreConfig {
-            magic: WAL_MAGIC.to_string(),
-            fsync: self.fsync,
-            segment_max_bytes: self.segment_max_bytes,
-            snapshot_every_bytes: self.snapshot_every_bytes,
-            snapshot_every_epochs: self.snapshot_every_epochs,
-            keep_snapshots: self.keep_snapshots,
-        }
-    }
-}
-
-/// What [`Persistence::recover`] found and did.
+/// What recovering one shard's store found and did.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
     /// Epoch of the snapshot the state was rebuilt from.
@@ -185,750 +122,4 @@ pub struct RecoveryReport {
     /// one was refused — a version mismatch must stay distinguishable
     /// from disk corruption.
     pub skipped_snapshots: Vec<(u64, String)>,
-}
-
-/// The previous snapshot's reusable encoding state.
-#[derive(Debug)]
-struct PrevSnapshot {
-    nodes_csv: String,
-    edges_csv: String,
-    node_rows: usize,
-    edge_rows: usize,
-}
-
-/// A live network's durable storage handle.
-#[derive(Debug)]
-pub struct Persistence {
-    store: Store,
-    /// Cached CSV of the newest installed *full* snapshot, for prefix
-    /// reuse.
-    prev: Option<PrevSnapshot>,
-    /// True while every mutation logged since the newest full snapshot
-    /// only *appended* frame rows (`AddNode`/`AddEdge`): the previous CSV
-    /// is then an unchanged prefix of the current one.
-    append_only: bool,
-    /// Records logged since the newest snapshot (any kind), kept for the
-    /// next delta document. Cleared (with `since_overflow` raised) once
-    /// it exceeds [`MAX_DELTA_RECORDS`].
-    since_snapshot: Vec<WalRecord>,
-    /// True when `since_snapshot` was discarded as too large — the next
-    /// snapshot must be full.
-    since_overflow: bool,
-    /// Consecutive delta snapshots installed since the last full one.
-    chain_len: usize,
-    /// Retry/surfaced-fault counters shared with the options' registry.
-    retry: RetryMetrics,
-}
-
-impl Persistence {
-    /// Creates persistence for a fresh live state in an empty (or absent)
-    /// directory, installing the genesis snapshot before returning. Errors
-    /// if the directory already holds store files — recover those with
-    /// [`Persistence::recover`] instead of silently shadowing them.
-    pub fn create(
-        dir: &Path,
-        options: &PersistOptions,
-        live: &LiveNetwork,
-    ) -> Result<Persistence, ServeError> {
-        let retry = RetryMetrics::register(&options.registry);
-        let (mut store, _) = with_storage_retry(&retry, || {
-            Ok(Store::open_with(
-                dir,
-                options.store_config(),
-                options.vfs.clone(),
-            )?)
-        })?;
-        if !store.is_empty() {
-            return Err(ServeError::Storage(format!(
-                "{} already holds store files; use recover()",
-                dir.display()
-            )));
-        }
-        store.attach_metrics(StoreMetrics::register(&options.registry));
-        store.attach_tracer(options.tracer.clone());
-        let mut persistence = Persistence {
-            store,
-            prev: None,
-            append_only: true,
-            since_snapshot: Vec::new(),
-            since_overflow: false,
-            chain_len: 0,
-            retry,
-        };
-        persistence.force_full_snapshot(live)?;
-        Ok(persistence)
-    }
-
-    /// Rebuilds the live state from disk: newest valid snapshot plus the
-    /// WAL suffix. See the module docs for what is repaired silently (a
-    /// torn tail), what is fallen back from (a corrupt snapshot document)
-    /// and what fails loudly (everything else).
-    pub fn recover(
-        dir: &Path,
-        options: &PersistOptions,
-    ) -> Result<(LiveNetwork, Persistence, RecoveryReport), ServeError> {
-        let retry = RetryMetrics::register(&options.registry);
-        let (mut store, open_report) = with_storage_retry(&retry, || {
-            Ok(Store::open_with(
-                dir,
-                options.store_config(),
-                options.vfs.clone(),
-            )?)
-        })?;
-        if store.is_empty() {
-            return Err(ServeError::Storage(format!(
-                "{} holds no store files; use create()",
-                dir.display()
-            )));
-        }
-        store.attach_metrics(StoreMetrics::register(&options.registry));
-        store.attach_tracer(options.tracer.clone());
-        Self::recover_opened(store, open_report, retry)
-    }
-
-    /// The recovery body over an already-opened (and tail-repaired) store.
-    fn recover_opened(
-        store: Store,
-        open_report: nemo_store::OpenReport,
-        retry: RetryMetrics,
-    ) -> Result<(LiveNetwork, Persistence, RecoveryReport), ServeError> {
-        let dir = store.dir().to_path_buf();
-        let mut report = RecoveryReport {
-            truncated_bytes: open_report.truncated_bytes,
-            ..RecoveryReport::default()
-        };
-        // Newest snapshot whose document (and, for a delta, its whole
-        // chain down to a full base) still validates. A damaged chain
-        // link fails the candidate loudly — the reason lands in the
-        // report — and recovery falls back to the next older snapshot.
-        let mut base: Option<(u64, LiveNetwork)> = None;
-        for &epoch in store.snapshot_epochs().iter().rev() {
-            match resolve_snapshot_chain(&store, epoch) {
-                Ok(live) => {
-                    base = Some((epoch, live));
-                    break;
-                }
-                Err(reason) => report.skipped_snapshots.push((epoch, reason.to_string())),
-            }
-        }
-        let Some((snapshot_epoch, mut live)) = base else {
-            let reasons: Vec<String> = report
-                .skipped_snapshots
-                .iter()
-                .map(|(epoch, reason)| format!("epoch {epoch}: {reason}"))
-                .collect();
-            return Err(ServeError::Corrupt(format!(
-                "{}: no usable snapshot — every candidate failed validation ({})",
-                dir.display(),
-                reasons.join("; "),
-            )));
-        };
-        report.snapshot_epoch = snapshot_epoch;
-        // Replay the WAL suffix, cross-checking the store's positional
-        // epochs against the ones the records themselves carry.
-        let mut records = Vec::new();
-        for (epoch, payload) in store.replay(snapshot_epoch)? {
-            let record = decode_record(&payload)?;
-            if record.epoch != epoch {
-                return Err(ServeError::Corrupt(format!(
-                    "WAL record at log position {epoch} carries epoch {}",
-                    record.epoch
-                )));
-            }
-            records.push(record);
-        }
-        report.replayed_records = snapshot::apply_wal(&mut live, &records)?;
-        // Completeness: the store knows the newest epoch it ever held
-        // (from segment contents and snapshot file names). Recovering to
-        // anything earlier would be *silent* data loss — e.g. falling back
-        // past a corrupt snapshot whose covered WAL was compacted away —
-        // so it fails loudly instead.
-        if let Some(last) = store.last_epoch() {
-            if live.epoch() < last {
-                return Err(ServeError::Corrupt(format!(
-                    "recovery reached epoch {} but the store once held epoch {last}; \
-                     the WAL covering the difference is gone (compacted or deleted)",
-                    live.epoch()
-                )));
-            }
-        }
-        // The reusable-prefix cache restarts from the recovered state,
-        // and the chain counter starts saturated: the next snapshot is
-        // written in full, anchoring a fresh chain.
-        let persistence = Persistence {
-            store,
-            prev: None,
-            append_only: false,
-            since_snapshot: Vec::new(),
-            since_overflow: true,
-            chain_len: MAX_DELTA_CHAIN,
-            retry,
-        };
-        Ok((live, persistence, report))
-    }
-
-    /// Either [`Persistence::recover`] (store files present) or
-    /// [`Persistence::create`] over `init()` (fresh directory) — the
-    /// restart-safe entry point for drivers.
-    pub fn recover_or_create(
-        dir: &Path,
-        options: &PersistOptions,
-        init: impl FnOnce() -> LiveNetwork,
-    ) -> Result<(LiveNetwork, Persistence, RecoveryReport), ServeError> {
-        let retry = RetryMetrics::register(&options.registry);
-        let (mut store, open_report) = with_storage_retry(&retry, || {
-            Ok(Store::open_with(
-                dir,
-                options.store_config(),
-                options.vfs.clone(),
-            )?)
-        })?;
-        store.attach_metrics(StoreMetrics::register(&options.registry));
-        store.attach_tracer(options.tracer.clone());
-        if store.is_empty() {
-            let live = init();
-            let mut persistence = Persistence {
-                store,
-                prev: None,
-                append_only: true,
-                since_snapshot: Vec::new(),
-                since_overflow: false,
-                chain_len: 0,
-                retry,
-            };
-            persistence.force_full_snapshot(&live)?;
-            Ok((live, persistence, RecoveryReport::default()))
-        } else {
-            // Single open: the repair report (torn-tail truncation) flows
-            // into the recovery report instead of being discarded by a
-            // probe-and-reopen.
-            Self::recover_opened(store, open_report, retry)
-        }
-    }
-
-    /// Durably logs one applied WAL record. A transient write fault the
-    /// store rolled back is retried within [`STORAGE_RETRY_BUDGET`]; a
-    /// failed fsync or a poisoned store propagates immediately.
-    pub fn log(&mut self, record: &WalRecord) -> Result<(), ServeError> {
-        // Logical span: exactly one WAL log per applied mutation, on the
-        // sharded and unsharded paths alike.
-        let _log_span = self.store.tracer().span("wal.log", Class::Logical);
-        let payload = encode_record(record);
-        let retry = self.retry.clone();
-        with_storage_retry(&retry, || Ok(self.store.append(record.epoch, &payload)?))?;
-        if !matches!(
-            record.mutation,
-            Mutation::AddNode { .. } | Mutation::AddEdge { .. }
-        ) {
-            self.append_only = false;
-        }
-        if self.since_snapshot.len() >= MAX_DELTA_RECORDS {
-            self.since_snapshot.clear();
-            self.since_overflow = true;
-        } else if !self.since_overflow {
-            self.since_snapshot.push(record.clone());
-        }
-        Ok(())
-    }
-
-    /// Batch-boundary fsync (see [`FsyncPolicy::EveryBatch`]).
-    pub fn sync(&mut self) -> Result<(), ServeError> {
-        self.store.sync()?;
-        Ok(())
-    }
-
-    /// Writes and installs a snapshot if the store's thresholds say one is
-    /// due; returns whether it did.
-    pub fn maybe_snapshot(&mut self, live: &LiveNetwork) -> Result<bool, ServeError> {
-        if !self.store.snapshot_due(live.epoch()) {
-            return Ok(false);
-        }
-        self.force_snapshot(live)?;
-        Ok(true)
-    }
-
-    /// Unconditionally writes and installs a snapshot of `live`: a delta
-    /// document when the backlog since the newest snapshot is small,
-    /// contiguous and the chain is short (O(delta) install), a full
-    /// document otherwise.
-    pub fn force_snapshot(&mut self, live: &LiveNetwork) -> Result<(), ServeError> {
-        let base = self.store.snapshot_metas().last().map(|m| m.epoch);
-        let delta_eligible = !self.since_overflow
-            && self.chain_len < MAX_DELTA_CHAIN
-            && base.is_some_and(|b| {
-                live.epoch() > b
-                    && self
-                        .since_snapshot
-                        .first()
-                        .is_some_and(|r| r.epoch == b + 1)
-                    && self
-                        .since_snapshot
-                        .last()
-                        .is_some_and(|r| r.epoch == live.epoch())
-                    && self.since_snapshot.len() as u64 == live.epoch() - b
-            });
-        if delta_eligible {
-            let base = base.expect("checked above");
-            let document = snapshot::write_delta_snapshot(live.epoch(), base, &self.since_snapshot);
-            let retry = self.retry.clone();
-            with_storage_retry(&retry, || {
-                Ok(self
-                    .store
-                    .install_delta_snapshot(live.epoch(), base, document.as_bytes())?)
-            })?;
-            self.chain_len += 1;
-            self.since_snapshot.clear();
-            self.since_overflow = false;
-            return Ok(());
-        }
-        self.force_full_snapshot(live)
-    }
-
-    /// Unconditionally writes and installs a *full* snapshot of `live`
-    /// (anchoring a fresh delta chain), reusing the previous full
-    /// snapshot's unchanged CSV prefix when every mutation since it was
-    /// append-only.
-    pub fn force_full_snapshot(&mut self, live: &LiveNetwork) -> Result<(), ServeError> {
-        let reusable = self.append_only
-            && self.prev.as_ref().is_some_and(|prev| {
-                prev.node_rows <= live.nodes().n_rows() && prev.edge_rows <= live.edges().n_rows()
-            });
-        let (nodes_csv, edges_csv) = if reusable {
-            let prev = self.prev.as_ref().expect("checked above");
-            (
-                format!(
-                    "{}{}",
-                    prev.nodes_csv,
-                    to_csv_rows(live.nodes(), prev.node_rows)
-                ),
-                format!(
-                    "{}{}",
-                    prev.edges_csv,
-                    to_csv_rows(live.edges(), prev.edge_rows)
-                ),
-            )
-        } else {
-            (to_csv(live.nodes()), to_csv(live.edges()))
-        };
-        let document = write_snapshot_with_frames(live, &nodes_csv, &edges_csv);
-        let retry = self.retry.clone();
-        with_storage_retry(&retry, || {
-            Ok(self
-                .store
-                .install_snapshot(live.epoch(), document.as_bytes())?)
-        })?;
-        self.prev = Some(PrevSnapshot {
-            nodes_csv,
-            edges_csv,
-            node_rows: live.nodes().n_rows(),
-            edge_rows: live.edges().n_rows(),
-        });
-        self.append_only = true;
-        self.chain_len = 0;
-        self.since_snapshot.clear();
-        self.since_overflow = false;
-        Ok(())
-    }
-
-    /// Executes up to `max_removals` deferred removals (snapshot pruning,
-    /// WAL compaction) — see `nemo_store::Store::sweep`. The server calls
-    /// this at batch boundaries so the apply path never blocks on
-    /// filesystem deletions.
-    pub fn sweep(&mut self, max_removals: usize) -> Result<SweepOutcome, ServeError> {
-        let retry = self.retry.clone();
-        with_storage_retry(&retry, || Ok(self.store.sweep(max_removals)?))
-    }
-
-    /// The underlying store (inspection, benchmarks, tests).
-    pub fn store(&self) -> &Store {
-        &self.store
-    }
-}
-
-/// Resolves the snapshot at `epoch` into a restored state, following a
-/// delta chain down to its full base. Any damaged link — unreadable
-/// file, failed validation, a replay that does not reach the link's
-/// epoch — fails the whole chain with the failing link named in the
-/// error, so the caller can fall back past it loudly.
-fn resolve_snapshot_chain(store: &Store, epoch: u64) -> Result<LiveNetwork, ServeError> {
-    let bytes = store.read_snapshot(epoch)?;
-    let text = String::from_utf8(bytes)
-        .map_err(|_| ServeError::Corrupt("snapshot document is not UTF-8".to_string()))?;
-    match snapshot::read_snapshot_document(&text)? {
-        SnapshotDoc::Full(live) => {
-            if live.epoch() != epoch {
-                return Err(ServeError::Corrupt(format!(
-                    "snapshot file for epoch {epoch} carries state at epoch {}",
-                    live.epoch()
-                )));
-            }
-            Ok(*live)
-        }
-        SnapshotDoc::Delta {
-            epoch: doc_epoch,
-            base_epoch,
-            records,
-        } => {
-            if doc_epoch != epoch {
-                return Err(ServeError::Corrupt(format!(
-                    "snapshot file for epoch {epoch} carries a delta at epoch {doc_epoch}"
-                )));
-            }
-            let mut live = resolve_snapshot_chain(store, base_epoch).map_err(|e| {
-                ServeError::Corrupt(format!(
-                    "delta snapshot at epoch {epoch}: base {base_epoch}: {e}"
-                ))
-            })?;
-            if live.epoch() != base_epoch {
-                return Err(ServeError::Corrupt(format!(
-                    "delta snapshot at epoch {epoch}: base resolved to epoch {}, want {base_epoch}",
-                    live.epoch()
-                )));
-            }
-            snapshot::apply_wal(&mut live, &records).map_err(|e| {
-                ServeError::Corrupt(format!("delta snapshot at epoch {epoch}: {e}"))
-            })?;
-            if live.epoch() != epoch {
-                return Err(ServeError::Corrupt(format!(
-                    "delta snapshot at epoch {epoch} resolved to state at epoch {}",
-                    live.epoch()
-                )));
-            }
-            Ok(live)
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::snapshot::write_snapshot;
-    use std::path::PathBuf;
-    use trafficgen::{evolve, generate, StreamConfig, TrafficConfig};
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("nemo-persist-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    fn test_options() -> PersistOptions {
-        PersistOptions {
-            fsync: FsyncPolicy::Never,
-            segment_max_bytes: 512,
-            snapshot_every_bytes: 0,
-            snapshot_every_epochs: 0,
-            ..PersistOptions::default()
-        }
-    }
-
-    fn workload() -> trafficgen::TrafficWorkload {
-        generate(&TrafficConfig {
-            nodes: 12,
-            edges: 16,
-            prefixes: 2,
-            seed: 5,
-        })
-    }
-
-    #[test]
-    fn log_then_recover_rebuilds_identical_state() {
-        let dir = temp_dir("roundtrip");
-        let w = workload();
-        let mut live = LiveNetwork::from_workload(&w);
-        let mut persistence = Persistence::create(&dir, &test_options(), &live).unwrap();
-        for event in evolve(
-            &w,
-            &StreamConfig {
-                events: 60,
-                seed: 2,
-            },
-        ) {
-            live.apply_event(&event).unwrap();
-            persistence
-                .log(live.wal().last().expect("apply appended"))
-                .unwrap();
-        }
-        persistence.sync().unwrap();
-        drop(persistence);
-
-        let (recovered, _, report) = Persistence::recover(&dir, &test_options()).unwrap();
-        assert_eq!(report.snapshot_epoch, 0);
-        assert_eq!(report.replayed_records, 60);
-        assert_eq!(report.truncated_bytes, 0);
-        assert!(recovered == live);
-        assert_eq!(write_snapshot(&recovered), write_snapshot(&live));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn recovery_uses_the_newest_snapshot_and_compaction_survives() {
-        let dir = temp_dir("compact");
-        let w = workload();
-        let mut live = LiveNetwork::from_workload(&w);
-        let mut persistence = Persistence::create(&dir, &test_options(), &live).unwrap();
-        let events = evolve(
-            &w,
-            &StreamConfig {
-                events: 50,
-                seed: 9,
-            },
-        );
-        for (i, event) in events.iter().enumerate() {
-            live.apply_event(event).unwrap();
-            persistence.log(live.wal().last().unwrap()).unwrap();
-            if i == 29 {
-                persistence.force_snapshot(&live).unwrap();
-            }
-        }
-        // The epoch-30 snapshot installed (a delta — force_snapshot took
-        // the O(delta) path); recovery resolves it and replays the rest.
-        assert!(persistence.store().snapshot_epochs().contains(&30));
-        drop(persistence);
-        let (recovered, persistence, report) = Persistence::recover(&dir, &test_options()).unwrap();
-        assert_eq!(report.snapshot_epoch, 30);
-        assert_eq!(report.replayed_records, 20);
-        assert!(recovered == live);
-        // The log continues seamlessly after recovery.
-        drop(persistence);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn corrupt_newest_snapshot_falls_back_to_the_older_one() {
-        let dir = temp_dir("fallback");
-        let w = workload();
-        let mut live = LiveNetwork::from_workload(&w);
-        let mut persistence = Persistence::create(&dir, &test_options(), &live).unwrap();
-        for event in evolve(
-            &w,
-            &StreamConfig {
-                events: 20,
-                seed: 3,
-            },
-        ) {
-            live.apply_event(&event).unwrap();
-            persistence.log(live.wal().last().unwrap()).unwrap();
-        }
-        persistence.force_full_snapshot(&live).unwrap();
-        drop(persistence);
-        // Damage the newest snapshot file so its frame CRC fails. Both
-        // snapshots are retained and the WAL is compacted only to the
-        // oldest retained one, so the genesis fallback can fully replay.
-        let path = dir.join(nemo_store::snapshot_file_name(20));
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x20;
-        std::fs::write(&path, &bytes).unwrap();
-        let (recovered, _, report) = Persistence::recover(&dir, &test_options()).unwrap();
-        assert_eq!(report.snapshot_epoch, 0);
-        assert_eq!(report.skipped_snapshots.len(), 1);
-        assert_eq!(report.skipped_snapshots[0].0, 20);
-        assert!(report.skipped_snapshots[0].1.contains("checksum"));
-        assert_eq!(report.replayed_records, 20);
-        assert!(recovered == live);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn incremental_snapshot_bytes_equal_full_rewrite() {
-        let dir = temp_dir("incremental");
-        let w = workload();
-        let mut live = LiveNetwork::from_workload(&w);
-        let mut persistence = Persistence::create(&dir, &test_options(), &live).unwrap();
-        // Append-only growth: new endpoints and new flows.
-        let mut at = 0;
-        let mut add =
-            |live: &mut LiveNetwork, persistence: &mut Persistence, mutation: Mutation| {
-                at += 1;
-                live.apply(at, mutation).unwrap();
-                persistence.log(live.wal().last().unwrap()).unwrap();
-            };
-        for i in 0..6u8 {
-            add(
-                &mut live,
-                &mut persistence,
-                Mutation::AddNode {
-                    id: format!("203.0.{i}.1"),
-                    prefix16: "203.0".into(),
-                    prefix24: format!("203.0.{i}"),
-                },
-            );
-        }
-        for i in 0..5u8 {
-            add(
-                &mut live,
-                &mut persistence,
-                Mutation::AddEdge {
-                    source: format!("203.0.{i}.1"),
-                    target: format!("203.0.{}.1", i + 1),
-                    bytes: 10 + i as i64,
-                    connections: 1,
-                    packets: 2,
-                },
-            );
-        }
-        assert!(
-            persistence.append_only,
-            "append-only run must keep the flag"
-        );
-        persistence.force_full_snapshot(&live).unwrap();
-        let stored = persistence.store().read_snapshot(live.epoch()).unwrap();
-        assert_eq!(
-            String::from_utf8(stored).unwrap(),
-            write_snapshot(&live),
-            "prefix-reusing snapshot must be byte-identical to a full write"
-        );
-        // A non-append mutation clears the flag; the next snapshot is a
-        // full rewrite and still byte-identical.
-        add(
-            &mut live,
-            &mut persistence,
-            Mutation::RemoveEdge {
-                source: "203.0.0.1".into(),
-                target: "203.0.1.1".into(),
-            },
-        );
-        assert!(!persistence.append_only);
-        persistence.force_full_snapshot(&live).unwrap();
-        let stored = persistence.store().read_snapshot(live.epoch()).unwrap();
-        assert_eq!(String::from_utf8(stored).unwrap(), write_snapshot(&live));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// Drives `events` stream events through a fresh persistence dir,
-    /// snapshotting (via the delta-aware `force_snapshot`) at each epoch
-    /// in `snapshot_at`. Returns the final live state.
-    fn drive(
-        dir: &std::path::Path,
-        events: usize,
-        snapshot_at: &[u64],
-    ) -> (LiveNetwork, Persistence) {
-        let w = workload();
-        let mut live = LiveNetwork::from_workload(&w);
-        let mut persistence = Persistence::create(dir, &test_options(), &live).unwrap();
-        for event in evolve(&w, &StreamConfig { events, seed: 2 }) {
-            live.apply_event(&event).unwrap();
-            persistence.log(live.wal().last().unwrap()).unwrap();
-            if snapshot_at.contains(&live.epoch()) {
-                persistence.force_snapshot(&live).unwrap();
-            }
-        }
-        persistence.sync().unwrap();
-        (live, persistence)
-    }
-
-    #[test]
-    fn delta_snapshots_chain_and_recover_to_the_exact_tip() {
-        let dir = temp_dir("delta-chain");
-        let (live, persistence) = drive(&dir, 40, &[15, 30]);
-        // Both mid-stream snapshots took the O(delta) path: their file
-        // names carry the base they build on.
-        let metas = persistence.store().snapshot_metas().to_vec();
-        assert_eq!(
-            metas,
-            vec![
-                nemo_store::SnapshotMeta::full(0),
-                nemo_store::SnapshotMeta::delta(15, 0),
-                nemo_store::SnapshotMeta::delta(30, 15),
-            ]
-        );
-        drop(persistence);
-        let (recovered, persistence, report) = Persistence::recover(&dir, &test_options()).unwrap();
-        assert_eq!(report.snapshot_epoch, 30, "{report:?}");
-        assert_eq!(report.replayed_records, 10);
-        assert!(report.skipped_snapshots.is_empty());
-        assert!(recovered == live);
-        assert_eq!(write_snapshot(&recovered), write_snapshot(&live));
-        drop(persistence);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn a_full_snapshot_is_forced_once_the_chain_is_long_enough() {
-        let dir = temp_dir("chain-cap");
-        let snapshot_at: Vec<u64> = (1..=5).map(|i| i * 8).collect();
-        let (_, persistence) = drive(&dir, 40, &snapshot_at);
-        let metas = persistence.store().snapshot_metas();
-        // Genesis full, then MAX_DELTA_CHAIN deltas, then a full anchor,
-        // then the chain restarts.
-        assert_eq!(metas[0], nemo_store::SnapshotMeta::full(0));
-        for meta in &metas[1..=MAX_DELTA_CHAIN] {
-            assert!(meta.base.is_some(), "{metas:?}");
-        }
-        assert_eq!(metas[MAX_DELTA_CHAIN + 1].base, None, "{metas:?}");
-        assert!(metas[MAX_DELTA_CHAIN + 2].base.is_some(), "{metas:?}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn a_damaged_delta_link_fails_the_chain_loudly_and_recovery_falls_back() {
-        let dir = temp_dir("delta-damage");
-        let (live, persistence) = drive(&dir, 40, &[15, 30]);
-        drop(persistence);
-        // Damage the *middle* link: every delta above it must fail too.
-        let path = dir.join(nemo_store::delta_snapshot_file_name(15, 0));
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x20;
-        std::fs::write(&path, &bytes).unwrap();
-        let (recovered, _, report) = Persistence::recover(&dir, &test_options()).unwrap();
-        // Recovery fell back past both deltas to the genesis snapshot,
-        // recording why each candidate failed — the tip's reason names
-        // the broken base link.
-        assert_eq!(report.snapshot_epoch, 0);
-        assert_eq!(report.skipped_snapshots.len(), 2);
-        assert_eq!(report.skipped_snapshots[0].0, 30);
-        assert!(
-            report.skipped_snapshots[0].1.contains("base 15"),
-            "{:?}",
-            report.skipped_snapshots
-        );
-        assert_eq!(report.skipped_snapshots[1].0, 15);
-        assert_eq!(report.replayed_records, 40);
-        assert!(recovered == live);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn sweep_prunes_aged_out_chains_and_recovery_still_works() {
-        let dir = temp_dir("persist-sweep");
-        // Deltas at 8/16/24 chain to genesis; the chain cap forces a full
-        // at 32 and the delta at 40 builds on it — so with keep=2 the
-        // retained roots are {32, 40} and the whole old chain ages out.
-        let (live, mut persistence) = drive(&dir, 40, &[8, 16, 24, 32, 40]);
-        let pending = persistence.store().sweep_plan().removals();
-        assert!(pending > 0, "aged-out snapshots must be deletable");
-        let outcome = persistence.sweep(usize::MAX).unwrap();
-        assert_eq!(outcome.remaining, 0);
-        assert!(outcome.pruned_snapshots > 0);
-        drop(persistence);
-        let (recovered, _, report) = Persistence::recover(&dir, &test_options()).unwrap();
-        assert!(report.skipped_snapshots.is_empty(), "{report:?}");
-        assert!(recovered == live);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn create_refuses_an_occupied_directory_and_recover_an_empty_one() {
-        let dir = temp_dir("occupied");
-        let live = LiveNetwork::from_workload(&workload());
-        let _p = Persistence::create(&dir, &test_options(), &live).unwrap();
-        assert!(matches!(
-            Persistence::create(&dir, &test_options(), &live),
-            Err(ServeError::Storage(_))
-        ));
-        let empty = temp_dir("empty");
-        assert!(matches!(
-            Persistence::recover(&empty, &test_options()),
-            Err(ServeError::Storage(_))
-        ));
-        // recover_or_create handles both.
-        let (state, _, report) =
-            Persistence::recover_or_create(&empty, &test_options(), || live.clone()).unwrap();
-        assert!(state == live);
-        assert_eq!(report, RecoveryReport::default());
-        std::fs::remove_dir_all(&dir).unwrap();
-        std::fs::remove_dir_all(&empty).unwrap();
-    }
 }

@@ -87,7 +87,7 @@ pub enum Response {
         epoch: Epoch,
         /// The request's stream timestamp.
         at_ms: u64,
-        /// Index of the poisoned shard, when the server is sharded.
+        /// Index of the poisoned shard, once attributed.
         shard: Option<u32>,
         /// Global epoch through which state is known durable.
         last_durable_epoch: u64,

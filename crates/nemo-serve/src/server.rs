@@ -3,10 +3,9 @@
 //!
 //! A [`Server`] owns a [`ShardedNetwork`] (N hash partitions of the live
 //! state), one [`ProgramCache`] per shard (queries hash to a cache shard
-//! by text), a set of client [`Session`]s, and the persistence layout the
-//! [`ServerBuilder`] configured: none, one plain store (single shard —
-//! byte-compatible with the pre-sharding on-disk layout), or one store
-//! per shard under `shard-<k>/`.
+//! by text), a set of client [`Session`]s, and — when the
+//! [`ServerBuilder`] configured a persistence root — one store per shard
+//! under `root/shard-<k>/`, a single-shard server included.
 //!
 //! Work arrives as typed [`Request`]s and leaves as typed [`Response`]s
 //! through [`Server::handle`]; the legacy [`Server::process`] entry point
@@ -22,10 +21,10 @@ use crate::error::ServeError;
 use crate::live::LiveNetwork;
 use crate::metrics::ServeMetrics;
 use crate::mutation::{Epoch, Mutation, WalRecord};
-use crate::persist::{PersistOptions, Persistence, RecoveryReport};
+use crate::persist::{PersistOptions, RecoveryReport};
 use crate::protocol::{Request, Response, StatsReport};
-use crate::shard::{route_mutation, shard_of, ShardedNetwork};
-use crate::shard_persist::{self, shard_dir, ShardPersistence};
+use crate::shard::{shard_of, ShardedNetwork};
+use crate::shard_persist::{self, ShardPersistence};
 use nemo_core::llm::extract_code;
 use nemo_core::prompt::codegen_prompt;
 use nemo_core::sandbox::execute_code;
@@ -86,21 +85,8 @@ pub struct Reply {
     pub latency_ms: f64,
 }
 
-/// The persistence layout behind a server.
-enum ServerPersistence {
-    /// In-memory only.
-    None,
-    /// One plain store for a single-shard server — the exact pre-sharding
-    /// on-disk layout (`nemo-wal/v1` records, unsharded snapshots), so
-    /// existing store directories keep working unchanged.
-    Plain(Box<Persistence>),
-    /// One store per shard under `shard-<k>/`.
-    Sharded(Vec<ShardPersistence>),
-}
-
 /// Builds [`Server`]s: sharding, durability, cache sizing and recovery in
-/// one place, replacing the grown `Server::new` / `Server::with_persistence`
-/// constructor family.
+/// one place.
 ///
 /// ```
 /// use nemo_serve::{ServerBuilder, LiveNetwork};
@@ -122,7 +108,6 @@ pub struct ServerBuilder {
     options: PersistOptions,
     cache_capacity: usize,
     root: Option<PathBuf>,
-    attach: Option<Persistence>,
     recovery_threads: usize,
 }
 
@@ -140,7 +125,6 @@ impl ServerBuilder {
             options: PersistOptions::default(),
             cache_capacity: 0,
             root: None,
-            attach: None,
             recovery_threads: 1,
         }
     }
@@ -209,18 +193,10 @@ impl ServerBuilder {
         self
     }
 
-    /// Persist under this root directory: the store itself for a
-    /// single-shard server, `shard-<k>/` subdirectories otherwise.
+    /// Persist under this root directory: one store per shard in
+    /// `shard-<k>/` subdirectories, whatever the shard count.
     pub fn persist_at(mut self, root: impl Into<PathBuf>) -> Self {
         self.root = Some(root.into());
-        self
-    }
-
-    /// Attaches an already-opened (typically just-recovered) plain store
-    /// handle instead of letting the builder create one. Single-shard
-    /// only; mutually exclusive with [`ServerBuilder::persist_at`].
-    pub fn attach_persistence(mut self, persistence: Persistence) -> Self {
-        self.attach = Some(persistence);
         self
     }
 
@@ -231,131 +207,71 @@ impl ServerBuilder {
         self
     }
 
-    fn caches(&self) -> Vec<ProgramCache> {
-        (0..self.shards)
-            .map(|_| ProgramCache::with_capacity(self.cache_capacity))
-            .collect()
+    fn server<L: Llm>(
+        &self,
+        net: ShardedNetwork,
+        stores: Vec<ShardPersistence>,
+        sessions: Vec<Session<L>>,
+    ) -> Server<L> {
+        Server {
+            caches: (0..self.shards)
+                .map(|_| ProgramCache::with_capacity(self.cache_capacity))
+                .collect(),
+            net,
+            sessions,
+            stores,
+            merged: None,
+            degraded: None,
+            degraded_cause: None,
+            registry: self.options.registry.clone(),
+            tracer: self.options.tracer.clone(),
+            metrics: ServeMetrics::register(&self.options.registry, self.shards),
+        }
     }
 
     /// Builds a server over a **fresh** initial state. With a persistence
-    /// root, the store(s) are created — an occupied directory is refused
+    /// root, the stores are created — an occupied directory is refused
     /// (recover it with [`ServerBuilder::recover_or_create`] instead of
-    /// silently shadowing it).
+    /// silently shadowing it), and so is a layout this build does not
+    /// open ([`ServeError::Layout`]).
     pub fn build<L: Llm>(
         self,
         live: LiveNetwork,
         sessions: Vec<Session<L>>,
     ) -> Result<Server<L>, ServeError> {
-        let caches = self.caches();
-        let registry = self.options.registry.clone();
-        let tracer = self.options.tracer.clone();
-        let metrics = ServeMetrics::register(&registry, self.shards);
         let net = ShardedNetwork::from_live(&live, self.shards)?;
-        let persistence = match (&self.root, self.attach) {
-            (_, Some(attached)) => {
-                if self.shards != 1 {
-                    return Err(ServeError::Storage(
-                        "attach_persistence is single-shard only; use persist_at for a \
-                         sharded layout"
-                            .to_string(),
-                    ));
-                }
-                ServerPersistence::Plain(Box::new(attached))
-            }
-            (Some(root), None) if self.shards == 1 => {
-                ServerPersistence::Plain(Box::new(Persistence::create(root, &self.options, &live)?))
-            }
-            (Some(root), None) => {
-                let mut stores = Vec::with_capacity(self.shards as usize);
-                for k in 0..self.shards {
-                    stores.push(
-                        ShardPersistence::create(
-                            &shard_dir(root, k),
-                            &self.options,
-                            k,
-                            self.shards,
-                            net.bases(),
-                            net.partition(k),
-                        )
-                        .map_err(|e| e.with_shard(k, None))?,
-                    );
-                }
-                ServerPersistence::Sharded(stores)
-            }
-            (None, None) => ServerPersistence::None,
+        let stores = match &self.root {
+            Some(root) => shard_persist::create_sharded(root, &self.options, &net)?,
+            None => Vec::new(),
         };
-        Ok(Server {
-            caches,
-            net,
-            sessions,
-            persistence,
-            merged: None,
-            degraded: None,
-            degraded_cause: None,
-            registry,
-            tracer,
-            metrics,
-        })
+        Ok(self.server(net, stores, sessions))
     }
 
     /// Recovers the server's state from the persistence root — every
     /// shard independently, in parallel over
     /// [`ServerBuilder::recovery_threads`] — or creates it fresh from
-    /// `init()` when the root is empty. Returns the per-shard
-    /// [`RecoveryReport`]s (one entry for a single-shard server).
+    /// `init()` when no shard holds a store yet. Returns one
+    /// [`RecoveryReport`] per shard. A root written with a different
+    /// shard count, or in the single-shard layout that predates
+    /// `shard-<k>/`, is refused without being touched.
     pub fn recover_or_create<L: Llm>(
         self,
         sessions: Vec<Session<L>>,
         init: impl FnOnce() -> LiveNetwork,
     ) -> Result<(Server<L>, Vec<RecoveryReport>), ServeError> {
-        if self.attach.is_some() {
-            return Err(ServeError::Storage(
-                "recover_or_create opens its own stores; attach_persistence is for build()"
-                    .to_string(),
-            ));
-        }
         let Some(root) = &self.root else {
             return Err(ServeError::Storage(
                 "recover_or_create needs a persistence root (persist_at)".to_string(),
             ));
         };
-        let caches = self.caches();
-        let registry = self.options.registry.clone();
-        let tracer = self.options.tracer.clone();
-        let metrics = ServeMetrics::register(&registry, self.shards);
-        let (net, persistence, reports) = if self.shards == 1 {
-            let (live, persistence, report) =
-                Persistence::recover_or_create(root, &self.options, init)?;
-            (
-                ShardedNetwork::from_live(&live, 1)?,
-                ServerPersistence::Plain(Box::new(persistence)),
-                vec![report],
-            )
-        } else {
-            let (net, stores, reports) = shard_persist::recover_or_create_sharded(
-                root,
-                &self.options,
-                self.shards,
-                self.recovery_threads,
-                init,
-            )?;
-            (net, ServerPersistence::Sharded(stores), reports)
-        };
-        Ok((
-            Server {
-                net,
-                caches,
-                sessions,
-                persistence,
-                merged: None,
-                degraded: None,
-                degraded_cause: None,
-                registry,
-                tracer,
-                metrics,
-            },
-            reports,
-        ))
+        let (net, stores, reports) = shard_persist::recover_or_create_sharded(
+            root,
+            &self.options,
+            self.shards,
+            self.recovery_threads,
+            init,
+        )?;
+        Ok((self.server(net, stores, sessions), reports))
     }
 }
 
@@ -365,7 +281,8 @@ pub struct Server<L: Llm> {
     /// One cache per shard; a query hashes to its cache shard by text.
     caches: Vec<ProgramCache>,
     sessions: Vec<Session<L>>,
-    persistence: ServerPersistence,
+    /// One store per shard (`root/shard-<k>/`); empty when in memory.
+    stores: Vec<ShardPersistence>,
     /// Memoized merged view and the global epoch it reflects (multi-shard
     /// servers only; a single shard serves its partition directly).
     merged: Option<(Epoch, LiveNetwork)>,
@@ -373,8 +290,8 @@ pub struct Server<L: Llm> {
     /// through which that store is known durable)`. The server is then in
     /// **degraded read-only mode** — mutations come back as
     /// [`ServeError::Degraded`] / [`Response::Degraded`] while queries
-    /// keep answering from the in-memory state. The epoch is global for an
-    /// unsharded server and shard-local for a sharded one.
+    /// keep answering from the in-memory state. The epoch is the poisoned
+    /// shard's local one (the global epoch on a single shard).
     degraded: Option<(Option<u32>, u64)>,
     /// The rendering of the first [`nemo_store::StoreError`] that poisoned
     /// the write path, captured when `degraded` was set — so degraded
@@ -394,50 +311,14 @@ pub struct Server<L: Llm> {
 }
 
 impl<L: Llm> Server<L> {
-    /// Builds an in-memory, single-shard server.
-    #[deprecated(note = "use ServerBuilder::new().build(live, sessions)")]
-    pub fn new(live: LiveNetwork, sessions: Vec<Session<L>>) -> Self {
-        ServerBuilder::new()
-            .build(live, sessions)
-            .expect("an in-memory build cannot fail")
-    }
-
-    /// Builds a single-shard server over an already-opened store handle.
-    #[deprecated(
-        note = "use ServerBuilder::new().attach_persistence(p).build(live, sessions), or \
-                persist_at + recover_or_create for a managed store"
-    )]
-    pub fn with_persistence(
-        live: LiveNetwork,
-        sessions: Vec<Session<L>>,
-        persistence: Persistence,
-    ) -> Self {
-        ServerBuilder::new()
-            .attach_persistence(persistence)
-            .build(live, sessions)
-            .expect("a single-shard attach cannot fail")
-    }
-
-    /// The plain (single-shard) durable storage handle, if one is
-    /// attached.
-    pub fn persistence(&self) -> Option<&Persistence> {
-        match &self.persistence {
-            ServerPersistence::Plain(p) => Some(p),
-            _ => None,
-        }
-    }
-
-    /// The per-shard durable storage handles, if the server is sharded.
-    pub fn shard_persistence(&self) -> Option<&[ShardPersistence]> {
-        match &self.persistence {
-            ServerPersistence::Sharded(stores) => Some(stores),
-            _ => None,
-        }
+    /// The per-shard durable storage handles; empty for an in-memory
+    /// server.
+    pub fn shard_persistence(&self) -> &[ShardPersistence] {
+        &self.stores
     }
 
     /// Degraded read-only state, if the server entered it: the poisoned
-    /// shard (`None` for an unsharded server) and the epoch through which
-    /// that store is known durable.
+    /// shard and the epoch through which that store is known durable.
     pub fn degraded(&self) -> Option<(Option<u32>, u64)> {
         self.degraded
     }
@@ -464,33 +345,13 @@ impl<L: Llm> Server<L> {
     /// without poisoning anything). Returns `err` unchanged either way.
     fn note_storage_failure(&mut self, err: ServeError) -> ServeError {
         if self.degraded.is_none() {
-            let hint = match &err {
-                ServeError::Store { shard, .. } | ServeError::Degraded { shard, .. } => *shard,
-                _ => None,
-            };
-            let durable = |store: &nemo_store::Store| store.durable_epoch().unwrap_or(0);
             let mut cause = None;
-            self.degraded = match (&self.persistence, hint) {
-                (ServerPersistence::None, _) => None,
-                (ServerPersistence::Plain(p), _) => p.store().poisoned().map(|poison| {
+            self.degraded = self.stores.iter().enumerate().find_map(|(k, s)| {
+                s.store().poisoned().map(|poison| {
                     cause = Some(poison.to_string());
-                    (None, durable(p.store()))
-                }),
-                (ServerPersistence::Sharded(stores), Some(k)) => {
-                    stores[k as usize].store().poisoned().map(|poison| {
-                        cause = Some(poison.to_string());
-                        (Some(k), durable(stores[k as usize].store()))
-                    })
-                }
-                (ServerPersistence::Sharded(stores), None) => {
-                    stores.iter().enumerate().find_map(|(k, s)| {
-                        s.store().poisoned().map(|poison| {
-                            cause = Some(poison.to_string());
-                            (Some(k as u32), durable(s.store()))
-                        })
-                    })
-                }
-            };
+                    (Some(k as u32), s.store().durable_epoch().unwrap_or(0))
+                })
+            });
             if self.degraded.is_some() {
                 self.degraded_cause = cause;
                 self.metrics.degraded_transitions.inc();
@@ -526,19 +387,11 @@ impl<L: Llm> Server<L> {
         // One physical span for the whole batch-boundary flush, whatever
         // the shard count — the skeleton must not reveal the layout.
         let _flush_span = self.tracer.span("sync.flush", Class::Physical);
-        let result = match &mut self.persistence {
-            ServerPersistence::None => Ok(()),
-            ServerPersistence::Plain(p) => p.sync(),
-            ServerPersistence::Sharded(stores) => {
-                let mut sync_all = || {
-                    for (k, store) in stores.iter_mut().enumerate() {
-                        store.sync().map_err(|e| e.with_shard(k as u32, None))?;
-                    }
-                    Ok(())
-                };
-                sync_all()
-            }
-        };
+        let result = self
+            .stores
+            .iter_mut()
+            .enumerate()
+            .try_for_each(|(k, store)| store.sync().map_err(|e| e.with_shard(k as u32, None)));
         result.map_err(|e| self.note_storage_failure(e))
     }
 
@@ -553,33 +406,17 @@ impl<L: Llm> Server<L> {
         }
         // As with sync.flush: one span over every shard's sweep.
         let _sweep_span = self.tracer.span("sweep.flush", Class::Physical);
-        let result = match &mut self.persistence {
-            ServerPersistence::None => Ok(()),
-            ServerPersistence::Plain(p) => p.sweep(max_removals).map(|_| ()),
-            ServerPersistence::Sharded(stores) => {
-                let mut sweep_all = || {
-                    for (k, store) in stores.iter_mut().enumerate() {
-                        store
-                            .sweep(max_removals)
-                            .map_err(|e| e.with_shard(k as u32, None))?;
-                    }
-                    Ok(())
-                };
-                sweep_all()
-            }
-        };
+        let result = self
+            .stores
+            .iter_mut()
+            .enumerate()
+            .try_for_each(|(k, store)| {
+                store
+                    .sweep(max_removals)
+                    .map(|_| ())
+                    .map_err(|e| e.with_shard(k as u32, None))
+            });
         result.map_err(|e| self.note_storage_failure(e))
-    }
-
-    /// The live network of a **single-shard** server.
-    #[deprecated(note = "use merged_view() (any shard count) or network() for the sharded state")]
-    pub fn live(&self) -> &LiveNetwork {
-        assert_eq!(
-            self.net.shards(),
-            1,
-            "live() predates sharding and reads one partition; use merged_view()"
-        );
-        &self.net.partition(0).live
     }
 
     /// The sharded live state (routing, epoch vector, global epoch).
@@ -630,14 +467,11 @@ impl<L: Llm> Server<L> {
         }
         for (k, gauge) in self.metrics.shard_lags.iter().enumerate() {
             let local = epochs.get(k).copied().unwrap_or(0);
-            let durable = match &self.persistence {
-                // No store: nothing to lag behind.
-                ServerPersistence::None => local,
-                ServerPersistence::Plain(p) => p.store().durable_epoch().unwrap_or(0),
-                ServerPersistence::Sharded(stores) => {
-                    stores[k].store().durable_epoch().unwrap_or(0)
-                }
-            };
+            // No store: nothing to lag behind.
+            let durable = self
+                .stores
+                .get(k)
+                .map_or(local, |s| s.store().durable_epoch().unwrap_or(0));
             gauge.set(local.saturating_sub(durable) as i64);
         }
         let metrics = JsonValue::parse(&self.registry.snapshot().to_json())
@@ -691,59 +525,13 @@ impl<L: Llm> Server<L> {
         if self.degraded.is_some() {
             return Err(self.degraded_error());
         }
-        // Logical span, emitted once per mutation on both layouts before
-        // any validation: the trace skeleton is shard-invariant even when
-        // the mutation conflicts.
+        // Logical span, emitted once per mutation before any validation:
+        // the trace skeleton is shard-invariant even when the mutation
+        // conflicts.
         let _route_span = self.tracer.span("mutate.route", Class::Logical);
-        if self.net.shards() == 1 {
-            // A single shard keeps the exact pre-sharding write path (and,
-            // under Plain persistence, the exact on-disk byte layout).
-            let live = self.net.partition_live_mut(0);
-            let result = {
-                let _apply_span = self.tracer.span("mutate.apply", Class::Physical);
-                match &mut self.persistence {
-                    ServerPersistence::None => live.apply(at_ms, mutation),
-                    ServerPersistence::Plain(p) => live.apply_persisted(at_ms, mutation, p),
-                    ServerPersistence::Sharded(_) => {
-                        unreachable!("the builder never shards a single-shard layout")
-                    }
-                }
-            };
-            return result.map_err(|e| self.note_storage_failure(e));
-        }
-        // Multi-shard: validate globally, log to the owner shard's store
-        // *first* (WAL order: memory never runs ahead of the log), then
-        // apply to the owner partition.
         self.net.check_global(&mutation)?;
         let global = self.net.global_epoch() + 1;
-        let k = route_mutation(&mutation, self.net.shards());
-        if let ServerPersistence::Sharded(stores) = &mut self.persistence {
-            let record = WalRecord {
-                epoch: self.net.local_epoch(k) + 1,
-                at_ms,
-                mutation: mutation.clone(),
-            };
-            let logged = stores[k as usize]
-                .log(&record, global)
-                .map_err(|e| e.with_shard(k, Some(global)));
-            if let Err(e) = logged {
-                return Err(self.note_storage_failure(e));
-            }
-        }
-        {
-            let _apply_span = self.tracer.span("mutate.apply", Class::Physical);
-            self.net
-                .apply_at(global, at_ms, mutation)
-                .expect("mutation was validated globally before logging");
-        }
-        if let ServerPersistence::Sharded(stores) = &mut self.persistence {
-            let snapshotted = stores[k as usize]
-                .maybe_snapshot(self.net.partition(k))
-                .map_err(|e| e.with_shard(k, Some(global)));
-            if let Err(e) = snapshotted {
-                return Err(self.note_storage_failure(e));
-            }
-        }
+        self.log_apply_snapshot(global, at_ms, mutation)?;
         Ok(global)
     }
 
@@ -752,42 +540,41 @@ impl<L: Llm> Server<L> {
     /// walks the deterministic stream and re-applies exactly the events
     /// some shard has not yet durably logged.
     pub fn apply_recorded(&mut self, global: Epoch, event: &TimedEvent) -> Result<(), ServeError> {
-        let mutation = Mutation::from_event(&event.event);
-        if self.net.shards() == 1 {
-            if global != self.net.global_epoch() + 1 {
-                return Err(ServeError::Corrupt(format!(
-                    "recorded epoch {global} does not continue the state at epoch {}",
-                    self.net.global_epoch()
-                )));
-            }
-            return self
-                .apply_mutation_uncounted(event.at_ms, mutation)
-                .map(|_| ());
-        }
         if self.degraded.is_some() {
             return Err(self.degraded_error());
         }
-        let k = route_mutation(&mutation, self.net.shards());
-        if let ServerPersistence::Sharded(stores) = &mut self.persistence {
-            let record = WalRecord {
-                epoch: self.net.local_epoch(k) + 1,
-                at_ms: event.at_ms,
-                mutation: mutation.clone(),
-            };
-            let logged = stores[k as usize]
-                .log(&record, global)
-                .map_err(|e| e.with_shard(k, Some(global)));
-            if let Err(e) = logged {
-                return Err(self.note_storage_failure(e));
+        self.log_apply_snapshot(global, event.at_ms, Mutation::from_event(&event.event))
+    }
+
+    /// The write path every mutation shares: log the record to its owner
+    /// shard's store *first* (WAL order: memory never runs ahead of the
+    /// log), apply it to the owner partition at `global`, then install a
+    /// snapshot when one is due. A storage failure that poisons the store
+    /// flips the server into degraded mode.
+    fn log_apply_snapshot(
+        &mut self,
+        global: Epoch,
+        at_ms: u64,
+        mutation: Mutation,
+    ) -> Result<(), ServeError> {
+        let k = self.net.route(&mutation);
+        let record = WalRecord {
+            epoch: self.net.local_epoch(k) + 1,
+            at_ms,
+            mutation,
+        };
+        if let Some(store) = self.stores.get_mut(k as usize) {
+            if let Err(e) = store.log(&record, global) {
+                return Err(self.note_storage_failure(e.with_shard(k, Some(global))));
             }
         }
-        self.net.apply_at(global, event.at_ms, mutation)?;
-        if let ServerPersistence::Sharded(stores) = &mut self.persistence {
-            let snapshotted = stores[k as usize]
-                .maybe_snapshot(self.net.partition(k))
-                .map_err(|e| e.with_shard(k, Some(global)));
-            if let Err(e) = snapshotted {
-                return Err(self.note_storage_failure(e));
+        {
+            let _apply_span = self.tracer.span("mutate.apply", Class::Physical);
+            self.net.apply_at(global, at_ms, record.mutation)?;
+        }
+        if let Some(store) = self.stores.get_mut(k as usize) {
+            if let Err(e) = store.maybe_snapshot(self.net.partition(k)) {
+                return Err(self.note_storage_failure(e.with_shard(k, Some(global))));
             }
         }
         Ok(())
@@ -803,15 +590,7 @@ impl<L: Llm> Server<L> {
     }
 
     fn current_view(&self) -> &LiveNetwork {
-        if self.net.shards() == 1 {
-            &self.net.partition(0).live
-        } else {
-            &self
-                .merged
-                .as_ref()
-                .expect("ensure_merged refreshed the view")
-                .1
-        }
+        served_view(&self.net, &self.merged)
     }
 
     /// Answers one query for one client through the cache hierarchy.
@@ -891,11 +670,7 @@ impl<L: Llm> Server<L> {
                     caches,
                     ..
                 } = self;
-                let live: &LiveNetwork = if net.shards() == 1 {
-                    &net.partition(0).live
-                } else {
-                    &merged.as_ref().expect("ensure_merged ran").1
-                };
+                let live = served_view(net, merged);
                 let prompt = codegen_prompt(live, backend, query);
                 let state = live.state(backend);
                 let mut manager = NetworkManager::new(live, &mut sessions[si].llm);
@@ -1059,6 +834,22 @@ impl<L: Llm> Server<L> {
             }
         }
         Ok((transcript, replies))
+    }
+}
+
+/// The view queries are answered from: partition 0 itself on a single
+/// shard — a borrow, never a copy, so the read path copies no state — and
+/// the merged view [`Server::ensure_merged`] memoized otherwise. Takes the
+/// fields rather than the server so a caller can hold the view while
+/// borrowing a session mutably.
+fn served_view<'a>(
+    net: &'a ShardedNetwork,
+    merged: &'a Option<(Epoch, LiveNetwork)>,
+) -> &'a LiveNetwork {
+    if net.shards() == 1 {
+        &net.partition(0).live
+    } else {
+        &merged.as_ref().expect("ensure_merged refreshed the view").1
     }
 }
 
@@ -1387,31 +1178,6 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_constructors_build_equivalent_servers() {
-        #![allow(deprecated)]
-        let q = "How many edges are there?";
-        let mut old_style = Server::new(
-            live(),
-            vec![Session {
-                client: 0,
-                backend: Backend::NetworkX,
-                llm: scripted(2),
-            }],
-        );
-        let mut new_style = server_with(1, scripted(2));
-        let a = old_style.handle_query(0, q);
-        let b = new_style.handle_query(0, q);
-        assert_eq!((a.answer, a.cache, a.epoch), (b.answer, b.cache, b.epoch));
-        // The metrics documents differ in physical timings; everything
-        // else in the report is identical.
-        let (mut old_stats, mut new_stats) = (old_style.stats(), new_style.stats());
-        old_stats.metrics = JsonValue::Null;
-        new_stats.metrics = JsonValue::Null;
-        assert_eq!(old_stats, new_stats);
-        assert_eq!(old_style.live(), new_style.merged_view());
-    }
-
-    #[test]
     fn a_poisoned_write_path_degrades_to_read_only_serving() {
         use nemo_store::{FaultFs, FaultKind};
         let dir = std::env::temp_dir().join(format!("nemo-server-degraded-{}", std::process::id()));
@@ -1465,7 +1231,7 @@ mod tests {
         assert!(fault.injection().is_some(), "the fault fired: {fault:?}");
         assert_eq!(
             server.degraded(),
-            Some((None, 1)),
+            Some((Some(0), 1)),
             "poisoned store => degraded at the last durable epoch"
         );
         // Mutations now come back as typed degraded responses (no error,
@@ -1481,7 +1247,10 @@ mod tests {
                 last_durable_epoch,
                 cause,
             } => {
-                assert_eq!((epoch, at_ms, shard, last_durable_epoch), (1, 3, None, 1));
+                assert_eq!(
+                    (epoch, at_ms, shard, last_durable_epoch),
+                    (1, 3, Some(0), 1)
+                );
                 // The cause names the poisoning operation (here the failed
                 // commit fsync), so fsyncgate is distinguishable from
                 // ENOSPC at the protocol surface.
@@ -1498,6 +1267,61 @@ mod tests {
         assert_eq!(reply.answer, "14");
         assert_eq!(reply.epoch, 1);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn durable_servers_started_past_epoch_zero_recover_at_every_shard_count() {
+        // The network handed to the builder already sits at epoch 40: a
+        // single partition keeps that epoch as its local one, and its
+        // store logs from 41 on.
+        let workload = generate(&TrafficConfig {
+            nodes: 10,
+            edges: 14,
+            prefixes: 2,
+            seed: 9,
+        });
+        let events = trafficgen::evolve(
+            &workload,
+            &trafficgen::StreamConfig {
+                events: 60,
+                seed: 3,
+            },
+        );
+        let mut reference = LiveNetwork::from_workload(&workload);
+        for event in &events[..40] {
+            reference.apply_event(event).unwrap();
+        }
+        let start = reference.clone();
+        for event in &events[40..] {
+            reference.apply_event(event).unwrap();
+        }
+        for shards in [1u32, 3] {
+            let root = std::env::temp_dir().join(format!(
+                "nemo-server-past-zero-{shards}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&root);
+            let builder = || {
+                ServerBuilder::new()
+                    .shards(shards)
+                    .snapshot_every_epochs(7)
+                    .persist_at(&root)
+            };
+            let mut server = builder()
+                .build::<ScriptedLlm>(start.clone(), Vec::new())
+                .unwrap();
+            for event in &events[40..] {
+                server.apply_mutation(event).unwrap();
+            }
+            server.sync_persistence().unwrap();
+            drop(server);
+            let (mut recovered, _) = builder()
+                .recover_or_create::<ScriptedLlm>(Vec::new(), || unreachable!())
+                .unwrap();
+            assert_eq!(recovered.network().global_epoch(), 60, "shards={shards}");
+            assert!(*recovered.merged_view() == reference, "shards={shards}");
+            std::fs::remove_dir_all(&root).unwrap();
+        }
     }
 
     #[test]

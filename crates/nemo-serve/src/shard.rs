@@ -15,8 +15,12 @@
 //! attributes and counts toward the merged view — iff the hash owns it
 //! (`shard_of(id) == k`); any node the hash routes elsewhere is a ghost.
 //!
-//! **Epoch vector.** Each partition counts its own *local* epochs; the
-//! global epoch is `base + Σ local`. Per-shard mutation streams are
+//! **Epoch vector.** Each partition counts its own *local* epochs. The
+//! partitions of a multi-shard network start counting at zero, so the
+//! global epoch is `base + Σ local`; a single partition is the whole
+//! network and keeps the network's epoch, so its local epoch *is* the
+//! global one — which is what lets a single-shard server serve partition
+//! 0 itself as its view. Per-shard mutation streams are
 //! independently applicable in any interleaving (ghosts make cross-shard
 //! edges shard-locally valid), which is what lets each shard recover from
 //! its own WAL with no cross-shard coordination — and what the
@@ -124,15 +128,12 @@ pub struct ShardedNetwork {
     /// Highest global epoch applied anywhere (equals `base + Σ local`
     /// except after a jagged per-shard recovery).
     next_global: Epoch,
-    /// What each partition's `LiveNetwork::epoch()` read at partition
-    /// time: a single-shard network keeps the original network (and its
-    /// epoch) verbatim, multi-shard partitions start counting at zero.
-    local_base: Epoch,
 }
 
 impl ShardedNetwork {
     /// Partitions `live` into `shards` hash partitions. With `shards ==
-    /// 1` the single partition is a private copy of `live`, verbatim. A
+    /// 1` the single partition is a private copy of `live`, verbatim —
+    /// epoch included, so the partition doubles as the global view. A
     /// frame whose id or source column holds a non-string value — a
     /// recovered snapshot from a hand-edited or damaged store can produce
     /// one — is a typed
@@ -156,7 +157,6 @@ impl ShardedNetwork {
                 partitions: vec![partition],
                 bases,
                 next_global: base_epoch,
-                local_base: base_epoch,
             });
         }
         let n = shards as usize;
@@ -210,7 +210,6 @@ impl ShardedNetwork {
             partitions,
             bases,
             next_global: base_epoch,
-            local_base: 0,
         })
     }
 
@@ -222,16 +221,10 @@ impl ShardedNetwork {
         next_global: Epoch,
     ) -> ShardedNetwork {
         assert!(!partitions.is_empty());
-        let local_base = if partitions.len() == 1 {
-            bases.base_epoch
-        } else {
-            0
-        };
         ShardedNetwork {
             partitions,
             bases,
             next_global,
-            local_base,
         }
     }
 
@@ -258,36 +251,22 @@ impl ShardedNetwork {
         &self.partitions[shard as usize]
     }
 
-    /// Direct mutable access to one partition's live network — the
-    /// single-shard server's write path, which keeps the exact
-    /// pre-sharding apply/persist discipline.
-    pub(crate) fn partition_live_mut(&mut self, shard: u32) -> &mut LiveNetwork {
-        &mut self.partitions[shard as usize].live
-    }
-
-    /// The global epoch: the highest global epoch applied anywhere
-    /// (`base_epoch + Σ epoch_vector` in normal operation).
+    /// The global epoch: the highest global epoch applied anywhere.
     pub fn global_epoch(&self) -> Epoch {
-        if self.partitions.len() == 1 {
-            self.partitions[0].live.epoch()
-        } else {
-            self.next_global
-        }
+        self.next_global
     }
 
-    /// The cross-shard epoch vector: mutations applied per shard since
-    /// `base_epoch`. Reads served from the merged view observe exactly
-    /// this cut.
+    /// The cross-shard epoch vector: each partition's local epoch (see
+    /// the module docs). Reads served from the merged view observe
+    /// exactly this cut.
     pub fn epoch_vector(&self) -> Vec<Epoch> {
-        self.partitions
-            .iter()
-            .map(|p| p.live.epoch() - self.local_base)
-            .collect()
+        self.partitions.iter().map(|p| p.live.epoch()).collect()
     }
 
-    /// Local epoch of one shard (its partition's own mutation count).
+    /// Local epoch of one shard: its partition's own epoch counter, which
+    /// is also the positional epoch of the shard's store.
     pub(crate) fn local_epoch(&self, shard: u32) -> Epoch {
-        self.partitions[shard as usize].live.epoch() - self.local_base
+        self.partitions[shard as usize].live.epoch()
     }
 
     /// True when the *owning* shard holds a real (non-ghost) node `id`.
@@ -373,15 +352,6 @@ impl ShardedNetwork {
     /// are k-way merged by sequence number.
     pub fn merged(&self) -> LiveNetwork {
         let global = self.global_epoch();
-        if self.partitions.len() == 1 {
-            let live = &self.partitions[0].live;
-            return LiveNetwork::from_parts(
-                live.graph().clone(),
-                live.nodes().clone(),
-                live.edges().clone(),
-                global,
-            );
-        }
         let shards = self.shards();
         let mut graph = Graph::directed();
         // Real nodes first (with their attributes), so no edge below has

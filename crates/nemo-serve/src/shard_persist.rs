@@ -1,20 +1,21 @@
-//! Per-shard durable persistence: one `nemo-store` directory per shard.
+//! Durable persistence: one `nemo-store` directory per shard, for every
+//! shard count.
 //!
-//! A sharded server keeps `shards` independent stores under
+//! A durable server keeps `shards` independent stores under
 //! `root/shard-<k>/`, each holding exactly one partition's slice of the
-//! state. The discipline mirrors [`crate::persist`] — genesis snapshot
-//! before any record, newest-valid-snapshot recovery with loud failures,
-//! positional replay checks, WAL compaction on snapshot — with two
-//! shard-specific twists:
+//! state; a single-shard server is the same layout with one directory.
+//! Each store follows one discipline:
 //!
+//! * **Genesis snapshot** — creating a shard's store installs a snapshot
+//!   of its initial partition before any record is logged, so recovery
+//!   never depends on re-generating the workload.
 //! * **Records carry two epochs.** The store's positional epoch is the
-//!   shard's *local* epoch (so each store's contiguity and torn-tail
-//!   machinery works unchanged), and the *global* epoch rides along in the
-//!   payload ([`crate::codec::encode_shard_record`]) so recovery can
-//!   rebuild the cross-shard sequence numbers that make the merged view
-//!   byte-identical to an unsharded run. The segment magic is
-//!   [`SHARD_WAL_MAGIC`], so a shard store can never be mistaken for an
-//!   unsharded one (or vice versa).
+//!   shard's *local* epoch (its partition's own counter, so each store's
+//!   contiguity and torn-tail machinery works unchanged), and the
+//!   *global* epoch rides along in the payload
+//!   ([`crate::codec::encode_shard_record`]) so recovery can rebuild the
+//!   cross-shard sequence numbers that make the merged view
+//!   byte-identical at any shard count.
 //! * **Snapshots are shard documents.** A full `nemo-shard/v1` document
 //!   wraps an ordinary inner snapshot (at the *local* epoch) together with
 //!   the shard's identity (`shard`/`shards`), the sequence-number bases
@@ -22,23 +23,40 @@
 //!   highest global epoch the shard had observed. A `nemo-shard/v2`
 //!   *delta* document instead carries just the records logged since the
 //!   previous snapshot (each with its global epoch), so mid-stream
-//!   installs are O(delta); recovery resolves the chain down to a full
-//!   base exactly like the unsharded reader, with the same loud fallback
-//!   past a damaged link.
+//!   installs are O(delta); every [`MAX_DELTA_CHAIN`] installs — or
+//!   whenever the backlog is large — a full document anchors a new chain.
+//! * **Sweep** — installing deletes nothing. Pruning old snapshots and
+//!   deleting covered WAL segments is [`ShardPersistence::sweep`], which
+//!   the server calls at batch boundaries so `append` never waits on
+//!   filesystem removals.
+//! * **Recovery** rebuilds each partition from its newest *valid*
+//!   snapshot plus the WAL suffix. A delta is resolved down its chain to
+//!   a full base; a damaged link fails that candidate loudly (recorded in
+//!   the report) and recovery falls back to the next older snapshot. A
+//!   torn tail record is truncated (by the store), and every unrecoverable
+//!   condition — CRC mismatch, missing segment, epoch gap, conflicting
+//!   replay — fails loudly.
 //!
 //! Each shard recovers from its own directory with **no cross-shard
 //! coordination** — ghost endpoints make every per-shard stream
 //! independently applicable — and [`recover_or_create_sharded`]
 //! reassembles the [`ShardedNetwork`] from the recovered partitions,
 //! cross-checking that all shards agree on the partition metadata.
+//!
+//! **Layouts this build refuses.** A root holding store files directly
+//! is the single-shard layout written before every store moved under
+//! `shard-<k>/` (`nemo-wal/v1` records, `nemo-snapshot/v1,v2` documents).
+//! It is refused with [`ServeError::Layout`], as is a root holding stores
+//! for only some of the requested shards; both checks read the directory
+//! listing only, so a refused root is left exactly as it was. A root
+//! written with more shards than requested fails on the shard identity
+//! every document carries.
 
 use crate::codec::{self, decode_shard_record, encode_shard_record, SHARD_WAL_MAGIC};
 use crate::error::ServeError;
+use crate::live::LiveNetwork;
 use crate::mutation::{Epoch, WalRecord};
-use crate::persist::{
-    with_storage_retry, PersistOptions, RecoveryReport, RetryMetrics, MAX_DELTA_CHAIN,
-    MAX_DELTA_RECORDS,
-};
+use crate::persist::{with_storage_retry, PersistOptions, RecoveryReport, RetryMetrics};
 use crate::shard::{SeqBases, ShardPartition, ShardedNetwork};
 use crate::snapshot::{read_snapshot, write_snapshot};
 use nemo_bench::pool;
@@ -46,6 +64,17 @@ use nemo_store::{Store, StoreConfig, StoreMetrics, SweepOutcome};
 use netgraph::json::JsonValue;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+
+/// Longest run of consecutive delta snapshots before a full one is
+/// forced. Bounds both recovery's chain-resolution work and the blast
+/// radius of a damaged link (a broken base invalidates every delta above
+/// it).
+pub const MAX_DELTA_CHAIN: usize = 3;
+
+/// Largest record count a delta document may carry; a bigger backlog
+/// falls back to a full snapshot (re-encoding the state is then cheaper
+/// than replaying the delta on every recovery).
+pub const MAX_DELTA_RECORDS: usize = 4096;
 
 /// Schema tag of the full per-shard snapshot document.
 pub const SHARD_SCHEMA: &str = "nemo-shard/v1";
@@ -71,8 +100,7 @@ fn shard_store_config(options: &PersistOptions) -> StoreConfig {
     }
 }
 
-/// One shard's durable storage handle (the sharded counterpart of
-/// [`crate::Persistence`]).
+/// One shard's durable storage handle.
 #[derive(Debug)]
 pub struct ShardPersistence {
     store: Store,
@@ -138,8 +166,8 @@ impl ShardPersistence {
     }
 
     /// Rebuilds one shard's partition from its directory: newest valid
-    /// shard snapshot plus the per-shard WAL suffix. Same repair/fallback/
-    /// fail-loudly split as [`crate::Persistence::recover`], plus the
+    /// shard snapshot plus the per-shard WAL suffix (see the module docs
+    /// for what is repaired, fallen back from, and refused), with the
     /// shard-identity checks (`shard`, `shards`) on every candidate
     /// document.
     pub(crate) fn recover(
@@ -252,8 +280,8 @@ impl ShardPersistence {
     /// Durably logs one applied record: positional epoch is the shard's
     /// local epoch, `global` rides along in the payload.
     pub(crate) fn log(&mut self, record: &WalRecord, global: Epoch) -> Result<(), ServeError> {
-        // Same logical span name as the unsharded path: the skeleton must
-        // not reveal the shard layout.
+        // Logical span: exactly one WAL log per applied mutation, at any
+        // shard count.
         let _log_span = self
             .store
             .tracer()
@@ -329,9 +357,7 @@ impl ShardPersistence {
     }
 
     /// Unconditionally writes and installs a *full* shard snapshot,
-    /// anchoring a fresh delta chain. Full shard documents skip the
-    /// CSV-prefix reuse of the unsharded writer — it is a pure
-    /// optimization this path does not need.
+    /// anchoring a fresh delta chain.
     pub(crate) fn force_full_snapshot(
         &mut self,
         partition: &ShardPartition,
@@ -396,7 +422,10 @@ impl ShardPersistence {
             ("last_global", codec::n(self.last_global as i64)),
             ("node_seqs", seqs(&partition.node_seqs)),
             ("edge_seqs", seqs(&partition.edge_seqs)),
-            ("snapshot", codec::s(&write_snapshot(&partition.live))),
+            (
+                "snapshot",
+                JsonValue::String(write_snapshot(&partition.live)),
+            ),
         ])
         .to_json()
     }
@@ -458,10 +487,17 @@ fn get_seqs(root: &BTreeMap<String, JsonValue>, key: &str) -> Result<Vec<u64>, S
 /// Parses either flavor of shard snapshot document, dispatching on the
 /// schema field. A schema version newer than v2 is refused with a
 /// message that stays distinguishable from disk corruption.
-fn parse_shard_any(text: &str, want_shard: u32, want_shards: u32) -> Result<ShardDoc, ServeError> {
+fn parse_shard_any(
+    text: String,
+    want_shard: u32,
+    want_shards: u32,
+) -> Result<ShardDoc, ServeError> {
     let corrupt = |msg: String| ServeError::Corrupt(msg);
-    let doc = JsonValue::parse(text).map_err(|e| corrupt(format!("not JSON: {e}")))?;
-    let JsonValue::Object(root) = &doc else {
+    let doc = JsonValue::parse(&text).map_err(|e| corrupt(format!("not JSON: {e}")))?;
+    // A full document is mostly its inner snapshot: free the raw text
+    // before that is parsed in turn.
+    drop(text);
+    let JsonValue::Object(root) = doc else {
         return Err(corrupt("shard snapshot root is not an object".to_string()));
     };
     let schema = match root.get("schema") {
@@ -472,12 +508,12 @@ fn parse_shard_any(text: &str, want_shard: u32, want_shards: u32) -> Result<Shar
             )))
         }
     };
-    check_shard_identity(root, want_shard, want_shards)?;
+    check_shard_identity(&root, want_shard, want_shards)?;
     if schema == SHARD_SCHEMA {
         return Ok(ShardDoc::Full(Box::new(parse_full_shard_body(root)?)));
     }
     if schema == SHARD_DELTA_SCHEMA {
-        return Ok(ShardDoc::Delta(parse_delta_shard_body(root)?));
+        return Ok(ShardDoc::Delta(parse_delta_shard_body(&root)?));
     }
     if let Some(version) = schema
         .strip_prefix("nemo-shard/v")
@@ -578,18 +614,30 @@ fn parse_delta_shard_body(root: &BTreeMap<String, JsonValue>) -> Result<ShardDel
     })
 }
 
-fn parse_full_shard_body(root: &BTreeMap<String, JsonValue>) -> Result<ShardDocument, ServeError> {
+fn parse_full_shard_body(
+    mut root: BTreeMap<String, JsonValue>,
+) -> Result<ShardDocument, ServeError> {
     let corrupt = |msg: String| ServeError::Corrupt(msg);
     let bases = SeqBases {
-        base_epoch: codec::get_u64(root, "base_epoch")?,
-        node_seq_base: codec::get_u64(root, "node_seq_base")?,
-        edge_seq_base: codec::get_u64(root, "edge_seq_base")?,
+        base_epoch: codec::get_u64(&root, "base_epoch")?,
+        node_seq_base: codec::get_u64(&root, "node_seq_base")?,
+        edge_seq_base: codec::get_u64(&root, "edge_seq_base")?,
     };
-    let last_global = codec::get_u64(root, "last_global")?;
-    let inner = codec::get_str(root, "snapshot")?;
+    let last_global = codec::get_u64(&root, "last_global")?;
+    let node_seqs = get_seqs(&root, "node_seqs")?;
+    let edge_seqs = get_seqs(&root, "edge_seqs")?;
+    // Moved out, not copied, and the rest of the document freed before
+    // the inner snapshot is parsed.
+    let inner = match root.remove("snapshot") {
+        Some(JsonValue::String(inner)) => inner,
+        other => {
+            return Err(corrupt(format!(
+                "shard snapshot field \"snapshot\" is {other:?}, want a string"
+            )))
+        }
+    };
+    drop(root);
     let live = read_snapshot(&inner)?;
-    let node_seqs = get_seqs(root, "node_seqs")?;
-    let edge_seqs = get_seqs(root, "edge_seqs")?;
     if node_seqs.len() != live.nodes().n_rows() || edge_seqs.len() != live.edges().n_rows() {
         return Err(corrupt(format!(
             "sequence vectors ({} nodes, {} edges) do not match the frames ({} nodes, {} edges)",
@@ -624,7 +672,7 @@ fn resolve_shard_chain(
     let bytes = store.read_snapshot(epoch)?;
     let text = String::from_utf8(bytes)
         .map_err(|_| ServeError::Corrupt("shard snapshot document is not UTF-8".to_string()))?;
-    match parse_shard_any(&text, shard, shards)? {
+    match parse_shard_any(text, shard, shards)? {
         ShardDoc::Full(doc) => {
             if doc.partition.live.epoch() != epoch {
                 return Err(ServeError::Corrupt(format!(
@@ -685,48 +733,109 @@ fn resolve_shard_chain(
     }
 }
 
-/// Opens (or creates) the whole sharded layout under `root`: either every
-/// shard directory is recovered — in parallel over `threads` workers, each
-/// shard independently — or, when `root/shard-0` is empty, the network is
-/// built fresh from `init()`, partitioned, and every shard's genesis
-/// snapshot installed. A half-and-half layout (some shards occupied, some
-/// empty: a crash mid-create) fails loudly from the per-shard
-/// create/recover preconditions.
+/// Whether `dir` holds WAL segments or snapshot files (a missing
+/// directory holds none). Reads the listing only — a probe through
+/// `Store::open` would repair torn tails and drop the truncation out of
+/// the recovery report — and ignores a crashed install's `.tmp` files,
+/// which the store's own open removes.
+fn holds_store_files(dir: &Path) -> Result<bool, ServeError> {
+    let entries = match std::fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
+        Err(e) => {
+            return Err(ServeError::Storage(format!(
+                "probing {}: {e}",
+                dir.display()
+            )))
+        }
+    };
+    for entry in entries {
+        let entry =
+            entry.map_err(|e| ServeError::Storage(format!("probing {}: {e}", dir.display())))?;
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else { continue };
+        if nemo_store::segment::parse_segment_name(name).is_some()
+            || nemo_store::parse_snapshot_name(name).is_some()
+            || nemo_store::parse_delta_snapshot_name(name).is_some()
+        {
+            return Ok(true);
+        }
+    }
+    Ok(false)
+}
+
+/// Checks the layout under `root` before anything is opened: `Ok(false)`
+/// when no shard holds a store yet, `Ok(true)` when every one of the
+/// `shards` directories does. A root holding store files directly (the
+/// pre-`shard-<k>/` single-shard layout) or stores for only some shards is
+/// refused with [`ServeError::Layout`], touching nothing.
+fn probe_layout(root: &Path, shards: u32) -> Result<bool, ServeError> {
+    if holds_store_files(root)? {
+        return Err(ServeError::Layout(format!(
+            "{} holds store files directly: the single-shard layout written before every \
+             store moved under shard-<k>/ (nemo-wal/v1 records, nemo-snapshot/v1,v2 \
+             documents). This build does not read it; recover it with the build that \
+             wrote it, or start a fresh root",
+            root.display()
+        )));
+    }
+    let mut occupied = Vec::with_capacity(shards as usize);
+    for k in 0..shards {
+        if holds_store_files(&shard_dir(root, k))? {
+            occupied.push(k);
+        }
+    }
+    if occupied.is_empty() || occupied.len() == shards as usize {
+        return Ok(!occupied.is_empty());
+    }
+    Err(ServeError::Layout(format!(
+        "{} holds stores for shards {occupied:?} of the {shards} requested: written with a \
+         different shard count, or a create that crashed midway",
+        root.display()
+    )))
+}
+
+/// Creates every shard's store under `root` for a freshly partitioned
+/// network, installing each genesis snapshot. An occupied shard directory
+/// or a refused layout (see [`probe_layout`]) is an error.
+pub(crate) fn create_sharded(
+    root: &Path,
+    options: &PersistOptions,
+    net: &ShardedNetwork,
+) -> Result<Vec<ShardPersistence>, ServeError> {
+    probe_layout(root, net.shards())?;
+    (0..net.shards())
+        .map(|k| {
+            ShardPersistence::create(
+                &shard_dir(root, k),
+                options,
+                k,
+                net.shards(),
+                net.bases(),
+                net.partition(k),
+            )
+            .map_err(|e| e.with_shard(k, None))
+        })
+        .collect()
+}
+
+/// Opens (or creates) the whole layout under `root`: either every shard
+/// directory is recovered — in parallel over `threads` workers, each
+/// shard independently — or, when no shard holds a store yet, the network
+/// is built fresh from `init()`, partitioned, and every shard's genesis
+/// snapshot installed. Layouts [`probe_layout`] refuses fail before
+/// anything is opened.
 pub(crate) fn recover_or_create_sharded(
     root: &Path,
     options: &PersistOptions,
     shards: u32,
     threads: usize,
-    init: impl FnOnce() -> crate::live::LiveNetwork,
+    init: impl FnOnce() -> LiveNetwork,
 ) -> Result<(ShardedNetwork, Vec<ShardPersistence>, Vec<RecoveryReport>), ServeError> {
     assert!(shards > 0, "a sharded layout needs at least one shard");
-    // Probe with plain fs (not Store::open) so the real open below is the
-    // only one — a probe open would repair torn tails and silently drop
-    // the truncation out of the recovery report.
-    let probe = shard_dir(root, 0);
-    let occupied = match std::fs::read_dir(&probe) {
-        Ok(mut entries) => entries.next().is_some(),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => false,
-        Err(e) => {
-            return Err(ServeError::Storage(format!(
-                "probing {}: {e}",
-                probe.display()
-            )))
-        }
-    };
-    if !occupied {
+    if !probe_layout(root, shards)? {
         let net = ShardedNetwork::from_live(&init(), shards)?;
-        let mut persists = Vec::with_capacity(shards as usize);
-        for k in 0..shards {
-            persists.push(ShardPersistence::create(
-                &shard_dir(root, k),
-                options,
-                k,
-                shards,
-                net.bases(),
-                net.partition(k),
-            )?);
-        }
+        let persists = create_sharded(root, options, &net)?;
         let reports = vec![RecoveryReport::default(); shards as usize];
         return Ok((net, persists, reports));
     }
@@ -768,7 +877,6 @@ pub(crate) fn recover_or_create_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::live::LiveNetwork;
     use crate::persist::FsyncPolicy;
     use crate::snapshot::write_snapshot;
     use trafficgen::{evolve, generate, StreamConfig, TrafficConfig};
@@ -1079,7 +1187,7 @@ mod tests {
     #[test]
     fn newer_or_malformed_shard_schemas_are_refused_with_clear_reasons() {
         fn parse_err(text: &str) -> ServeError {
-            match parse_shard_any(text, 0, 1) {
+            match parse_shard_any(text.to_string(), 0, 1) {
                 Err(e) => e,
                 Ok(_) => panic!("document must be refused: {text}"),
             }
@@ -1102,5 +1210,150 @@ mod tests {
             err.to_string().contains("carries 0 records, want 2"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn a_full_snapshot_is_forced_once_the_chain_is_long_enough() {
+        let root = temp_root("chain-cap");
+        // One shard: every stream event advances it, so each snapshot
+        // point installs exactly one snapshot.
+        let (_, persists) = drive_sharded(&root, 1, 40, &[7, 15, 23, 31, 39]);
+        let metas = persists[0].store().snapshot_metas();
+        // Genesis full, then MAX_DELTA_CHAIN deltas, then a full anchor,
+        // then the chain restarts.
+        assert_eq!(metas[0], nemo_store::SnapshotMeta::full(0));
+        for meta in &metas[1..=MAX_DELTA_CHAIN] {
+            assert!(meta.base.is_some(), "{metas:?}");
+        }
+        assert_eq!(metas[MAX_DELTA_CHAIN + 1].base, None, "{metas:?}");
+        assert!(metas[MAX_DELTA_CHAIN + 2].base.is_some(), "{metas:?}");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn sweep_prunes_aged_out_chains_and_recovery_still_works() {
+        let root = temp_root("sweep");
+        // Deltas at 8/16/24 chain to genesis; the chain cap forces a full
+        // at 32 and the delta at 40 builds on it — so with keep=2 the
+        // retained roots are {32, 40} and the whole old chain ages out.
+        let (reference, mut persists) = drive_sharded(&root, 1, 40, &[7, 15, 23, 31, 39]);
+        let pending = persists[0].store().sweep_plan().removals();
+        assert!(pending > 0, "aged-out snapshots must be deletable");
+        let outcome = persists[0].sweep(usize::MAX).unwrap();
+        assert_eq!(outcome.remaining, 0);
+        assert!(outcome.pruned_snapshots > 0);
+        drop(persists);
+        let (recovered, _, reports) =
+            recover_or_create_sharded(&root, &test_options(), 1, 1, || unreachable!()).unwrap();
+        assert!(reports[0].skipped_snapshots.is_empty(), "{reports:?}");
+        assert_eq!(reports[0].snapshot_epoch, 40);
+        assert_eq!(
+            write_snapshot(&recovered.merged()),
+            write_snapshot(&reference)
+        );
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn create_refuses_an_occupied_directory_and_recover_an_empty_one() {
+        let root = temp_root("occupied");
+        let net = ShardedNetwork::from_live(&evolved_live(0), 1).unwrap();
+        let _stores = create_sharded(&root, &test_options(), &net).unwrap();
+        assert!(matches!(
+            create_sharded(&root, &test_options(), &net),
+            Err(ServeError::Storage(_))
+        ));
+        let empty = temp_root("empty");
+        assert!(matches!(
+            ShardPersistence::recover(&shard_dir(&empty, 0), &test_options(), 0, 1),
+            Err(ServeError::Storage(_))
+        ));
+        // recover_or_create handles both.
+        let (state, _, reports) =
+            recover_or_create_sharded(&empty, &test_options(), 1, 1, || evolved_live(0)).unwrap();
+        assert_eq!(
+            write_snapshot(&state.merged()),
+            write_snapshot(&evolved_live(0))
+        );
+        assert_eq!(reports, vec![RecoveryReport::default()]);
+        std::fs::remove_dir_all(&root).unwrap();
+        std::fs::remove_dir_all(&empty).unwrap();
+    }
+
+    /// Every file under `root` with its bytes, for "left untouched" checks.
+    fn tree(root: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+        let mut files = BTreeMap::new();
+        let mut stack = vec![root.to_path_buf()];
+        while let Some(dir) = stack.pop() {
+            for entry in std::fs::read_dir(&dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    files.insert(path.clone(), Vec::new());
+                    stack.push(path);
+                } else {
+                    files.insert(path.clone(), std::fs::read(&path).unwrap());
+                }
+            }
+        }
+        files
+    }
+
+    #[test]
+    fn mismatched_or_old_layouts_fail_without_touching_the_root() {
+        let live = evolved_live(10);
+        for (written, reopened) in [(1u32, 4u32), (4, 1)] {
+            let root = temp_root(&format!("layout-{written}-{reopened}"));
+            recover_or_create_sharded(&root, &test_options(), written, 1, || live.clone()).unwrap();
+            let before = tree(&root);
+            let err = recover_or_create_sharded(&root, &test_options(), reopened, 1, || {
+                unreachable!("an occupied root is never re-created")
+            })
+            .unwrap_err();
+            // Too few shard stores is a layout refusal; too many fails on
+            // the shard identity every document carries.
+            let refused = match &err {
+                ServeError::Layout(msg) => written < reopened && msg.contains("[0]"),
+                ServeError::Corrupt(msg) => {
+                    written > reopened && msg.contains(&format!("want shard 0 of {reopened}"))
+                }
+                _ => false,
+            };
+            assert!(refused, "{written} -> {reopened}: {err}");
+            assert_eq!(
+                tree(&root),
+                before,
+                "{written} -> {reopened} touched the root"
+            );
+            // The acked data is still there for the right shard count.
+            let (net, _, _) =
+                recover_or_create_sharded(&root, &test_options(), written, 1, || unreachable!())
+                    .unwrap();
+            assert_eq!(net.global_epoch(), 10);
+            assert_eq!(write_snapshot(&net.merged()), write_snapshot(&live));
+            std::fs::remove_dir_all(&root).unwrap();
+        }
+        // Store files directly under the root: the single-shard layout
+        // from before every store moved under shard-<k>/.
+        let root = temp_root("layout-old");
+        std::fs::create_dir_all(&root).unwrap();
+        std::fs::write(root.join(nemo_store::snapshot_file_name(0)), "{}").unwrap();
+        let before = tree(&root);
+        for shards in [1, 4] {
+            let err = recover_or_create_sharded(&root, &test_options(), shards, 1, || {
+                unreachable!("an old-layout root is never re-created")
+            })
+            .unwrap_err();
+            assert!(
+                matches!(&err, ServeError::Layout(msg) if msg.contains("nemo-wal/v1")),
+                "{err}"
+            );
+            let net = ShardedNetwork::from_live(&live, shards).unwrap();
+            assert!(matches!(
+                create_sharded(&root, &test_options(), &net),
+                Err(ServeError::Layout(_))
+            ));
+        }
+        assert_eq!(tree(&root), before, "the old layout was touched");
+        std::fs::remove_dir_all(&root).unwrap();
     }
 }

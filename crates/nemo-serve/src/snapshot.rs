@@ -1,6 +1,6 @@
 //! Versioned snapshots and WAL replay.
 //!
-//! A *full* snapshot is a single JSON document carrying the schema tag
+//! A snapshot is a single JSON document carrying the schema tag
 //! [`SNAPSHOT_SCHEMA`], the epoch, the property graph in node-link form
 //! (reusing `netgraph::json`) and the two frames as lossless CSV (reusing
 //! `dataframe::csv`). Because every encoder involved is canonical — graph
@@ -9,19 +9,7 @@
 //! documents, which is how the replay property tests phrase their proof:
 //! `write_snapshot(snapshot(e) + WAL[e..]) == write_snapshot(direct
 //! build)`.
-//!
-//! A *delta* snapshot ([`DELTA_SCHEMA`], `nemo-snapshot/v2`) captures the
-//! same state as a base epoch plus the WAL records appended since that
-//! base — the rows added to the frames and the patch to the graph,
-//! exactly as the mutations expressed them — so writing one is O(delta),
-//! not O(state). A delta cannot be restored alone; recovery resolves the
-//! chain back to a full base with [`read_snapshot_document`] and replays
-//! each link's records. Full documents intentionally stay `v1`: their
-//! bytes are the canonical state encoding that transcript digests and
-//! byte-equality proofs are built on, and the delta format changes
-//! nothing about them.
 
-use crate::codec;
 use crate::error::ServeError;
 use crate::live::LiveNetwork;
 use crate::mutation::WalRecord;
@@ -29,29 +17,16 @@ use dataframe::csv::{from_csv, to_csv};
 use netgraph::json::{graph_from_json, graph_to_json, JsonValue};
 use std::collections::BTreeMap;
 
-/// Schema tag written into (and required from) every *full* snapshot
-/// document.
+/// Schema tag written into (and required from) every snapshot document.
 pub const SNAPSHOT_SCHEMA: &str = "nemo-snapshot/v1";
-
-/// Schema tag of *delta* snapshot documents.
-pub const DELTA_SCHEMA: &str = "nemo-snapshot/v2";
 
 /// The newest format version this build reads. Documents tagged with a
 /// higher `nemo-snapshot/v<N>` are refused with a clear upgrade message
 /// instead of a parse error deeper in.
-pub const SNAPSHOT_VERSION: u64 = 2;
+pub const SNAPSHOT_VERSION: u64 = 1;
 
 /// Serializes a live network into a versioned snapshot document.
 pub fn write_snapshot(live: &LiveNetwork) -> String {
-    write_snapshot_with_frames(live, &to_csv(live.nodes()), &to_csv(live.edges()))
-}
-
-/// [`write_snapshot`] with the frame CSV supplied by the caller, for
-/// incremental writers that reuse the previous snapshot's unchanged prefix
-/// and encode only appended rows (`export_flows_since`-style). The
-/// supplied strings must equal a fresh `to_csv` of the live frames — the
-/// output is then byte-identical to [`write_snapshot`].
-pub fn write_snapshot_with_frames(live: &LiveNetwork, nodes_csv: &str, edges_csv: &str) -> String {
     let mut root = BTreeMap::new();
     root.insert(
         "schema".to_string(),
@@ -59,9 +34,8 @@ pub fn write_snapshot_with_frames(live: &LiveNetwork, nodes_csv: &str, edges_csv
     );
     root.insert("epoch".to_string(), JsonValue::Number(live.epoch() as f64));
     // Stable provenance header: the epoch the writer observed when the
-    // document was produced. Always equal to "epoch" for full snapshots;
-    // kept as its own field so readers of any future delta format can rely
-    // on it unconditionally.
+    // document was produced. Always equal to "epoch"; kept as its own
+    // field so readers can rely on it unconditionally.
     root.insert(
         "created_epoch".to_string(),
         JsonValue::Number(live.epoch() as f64),
@@ -69,73 +43,13 @@ pub fn write_snapshot_with_frames(live: &LiveNetwork, nodes_csv: &str, edges_csv
     root.insert("graph".to_string(), graph_to_json(live.graph()));
     root.insert(
         "nodes_csv".to_string(),
-        JsonValue::String(nodes_csv.to_string()),
+        JsonValue::String(to_csv(live.nodes())),
     );
     root.insert(
         "edges_csv".to_string(),
-        JsonValue::String(edges_csv.to_string()),
+        JsonValue::String(to_csv(live.edges())),
     );
     JsonValue::Object(root).to_json()
-}
-
-/// Serializes the difference between the snapshot at `base_epoch` and the
-/// state at `epoch` as a delta document: the WAL records covering
-/// `(base_epoch, epoch]` — the appended frame rows and the graph patch,
-/// exactly as the mutations expressed them. `records` must be that exact
-/// contiguous range.
-pub fn write_delta_snapshot(epoch: u64, base_epoch: u64, records: &[WalRecord]) -> String {
-    debug_assert!(base_epoch < epoch);
-    debug_assert_eq!(records.len() as u64, epoch - base_epoch);
-    let encoded: Vec<JsonValue> = records
-        .iter()
-        .map(|r| {
-            codec::obj(vec![
-                ("epoch", JsonValue::Number(r.epoch as f64)),
-                ("at_ms", JsonValue::Number(r.at_ms as f64)),
-                ("mutation", codec::mutation_to_json(&r.mutation)),
-            ])
-        })
-        .collect();
-    codec::obj(vec![
-        ("schema", codec::s(DELTA_SCHEMA)),
-        ("kind", codec::s("delta")),
-        ("epoch", JsonValue::Number(epoch as f64)),
-        // The same provenance header full snapshots carry.
-        ("created_epoch", JsonValue::Number(epoch as f64)),
-        ("base_epoch", JsonValue::Number(base_epoch as f64)),
-        ("records", JsonValue::Array(encoded)),
-    ])
-    .to_json()
-}
-
-/// One parsed snapshot document: either a self-contained state or one
-/// link of a delta chain.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SnapshotDoc {
-    /// A full (`nemo-snapshot/v1`) document, restored. Boxed: a restored
-    /// state is much larger than a delta link's header.
-    Full(Box<LiveNetwork>),
-    /// A delta (`nemo-snapshot/v2`) document: the state at `epoch` equals
-    /// the state of the snapshot at `base_epoch` with `records` replayed
-    /// on top.
-    Delta {
-        /// Epoch of the state the delta captures.
-        epoch: u64,
-        /// Epoch of the snapshot the records build on.
-        base_epoch: u64,
-        /// The WAL records covering `(base_epoch, epoch]`, contiguous.
-        records: Vec<WalRecord>,
-    },
-}
-
-fn parse_root(text: &str) -> Result<BTreeMap<String, JsonValue>, ServeError> {
-    let doc = JsonValue::parse(text).map_err(|e| ServeError::Corrupt(format!("not JSON: {e}")))?;
-    match doc {
-        JsonValue::Object(map) => Ok(map),
-        _ => Err(ServeError::Corrupt(
-            "snapshot root is not an object".to_string(),
-        )),
-    }
 }
 
 /// The version gate: a schema naming a version newer than this build
@@ -156,21 +70,36 @@ fn refuse_newer(schema: &str) -> Result<(), ServeError> {
     Ok(())
 }
 
-fn get_epoch_field(root: &BTreeMap<String, JsonValue>, key: &str) -> Result<u64, ServeError> {
-    match root.get(key) {
-        Some(JsonValue::Number(n)) if n.fract() == 0.0 && *n >= 0.0 => Ok(*n as u64),
-        other => Err(ServeError::Corrupt(format!("{key} field is {other:?}"))),
-    }
-}
-
-/// Restores a full (v1) document from its parsed root.
-fn read_full_document(root: &BTreeMap<String, JsonValue>) -> Result<LiveNetwork, ServeError> {
+/// Restores a live network from a snapshot document. The restored WAL is
+/// empty — the snapshot is the log's compacted prefix — and the epoch
+/// counter continues from the snapshot's epoch.
+pub fn read_snapshot(text: &str) -> Result<LiveNetwork, ServeError> {
     let corrupt = |msg: String| ServeError::Corrupt(msg);
-    let epoch = get_epoch_field(root, "epoch")?;
-    // The provenance header is optional under v1 (documents written
-    // before it existed stay readable), but when present it must agree
-    // with the state epoch — a mismatch means a corrupted or hand-edited
-    // file.
+    let root = match JsonValue::parse(text).map_err(|e| corrupt(format!("not JSON: {e}")))? {
+        JsonValue::Object(map) => map,
+        _ => return Err(corrupt("snapshot root is not an object".to_string())),
+    };
+    match root.get("schema") {
+        Some(JsonValue::String(s)) if s == SNAPSHOT_SCHEMA => {}
+        Some(JsonValue::String(s)) => {
+            refuse_newer(s)?;
+            return Err(corrupt(format!(
+                "schema field is {s:?}, want \"{SNAPSHOT_SCHEMA}\""
+            )));
+        }
+        other => {
+            return Err(corrupt(format!(
+                "schema field is {other:?}, want \"{SNAPSHOT_SCHEMA}\""
+            )))
+        }
+    }
+    let epoch = match root.get("epoch") {
+        Some(JsonValue::Number(n)) if n.fract() == 0.0 && *n >= 0.0 => *n as u64,
+        other => return Err(corrupt(format!("epoch field is {other:?}"))),
+    };
+    // The provenance header is optional (documents written before it
+    // existed stay readable), but when present it must agree with the
+    // state epoch — a mismatch means a corrupted or hand-edited file.
     match root.get("created_epoch") {
         None => {}
         Some(JsonValue::Number(n)) if n.fract() == 0.0 && *n as u64 == epoch => {}
@@ -193,135 +122,6 @@ fn read_full_document(root: &BTreeMap<String, JsonValue>) -> Result<LiveNetwork,
     Ok(LiveNetwork::from_parts(graph, nodes, edges, epoch))
 }
 
-/// Parses a delta (v2) document from its parsed root, validating that
-/// its records cover exactly `(base_epoch, epoch]`, contiguously.
-fn read_delta_document(root: &BTreeMap<String, JsonValue>) -> Result<SnapshotDoc, ServeError> {
-    let corrupt = |msg: String| ServeError::Corrupt(msg);
-    match root.get("kind") {
-        Some(JsonValue::String(kind)) if kind == "delta" => {}
-        other => {
-            return Err(corrupt(format!(
-                "v2 snapshot kind is {other:?}, want \"delta\""
-            )))
-        }
-    }
-    let epoch = get_epoch_field(root, "epoch")?;
-    // Unlike v1, the provenance header predates v2: it is required.
-    let created = get_epoch_field(root, "created_epoch")?;
-    if created != epoch {
-        return Err(corrupt(format!(
-            "created_epoch field is {created}, want {epoch}"
-        )));
-    }
-    let base_epoch = get_epoch_field(root, "base_epoch")?;
-    if base_epoch >= epoch {
-        return Err(corrupt(format!(
-            "delta base epoch {base_epoch} is not older than its own epoch {epoch}"
-        )));
-    }
-    let entries = match root.get("records") {
-        Some(JsonValue::Array(items)) => items,
-        other => {
-            return Err(corrupt(format!(
-                "records field is {other:?}, want an array"
-            )))
-        }
-    };
-    if entries.len() as u64 != epoch - base_epoch {
-        return Err(corrupt(format!(
-            "delta over ({base_epoch}, {epoch}] must carry {} records, found {}",
-            epoch - base_epoch,
-            entries.len()
-        )));
-    }
-    let mut records = Vec::with_capacity(entries.len());
-    for (i, entry) in entries.iter().enumerate() {
-        let JsonValue::Object(map) = entry else {
-            return Err(corrupt(format!("delta record {i} is not an object")));
-        };
-        let record_epoch = get_epoch_field(map, "epoch")?;
-        let expected = base_epoch + 1 + i as u64;
-        if record_epoch != expected {
-            return Err(corrupt(format!(
-                "delta record {i} carries epoch {record_epoch}, want {expected} \
-                 (records must cover the delta contiguously)"
-            )));
-        }
-        let at_ms = get_epoch_field(map, "at_ms")?;
-        let JsonValue::Object(m) = map
-            .get("mutation")
-            .ok_or_else(|| corrupt(format!("delta record {i} missing 'mutation'")))?
-        else {
-            return Err(corrupt(format!(
-                "delta record {i} mutation is not an object"
-            )));
-        };
-        records.push(WalRecord {
-            epoch: record_epoch,
-            at_ms,
-            mutation: codec::mutation_from_json(m)?,
-        });
-    }
-    Ok(SnapshotDoc::Delta {
-        epoch,
-        base_epoch,
-        records,
-    })
-}
-
-/// Parses either snapshot flavor, version-gated: full documents come back
-/// restored, delta documents come back as their chain link for the
-/// caller to resolve against the base.
-pub fn read_snapshot_document(text: &str) -> Result<SnapshotDoc, ServeError> {
-    let root = parse_root(text)?;
-    match root.get("schema") {
-        Some(JsonValue::String(s)) if s == SNAPSHOT_SCHEMA => {
-            read_full_document(&root).map(|live| SnapshotDoc::Full(Box::new(live)))
-        }
-        Some(JsonValue::String(s)) if s == DELTA_SCHEMA => read_delta_document(&root),
-        Some(JsonValue::String(s)) => {
-            refuse_newer(s)?;
-            Err(ServeError::Corrupt(format!(
-                "schema field is {s:?}, want \"{SNAPSHOT_SCHEMA}\" or \"{DELTA_SCHEMA}\""
-            )))
-        }
-        other => Err(ServeError::Corrupt(format!(
-            "schema field is {other:?}, want \"{SNAPSHOT_SCHEMA}\" or \"{DELTA_SCHEMA}\""
-        ))),
-    }
-}
-
-/// Restores a live network from a *full* snapshot document. The restored
-/// WAL is empty — the snapshot is the log's compacted prefix — and the
-/// epoch counter continues from the snapshot's epoch. A delta document is
-/// refused with a clear error: it cannot be restored alone (use
-/// [`read_snapshot_document`] and resolve the chain).
-pub fn read_snapshot(text: &str) -> Result<LiveNetwork, ServeError> {
-    let corrupt = |msg: String| ServeError::Corrupt(msg);
-    let root = parse_root(text)?;
-    match root.get("schema") {
-        Some(JsonValue::String(s)) if s == SNAPSHOT_SCHEMA => {}
-        Some(JsonValue::String(s)) if s == DELTA_SCHEMA => {
-            return Err(corrupt(format!(
-                "document is a delta snapshot ({DELTA_SCHEMA}); it cannot be restored \
-                 alone — resolve it against its base snapshot"
-            )));
-        }
-        Some(JsonValue::String(s)) => {
-            refuse_newer(s)?;
-            return Err(corrupt(format!(
-                "schema field is {s:?}, want \"{SNAPSHOT_SCHEMA}\""
-            )));
-        }
-        other => {
-            return Err(corrupt(format!(
-                "schema field is {other:?}, want \"{SNAPSHOT_SCHEMA}\""
-            )))
-        }
-    }
-    read_full_document(&root)
-}
-
 /// Restores a snapshot and replays a WAL segment on top of it.
 ///
 /// Records at or below the snapshot's epoch are skipped (the snapshot
@@ -331,17 +131,6 @@ pub fn read_snapshot(text: &str) -> Result<LiveNetwork, ServeError> {
 /// the log, so both cases surface as [`ServeError`].
 pub fn replay(snapshot: &str, wal: &[WalRecord]) -> Result<LiveNetwork, ServeError> {
     let mut live = read_snapshot(snapshot)?;
-    apply_wal(&mut live, wal)?;
-    Ok(live)
-}
-
-/// Applies a WAL suffix to an already-restored network: records at or
-/// below the current epoch are skipped, the rest must continue the epoch
-/// sequence contiguously and apply cleanly. Returns the number of records
-/// actually applied. This is the shared replay loop of [`replay`] and the
-/// disk-recovery path in [`crate::persist`].
-pub fn apply_wal(live: &mut LiveNetwork, wal: &[WalRecord]) -> Result<u64, ServeError> {
-    let mut applied_count = 0;
     for record in wal {
         if record.epoch <= live.epoch() {
             continue;
@@ -355,9 +144,8 @@ pub fn apply_wal(live: &mut LiveNetwork, wal: &[WalRecord]) -> Result<u64, Serve
         }
         let applied = live.apply(record.at_ms, record.mutation.clone())?;
         debug_assert_eq!(applied, record.epoch);
-        applied_count += 1;
     }
-    Ok(applied_count)
+    Ok(live)
 }
 
 #[cfg(test)]
@@ -439,158 +227,16 @@ mod tests {
     fn future_format_versions_are_refused_with_a_clear_error() {
         let live = evolved(3);
         let future = write_snapshot(&live).replace("nemo-snapshot/v1", "nemo-snapshot/v3");
-        for result in [
-            read_snapshot(&future).map(|_| ()),
-            read_snapshot_document(&future).map(|_| ()),
-        ] {
-            match result {
-                Err(ServeError::Corrupt(msg)) => {
-                    assert!(msg.contains("version 3"), "{msg}");
-                    assert!(msg.contains("refusing to load"), "{msg}");
-                }
-                other => panic!("expected a clear refusal, got {other:?}"),
+        match read_snapshot(&future) {
+            Err(ServeError::Corrupt(msg)) => {
+                assert!(msg.contains("version 3"), "{msg}");
+                assert!(msg.contains("refusing to load"), "{msg}");
             }
+            other => panic!("expected a clear refusal, got {other:?}"),
         }
         // A non-versioned unknown schema still gets the generic error.
         let alien = write_snapshot(&live).replace("nemo-snapshot/v1", "other-format");
         assert!(matches!(read_snapshot(&alien), Err(ServeError::Corrupt(_))));
-        assert!(matches!(
-            read_snapshot_document(&alien),
-            Err(ServeError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn v1_documents_read_identically_through_both_readers() {
-        // Reader compatibility across the version bump: every v1 document
-        // the old reader accepted parses identically through the new
-        // delta-aware entry point.
-        let live = evolved(25);
-        let text = write_snapshot(&live);
-        assert_eq!(
-            read_snapshot_document(&text).unwrap(),
-            SnapshotDoc::Full(Box::new(read_snapshot(&text).unwrap()))
-        );
-        // Including pre-created_epoch v1 documents.
-        let legacy = text.replace(&format!("\"created_epoch\":{},", live.epoch()), "");
-        assert_ne!(legacy, text);
-        assert_eq!(
-            read_snapshot_document(&legacy).unwrap(),
-            SnapshotDoc::Full(Box::new(read_snapshot(&legacy).unwrap()))
-        );
-    }
-
-    #[test]
-    fn delta_documents_round_trip_and_resolve_to_the_full_state() {
-        let w = generate(&TrafficConfig {
-            nodes: 12,
-            edges: 16,
-            prefixes: 2,
-            seed: 6,
-        });
-        let mut live = LiveNetwork::from_workload(&w);
-        let events = evolve(
-            &w,
-            &StreamConfig {
-                events: 50,
-                seed: 2,
-            },
-        );
-        let mut base = None;
-        for (i, event) in events.iter().enumerate() {
-            if i == 30 {
-                base = Some((write_snapshot(&live), live.epoch()));
-            }
-            live.apply_event(event).unwrap();
-        }
-        let (base_doc, base_epoch) = base.unwrap();
-        let since: Vec<WalRecord> = live
-            .wal()
-            .iter()
-            .filter(|r| r.epoch > base_epoch)
-            .cloned()
-            .collect();
-        let delta = write_delta_snapshot(live.epoch(), base_epoch, &since);
-        // The delta is O(delta): far smaller than the full document.
-        assert!(delta.len() < write_snapshot(&live).len() / 2);
-        // It parses back to the same chain link...
-        let SnapshotDoc::Delta {
-            epoch,
-            base_epoch: parsed_base,
-            records,
-        } = read_snapshot_document(&delta).unwrap()
-        else {
-            panic!("delta document must parse as a delta");
-        };
-        assert_eq!(epoch, live.epoch());
-        assert_eq!(parsed_base, base_epoch);
-        assert_eq!(records, since);
-        // ...and resolving it against the base reproduces the tip,
-        // byte-identically.
-        let mut resolved = read_snapshot(&base_doc).unwrap();
-        apply_wal(&mut resolved, &records).unwrap();
-        assert_eq!(write_snapshot(&resolved), write_snapshot(&live));
-        // The v1 restorer refuses a delta with a clear pointer.
-        match read_snapshot(&delta) {
-            Err(ServeError::Corrupt(msg)) => assert!(msg.contains("delta"), "{msg}"),
-            other => panic!("expected refusal, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn torn_or_tampered_delta_documents_are_rejected() {
-        let records: Vec<WalRecord> = (6..=8)
-            .map(|epoch| WalRecord {
-                epoch,
-                at_ms: epoch * 10,
-                mutation: crate::mutation::Mutation::AddNode {
-                    id: format!("10.0.0.{epoch}"),
-                    prefix16: "10.0".into(),
-                    prefix24: "10.0.0".into(),
-                },
-            })
-            .collect();
-        let good = write_delta_snapshot(8, 5, &records);
-        assert!(read_snapshot_document(&good).is_ok());
-        // A record count that does not cover the range is rejected.
-        let short = good
-            .replace("\"created_epoch\":8", "\"created_epoch\":9")
-            .replace("\"epoch\":8,\"kind\"", "\"epoch\":9,\"kind\"");
-        assert!(matches!(
-            read_snapshot_document(&short),
-            Err(ServeError::Corrupt(_))
-        ));
-        // Non-contiguous records are rejected.
-        let gapped = good.replace("\"epoch\":7", "\"epoch\":9");
-        assert_ne!(gapped, good);
-        assert!(matches!(
-            read_snapshot_document(&gapped),
-            Err(ServeError::Corrupt(_))
-        ));
-        // A base at or past the delta's own epoch is rejected.
-        let inverted = good.replace("\"base_epoch\":5", "\"base_epoch\":8");
-        assert!(matches!(
-            read_snapshot_document(&inverted),
-            Err(ServeError::Corrupt(_))
-        ));
-        // The provenance header is required and must match under v2.
-        let tampered = good.replace("\"created_epoch\":8", "\"created_epoch\":9");
-        assert!(matches!(
-            read_snapshot_document(&tampered),
-            Err(ServeError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn frame_injection_matches_the_full_writer_byte_for_byte() {
-        let live = evolved(12);
-        let full = write_snapshot(&live);
-        let injected = write_snapshot_with_frames(
-            &live,
-            &dataframe::csv::to_csv(live.nodes()),
-            &dataframe::csv::to_csv(live.edges()),
-        );
-        assert_eq!(injected, full);
     }
 
     #[test]

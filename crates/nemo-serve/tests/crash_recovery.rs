@@ -1,4 +1,5 @@
-//! Crash-recovery properties of the durable store, end to end:
+//! Crash-recovery properties of the durable store, end to end through a
+//! single-shard server (whose store lives under `root/shard-0/`):
 //!
 //! * **Crash anywhere**: truncating the on-disk WAL at *every byte offset*
 //!   and recovering yields state byte-identical (snapshot bytes, and
@@ -11,10 +12,12 @@
 //!   wrong state.
 
 use nemo_core::sandbox::execute_code;
-use nemo_core::Backend;
-use nemo_serve::persist::{FsyncPolicy, PersistOptions, Persistence};
+use nemo_core::{Backend, ScriptedLlm};
+use nemo_serve::codec::SHARD_WAL_MAGIC;
+use nemo_serve::persist::{FsyncPolicy, PersistOptions, RecoveryReport};
+use nemo_serve::shard_persist::shard_dir;
 use nemo_serve::snapshot::write_snapshot;
-use nemo_serve::{LiveNetwork, ServeError};
+use nemo_serve::{LiveNetwork, ServeError, Server, ServerBuilder};
 use nemo_store::segment::scan_segment;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -36,6 +39,16 @@ fn options() -> PersistOptions {
         snapshot_every_epochs: 0,
         ..PersistOptions::default()
     }
+}
+
+/// Recovers the single-shard server persisted under `root`; creating a
+/// fresh store instead would be a test failure.
+fn recover(root: &Path) -> Result<(Server<ScriptedLlm>, RecoveryReport), ServeError> {
+    let (server, mut reports) = ServerBuilder::new()
+        .options(options())
+        .persist_at(root)
+        .recover_or_create(Vec::new(), || panic!("{} holds no store", root.display()))?;
+    Ok((server, reports.remove(0)))
 }
 
 /// Backend probes rendered over the current state (same shape as the PR 4
@@ -70,6 +83,7 @@ fn probe_answers(live: &LiveNetwork) -> Vec<String> {
 /// snapshots (the full WAL survives for the sweep). Returns the in-memory
 /// snapshot bytes at every epoch prefix plus the store's on-disk layout.
 struct PersistedRun {
+    /// The persistence root; the store itself is `shard-0/` below it.
     dir: PathBuf,
     /// `expected[k]` = snapshot bytes after the first `k` events.
     expected: Vec<String>,
@@ -87,23 +101,27 @@ fn persisted_run(tag: &str, traffic: &TrafficConfig, events: usize, seed: u64) -
     let dir = temp_dir(tag);
     let workload = generate(traffic);
     let mut live = LiveNetwork::from_workload(&workload);
-    let mut persistence = Persistence::create(&dir, &options(), &live).unwrap();
+    let mut server = ServerBuilder::new()
+        .options(options())
+        .persist_at(&dir)
+        .build::<ScriptedLlm>(live.clone(), Vec::new())
+        .unwrap();
     let mut expected = vec![write_snapshot(&live)];
     let mut states = vec![live.clone()];
     for event in evolve(&workload, &StreamConfig { events, seed }) {
-        live.apply_event_persisted(&event, &mut persistence)
-            .unwrap();
+        server.apply_mutation(&event).unwrap();
+        live.apply_event(&event).unwrap();
         expected.push(write_snapshot(&live));
         states.push(live.clone());
     }
-    let segment_paths = persistence.store().segment_paths();
-    drop(persistence);
+    let segment_paths = server.shard_persistence()[0].store().segment_paths();
+    drop(server);
 
     let mut segments = Vec::new();
     let mut record_ends = Vec::new();
     let mut base = 0u64;
     for path in segment_paths {
-        let scan = scan_segment(&path, nemo_serve::codec::WAL_MAGIC).unwrap();
+        let scan = scan_segment(&path, SHARD_WAL_MAGIC).unwrap();
         let first_epoch = scan.first_epoch.unwrap();
         for (i, frame) in scan.frames.iter().enumerate() {
             record_ends.push((
@@ -137,14 +155,15 @@ impl PersistedRun {
             .unwrap_or(0)
     }
 
-    /// Materializes the post-crash directory: the genesis snapshot plus
-    /// the WAL bytes strictly below `cut`.
+    /// Materializes the post-crash root: the genesis snapshot plus the
+    /// WAL bytes strictly below `cut`, in `shard-0/`.
     fn crash_dir(&self, cut: u64, scratch: &Path) -> PathBuf {
         let _ = std::fs::remove_dir_all(scratch);
-        std::fs::create_dir_all(scratch).unwrap();
+        let store = shard_dir(scratch, 0);
+        std::fs::create_dir_all(&store).unwrap();
         std::fs::copy(
-            self.dir.join(nemo_store::snapshot_file_name(0)),
-            scratch.join(nemo_store::snapshot_file_name(0)),
+            shard_dir(&self.dir, 0).join(nemo_store::snapshot_file_name(0)),
+            store.join(nemo_store::snapshot_file_name(0)),
         )
         .unwrap();
         let mut remaining = cut;
@@ -153,7 +172,7 @@ impl PersistedRun {
                 break;
             }
             let keep = (bytes.len() as u64).min(remaining) as usize;
-            std::fs::write(scratch.join(path.file_name().unwrap()), &bytes[..keep]).unwrap();
+            std::fs::write(store.join(path.file_name().unwrap()), &bytes[..keep]).unwrap();
             remaining -= keep as u64;
         }
         scratch.to_path_buf()
@@ -177,12 +196,13 @@ fn recovery_from_a_crash_at_every_byte_offset_matches_the_epoch_prefix() {
     let mut prev_epoch = u64::MAX;
     for cut in 0..=run.total_bytes {
         let crash = run.crash_dir(cut, &scratch);
-        let (recovered, _, report) = Persistence::recover(&crash, &options())
-            .unwrap_or_else(|e| panic!("recovery failed at cut {cut}: {e}"));
+        let (mut server, report) =
+            recover(&crash).unwrap_or_else(|e| panic!("recovery failed at cut {cut}: {e}"));
+        let recovered = server.merged_view();
         let epoch = run.surviving_epoch(cut);
         assert_eq!(recovered.epoch(), epoch, "cut at byte {cut}");
         assert_eq!(
-            write_snapshot(&recovered),
+            write_snapshot(recovered),
             run.expected[epoch as usize],
             "state diverged from the in-memory epoch prefix at cut {cut}"
         );
@@ -194,7 +214,7 @@ fn recovery_from_a_crash_at_every_byte_offset_matches_the_epoch_prefix() {
         if epoch != prev_epoch {
             prev_epoch = epoch;
             assert_eq!(
-                probe_answers(&recovered),
+                probe_answers(recovered),
                 probe_answers(&run.states[epoch as usize]),
                 "probe answers diverged at cut {cut}"
             );
@@ -217,11 +237,12 @@ proptest! {
         let cut = (run.total_bytes * cut_frac) / 10_000;
         let scratch = temp_dir("prop-scratch");
         let crash = run.crash_dir(cut, &scratch);
-        let (recovered, _, _) = Persistence::recover(&crash, &options())
-            .map_err(|e| format!("recovery failed at cut {cut}: {e}"))?;
+        let (mut server, _) =
+            recover(&crash).map_err(|e| format!("recovery failed at cut {cut}: {e}"))?;
+        let recovered = server.merged_view();
         let epoch = run.surviving_epoch(cut);
         prop_assert_eq!(recovered.epoch(), epoch);
-        prop_assert_eq!(&write_snapshot(&recovered), &run.expected[epoch as usize]);
+        prop_assert_eq!(&write_snapshot(recovered), &run.expected[epoch as usize]);
         std::fs::remove_dir_all(&run.dir).unwrap();
         std::fs::remove_dir_all(&scratch).unwrap();
     }
@@ -244,7 +265,7 @@ proptest! {
         let mut flippable: Vec<(usize, u64)> = Vec::new(); // (segment, global byte)
         let mut base = 0u64;
         for (i, (path, bytes)) in run.segments.iter().enumerate() {
-            let scan = scan_segment(path, nemo_serve::codec::WAL_MAGIC).unwrap();
+            let scan = scan_segment(path, SHARD_WAL_MAGIC).unwrap();
             for frame in &scan.frames {
                 for b in frame.offset + 4..frame.offset + frame.len {
                     flippable.push((i, b as u64));
@@ -255,27 +276,18 @@ proptest! {
         let _ = base;
         let (segment, offset) = flippable[pick % flippable.len()];
         let scratch = temp_dir("flip-scratch");
-        let _ = std::fs::remove_dir_all(&scratch);
-        std::fs::create_dir_all(&scratch).unwrap();
-        std::fs::copy(
-            run.dir.join(nemo_store::snapshot_file_name(0)),
-            scratch.join(nemo_store::snapshot_file_name(0)),
-        )
-        .unwrap();
-        for (i, (path, bytes)) in run.segments.iter().enumerate() {
-            let mut bytes = bytes.clone();
-            if i == segment {
-                bytes[offset as usize] ^= 1 << bit;
-            }
-            std::fs::write(scratch.join(path.file_name().unwrap()), &bytes).unwrap();
-        }
-        match Persistence::recover(&scratch, &options()) {
+        let crash = run.crash_dir(run.total_bytes, &scratch);
+        let (path, bytes) = &run.segments[segment];
+        let mut bytes = bytes.clone();
+        bytes[offset as usize] ^= 1 << bit;
+        std::fs::write(shard_dir(&crash, 0).join(path.file_name().unwrap()), &bytes).unwrap();
+        match recover(&crash) {
             Err(ServeError::Corrupt(_)) => {}
             Err(other) => return Err(format!("wrong error kind: {other}")),
-            Ok((recovered, _, _)) => {
+            Ok((server, _)) => {
                 return Err(format!(
                     "recovery silently succeeded at epoch {} despite a flipped bit",
-                    recovered.epoch()
+                    server.network().global_epoch()
                 ));
             }
         }
@@ -295,9 +307,10 @@ fn deleted_middle_segment_fails_recovery_loudly() {
     let run = persisted_run("gap", &traffic, 25, 9);
     assert!(run.segments.len() >= 3, "need a middle segment to delete");
     std::fs::remove_file(&run.segments[1].0).unwrap();
-    match Persistence::recover(&run.dir, &options()) {
+    match recover(&run.dir) {
         Err(ServeError::Corrupt(msg)) => assert!(msg.contains("gap"), "{msg}"),
-        other => panic!("expected a loud gap failure, got {other:?}"),
+        Err(other) => panic!("expected a loud gap failure, got {other:?}"),
+        Ok(_) => panic!("recovery succeeded over a deleted middle segment"),
     }
     std::fs::remove_dir_all(&run.dir).unwrap();
 }
@@ -311,10 +324,11 @@ fn missing_every_snapshot_fails_recovery_loudly() {
         seed: 6,
     };
     let run = persisted_run("nosnap", &traffic, 8, 3);
-    std::fs::remove_file(run.dir.join(nemo_store::snapshot_file_name(0))).unwrap();
-    match Persistence::recover(&run.dir, &options()) {
+    std::fs::remove_file(shard_dir(&run.dir, 0).join(nemo_store::snapshot_file_name(0))).unwrap();
+    match recover(&run.dir) {
         Err(ServeError::Corrupt(msg)) => assert!(msg.contains("no usable snapshot"), "{msg}"),
-        other => panic!("expected a loud failure, got {other:?}"),
+        Err(other) => panic!("expected a loud failure, got {other:?}"),
+        Ok(_) => panic!("recovery succeeded without any snapshot"),
     }
     std::fs::remove_dir_all(&run.dir).unwrap();
 }

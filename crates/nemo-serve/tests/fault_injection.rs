@@ -1,6 +1,7 @@
 //! Deterministic fault injection, end to end: a scripted single-shot
 //! filesystem fault (`nemo_store::FaultFs`) is swept across **every**
-//! operation index of a fixed persistence workload, for every
+//! operation index of a fixed workload driven through a durable
+//! single-shard server, for every
 //! [`FaultKind`] — the fault-space twin of `crash_recovery.rs`'s
 //! truncation-offset sweep. At every (kind, op index) point one of three
 //! things must happen, and nothing else:
@@ -13,7 +14,8 @@
 //!   failing operation and path; never a panic, never a silently wrong
 //!   state. If the fault poisoned the store (a failed fsync over appended
 //!   records — fsyncgate: the kernel may have dropped the dirty pages, so
-//!   retrying would re-ack lost data), the next append must be rejected.
+//!   retrying would re-ack lost data), the server must turn read-only and
+//!   reject the next mutation.
 //! * **Not fired** — the index lies past the workload's last applicable
 //!   operation; the run completes canonically.
 //!
@@ -22,12 +24,13 @@
 //! contains **every acked record** (at most one unacked in-flight record
 //! may additionally survive), with every retained snapshot readable.
 
-use nemo_serve::persist::{FsyncPolicy, PersistOptions, Persistence};
-use nemo_serve::{LiveNetwork, Mutation, ServeError, WalRecord};
+use nemo_core::ScriptedLlm;
+use nemo_serve::persist::{FsyncPolicy, PersistOptions};
+use nemo_serve::{LiveNetwork, ServeError, Server, ServerBuilder};
 use nemo_store::{FaultFs, FaultKind, RealFs, Vfs};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use trafficgen::{evolve, generate, StreamConfig, TimedEvent, TrafficConfig};
+use trafficgen::{evolve, generate, Ipv4, NetEvent, StreamConfig, TimedEvent, TrafficConfig};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("nemo-fault-{tag}-{}", std::process::id()));
@@ -35,7 +38,7 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn options(vfs: Arc<dyn Vfs>) -> PersistOptions {
+fn options(vfs: Arc<dyn Vfs>, snapshot_every: u64) -> PersistOptions {
     PersistOptions {
         // Every append carries its own commit fsync — the strictest
         // policy, and the one that makes "acked" mean "durable".
@@ -43,7 +46,7 @@ fn options(vfs: Arc<dyn Vfs>) -> PersistOptions {
         // Tiny segments: the sweep crosses several rotation boundaries.
         segment_max_bytes: 256,
         snapshot_every_bytes: 0,
-        snapshot_every_epochs: 0,
+        snapshot_every_epochs: snapshot_every,
         keep_snapshots: 2,
         vfs,
         ..PersistOptions::default()
@@ -71,36 +74,38 @@ fn stream(events: usize) -> Vec<TimedEvent> {
     evolve(&workload(), &StreamConfig { events, seed: 11 })
 }
 
-/// Epochs at which the workload installs a snapshot (delta-aware) and then
-/// runs a budgeted sweep — a quarter, half and three-quarters of the way
-/// through, so installs, chains and compaction all sit inside the swept op
-/// space.
-fn snapshot_epochs(events: usize) -> Vec<u64> {
-    let n = events as u64;
-    vec![n / 4, n / 2, 3 * n / 4]
+/// Every how many epochs the workload installs a snapshot (delta-aware,
+/// through the server's own threshold) and then runs a budgeted sweep —
+/// every quarter of the stream, so installs, chains, a full anchor and
+/// compaction all sit inside the swept op space.
+fn snapshot_every(events: usize) -> u64 {
+    (events as u64 / 4).max(1)
 }
 
 /// What one workload run under a given filesystem did.
 struct Run {
-    /// Highest epoch whose log (or genesis install) returned `Ok` —
-    /// `None` when even `create` failed.
+    /// Highest epoch whose mutation (or genesis install) returned `Ok` —
+    /// `None` when even the build failed.
     acked: Option<u64>,
     error: Option<ServeError>,
     /// The store reported itself poisoned when the error surfaced.
     poisoned: bool,
-    /// A post-poison append attempt was rejected (vacuously true when the
-    /// store was not poisoned).
+    /// The server turned read-only and rejected a further mutation
+    /// (vacuously true when the store was not poisoned).
     post_poison_rejected: bool,
 }
 
-/// Drives the fixed workload through one fresh persistence directory:
-/// create (genesis snapshot), then apply + log every stream event with a
-/// delta-aware snapshot and a budgeted sweep at the fixed epochs, then a
-/// final sync. Stops at the first error.
-fn run_workload(dir: &Path, vfs: Arc<dyn Vfs>, events: &[TimedEvent], snaps: &[u64]) -> Run {
-    let mut live = LiveNetwork::from_workload(&workload());
-    let mut persistence = match Persistence::create(dir, &options(vfs), &live) {
-        Ok(p) => p,
+/// Drives the fixed workload through one fresh single-shard durable
+/// server: build (genesis snapshot), then apply every stream event with a
+/// snapshot and a budgeted sweep every `every` epochs, then a final sync.
+/// Stops at the first error.
+fn run_workload(dir: &Path, vfs: Arc<dyn Vfs>, events: &[TimedEvent], every: u64) -> Run {
+    let built = ServerBuilder::new()
+        .options(options(vfs, every))
+        .persist_at(dir)
+        .build::<ScriptedLlm>(LiveNetwork::from_workload(&workload()), Vec::new());
+    let mut server = match built {
+        Ok(server) => server,
         Err(e) => {
             return Run {
                 acked: None,
@@ -111,50 +116,44 @@ fn run_workload(dir: &Path, vfs: Arc<dyn Vfs>, events: &[TimedEvent], snaps: &[u
         }
     };
     let mut acked = 0u64;
-    let fail = |persistence: &mut Persistence, acked: u64, e: ServeError| {
-        let poisoned = persistence.store().poisoned().is_some();
+    let fail = |server: &mut Server<ScriptedLlm>, acked: u64, e: ServeError| {
+        let poisoned = server.shard_persistence()[0].store().poisoned().is_some();
+        // A mutation no stream produces: only the read-only mode rejects it.
+        let probe = TimedEvent {
+            at_ms: 0,
+            event: NetEvent::NewEndpoint {
+                endpoint: Ipv4::new(198, 51, 100, 1),
+            },
+        };
         Run {
             acked: Some(acked),
             error: Some(e),
             poisoned,
             post_poison_rejected: !poisoned
-                || persistence
-                    .log(&WalRecord {
-                        epoch: acked + 1,
-                        at_ms: 0,
-                        mutation: Mutation::AddNode {
-                            id: "198.51.100.1".to_string(),
-                            prefix16: "198.51".to_string(),
-                            prefix24: "198.51.100".to_string(),
-                        },
-                    })
-                    .is_err(),
+                || matches!(
+                    server.apply_mutation(&probe),
+                    Err(ServeError::Degraded { .. })
+                ),
         }
     };
     for event in events {
-        live.apply_event(event)
-            .expect("in-memory apply is faultless");
-        let record = live.wal().last().expect("apply appended").clone();
-        if let Err(e) = persistence.log(&record) {
-            return fail(&mut persistence, acked, e);
+        match server.apply_mutation(event) {
+            Ok(epoch) => acked = epoch,
+            Err(e) => return fail(&mut server, acked, e),
         }
-        acked = live.epoch();
-        if snaps.contains(&live.epoch()) {
-            if let Err(e) = persistence.force_snapshot(&live) {
-                return fail(&mut persistence, acked, e);
-            }
-            if let Err(e) = persistence.sweep(8) {
-                return fail(&mut persistence, acked, e);
+        if acked % every == 0 {
+            if let Err(e) = server.sweep_persistence(8) {
+                return fail(&mut server, acked, e);
             }
         }
     }
-    if let Err(e) = persistence.sync() {
-        return fail(&mut persistence, acked, e);
+    if let Err(e) = server.sync_persistence() {
+        return fail(&mut server, acked, e);
     }
     Run {
         acked: Some(acked),
         error: None,
-        poisoned: persistence.store().poisoned().is_some(),
+        poisoned: server.shard_persistence()[0].store().poisoned().is_some(),
         post_poison_rejected: true,
     }
 }
@@ -176,11 +175,13 @@ fn canonical_states(events: &[TimedEvent]) -> Vec<LiveNetwork> {
 /// recovery contract: it succeeds, lands on an exact canonical prefix, and
 /// that prefix contains every acked record (plus at most one in-flight).
 fn verify_reopen(dir: &Path, states: &[LiveNetwork], acked: Option<u64>, context: &str) {
-    let (recovered, _, report) =
-        Persistence::recover_or_create(dir, &options(Arc::new(RealFs)), || {
-            LiveNetwork::from_workload(&workload())
-        })
+    let (mut server, reports) = ServerBuilder::new()
+        .options(options(Arc::new(RealFs), 0))
+        .persist_at(dir)
+        .recover_or_create::<ScriptedLlm>(Vec::new(), || LiveNetwork::from_workload(&workload()))
         .unwrap_or_else(|e| panic!("{context}: reopen after fault failed: {e}"));
+    let report = &reports[0];
+    let recovered = server.merged_view();
     assert!(
         report.skipped_snapshots.is_empty(),
         "{context}: reopen skipped snapshots: {:?}",
@@ -201,7 +202,7 @@ fn verify_reopen(dir: &Path, states: &[LiveNetwork], acked: Option<u64>, context
         "{context}: recovered epoch {epoch} is past the workload"
     );
     assert!(
-        recovered == states[epoch as usize],
+        *recovered == states[epoch as usize],
         "{context}: recovered state diverged from the canonical epoch-{epoch} prefix"
     );
 }
@@ -211,14 +212,14 @@ fn verify_reopen(dir: &Path, states: &[LiveNetwork], acked: Option<u64>, context
 /// "never fires" case).
 fn sweep_kind(kind: FaultKind) {
     let events = stream(stream_len());
-    let snaps = snapshot_epochs(events.len());
+    let every = snapshot_every(events.len());
     let states = canonical_states(&events);
     let tip = events.len() as u64;
 
     // Calibration: a disarmed injector counts the workload's op space.
     let calibrate_dir = temp_dir(&format!("calibrate-{}", kind.name()));
     let calibrate = Arc::new(FaultFs::new(kind, u64::MAX));
-    let run = run_workload(&calibrate_dir, calibrate.clone(), &events, &snaps);
+    let run = run_workload(&calibrate_dir, calibrate.clone(), &events, every);
     assert!(run.error.is_none(), "disarmed run failed: {:?}", run.error);
     assert_eq!(run.acked, Some(tip));
     let op_count = calibrate.ops();
@@ -231,7 +232,7 @@ fn sweep_kind(kind: FaultKind) {
         let context = format!("kind {} at op {k}", kind.name());
         let dir = temp_dir(&format!("{}-{k}", kind.name()));
         let fault = Arc::new(FaultFs::new(kind, k));
-        let run = run_workload(&dir, fault.clone(), &events, &snaps);
+        let run = run_workload(&dir, fault.clone(), &events, every);
         match &run.error {
             None => {
                 // Absorbed or never fired: the run must be canonically
@@ -327,12 +328,12 @@ fn torn_rename_swept_across_every_op_is_absorbed() {
 #[test]
 fn op_space_is_deterministic_across_runs() {
     let events = stream(6);
-    let snaps = snapshot_epochs(events.len());
+    let every = snapshot_every(events.len());
     let mut counts = Vec::new();
     for round in 0..2 {
         let dir = temp_dir(&format!("determinism-{round}"));
         let fault = Arc::new(FaultFs::new(FaultKind::Eio, u64::MAX));
-        let run = run_workload(&dir, fault.clone(), &events, &snaps);
+        let run = run_workload(&dir, fault.clone(), &events, every);
         assert!(run.error.is_none());
         counts.push(fault.ops());
         std::fs::remove_dir_all(&dir).unwrap();

@@ -1,27 +1,28 @@
 //! Randomized fault scripts: the property-based twin of
 //! `fault_injection.rs`'s exhaustive sweep (and of `sweep_safety.rs`'s
 //! random op interleavings). A random workload shape (stream length,
-//! snapshot points, sweep budgets) meets a random single-shot fault
-//! (kind × op index), and the durability contract must hold on every
-//! combination:
+//! snapshot points, sweep budgets) driven through a durable single-shard
+//! server meets a random single-shot fault (kind × op index), and the
+//! durability contract must hold on every combination:
 //!
 //! * a completed run ends in the canonical tip state, and reopening it
 //!   recovers that exact state;
 //! * a surfaced error is typed, non-retryable (retryable ones are
 //!   absorbed within the serving layer's bounded retry), and never a
-//!   panic;
+//!   panic; a poisoned store turns the server read-only;
 //! * reopening after any fault recovers an exact canonical epoch prefix
 //!   that contains every acked record (at most one unacked in-flight
 //!   record may additionally survive), with every retained snapshot
 //!   readable.
 
-use nemo_serve::persist::{FsyncPolicy, PersistOptions, Persistence};
-use nemo_serve::{LiveNetwork, ServeError};
+use nemo_core::ScriptedLlm;
+use nemo_serve::persist::{FsyncPolicy, PersistOptions};
+use nemo_serve::{LiveNetwork, ServeError, ServerBuilder};
 use nemo_store::{FaultFs, FaultKind, RealFs, Vfs};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
-use trafficgen::{evolve, generate, StreamConfig, TrafficConfig};
+use trafficgen::{evolve, generate, Ipv4, NetEvent, StreamConfig, TimedEvent, TrafficConfig};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("nemo-fault-script-{tag}-{}", std::process::id()));
@@ -29,12 +30,12 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn options(vfs: Arc<dyn Vfs>) -> PersistOptions {
+fn options(vfs: Arc<dyn Vfs>, snapshot_every: u64) -> PersistOptions {
     PersistOptions {
         fsync: FsyncPolicy::EveryRecord,
         segment_max_bytes: 256,
         snapshot_every_bytes: 0,
-        snapshot_every_epochs: 0,
+        snapshot_every_epochs: snapshot_every,
         keep_snapshots: 2,
         vfs,
         ..PersistOptions::default()
@@ -76,42 +77,45 @@ proptest! {
 
         let dir = temp_dir(&format!("{}-{seed}-{fault_at}", kind.name()));
         let fault = Arc::new(FaultFs::new(kind, fault_at));
-        let mut live = LiveNetwork::from_workload(&w);
         let mut acked = None;
         let mut error = None;
-        match Persistence::create(&dir, &options(fault.clone()), &live) {
+        match ServerBuilder::new()
+            .options(options(fault.clone(), snapshot_gap as u64))
+            .persist_at(&dir)
+            .build::<ScriptedLlm>(LiveNetwork::from_workload(&w), Vec::new())
+        {
             Err(e) => error = Some(e),
-            Ok(mut persistence) => {
+            Ok(mut server) => {
                 acked = Some(0u64);
                 for (i, event) in stream.iter().enumerate() {
-                    live.apply_event(event).expect("in-memory apply is faultless");
-                    let record = live.wal().last().expect("apply appended").clone();
-                    if let Err(e) = persistence.log(&record) {
-                        error = Some(e);
-                        break;
+                    match server.apply_mutation(event) {
+                        Ok(epoch) => acked = Some(epoch),
+                        Err(e) => {
+                            error = Some(e);
+                            break;
+                        }
                     }
-                    acked = Some(live.epoch());
                     if (i + 1) % snapshot_gap == 0 {
-                        if let Err(e) = persistence
-                            .force_snapshot(&live)
-                            .and_then(|_| persistence.sweep(sweep_budget).map(|_| ()))
-                        {
+                        if let Err(e) = server.sweep_persistence(sweep_budget) {
                             error = Some(e);
                             break;
                         }
                     }
                 }
                 if error.is_none() {
-                    if let Err(e) = persistence.sync() {
+                    if let Err(e) = server.sync_persistence() {
                         error = Some(e);
                     }
                 }
-                if error.is_some() && persistence.store().poisoned().is_some() {
-                    // A poisoned write path must reject further appends.
-                    let next = live.wal().last().expect("stream is non-empty").clone();
+                if error.is_some() && server.shard_persistence()[0].store().poisoned().is_some() {
+                    // A poisoned write path must reject further mutations.
+                    let probe = TimedEvent {
+                        at_ms: 0,
+                        event: NetEvent::NewEndpoint { endpoint: Ipv4::new(198, 51, 100, 1) },
+                    };
                     prop_assert!(
-                        persistence.log(&next).is_err(),
-                        "poisoned store accepted an append"
+                        matches!(server.apply_mutation(&probe), Err(ServeError::Degraded { .. })),
+                        "poisoned store accepted a mutation"
                     );
                 }
             }
@@ -134,12 +138,13 @@ proptest! {
 
         // Reopen with the real filesystem: always recovers, to an exact
         // canonical prefix containing everything acked.
-        let (recovered, _, report) = Persistence::recover_or_create(
-            &dir,
-            &options(Arc::new(RealFs)),
-            || LiveNetwork::from_workload(&w),
-        )
-        .map_err(|e| format!("reopen after {} fault failed: {e}", kind.name()))?;
+        let (mut server, reports) = ServerBuilder::new()
+            .options(options(Arc::new(RealFs), 0))
+            .persist_at(&dir)
+            .recover_or_create::<ScriptedLlm>(Vec::new(), || LiveNetwork::from_workload(&w))
+            .map_err(|e| format!("reopen after {} fault failed: {e}", kind.name()))?;
+        let report = &reports[0];
+        let recovered = server.merged_view();
         prop_assert!(
             report.skipped_snapshots.is_empty(),
             "reopen skipped snapshots: {:?}",
@@ -150,7 +155,7 @@ proptest! {
         prop_assert!(epoch >= floor, "acked epoch {floor} lost, recovery reached {epoch}");
         prop_assert!(epoch <= floor + 1, "recovery reached {epoch}, acked only {floor}");
         prop_assert!(
-            recovered == states[epoch as usize],
+            *recovered == states[epoch as usize],
             "recovered state diverged from the canonical epoch-{epoch} prefix"
         );
         if error.is_none() {

@@ -11,6 +11,7 @@ use crate::graph::Graph;
 use crate::value::AttrValue;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,28 +42,16 @@ impl JsonValue {
         match self {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            // Written straight into `out`: snapshot documents carry tens of
+            // thousands of numbers, and a `format!` each would allocate.
             JsonValue::Number(n) => {
                 if n.fract() == 0.0 && n.is_finite() && n.abs() < 1e15 {
-                    out.push_str(&format!("{}", *n as i64));
+                    let _ = write!(out, "{}", *n as i64);
                 } else {
-                    out.push_str(&format!("{n}"));
+                    let _ = write!(out, "{n}");
                 }
             }
-            JsonValue::String(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
+            JsonValue::String(s) => write_str(s, out),
             JsonValue::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -79,7 +68,7 @@ impl JsonValue {
                     if i > 0 {
                         out.push(',');
                     }
-                    JsonValue::String(k.clone()).write(out);
+                    write_str(k, out);
                     out.push(':');
                     v.write(out);
                 }
@@ -447,6 +436,36 @@ pub fn graph_from_json(value: &JsonValue) -> Result<Graph, JsonError> {
     Ok(g)
 }
 
+/// Writes `s` as a JSON string literal. Runs that need no escape are
+/// copied as whole slices — snapshot documents embed multi-megabyte
+/// strings — and every escape splits the text at an ASCII byte, so each
+/// slice boundary is a char boundary.
+fn write_str(s: &str, out: &mut String) {
+    out.reserve(s.len() + 2);
+    out.push('"');
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{byte:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -460,6 +479,15 @@ mod tests {
         assert_eq!(JsonValue::Number(42.0).to_json(), "42");
         assert_eq!(JsonValue::Number(4.25).to_json(), "4.25");
         assert_eq!(JsonValue::String("a\"b".into()).to_json(), "\"a\\\"b\"");
+        // Every escape, a control byte, and multi-byte text around them —
+        // in keys as well as values.
+        let tricky = "é\"\\\n\r\t\u{1}x\u{7f}€";
+        let want = "\"é\\\"\\\\\\n\\r\\t\\u0001x\u{7f}€\"";
+        assert_eq!(JsonValue::String(tricky.into()).to_json(), want);
+        let object = JsonValue::Object(BTreeMap::from([(tricky.to_string(), JsonValue::Null)]));
+        assert_eq!(object.to_json(), format!("{{{want}:null}}"));
+        assert_eq!(JsonValue::Number(-3.0).to_json(), "-3");
+        assert_eq!(JsonValue::Number(1e20).to_json(), "100000000000000000000");
     }
 
     #[test]
