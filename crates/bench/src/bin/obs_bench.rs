@@ -1,56 +1,15 @@
-//! Observability benchmark + metrics smoke driver: what the PR 9
-//! `nemo-obs` instrumentation costs on the hot paths (expected: nothing
-//! measurable), and the CI smoke mode that proves the `nemo-metrics/v1`
-//! document is schema-valid and its logical subset is invariant across
-//! worker-thread and shard counts.
+//! Metrics and trace smoke driver: proves the `nemo-metrics/v1` document
+//! is schema-valid and its logical subset is invariant across worker-thread
+//! and shard counts.
 //!
 //! Usage:
 //!
 //! ```text
-//! obs_bench [--pr pr9] [--out BENCH_pr9.json]
-//! obs_bench --smoke --shards <n> --logical <file> [--doc <file>]
+//! obs_bench --shards <n> --logical <file> [--doc <file>]
+//!     [--traces <file>] [--chrome <file>] [--skeleton <file>]
 //! ```
 //!
-//! The default mode records, into the `nemo-perf-report/v1` schema:
-//!
-//! * `instrumented_append_ms` — wall milliseconds per `Store::append`
-//!   (fsync never), `before` with no metrics attached (the detached
-//!   `Default` cells), `after` with a [`StoreMetrics`] bundle registered
-//!   in a live [`Registry`]. The speedup must sit at ~1.0: recording
-//!   into atomic cells without taking snapshots is the free path.
-//! * `vfs_logged_append_mps` / `healthy_read_qps` — the PR 8 parity
-//!   numbers, re-measured with instrumentation live, so
-//!   `BENCH_pr9.json` pins the instrumented hot paths directly against
-//!   `BENCH_pr8.json`.
-//! * `registry_counter_inc_mps` / `registry_histogram_record_mps` —
-//!   raw recording throughput of one counter / histogram cell.
-//! * `registry_snapshot_ms` — cost of one full snapshot + JSON render
-//!   of a serving-shaped registry (the price of *looking*, paid only
-//!   when a stats request arrives).
-//!
-//! With `--pr pr10` the report instead pins the PR 10 trace-tree cost,
-//! driving the identical `Relabel` mutation stream down four paths:
-//!
-//! * `traced_idle_mutate_ms` — wall milliseconds per typed mutation,
-//!   `before` on a server whose tracer is detached and disabled (no
-//!   caller holds a handle, no trace can ever be observed — the
-//!   untraced path), `after` with a caller-attached tracer handle,
-//!   idle. Attaching the trace consumer must be free — the same
-//!   attach-a-registry parity `BENCH_pr9.json` pins for metrics,
-//!   replayed for traces. The acceptance gate: speedup >= 0.97x.
-//! * `typed_dispatch_mutate_ms` — context pair: `before` the untyped
-//!   `apply_mutation` path, `after` typed `handle()` dispatch. The gap
-//!   is protocol cost (request construction, mutation clone, response
-//!   + description), present since PR 6 and independent of tracing.
-//! * `flight_recorder_mutate_ms` — `before` traced-but-idle, `after`
-//!   with the flight recorder enabled (root span minted per request,
-//!   route/apply/WAL spans recorded, ring at steady-state eviction):
-//!   the honest cost of turning recording on, dominated by the safe
-//!   monotonic-clock reads at span open/close (`unsafe_code` is denied
-//!   workspace-wide, so no raw TSC).
-//! * `recording_mutate_mps` — absolute recording-on throughput.
-//!
-//! The smoke mode drives a pool-fanned multi-client durability run and
+//! It drives a pool-fanned multi-client durability run and
 //! a typed-request sharded drive into **one shared registry**, fetches
 //! [`Request::Stats`], schema-validates the embedded document, and
 //! writes the logical subset to `--logical` — CI byte-compares that
@@ -60,529 +19,34 @@
 //! Chrome `traceEvents` export, and the logical trace skeletons (the
 //! matrix-compared byte-identical axis).
 
-use nemo_bench::perf::{self, Measurement};
 use nemo_bench::pool;
 use nemo_core::llm::profiles;
 use nemo_core::{Backend, SimulatedLlm};
 use nemo_obs::trace::Tracer;
-use nemo_obs::{Class, Registry};
+use nemo_obs::Registry;
 use nemo_serve::driver::{self, DriveConfig};
 use nemo_serve::durability::{self, DurabilityConfig};
 use nemo_serve::{
     validate_chrome_doc, validate_trace_doc, LiveNetwork, PersistOptions, Request, Response,
-    ServeEvent, Server, ServerBuilder, Session,
+    ServerBuilder, Session,
 };
-use nemo_store::{RealFs, Store, StoreConfig, StoreMetrics, Vfs};
 use netgraph::json::JsonValue;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
-use std::time::Instant;
 use trafficgen::{evolve, generate, NetEvent, StreamConfig, TimedEvent};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: obs_bench [--pr <tag>] [--out <file>]\n\
-         \u{20}      obs_bench --smoke --shards <n> --logical <file> [--doc <file>]\n\
+        "usage: obs_bench --shards <n> --logical <file> [--doc <file>]\n\
          \u{20}          [--traces <file>] [--chrome <file>] [--skeleton <file>]"
     );
     ExitCode::FAILURE
-}
-
-struct BenchSizes {
-    /// Appends in the instrumented-append runs.
-    appends: usize,
-    /// Cell operations in the raw registry microbenches.
-    cell_ops: usize,
-    /// Timed query rounds in the healthy-read run.
-    query_rounds: usize,
-    /// Snapshot + render repetitions.
-    snapshots: usize,
-}
-
-impl BenchSizes {
-    fn from_env() -> Self {
-        if std::env::var("NEMO_SMALL").is_ok() {
-            BenchSizes {
-                appends: 2_000,
-                cell_ops: 200_000,
-                query_rounds: 3,
-                snapshots: 20,
-            }
-        } else {
-            BenchSizes {
-                appends: 20_000,
-                cell_ops: 2_000_000,
-                query_rounds: 6,
-                snapshots: 200,
-            }
-        }
-    }
-}
-
-fn store_config() -> StoreConfig {
-    StoreConfig {
-        magic: "nemo-obs-bench/v1".to_string(),
-        fsync: nemo_store::FsyncPolicy::Never,
-        segment_max_bytes: 256 << 10,
-        snapshot_every_bytes: 0,
-        snapshot_every_epochs: 0,
-        keep_snapshots: 1,
-    }
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("nemo-obs-bench-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// A WAL-record-sized payload, distinct per epoch.
-fn payload(epoch: u64) -> Vec<u8> {
-    format!(
-        "{{\"schema\":\"nemo-obs-bench/v1\",\"epoch\":{epoch},\"mutation\":\
-         \"set-flow 10.0.0.1->10.0.0.2 bytes={}\"}}",
-        epoch * 131
-    )
-    .into_bytes()
-}
-
-/// Appends per second through `Store::append` (fsync never), with or
-/// without a registered [`StoreMetrics`] bundle attached — the
-/// instrumentation-overhead probe.
-fn append_mps(appends: usize, metrics: Option<StoreMetrics>) -> f64 {
-    let dir = scratch_dir(if metrics.is_some() {
-        "append-observed"
-    } else {
-        "append-bare"
-    });
-    let (mut store, _) = Store::open_with(&dir, store_config(), Arc::new(RealFs) as Arc<dyn Vfs>)
-        .expect("fresh bench store");
-    if let Some(metrics) = metrics {
-        store.attach_metrics(metrics);
-    }
-    let start = Instant::now();
-    for epoch in 1..=appends as u64 {
-        store
-            .append(epoch, &payload(epoch))
-            .expect("bench append succeeds");
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    drop(store);
-    let _ = std::fs::remove_dir_all(&dir);
-    appends as f64 / elapsed
-}
-
-/// Raw recording throughput of one counter cell, ops per second.
-fn counter_inc_mps(ops: usize) -> f64 {
-    let registry = Registry::new();
-    let counter = registry.counter("bench_counter", Class::Physical);
-    let start = Instant::now();
-    for _ in 0..ops {
-        counter.inc();
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    assert_eq!(counter.get(), ops as u64);
-    ops as f64 / elapsed
-}
-
-/// Raw recording throughput of one histogram cell, ops per second.
-fn histogram_record_mps(ops: usize) -> f64 {
-    let registry = Registry::new();
-    let histogram = registry.histogram("bench_histogram", Class::Physical);
-    let start = Instant::now();
-    for i in 0..ops {
-        histogram.record(i as u64);
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    assert_eq!(histogram.snapshot().count, ops as u64);
-    ops as f64 / elapsed
-}
-
-/// Milliseconds per full snapshot + JSON render of a serving-shaped
-/// registry (every PR 9 metric family registered, cells warm).
-fn snapshot_ms(snapshots: usize) -> f64 {
-    let registry = Registry::new();
-    let serve = nemo_serve::ServeMetrics::register(&registry, 4);
-    serve.requests_query.add(1_000);
-    serve.query_micros.record(37);
-    let start = Instant::now();
-    let mut bytes = 0usize;
-    for _ in 0..snapshots {
-        bytes += registry.snapshot().to_json().len();
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    assert!(bytes > 0);
-    elapsed * 1e3 / snapshots as f64
-}
-
-/// Cached-read throughput of a healthy persistent server with a live
-/// registry attached — the PR 8 `healthy_read_qps` parity number,
-/// instrumented.
-fn healthy_read_qps(rounds: usize) -> f64 {
-    let config = DriveConfig::from_env();
-    let queries: Vec<String> = nemo_bench::traffic_queries()
-        .into_iter()
-        .take(8)
-        .map(|spec| spec.text.to_string())
-        .collect();
-    let workload = generate(&config.traffic);
-    let live = LiveNetwork::from_workload(&workload);
-    let sessions: Vec<Session<SimulatedLlm>> = Backend::CODEGEN
-        .iter()
-        .enumerate()
-        .map(|(i, &backend)| Session {
-            client: i,
-            backend,
-            llm: SimulatedLlm::new(
-                profiles::gpt4(),
-                driver::serving_knowledge(),
-                config.seed ^ i as u64,
-            ),
-        })
-        .collect();
-    let dir = scratch_dir("healthy");
-    let registry = Registry::new();
-    let mut server = ServerBuilder::new()
-        .options(PersistOptions {
-            fsync: nemo_serve::FsyncPolicy::EveryRecord,
-            registry: registry.clone(),
-            ..PersistOptions::default()
-        })
-        .persist_at(&dir)
-        .build(live, sessions)
-        .expect("fresh persistent build");
-    let stream = evolve(
-        &workload,
-        &StreamConfig {
-            events: 2,
-            seed: config.seed,
-        },
-    );
-    server
-        .apply_mutation(&stream[0])
-        .expect("first mutation applies");
-    let warm = |server: &mut Server<SimulatedLlm>| {
-        let mut samples = Vec::new();
-        for client in 0..Backend::CODEGEN.len() {
-            for query in &queries {
-                samples.push(server.handle_query(client, query).latency_ms);
-            }
-        }
-        samples
-    };
-    let _ = warm(&mut server);
-    let mut samples = Vec::new();
-    for _ in 0..rounds {
-        samples.extend(warm(&mut server));
-    }
-    drop(server);
-    let _ = std::fs::remove_dir_all(&dir);
-    let total_ms: f64 = samples.iter().sum();
-    if total_ms <= 0.0 {
-        0.0
-    } else {
-        samples.len() as f64 * 1e3 / total_ms
-    }
-}
-
-/// Which request path / tracer configuration a mutate run measures.
-#[derive(Clone, Copy, PartialEq)]
-enum MutatePath {
-    /// The legacy untyped `apply_mutation` path — no typed dispatch, no
-    /// response construction, no root trace. Context for what the typed
-    /// protocol itself costs.
-    Untyped,
-    /// Typed requests on a server with its own default tracer: detached
-    /// (no caller holds a handle) and disabled. No trace can ever be
-    /// observed — the untraced path.
-    Detached,
-    /// Typed requests with a caller-attached tracer handle, idle
-    /// (disabled): traced-but-idle, the production default. Attachment
-    /// must be free — the pr9 attach-a-registry parity, replayed for
-    /// traces.
-    AttachedIdle,
-    /// Typed requests with the flight recorder enabled — a root span per
-    /// request plus route/apply/WAL spans, ring at steady-state eviction.
-    Recording,
-}
-
-/// Mutations per second through a persisted single-shard server (fsync
-/// never), driving the identical `Relabel` event stream down the path
-/// `mode` selects.
-fn mutate_mps(count: usize, mode: MutatePath) -> f64 {
-    let dir = scratch_dir(match mode {
-        MutatePath::Untyped => "mutate-untyped",
-        MutatePath::Detached => "mutate-detached",
-        MutatePath::AttachedIdle => "mutate-idle",
-        MutatePath::Recording => "mutate-recording",
-    });
-    // The attached arms keep this handle alive across the run — the
-    // difference under test is a live outside consumer, not the code
-    // path (which is identical when the recorder is off).
-    let attached = Tracer::new();
-    if mode == MutatePath::Recording {
-        attached.enable(256);
-    }
-    let config = DriveConfig::from_env();
-    let workload = generate(&config.traffic);
-    let endpoint = workload.endpoints[0];
-    let options = match mode {
-        MutatePath::Untyped | MutatePath::Detached => PersistOptions {
-            fsync: nemo_serve::FsyncPolicy::Never,
-            ..PersistOptions::default()
-        },
-        MutatePath::AttachedIdle | MutatePath::Recording => PersistOptions {
-            fsync: nemo_serve::FsyncPolicy::Never,
-            tracer: attached.clone(),
-            ..PersistOptions::default()
-        },
-    };
-    let mut server = ServerBuilder::new()
-        .options(options)
-        .persist_at(&dir)
-        .build::<SimulatedLlm>(LiveNetwork::from_workload(&workload), Vec::new())
-        .expect("fresh persistent build");
-    let start = Instant::now();
-    for i in 0..count as u64 {
-        let event = TimedEvent {
-            at_ms: i,
-            event: NetEvent::Relabel {
-                endpoint,
-                label: format!("v{i}"),
-            },
-        };
-        match mode {
-            MutatePath::Untyped => {
-                server
-                    .apply_mutation(&event)
-                    .expect("bench mutation succeeds");
-            }
-            _ => {
-                let request = Request::from_event(&ServeEvent::Mutate(event));
-                let response = server.handle(&request).expect("bench mutation succeeds");
-                debug_assert!(matches!(response, Response::Mutated { .. }));
-            }
-        }
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    drop(server);
-    drop(attached);
-    let _ = std::fs::remove_dir_all(&dir);
-    count as f64 / elapsed
-}
-
-/// The PR 10 report: traced-but-idle request throughput against the
-/// untraced path (the acceptance parity pair), the typed-dispatch
-/// context pair, and the full cost of recording into the flight
-/// recorder — same alternating-sample methodology as the PR 9
-/// `instrumented_append_ms` parity pair.
-fn run_report_pr10(pr: &str, out: &str) -> ExitCode {
-    let sizes = BenchSizes::from_env();
-    let mutations = sizes.appends;
-    eprintln!(
-        "[obs] traced request path: {mutations} mutations x 5 reps x 4 paths, fsync never..."
-    );
-    // One discarded warmup pass per path (page cache, allocator, branch
-    // predictors), then alternate the variants so machine drift lands on
-    // all sides.
-    let paths = [
-        MutatePath::Untyped,
-        MutatePath::Detached,
-        MutatePath::AttachedIdle,
-        MutatePath::Recording,
-    ];
-    for path in paths {
-        let _ = mutate_mps(mutations, path);
-    }
-    let mut untyped_samples = Vec::new();
-    let mut detached_samples = Vec::new();
-    let mut idle_samples = Vec::new();
-    let mut recording_samples = Vec::new();
-    for _ in 0..5 {
-        untyped_samples.push(1e3 / mutate_mps(mutations, MutatePath::Untyped));
-        detached_samples.push(1e3 / mutate_mps(mutations, MutatePath::Detached));
-        idle_samples.push(1e3 / mutate_mps(mutations, MutatePath::AttachedIdle));
-        recording_samples.push(1e3 / mutate_mps(mutations, MutatePath::Recording));
-    }
-    let untyped_mps = 1e3 / perf::median(&untyped_samples);
-    let detached_mps = 1e3 / perf::median(&detached_samples);
-    let idle_mps = 1e3 / perf::median(&idle_samples);
-    let recording_mps = 1e3 / perf::median(&recording_samples);
-    println!("mutate, untyped apply:        {untyped_mps:>11.1} req/s");
-    println!(
-        "mutate, typed + no tracer:    {detached_mps:>11.1} req/s  ({:.3}x untyped)",
-        detached_mps / untyped_mps
-    );
-    println!(
-        "mutate, traced-but-idle:      {idle_mps:>11.1} req/s  ({:.3}x untraced)",
-        idle_mps / detached_mps
-    );
-    println!(
-        "mutate, flight recorder on:   {recording_mps:>11.1} req/s  ({:.3}x idle)",
-        recording_mps / idle_mps
-    );
-
-    let before = [
-        Measurement {
-            name: "traced_idle_mutate_ms".to_string(),
-            samples: detached_samples.clone(),
-        },
-        Measurement {
-            name: "typed_dispatch_mutate_ms".to_string(),
-            samples: untyped_samples,
-        },
-        Measurement {
-            name: "flight_recorder_mutate_ms".to_string(),
-            samples: idle_samples.clone(),
-        },
-    ];
-    let after = [
-        Measurement {
-            name: "traced_idle_mutate_ms".to_string(),
-            samples: idle_samples,
-        },
-        Measurement {
-            name: "typed_dispatch_mutate_ms".to_string(),
-            samples: detached_samples,
-        },
-        Measurement {
-            name: "flight_recorder_mutate_ms".to_string(),
-            samples: recording_samples,
-        },
-        Measurement {
-            name: "recording_mutate_mps".to_string(),
-            samples: vec![recording_mps],
-        },
-    ];
-    let existing = std::fs::read_to_string(out)
-        .ok()
-        .and_then(|text| JsonValue::parse(&text).ok());
-    let report = perf::merge_report(existing.as_ref(), pr, "before", &before);
-    let mut report = perf::merge_report(Some(&report), pr, "after", &after);
-    set_unit(&mut report, "recording_mutate_mps", "mps");
-    let problems = perf::validate_report(&report);
-    if !problems.is_empty() {
-        for p in &problems {
-            eprintln!("obs_bench: generated report invalid: {p}");
-        }
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = std::fs::write(out, report.to_json() + "\n") {
-        eprintln!("obs_bench: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {out}");
-    ExitCode::SUCCESS
-}
-
-/// Patches the auto-filled `ms` unit on non-latency entries.
-fn set_unit(report: &mut JsonValue, name: &str, unit: &str) {
-    if let JsonValue::Object(root) = report {
-        if let Some(JsonValue::Array(entries)) = root.get_mut("entries") {
-            for entry in entries {
-                if let JsonValue::Object(obj) = entry {
-                    if obj.get("name") == Some(&JsonValue::String(name.to_string())) {
-                        obj.insert("unit".to_string(), JsonValue::String(unit.to_string()));
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn run_report(pr: &str, out: &str) -> ExitCode {
-    let sizes = BenchSizes::from_env();
-
-    eprintln!(
-        "[obs] instrumented append path: {} appends x 3 reps, fsync never...",
-        sizes.appends
-    );
-    // Alternate the two variants so machine drift lands on both sides;
-    // the report's median smooths the rest.
-    let registry = Registry::new();
-    let mut bare_samples = Vec::new();
-    let mut observed_samples = Vec::new();
-    for _ in 0..3 {
-        bare_samples.push(1e3 / append_mps(sizes.appends, None));
-        observed_samples
-            .push(1e3 / append_mps(sizes.appends, Some(StoreMetrics::register(&registry))));
-    }
-    let bare_mps = 1e3 / perf::median(&bare_samples);
-    let observed_mps = 1e3 / perf::median(&observed_samples);
-    println!("append, detached cells:       {bare_mps:>11.1} appends/s");
-    println!("append, live registry:        {observed_mps:>11.1} appends/s");
-
-    eprintln!(
-        "[obs] registry cell microbenches: {} ops...",
-        sizes.cell_ops
-    );
-    let counter_mps = counter_inc_mps(sizes.cell_ops);
-    let histogram_mps = histogram_record_mps(sizes.cell_ops);
-    let snap_ms = snapshot_ms(sizes.snapshots);
-    println!("counter.inc:                  {counter_mps:>11.1} ops/s");
-    println!("histogram.record:             {histogram_mps:>11.1} ops/s");
-    println!("snapshot + render:            {snap_ms:>11.4} ms");
-
-    eprintln!("[obs] instrumented healthy reads...");
-    let read_qps = healthy_read_qps(sizes.query_rounds);
-    println!("cached reads, instrumented:   {read_qps:>11.1} q/s");
-
-    // The latency pair carries the headline (speedup ~1.0 = the registry
-    // costs nothing on the hot path); throughput entries are after-only,
-    // named to line up with their BENCH_pr8.json counterparts.
-    let before = [Measurement {
-        name: "instrumented_append_ms".to_string(),
-        samples: bare_samples,
-    }];
-    let after = [
-        Measurement {
-            name: "instrumented_append_ms".to_string(),
-            samples: observed_samples,
-        },
-        Measurement {
-            name: "vfs_logged_append_mps".to_string(),
-            samples: vec![observed_mps],
-        },
-        Measurement {
-            name: "healthy_read_qps".to_string(),
-            samples: vec![read_qps],
-        },
-        Measurement {
-            name: "registry_counter_inc_mps".to_string(),
-            samples: vec![counter_mps],
-        },
-        Measurement {
-            name: "registry_histogram_record_mps".to_string(),
-            samples: vec![histogram_mps],
-        },
-        Measurement {
-            name: "registry_snapshot_ms".to_string(),
-            samples: vec![snap_ms],
-        },
-    ];
-    let existing = std::fs::read_to_string(out)
-        .ok()
-        .and_then(|text| JsonValue::parse(&text).ok());
-    let report = perf::merge_report(existing.as_ref(), pr, "before", &before);
-    let mut report = perf::merge_report(Some(&report), pr, "after", &after);
-    set_unit(&mut report, "vfs_logged_append_mps", "mps");
-    set_unit(&mut report, "healthy_read_qps", "qps");
-    set_unit(&mut report, "registry_counter_inc_mps", "mps");
-    set_unit(&mut report, "registry_histogram_record_mps", "mps");
-    let problems = perf::validate_report(&report);
-    if !problems.is_empty() {
-        for p in &problems {
-            eprintln!("obs_bench: generated report invalid: {p}");
-        }
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = std::fs::write(out, report.to_json() + "\n") {
-        eprintln!("obs_bench: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {out}");
-    ExitCode::SUCCESS
 }
 
 /// The CI smoke drive: a pool-fanned multi-client durability run (the
@@ -807,9 +271,6 @@ fn run_smoke(
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut pr = "pr9".to_string();
-    let mut out: Option<String> = None;
-    let mut smoke = false;
     let mut shards: Option<u32> = None;
     let mut logical: Option<String> = None;
     let mut doc: Option<String> = None;
@@ -818,23 +279,10 @@ fn main() -> ExitCode {
     let mut skeleton: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
-        let needs_value = matches!(
-            args[i].as_str(),
-            "--pr"
-                | "--out"
-                | "--shards"
-                | "--logical"
-                | "--doc"
-                | "--traces"
-                | "--chrome"
-                | "--skeleton"
-        );
-        if needs_value && i + 1 >= args.len() {
+        if i + 1 >= args.len() {
             return usage();
         }
         match args[i].as_str() {
-            "--pr" => pr = args[i + 1].clone(),
-            "--out" => out = Some(args[i + 1].clone()),
             "--shards" => match args[i + 1].parse() {
                 Ok(n) if n > 0 => shards = Some(n),
                 _ => return usage(),
@@ -844,41 +292,19 @@ fn main() -> ExitCode {
             "--traces" => traces = Some(args[i + 1].clone()),
             "--chrome" => chrome = Some(args[i + 1].clone()),
             "--skeleton" => skeleton = Some(args[i + 1].clone()),
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-                continue;
-            }
             _ => return usage(),
         }
         i += 2;
     }
-    if smoke {
-        match (shards, logical) {
-            (Some(shards), Some(logical)) => run_smoke(
-                shards,
-                &logical,
-                doc.as_deref(),
-                traces.as_deref(),
-                chrome.as_deref(),
-                skeleton.as_deref(),
-            ),
-            _ => usage(),
-        }
-    } else if shards.is_some()
-        || logical.is_some()
-        || doc.is_some()
-        || traces.is_some()
-        || chrome.is_some()
-        || skeleton.is_some()
-    {
-        usage()
-    } else {
-        let out = out.unwrap_or_else(|| format!("BENCH_{pr}.json"));
-        if pr == "pr10" {
-            run_report_pr10(&pr, &out)
-        } else {
-            run_report(&pr, &out)
-        }
+    match (shards, logical) {
+        (Some(shards), Some(logical)) => run_smoke(
+            shards,
+            &logical,
+            doc.as_deref(),
+            traces.as_deref(),
+            chrome.as_deref(),
+            skeleton.as_deref(),
+        ),
+        _ => usage(),
     }
 }

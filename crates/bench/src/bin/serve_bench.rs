@@ -1,127 +1,24 @@
-//! Serving-layer benchmark: sustained queries/sec and latency percentiles,
-//! cold cache vs warm cache, recorded into `BENCH_pr4.json`
-//! (`nemo-perf-report/v1`).
+//! Serving-layer load driver: writes the deterministic multi-client
+//! transcript.
 //!
 //! Usage:
 //!
 //! ```text
-//! serve_bench [--pr pr4] [--out BENCH_pr4.json]
 //! serve_bench --transcript <file>     # deterministic load-driver transcript
 //! ```
 //!
-//! The default mode drives one server (one session per code-generation
-//! backend) through three phases:
-//!
-//! * **cold** — every query is a full miss: prompt → LLM → sandbox.
-//!   Recorded as the `before` label of `serve_query_ms`.
-//! * **warm** — the same queries again at an unchanged epoch: answer-cache
-//!   hits that skip the LLM and the compiler entirely. Recorded as the
-//!   `after` label, so the report's `speedup` *is* the warm/cold
-//!   throughput ratio.
-//! * **invalidated** — a mutation batch bumps the epoch, then one more
-//!   round runs from the program cache (re-execution without the LLM).
-//!
-//! `--transcript` instead runs the multi-client load driver
-//! (`nemo_serve::driver`) on the current `NEMO_THREADS` setting and writes
-//! the transcript; CI diffs a 1-thread run against a 4-thread run.
-//! `NEMO_SMALL=1` switches both modes to seconds-scale smoke sizes.
+//! Runs the multi-client load driver (`nemo_serve::driver`) on the current
+//! `NEMO_THREADS` setting and writes the transcript; CI diffs a 1-thread
+//! run against a 4-thread run. `NEMO_SMALL=1` switches to seconds-scale
+//! smoke sizes.
 
-use nemo_bench::perf::{self, percentile, Measurement};
 use nemo_bench::pool;
-use nemo_core::llm::profiles;
-use nemo_core::{Backend, SimulatedLlm};
 use nemo_serve::driver::{self, DriveConfig};
-use nemo_serve::{LiveNetwork, Server, ServerBuilder, Session};
-use netgraph::json::JsonValue;
 use std::process::ExitCode;
-use trafficgen::{evolve, generate, StreamConfig};
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: serve_bench [--pr <tag>] [--out <file>]\n\
-         \u{20}      serve_bench --transcript <file>"
-    );
+    eprintln!("usage: serve_bench --transcript <file>");
     ExitCode::FAILURE
-}
-
-struct BenchSizes {
-    queries: usize,
-    warm_rounds: usize,
-    mutation_events: usize,
-}
-
-impl BenchSizes {
-    fn from_env() -> Self {
-        if std::env::var("NEMO_SMALL").is_ok() {
-            BenchSizes {
-                queries: 8,
-                warm_rounds: 2,
-                mutation_events: 6,
-            }
-        } else {
-            BenchSizes {
-                queries: 24,
-                warm_rounds: 5,
-                mutation_events: 12,
-            }
-        }
-    }
-}
-
-fn build_server(config: &DriveConfig) -> Server<SimulatedLlm> {
-    let workload = generate(&config.traffic);
-    let live = LiveNetwork::from_workload(&workload);
-    let sessions = Backend::CODEGEN
-        .iter()
-        .enumerate()
-        .map(|(i, &backend)| Session {
-            client: i,
-            backend,
-            llm: SimulatedLlm::new(
-                profiles::gpt4(),
-                driver::serving_knowledge(),
-                config.seed ^ i as u64,
-            ),
-        })
-        .collect();
-    ServerBuilder::new()
-        .build(live, sessions)
-        .expect("in-memory builds cannot fail")
-}
-
-/// One latency sample per (session, query) request.
-fn query_round(server: &mut Server<SimulatedLlm>, queries: &[String]) -> Vec<f64> {
-    let mut samples = Vec::with_capacity(queries.len() * Backend::CODEGEN.len());
-    for client in 0..Backend::CODEGEN.len() {
-        for query in queries {
-            samples.push(server.handle_query(client, query).latency_ms);
-        }
-    }
-    samples
-}
-
-fn qps(samples: &[f64]) -> f64 {
-    let total_ms: f64 = samples.iter().sum();
-    if total_ms <= 0.0 {
-        0.0
-    } else {
-        samples.len() as f64 * 1e3 / total_ms
-    }
-}
-
-/// Patches the auto-filled `ms` unit on throughput entries.
-fn set_unit(report: &mut JsonValue, name: &str, unit: &str) {
-    if let JsonValue::Object(root) = report {
-        if let Some(JsonValue::Array(entries)) = root.get_mut("entries") {
-            for entry in entries {
-                if let JsonValue::Object(obj) = entry {
-                    if obj.get("name") == Some(&JsonValue::String(name.to_string())) {
-                        obj.insert("unit".to_string(), JsonValue::String(unit.to_string()));
-                    }
-                }
-            }
-        }
-    }
 }
 
 fn run_transcript(path: &str) -> ExitCode {
@@ -143,169 +40,8 @@ fn run_transcript(path: &str) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut pr = "pr4".to_string();
-    let mut out: Option<String> = None;
-    let mut transcript: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--pr" | "--out" | "--transcript" if i + 1 >= args.len() => return usage(),
-            "--pr" => {
-                pr = args[i + 1].clone();
-                i += 2;
-            }
-            "--out" => {
-                out = Some(args[i + 1].clone());
-                i += 2;
-            }
-            "--transcript" => {
-                transcript = Some(args[i + 1].clone());
-                i += 2;
-            }
-            _ => return usage(),
-        }
+    match args.as_slice() {
+        [flag, path] if flag == "--transcript" => run_transcript(path),
+        _ => usage(),
     }
-    if let Some(path) = transcript {
-        return run_transcript(&path);
-    }
-    let out = out.unwrap_or_else(|| format!("BENCH_{pr}.json"));
-
-    let config = DriveConfig::from_env();
-    let sizes = BenchSizes::from_env();
-    let queries: Vec<String> = nemo_bench::traffic_queries()
-        .into_iter()
-        .take(sizes.queries)
-        .map(|spec| spec.text.to_string())
-        .collect();
-    let mut server = build_server(&config);
-
-    eprintln!(
-        "[serve] cold phase: {} queries x {} backends (full pipeline)...",
-        queries.len(),
-        Backend::CODEGEN.len()
-    );
-    let cold = query_round(&mut server, &queries);
-
-    eprintln!(
-        "[serve] warm phase: {} rounds of answer-cache hits...",
-        sizes.warm_rounds
-    );
-    let mut warm = Vec::new();
-    for _ in 0..sizes.warm_rounds {
-        warm.extend(query_round(&mut server, &queries));
-    }
-
-    eprintln!("[serve] invalidation phase: mutation batch + program-cache round...");
-    let workload = generate(&config.traffic);
-    let stream = evolve(
-        &workload,
-        &StreamConfig {
-            events: sizes.mutation_events,
-            seed: config.seed,
-        },
-    );
-    let mut mutation_samples = Vec::with_capacity(stream.len());
-    for event in &stream {
-        let start = std::time::Instant::now();
-        server
-            .apply_mutation(event)
-            .expect("stream events apply cleanly");
-        mutation_samples.push(start.elapsed().as_secs_f64() * 1e3);
-    }
-    let program_hits = query_round(&mut server, &queries);
-
-    let stats = server.cache_stats();
-    let cold_qps = qps(&cold);
-    let warm_qps = qps(&warm);
-    println!(
-        "cold:  {:>10.2} q/s  p50 {:>8.3} ms  p99 {:>8.3} ms",
-        cold_qps,
-        percentile(&cold, 50.0),
-        percentile(&cold, 99.0)
-    );
-    println!(
-        "warm:  {:>10.2} q/s  p50 {:>8.3} ms  p99 {:>8.3} ms",
-        warm_qps,
-        percentile(&warm, 50.0),
-        percentile(&warm, 99.0)
-    );
-    println!(
-        "code:  {:>10.2} q/s  p50 {:>8.3} ms  p99 {:>8.3} ms  (program-cache, post-mutation)",
-        qps(&program_hits),
-        percentile(&program_hits, 50.0),
-        percentile(&program_hits, 99.0)
-    );
-    println!(
-        "warm-cache speedup: {:.1}x queries/sec over cold (target >= 5x)",
-        warm_qps / cold_qps.max(f64::MIN_POSITIVE)
-    );
-    println!(
-        "cache: {} answer hits, {} program hits, {} misses, {} invalidated",
-        stats.answer_hits, stats.program_hits, stats.misses, stats.invalidated
-    );
-
-    // serve_query_ms carries cold as `before` and warm as `after`, so the
-    // schema's derived speedup is the headline warm/cold ratio.
-    let before = [Measurement {
-        name: "serve_query_ms".to_string(),
-        samples: cold.clone(),
-    }];
-    let after = [
-        Measurement {
-            name: "serve_query_ms".to_string(),
-            samples: warm.clone(),
-        },
-        Measurement {
-            name: "serve_query_program_hit_ms".to_string(),
-            samples: program_hits,
-        },
-        Measurement {
-            name: "serve_mutation_apply_ms".to_string(),
-            samples: mutation_samples,
-        },
-        Measurement {
-            name: "serve_cold_qps".to_string(),
-            samples: vec![cold_qps],
-        },
-        Measurement {
-            name: "serve_warm_qps".to_string(),
-            samples: vec![warm_qps],
-        },
-        Measurement {
-            name: "serve_cold_p99_ms".to_string(),
-            samples: vec![percentile(&cold, 99.0)],
-        },
-        Measurement {
-            name: "serve_warm_p99_ms".to_string(),
-            samples: vec![percentile(&warm, 99.0)],
-        },
-        Measurement {
-            name: "serve_cold_p50_ms".to_string(),
-            samples: vec![percentile(&cold, 50.0)],
-        },
-        Measurement {
-            name: "serve_warm_p50_ms".to_string(),
-            samples: vec![percentile(&warm, 50.0)],
-        },
-    ];
-    let existing = std::fs::read_to_string(&out)
-        .ok()
-        .and_then(|text| JsonValue::parse(&text).ok());
-    let report = perf::merge_report(existing.as_ref(), &pr, "before", &before);
-    let mut report = perf::merge_report(Some(&report), &pr, "after", &after);
-    set_unit(&mut report, "serve_cold_qps", "qps");
-    set_unit(&mut report, "serve_warm_qps", "qps");
-    let problems = perf::validate_report(&report);
-    if !problems.is_empty() {
-        for p in &problems {
-            eprintln!("serve_bench: generated report invalid: {p}");
-        }
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = std::fs::write(&out, report.to_json() + "\n") {
-        eprintln!("serve_bench: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {out}");
-    ExitCode::SUCCESS
 }

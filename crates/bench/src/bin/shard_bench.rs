@@ -1,10 +1,9 @@
-//! Sharded-serving benchmark + crash driver: group commit throughput and
-//! the shard-count-invariant crash/resume transcripts.
+//! Sharded-serving crash driver: the shard-count-invariant crash/resume
+//! transcripts and the group-commit kill proof.
 //!
 //! Usage:
 //!
 //! ```text
-//! shard_bench [--pr pr6] [--out BENCH_pr6.json]
 //! shard_bench --dir <root> --shards <n> --transcript <file>   # run (or resume), write transcript
 //! shard_bench --dir <root> --shards <n> --crash-at <epoch>    # run and crash mid-stream (exit 3)
 //! shard_bench --group-crash --dir <store> --after <n>         # concurrent group-commit appends,
@@ -12,73 +11,42 @@
 //! shard_bench --group-verify --dir <store> --acked <n>        # reopen; every acked epoch must be on disk
 //! ```
 //!
-//! The default mode records, into the `nemo-perf-report/v1` schema:
-//!
-//! * `group_commit_apply_mps` — sustained append throughput with
-//!   **acked-epoch durability** (an append does not return until its epoch
-//!   is fsynced) at 8 concurrent appenders: `before` is the PR 5 posture, a
-//!   mutex-serialized store with `fsync: EveryRecord` (one fsync per
-//!   record); `after` is the [`GroupCommitter`], where one leader fsync
-//!   covers the whole arrival batch.
-//! * `group_commit_batch_records` — achieved records per fsync under group
-//!   commit (the coalescing factor).
-//!
 //! The `--group-crash` / `--group-verify` pair is the durability proof CI
 //! runs: a process that is killed the instant `append` returns must find
 //! every acknowledged epoch in the store afterwards.
 
-use nemo_bench::perf::{self, Measurement};
 use nemo_bench::pool;
+use nemo_obs::trace::Tracer;
+use nemo_obs::Registry;
 use nemo_serve::durability::{self, DurabilityConfig};
 use nemo_store::{FsyncPolicy, GroupCommitter, Store, StoreConfig};
-use netgraph::json::JsonValue;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: shard_bench [--pr <tag>] [--out <file>]\n\
-         \u{20}      shard_bench --dir <root> --shards <n> --transcript <file> [--crash-at <epoch>]\n\
+        "usage: shard_bench --dir <root> --shards <n> --transcript <file>\n\
+         \u{20}      shard_bench --dir <root> --shards <n> --crash-at <epoch>\n\
          \u{20}      shard_bench --group-crash --dir <store> --after <n>\n\
          \u{20}      shard_bench --group-verify --dir <store> --acked <n>"
     );
     ExitCode::FAILURE
 }
 
-const APPENDERS: usize = 8;
-
-struct BenchSizes {
-    appends: usize,
-}
-
-impl BenchSizes {
-    fn from_env() -> Self {
-        if std::env::var("NEMO_SMALL").is_ok() {
-            BenchSizes { appends: 400 }
-        } else {
-            BenchSizes { appends: 4000 }
-        }
-    }
-}
-
-fn store_config(fsync: FsyncPolicy) -> StoreConfig {
+/// The group-commit store both `--group-crash` and `--group-verify` open.
+fn group_store_config() -> StoreConfig {
     StoreConfig {
         magic: "nemo-shard-bench/v1".to_string(),
-        fsync,
+        fsync: FsyncPolicy::GroupCommit {
+            max_batch: 32,
+            max_wait_micros: 200,
+        },
         segment_max_bytes: 256 << 10,
         snapshot_every_bytes: 0,
         snapshot_every_epochs: 0,
         keep_snapshots: 1,
     }
-}
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("nemo-shard-bench-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 /// A WAL-record-sized payload, distinct per epoch.
@@ -91,81 +59,15 @@ fn payload(epoch: u64) -> Vec<u8> {
     .into_bytes()
 }
 
-/// `before`: the PR 5 posture — appenders serialized on one mutex, the
-/// store fsyncing every record inside the lock. Returns total appends/s.
-fn mutex_every_record_mps(appends: usize) -> f64 {
-    let dir = scratch_dir("mutex");
-    let (store, _) =
-        Store::open(&dir, store_config(FsyncPolicy::EveryRecord)).expect("fresh bench store");
-    let store = Mutex::new(store);
-    let issued = AtomicU64::new(0);
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..APPENDERS {
-            scope.spawn(|| loop {
-                let n = issued.fetch_add(1, Ordering::SeqCst);
-                if n >= appends as u64 {
-                    return;
-                }
-                let mut store = store.lock().expect("bench store lock");
-                let epoch = store.last_epoch().map_or(1, |last| last + 1);
-                store
-                    .append(epoch, &payload(epoch))
-                    .expect("bench append succeeds");
-            });
-        }
-    });
-    let elapsed = start.elapsed().as_secs_f64();
-    let _ = std::fs::remove_dir_all(&dir);
-    appends as f64 / elapsed
-}
-
-/// `after`: the same concurrency through the [`GroupCommitter`] — one
-/// leader fsync per arrival batch, every append still acked-durable.
-/// Returns (appends/s, achieved records per fsync).
-fn group_commit_mps(appends: usize) -> (f64, f64) {
-    let dir = scratch_dir("group");
-    let (store, _) = Store::open(
-        &dir,
-        store_config(FsyncPolicy::GroupCommit {
-            max_batch: 64,
-            max_wait_micros: 100,
-        }),
-    )
-    .expect("fresh bench store");
-    let committer = GroupCommitter::new(store).expect("group-commit policy");
-    let issued = AtomicU64::new(0);
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..APPENDERS {
-            scope.spawn(|| loop {
-                let n = issued.fetch_add(1, Ordering::SeqCst);
-                if n >= appends as u64 {
-                    return;
-                }
-                let epoch = committer.append(&payload(n + 1)).expect("acked append");
-                assert!(
-                    committer.last_synced() >= epoch,
-                    "append acked before its epoch was durable"
-                );
-            });
-        }
-    });
-    let elapsed = start.elapsed().as_secs_f64();
-    let syncs = committer.sync_count().max(1);
-    let _ = std::fs::remove_dir_all(&dir);
-    (appends as f64 / elapsed, appends as f64 / syncs as f64)
-}
-
 fn run_transcript(dir: &Path, shards: u32, path: &str, crash_at: Option<u64>) -> ExitCode {
     let mut config = DurabilityConfig::from_env();
     // A fresh registry per run: the final snapshot is dumped next to the
     // transcript so CI artifacts carry the metrics alongside the lines.
     // Likewise a fresh flight recorder for the typed request path; its
     // trace trees ride along as `<transcript>.traces.json`.
-    let registry = nemo_obs::Registry::new();
+    let registry = Registry::new();
     config.options.registry = registry.clone();
-    let tracer = nemo_obs::trace::Tracer::new();
+    let tracer = Tracer::new();
     tracer.enable(1024);
     config.options.tracer = tracer.clone();
     let threads = pool::thread_count();
@@ -189,38 +91,7 @@ fn run_transcript(dir: &Path, shards: u32, path: &str, crash_at: Option<u64>) ->
                 );
                 return ExitCode::FAILURE;
             }
-            let text = lines.join("\n") + "\n";
-            if let Err(e) = std::fs::write(path, text) {
-                eprintln!("shard_bench: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("wrote {path} ({} transcript lines)", lines.len());
-            let metrics_path = format!("{path}.metrics.json");
-            if let Err(e) = std::fs::write(&metrics_path, registry.snapshot().to_json() + "\n") {
-                eprintln!("shard_bench: cannot write {metrics_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("wrote {metrics_path}");
-            let traces = tracer.to_doc(0);
-            match netgraph::json::JsonValue::parse(&traces) {
-                Ok(doc) => {
-                    if let Err(e) = nemo_serve::validate_trace_doc(&doc) {
-                        eprintln!("shard_bench: trace document invalid: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                Err(e) => {
-                    eprintln!("shard_bench: trace document does not parse: {e:?}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            let traces_path = format!("{path}.traces.json");
-            if let Err(e) = std::fs::write(&traces_path, traces + "\n") {
-                eprintln!("shard_bench: cannot write {traces_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("wrote {traces_path}");
-            ExitCode::SUCCESS
+            bench::write_transcript("shard_bench", path, &lines, &registry, &tracer)
         }
         Err(e) => {
             eprintln!("shard_bench: driver failed: {e}");
@@ -233,14 +104,7 @@ fn run_transcript(dir: &Path, shards: u32, path: &str, crash_at: Option<u64>) ->
 /// moment `--after` acks have been observed — no Drop, no final fsync.
 /// Prints `acked=<n>` (the count every surviving byte must cover) first.
 fn run_group_crash(dir: &Path, after: u64) -> ExitCode {
-    let (store, _) = Store::open(
-        dir,
-        store_config(FsyncPolicy::GroupCommit {
-            max_batch: 32,
-            max_wait_micros: 200,
-        }),
-    )
-    .expect("fresh crash store");
+    let (store, _) = Store::open(dir, group_store_config()).expect("fresh crash store");
     let committer = GroupCommitter::new(store).expect("group-commit policy");
     let acked = AtomicU64::new(0);
     std::thread::scope(|scope| {
@@ -268,14 +132,7 @@ fn run_group_crash(dir: &Path, after: u64) -> ExitCode {
 /// Reopens a store left behind by `--group-crash` and checks that every
 /// acknowledged epoch survived.
 fn run_group_verify(dir: &Path, acked: u64) -> ExitCode {
-    let (store, report) = Store::open(
-        dir,
-        store_config(FsyncPolicy::GroupCommit {
-            max_batch: 32,
-            max_wait_micros: 200,
-        }),
-    )
-    .expect("crashed store reopens");
+    let (store, report) = Store::open(dir, group_store_config()).expect("crashed store reopens");
     let last = store.last_epoch().unwrap_or(0);
     if last < acked {
         eprintln!(
@@ -292,84 +149,8 @@ fn run_group_verify(dir: &Path, acked: u64) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn run_report(pr: &str, out: &str) -> ExitCode {
-    let sizes = BenchSizes::from_env();
-    eprintln!(
-        "[shard] group commit: {} appends x {APPENDERS} appenders...",
-        sizes.appends
-    );
-    let before_mps = mutex_every_record_mps(sizes.appends);
-    let (after_mps, batch_records) = group_commit_mps(sizes.appends);
-    println!("append fsync=record (mutex):  {before_mps:>9.1} mutations/s");
-    println!("append group commit:          {after_mps:>9.1} mutations/s");
-    println!("achieved batch:               {batch_records:>9.1} records/fsync");
-
-    // The headline comparison in latency form (speedup = before/after):
-    // amortized wall milliseconds per acked append at APPENDERS threads.
-    let before = [Measurement {
-        name: "group_commit_append_ms".to_string(),
-        samples: vec![1e3 / before_mps],
-    }];
-    let after = [
-        Measurement {
-            name: "group_commit_append_ms".to_string(),
-            samples: vec![1e3 / after_mps],
-        },
-        Measurement {
-            name: "every_record_apply_mps".to_string(),
-            samples: vec![before_mps],
-        },
-        Measurement {
-            name: "group_commit_apply_mps".to_string(),
-            samples: vec![after_mps],
-        },
-        Measurement {
-            name: "group_commit_batch_records".to_string(),
-            samples: vec![batch_records],
-        },
-    ];
-    let existing = std::fs::read_to_string(out)
-        .ok()
-        .and_then(|text| JsonValue::parse(&text).ok());
-    let report = perf::merge_report(existing.as_ref(), pr, "before", &before);
-    let mut report = perf::merge_report(Some(&report), pr, "after", &after);
-    set_unit(&mut report, "every_record_apply_mps", "mps");
-    set_unit(&mut report, "group_commit_apply_mps", "mps");
-    set_unit(&mut report, "group_commit_batch_records", "records");
-    let problems = perf::validate_report(&report);
-    if !problems.is_empty() {
-        for p in &problems {
-            eprintln!("shard_bench: generated report invalid: {p}");
-        }
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = std::fs::write(out, report.to_json() + "\n") {
-        eprintln!("shard_bench: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {out}");
-    ExitCode::SUCCESS
-}
-
-/// Patches the auto-filled `ms` unit on non-latency entries.
-fn set_unit(report: &mut JsonValue, name: &str, unit: &str) {
-    if let JsonValue::Object(root) = report {
-        if let Some(JsonValue::Array(entries)) = root.get_mut("entries") {
-            for entry in entries {
-                if let JsonValue::Object(obj) = entry {
-                    if obj.get("name") == Some(&JsonValue::String(name.to_string())) {
-                        obj.insert("unit".to_string(), JsonValue::String(unit.to_string()));
-                    }
-                }
-            }
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut pr = "pr6".to_string();
-    let mut out: Option<String> = None;
     let mut dir: Option<String> = None;
     let mut shards: Option<u32> = None;
     let mut transcript: Option<String> = None;
@@ -382,21 +163,12 @@ fn main() -> ExitCode {
     while i < args.len() {
         let needs_value = matches!(
             args[i].as_str(),
-            "--pr"
-                | "--out"
-                | "--dir"
-                | "--shards"
-                | "--transcript"
-                | "--crash-at"
-                | "--after"
-                | "--acked"
+            "--dir" | "--shards" | "--transcript" | "--crash-at" | "--after" | "--acked"
         );
         if needs_value && i + 1 >= args.len() {
             return usage();
         }
         match args[i].as_str() {
-            "--pr" => pr = args[i + 1].clone(),
-            "--out" => out = Some(args[i + 1].clone()),
             "--dir" => dir = Some(args[i + 1].clone()),
             "--shards" => match args[i + 1].parse() {
                 Ok(n) if n > 0 => shards = Some(n),
@@ -443,10 +215,6 @@ fn main() -> ExitCode {
             (None, Some(k)) => run_transcript(Path::new(&dir), shards, "", Some(k)),
             _ => usage(),
         },
-        (false, false, None, None) => {
-            let out = out.unwrap_or_else(|| format!("BENCH_{pr}.json"));
-            run_report(&pr, &out)
-        }
         _ => usage(),
     }
 }

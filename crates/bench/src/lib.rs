@@ -1,13 +1,19 @@
-//! Shared plumbing for the table/figure regeneration binaries.
+//! Shared plumbing for the table/figure regeneration binaries and the CI
+//! drivers.
 //!
-//! Each binary (`table2` … `table6`, `figure4a`, `figure4b`) regenerates one
-//! table or figure from the paper's evaluation section. They all run the
-//! same full benchmark, so the shared pieces live here.
+//! Each regeneration binary (`table2` … `table6`, `figure4a`, `figure4b`)
+//! regenerates one table or figure from the paper's evaluation section.
+//! They all run the same full benchmark, so the shared pieces live here,
+//! next to the transcript writer the persistent drivers share.
 
 #![warn(missing_docs)]
 
 use nemo_bench::{runner, BenchmarkSuite, SuiteConfig};
 use nemo_core::ResultsLogger;
+use nemo_obs::trace::Tracer;
+use nemo_obs::Registry;
+use netgraph::json::JsonValue;
+use std::process::ExitCode;
 
 /// Builds the benchmark suite used by every regeneration binary.
 ///
@@ -35,6 +41,49 @@ pub fn run_full(suite: &BenchmarkSuite) -> ResultsLogger {
         nemo_bench::pool::THREADS_ENV,
     );
     runner::run_accuracy_benchmark(suite, runner::DEFAULT_SEED)
+}
+
+/// Writes a driver's transcript and its two sibling documents: the
+/// registry snapshot as `<path>.metrics.json` and the schema-validated
+/// flight recorder as `<path>.traces.json`, so every CI transcript
+/// artifact carries the metrics and traces of the run that produced it.
+/// `tool` prefixes the error messages.
+pub fn write_transcript(
+    tool: &str,
+    path: &str,
+    lines: &[String],
+    registry: &Registry,
+    tracer: &Tracer,
+) -> ExitCode {
+    let traces = tracer.to_doc(0);
+    match JsonValue::parse(&traces) {
+        Ok(doc) => {
+            if let Err(e) = nemo_serve::validate_trace_doc(&doc) {
+                eprintln!("{tool}: trace document invalid: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
+        Err(e) => {
+            eprintln!("{tool}: trace document does not parse: {e:?}");
+            return ExitCode::FAILURE;
+        }
+    }
+    let files = [
+        (path.to_string(), lines.join("\n") + "\n"),
+        (
+            format!("{path}.metrics.json"),
+            registry.snapshot().to_json() + "\n",
+        ),
+        (format!("{path}.traces.json"), traces + "\n"),
+    ];
+    for (file, text) in files {
+        if let Err(e) = std::fs::write(&file, text) {
+            eprintln!("{tool}: cannot write {file}: {e}");
+            return ExitCode::FAILURE;
+        }
+        println!("wrote {file}");
+    }
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

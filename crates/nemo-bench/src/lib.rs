@@ -32,7 +32,6 @@
 
 pub mod conformance;
 mod malt_queries;
-pub mod perf;
 pub mod pool;
 pub mod report;
 pub mod runner;

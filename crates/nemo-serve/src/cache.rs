@@ -9,9 +9,10 @@
 //!   again.
 //! * **Answers** — the rendered outcome of running a program, stamped with
 //!   the epoch it was computed at. A mutation bumps the epoch and thereby
-//!   invalidates every cached answer (the stale entry is dropped on next
-//!   lookup); the cached *program* is re-executed against the current
-//!   state instead, skipping the LLM and the prompt entirely.
+//!   invalidates every cached answer: the first answer stored at a newer
+//!   epoch drops them all, so the level never holds more than one epoch's
+//!   worth. The cached *program* is re-executed against the current state
+//!   instead, skipping the LLM and the prompt entirely.
 //!
 //! Only the answer *value* and its pre-rendered text are retained — the
 //! post-execution network state is dropped at insertion, so a long-lived
@@ -55,7 +56,8 @@ pub struct CacheStats {
     pub program_hits: u64,
     /// Full misses.
     pub misses: u64,
-    /// Stale answers evicted by epoch invalidation.
+    /// Stale answers dropped by epoch invalidation: on lookup, or when an
+    /// answer from a newer epoch is stored.
     pub invalidated: u64,
     /// Programs evicted: FIFO displacement at capacity, plus explicit
     /// [`ProgramCache::evict_program`] drops of failing programs.
@@ -91,6 +93,8 @@ pub enum Lookup {
 pub struct ProgramCache {
     programs: HashMap<Backend, HashMap<String, String>>,
     answers: HashMap<Backend, HashMap<String, CachedAnswer>>,
+    /// The newest epoch of any stored answer.
+    answers_epoch: Epoch,
     /// Program keys in insertion order — the deterministic eviction queue
     /// when `capacity` bounds the program level.
     order: VecDeque<(Backend, String)>,
@@ -172,8 +176,9 @@ impl ProgramCache {
         outcome: Outcome,
     ) -> Arc<str> {
         let rendered: Arc<str> = outcome.value.render().into();
-        self.answers.entry(backend).or_default().insert(
-            query.to_string(),
+        self.store_answer(
+            query,
+            backend,
             CachedAnswer {
                 epoch,
                 value: Some(Arc::new(outcome.value)),
@@ -187,14 +192,32 @@ impl ProgramCache {
     /// same state serves the same error without re-running anything; the
     /// next mutation invalidates it and the request is retried for real.
     pub fn insert_error(&mut self, query: &str, backend: Backend, epoch: Epoch, rendered: &str) {
-        self.answers.entry(backend).or_default().insert(
-            query.to_string(),
+        self.store_answer(
+            query,
+            backend,
             CachedAnswer {
                 epoch,
                 value: None,
                 rendered: rendered.into(),
             },
         );
+    }
+
+    /// Stores one answer. An answer is only ever served at its own epoch,
+    /// so the first one stored at a newer epoch than every held answer
+    /// drops them all: none of them can hit again.
+    fn store_answer(&mut self, query: &str, backend: Backend, answer: CachedAnswer) {
+        if answer.epoch > self.answers_epoch {
+            for per_backend in self.answers.values_mut() {
+                self.stats.invalidated += per_backend.len() as u64;
+                per_backend.clear();
+            }
+            self.answers_epoch = answer.epoch;
+        }
+        self.answers
+            .entry(backend)
+            .or_default()
+            .insert(query.to_string(), answer);
     }
 
     /// Drops a cached program. Used when a stored program stops executing
@@ -284,6 +307,38 @@ mod tests {
         // request becomes a full miss (a real retry).
         assert!(matches!(cache.lookup("q", Backend::Sql, 3), Lookup::Miss));
         assert_eq!(cache.stats().invalidated, 1);
+    }
+
+    #[test]
+    fn a_newer_epoch_drops_every_older_answer() {
+        let mut cache = ProgramCache::new();
+        let backends = [Backend::Sql, Backend::Pandas, Backend::NetworkX];
+        let mut stored = 0;
+        for epoch in 0..50u64 {
+            let query = format!("q{epoch}");
+            let backend = backends[epoch as usize % backends.len()];
+            cache.insert_answer(&query, backend, epoch, outcome(epoch as i64));
+            stored += 1;
+            if epoch % 7 == 3 {
+                cache.insert_error("e", backend, epoch, "error: retry");
+                stored += 1;
+            }
+        }
+        // Only epoch 49's answer is left; every older one was dropped once
+        // and counted.
+        let held: usize = cache.answers.values().map(HashMap::len).sum();
+        assert_eq!(held, 1);
+        assert_eq!(cache.stats().invalidated, stored - 1);
+        assert!(matches!(
+            cache.lookup("q49", Backend::Pandas, 49),
+            Lookup::Answer(..)
+        ));
+        // An older query at the current epoch finds nothing to serve.
+        assert!(matches!(
+            cache.lookup("q48", Backend::Sql, 49),
+            Lookup::Miss
+        ));
+        assert_eq!(cache.stats().invalidated, stored - 1);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!
 //! * **Write path** — [`LiveNetwork`] wraps the property-graph and tabular
 //!   substrates behind an event-sourced API: every [`Mutation`] is applied
-//!   to all backends in lockstep and appended to an in-memory write-ahead
-//!   log ([`WalRecord`]) with a monotonically increasing epoch.
+//!   to all backends in lockstep and advances a monotonically increasing
+//!   epoch. A persistent server logs each one as a [`WalRecord`] first.
 //!   [`trafficgen::evolve`] generates the deterministic timestamped
 //!   mutation streams that feed it.
 //! * **Snapshot + replay** — [`snapshot::write_snapshot`] serializes a live
@@ -45,14 +45,14 @@
 //! let workload = generate(&TrafficConfig { nodes: 8, edges: 10, prefixes: 2, seed: 1 });
 //! let mut live = LiveNetwork::from_workload(&workload);
 //! let epoch = live
-//!     .apply(5, Mutation::SetNodeAttr {
+//!     .apply(&Mutation::SetNodeAttr {
 //!         id: workload.endpoints[0].to_string_dotted(),
 //!         key: "label".to_string(),
 //!         value: "app:web".into(),
 //!     })
 //!     .unwrap();
 //! assert_eq!(epoch, 1);
-//! assert_eq!(live.wal().len(), 1);
+//! assert_eq!(live.epoch(), 1);
 //! ```
 
 #![warn(missing_docs)]

@@ -5,9 +5,10 @@
 //! the SQL representation is the same two tables mounted in a
 //! [`Database`]), and the only way to change any of them is
 //! [`LiveNetwork::apply`], which applies one [`Mutation`] to every
-//! substrate in lockstep, bumps the epoch, and appends a [`WalRecord`] to
-//! the in-memory write-ahead log. A rejected mutation touches nothing and
-//! consumes no epoch.
+//! substrate in lockstep and bumps the epoch. A rejected mutation touches
+//! nothing and consumes no epoch. The log of applied mutations is the
+//! durable one a persistent server keeps ([`crate::shard_persist`]); the
+//! live network holds only the state.
 //!
 //! The substrates sit behind `Arc`s. [`LiveNetwork::state`] hands those
 //! `Arc`s to the sandbox instead of copying them, and a mutation writes
@@ -16,7 +17,7 @@
 //! mutation writes in place.
 
 use crate::error::ServeError;
-use crate::mutation::{Epoch, Mutation, WalRecord};
+use crate::mutation::{Epoch, Mutation};
 use dataframe::DataFrame;
 use nemo_core::apps::ApplicationWrapper;
 use nemo_core::{Application, Backend, NetworkState};
@@ -28,14 +29,13 @@ use std::sync::Arc;
 use trafficgen::stream::TimedEvent;
 use trafficgen::{export, TrafficWorkload};
 
-/// The serving layer's live state: all backend substrates plus the WAL.
+/// The serving layer's live state: all backend substrates at one epoch.
 #[derive(Debug, Clone)]
 pub struct LiveNetwork {
     graph: Arc<Graph>,
     nodes: Arc<DataFrame>,
     edges: Arc<DataFrame>,
     epoch: Epoch,
-    wal: Vec<WalRecord>,
     /// Row index of each node id in the node frame, kept in lockstep with
     /// `nodes` so write-path lookups are O(1) instead of a column scan.
     node_rows: HashMap<String, usize>,
@@ -79,7 +79,7 @@ fn row_indices(
 }
 
 impl LiveNetwork {
-    /// Materializes a generated workload at epoch 0 with an empty WAL.
+    /// Materializes a generated workload at epoch 0.
     pub fn from_workload(workload: &TrafficWorkload) -> Self {
         let (nodes, edges) = export::to_frames(workload);
         let (node_rows, edge_rows) = row_indices(&nodes, &edges);
@@ -88,14 +88,12 @@ impl LiveNetwork {
             nodes: Arc::new(nodes),
             edges: Arc::new(edges),
             epoch: 0,
-            wal: Vec::new(),
             node_rows,
             edge_rows,
         }
     }
 
     /// Reassembles a network from restored substrates (the snapshot path).
-    /// The WAL starts empty: a snapshot *is* the log's prefix, compacted.
     pub(crate) fn from_parts(
         graph: Graph,
         nodes: DataFrame,
@@ -108,7 +106,6 @@ impl LiveNetwork {
             nodes: Arc::new(nodes),
             edges: Arc::new(edges),
             epoch,
-            wal: Vec::new(),
             node_rows,
             edge_rows,
         }
@@ -125,7 +122,6 @@ impl LiveNetwork {
             nodes: Arc::new(DataFrame::clone(&self.nodes)),
             edges: Arc::new(DataFrame::clone(&self.edges)),
             epoch: self.epoch,
-            wal: self.wal.clone(),
             node_rows: self.node_rows.clone(),
             edge_rows: self.edge_rows.clone(),
         }
@@ -135,12 +131,6 @@ impl LiveNetwork {
     /// the freshly materialized workload or the snapshot's epoch).
     pub fn epoch(&self) -> Epoch {
         self.epoch
-    }
-
-    /// The in-memory write-ahead log since construction (or since the
-    /// snapshot this network was restored from).
-    pub fn wal(&self) -> &[WalRecord] {
-        &self.wal
     }
 
     /// The property-graph substrate.
@@ -180,11 +170,11 @@ impl LiveNetwork {
     }
 
     /// Applies one mutation to every substrate in lockstep. On success the
-    /// epoch advances by one and the WAL grows by one record; on conflict
-    /// the state is untouched.
-    pub fn apply(&mut self, at_ms: u64, mutation: Mutation) -> Result<Epoch, ServeError> {
-        self.check(&mutation)?;
-        Ok(self.apply_unchecked(at_ms, mutation))
+    /// epoch advances by one and the new epoch is returned; on conflict the
+    /// state is untouched.
+    pub fn apply(&mut self, mutation: &Mutation) -> Result<Epoch, ServeError> {
+        self.check(mutation)?;
+        Ok(self.apply_unchecked(mutation))
     }
 
     /// Applies a mutation that was validated *shard-locally* (see
@@ -193,20 +183,16 @@ impl LiveNetwork {
     /// difference from [`LiveNetwork::apply`] is that an `AddEdge` whose
     /// endpoints live on other shards is applied through the graph's
     /// auto-created attribute-less *ghost* endpoints.
-    pub(crate) fn apply_routed(
-        &mut self,
-        at_ms: u64,
-        mutation: Mutation,
-    ) -> Result<Epoch, ServeError> {
-        self.check_routed(&mutation)?;
-        Ok(self.apply_unchecked(at_ms, mutation))
+    pub(crate) fn apply_routed(&mut self, mutation: &Mutation) -> Result<Epoch, ServeError> {
+        self.check_routed(mutation)?;
+        Ok(self.apply_unchecked(mutation))
     }
 
     /// The write path shared by [`LiveNetwork::apply`] and
     /// [`LiveNetwork::apply_routed`]; the mutation must already be
     /// validated against this network.
-    fn apply_unchecked(&mut self, at_ms: u64, mutation: Mutation) -> Epoch {
-        match &mutation {
+    fn apply_unchecked(&mut self, mutation: &Mutation) -> Epoch {
+        match mutation {
             Mutation::AddNode {
                 id,
                 prefix16,
@@ -322,17 +308,12 @@ impl LiveNetwork {
             }
         }
         self.epoch += 1;
-        self.wal.push(WalRecord {
-            epoch: self.epoch,
-            at_ms,
-            mutation,
-        });
         self.epoch
     }
 
     /// Normalizes and applies one [`trafficgen`] stream event.
     pub fn apply_event(&mut self, event: &TimedEvent) -> Result<Epoch, ServeError> {
-        self.apply(event.at_ms, Mutation::from_event(&event.event))
+        self.apply(&Mutation::from_event(&event.event))
     }
 
     /// Validates a mutation against the current state without touching it.
@@ -429,9 +410,8 @@ impl LiveNetwork {
     }
 }
 
-/// Equality of the *state* (graph, frames, epoch) — not of the WAL, so a
-/// replayed network with a truncated log still compares equal to the
-/// directly built one.
+/// Equality of the *state* (graph, frames, epoch) — not of the row
+/// indices, which are derived from the frames.
 impl PartialEq for LiveNetwork {
     fn eq(&self, other: &Self) -> bool {
         self.epoch == other.epoch
@@ -516,11 +496,13 @@ mod tests {
                 seed: 8,
             },
         );
-        for event in &events {
-            live.apply_event(event).unwrap();
-        }
+        let epochs: Vec<u64> = events
+            .iter()
+            .map(|event| live.apply_event(event).unwrap())
+            .collect();
         assert_eq!(live.epoch(), 120);
-        assert_eq!(live.wal().len(), 120);
+        // Applied epochs are contiguous and 1-based.
+        assert_eq!(epochs, (1..=120).collect::<Vec<u64>>());
         let (g, f, s) = totals(&live);
         assert_eq!(g, f);
         assert_eq!(g, s);
@@ -530,10 +512,6 @@ mod tests {
             "graph edges and edge rows diverged"
         );
         assert_eq!(live.graph().number_of_nodes(), live.nodes().n_rows());
-        // WAL epochs are contiguous and 1-based.
-        for (i, record) in live.wal().iter().enumerate() {
-            assert_eq!(record.epoch, i as u64 + 1);
-        }
     }
 
     #[test]
@@ -590,51 +568,39 @@ mod tests {
         let before = live.clone();
         let existing = w.endpoints[0].to_string_dotted();
         let err = live
-            .apply(
-                1,
-                Mutation::AddNode {
-                    id: existing.clone(),
-                    prefix16: "0.0".into(),
-                    prefix24: "0.0.0".into(),
-                },
-            )
+            .apply(&Mutation::AddNode {
+                id: existing.clone(),
+                prefix16: "0.0".into(),
+                prefix24: "0.0.0".into(),
+            })
             .unwrap_err();
         assert!(matches!(err, ServeError::Conflict(_)));
         assert!(live
-            .apply(
-                1,
-                Mutation::RemoveEdge {
-                    source: "1.2.3.4".into(),
-                    target: existing,
-                }
-            )
+            .apply(&Mutation::RemoveEdge {
+                source: "1.2.3.4".into(),
+                target: existing,
+            })
             .is_err());
         assert!(live
-            .apply(
-                1,
-                Mutation::AddEdge {
-                    source: "1.2.3.4".into(),
-                    target: "5.6.7.8".into(),
-                    bytes: 1,
-                    connections: 1,
-                    packets: 1,
-                }
-            )
+            .apply(&Mutation::AddEdge {
+                source: "1.2.3.4".into(),
+                target: "5.6.7.8".into(),
+                bytes: 1,
+                connections: 1,
+                packets: 1,
+            })
             .is_err());
         // The identity column is immutable: rewriting it would desync the
         // frames from the graph.
         assert!(live
-            .apply(
-                1,
-                Mutation::SetNodeAttr {
-                    id: w.endpoints[0].to_string_dotted(),
-                    key: "id".into(),
-                    value: "9.9.9.9".into(),
-                }
-            )
+            .apply(&Mutation::SetNodeAttr {
+                id: w.endpoints[0].to_string_dotted(),
+                key: "id".into(),
+                value: "9.9.9.9".into(),
+            })
             .is_err());
         assert_eq!(live, before);
-        assert!(live.wal().is_empty());
+        assert_eq!(live.epoch(), 0);
     }
 
     #[test]
@@ -642,23 +608,17 @@ mod tests {
         let w = workload();
         let mut live = LiveNetwork::from_workload(&w);
         let id = w.endpoints[0].to_string_dotted();
-        live.apply(
-            1,
-            Mutation::SetNodeAttr {
-                id: id.clone(),
-                key: "label".into(),
-                value: "app:db".into(),
-            },
-        )
+        live.apply(&Mutation::SetNodeAttr {
+            id: id.clone(),
+            key: "label".into(),
+            value: "app:db".into(),
+        })
         .unwrap();
-        live.apply(
-            2,
-            Mutation::SetNodeAttr {
-                id: id.clone(),
-                key: "weight".into(),
-                value: AttrValue::Int(9),
-            },
-        )
+        live.apply(&Mutation::SetNodeAttr {
+            id: id.clone(),
+            key: "weight".into(),
+            value: AttrValue::Int(9),
+        })
         .unwrap();
         assert_eq!(
             live.graph().get_node_attr(&id, "label").unwrap().as_str(),

@@ -2,8 +2,9 @@
 //!
 //! A [`Mutation`] is the normalized form of one network change, applied to
 //! every backend representation in lockstep by
-//! [`LiveNetwork::apply`](crate::LiveNetwork::apply) and appended to the
-//! in-memory write-ahead log as a [`WalRecord`]. The raw material usually
+//! [`LiveNetwork::apply`](crate::LiveNetwork::apply); a persistent server
+//! logs it to the shard's durable write-ahead log as a [`WalRecord`] before
+//! applying it. The raw material usually
 //! comes from [`trafficgen::stream`]'s timestamped event streams via
 //! [`Mutation::from_event`].
 
@@ -146,7 +147,7 @@ impl Mutation {
     }
 }
 
-/// One entry of the in-memory write-ahead log: the mutation, the epoch it
+/// One entry of a shard's write-ahead log: the mutation, the epoch it
 /// produced, and the (synthetic) timestamp at which it was observed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WalRecord {

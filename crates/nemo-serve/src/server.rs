@@ -570,7 +570,7 @@ impl<L: Llm> Server<L> {
         }
         {
             let _apply_span = self.tracer.span("mutate.apply", Class::Physical);
-            self.net.apply_at(global, at_ms, record.mutation)?;
+            self.net.apply_at(global, &record.mutation)?;
         }
         if let Some(store) = self.stores.get_mut(k as usize) {
             if let Err(e) = store.maybe_snapshot(self.net.partition(k)) {

@@ -77,30 +77,29 @@ impl ShardPartition {
     pub(crate) fn apply_record(
         &mut self,
         global: Epoch,
-        at_ms: u64,
-        mutation: Mutation,
+        mutation: &Mutation,
         meta: &SeqBases,
     ) -> Result<(), ServeError> {
         debug_assert!(global > meta.base_epoch);
-        match &mutation {
+        match mutation {
             Mutation::AddNode { .. } => {
-                self.live.apply_routed(at_ms, mutation)?;
+                self.live.apply_routed(mutation)?;
                 self.node_seqs
                     .push(meta.node_seq_base + (global - meta.base_epoch));
             }
             Mutation::AddEdge { .. } => {
-                self.live.apply_routed(at_ms, mutation)?;
+                self.live.apply_routed(mutation)?;
                 self.edge_seqs
                     .push(meta.edge_seq_base + (global - meta.base_epoch));
             }
             Mutation::RemoveEdge { source, target } => {
                 let row = self.live.edge_row(source, target);
-                self.live.apply_routed(at_ms, mutation)?;
+                self.live.apply_routed(mutation)?;
                 let row = row.expect("apply_routed validated the edge exists");
                 self.edge_seqs.remove(row);
             }
             Mutation::SetFlow { .. } | Mutation::SetNodeAttr { .. } => {
-                self.live.apply_routed(at_ms, mutation)?;
+                self.live.apply_routed(mutation)?;
             }
         }
         debug_assert_eq!(self.node_seqs.len(), self.live.nodes().n_rows());
@@ -320,10 +319,10 @@ impl ShardedNetwork {
     /// Validates globally, assigns the next global epoch, and applies the
     /// mutation to its owner shard. On conflict nothing moves and no
     /// epoch is consumed — exactly [`LiveNetwork::apply`] semantics.
-    pub fn apply(&mut self, at_ms: u64, mutation: Mutation) -> Result<Epoch, ServeError> {
-        self.check_global(&mutation)?;
+    pub fn apply(&mut self, mutation: &Mutation) -> Result<Epoch, ServeError> {
+        self.check_global(mutation)?;
         let global = self.next_global + 1;
-        self.apply_at(global, at_ms, mutation)
+        self.apply_at(global, mutation)
             .expect("mutation was validated globally");
         Ok(global)
     }
@@ -333,15 +332,10 @@ impl ShardedNetwork {
     /// which replay per-shard streams in arbitrary interleavings).
     /// Validation is shard-local only; the caller vouches the record came
     /// from a globally-validated stream.
-    pub fn apply_at(
-        &mut self,
-        global: Epoch,
-        at_ms: u64,
-        mutation: Mutation,
-    ) -> Result<(), ServeError> {
-        let owner = self.route(&mutation);
+    pub fn apply_at(&mut self, global: Epoch, mutation: &Mutation) -> Result<(), ServeError> {
+        let owner = self.route(mutation);
         let bases = self.bases;
-        self.partitions[owner as usize].apply_record(global, at_ms, mutation, &bases)?;
+        self.partitions[owner as usize].apply_record(global, mutation, &bases)?;
         self.next_global = self.next_global.max(global);
         Ok(())
     }
@@ -470,9 +464,9 @@ mod tests {
         );
         for event in &events {
             let mutation = Mutation::from_event(&event.event);
-            let expected = control.apply(event.at_ms, mutation.clone());
+            let expected = control.apply(&mutation);
             for net in &mut nets {
-                let got = net.apply(event.at_ms, mutation.clone());
+                let got = net.apply(&mutation);
                 assert_eq!(got, expected, "shards={}", net.shards());
             }
         }
@@ -507,10 +501,10 @@ mod tests {
             },
         ];
         for mutation in conflicts {
-            let expected = control.apply(0, mutation.clone()).unwrap_err();
+            let expected = control.apply(&mutation).unwrap_err();
             for net in &mut nets {
                 assert_eq!(
-                    net.apply(0, mutation.clone()).unwrap_err(),
+                    net.apply(&mutation).unwrap_err(),
                     expected,
                     "shards={}",
                     net.shards()

@@ -246,7 +246,7 @@ impl ShardPersistence {
                     record.epoch
                 )));
             }
-            partition.apply_record(global, record.at_ms, record.mutation, &bases)?;
+            partition.apply_record(global, &record.mutation, &bases)?;
             last_global = last_global.max(global);
             report.replayed_records += 1;
         }
@@ -706,7 +706,7 @@ fn resolve_shard_chain(
                     )));
                 }
                 doc.partition
-                    .apply_record(*global, record.at_ms, record.mutation.clone(), &doc.bases)
+                    .apply_record(*global, &record.mutation, &doc.bases)
                     .map_err(|e| {
                         ServeError::Corrupt(format!("delta shard snapshot at epoch {epoch}: {e}"))
                     })?;
@@ -934,8 +934,8 @@ mod tests {
             },
         ) {
             let mutation = crate::mutation::Mutation::from_event(&event.event);
-            let expected = reference.apply(event.at_ms, mutation.clone());
-            match net.apply(event.at_ms, mutation.clone()) {
+            let expected = reference.apply(&mutation);
+            match net.apply(&mutation) {
                 Ok(global) => {
                     assert_eq!(Ok(global), expected);
                     let k = net.route(&mutation);
@@ -1013,12 +1013,12 @@ mod tests {
         );
         for (i, event) in events.iter().enumerate() {
             let mutation = crate::mutation::Mutation::from_event(&event.event);
-            if reference.apply(event.at_ms, mutation.clone()).is_err() {
-                assert!(net.apply(event.at_ms, mutation).is_err());
+            if reference.apply(&mutation).is_err() {
+                assert!(net.apply(&mutation).is_err());
                 continue;
             }
             let global = net
-                .apply(event.at_ms, mutation.clone())
+                .apply(&mutation)
                 .unwrap_or_else(|_| unreachable!("reference accepted the mutation"));
             let k = net.route(&mutation);
             let record = WalRecord {
@@ -1072,12 +1072,12 @@ mod tests {
             .enumerate()
         {
             let mutation = crate::mutation::Mutation::from_event(&event.event);
-            if reference.apply(event.at_ms, mutation.clone()).is_err() {
-                assert!(net.apply(event.at_ms, mutation).is_err());
+            if reference.apply(&mutation).is_err() {
+                assert!(net.apply(&mutation).is_err());
                 continue;
             }
             let global = net
-                .apply(event.at_ms, mutation.clone())
+                .apply(&mutation)
                 .unwrap_or_else(|_| unreachable!("reference accepted the mutation"));
             let k = net.route(&mutation);
             let record = WalRecord {

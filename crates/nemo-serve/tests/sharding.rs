@@ -95,7 +95,7 @@ proptest! {
                 .collect();
             let k = nonempty[(state as usize) % nonempty.len()];
             let (global, timed) = queues[k].pop_front().unwrap();
-            net.apply_at(global, timed.at_ms, Mutation::from_event(&timed.event))
+            net.apply_at(global, &Mutation::from_event(&timed.event))
                 .unwrap();
         }
 

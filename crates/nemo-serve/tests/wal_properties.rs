@@ -7,9 +7,9 @@ use nemo_core::sandbox::execute_code;
 use nemo_core::Backend;
 use nemo_serve::driver::{self, DriveConfig};
 use nemo_serve::snapshot::{replay, write_snapshot};
-use nemo_serve::{CacheOutcome, LiveNetwork};
+use nemo_serve::{CacheOutcome, LiveNetwork, Mutation, WalRecord};
 use proptest::prelude::*;
-use trafficgen::{evolve, generate, StreamConfig, TrafficConfig};
+use trafficgen::{evolve, generate, StreamConfig, TimedEvent, TrafficConfig};
 
 fn base_workload() -> trafficgen::TrafficWorkload {
     generate(&TrafficConfig {
@@ -18,6 +18,19 @@ fn base_workload() -> trafficgen::TrafficWorkload {
         prefixes: 2,
         seed: 3,
     })
+}
+
+/// Applies `event` and returns the record a durable log holds for it; the
+/// returned epochs must continue the state's epoch contiguously.
+fn apply_logged(live: &mut LiveNetwork, event: &TimedEvent) -> WalRecord {
+    let before = live.epoch();
+    let epoch = live.apply_event(event).unwrap();
+    assert_eq!(epoch, before + 1, "applied epochs are contiguous");
+    WalRecord {
+        epoch,
+        at_ms: event.at_ms,
+        mutation: Mutation::from_event(&event.event),
+    }
 }
 
 /// Renders probe answers over all three backends: edge count and byte
@@ -64,14 +77,15 @@ proptest! {
         let split = split % (stream.len() + 1);
         let mut live = LiveNetwork::from_workload(&workload);
         let mut mid = None;
+        let mut wal = Vec::new();
         for (i, event) in stream.iter().enumerate() {
             if i == split {
                 mid = Some(write_snapshot(&live));
             }
-            live.apply_event(event).unwrap();
+            wal.push(apply_logged(&mut live, event));
         }
         let mid = mid.unwrap_or_else(|| write_snapshot(&live));
-        let replayed = replay(&mid, live.wal()).unwrap();
+        let replayed = replay(&mid, &wal).unwrap();
         prop_assert!(replayed == live, "replayed state diverged at seed {}", seed);
         prop_assert_eq!(write_snapshot(&replayed), write_snapshot(&live));
         prop_assert_eq!(probe_answers(&replayed), probe_answers(&live));
@@ -147,17 +161,18 @@ proptest! {
 fn snapshot_at_tip_replays_to_itself() {
     let workload = base_workload();
     let mut live = LiveNetwork::from_workload(&workload);
-    for event in evolve(
+    let wal: Vec<WalRecord> = evolve(
         &workload,
         &StreamConfig {
             events: 25,
             seed: 1,
         },
-    ) {
-        live.apply_event(&event).unwrap();
-    }
+    )
+    .iter()
+    .map(|event| apply_logged(&mut live, event))
+    .collect();
     let tip = write_snapshot(&live);
-    let replayed = replay(&tip, live.wal()).unwrap();
+    let replayed = replay(&tip, &wal).unwrap();
     assert!(replayed == live);
     assert_eq!(write_snapshot(&replayed), tip);
 }
