@@ -12,10 +12,11 @@
 //!                                                        # op k; exit 3 when the fault surfaces
 //! ```
 //!
-//! The transcript modes drive `nemo_serve::durability`: the *same*
+//! The transcript modes drive `bench::driver::run`: the *same*
 //! `--transcript` command transparently resumes after a `--crash-at` run
-//! (recovery is implicit), and CI `cmp`s the resumed transcript against an
-//! uninterrupted one at `NEMO_THREADS=1` and `4`. `--crash-sweep` applies
+//! (recovery is implicit), and the smoke tests (`tests/smoke.rs`) `cmp`
+//! the resumed transcript against an uninterrupted one at `NEMO_THREADS=1`
+//! and `4`. `--crash-sweep` applies
 //! the stream, syncs, then dies partway through a budgeted sweep — the
 //! next `--transcript` run must resume to the uninterrupted transcript.
 //!
@@ -26,12 +27,12 @@
 //! (exit 0, transcript identical to an unfaulted run); a surfaced fault
 //! exits 3 with the typed error on stderr and the stores left on disk —
 //! the next `--transcript` run must resume to the canonical transcript,
-//! which is the acked-implies-durable proof CI's `fault-smoke` job `cmp`s.
+//! which is the acked-implies-durable proof the fault smoke test `cmp`s.
 
+use bench::driver::{self, DurabilityConfig, Preset};
 use nemo_bench::pool;
 use nemo_obs::trace::Tracer;
 use nemo_obs::Registry;
-use nemo_serve::durability::{self, DurabilityConfig};
 use nemo_store::FaultKind;
 use std::path::Path;
 use std::process::ExitCode;
@@ -49,7 +50,7 @@ fn usage() -> ExitCode {
 fn run_transcript(dir: &Path, path: &str, crash_at: Option<u64>) -> ExitCode {
     let mut config = DurabilityConfig::from_env();
     // A fresh registry per run: the final snapshot is dumped next to the
-    // transcript so CI artifacts carry the metrics alongside the lines.
+    // transcript so the metrics ride along with the lines.
     // Likewise a fresh flight recorder: the query round runs through the
     // typed request path, so its trace trees ride along as
     // `<transcript>.traces.json`.
@@ -66,7 +67,7 @@ fn run_transcript(dir: &Path, path: &str, crash_at: Option<u64>) -> ExitCode {
         threads,
         crash_at.map_or(String::new(), |k| format!(", crashing near epoch {k}")),
     );
-    match durability::run(&config, dir, threads, crash_at) {
+    match driver::run(&config, dir, threads, crash_at) {
         Ok((lines, crashed)) => {
             if crashed {
                 eprintln!("[durability] crashed mid-stream as requested (stores left on disk)");
@@ -106,7 +107,7 @@ fn run_fault_mode(dir: &Path, fault_at: u64, kind: FaultKind) -> ExitCode {
         threads,
         kind.name(),
     );
-    match durability::run_fault(&config, dir, threads, fault_at, kind) {
+    match driver::run_fault(&config, dir, threads, fault_at, kind) {
         Ok((lines, true)) => {
             for line in lines.iter().filter(|l| l.contains("fault:")) {
                 eprintln!("[durability] {line}");
@@ -137,7 +138,7 @@ fn run_crash_sweep(dir: &Path, budget: usize) -> ExitCode {
          dying after {budget} sweep removal(s)",
         config.clients, config.events, threads,
     );
-    match durability::run_sweep_crash(&config, dir, threads, budget) {
+    match driver::run_sweep_crash(&config, dir, threads, budget) {
         Ok(()) => {
             eprintln!("[durability] killed mid-sweep as requested (stores left on disk)");
             ExitCode::from(3)

@@ -12,23 +12,21 @@
 //! It drives a pool-fanned multi-client durability run and
 //! a typed-request sharded drive into **one shared registry**, fetches
 //! [`Request::Stats`], schema-validates the embedded document, and
-//! writes the logical subset to `--logical` — CI byte-compares that
-//! file across its `NEMO_THREADS` x shards matrix. The typed drive also
+//! writes the logical subset to `--logical` — the obs smoke test
+//! byte-compares that file across its `NEMO_THREADS` x shards matrix. The typed drive also
 //! records into a flight recorder; `--traces` / `--chrome` /
 //! `--skeleton` dump the schema-validated `nemo-trace/v1` document, the
 //! Chrome `traceEvents` export, and the logical trace skeletons (the
 //! matrix-compared byte-identical axis).
 
+use bench::driver::{self, DriveConfig, DurabilityConfig, Preset};
 use nemo_bench::pool;
-use nemo_core::llm::profiles;
-use nemo_core::{Backend, SimulatedLlm};
+use nemo_core::Backend;
 use nemo_obs::trace::Tracer;
 use nemo_obs::Registry;
-use nemo_serve::driver::{self, DriveConfig};
-use nemo_serve::durability::{self, DurabilityConfig};
 use nemo_serve::{
     validate_chrome_doc, validate_trace_doc, LiveNetwork, PersistOptions, Request, Response,
-    ServerBuilder, Session,
+    ServerBuilder,
 };
 use netgraph::json::JsonValue;
 use std::path::PathBuf;
@@ -49,7 +47,7 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The CI smoke drive: a pool-fanned multi-client durability run (the
+/// The smoke drive: a pool-fanned multi-client durability run (the
 /// `NEMO_THREADS`-sensitive axis) and a typed-request drive against a
 /// `shards`-way server (the shard-sensitive axis), both recording into
 /// one shared registry. Fetches [`Request::Stats`], schema-validates the
@@ -70,7 +68,7 @@ fn run_smoke(
     let mut config = DurabilityConfig::from_env();
     config.options.registry = registry.clone();
     let dir = scratch_dir(&format!("smoke-{shards}"));
-    match durability::run(&config, &dir, threads, None) {
+    match driver::run(&config, &dir, threads, None) {
         Ok((_, false)) => {}
         Ok((_, true)) => {
             eprintln!("obs_bench: durability drive crashed without being asked to");
@@ -85,22 +83,10 @@ fn run_smoke(
 
     let drive = DriveConfig::from_env();
     let workload = generate(&drive.traffic);
-    let sessions: Vec<Session<SimulatedLlm>> = Backend::CODEGEN
-        .iter()
-        .enumerate()
-        .map(|(i, &backend)| Session {
-            client: i,
-            backend,
-            llm: SimulatedLlm::new(
-                profiles::gpt4(),
-                driver::serving_knowledge(),
-                drive.seed ^ i as u64,
-            ),
-        })
-        .collect();
+    let sessions = driver::sessions(Backend::CODEGEN.len(), drive.seed);
     // The typed drive is sequential, so the flight recorder's retire
     // order — and with it the logical-skeleton dump — is a pure function
-    // of the request stream: the byte-compared axis of the CI matrix.
+    // of the request stream: the byte-compared axis of the smoke matrix.
     // Persisted (fsync never) so WAL spans land inside the traces.
     let tracer = Tracer::new();
     tracer.enable(1024);
@@ -130,9 +116,7 @@ fn run_smoke(
         },
     );
     for timed in &stream {
-        if let Err(e) = server.handle(&Request::from_event(&nemo_serve::ServeEvent::Mutate(
-            timed.clone(),
-        ))) {
+        if let Err(e) = server.handle(&Request::from(timed)) {
             eprintln!("obs_bench: smoke mutation failed: {e}");
             return ExitCode::FAILURE;
         }
@@ -146,9 +130,7 @@ fn run_smoke(
         },
     };
     for _ in 0..2 {
-        if let Err(e) = server.handle(&Request::from_event(&nemo_serve::ServeEvent::Mutate(
-            dup.clone(),
-        ))) {
+        if let Err(e) = server.handle(&Request::from(&dup)) {
             eprintln!("obs_bench: smoke conflict drive failed: {e}");
             return ExitCode::FAILURE;
         }

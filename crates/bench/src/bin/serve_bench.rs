@@ -7,13 +7,13 @@
 //! serve_bench --transcript <file>     # deterministic load-driver transcript
 //! ```
 //!
-//! Runs the multi-client load driver (`nemo_serve::driver`) on the current
-//! `NEMO_THREADS` setting and writes the transcript; CI diffs a 1-thread
-//! run against a 4-thread run. `NEMO_SMALL=1` switches to seconds-scale
-//! smoke sizes.
+//! Runs the multi-client load driver (`bench::driver::drive`) on the
+//! current `NEMO_THREADS` setting and writes the transcript; the smoke
+//! tests `cmp` a 1-thread run against a 4-thread run. `NEMO_SMALL=1`
+//! switches to seconds-scale smoke sizes.
 
+use bench::driver::{self, DriveConfig, Preset};
 use nemo_bench::pool;
-use nemo_serve::driver::{self, DriveConfig};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -28,7 +28,13 @@ fn run_transcript(path: &str) -> ExitCode {
         "[serve] driving {} clients x {} rounds on {} worker thread(s)",
         config.clients, config.rounds, threads
     );
-    let lines = driver::drive(&config, threads);
+    let lines = match driver::drive(&config, threads) {
+        Ok(lines) => lines,
+        Err(e) => {
+            eprintln!("serve_bench: driver failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let text = lines.join("\n") + "\n";
     if let Err(e) = std::fs::write(path, text) {
         eprintln!("serve_bench: cannot write {path}: {e}");

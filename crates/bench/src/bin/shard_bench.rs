@@ -11,14 +11,15 @@
 //! shard_bench --group-verify --dir <store> --acked <n>        # reopen; every acked epoch must be on disk
 //! ```
 //!
-//! The `--group-crash` / `--group-verify` pair is the durability proof CI
-//! runs: a process that is killed the instant `append` returns must find
-//! every acknowledged epoch in the store afterwards.
+//! The `--group-crash` / `--group-verify` pair is the durability proof the
+//! shard smoke test (`tests/smoke.rs`) runs: a process that is killed the
+//! instant `append` returns must find every acknowledged epoch in the
+//! store afterwards.
 
+use bench::driver::{self, DurabilityConfig, Preset};
 use nemo_bench::pool;
 use nemo_obs::trace::Tracer;
 use nemo_obs::Registry;
-use nemo_serve::durability::{self, DurabilityConfig};
 use nemo_store::{FsyncPolicy, GroupCommitter, Store, StoreConfig};
 use std::path::Path;
 use std::process::ExitCode;
@@ -62,7 +63,7 @@ fn payload(epoch: u64) -> Vec<u8> {
 fn run_transcript(dir: &Path, shards: u32, path: &str, crash_at: Option<u64>) -> ExitCode {
     let mut config = DurabilityConfig::from_env();
     // A fresh registry per run: the final snapshot is dumped next to the
-    // transcript so CI artifacts carry the metrics alongside the lines.
+    // transcript so the metrics ride along with the lines.
     // Likewise a fresh flight recorder for the typed request path; its
     // trace trees ride along as `<transcript>.traces.json`.
     let registry = Registry::new();
@@ -77,7 +78,7 @@ fn run_transcript(dir: &Path, shards: u32, path: &str, crash_at: Option<u64>) ->
         threads,
         crash_at.map_or(String::new(), |k| format!(", crashing near epoch {k}")),
     );
-    match durability::run_sharded(&config, dir, shards, threads, crash_at) {
+    match driver::run_sharded(&config, dir, shards, threads, crash_at) {
         Ok((lines, crashed)) => {
             if crashed {
                 eprintln!("[shard] crashed mid-stream as requested (stores left on disk)");

@@ -1,12 +1,15 @@
-//! Shared plumbing for the table/figure regeneration binaries and the CI
-//! drivers.
+//! Shared plumbing for the table/figure regeneration binaries and the
+//! serving drivers.
 //!
 //! Each regeneration binary (`table2` … `table6`, `figure4a`, `figure4b`)
 //! regenerates one table or figure from the paper's evaluation section.
 //! They all run the same full benchmark, so the shared pieces live here,
-//! next to the transcript writer the persistent drivers share.
+//! next to the transcript writer the persistent drivers share. The
+//! drivers themselves are [`driver`].
 
 #![warn(missing_docs)]
+
+pub mod driver;
 
 use nemo_bench::{runner, BenchmarkSuite, SuiteConfig};
 use nemo_core::ResultsLogger;
@@ -45,8 +48,8 @@ pub fn run_full(suite: &BenchmarkSuite) -> ResultsLogger {
 
 /// Writes a driver's transcript and its two sibling documents: the
 /// registry snapshot as `<path>.metrics.json` and the schema-validated
-/// flight recorder as `<path>.traces.json`, so every CI transcript
-/// artifact carries the metrics and traces of the run that produced it.
+/// flight recorder as `<path>.traces.json`, so every transcript carries
+/// the metrics and traces of the run that produced it.
 /// `tool` prefixes the error messages.
 pub fn write_transcript(
     tool: &str,

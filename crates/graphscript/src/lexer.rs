@@ -7,7 +7,7 @@
 use crate::error::{Result, ScriptError};
 use crate::token::{Keyword, Token, TokenKind};
 
-/// Tokenizes a program. The stream always ends with [`TokenKind::Eof`].
+/// Tokenizes a program. The stream always ends with an end-of-file token.
 pub fn tokenize(source: &str) -> Result<Vec<Token>> {
     let chars: Vec<char> = source.chars().collect();
     let mut tokens: Vec<Token> = Vec::new();

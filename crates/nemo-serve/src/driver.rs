@@ -1,80 +1,8 @@
-//! The deterministic closed-loop multi-client load driver.
-//!
-//! Each client's entire run — its backend, its model session, the shared
-//! mutation stream and its query sequence — is a pure function of
-//! `(config, client id)`: no wall-clock, no cross-client state. Clients
-//! therefore fan out over the `nemo_bench::pool` worker pool
-//! (`NEMO_THREADS`), and the combined transcript, reassembled in client
-//! order, is bit-for-bit identical at any thread count. This is the
-//! property the CI `serve-smoke` job checks by diffing a 1-thread run
-//! against a 4-thread run.
+//! The model knowledge every serving driver and benchmark hands its
+//! simulated clients.
 
-use crate::live::LiveNetwork;
-use crate::server::{Reply, ServeEvent, Server, ServerBuilder, Session};
-use nemo_bench::{pool, traffic_queries};
-use nemo_core::llm::{hash_parts, profiles, CodeKnowledge, KnownTask, SimulatedLlm};
-use nemo_core::Backend;
-use trafficgen::{evolve, generate, StreamConfig, TimedEvent, TrafficConfig};
-
-/// Sizing of one driver run.
-#[derive(Debug, Clone)]
-pub struct DriveConfig {
-    /// The initial workload every client's server starts from.
-    pub traffic: TrafficConfig,
-    /// Number of simulated clients (one server + one session each).
-    pub clients: usize,
-    /// Rounds per client: each round applies a mutation batch, then issues
-    /// queries.
-    pub rounds: usize,
-    /// Queries issued per round per client.
-    pub queries_per_round: usize,
-    /// Mutations applied per round (the same shared stream for every
-    /// client, so all clients see the same evolving network).
-    pub mutations_per_round: usize,
-    /// Seed for the mutation stream and the query schedule.
-    pub seed: u64,
-}
-
-impl DriveConfig {
-    /// The committed-benchmark configuration.
-    pub fn full() -> Self {
-        DriveConfig {
-            traffic: TrafficConfig::default(),
-            clients: 6,
-            rounds: 8,
-            queries_per_round: 6,
-            mutations_per_round: 4,
-            seed: 2023,
-        }
-    }
-
-    /// A seconds-scale smoke configuration for CI.
-    pub fn small() -> Self {
-        DriveConfig {
-            traffic: TrafficConfig {
-                nodes: 40,
-                edges: 40,
-                prefixes: 4,
-                seed: 7,
-            },
-            clients: 4,
-            rounds: 3,
-            queries_per_round: 3,
-            mutations_per_round: 3,
-            seed: 2023,
-        }
-    }
-
-    /// Picks [`DriveConfig::small`] when `NEMO_SMALL` is set, else
-    /// [`DriveConfig::full`].
-    pub fn from_env() -> Self {
-        if std::env::var("NEMO_SMALL").is_ok() {
-            DriveConfig::small()
-        } else {
-            DriveConfig::full()
-        }
-    }
-}
+use nemo_bench::traffic_queries;
+use nemo_core::llm::{CodeKnowledge, KnownTask};
 
 /// The knowledge base a serving model needs: every traffic query's golden
 /// programs, straight from the benchmark specs. Unlike the accuracy
@@ -94,314 +22,4 @@ pub fn serving_knowledge() -> CodeKnowledge {
             })
             .collect(),
     )
-}
-
-/// The shared mutation stream of one driver run (every client sees the
-/// same evolving network).
-fn shared_stream(config: &DriveConfig, workload: &trafficgen::TrafficWorkload) -> Vec<TimedEvent> {
-    evolve(
-        workload,
-        &StreamConfig {
-            events: config.rounds * config.mutations_per_round,
-            seed: config.seed,
-        },
-    )
-}
-
-/// Builds one client's schedule from an already-evolved stream.
-fn schedule_from_stream(
-    config: &DriveConfig,
-    client: usize,
-    stream: &[TimedEvent],
-) -> Vec<ServeEvent> {
-    let queries = traffic_queries();
-    let seed = config.seed.to_string();
-    let client_tag = client.to_string();
-    let mut events = Vec::new();
-    for round in 0..config.rounds {
-        let start = round * config.mutations_per_round;
-        for timed in &stream[start..start + config.mutations_per_round] {
-            events.push(ServeEvent::Mutate(timed.clone()));
-        }
-        for k in 0..config.queries_per_round {
-            let pick = hash_parts(&[
-                "serve-query",
-                &seed,
-                &client_tag,
-                &round.to_string(),
-                &k.to_string(),
-            ]) as usize
-                % queries.len();
-            events.push(ServeEvent::Query {
-                client,
-                query: queries[pick].text.to_string(),
-            });
-        }
-    }
-    events
-}
-
-/// Builds one client's server from an already-generated workload.
-fn server_from_workload(
-    config: &DriveConfig,
-    client: usize,
-    workload: &trafficgen::TrafficWorkload,
-) -> Server<SimulatedLlm> {
-    let live = LiveNetwork::from_workload(workload);
-    let backend = Backend::CODEGEN[client % Backend::CODEGEN.len()];
-    let llm = SimulatedLlm::new(
-        profiles::gpt4(),
-        serving_knowledge(),
-        config.seed ^ client as u64,
-    );
-    ServerBuilder::new()
-        .build(
-            live,
-            vec![Session {
-                client,
-                backend,
-                llm,
-            }],
-        )
-        .expect("in-memory builds cannot fail")
-}
-
-/// One session per client, all attached to the same shared server —
-/// backend and model seed derive from the client id exactly as in the
-/// per-client driver.
-fn sessions_for(config: &DriveConfig) -> Vec<Session<SimulatedLlm>> {
-    (0..config.clients)
-        .map(|client| Session {
-            client,
-            backend: Backend::CODEGEN[client % Backend::CODEGEN.len()],
-            llm: SimulatedLlm::new(
-                profiles::gpt4(),
-                serving_knowledge(),
-                config.seed ^ client as u64,
-            ),
-        })
-        .collect()
-}
-
-/// Drives every client against **one shared sharded server** — the
-/// multi-tenant shape, as opposed to [`drive`]'s one-server-per-client
-/// shape. Per round, the shared mutation batch is applied once, then each
-/// client's queries are issued round-robin (`for k { for client }`).
-/// Mutation lines appear unprefixed; query lines carry the asking
-/// client's `c<id>| ` prefix. The transcript is sequential by
-/// construction and byte-identical at any shard count: epochs in the
-/// lines are global, answers come from the merged view, and each
-/// `(query, backend)` pair walks the same cache history regardless of
-/// which cache shard holds it.
-///
-/// In-memory runs never fail in practice; the `Result` exists so a
-/// storage-backed variant (or a corrupt initial state) surfaces as a
-/// typed error instead of a panic in the serving loop.
-pub fn drive_sharded(
-    config: &DriveConfig,
-    shards: u32,
-) -> Result<Vec<String>, crate::error::ServeError> {
-    let workload = generate(&config.traffic);
-    let stream = shared_stream(config, &workload);
-    let mut server = ServerBuilder::new()
-        .shards(shards)
-        .build(LiveNetwork::from_workload(&workload), sessions_for(config))?;
-    let queries = traffic_queries();
-    let seed = config.seed.to_string();
-    let mut lines = Vec::new();
-    for round in 0..config.rounds {
-        let start = round * config.mutations_per_round;
-        for timed in &stream[start..start + config.mutations_per_round] {
-            let (line, _) = server.process(&ServeEvent::Mutate(timed.clone()))?;
-            lines.push(line);
-        }
-        for k in 0..config.queries_per_round {
-            for client in 0..config.clients {
-                let pick = hash_parts(&[
-                    "serve-query",
-                    &seed,
-                    &client.to_string(),
-                    &round.to_string(),
-                    &k.to_string(),
-                ]) as usize
-                    % queries.len();
-                let (line, _) = server.process(&ServeEvent::Query {
-                    client,
-                    query: queries[pick].text.to_string(),
-                })?;
-                lines.push(format!("c{client}| {line}"));
-            }
-        }
-    }
-    Ok(lines)
-}
-
-/// The deterministic schedule of one client: `rounds` batches of the
-/// shared mutation stream followed by that client's queries, drawn from
-/// the traffic suite by a seeded hash.
-pub fn client_schedule(config: &DriveConfig, client: usize) -> Vec<ServeEvent> {
-    let workload = generate(&config.traffic);
-    schedule_from_stream(config, client, &shared_stream(config, &workload))
-}
-
-/// Builds one client's server: its own copy of the initial live state and
-/// a single session whose backend and model seed derive from the client id.
-pub fn client_server(config: &DriveConfig, client: usize) -> Server<SimulatedLlm> {
-    server_from_workload(config, client, &generate(&config.traffic))
-}
-
-/// Runs one client over pre-generated inputs.
-fn run_client_with(
-    config: &DriveConfig,
-    client: usize,
-    workload: &trafficgen::TrafficWorkload,
-    stream: &[TimedEvent],
-) -> (Vec<String>, Vec<Reply>) {
-    let mut server = server_from_workload(config, client, workload);
-    let schedule = schedule_from_stream(config, client, stream);
-    let (lines, replies) = server
-        .run_schedule(&schedule)
-        .expect("load-driver servers have no persistence attached");
-    let lines = lines
-        .into_iter()
-        .map(|line| format!("c{client}| {line}"))
-        .collect();
-    (lines, replies)
-}
-
-/// Runs one client end to end; the transcript is a pure function of
-/// `(config, client)`.
-pub fn run_client(config: &DriveConfig, client: usize) -> (Vec<String>, Vec<Reply>) {
-    let workload = generate(&config.traffic);
-    let stream = shared_stream(config, &workload);
-    run_client_with(config, client, &workload, &stream)
-}
-
-/// Drives every client over `threads` pool workers and returns the
-/// combined transcript in client order — bit-identical at any thread
-/// count.
-pub fn drive(config: &DriveConfig, threads: usize) -> Vec<String> {
-    drive_with_replies(config, threads).0
-}
-
-/// Like [`drive`], but also returns every reply (for latency accounting);
-/// replies are concatenated in client order. The workload and the shared
-/// mutation stream are generated once and borrowed by every worker.
-pub fn drive_with_replies(config: &DriveConfig, threads: usize) -> (Vec<String>, Vec<Reply>) {
-    let workload = generate(&config.traffic);
-    let stream = shared_stream(config, &workload);
-    let per_client = pool::run_indexed(config.clients, threads, |client| {
-        run_client_with(config, client, &workload, &stream)
-    });
-    let mut lines = Vec::new();
-    let mut replies = Vec::new();
-    for (client_lines, client_replies) in per_client {
-        lines.extend(client_lines);
-        replies.extend(client_replies);
-    }
-    (lines, replies)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::cache::CacheOutcome;
-
-    fn tiny() -> DriveConfig {
-        DriveConfig {
-            traffic: TrafficConfig {
-                nodes: 16,
-                edges: 20,
-                prefixes: 2,
-                seed: 7,
-            },
-            clients: 3,
-            rounds: 2,
-            queries_per_round: 2,
-            mutations_per_round: 2,
-            seed: 11,
-        }
-    }
-
-    #[test]
-    fn transcripts_are_identical_across_thread_counts() {
-        let config = tiny();
-        let one = drive(&config, 1);
-        for threads in [2, 4] {
-            assert_eq!(drive(&config, threads), one, "threads={threads}");
-        }
-        assert!(!one.is_empty());
-    }
-
-    #[test]
-    fn schedules_interleave_mutations_and_queries() {
-        let config = tiny();
-        let schedule = client_schedule(&config, 0);
-        assert_eq!(
-            schedule.len(),
-            config.rounds * (config.mutations_per_round + config.queries_per_round)
-        );
-        assert!(matches!(schedule[0], ServeEvent::Mutate(_)));
-        assert!(matches!(
-            schedule[config.mutations_per_round],
-            ServeEvent::Query { .. }
-        ));
-        // Different clients ask different query sequences...
-        let other = client_schedule(&config, 1);
-        assert_ne!(schedule, other);
-        // ...but share the same mutation stream.
-        let mutations = |s: &[ServeEvent]| -> Vec<ServeEvent> {
-            s.iter()
-                .filter(|e| matches!(e, ServeEvent::Mutate(_)))
-                .cloned()
-                .collect()
-        };
-        assert_eq!(mutations(&schedule), mutations(&other));
-    }
-
-    #[test]
-    fn shared_server_transcripts_are_shard_count_invariant() {
-        let config = tiny();
-        let one = drive_sharded(&config, 1).unwrap();
-        assert!(!one.is_empty());
-        // Mutation lines are unprefixed, query lines carry client prefixes.
-        assert!(one.iter().any(|l| l.starts_with("[e")));
-        assert!(one.iter().any(|l| l.starts_with("c0| ")));
-        for shards in [2u32, 4] {
-            assert_eq!(
-                drive_sharded(&config, shards).unwrap(),
-                one,
-                "shards={shards}"
-            );
-        }
-    }
-
-    #[test]
-    fn repeated_queries_warm_the_cache() {
-        // With enough draws from the 24-query pool the schedule repeats
-        // queries; repeats must be served from the cache hierarchy.
-        let config = DriveConfig {
-            rounds: 8,
-            queries_per_round: 8,
-            ..tiny()
-        };
-        let schedule = client_schedule(&config, 0);
-        let texts: Vec<&String> = schedule
-            .iter()
-            .filter_map(|e| match e {
-                ServeEvent::Query { query, .. } => Some(query),
-                _ => None,
-            })
-            .collect();
-        let distinct: std::collections::HashSet<&String> = texts.iter().copied().collect();
-        assert!(
-            distinct.len() < texts.len(),
-            "deterministic schedule has no repeated queries; enlarge the config"
-        );
-        let (_, replies) = run_client(&config, 0);
-        assert_eq!(replies.len(), texts.len());
-        assert!(replies
-            .iter()
-            .any(|r| matches!(r.cache, CacheOutcome::AnswerHit | CacheOutcome::ProgramHit)));
-    }
 }

@@ -18,16 +18,13 @@
 //!   network to a versioned document (node-link graph JSON + lossless frame
 //!   CSV) and [`snapshot::replay`] proves `snapshot(e) + WAL[e..]`
 //!   reconstructs byte-identical state and identical query answers.
-//! * **Read path** — a [`Server`] interleaves mutation batches with query
-//!   requests from N simulated client [`Session`]s, reusing `nemo-core`'s
-//!   prompt → LLM → sandbox pipeline, behind a [`ProgramCache`] keyed by
+//! * **Read path** — a [`Server`] answers typed [`Request`]s through
+//!   [`Server::handle`], interleaving mutations with queries from N
+//!   simulated client [`Session`]s. Queries reuse `nemo-core`'s prompt →
+//!   LLM → sandbox pipeline behind a [`ProgramCache`] keyed by
 //!   `(query, backend)`: answers are invalidated by epoch, compiled
 //!   programs survive mutations, and a warm cache skips the LLM and the
 //!   compiler entirely.
-//! * **Load driver** — [`driver::drive`] runs a closed-loop multi-client
-//!   workload over `nemo_bench::pool`; every client transcript is a pure
-//!   function of `(config, client, seed)`, so the combined transcript is
-//!   bit-identical at any `NEMO_THREADS`.
 //! * **Durability** — a server given a persistence root keeps one
 //!   `nemo-store` segmented, checksummed on-disk WAL plus snapshot files
 //!   per shard under `root/shard-<k>/` — a single-shard server is the same
@@ -36,7 +33,10 @@
 //!   compact the log on thresholds, and
 //!   [`ServerBuilder::recover_or_create`] rebuilds the exact state after a
 //!   crash — torn tails truncated, corruption and unknown layouts refused
-//!   loudly. [`durability`] drives crash/resume transcripts over it.
+//!   loudly.
+//!
+//! The load and crash/resume drivers that exercise all of this live in
+//! the `bench` crate and reach a server only through its public methods.
 //!
 //! ```
 //! use nemo_serve::{LiveNetwork, Mutation};
@@ -60,7 +60,6 @@
 pub mod cache;
 pub mod codec;
 pub mod driver;
-pub mod durability;
 mod error;
 mod live;
 pub mod metrics;
@@ -80,6 +79,6 @@ pub use mutation::{Epoch, Mutation, WalRecord};
 pub use nemo_obs::trace::Tracer;
 pub use persist::{FsyncPolicy, PersistOptions, RecoveryReport};
 pub use protocol::{Request, Response, StatsReport};
-pub use server::{Reply, ServeEvent, Server, ServerBuilder, Session};
+pub use server::{Reply, Server, ServerBuilder, Session};
 pub use shard::{shard_of, ShardedNetwork};
 pub use shard_persist::ShardPersistence;

@@ -87,9 +87,12 @@ pub struct PersistOptions {
     /// e.g. one per shard — aggregate into the same names). A fresh
     /// private registry by default.
     pub registry: Registry,
-    /// Flight recorder every store opened with these options tags its
-    /// spans (WAL log, fsync) and poison causes onto. A fresh disabled
-    /// tracer by default.
+    /// Flight recorder a server captures every request's trace tree into;
+    /// every store opened with these options tags its spans (WAL log,
+    /// fsync) and poison causes onto it. A fresh disabled tracer by
+    /// default: enable it ([`Tracer::enable`]), and set its slow-request
+    /// log threshold ([`Tracer::set_slow_threshold_micros`]), before
+    /// passing it in.
     pub tracer: Tracer,
 }
 

@@ -8,13 +8,15 @@
 //! under `root/shard-<k>/`, a single-shard server included.
 //!
 //! Work arrives as typed [`Request`]s and leaves as typed [`Response`]s
-//! through [`Server::handle`]; the legacy [`Server::process`] entry point
-//! is a thin wrapper that renders the response's transcript line.
-//! Processing is sequential and deterministic: the transcript of a
-//! schedule is a pure function of `(initial state, schedule, model
-//! seeds)` — and, because reads are answered from the **merged view**
-//! (byte-identical to an unsharded network at the same global epoch), it
-//! is also independent of the shard count.
+//! through [`Server::handle`], the one way to do work on a server; the
+//! other public methods are read accessors, plus the jagged-resume
+//! [`Server::apply_recorded`] and the deferred-removal
+//! [`Server::sweep_persistence`]. Processing is sequential and
+//! deterministic: the transcript of a request stream is a pure function
+//! of `(initial state, requests, model seeds)` — and, because reads are
+//! answered from the **merged view** (byte-identical to an unsharded
+//! network at the same global epoch), it is also independent of the shard
+//! count.
 
 use crate::cache::{CacheOutcome, CacheStats, Lookup, ProgramCache};
 use crate::error::ServeError;
@@ -31,11 +33,8 @@ use nemo_core::sandbox::execute_code;
 use nemo_core::{Backend, Llm, NetworkManager};
 use nemo_obs::trace::Tracer;
 use nemo_obs::{Class, Registry};
-use nemo_store::Vfs;
 use netgraph::json::JsonValue;
 use std::path::PathBuf;
-use std::sync::Arc;
-use std::time::Instant;
 use trafficgen::stream::TimedEvent;
 
 /// One client session: a stable id, the backend this client queries
@@ -48,21 +47,6 @@ pub struct Session<L: Llm> {
     pub backend: Backend,
     /// The client's model session, reused across requests.
     pub llm: L,
-}
-
-/// One unit of serving work (the untyped, stream-shaped form;
-/// [`Request`] is the typed protocol it converts into).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServeEvent {
-    /// Apply one timestamped mutation to the live network.
-    Mutate(TimedEvent),
-    /// Answer one natural-language query for one client.
-    Query {
-        /// The asking client's id.
-        client: usize,
-        /// The query text.
-        query: String,
-    },
 }
 
 /// The record of one answered query.
@@ -80,9 +64,6 @@ pub struct Reply {
     pub cache: CacheOutcome,
     /// The rendered answer (or a rendered error).
     pub answer: String,
-    /// Wall-clock service time in milliseconds (excluded from
-    /// transcripts; this is the load driver's latency sample).
-    pub latency_ms: f64,
 }
 
 /// Builds [`Server`]s: sharding, durability, cache sizing and recovery in
@@ -136,52 +117,12 @@ impl ServerBuilder {
         self
     }
 
-    /// All persistence knobs at once (fsync/commit policy, segment size,
-    /// snapshot thresholds, retention).
+    /// Every persistence setting: fsync/commit policy, segment size,
+    /// snapshot thresholds, retention, the filesystem, and the metrics
+    /// registry and flight recorder the server and its stores record
+    /// into (see [`PersistOptions`]).
     pub fn options(mut self, options: PersistOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// The fsync/commit policy alone (including
-    /// [`FsyncPolicy::GroupCommit`](crate::FsyncPolicy::GroupCommit)).
-    pub fn fsync(mut self, policy: crate::FsyncPolicy) -> Self {
-        self.options.fsync = policy;
-        self
-    }
-
-    /// The flight recorder every request's trace tree is captured into.
-    /// The same tracer is attached to every store this builder opens, so
-    /// WAL, fsync and group-commit spans land inside the owning request's
-    /// trace. Disabled by default; enable it first
-    /// ([`Tracer::enable`](nemo_obs::trace::Tracer::enable)).
-    pub fn tracer(mut self, tracer: Tracer) -> Self {
-        self.options.tracer = tracer;
-        self
-    }
-
-    /// Retain full detail for any request whose root span runs at least
-    /// this many microseconds (the slow-request log). 0 — the default —
-    /// disables retention. Set after [`ServerBuilder::tracer`] /
-    /// [`ServerBuilder::options`]: the threshold lives on the tracer those
-    /// calls install.
-    pub fn slow_request_threshold(self, micros: u64) -> Self {
-        self.options.tracer.set_slow_threshold_micros(micros);
-        self
-    }
-
-    /// The filesystem every store runs on: [`nemo_store::RealFs`] by
-    /// default, [`nemo_store::FaultFs`] for deterministic fault-injection
-    /// tests.
-    pub fn vfs(mut self, vfs: Arc<dyn Vfs>) -> Self {
-        self.options.vfs = vfs;
-        self
-    }
-
-    /// Snapshot once this many epochs passed since the last one
-    /// (0 disables the epoch trigger).
-    pub fn snapshot_every_epochs(mut self, epochs: u64) -> Self {
-        self.options.snapshot_every_epochs = epochs;
         self
     }
 
@@ -317,20 +258,6 @@ impl<L: Llm> Server<L> {
         &self.stores
     }
 
-    /// Degraded read-only state, if the server entered it: the poisoned
-    /// shard and the epoch through which that store is known durable.
-    pub fn degraded(&self) -> Option<(Option<u32>, u64)> {
-        self.degraded
-    }
-
-    /// The metrics registry every subsystem under this server records
-    /// into. To observe a server, pass a shared [`Registry`] in via
-    /// [`PersistOptions::registry`]; this accessor returns the same handle
-    /// for snapshotting or text exposition.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
     /// The flight recorder this server records request traces into — the
     /// one carried by [`PersistOptions::tracer`]. Snapshot it with
     /// [`Tracer::to_doc`] / [`Tracer::to_chrome`], or ask the server
@@ -380,7 +307,7 @@ impl<L: Llm> Server<L> {
     /// Fsyncs every attached store (a batch boundary). In degraded mode
     /// this is a no-op `Ok`: nothing new was logged, and failing would
     /// abort schedules that queries can still serve.
-    pub fn sync_persistence(&mut self) -> Result<(), ServeError> {
+    pub(crate) fn sync_persistence(&mut self) -> Result<(), ServeError> {
         if self.degraded.is_some() {
             return Ok(());
         }
@@ -452,7 +379,7 @@ impl<L: Llm> Server<L> {
     /// that mirror derived state — global epoch, per-shard epochs and
     /// durability lag, cache counters — are sampled here, so the document
     /// is current as of the call.
-    pub fn stats(&self) -> StatsReport {
+    pub(crate) fn stats(&self) -> StatsReport {
         let cache = self.cache_stats();
         let epochs = self.net.epoch_vector();
         self.metrics
@@ -491,19 +418,14 @@ impl<L: Llm> Server<L> {
         self.caches[ci].program(query, backend)
     }
 
-    /// Applies one mutation event; with persistence attached, the record
-    /// is durably logged (and a snapshot taken when due) before the epoch
-    /// is acknowledged. Returns the **global** epoch.
-    pub fn apply_mutation(&mut self, event: &TimedEvent) -> Result<Epoch, ServeError> {
-        self.apply_mutation_inner(event.at_ms, Mutation::from_event(&event.event))
-    }
-
-    /// Applies and maintains the logical apply/reject counters — every
-    /// serving-path mutation funnels through here. The recovery re-apply
-    /// path ([`Server::apply_recorded`]) deliberately bypasses the
-    /// counters: a recovered mutation was already counted by the run that
-    /// first applied it.
-    fn apply_mutation_inner(
+    /// Applies one mutation; with persistence attached, the record is
+    /// durably logged (and a snapshot taken when due) before the epoch is
+    /// acknowledged. Returns the **global** epoch. Maintains the logical
+    /// apply/reject counters — every serving-path mutation funnels through
+    /// here. The recovery re-apply path ([`Server::apply_recorded`])
+    /// deliberately bypasses the counters: a recovered mutation was
+    /// already counted by the run that first applied it.
+    pub(crate) fn apply_mutation(
         &mut self,
         at_ms: u64,
         mutation: Mutation,
@@ -603,7 +525,7 @@ impl<L: Llm> Server<L> {
     /// the current global epoch — so the same request at the same state
     /// repeats the error cheaply, and the first request after a mutation
     /// retries the model for real.
-    pub fn handle_query(&mut self, client: usize, query: &str) -> Reply {
+    pub(crate) fn handle_query(&mut self, client: usize, query: &str) -> Reply {
         // Every reply counts — including the error reply for an unknown
         // client, which is just as much a function of the request stream.
         let _timer = self.registry.span("query", &self.metrics.query_micros);
@@ -613,7 +535,6 @@ impl<L: Llm> Server<L> {
     }
 
     fn handle_query_uncounted(&mut self, client: usize, query: &str) -> Reply {
-        let start = Instant::now();
         let epoch = self.net.global_epoch();
         // An unknown client gets an error reply, not a panic: one bad
         // request must not take down the serving loop.
@@ -625,7 +546,6 @@ impl<L: Llm> Server<L> {
                 epoch,
                 cache: CacheOutcome::Miss,
                 answer: format!("error: no session for client {client}"),
-                latency_ms: start.elapsed().as_secs_f64() * 1e3,
             };
         };
         let backend = self.sessions[si].backend;
@@ -698,7 +618,6 @@ impl<L: Llm> Server<L> {
             epoch,
             cache,
             answer,
-            latency_ms: start.elapsed().as_secs_f64() * 1e3,
         }
     }
 
@@ -727,7 +646,7 @@ impl<L: Llm> Server<L> {
             Request::Mutate { at_ms, mutation } => {
                 self.metrics.requests_mutate.inc();
                 let _timer = self.registry.span("mutate", &self.metrics.mutate_micros);
-                match self.apply_mutation_inner(*at_ms, mutation.clone()) {
+                match self.apply_mutation(*at_ms, mutation.clone()) {
                     Ok(epoch) => Ok(Response::Mutated {
                         epoch,
                         at_ms: *at_ms,
@@ -780,61 +699,6 @@ impl<L: Llm> Server<L> {
             }
         }
     }
-
-    /// Processes one event through the typed protocol and renders its
-    /// deterministic transcript line (the historical line formats, byte
-    /// for byte).
-    pub fn process(&mut self, event: &ServeEvent) -> Result<(String, Option<Reply>), ServeError> {
-        let response = self.handle(&Request::from_event(event))?;
-        let line = response
-            .transcript_line()
-            .expect("mutate and query responses always render a line");
-        let reply = match response {
-            Response::Answered(reply) => Some(reply),
-            _ => None,
-        };
-        Ok((line, reply))
-    }
-
-    /// Runs a whole schedule, returning the transcript and every reply.
-    /// With persistence attached, the WAL is fsynced at every
-    /// mutation-batch boundary (the last mutation before a query, and the
-    /// end of the schedule), so "every applied mutation batch is durably
-    /// logged" holds under [`crate::FsyncPolicy::EveryBatch`]. A failed
-    /// boundary fsync aborts the schedule with the error (the transcript
-    /// up to that point is lost to the caller by design — it was not
-    /// durable). Without persistence the call is infallible.
-    ///
-    /// Each boundary also executes a small budget of deferred store
-    /// removals ([`Server::sweep_persistence`]) — off the apply path, so
-    /// snapshot pruning and WAL compaction never stall a mutation.
-    ///
-    /// On a **degraded** server the boundaries are no-ops and every
-    /// mutation renders a `mutate degraded:` line; the schedule still
-    /// completes and its queries are still answered.
-    pub fn run_schedule(
-        &mut self,
-        events: &[ServeEvent],
-    ) -> Result<(Vec<String>, Vec<Reply>), ServeError> {
-        /// Deferred removals paid per batch boundary: enough to keep up
-        /// with any realistic install rate, small enough to bound the
-        /// boundary's filesystem work.
-        const SWEEP_BUDGET: usize = 64;
-        let mut transcript = Vec::with_capacity(events.len());
-        let mut replies = Vec::new();
-        for (i, event) in events.iter().enumerate() {
-            let (line, reply) = self.process(event)?;
-            transcript.push(line);
-            replies.extend(reply);
-            let batch_ends = matches!(event, ServeEvent::Mutate(_))
-                && !matches!(events.get(i + 1), Some(ServeEvent::Mutate(_)));
-            if batch_ends {
-                self.sync_persistence()?;
-                self.sweep_persistence(SWEEP_BUDGET)?;
-            }
-        }
-        Ok((transcript, replies))
-    }
 }
 
 /// The view queries are answered from: partition 0 itself on a single
@@ -874,6 +738,11 @@ mod tests {
             "scripted",
             vec!["```graphscript\nresult = G.number_of_edges()\n```".to_string(); replies],
         )
+    }
+
+    /// The crate-private apply path, fed one stream event.
+    fn apply<L: Llm>(server: &mut Server<L>, event: &TimedEvent) -> Result<Epoch, ServeError> {
+        server.apply_mutation(event.at_ms, Mutation::from_event(&event.event))
     }
 
     fn server_with(shards: u32, llm: ScriptedLlm) -> Server<ScriptedLlm> {
@@ -918,19 +787,23 @@ mod tests {
                 packets: 1,
             };
             for endpoint in [flow.source, flow.target] {
-                server
-                    .apply_mutation(&TimedEvent {
+                apply(
+                    &mut server,
+                    &TimedEvent {
                         at_ms: 1,
                         event: NetEvent::NewEndpoint { endpoint },
-                    })
-                    .unwrap();
+                    },
+                )
+                .unwrap();
             }
-            server
-                .apply_mutation(&TimedEvent {
+            apply(
+                &mut server,
+                &TimedEvent {
                     at_ms: 2,
                     event: NetEvent::NewFlow { flow },
-                })
-                .unwrap();
+                },
+            )
+            .unwrap();
             let third = server.handle_query(0, q);
             assert_eq!(third.cache, CacheOutcome::ProgramHit, "shards={shards}");
             assert_eq!(third.answer, "15");
@@ -993,14 +866,16 @@ mod tests {
         };
         let mutate = |server: &mut Server<ScriptedLlm>, octet: u8| {
             let before = unshared(server, "before a mutation");
-            server
-                .apply_mutation(&TimedEvent {
+            apply(
+                server,
+                &TimedEvent {
                     at_ms: u64::from(octet),
                     event: NetEvent::NewEndpoint {
                         endpoint: trafficgen::Ipv4::new(203, 0, 0, octet),
                     },
-                })
-                .unwrap();
+                },
+            )
+            .unwrap();
             assert_eq!(unshared(server, "after a mutation"), before);
         };
         let q = "How many edges are there?";
@@ -1041,19 +916,18 @@ mod tests {
     #[test]
     fn transcript_lines_are_deterministic_and_shard_invariant() {
         let q = "How many edges are there?".to_string();
-        let schedule = vec![
-            ServeEvent::Query {
-                client: 0,
-                query: q.clone(),
-            },
-            ServeEvent::Query {
-                client: 0,
-                query: q,
-            },
-        ];
+        let request = Request::Query {
+            client: 0,
+            query: q,
+        };
         let run = |shards: u32| {
             let mut server = server_with(shards, scripted(4));
-            server.run_schedule(&schedule).expect("no persistence").0
+            (0..2)
+                .map(|_| {
+                    let response = server.handle(&request).expect("no persistence");
+                    response.transcript_line().expect("queries render a line")
+                })
+                .collect::<Vec<_>>()
         };
         let a = run(1);
         let b = run(1);
@@ -1104,15 +978,17 @@ mod tests {
             .expect("in-memory build");
         let q = "How many bytes on the first flow?";
         assert_eq!(server.handle_query(0, q).cache, CacheOutcome::Miss);
-        server
-            .apply_mutation(&TimedEvent {
+        apply(
+            &mut server,
+            &TimedEvent {
                 at_ms: 1,
                 event: NetEvent::DropFlow {
                     source: flow.source,
                     target: flow.target,
                 },
-            })
-            .unwrap();
+            },
+        )
+        .unwrap();
         // Cached program now fails against the mutated state: reported as
         // an error, program evicted.
         let broken = server.handle_query(0, q);
@@ -1121,14 +997,16 @@ mod tests {
         assert!(server.cached_program(q, Backend::NetworkX).is_none());
         // After the next mutation the request is a true miss: the model is
         // consulted again and the new program succeeds.
-        server
-            .apply_mutation(&TimedEvent {
+        apply(
+            &mut server,
+            &TimedEvent {
                 at_ms: 2,
                 event: NetEvent::NewEndpoint {
                     endpoint: trafficgen::Ipv4::new(203, 0, 0, 7),
                 },
-            })
-            .unwrap();
+            },
+        )
+        .unwrap();
         let healed = server.handle_query(0, q);
         assert_eq!(healed.cache, CacheOutcome::Miss);
         assert_eq!(healed.answer, "13");
@@ -1163,14 +1041,16 @@ mod tests {
         assert_eq!(repeat.answer, bad.answer);
         // A mutation invalidates the negative entry; with no program
         // cached, the retry consults the model for real and succeeds.
-        server
-            .apply_mutation(&TimedEvent {
+        apply(
+            &mut server,
+            &TimedEvent {
                 at_ms: 1,
                 event: NetEvent::NewEndpoint {
                     endpoint: trafficgen::Ipv4::new(203, 0, 0, 9),
                 },
-            })
-            .unwrap();
+            },
+        )
+        .unwrap();
         let good = server.handle_query(0, q);
         assert_eq!(good.cache, CacheOutcome::Miss);
         assert_eq!(good.answer, "11");
@@ -1179,7 +1059,8 @@ mod tests {
 
     #[test]
     fn a_poisoned_write_path_degrades_to_read_only_serving() {
-        use nemo_store::{FaultFs, FaultKind};
+        use nemo_store::{FaultFs, FaultKind, Vfs};
+        use std::sync::Arc;
         let dir = std::env::temp_dir().join(format!("nemo-server-degraded-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let event = |at_ms: u64, i: u8| TimedEvent {
@@ -1194,8 +1075,7 @@ mod tests {
         };
         let build = |vfs: Arc<dyn Vfs>, root: &std::path::Path| {
             ServerBuilder::new()
-                .options(options())
-                .vfs(vfs)
+                .options(PersistOptions { vfs, ..options() })
                 .persist_at(root)
                 .build(
                     live(),
@@ -1211,7 +1091,7 @@ mod tests {
         // applied record, with a fault that can never fire.
         let calibrate = FaultFs::new(FaultKind::FailedFsync, u64::MAX);
         let mut server = build(Arc::new(calibrate.clone()), &dir);
-        server.apply_mutation(&event(1, 1)).unwrap();
+        apply(&mut server, &event(1, 1)).unwrap();
         let cut = calibrate.ops();
         drop(server);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1221,8 +1101,8 @@ mod tests {
         // record 2 must be refused — fsyncgate, never retried.
         let fault = FaultFs::new(FaultKind::FailedFsync, cut);
         let mut server = build(Arc::new(fault.clone()), &dir);
-        server.apply_mutation(&event(1, 1)).unwrap();
-        let err = server.apply_mutation(&event(2, 2)).unwrap_err();
+        apply(&mut server, &event(1, 1)).unwrap();
+        let err = apply(&mut server, &event(2, 2)).unwrap_err();
         assert!(
             matches!(&err, ServeError::Store { .. }),
             "first failure is loud and typed: {err:?}"
@@ -1230,15 +1110,13 @@ mod tests {
         assert!(!err.retryable());
         assert!(fault.injection().is_some(), "the fault fired: {fault:?}");
         assert_eq!(
-            server.degraded(),
+            server.degraded,
             Some((Some(0), 1)),
             "poisoned store => degraded at the last durable epoch"
         );
         // Mutations now come back as typed degraded responses (no error,
         // no epoch consumed)...
-        let response = server
-            .handle(&Request::from_event(&ServeEvent::Mutate(event(3, 3))))
-            .unwrap();
+        let response = server.handle(&Request::from(&event(3, 3))).unwrap();
         match response {
             Response::Degraded {
                 epoch,
@@ -1304,14 +1182,17 @@ mod tests {
             let builder = || {
                 ServerBuilder::new()
                     .shards(shards)
-                    .snapshot_every_epochs(7)
+                    .options(PersistOptions {
+                        snapshot_every_epochs: 7,
+                        ..PersistOptions::default()
+                    })
                     .persist_at(&root)
             };
             let mut server = builder()
                 .build::<ScriptedLlm>(start.clone(), Vec::new())
                 .unwrap();
             for event in &events[40..] {
-                server.apply_mutation(event).unwrap();
+                apply(&mut server, event).unwrap();
             }
             server.sync_persistence().unwrap();
             drop(server);
@@ -1345,23 +1226,27 @@ mod tests {
         let q = "How many edges are there?";
         server.handle_query(0, q);
         server.handle_query(0, q);
-        server
-            .apply_mutation(&TimedEvent {
+        apply(
+            &mut server,
+            &TimedEvent {
                 at_ms: 1,
                 event: NetEvent::NewEndpoint {
                     endpoint: trafficgen::Ipv4::new(203, 0, 0, 1),
                 },
-            })
-            .unwrap();
+            },
+        )
+        .unwrap();
         // A duplicate endpoint is a conflict: rejected, no epoch consumed.
-        let err = server
-            .apply_mutation(&TimedEvent {
+        let err = apply(
+            &mut server,
+            &TimedEvent {
                 at_ms: 2,
                 event: NetEvent::NewEndpoint {
                     endpoint: trafficgen::Ipv4::new(203, 0, 0, 1),
                 },
-            })
-            .unwrap_err();
+            },
+        )
+        .unwrap_err();
         assert!(matches!(err, ServeError::Conflict(_)));
         let stats = server.stats();
         let JsonValue::Object(root) = &stats.metrics else {

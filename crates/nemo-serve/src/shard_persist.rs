@@ -26,9 +26,9 @@
 //!   installs are O(delta); every [`MAX_DELTA_CHAIN`] installs — or
 //!   whenever the backlog is large — a full document anchors a new chain.
 //! * **Sweep** — installing deletes nothing. Pruning old snapshots and
-//!   deleting covered WAL segments is [`ShardPersistence::sweep`], which
-//!   the server calls at batch boundaries so `append` never waits on
-//!   filesystem removals.
+//!   deleting covered WAL segments is a separate sweep, which
+//!   [`Server::sweep_persistence`](crate::Server::sweep_persistence) runs
+//!   at batch boundaries so `append` never waits on filesystem removals.
 //! * **Recovery** rebuilds each partition from its newest *valid*
 //!   snapshot plus the WAL suffix. A delta is resolved down its chain to
 //!   a full base; a damaged link fails that candidate loudly (recorded in
@@ -39,7 +39,8 @@
 //!
 //! Each shard recovers from its own directory with **no cross-shard
 //! coordination** — ghost endpoints make every per-shard stream
-//! independently applicable — and [`recover_or_create_sharded`]
+//! independently applicable — and
+//! [`ServerBuilder::recover_or_create`](crate::ServerBuilder::recover_or_create)
 //! reassembles the [`ShardedNetwork`] from the recovered partitions,
 //! cross-checking that all shards agree on the partition metadata.
 //!

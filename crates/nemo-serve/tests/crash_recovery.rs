@@ -17,7 +17,7 @@ use nemo_serve::codec::SHARD_WAL_MAGIC;
 use nemo_serve::persist::{FsyncPolicy, PersistOptions, RecoveryReport};
 use nemo_serve::shard_persist::shard_dir;
 use nemo_serve::snapshot::write_snapshot;
-use nemo_serve::{LiveNetwork, ServeError, Server, ServerBuilder};
+use nemo_serve::{LiveNetwork, Request, Response, ServeError, Server, ServerBuilder};
 use nemo_store::segment::scan_segment;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -109,7 +109,8 @@ fn persisted_run(tag: &str, traffic: &TrafficConfig, events: usize, seed: u64) -
     let mut expected = vec![write_snapshot(&live)];
     let mut states = vec![live.clone()];
     for event in evolve(&workload, &StreamConfig { events, seed }) {
-        server.apply_mutation(&event).unwrap();
+        let response = server.handle(&Request::from(&event)).unwrap();
+        assert!(matches!(response, Response::Mutated { .. }), "{response:?}");
         live.apply_event(&event).unwrap();
         expected.push(write_snapshot(&live));
         states.push(live.clone());

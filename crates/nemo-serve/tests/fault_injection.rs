@@ -26,7 +26,7 @@
 
 use nemo_core::ScriptedLlm;
 use nemo_serve::persist::{FsyncPolicy, PersistOptions};
-use nemo_serve::{LiveNetwork, ServeError, Server, ServerBuilder};
+use nemo_serve::{LiveNetwork, Request, Response, ServeError, Server, ServerBuilder};
 use nemo_store::{FaultFs, FaultKind, RealFs, Vfs};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -131,14 +131,15 @@ fn run_workload(dir: &Path, vfs: Arc<dyn Vfs>, events: &[TimedEvent], every: u64
             poisoned,
             post_poison_rejected: !poisoned
                 || matches!(
-                    server.apply_mutation(&probe),
-                    Err(ServeError::Degraded { .. })
+                    server.handle(&Request::from(&probe)),
+                    Ok(Response::Degraded { .. })
                 ),
         }
     };
     for event in events {
-        match server.apply_mutation(event) {
-            Ok(epoch) => acked = epoch,
+        match server.handle(&Request::from(event)) {
+            Ok(Response::Mutated { epoch, .. }) => acked = epoch,
+            Ok(other) => panic!("a conflict-free stream answered {other:?}"),
             Err(e) => return fail(&mut server, acked, e),
         }
         if acked % every == 0 {
@@ -147,7 +148,7 @@ fn run_workload(dir: &Path, vfs: Arc<dyn Vfs>, events: &[TimedEvent], every: u64
             }
         }
     }
-    if let Err(e) = server.sync_persistence() {
+    if let Err(e) = server.handle(&Request::Sync) {
         return fail(&mut server, acked, e);
     }
     Run {

@@ -17,7 +17,7 @@
 
 use nemo_core::ScriptedLlm;
 use nemo_serve::persist::{FsyncPolicy, PersistOptions};
-use nemo_serve::{LiveNetwork, ServeError, ServerBuilder};
+use nemo_serve::{LiveNetwork, Request, Response, ServeError, ServerBuilder};
 use nemo_store::{FaultFs, FaultKind, RealFs, Vfs};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -88,8 +88,9 @@ proptest! {
             Ok(mut server) => {
                 acked = Some(0u64);
                 for (i, event) in stream.iter().enumerate() {
-                    match server.apply_mutation(event) {
-                        Ok(epoch) => acked = Some(epoch),
+                    match server.handle(&Request::from(event)) {
+                        Ok(Response::Mutated { epoch, .. }) => acked = Some(epoch),
+                        Ok(other) => panic!("a conflict-free stream answered {other:?}"),
                         Err(e) => {
                             error = Some(e);
                             break;
@@ -103,7 +104,7 @@ proptest! {
                     }
                 }
                 if error.is_none() {
-                    if let Err(e) = server.sync_persistence() {
+                    if let Err(e) = server.handle(&Request::Sync) {
                         error = Some(e);
                     }
                 }
@@ -114,7 +115,10 @@ proptest! {
                         event: NetEvent::NewEndpoint { endpoint: Ipv4::new(198, 51, 100, 1) },
                     };
                     prop_assert!(
-                        matches!(server.apply_mutation(&probe), Err(ServeError::Degraded { .. })),
+                        matches!(
+                            server.handle(&Request::from(&probe)),
+                            Ok(Response::Degraded { .. })
+                        ),
                         "poisoned store accepted a mutation"
                     );
                 }

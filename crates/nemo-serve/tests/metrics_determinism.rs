@@ -1,15 +1,13 @@
 //! Logical metrics are pure functions of the request stream: the
 //! `nemo-metrics/v1` logical subset must be byte-identical across shard
-//! counts and `NEMO_THREADS`-style worker counts, which is what licenses
-//! asserting on it in CI while physical metrics (timings, cache layout,
-//! fsyncs) float freely.
+//! counts, which is what licenses asserting on it while physical metrics
+//! (timings, cache layout, fsyncs) float freely. The worker-count half of
+//! the invariant runs the multi-client drivers, so it lives with them in
+//! the `bench` crate.
 
 use nemo_core::{Backend, ScriptedLlm};
 use nemo_obs::Registry;
-use nemo_serve::durability::{run, DurabilityConfig};
-use nemo_serve::{
-    FsyncPolicy, LiveNetwork, PersistOptions, Request, ServeEvent, ServerBuilder, Session,
-};
+use nemo_serve::{LiveNetwork, PersistOptions, Request, ServerBuilder, Session};
 use trafficgen::{evolve, generate, NetEvent, StreamConfig, TimedEvent, TrafficConfig};
 
 /// Drives one fixed request stream — mutations, a deliberate conflict,
@@ -52,7 +50,7 @@ fn logical_doc_at(shards: u32) -> String {
         },
     ) {
         server
-            .handle(&Request::from_event(&ServeEvent::Mutate(timed)))
+            .handle(&Request::from(&timed))
             .expect("conflict-free stream applies");
     }
     // A duplicate endpoint is a conflict at every shard count: it lands in
@@ -64,10 +62,10 @@ fn logical_doc_at(shards: u32) -> String {
         },
     };
     server
-        .handle(&Request::from_event(&ServeEvent::Mutate(dup.clone())))
+        .handle(&Request::from(&dup))
         .expect("first apply succeeds");
     server
-        .handle(&Request::from_event(&ServeEvent::Mutate(dup)))
+        .handle(&Request::from(&dup))
         .expect("a conflict renders as a rejected response, not an error");
     for _ in 0..2 {
         server
@@ -95,52 +93,4 @@ fn logical_metrics_are_shard_invariant() {
             "logical metrics diverged at {shards} shards"
         );
     }
-}
-
-#[test]
-fn logical_metrics_are_thread_invariant() {
-    // The multi-client durability driver fans clients out over the worker
-    // pool; every client's server records into the same shared registry.
-    // The logical subset must not notice the worker count.
-    let doc_at = |threads: usize, tag: &str| {
-        let registry = Registry::new();
-        let config = DurabilityConfig {
-            traffic: TrafficConfig {
-                nodes: 14,
-                edges: 18,
-                prefixes: 2,
-                seed: 7,
-            },
-            clients: 3,
-            events: 12,
-            queries: 2,
-            seed: 11,
-            options: PersistOptions {
-                fsync: FsyncPolicy::Never,
-                registry: registry.clone(),
-                ..PersistOptions::default()
-            },
-        };
-        let dir = std::env::temp_dir().join(format!(
-            "nemo-metrics-determinism-{tag}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (transcript, crashed) = run(&config, &dir, threads, None).expect("run");
-        assert!(!crashed);
-        std::fs::remove_dir_all(&dir).expect("cleanup");
-        (transcript, registry.snapshot().logical_only().to_json())
-    };
-    let (transcript_1, logical_1) = doc_at(1, "t1");
-    let (transcript_4, logical_4) = doc_at(4, "t4");
-    assert_eq!(
-        transcript_1, transcript_4,
-        "transcripts are thread-invariant"
-    );
-    assert_eq!(logical_1, logical_4, "logical metrics are thread-invariant");
-    // The logical subset actually saw traffic: the query round routes
-    // through the typed serving path.
-    assert!(logical_1.contains("serve_queries_answered"));
-    assert!(!logical_1.contains("pool_"), "pool metrics are physical");
-    assert!(!logical_1.contains("store_"), "store metrics are physical");
 }

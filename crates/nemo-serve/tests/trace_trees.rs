@@ -24,7 +24,7 @@ use nemo_core::{Backend, ScriptedLlm};
 use nemo_obs::trace::Tracer;
 use nemo_serve::{
     validate_chrome_doc, validate_trace_doc, FsyncPolicy, LiveNetwork, PersistOptions, Request,
-    Response, ServeEvent, ServerBuilder, Session,
+    Response, ServerBuilder, Session,
 };
 use nemo_store::{FaultFs, FaultKind, Vfs};
 use netgraph::json::JsonValue;
@@ -85,7 +85,7 @@ fn drive(shards: u32, tracer: &Tracer, tag: &str, seed: u64, events: usize) -> J
         },
     ) {
         server
-            .handle(&Request::from_event(&ServeEvent::Mutate(timed)))
+            .handle(&Request::from(&timed))
             .expect("conflict-free stream applies");
     }
     // A duplicate endpoint conflicts at every shard count: the rejected
@@ -98,7 +98,7 @@ fn drive(shards: u32, tracer: &Tracer, tag: &str, seed: u64, events: usize) -> J
     };
     for _ in 0..2 {
         server
-            .handle(&Request::from_event(&ServeEvent::Mutate(dup.clone())))
+            .handle(&Request::from(&dup))
             .expect("a conflict renders as a rejected response, not an error");
     }
     for _ in 0..2 {
@@ -251,7 +251,7 @@ fn logical_skeletons_are_thread_invariant() {
                 },
             ) {
                 server
-                    .handle(&Request::from_event(&ServeEvent::Mutate(timed)))
+                    .handle(&Request::from(&timed))
                     .expect("stream applies");
             }
             server
@@ -315,7 +315,7 @@ fn a_failed_fsync_is_error_tagged_inside_the_owning_request_trace() {
             .expect("persisted build");
         for timed in stream(workload) {
             server
-                .handle(&Request::from_event(&ServeEvent::Mutate(timed)))
+                .handle(&Request::from(&timed))
                 .expect("fault-free stream applies");
         }
         std::fs::remove_dir_all(&dir).expect("cleanup");
@@ -341,10 +341,7 @@ fn a_failed_fsync_is_error_tagged_inside_the_owning_request_trace() {
         .expect("persisted build");
     let mut surfaced = false;
     for timed in stream(workload) {
-        if server
-            .handle(&Request::from_event(&ServeEvent::Mutate(timed)))
-            .is_err()
-        {
+        if server.handle(&Request::from(&timed)).is_err() {
             surfaced = true;
             break;
         }

@@ -3,11 +3,15 @@
 //! SQL / pandas / NetworkX answers), and a cached-program answer must equal
 //! a fresh execution of the same program at every epoch.
 
+use nemo_core::llm::profiles;
 use nemo_core::sandbox::execute_code;
-use nemo_core::Backend;
-use nemo_serve::driver::{self, DriveConfig};
+use nemo_core::{Backend, SimulatedLlm};
+use nemo_serve::driver::serving_knowledge;
 use nemo_serve::snapshot::{replay, write_snapshot};
-use nemo_serve::{CacheOutcome, LiveNetwork, Mutation, WalRecord};
+use nemo_serve::{
+    CacheOutcome, LiveNetwork, Mutation, Reply, Request, Response, ServerBuilder, Session,
+    WalRecord,
+};
 use proptest::prelude::*;
 use trafficgen::{evolve, generate, StreamConfig, TimedEvent, TrafficConfig};
 
@@ -96,45 +100,44 @@ proptest! {
     /// equals a fresh execution of the cached program over the new state.
     #[test]
     fn cached_answers_equal_fresh_runs_at_every_epoch(seed in 0u64..200) {
-        let config = DriveConfig {
-            traffic: TrafficConfig {
-                nodes: 16,
-                edges: 20,
-                prefixes: 2,
-                seed: 7,
-            },
-            clients: 3,
-            rounds: 3,
-            queries_per_round: 3,
-            mutations_per_round: 3,
-            seed,
-        };
+        let workload = generate(&TrafficConfig {
+            nodes: 16,
+            edges: 20,
+            prefixes: 2,
+            seed: 7,
+        });
         let client = (seed % 3) as usize;
-        let mut server = driver::client_server(&config, client);
         let backend = Backend::CODEGEN[client % Backend::CODEGEN.len()];
+        let llm = SimulatedLlm::new(profiles::gpt4(), serving_knowledge(), seed ^ client as u64);
+        let mut server = ServerBuilder::new()
+            .build(
+                LiveNetwork::from_workload(&workload),
+                vec![Session { client, backend, llm }],
+            )
+            .expect("in-memory build");
+        let ask = |server: &mut nemo_serve::Server<SimulatedLlm>, query: &String| -> Reply {
+            let request = Request::Query { client, query: query.clone() };
+            match server.handle(&request).expect("queries never fail") {
+                Response::Answered(reply) => reply,
+                other => panic!("a query answered with {other:?}"),
+            }
+        };
         let queries: Vec<String> = nemo_bench::traffic_queries()
             .into_iter()
             .take(4)
             .map(|spec| spec.text.to_string())
             .collect();
-        let workload = generate(&config.traffic);
-        let stream = evolve(
-            &workload,
-            &StreamConfig {
-                events: 3 * config.mutations_per_round,
-                seed: config.seed,
-            },
-        );
+        let stream = evolve(&workload, &StreamConfig { events: 9, seed });
 
-        for (epoch_round, batch) in stream.chunks(config.mutations_per_round).enumerate() {
+        for batch in stream.chunks(3) {
             for query in &queries {
-                let first = server.handle_query(client, query);
+                let first = ask(&mut server, query);
                 if first.answer.starts_with("error:") {
                     // Failed programs are not cached; nothing to compare.
                     continue;
                 }
                 // Same epoch, same query: answer-cache hit, same answer.
-                let again = server.handle_query(client, query);
+                let again = ask(&mut server, query);
                 prop_assert_eq!(again.cache, CacheOutcome::AnswerHit);
                 prop_assert_eq!(&again.answer, &first.answer);
                 // The cached program re-executed fresh gives the same
@@ -150,9 +153,9 @@ proptest! {
             // Advance the epoch; cached answers must now be recomputed
             // (program hits), never served stale.
             for event in batch {
-                server.apply_mutation(event).unwrap();
+                let response = server.handle(&Request::from(event)).unwrap();
+                prop_assert!(matches!(response, Response::Mutated { .. }), "{:?}", response);
             }
-            let _ = epoch_round;
         }
     }
 }

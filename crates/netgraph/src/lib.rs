@@ -9,7 +9,8 @@
 //!   weight statistics, clustering/grouping, and coloring,
 //! * [`json`] — a small, dependency-free JSON value type plus a node-link
 //!   graph encoding (the format the strawman baseline pastes into prompts),
-//! * [`generators`] — deterministic graph generators for tests and benches.
+//! * deterministic graph generators for tests and benches ([`path_graph`],
+//!   [`star_graph`], [`cycle_graph`], [`complete_graph`], [`binary_tree`]).
 //!
 //! ```
 //! use netgraph::{Graph, attrs};

@@ -39,11 +39,11 @@ pub fn execute_statement(db: &mut Database, stmt: &Statement) -> Result<QueryRes
 ///
 /// The plan reflects what the executor will actually do: it compiles the
 /// statement against the real table schemas, so a join line says `hash
-/// equi-join` exactly when [`equi_key_slots`] recognizes the `ON` clause
-/// (the executor still falls back to a nested loop at runtime if a key
-/// value is not exactly hashable — see [`ValueKey`]), and a single-table
-/// `WHERE` is reported as pushed down to the scan because that is where the
-/// compiled predicate runs.
+/// equi-join` exactly when the `ON` clause is one column equality with a
+/// column from each side (the executor still falls back to a nested loop
+/// at runtime if a key value is not exactly hashable — see [`ValueKey`]),
+/// and a single-table `WHERE` is reported as pushed down to the scan
+/// because that is where the compiled predicate runs.
 pub fn explain_statement(db: &Database, stmt: &Statement) -> Result<DataFrame> {
     let mut lines = Vec::new();
     explain_lines(db, stmt, &mut lines)?;
