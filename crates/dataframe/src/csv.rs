@@ -11,11 +11,17 @@
 //! string comes back as exactly that string, not a float or a null), and
 //! quoted fields are never type-inferred on the way back in. Unquoted
 //! fields carry the numeric/bool/null scalars.
+//!
+//! Both directions stream. [`write_csv`] writes each field in place into any
+//! [`fmt::Write`] sink (a snapshot passes one that JSON-escapes as it goes),
+//! and [`from_csv`] appends each field to its column as soon as the field
+//! ends, with no table of raw rows in between.
 
 use crate::column::Column;
 use crate::error::{FrameError, Result};
 use crate::frame::DataFrame;
 use netgraph::AttrValue;
+use std::fmt;
 
 /// Serializes a frame as CSV with a header row.
 ///
@@ -24,45 +30,62 @@ use netgraph::AttrValue;
 /// the reader can reconstruct them verbatim without type inference.
 pub fn to_csv(df: &DataFrame) -> String {
     let mut out = String::new();
-    let names = df.column_names();
-    out.push_str(
-        &names
-            .iter()
-            .map(|n| quote_field(n))
-            .collect::<Vec<_>>()
-            .join(","),
-    );
-    out.push('\n');
-    out.push_str(&to_csv_rows(df, 0));
+    write_csv(df, &mut out).expect("writing to a String cannot fail");
     out
 }
 
+/// [`to_csv`] into any sink.
+pub fn write_csv<W: fmt::Write + ?Sized>(df: &DataFrame, out: &mut W) -> fmt::Result {
+    for (i, name) in df.column_names().into_iter().enumerate() {
+        if i > 0 {
+            out.write_char(',')?;
+        }
+        write_quoted(name, out)?;
+    }
+    out.write_char('\n')?;
+    write_rows(df, 0, out)
+}
+
 /// Serializes only the data lines (no header) for rows `from..`, in the
-/// exact dialect of [`to_csv`]: for any `from <= n_rows`,
-/// `to_csv(df) == header_line + to_csv_rows(df, 0)` and appending
-/// `to_csv_rows(df, k)` to the first `k` rows' serialization reproduces the
-/// full document byte for byte. This is what lets an incremental snapshot
-/// writer reuse the previous snapshot's unchanged prefix and encode only
-/// the appended tail.
+/// exact dialect of [`to_csv`]: `to_csv(df)` is the header line followed by
+/// `to_csv_rows(df, 0)`, and for any `k <= n_rows` the serialization of the
+/// first `k` rows followed by `to_csv_rows(df, k)` is `to_csv(df)` byte for
+/// byte.
 pub fn to_csv_rows(df: &DataFrame, from: usize) -> String {
     let mut out = String::new();
-    let names = df.column_names();
-    for row in from..df.n_rows() {
-        let fields: Vec<String> = names
-            .iter()
-            .map(|name| {
-                let v = df.value(row, name).expect("in range");
-                match v {
-                    AttrValue::Null => String::new(),
-                    AttrValue::Int(_) | AttrValue::Float(_) | AttrValue::Bool(_) => v.to_string(),
-                    _ => quote_field(&v.to_string()),
-                }
-            })
-            .collect();
-        out.push_str(&fields.join(","));
-        out.push('\n');
-    }
+    write_rows(df, from, &mut out).expect("writing to a String cannot fail");
     out
+}
+
+fn write_rows<W: fmt::Write + ?Sized>(df: &DataFrame, from: usize, out: &mut W) -> fmt::Result {
+    let columns = df.columns();
+    for row in from..df.n_rows() {
+        for (i, column) in columns.iter().enumerate() {
+            if i > 0 {
+                out.write_char(',')?;
+            }
+            match &column.values()[row] {
+                AttrValue::Null => {}
+                AttrValue::Str(s) => write_quoted(s, out)?,
+                v @ AttrValue::List(_) => write_quoted(&v.to_string(), out)?,
+                v => write!(out, "{v}")?,
+            }
+        }
+        out.write_char('\n')?;
+    }
+    Ok(())
+}
+
+/// Writes `s` quoted, doubling every quote inside it.
+fn write_quoted<W: fmt::Write + ?Sized>(s: &str, out: &mut W) -> fmt::Result {
+    out.write_char('"')?;
+    for (i, part) in s.split('"').enumerate() {
+        if i > 0 {
+            out.write_str("\"\"")?;
+        }
+        out.write_str(part)?;
+    }
+    out.write_char('"')
 }
 
 /// Parses CSV text (first row = header) into a frame.
@@ -70,35 +93,127 @@ pub fn to_csv_rows(df: &DataFrame, from: usize) -> String {
 /// Quoted fields are taken as literal strings. Unquoted fields are
 /// type-inferred: empty → null, `true`/`false` → bool, integers → int,
 /// other numerics → float, everything else → string.
+///
+/// Errors, in this order of precedence: an unterminated quoted field; the
+/// first record whose field count differs from the header's, as `row N has
+/// M fields` with N counting records from 1 at the header; a duplicate
+/// column name.
 pub fn from_csv(text: &str) -> Result<DataFrame> {
-    let mut rows = parse_rows(text)?;
-    if rows.is_empty() {
-        return Ok(DataFrame::new());
-    }
-    let header: Vec<String> = rows.remove(0).into_iter().map(|f| f.text).collect();
-    let mut columns: Vec<Column> = header.iter().map(|_| Column::new()).collect();
-    for (line, row) in rows.iter().enumerate() {
-        if row.len() != header.len() {
-            return Err(FrameError::Csv(format!(
-                "row {} has {} fields, expected {}",
-                line + 2,
-                row.len(),
-                header.len()
-            )));
+    let mut reader = Reader::default();
+    let bytes = text.as_bytes();
+    let mut field = String::new();
+    let mut field_quoted = false;
+    let mut in_quotes = false;
+    // Start of the text not yet copied into `field`. Every byte the
+    // scanner acts on is ASCII, so every slice is at char boundaries.
+    let mut run = 0;
+    let mut i = 0;
+    while i < bytes.len() {
+        let byte = bytes[i];
+        if in_quotes {
+            if byte == b'"' {
+                field.push_str(&text[run..i]);
+                if bytes.get(i + 1) == Some(&b'"') {
+                    field.push('"');
+                    i += 1;
+                } else {
+                    in_quotes = false;
+                }
+                run = i + 1;
+            }
+        } else if matches!(byte, b'"' | b',' | b'\r' | b'\n') {
+            field.push_str(&text[run..i]);
+            run = i + 1;
+            match byte {
+                b'"' => {
+                    in_quotes = true;
+                    field_quoted = true;
+                }
+                b',' => reader.field(&mut field, std::mem::take(&mut field_quoted)),
+                b'\n' => {
+                    reader.field(&mut field, std::mem::take(&mut field_quoted));
+                    reader.end_record();
+                }
+                _ => {}
+            }
         }
-        for (i, field) in row.iter().enumerate() {
-            columns[i].push(if field.quoted {
-                AttrValue::Str(field.text.as_str().into())
-            } else {
-                infer_value(&field.text)
-            });
-        }
+        i += 1;
     }
-    DataFrame::from_columns(header.into_iter().zip(columns).collect())
+    if in_quotes {
+        return Err(FrameError::Csv("unterminated quoted field".to_string()));
+    }
+    field.push_str(&text[run..]);
+    if !text.is_empty() && (!field.is_empty() || field_quoted || reader.fields > 0) {
+        reader.field(&mut field, field_quoted);
+        reader.end_record();
+    }
+    reader.finish()
 }
 
-fn quote_field(s: &str) -> String {
-    format!("\"{}\"", s.replace('"', "\"\""))
+/// The frame [`from_csv`] is building: the header while its record is
+/// read, then the columns.
+#[derive(Default)]
+struct Reader {
+    header: Vec<String>,
+    /// `None` while the header record is being read.
+    columns: Option<Vec<Column>>,
+    /// Fields seen so far in the current record.
+    fields: usize,
+    /// Records ended so far, the header included.
+    records: usize,
+    /// The first record-width error; parsing goes on so that an
+    /// unterminated quote later in the text still takes precedence.
+    error: Option<FrameError>,
+}
+
+impl Reader {
+    fn field(&mut self, text: &mut String, quoted: bool) {
+        let index = self.fields;
+        self.fields += 1;
+        match &mut self.columns {
+            None => self.header.push(std::mem::take(text)),
+            Some(columns) => {
+                if let Some(column) = columns.get_mut(index) {
+                    column.push(if quoted {
+                        AttrValue::Str(text.as_str().into())
+                    } else {
+                        infer_value(text)
+                    });
+                }
+                text.clear();
+            }
+        }
+    }
+
+    fn end_record(&mut self) {
+        self.records += 1;
+        match &self.columns {
+            None => self.columns = Some(self.header.iter().map(|_| Column::new()).collect()),
+            Some(_) => {
+                if self.fields != self.header.len() && self.error.is_none() {
+                    self.error = Some(FrameError::Csv(format!(
+                        "row {} has {} fields, expected {}",
+                        self.records,
+                        self.fields,
+                        self.header.len()
+                    )));
+                }
+            }
+        }
+        self.fields = 0;
+    }
+
+    fn finish(self) -> Result<DataFrame> {
+        if let Some(error) = self.error {
+            return Err(error);
+        }
+        match self.columns {
+            None => Ok(DataFrame::new()),
+            Some(columns) => {
+                DataFrame::from_columns(self.header.into_iter().zip(columns).collect())
+            }
+        }
+    }
 }
 
 fn infer_value(field: &str) -> AttrValue {
@@ -125,68 +240,6 @@ fn infer_value(field: &str) -> AttrValue {
         }
     }
     AttrValue::Str(field.into())
-}
-
-/// One raw field: its unescaped text plus whether any part of it was
-/// quoted (which suppresses type inference).
-struct RawField {
-    text: String,
-    quoted: bool,
-}
-
-/// Splits CSV text into rows of unescaped fields.
-fn parse_rows(text: &str) -> Result<Vec<Vec<RawField>>> {
-    let mut rows = Vec::new();
-    let mut row: Vec<RawField> = Vec::new();
-    let mut field = String::new();
-    let mut field_quoted = false;
-    let mut in_quotes = false;
-    let mut chars = text.chars().peekable();
-    let mut saw_any = false;
-    let take_field = |field: &mut String, quoted: &mut bool| RawField {
-        text: std::mem::take(field),
-        quoted: std::mem::take(quoted),
-    };
-    while let Some(c) = chars.next() {
-        saw_any = true;
-        if in_quotes {
-            match c {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        field.push('"');
-                    } else {
-                        in_quotes = false;
-                    }
-                }
-                _ => field.push(c),
-            }
-        } else {
-            match c {
-                '"' => {
-                    in_quotes = true;
-                    field_quoted = true;
-                }
-                ',' => {
-                    row.push(take_field(&mut field, &mut field_quoted));
-                }
-                '\r' => {}
-                '\n' => {
-                    row.push(take_field(&mut field, &mut field_quoted));
-                    rows.push(std::mem::take(&mut row));
-                }
-                _ => field.push(c),
-            }
-        }
-    }
-    if in_quotes {
-        return Err(FrameError::Csv("unterminated quoted field".to_string()));
-    }
-    if saw_any && (!field.is_empty() || field_quoted || !row.is_empty()) {
-        row.push(take_field(&mut field, &mut field_quoted));
-        rows.push(row);
-    }
-    Ok(rows)
 }
 
 #[cfg(test)]
@@ -278,6 +331,30 @@ mod tests {
     #[test]
     fn mismatched_row_width_errors() {
         assert!(matches!(from_csv("a,b\n1,2\n3\n"), Err(FrameError::Csv(_))));
+    }
+
+    #[test]
+    fn width_errors_name_the_record_counting_the_header_as_one() {
+        // Records, not lines: a quoted newline does not start a record.
+        let pins = [
+            ("a,b\n1,2\n3\n", "row 3 has 1 fields, expected 2"),
+            ("a,b\n\"x\ny\",2\n1,2,3\n", "row 3 has 3 fields, expected 2"),
+            ("a,b\r\n1,2\r\n3\r\n", "row 3 has 1 fields, expected 2"),
+            ("a,b\n\n1,2\n", "row 2 has 1 fields, expected 2"),
+            ("a,b\n1,2\n3,4,5", "row 3 has 3 fields, expected 2"),
+            (
+                "é,\"ü\"\n\"日本\nx\",2\n\"€\"\n",
+                "row 3 has 1 fields, expected 2",
+            ),
+            // An unterminated quote outranks an earlier width error, which
+            // outranks a duplicate column name.
+            ("a,b\n1\n\"oops", "unterminated quoted field"),
+            ("a,a\n1\n", "row 2 has 1 fields, expected 2"),
+        ];
+        for (input, error) in pins {
+            let want = format!("CSV parse error: {error}");
+            assert_eq!(from_csv(input).unwrap_err().to_string(), want, "{input:?}");
+        }
     }
 
     #[test]

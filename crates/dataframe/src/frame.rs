@@ -231,8 +231,9 @@ impl DataFrame {
 
     /// Removes row `row` in place, shifting later rows down one position
     /// and returning the removed values. Unlike [`DataFrame::take`] this
-    /// does not rebuild (or clone) the surviving rows — the serving layer's
-    /// `RemoveEdge` write path depends on that.
+    /// clones nothing, but the shift is still one memmove per column of
+    /// every later value: O(rows), the one step of the serving layer's
+    /// `RemoveEdge` write path whose cost grows with the frame.
     pub fn remove_row(&mut self, row: usize) -> Result<Vec<AttrValue>> {
         if row >= self.n_rows() {
             return Err(FrameError::RowOutOfBounds {

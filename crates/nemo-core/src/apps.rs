@@ -88,7 +88,7 @@ impl ApplicationWrapper for TrafficApp {
     }
 
     fn raw_json(&self) -> String {
-        graph_to_json(&trafficgen::export::to_graph(&self.workload)).to_json()
+        graph_to_json(&trafficgen::export::to_graph(&self.workload))
     }
 }
 
@@ -151,7 +151,7 @@ impl ApplicationWrapper for MaltApp {
     }
 
     fn raw_json(&self) -> String {
-        graph_to_json(&malt::export::to_graph(&self.model)).to_json()
+        graph_to_json(&malt::export::to_graph(&self.model))
     }
 }
 

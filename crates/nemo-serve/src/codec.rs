@@ -42,9 +42,10 @@ pub(crate) fn n(value: i64) -> JsonValue {
     JsonValue::Number(value as f64)
 }
 
-/// Type-tagged [`AttrValue`] encoding (lossless, unlike
-/// [`JsonValue::from_attr`] which merges integral floats into ints on the
-/// way back).
+/// Type-tagged [`AttrValue`] encoding (lossless, unlike the untagged
+/// numbers of the node-link graph encoding, which
+/// [`netgraph::json::graph_from_json`] reads back as ints when they are
+/// integral).
 fn value_to_json(value: &AttrValue) -> JsonValue {
     match value {
         AttrValue::Null => obj(vec![("t", s("null"))]),

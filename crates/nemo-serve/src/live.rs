@@ -10,6 +10,19 @@
 //! durable one a persistent server keeps ([`crate::shard_persist`]); the
 //! live network holds only the state.
 //!
+//! **Row indices.** Every write-path lookup goes through an index, never a
+//! column scan. A node's row never moves (nodes are never removed), so the
+//! node index maps an id to its row. An edge's row moves whenever a row
+//! above it is removed, so the edge index maps each `(source, target)` pair
+//! to a *key* instead: a number fixed when the row is appended. The keys
+//! ascend strictly with the rows, so a key's row is its position in the key
+//! vector, found by binary search. A removal deletes one index entry and one
+//! key and rewrites no other entry; what still grows with the state is the
+//! memmove that shifts the later keys and frame rows up. (A shard partition
+//! keys its rows by their merge sequence numbers, see [`crate::shard`]; a
+//! standalone network numbers its initial rows `0..n` and counts upward
+//! from the last key.)
+//!
 //! The substrates sit behind `Arc`s. [`LiveNetwork::state`] hands those
 //! `Arc`s to the sandbox instead of copying them, and a mutation writes
 //! through `Arc::make_mut`, which copies a substrate only while something
@@ -36,25 +49,29 @@ pub struct LiveNetwork {
     nodes: Arc<DataFrame>,
     edges: Arc<DataFrame>,
     epoch: Epoch,
-    /// Row index of each node id in the node frame, kept in lockstep with
-    /// `nodes` so write-path lookups are O(1) instead of a column scan.
+    /// Row index of each node id in the node frame (see the module docs).
     node_rows: HashMap<String, usize>,
-    /// Row index of each `(source, target)` pair in the edge frame,
-    /// nested by source so lookups probe with `&str` — no per-lookup key
+    /// Row key of each `(source, target)` pair in the edge frame, nested
+    /// by source so lookups probe with `&str` — no per-lookup key
     /// allocation on the hot mutation path.
-    edge_rows: HashMap<String, HashMap<String, usize>>,
+    edge_rows: HashMap<String, HashMap<String, u64>>,
+    /// The key of every edge-frame row, in row order and strictly
+    /// ascending.
+    edge_seqs: Vec<u64>,
 }
 
-/// Builds the row indices from frames (tolerating missing columns — a
-/// frame without the schema columns simply yields empty indices, matching
-/// the old scan-based lookups that found nothing).
+/// Builds the row indices from frames, keying edge row `r` by
+/// `edge_seqs[r]` (tolerating missing columns — a frame without the schema
+/// columns simply yields empty indices, matching the old scan-based
+/// lookups that found nothing).
 #[allow(clippy::type_complexity)]
 fn row_indices(
     nodes: &DataFrame,
     edges: &DataFrame,
+    edge_seqs: &[u64],
 ) -> (
     HashMap<String, usize>,
-    HashMap<String, HashMap<String, usize>>,
+    HashMap<String, HashMap<String, u64>>,
 ) {
     let mut node_rows = HashMap::new();
     if let Ok(ids) = nodes.column("id") {
@@ -64,14 +81,14 @@ fn row_indices(
             }
         }
     }
-    let mut edge_rows: HashMap<String, HashMap<String, usize>> = HashMap::new();
+    let mut edge_rows: HashMap<String, HashMap<String, u64>> = HashMap::new();
     if let (Ok(sources), Ok(targets)) = (edges.column("source"), edges.column("target")) {
-        for (row, (s, t)) in sources.values().iter().zip(targets.values()).enumerate() {
+        for ((s, t), &key) in sources.values().iter().zip(targets.values()).zip(edge_seqs) {
             if let (Some(s), Some(t)) = (s.as_str(), t.as_str()) {
                 edge_rows
                     .entry(s.to_string())
                     .or_default()
-                    .insert(t.to_string(), row);
+                    .insert(t.to_string(), key);
             }
         }
     }
@@ -82,25 +99,33 @@ impl LiveNetwork {
     /// Materializes a generated workload at epoch 0.
     pub fn from_workload(workload: &TrafficWorkload) -> Self {
         let (nodes, edges) = export::to_frames(workload);
-        let (node_rows, edge_rows) = row_indices(&nodes, &edges);
-        LiveNetwork {
-            graph: Arc::new(export::to_graph(workload)),
-            nodes: Arc::new(nodes),
-            edges: Arc::new(edges),
-            epoch: 0,
-            node_rows,
-            edge_rows,
-        }
+        LiveNetwork::from_parts(export::to_graph(workload), nodes, edges, 0)
     }
 
-    /// Reassembles a network from restored substrates (the snapshot path).
+    /// Reassembles a network from restored substrates (the snapshot path),
+    /// keying the edge rows `0..n`.
     pub(crate) fn from_parts(
         graph: Graph,
         nodes: DataFrame,
         edges: DataFrame,
         epoch: Epoch,
     ) -> Self {
-        let (node_rows, edge_rows) = row_indices(&nodes, &edges);
+        let edge_seqs = (0..edges.n_rows() as u64).collect();
+        LiveNetwork::from_keyed_parts(graph, nodes, edges, epoch, edge_seqs)
+    }
+
+    /// Reassembles a network whose edge row `r` is keyed `edge_seqs[r]`.
+    /// The caller guarantees one key per edge row, strictly ascending.
+    pub(crate) fn from_keyed_parts(
+        graph: Graph,
+        nodes: DataFrame,
+        edges: DataFrame,
+        epoch: Epoch,
+        edge_seqs: Vec<u64>,
+    ) -> Self {
+        debug_assert_eq!(edge_seqs.len(), edges.n_rows());
+        debug_assert!(edge_seqs.windows(2).all(|w| w[0] < w[1]));
+        let (node_rows, edge_rows) = row_indices(&nodes, &edges, &edge_seqs);
         LiveNetwork {
             graph: Arc::new(graph),
             nodes: Arc::new(nodes),
@@ -108,22 +133,34 @@ impl LiveNetwork {
             epoch,
             node_rows,
             edge_rows,
+            edge_seqs,
         }
     }
 
     /// A copy that shares no substrate with `self` (`clone` shares them
-    /// all). A server partition starts from one: its first mutation then
-    /// writes in place even while the caller keeps the network it was
-    /// built from, and the fresh copy is laid out compactly, which
-    /// measurably speeds up the mutations that follow.
+    /// all), its edge rows keyed `0..n` afresh. A server partition starts
+    /// from one: its first mutation then writes in place even while the
+    /// caller keeps the network it was built from, and the fresh copy is
+    /// laid out compactly, which measurably speeds up the mutations that
+    /// follow.
     pub(crate) fn private_copy(&self) -> LiveNetwork {
+        // Renumbering a cloned index is cheaper than rebuilding it: no
+        // string is hashed again.
+        let mut edge_rows = self.edge_rows.clone();
+        for key in edge_rows.values_mut().flat_map(|m| m.values_mut()) {
+            *key = self
+                .edge_seqs
+                .binary_search(key)
+                .expect("every indexed key has a row") as u64;
+        }
         LiveNetwork {
             graph: Arc::new(Graph::clone(&self.graph)),
             nodes: Arc::new(DataFrame::clone(&self.nodes)),
             edges: Arc::new(DataFrame::clone(&self.edges)),
             epoch: self.epoch,
             node_rows: self.node_rows.clone(),
-            edge_rows: self.edge_rows.clone(),
+            edge_rows,
+            edge_seqs: (0..self.edge_seqs.len() as u64).collect(),
         }
     }
 
@@ -174,7 +211,8 @@ impl LiveNetwork {
     /// state is untouched.
     pub fn apply(&mut self, mutation: &Mutation) -> Result<Epoch, ServeError> {
         self.check(mutation)?;
-        Ok(self.apply_unchecked(mutation))
+        let next_key = self.edge_seqs.last().map_or(0, |&key| key + 1);
+        Ok(self.apply_unchecked(mutation, next_key))
     }
 
     /// Applies a mutation that was validated *shard-locally* (see
@@ -182,16 +220,30 @@ impl LiveNetwork {
     /// the router validated the mutation globally. The one semantic
     /// difference from [`LiveNetwork::apply`] is that an `AddEdge` whose
     /// endpoints live on other shards is applied through the graph's
-    /// auto-created attribute-less *ghost* endpoints.
-    pub(crate) fn apply_routed(&mut self, mutation: &Mutation) -> Result<Epoch, ServeError> {
+    /// auto-created attribute-less *ghost* endpoints. An `AddEdge` keys
+    /// its row `edge_seq`, which must exceed every key present; the other
+    /// kinds ignore it.
+    pub(crate) fn apply_routed(
+        &mut self,
+        mutation: &Mutation,
+        edge_seq: u64,
+    ) -> Result<Epoch, ServeError> {
         self.check_routed(mutation)?;
-        Ok(self.apply_unchecked(mutation))
+        if let (Mutation::AddEdge { .. }, Some(&last)) = (mutation, self.edge_seqs.last()) {
+            if edge_seq <= last {
+                return Err(ServeError::Corrupt(format!(
+                    "edge row key {edge_seq} does not exceed the last row's key {last}"
+                )));
+            }
+        }
+        Ok(self.apply_unchecked(mutation, edge_seq))
     }
 
     /// The write path shared by [`LiveNetwork::apply`] and
     /// [`LiveNetwork::apply_routed`]; the mutation must already be
-    /// validated against this network.
-    fn apply_unchecked(&mut self, mutation: &Mutation) -> Epoch {
+    /// validated against this network, and `edge_seq` (used by `AddEdge`
+    /// only) must exceed every key present.
+    fn apply_unchecked(&mut self, mutation: &Mutation, edge_seq: u64) -> Epoch {
         match mutation {
             Mutation::AddNode {
                 id,
@@ -229,7 +281,8 @@ impl LiveNetwork {
                 self.edge_rows
                     .entry(source.clone())
                     .or_default()
-                    .insert(target.clone(), self.edges.n_rows());
+                    .insert(target.clone(), edge_seq);
+                self.edge_seqs.push(edge_seq);
                 Arc::make_mut(&mut self.edges)
                     .push_row(export::flow_row_parts(
                         source,
@@ -290,21 +343,22 @@ impl LiveNetwork {
                     .edge_rows
                     .get_mut(source.as_str())
                     .expect("edge row checked present");
-                let row = by_target
+                let key = by_target
                     .remove(target.as_str())
                     .expect("edge row checked present");
                 if by_target.is_empty() {
                     self.edge_rows.remove(source.as_str());
                 }
+                // The later rows move up one position, their keys with
+                // them; no other index entry changes.
+                let row = self
+                    .edge_seqs
+                    .binary_search(&key)
+                    .expect("every indexed key has a row");
+                self.edge_seqs.remove(row);
                 Arc::make_mut(&mut self.edges)
                     .remove_row(row)
                     .expect("row index in range");
-                // Rows above the removed one shifted down by one.
-                for index in self.edge_rows.values_mut().flat_map(|m| m.values_mut()) {
-                    if *index > row {
-                        *index -= 1;
-                    }
-                }
             }
         }
         self.epoch += 1;
@@ -404,9 +458,16 @@ impl LiveNetwork {
         self.node_rows.get(id).copied()
     }
 
+    /// The edge-frame row of `(source, target)`: an allocation-free probe
+    /// for its key, then a binary search for the key's row.
     pub(crate) fn edge_row(&self, source: &str, target: &str) -> Option<usize> {
-        // O(1), allocation-free: both levels probe with `&str`.
-        self.edge_rows.get(source)?.get(target).copied()
+        let key = self.edge_rows.get(source)?.get(target)?;
+        self.edge_seqs.binary_search(key).ok()
+    }
+
+    /// The key of every edge-frame row, in row order (strictly ascending).
+    pub(crate) fn edge_seqs(&self) -> &[u64] {
+        &self.edge_seqs
     }
 }
 
@@ -448,13 +509,14 @@ impl ApplicationWrapper for LiveNetwork {
     }
 
     fn raw_json(&self) -> String {
-        graph_to_json(&self.graph).to_json()
+        graph_to_json(&self.graph)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
     use trafficgen::{evolve, generate, StreamConfig, TrafficConfig};
 
     fn workload() -> TrafficWorkload {
@@ -514,6 +576,20 @@ mod tests {
         assert_eq!(live.graph().number_of_nodes(), live.nodes().n_rows());
     }
 
+    /// Every indexed edge pair with the row [`LiveNetwork::edge_row`]
+    /// finds for it.
+    fn edge_index(live: &LiveNetwork) -> HashMap<(String, String), usize> {
+        live.edge_rows
+            .iter()
+            .flat_map(|(s, by_target)| {
+                by_target.keys().map(move |t| {
+                    let row = live.edge_row(s, t).expect("every indexed pair has a row");
+                    ((s.clone(), t.clone()), row)
+                })
+            })
+            .collect()
+    }
+
     #[test]
     fn row_indices_stay_in_lockstep_with_the_frames() {
         let w = workload();
@@ -527,22 +603,25 @@ mod tests {
         );
         let check = |live: &LiveNetwork| {
             assert_eq!(live.node_rows.len(), live.nodes().n_rows());
-            let indexed: usize = live.edge_rows.values().map(|m| m.len()).sum();
-            assert_eq!(indexed, live.edges().n_rows());
             for (id, &row) in &live.node_rows {
                 assert_eq!(live.nodes().value(row, "id").unwrap().as_str(), Some(&**id));
             }
-            for (s, by_target) in &live.edge_rows {
-                for (t, &row) in by_target {
-                    assert_eq!(
-                        live.edges().value(row, "source").unwrap().as_str(),
-                        Some(&**s)
-                    );
-                    assert_eq!(
-                        live.edges().value(row, "target").unwrap().as_str(),
-                        Some(&**t)
-                    );
-                }
+            // One strictly ascending key per edge row...
+            assert_eq!(live.edge_seqs().len(), live.edges().n_rows());
+            assert!(live.edge_seqs().windows(2).all(|w| w[0] < w[1]));
+            // ...and every indexed pair finds a row holding that pair, so
+            // the index maps the pairs one to one onto the rows.
+            let index = edge_index(live);
+            assert_eq!(index.len(), live.edges().n_rows());
+            for ((s, t), &row) in &index {
+                assert_eq!(
+                    live.edges().value(row, "source").unwrap().as_str(),
+                    Some(&**s)
+                );
+                assert_eq!(
+                    live.edges().value(row, "target").unwrap().as_str(),
+                    Some(&**t)
+                );
             }
         };
         check(&live);
@@ -553,12 +632,118 @@ mod tests {
             check(&live);
         }
         assert!(removed_any, "stream must exercise RemoveEdge; enlarge it");
-        // A snapshot-restored network rebuilds identical indices.
+        // A snapshot-restored network rebuilds identical indices (its keys
+        // are renumbered, the rows they find are not).
         let restored = crate::snapshot::read_snapshot(&crate::snapshot::write_snapshot(&live))
             .expect("round trip");
         check(&restored);
         assert_eq!(restored.node_rows, live.node_rows);
-        assert_eq!(restored.edge_rows, live.edge_rows);
+        assert_eq!(edge_index(&restored), edge_index(&live));
+    }
+
+    /// The 1k/4k and 10k/40k states, built once per test binary.
+    fn sized_states() -> &'static [LiveNetwork; 2] {
+        static STATES: OnceLock<[LiveNetwork; 2]> = OnceLock::new();
+        STATES.get_or_init(|| {
+            [(1_000, 4_000), (10_000, 40_000)].map(|(nodes, edges)| {
+                LiveNetwork::from_workload(&generate(&TrafficConfig {
+                    nodes,
+                    edges,
+                    prefixes: 16,
+                    seed: 1,
+                }))
+            })
+        })
+    }
+
+    /// Every index entry: a node id with its row, an edge pair with its
+    /// key.
+    fn index_entries(live: &LiveNetwork) -> HashMap<(String, Option<String>), u64> {
+        let nodes = live
+            .node_rows
+            .iter()
+            .map(|(id, &row)| ((id.clone(), None), row as u64));
+        let edges = live.edge_rows.iter().flat_map(|(s, by_target)| {
+            by_target
+                .iter()
+                .map(move |(t, &key)| ((s.clone(), Some(t.clone())), key))
+        });
+        nodes.chain(edges).collect()
+    }
+
+    /// Index entries added, removed or rewritten from `before` to `after`.
+    fn entries_rewritten(
+        before: &HashMap<(String, Option<String>), u64>,
+        after: &HashMap<(String, Option<String>), u64>,
+    ) -> usize {
+        let changed_or_removed = before.iter().filter(|(k, v)| after.get(*k) != Some(*v));
+        let added = after.keys().filter(|k| !before.contains_key(*k));
+        changed_or_removed.count() + added.count()
+    }
+
+    #[test]
+    fn every_mutation_rewrites_at_most_one_index_entry() {
+        for state in sized_states() {
+            let mut live = state.clone();
+            let size = (live.nodes().n_rows(), live.edges().n_rows());
+            let pair = |row: usize| {
+                let at = |column| live.edges().value(row, column).unwrap().to_string();
+                (at("source"), at("target"))
+            };
+            let (first_source, first_target) = pair(0);
+            let (mid_source, mid_target) = pair(size.1 / 2);
+            let existing = live.nodes().value(1, "id").unwrap().to_string();
+            let mutations = [
+                Mutation::AddNode {
+                    id: "250.0.0.1".into(),
+                    prefix16: "250.0".into(),
+                    prefix24: "250.0.0".into(),
+                },
+                Mutation::AddEdge {
+                    source: "250.0.0.1".into(),
+                    target: existing.clone(),
+                    bytes: 1,
+                    connections: 1,
+                    packets: 1,
+                },
+                Mutation::SetFlow {
+                    source: first_source.clone(),
+                    target: first_target.clone(),
+                    bytes: 2,
+                    connections: 2,
+                    packets: 2,
+                },
+                Mutation::SetNodeAttr {
+                    id: existing.clone(),
+                    key: "prefix16".into(),
+                    value: "app:db".into(),
+                },
+                // The first row (every other row moves), a middle one, and
+                // the row just appended.
+                Mutation::RemoveEdge {
+                    source: first_source,
+                    target: first_target,
+                },
+                Mutation::RemoveEdge {
+                    source: mid_source,
+                    target: mid_target,
+                },
+                Mutation::RemoveEdge {
+                    source: "250.0.0.1".into(),
+                    target: existing,
+                },
+            ];
+            for mutation in &mutations {
+                let before = index_entries(&live);
+                live.apply(mutation).unwrap();
+                let rewritten = entries_rewritten(&before, &index_entries(&live));
+                assert!(
+                    rewritten <= 1,
+                    "{mutation:?} at {size:?} rewrote {rewritten} index entries"
+                );
+            }
+            assert_eq!(live.edges().n_rows(), size.1 - 2);
+        }
     }
 
     #[test]

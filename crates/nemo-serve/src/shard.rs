@@ -31,7 +31,9 @@
 //! unsharded frame, mutation-inserted rows get `seq_base + (global -
 //! base)`. Merging k frames is a k-way merge ascending by sequence
 //! number, which reproduces the unsharded frame *byte-identically* — the
-//! foundation of the shard-count-invariance guarantee.
+//! foundation of the shard-count-invariance guarantee. A partition's edge
+//! sequence numbers double as its [`LiveNetwork`]'s edge row keys, so the
+//! partition keeps only the node ones itself.
 
 use crate::error::ServeError;
 use crate::live::LiveNetwork;
@@ -60,14 +62,13 @@ pub fn route_mutation(mutation: &Mutation, shards: u32) -> u32 {
 }
 
 /// One shard's slice of the live state plus the per-row sequence numbers
-/// that make the merge deterministic.
+/// that make the merge deterministic. The edge rows' numbers are the live
+/// network's row keys ([`LiveNetwork::edge_seqs`]).
 #[derive(Debug, Clone)]
 pub(crate) struct ShardPartition {
     pub(crate) live: LiveNetwork,
     /// One entry per node-frame row: its position in the merged order.
     pub(crate) node_seqs: Vec<u64>,
-    /// One entry per edge-frame row: its position in the merged order.
-    pub(crate) edge_seqs: Vec<u64>,
 }
 
 impl ShardPartition {
@@ -81,29 +82,13 @@ impl ShardPartition {
         meta: &SeqBases,
     ) -> Result<(), ServeError> {
         debug_assert!(global > meta.base_epoch);
-        match mutation {
-            Mutation::AddNode { .. } => {
-                self.live.apply_routed(mutation)?;
-                self.node_seqs
-                    .push(meta.node_seq_base + (global - meta.base_epoch));
-            }
-            Mutation::AddEdge { .. } => {
-                self.live.apply_routed(mutation)?;
-                self.edge_seqs
-                    .push(meta.edge_seq_base + (global - meta.base_epoch));
-            }
-            Mutation::RemoveEdge { source, target } => {
-                let row = self.live.edge_row(source, target);
-                self.live.apply_routed(mutation)?;
-                let row = row.expect("apply_routed validated the edge exists");
-                self.edge_seqs.remove(row);
-            }
-            Mutation::SetFlow { .. } | Mutation::SetNodeAttr { .. } => {
-                self.live.apply_routed(mutation)?;
-            }
+        let step = global - meta.base_epoch;
+        self.live
+            .apply_routed(mutation, meta.edge_seq_base + step)?;
+        if let Mutation::AddNode { .. } = mutation {
+            self.node_seqs.push(meta.node_seq_base + step);
         }
         debug_assert_eq!(self.node_seqs.len(), self.live.nodes().n_rows());
-        debug_assert_eq!(self.edge_seqs.len(), self.live.edges().n_rows());
         Ok(())
     }
 }
@@ -147,10 +132,10 @@ impl ShardedNetwork {
             edge_seq_base: live.edges().n_rows() as u64,
         };
         if shards == 1 {
+            // The copy keys its edge rows `0..n`: their sequence numbers.
             let partition = ShardPartition {
                 live: live.private_copy(),
                 node_seqs: (0..live.nodes().n_rows() as u64).collect(),
-                edge_seqs: (0..live.edges().n_rows() as u64).collect(),
             };
             return Ok(ShardedNetwork {
                 partitions: vec![partition],
@@ -199,9 +184,14 @@ impl ShardedNetwork {
                 let node_frame = live.nodes().take(&nodes).expect("indices from enumerate");
                 let edge_frame = live.edges().take(&edges).expect("indices from enumerate");
                 ShardPartition {
-                    live: LiveNetwork::from_parts(graph, node_frame, edge_frame, 0),
+                    live: LiveNetwork::from_keyed_parts(
+                        graph,
+                        node_frame,
+                        edge_frame,
+                        0,
+                        edges.iter().map(|&r| r as u64).collect(),
+                    ),
                     node_seqs: nodes.iter().map(|&r| r as u64).collect(),
-                    edge_seqs: edges.iter().map(|&r| r as u64).collect(),
                 }
             })
             .collect();
@@ -370,7 +360,7 @@ impl ShardedNetwork {
         let edges = merge_frames(
             self.partitions
                 .iter()
-                .map(|p| (p.live.edges(), p.edge_seqs.as_slice())),
+                .map(|p| (p.live.edges(), p.live.edge_seqs())),
         );
         LiveNetwork::from_parts(graph, nodes, edges, global)
     }
@@ -521,6 +511,29 @@ mod tests {
                 "epoch vector must sum to the global epoch"
             );
         }
+    }
+
+    #[test]
+    fn a_replayed_edge_keyed_below_the_last_row_is_refused() {
+        let live = LiveNetwork::from_workload(&workload());
+        let mut net = ShardedNetwork::from_live(&live, 1).unwrap();
+        let add = |source: &str| Mutation::AddEdge {
+            source: source.into(),
+            target: "9.9.9.9".into(),
+            bytes: 1,
+            connections: 1,
+            packets: 1,
+        };
+        net.apply_at(5, &add("1.1.1.1")).unwrap();
+        let rows = net.partition(0).live.edges().n_rows();
+        // Global epoch 3 keys its row below the one epoch 5 appended: a
+        // damaged record stream, refused before anything moves.
+        assert!(matches!(
+            net.apply_at(3, &add("2.2.2.2")),
+            Err(ServeError::Corrupt(_))
+        ));
+        assert_eq!(net.partition(0).live.edges().n_rows(), rows);
+        assert_eq!(net.local_epoch(0), 1);
     }
 
     #[test]

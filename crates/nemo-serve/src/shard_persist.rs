@@ -59,11 +59,14 @@ use crate::live::LiveNetwork;
 use crate::mutation::{Epoch, WalRecord};
 use crate::persist::{with_storage_retry, PersistOptions, RecoveryReport, RetryMetrics};
 use crate::shard::{SeqBases, ShardPartition, ShardedNetwork};
-use crate::snapshot::{read_snapshot, write_snapshot};
+use crate::snapshot::{
+    parse_snapshot, snapshot_parts, snapshot_size_hint, write_snapshot_into, SnapshotParts,
+};
 use nemo_bench::pool;
 use nemo_store::{Store, StoreConfig, StoreMetrics, SweepOutcome};
-use netgraph::json::JsonValue;
+use netgraph::json::{write_number, write_string, Escaped, JsonValue};
 use std::collections::BTreeMap;
+use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Longest run of consecutive delta snapshots before a full one is
@@ -410,25 +413,59 @@ impl ShardPersistence {
         .to_json()
     }
 
+    /// The full `nemo-shard/v1` document of `partition`, written into one
+    /// string sized up front. The inner snapshot is written through
+    /// [`Escaped`], straight into its string literal.
     fn shard_document(&self, partition: &ShardPartition) -> String {
-        let seqs =
-            |values: &[u64]| JsonValue::Array(values.iter().map(|&v| codec::n(v as i64)).collect());
-        codec::obj(vec![
-            ("schema", codec::s(SHARD_SCHEMA)),
-            ("shard", codec::n(self.shard as i64)),
-            ("shards", codec::n(self.shards as i64)),
-            ("base_epoch", codec::n(self.bases.base_epoch as i64)),
-            ("node_seq_base", codec::n(self.bases.node_seq_base as i64)),
-            ("edge_seq_base", codec::n(self.bases.edge_seq_base as i64)),
-            ("last_global", codec::n(self.last_global as i64)),
-            ("node_seqs", seqs(&partition.node_seqs)),
-            ("edge_seqs", seqs(&partition.edge_seqs)),
-            (
-                "snapshot",
-                JsonValue::String(write_snapshot(&partition.live)),
-            ),
-        ])
-        .to_json()
+        let live = &partition.live;
+        // Each sequence number takes at most ~8 bytes; escaping the inner
+        // snapshot adds about a fifth.
+        let capacity = 8 * (partition.node_seqs.len() + live.edge_seqs().len())
+            + snapshot_size_hint(live) * 6 / 5;
+        let mut out = String::with_capacity(capacity);
+        self.write_shard_document(partition, &mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    /// Writes the document's fields with their keys in sorted order, as a
+    /// `JsonValue` object writes them.
+    fn write_shard_document(&self, partition: &ShardPartition, out: &mut String) -> fmt::Result {
+        fn field(out: &mut String, key: &str, value: u64) -> fmt::Result {
+            write_string(key, out)?;
+            out.push(':');
+            write_number(value as f64, out)?;
+            out.push(',');
+            Ok(())
+        }
+        fn seqs(out: &mut String, key: &str, values: &[u64]) -> fmt::Result {
+            write_string(key, out)?;
+            out.push_str(":[");
+            for (i, &value) in values.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_number(value as f64, out)?;
+            }
+            out.push_str("],");
+            Ok(())
+        }
+        out.push('{');
+        field(out, "base_epoch", self.bases.base_epoch)?;
+        field(out, "edge_seq_base", self.bases.edge_seq_base)?;
+        seqs(out, "edge_seqs", partition.live.edge_seqs())?;
+        field(out, "last_global", self.last_global)?;
+        field(out, "node_seq_base", self.bases.node_seq_base)?;
+        seqs(out, "node_seqs", &partition.node_seqs)?;
+        out.push_str("\"schema\":");
+        write_string(SHARD_SCHEMA, out)?;
+        out.push(',');
+        field(out, "shard", self.shard.into())?;
+        field(out, "shards", self.shards.into())?;
+        out.push_str("\"snapshot\":\"");
+        write_snapshot_into(&partition.live, &mut Escaped(&mut *out))?;
+        out.push_str("\"}");
+        Ok(())
     }
 
     /// Which shard this store belongs to.
@@ -468,21 +505,36 @@ enum ShardDoc {
     Delta(ShardDelta),
 }
 
+/// Reads a sequence vector, which must ascend strictly: the merge orders
+/// rows by these numbers, and the edge rows' numbers are the live
+/// network's binary-searched row keys.
 fn get_seqs(root: &BTreeMap<String, JsonValue>, key: &str) -> Result<Vec<u64>, ServeError> {
     let Some(JsonValue::Array(items)) = root.get(key) else {
         return Err(ServeError::Corrupt(format!(
             "shard snapshot field {key:?} is missing or not an array"
         )));
     };
-    items
-        .iter()
-        .map(|item| match item {
-            JsonValue::Number(x) if x.fract() == 0.0 && *x >= 0.0 => Ok(*x as u64),
-            other => Err(ServeError::Corrupt(format!(
-                "shard snapshot {key} entry is {other:?}, want a non-negative integer"
-            ))),
-        })
-        .collect()
+    let mut seqs: Vec<u64> = Vec::with_capacity(items.len());
+    for item in items {
+        let seq = match item {
+            JsonValue::Number(x) if x.fract() == 0.0 && *x >= 0.0 => *x as u64,
+            other => {
+                return Err(ServeError::Corrupt(format!(
+                    "shard snapshot {key} entry is {other:?}, want a non-negative integer"
+                )))
+            }
+        };
+        if let Some(&last) = seqs.last() {
+            if seq <= last {
+                return Err(ServeError::Corrupt(format!(
+                    "shard snapshot {key} is not strictly ascending: entry {} is {seq} after {last}",
+                    seqs.len()
+                )));
+            }
+        }
+        seqs.push(seq);
+    }
+    Ok(seqs)
 }
 
 /// Parses either flavor of shard snapshot document, dispatching on the
@@ -638,21 +690,27 @@ fn parse_full_shard_body(
         }
     };
     drop(root);
-    let live = read_snapshot(&inner)?;
-    if node_seqs.len() != live.nodes().n_rows() || edge_seqs.len() != live.edges().n_rows() {
+    let doc = parse_snapshot(&inner)?;
+    drop(inner);
+    let SnapshotParts {
+        graph,
+        nodes,
+        edges,
+        epoch,
+    } = snapshot_parts(doc)?;
+    if node_seqs.len() != nodes.n_rows() || edge_seqs.len() != edges.n_rows() {
         return Err(corrupt(format!(
             "sequence vectors ({} nodes, {} edges) do not match the frames ({} nodes, {} edges)",
             node_seqs.len(),
             edge_seqs.len(),
-            live.nodes().n_rows(),
-            live.edges().n_rows()
+            nodes.n_rows(),
+            edges.n_rows()
         )));
     }
     Ok(ShardDocument {
         partition: ShardPartition {
-            live,
+            live: LiveNetwork::from_keyed_parts(graph, nodes, edges, epoch, edge_seqs),
             node_seqs,
-            edge_seqs,
         },
         bases,
         last_global,
@@ -1214,6 +1272,42 @@ mod tests {
     }
 
     #[test]
+    fn shard_documents_with_unordered_sequences_are_refused() {
+        let root = temp_root("unordered");
+        let live = evolved_live(30);
+        let (_, persists, _) =
+            recover_or_create_sharded(&root, &test_options(), 2, 1, || live.clone()).unwrap();
+        let genesis = persists[0].store().read_snapshot(0).unwrap();
+        let genesis = String::from_utf8(genesis).unwrap();
+        assert!(parse_shard_any(genesis.clone(), 0, 2).is_ok());
+        // Hand edits: two entries swapped, and one repeated.
+        let edits: [fn(&mut Vec<JsonValue>); 2] =
+            [|seqs| seqs.swap(0, 1), |seqs| seqs[1] = seqs[0].clone()];
+        for field in ["edge_seqs", "node_seqs"] {
+            for edit in edits {
+                let Ok(JsonValue::Object(mut doc)) = JsonValue::parse(&genesis) else {
+                    panic!("a shard document is a JSON object");
+                };
+                let Some(JsonValue::Array(seqs)) = doc.get_mut(field) else {
+                    panic!("{field} is an array");
+                };
+                assert!(seqs.len() >= 2, "the shard needs two {field} entries");
+                edit(seqs);
+                match parse_shard_any(JsonValue::Object(doc).to_json(), 0, 2) {
+                    Err(ServeError::Corrupt(msg)) => {
+                        assert!(msg.contains(field), "{msg}");
+                        assert!(msg.contains("not strictly ascending"), "{msg}");
+                    }
+                    Err(other) => panic!("{field}: want a corrupt-document error, got {other}"),
+                    Ok(_) => panic!("{field}: an unordered document must be refused"),
+                }
+            }
+        }
+        drop(persists);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
     fn a_full_snapshot_is_forced_once_the_chain_is_long_enough() {
         let root = temp_root("chain-cap");
         // One shard: every stream event advances it, so each snapshot
@@ -1356,5 +1450,146 @@ mod tests {
         }
         assert_eq!(tree(&root), before, "the old layout was touched");
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// The mutations of the codec identity test: an `evolve` stream, then
+    /// attributes carrying every escape and value type the codecs handle
+    /// (quotes, commas, newlines, control and non-ASCII text, floats, a
+    /// null, lists, an integer past 2^53), in the frames' columns as well
+    /// as graph-only keys.
+    fn codec_identity_mutations(w: &trafficgen::TrafficWorkload) -> Vec<crate::mutation::Mutation> {
+        use crate::mutation::Mutation;
+        use netgraph::AttrValue;
+        let mut mutations: Vec<Mutation> = evolve(
+            w,
+            &StreamConfig {
+                events: 300,
+                seed: 5,
+            },
+        )
+        .iter()
+        .map(|event| Mutation::from_event(&event.event))
+        .collect();
+        let values = [
+            (
+                "prefix16",
+                AttrValue::from("quote \" comma , newline \n tab \t é€ 日本 \u{1}"),
+            ),
+            ("prefix24", AttrValue::Float(2.5)),
+            ("prefix24", AttrValue::Null),
+            (
+                "prefix16",
+                AttrValue::List(vec![
+                    AttrValue::Int(1),
+                    AttrValue::from("x\"y"),
+                    AttrValue::Float(0.5),
+                    AttrValue::Null,
+                ]),
+            ),
+            ("prefix24", AttrValue::Float(3.0)),
+            ("label", AttrValue::from("app:\"db\"\r\n")),
+            ("weight", AttrValue::Float(1e20)),
+            ("big", AttrValue::Int(i64::MAX)),
+            ("flag", AttrValue::Bool(true)),
+            (
+                "tags",
+                AttrValue::List(vec![AttrValue::from("é"), AttrValue::Float(-0.0)]),
+            ),
+        ];
+        for (i, (key, value)) in values.into_iter().enumerate() {
+            mutations.push(Mutation::SetNodeAttr {
+                id: w.endpoints[(7 * i) % w.endpoints.len()].to_string_dotted(),
+                key: key.to_string(),
+                value,
+            });
+        }
+        mutations
+    }
+
+    /// `(length, CRC-32)` of a document.
+    fn digest(bytes: &[u8]) -> (usize, u32) {
+        (bytes.len(), nemo_store::crc32::crc32(bytes))
+    }
+
+    #[test]
+    fn codec_bytes_match_pinned_digests() {
+        use nemo_core::apps::ApplicationWrapper;
+        let w = generate(&TrafficConfig {
+            nodes: 40,
+            edges: 120,
+            prefixes: 3,
+            seed: 17,
+        });
+        let initial = LiveNetwork::from_workload(&w);
+        let mut reference = initial.clone();
+        for mutation in codec_identity_mutations(&w) {
+            let _ = reference.apply(&mutation);
+        }
+        let mut documents = Vec::new();
+        for shards in [1u32, 3] {
+            let root = temp_root(&format!("codec-identity-{shards}"));
+            let (mut net, mut persists, _) =
+                recover_or_create_sharded(&root, &test_options(), shards, 1, || initial.clone())
+                    .unwrap();
+            for (i, mutation) in codec_identity_mutations(&w).into_iter().enumerate() {
+                let Ok(global) = net.apply(&mutation) else {
+                    continue;
+                };
+                let k = net.route(&mutation);
+                let record = WalRecord {
+                    epoch: net.local_epoch(k),
+                    at_ms: i as u64,
+                    mutation,
+                };
+                persists[k as usize].log(&record, global).unwrap();
+            }
+            for k in 0..shards {
+                persists[k as usize]
+                    .force_full_snapshot(net.partition(k))
+                    .unwrap();
+                let bytes = persists[k as usize]
+                    .store()
+                    .read_snapshot(net.local_epoch(k))
+                    .unwrap();
+                documents.push(digest(&bytes));
+            }
+            assert_eq!(
+                write_snapshot(&net.merged()),
+                write_snapshot(&reference),
+                "shards={shards}"
+            );
+            // The decoders read every document back to the same state.
+            drop(persists);
+            let (recovered, _, _) =
+                recover_or_create_sharded(&root, &test_options(), shards, 1, || unreachable!())
+                    .unwrap();
+            assert_eq!(
+                write_snapshot(&recovered.merged()),
+                write_snapshot(&reference),
+                "shards={shards}"
+            );
+            std::fs::remove_dir_all(&root).unwrap();
+        }
+        let snapshot = write_snapshot(&reference);
+        let restored = crate::snapshot::read_snapshot(&snapshot).unwrap();
+        assert_eq!(write_snapshot(&restored), snapshot);
+        let raw = reference.raw_json();
+        let got = (
+            digest(snapshot.as_bytes()),
+            digest(raw.as_bytes()),
+            documents,
+        );
+        // Computed by the tree-building encoders these writers replaced.
+        let pinned = (
+            (40900, 1060199794),
+            (26579, 19693951),
+            vec![
+                (49985, 867782737),
+                (15716, 3057864168),
+                (15295, 2306062431),
+                (21946, 2381505205),
+            ],
+        );
+        assert_eq!(got, pinned);
     }
 }

@@ -1,10 +1,23 @@
-//! Minimal JSON support: a value type, serializer, parser, and a node-link
-//! graph encoding.
+//! Minimal JSON support: a value type with its serializer and parser, and a
+//! node-link graph encoding.
 //!
 //! The strawman baseline from the paper pastes the entire communication
 //! graph, encoded as JSON, into the LLM prompt. Token counting for the cost
 //! analysis (Figure 4) therefore depends on exactly how the graph serializes,
 //! so the encoder lives here rather than behind an external dependency.
+//!
+//! **Encoding streams.** [`write_graph_json`] writes the node-link document
+//! straight into any [`fmt::Write`] sink, building no [`JsonValue`] tree on
+//! the way. Numbers and strings go through [`write_number`] and
+//! [`write_string`], the routines [`JsonValue::to_json`] uses, so both paths
+//! write the same bytes. [`Escaped`] JSON-escapes everything written through
+//! it: a document can embed another document, or a CSV table, as a string
+//! literal without building the inner text first.
+//!
+//! **Decoding.** [`JsonValue::parse`] walks the input's bytes and copies
+//! each string out in whole runs; [`JsonError::position`] still counts
+//! characters. [`graph_from_json`] consumes its tree and frees each node and
+//! link once it is in the graph.
 
 use crate::attr::AttrMap;
 use crate::graph::Graph;
@@ -34,45 +47,37 @@ impl JsonValue {
     /// Serializes to a compact JSON string.
     pub fn to_json(&self) -> String {
         let mut s = String::new();
-        self.write(&mut s);
+        self.write(&mut s).expect("writing to a String cannot fail");
         s
     }
 
-    fn write(&self, out: &mut String) {
+    fn write<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
         match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            // Written straight into `out`: snapshot documents carry tens of
-            // thousands of numbers, and a `format!` each would allocate.
-            JsonValue::Number(n) => {
-                if n.fract() == 0.0 && n.is_finite() && n.abs() < 1e15 {
-                    let _ = write!(out, "{}", *n as i64);
-                } else {
-                    let _ = write!(out, "{n}");
-                }
-            }
-            JsonValue::String(s) => write_str(s, out),
+            JsonValue::Null => out.write_str("null"),
+            JsonValue::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+            JsonValue::Number(n) => write_number(*n, out),
+            JsonValue::String(s) => write_string(s, out),
             JsonValue::Array(items) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    item.write(out);
+                    item.write(out)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             JsonValue::Object(map) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (k, v)) in map.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    write_str(k, out);
-                    out.push(':');
-                    v.write(out);
+                    write_string(k, out)?;
+                    out.write_char(':')?;
+                    v.write(out)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
     }
@@ -80,57 +85,42 @@ impl JsonValue {
     /// Parses a JSON document.
     pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
         let mut p = Parser {
-            chars: input.chars().collect(),
+            text: input,
             pos: 0,
         };
-        p.skip_ws();
-        let v = p.parse_value()?;
-        p.skip_ws();
-        if p.pos != p.chars.len() {
-            return Err(JsonError::new(
-                p.pos,
-                "trailing characters after JSON value",
-            ));
-        }
-        Ok(v)
+        let parsed = p.document();
+        // The parser counts bytes; the error reports characters. A byte
+        // offset inside a multi-byte character counts that character.
+        parsed.map_err(|mut e| {
+            e.position = input.as_bytes()[..e.position]
+                .iter()
+                .filter(|&&b| !is_continuation(b))
+                .count();
+            e
+        })
     }
 
-    /// Converts an [`AttrValue`] into JSON.
-    pub fn from_attr(value: &AttrValue) -> JsonValue {
-        match value {
-            AttrValue::Null => JsonValue::Null,
-            AttrValue::Bool(b) => JsonValue::Bool(*b),
-            AttrValue::Int(i) => JsonValue::Number(*i as f64),
-            AttrValue::Float(f) => JsonValue::Number(*f),
-            AttrValue::Str(s) => JsonValue::String(s.to_string()),
-            AttrValue::List(items) => {
-                JsonValue::Array(items.iter().map(JsonValue::from_attr).collect())
-            }
-        }
-    }
-
-    /// Converts JSON into an [`AttrValue`]; objects become lists of
-    /// `[key, value]` pairs since attribute values have no map variant.
-    pub fn to_attr(&self) -> AttrValue {
+    /// Converts JSON into an [`AttrValue`], consuming it; objects become
+    /// lists of `[key, value]` pairs since attribute values have no map
+    /// variant.
+    fn into_attr(self) -> AttrValue {
         match self {
             JsonValue::Null => AttrValue::Null,
-            JsonValue::Bool(b) => AttrValue::Bool(*b),
+            JsonValue::Bool(b) => AttrValue::Bool(b),
             JsonValue::Number(n) => {
                 if n.fract() == 0.0 && n.is_finite() && n.abs() < 9e15 {
-                    AttrValue::Int(*n as i64)
+                    AttrValue::Int(n as i64)
                 } else {
-                    AttrValue::Float(*n)
+                    AttrValue::Float(n)
                 }
             }
-            JsonValue::String(s) => AttrValue::Str(s.as_str().into()),
+            JsonValue::String(s) => AttrValue::Str(s.into()),
             JsonValue::Array(items) => {
-                AttrValue::List(items.iter().map(JsonValue::to_attr).collect())
+                AttrValue::List(items.into_iter().map(JsonValue::into_attr).collect())
             }
             JsonValue::Object(map) => AttrValue::List(
-                map.iter()
-                    .map(|(k, v)| {
-                        AttrValue::List(vec![AttrValue::Str(k.as_str().into()), v.to_attr()])
-                    })
+                map.into_iter()
+                    .map(|(k, v)| AttrValue::List(vec![AttrValue::Str(k.into()), v.into_attr()]))
                     .collect(),
             ),
         }
@@ -139,7 +129,7 @@ impl JsonValue {
 
 impl fmt::Display for JsonValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.to_json())
+        self.write(f)
     }
 }
 
@@ -173,17 +163,38 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-struct Parser {
-    chars: Vec<char>,
+/// True for a UTF-8 continuation byte (`10xxxxxx`).
+fn is_continuation(byte: u8) -> bool {
+    byte & 0xc0 == 0x80
+}
+
+/// A byte-walking parser. Every structural character is ASCII, so each
+/// position it slices `text` at is a char boundary; error positions are
+/// byte offsets until [`JsonValue::parse`] converts them.
+struct Parser<'a> {
+    text: &'a str,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+impl Parser<'_> {
+    fn document(&mut self) -> Result<JsonValue, JsonError> {
+        self.skip_ws();
+        let v = self.parse_value()?;
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(JsonError::new(
+                self.pos,
+                "trailing characters after JSON value",
+            ));
+        }
+        Ok(v)
     }
 
-    fn bump(&mut self) -> Option<char> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn bump(&mut self) -> Option<u8> {
         let c = self.peek();
         if c.is_some() {
             self.pos += 1;
@@ -192,35 +203,38 @@ impl Parser {
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(' ' | '\t' | '\n' | '\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
-    fn expect(&mut self, c: char) -> Result<(), JsonError> {
+    fn expect(&mut self, c: u8) -> Result<(), JsonError> {
         if self.bump() == Some(c) {
             Ok(())
         } else {
-            Err(JsonError::new(self.pos, &format!("expected '{c}'")))
+            Err(JsonError::new(
+                self.pos,
+                &format!("expected '{}'", c as char),
+            ))
         }
     }
 
     fn parse_value(&mut self) -> Result<JsonValue, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some('{') => self.parse_object(),
-            Some('[') => self.parse_array(),
-            Some('"') => Ok(JsonValue::String(self.parse_string()?)),
-            Some('t') => self.parse_keyword("true", JsonValue::Bool(true)),
-            Some('f') => self.parse_keyword("false", JsonValue::Bool(false)),
-            Some('n') => self.parse_keyword("null", JsonValue::Null),
-            Some(c) if c == '-' || c.is_ascii_digit() => self.parse_number(),
+            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.parse_array(),
+            Some(b'"') => Ok(JsonValue::String(self.parse_string()?)),
+            Some(b't') => self.parse_keyword("true", JsonValue::Bool(true)),
+            Some(b'f') => self.parse_keyword("false", JsonValue::Bool(false)),
+            Some(b'n') => self.parse_keyword("null", JsonValue::Null),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             _ => Err(JsonError::new(self.pos, "unexpected character")),
         }
     }
 
     fn parse_keyword(&mut self, kw: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
-        for expected in kw.chars() {
+        for expected in kw.bytes() {
             if self.bump() != Some(expected) {
                 return Err(JsonError::new(
                     self.pos,
@@ -231,74 +245,86 @@ impl Parser {
         Ok(value)
     }
 
-    fn parse_number(&mut self) -> Result<JsonValue, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some('-') {
-            self.pos += 1;
-        }
+    fn skip_digits(&mut self) {
         while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
             self.pos += 1;
         }
-        if self.peek() == Some('.') {
+    }
+
+    fn parse_number(&mut self) -> Result<JsonValue, JsonError> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
         }
-        if matches!(self.peek(), Some('e' | 'E')) {
+        self.skip_digits();
+        if self.peek() == Some(b'.') {
             self.pos += 1;
-            if matches!(self.peek(), Some('+' | '-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.skip_digits();
         }
-        let text: String = self.chars[start..self.pos].iter().collect();
-        text.parse::<f64>()
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.skip_digits();
+        }
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(JsonValue::Number)
             .map_err(|_| JsonError::new(start, "invalid number"))
     }
 
+    /// Parses a string literal, copying the text between escapes as whole
+    /// slices.
     fn parse_string(&mut self) -> Result<String, JsonError> {
-        self.expect('"')?;
+        self.expect(b'"')?;
         let mut s = String::new();
+        let mut run = self.pos;
         loop {
             match self.bump() {
-                Some('"') => return Ok(s),
-                Some('\\') => match self.bump() {
-                    Some('"') => s.push('"'),
-                    Some('\\') => s.push('\\'),
-                    Some('/') => s.push('/'),
-                    Some('n') => s.push('\n'),
-                    Some('t') => s.push('\t'),
-                    Some('r') => s.push('\r'),
-                    Some('b') => s.push('\u{8}'),
-                    Some('f') => s.push('\u{c}'),
-                    Some('u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let c = self
-                                .bump()
-                                .and_then(|c| c.to_digit(16))
-                                .ok_or_else(|| JsonError::new(self.pos, "invalid \\u escape"))?;
-                            code = code * 16 + c;
+                Some(b'"') => {
+                    s.push_str(&self.text[run..self.pos - 1]);
+                    return Ok(s);
+                }
+                Some(b'\\') => {
+                    s.push_str(&self.text[run..self.pos - 1]);
+                    match self.bump() {
+                        Some(b'"') => s.push('"'),
+                        Some(b'\\') => s.push('\\'),
+                        Some(b'/') => s.push('/'),
+                        Some(b'n') => s.push('\n'),
+                        Some(b't') => s.push('\t'),
+                        Some(b'r') => s.push('\r'),
+                        Some(b'b') => s.push('\u{8}'),
+                        Some(b'f') => s.push('\u{c}'),
+                        Some(b'u') => {
+                            let mut code = 0u32;
+                            for _ in 0..4 {
+                                let digit = self
+                                    .bump()
+                                    .and_then(|c| (c as char).to_digit(16))
+                                    .ok_or_else(|| {
+                                        JsonError::new(self.pos, "invalid \\u escape")
+                                    })?;
+                                code = code * 16 + digit;
+                            }
+                            s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         }
-                        s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        _ => return Err(JsonError::new(self.pos, "invalid escape sequence")),
                     }
-                    _ => return Err(JsonError::new(self.pos, "invalid escape sequence")),
-                },
-                Some(c) => s.push(c),
+                    run = self.pos;
+                }
+                Some(_) => {}
                 None => return Err(JsonError::new(self.pos, "unterminated string")),
             }
         }
     }
 
     fn parse_array(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect('[')?;
+        self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(']') {
+        if self.peek() == Some(b']') {
             self.pos += 1;
             return Ok(JsonValue::Array(items));
         }
@@ -306,18 +332,18 @@ impl Parser {
             items.push(self.parse_value()?);
             self.skip_ws();
             match self.bump() {
-                Some(',') => continue,
-                Some(']') => return Ok(JsonValue::Array(items)),
+                Some(b',') => continue,
+                Some(b']') => return Ok(JsonValue::Array(items)),
                 _ => return Err(JsonError::new(self.pos, "expected ',' or ']'")),
             }
         }
     }
 
     fn parse_object(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect('{')?;
+        self.expect(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
-        if self.peek() == Some('}') {
+        if self.peek() == Some(b'}') {
             self.pos += 1;
             return Ok(JsonValue::Object(map));
         }
@@ -325,69 +351,169 @@ impl Parser {
             self.skip_ws();
             let key = self.parse_string()?;
             self.skip_ws();
-            self.expect(':')?;
+            self.expect(b':')?;
             let value = self.parse_value()?;
             map.insert(key, value);
             self.skip_ws();
             match self.bump() {
-                Some(',') => continue,
-                Some('}') => return Ok(JsonValue::Object(map)),
+                Some(b',') => continue,
+                Some(b'}') => return Ok(JsonValue::Object(map)),
                 _ => return Err(JsonError::new(self.pos, "expected ',' or '}'")),
             }
         }
     }
 }
 
-fn attrs_to_object(attrs: &AttrMap) -> JsonValue {
-    JsonValue::Object(
-        attrs
-            .iter()
-            .map(|(k, v)| (k.clone(), JsonValue::from_attr(v)))
-            .collect(),
-    )
+/// Writes a JSON number: an integral value below 10^15 in magnitude as an
+/// integer, anything else in Rust's shortest round-trip form.
+pub fn write_number<W: fmt::Write + ?Sized>(n: f64, out: &mut W) -> fmt::Result {
+    if n.fract() == 0.0 && n.is_finite() && n.abs() < 1e15 {
+        write!(out, "{}", n as i64)
+    } else {
+        write!(out, "{n}")
+    }
 }
 
-/// Encodes a graph in node-link form:
-/// `{"directed": bool, "nodes": [{"id": ..., ...attrs}], "links": [{"source": ..., "target": ..., ...attrs}]}`.
+/// Writes `s` as a JSON string literal.
+pub fn write_string<W: fmt::Write + ?Sized>(s: &str, out: &mut W) -> fmt::Result {
+    out.write_char('"')?;
+    Escaped(&mut *out).write_str(s)?;
+    out.write_char('"')
+}
+
+/// A [`fmt::Write`] adapter that JSON-escapes everything written through
+/// it into the wrapped sink: the body of a string literal, without the
+/// quotes. Runs that need no escape are forwarded as whole slices, and
+/// every escape splits the text at an ASCII byte, so each slice boundary is
+/// a char boundary.
+pub struct Escaped<'a, W: fmt::Write + ?Sized>(pub &'a mut W);
+
+impl<W: fmt::Write + ?Sized> fmt::Write for Escaped<'_, W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let out = &mut *self.0;
+        let mut run = 0;
+        for (i, byte) in s.bytes().enumerate() {
+            let escape = match byte {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            out.write_str(&s[run..i])?;
+            if escape.is_empty() {
+                write!(out, "\\u{byte:04x}")?;
+            } else {
+                out.write_str(escape)?;
+            }
+            run = i + 1;
+        }
+        out.write_str(&s[run..])
+    }
+}
+
+/// Writes an attribute value as JSON. Integers go through [`write_number`]
+/// as `f64`, like every JSON number.
+fn write_attr<W: fmt::Write + ?Sized>(value: &AttrValue, out: &mut W) -> fmt::Result {
+    match value {
+        AttrValue::Null => out.write_str("null"),
+        AttrValue::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+        AttrValue::Int(i) => write_number(*i as f64, out),
+        AttrValue::Float(f) => write_number(*f, out),
+        AttrValue::Str(s) => write_string(s, out),
+        AttrValue::List(items) => {
+            out.write_char('[')?;
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.write_char(',')?;
+                }
+                write_attr(item, out)?;
+            }
+            out.write_char(']')
+        }
+    }
+}
+
+/// Writes `attrs` plus the string fields `named` as one object with sorted
+/// keys. `named` must be sorted by key; a named field replaces an attribute
+/// of the same name.
+fn write_attr_object<W: fmt::Write + ?Sized>(
+    attrs: &AttrMap,
+    named: &[(&str, &str)],
+    out: &mut W,
+) -> fmt::Result {
+    fn field<W: fmt::Write + ?Sized>(sep: &mut &str, key: &str, out: &mut W) -> fmt::Result {
+        out.write_str(sep)?;
+        *sep = ",";
+        write_string(key, out)?;
+        out.write_char(':')
+    }
+    out.write_char('{')?;
+    let mut sep = "";
+    let mut rest = named;
+    for (key, value) in attrs {
+        while let Some(((name, text), tail)) = rest.split_first() {
+            if *name > key.as_str() {
+                break;
+            }
+            field(&mut sep, name, out)?;
+            write_string(text, out)?;
+            rest = tail;
+        }
+        if named.iter().all(|(name, _)| name != key) {
+            field(&mut sep, key, out)?;
+            write_attr(value, out)?;
+        }
+    }
+    for (name, text) in rest {
+        field(&mut sep, name, out)?;
+        write_string(text, out)?;
+    }
+    out.write_char('}')
+}
+
+/// Writes a graph in node-link form, keys sorted in every object:
+/// `{"directed": bool, "links": [{...attrs, "source": ..., "target": ...}],
+/// "nodes": [{...attrs, "id": ...}]}`.
 ///
 /// This is the JSON shape fed to the strawman prompt and counted by the cost
-/// model.
-pub fn graph_to_json(g: &Graph) -> JsonValue {
-    let nodes: Vec<JsonValue> = g
-        .nodes()
-        .map(|(id, attrs)| {
-            let mut obj = match attrs_to_object(attrs) {
-                JsonValue::Object(m) => m,
-                _ => unreachable!(),
-            };
-            obj.insert("id".to_string(), JsonValue::String(id.to_string()));
-            JsonValue::Object(obj)
-        })
-        .collect();
-    let links: Vec<JsonValue> = g
-        .edges()
-        .map(|(u, v, attrs)| {
-            let mut obj = match attrs_to_object(attrs) {
-                JsonValue::Object(m) => m,
-                _ => unreachable!(),
-            };
-            obj.insert("source".to_string(), JsonValue::String(u.to_string()));
-            obj.insert("target".to_string(), JsonValue::String(v.to_string()));
-            JsonValue::Object(obj)
-        })
-        .collect();
-    let mut top = BTreeMap::new();
-    top.insert("directed".to_string(), JsonValue::Bool(g.is_directed()));
-    top.insert("nodes".to_string(), JsonValue::Array(nodes));
-    top.insert("links".to_string(), JsonValue::Array(links));
-    JsonValue::Object(top)
+/// model, and the graph part of a serving snapshot.
+pub fn write_graph_json<W: fmt::Write + ?Sized>(g: &Graph, out: &mut W) -> fmt::Result {
+    out.write_str(if g.is_directed() {
+        "{\"directed\":true,\"links\":["
+    } else {
+        "{\"directed\":false,\"links\":["
+    })?;
+    for (i, (u, v, attrs)) in g.edges().enumerate() {
+        if i > 0 {
+            out.write_char(',')?;
+        }
+        write_attr_object(attrs, &[("source", u), ("target", v)], out)?;
+    }
+    out.write_str("],\"nodes\":[")?;
+    for (i, (id, attrs)) in g.nodes().enumerate() {
+        if i > 0 {
+            out.write_char(',')?;
+        }
+        write_attr_object(attrs, &[("id", id)], out)?;
+    }
+    out.write_str("]}")
 }
 
-/// Decodes a node-link JSON document produced by [`graph_to_json`].
-pub fn graph_from_json(value: &JsonValue) -> Result<Graph, JsonError> {
-    let obj = match value {
-        JsonValue::Object(m) => m,
-        _ => return Err(JsonError::new(0, "expected top-level object")),
+/// [`write_graph_json`] into a new string.
+pub fn graph_to_json(g: &Graph) -> String {
+    let mut out = String::new();
+    write_graph_json(g, &mut out).expect("writing to a String cannot fail");
+    out
+}
+
+/// Decodes a node-link JSON document written by [`write_graph_json`],
+/// consuming the tree: each node and link is freed once it is in the graph.
+pub fn graph_from_json(value: JsonValue) -> Result<Graph, JsonError> {
+    let JsonValue::Object(mut obj) = value else {
+        return Err(JsonError::new(0, "expected top-level object"));
     };
     let directed = matches!(obj.get("directed"), Some(JsonValue::Bool(true)));
     let mut g = if directed {
@@ -395,75 +521,39 @@ pub fn graph_from_json(value: &JsonValue) -> Result<Graph, JsonError> {
     } else {
         Graph::undirected()
     };
-    if let Some(JsonValue::Array(nodes)) = obj.get("nodes") {
+    // A non-string id or endpoint is kept as its JSON text.
+    let name = |value: JsonValue| match value {
+        JsonValue::String(s) => s,
+        other => other.to_json(),
+    };
+    if let Some(JsonValue::Array(nodes)) = obj.remove("nodes") {
         for n in nodes {
-            if let JsonValue::Object(m) = n {
-                let id = match m.get("id") {
-                    Some(JsonValue::String(s)) => s.clone(),
-                    Some(other) => other.to_json(),
-                    None => return Err(JsonError::new(0, "node missing 'id'")),
-                };
-                let attrs: AttrMap = m
-                    .iter()
-                    .filter(|(k, _)| k.as_str() != "id")
-                    .map(|(k, v)| (k.clone(), v.to_attr()))
-                    .collect();
+            if let JsonValue::Object(mut m) = n {
+                let id = name(
+                    m.remove("id")
+                        .ok_or_else(|| JsonError::new(0, "node missing 'id'"))?,
+                );
+                let attrs: AttrMap = m.into_iter().map(|(k, v)| (k, v.into_attr())).collect();
                 g.add_node(&id, attrs);
             }
         }
     }
-    if let Some(JsonValue::Array(links)) = obj.get("links") {
+    if let Some(JsonValue::Array(links)) = obj.remove("links") {
         for l in links {
-            if let JsonValue::Object(m) = l {
-                let get = |key: &str| -> Result<String, JsonError> {
-                    match m.get(key) {
-                        Some(JsonValue::String(s)) => Ok(s.clone()),
-                        Some(other) => Ok(other.to_json()),
-                        None => Err(JsonError::new(0, &format!("link missing '{key}'"))),
-                    }
+            if let JsonValue::Object(mut m) = l {
+                let mut endpoint = |key: &str| {
+                    m.remove(key)
+                        .map(name)
+                        .ok_or_else(|| JsonError::new(0, &format!("link missing '{key}'")))
                 };
-                let source = get("source")?;
-                let target = get("target")?;
-                let attrs: AttrMap = m
-                    .iter()
-                    .filter(|(k, _)| k.as_str() != "source" && k.as_str() != "target")
-                    .map(|(k, v)| (k.clone(), v.to_attr()))
-                    .collect();
+                let source = endpoint("source")?;
+                let target = endpoint("target")?;
+                let attrs: AttrMap = m.into_iter().map(|(k, v)| (k, v.into_attr())).collect();
                 g.add_edge(&source, &target, attrs);
             }
         }
     }
     Ok(g)
-}
-
-/// Writes `s` as a JSON string literal. Runs that need no escape are
-/// copied as whole slices — snapshot documents embed multi-megabyte
-/// strings — and every escape splits the text at an ASCII byte, so each
-/// slice boundary is a char boundary.
-fn write_str(s: &str, out: &mut String) {
-    out.reserve(s.len() + 2);
-    out.push('"');
-    let mut run = 0;
-    for (i, byte) in s.bytes().enumerate() {
-        let escape = match byte {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\r' => "\\r",
-            b'\t' => "\\t",
-            0..=0x1f => "",
-            _ => continue,
-        };
-        out.push_str(&s[run..i]);
-        if escape.is_empty() {
-            let _ = write!(out, "\\u{byte:04x}");
-        } else {
-            out.push_str(escape);
-        }
-        run = i + 1;
-    }
-    out.push_str(&s[run..]);
-    out.push('"');
 }
 
 #[cfg(test)]
@@ -488,6 +578,62 @@ mod tests {
         assert_eq!(object.to_json(), format!("{{{want}:null}}"));
         assert_eq!(JsonValue::Number(-3.0).to_json(), "-3");
         assert_eq!(JsonValue::Number(1e20).to_json(), "100000000000000000000");
+        assert_eq!(object.to_string(), object.to_json());
+    }
+
+    #[test]
+    fn escaped_writers_nest() {
+        // A literal written through `Escaped` is the body of the literal
+        // that encodes the inner literal's text.
+        let mut inner = String::new();
+        write_string("a\"b\n€", &mut inner).unwrap();
+        let mut nested = String::new();
+        write_string("a\"b\n€", &mut Escaped(&mut nested)).unwrap();
+        assert_eq!(format!("\"{nested}\""), JsonValue::String(inner).to_json());
+    }
+
+    #[test]
+    fn graph_writer_sorts_keys_and_named_fields_win() {
+        let mut g = Graph::directed();
+        g.add_node("n", attrs([("a", 1i64), ("id", 7i64), ("z", 0i64)]));
+        g.set_node_attr("n", "z", AttrValue::Float(2.5)).unwrap();
+        g.add_edge("n", "m", attrs([("bytes", 1i64), ("source", 9i64)]));
+        g.set_edge_attr("n", "m", "tag", AttrValue::Null).unwrap();
+        g.set_edge_attr(
+            "n",
+            "m",
+            "z",
+            AttrValue::List(vec![AttrValue::Int(1), AttrValue::from("é")]),
+        )
+        .unwrap();
+        assert_eq!(
+            graph_to_json(&g),
+            r#"{"directed":true,"links":[{"bytes":1,"source":"n","tag":null,"target":"m","z":[1,"é"]}],"nodes":[{"id":"m"},{"a":1,"id":"n","z":2.5}]}"#
+        );
+    }
+
+    #[test]
+    fn error_positions_count_characters_not_bytes() {
+        let pins = [
+            ("[\"é€\", x]", 7),
+            ("{\"ключ\": tru}", 13),
+            ("\"日本語\\q\"", 6),
+            ("[\"€\" \"x\"]", 6),
+            ("é", 0),
+            ("[1,2]é", 5),
+            // Offsets inside a multi-byte character count that character.
+            ("\"\\u12é4\"", 6),
+            ("{\"a\"é1}", 5),
+            ("\"ab€", 4),
+            ("{\"ü\":1 é}", 8),
+        ];
+        for (input, position) in pins {
+            assert_eq!(
+                JsonValue::parse(input).unwrap_err().position,
+                position,
+                "{input}"
+            );
+        }
     }
 
     #[test]
@@ -520,8 +666,9 @@ mod tests {
             AttrValue::from("x"),
             AttrValue::Null,
         ]);
-        let json = JsonValue::from_attr(&attr);
-        assert_eq!(json.to_attr(), attr);
+        let mut text = String::new();
+        write_attr(&attr, &mut text).unwrap();
+        assert_eq!(JsonValue::parse(&text).unwrap().into_attr(), attr);
     }
 
     #[test]
@@ -533,10 +680,9 @@ mod tests {
             "10.0.2.1",
             attrs([("bytes", 1200i64), ("packets", 8i64)]),
         );
-        let json = graph_to_json(&g);
-        let text = json.to_json();
+        let text = graph_to_json(&g);
         let parsed = JsonValue::parse(&text).unwrap();
-        let back = graph_from_json(&parsed).unwrap();
+        let back = graph_from_json(parsed).unwrap();
         assert!(graphs_approx_eq(&g, &back));
     }
 
@@ -544,7 +690,7 @@ mod tests {
     fn graph_json_contains_node_link_keys() {
         let mut g = Graph::undirected();
         g.add_edge("a", "b", AttrMap::new());
-        let text = graph_to_json(&g).to_json();
+        let text = graph_to_json(&g);
         assert!(text.contains("\"nodes\""));
         assert!(text.contains("\"links\""));
         assert!(text.contains("\"source\":\"a\""));
@@ -552,6 +698,6 @@ mod tests {
 
     #[test]
     fn graph_from_json_rejects_non_object() {
-        assert!(graph_from_json(&JsonValue::Array(vec![])).is_err());
+        assert!(graph_from_json(JsonValue::Array(vec![])).is_err());
     }
 }
