@@ -68,11 +68,16 @@ pub(crate) fn with_storage_retry<T>(
 /// Durability and sizing knobs for one persistence directory.
 #[derive(Debug, Clone)]
 pub struct PersistOptions {
-    /// When appended records are fsynced.
+    /// When appended records are fsynced. A server is its stores' only
+    /// appender, so it opens them with [`FsyncPolicy::EveryRecord`] under
+    /// [`FsyncPolicy::GroupCommit`]: one fsync per append is what a group
+    /// commit with a lone appender does.
     pub fsync: FsyncPolicy,
     /// WAL segment rotation threshold in bytes.
     pub segment_max_bytes: u64,
     /// Snapshot once this many WAL bytes accumulated (0 disables).
+    /// Every snapshot is a full document, so this and
+    /// `snapshot_every_epochs` also bound the WAL a recovery replays.
     pub snapshot_every_bytes: u64,
     /// Snapshot once this many epochs passed since the last one
     /// (0 disables).
@@ -101,8 +106,8 @@ impl Default for PersistOptions {
         PersistOptions {
             fsync: FsyncPolicy::EveryBatch,
             segment_max_bytes: 1 << 20,
-            snapshot_every_bytes: 256 << 10,
-            snapshot_every_epochs: 1024,
+            snapshot_every_bytes: 1 << 20,
+            snapshot_every_epochs: 4096,
             keep_snapshots: 2,
             vfs: Arc::new(RealFs),
             registry: Registry::new(),

@@ -1206,6 +1206,91 @@ mod tests {
     }
 
     #[test]
+    fn group_commit_acknowledges_only_durable_mutations() {
+        let root =
+            std::env::temp_dir().join(format!("nemo-server-group-commit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let workload = generate(&TrafficConfig {
+            nodes: 10,
+            edges: 14,
+            prefixes: 2,
+            seed: 9,
+        });
+        let mut server = ServerBuilder::new()
+            .shards(2)
+            .options(PersistOptions {
+                fsync: crate::FsyncPolicy::GroupCommit {
+                    max_batch: 8,
+                    max_wait_micros: 200,
+                },
+                ..PersistOptions::default()
+            })
+            .persist_at(&root)
+            .build::<ScriptedLlm>(LiveNetwork::from_workload(&workload), Vec::new())
+            .unwrap();
+        let events = trafficgen::evolve(
+            &workload,
+            &trafficgen::StreamConfig {
+                events: 30,
+                seed: 5,
+            },
+        );
+        let mut acked = 0;
+        for timed in &events {
+            let owner = server.network().route(&Mutation::from_event(&timed.event)) as usize;
+            if let Response::Mutated { epoch, .. } = server.handle(&Request::from(timed)).unwrap() {
+                let store = server.shard_persistence()[owner].store();
+                assert_eq!(
+                    store.durable_epoch(),
+                    store.last_epoch(),
+                    "global epoch {epoch} was acknowledged before shard {owner} fsynced it"
+                );
+                acked += 1;
+            }
+        }
+        assert!(acked > 0);
+        drop(server);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn default_options_install_a_full_snapshot_every_4096_local_epochs() {
+        let root = std::env::temp_dir().join(format!("nemo-server-cadence-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let workload = generate(&TrafficConfig {
+            nodes: 10,
+            edges: 14,
+            prefixes: 2,
+            seed: 9,
+        });
+        let mut server = ServerBuilder::new()
+            .persist_at(&root)
+            .build::<ScriptedLlm>(LiveNetwork::from_workload(&workload), Vec::new())
+            .unwrap();
+        let events = trafficgen::evolve(
+            &workload,
+            &trafficgen::StreamConfig {
+                events: 8_400,
+                seed: 6,
+            },
+        );
+        for timed in &events {
+            server.handle(&Request::from(timed)).unwrap();
+        }
+        // No sync, so no sweep: every snapshot ever installed is on disk.
+        let store = server.shard_persistence()[0].store();
+        assert!(
+            store.last_epoch().unwrap() > 8192,
+            "{:?}",
+            store.last_epoch()
+        );
+        assert_eq!(store.snapshot_epochs(), &[0, 4096, 8192]);
+        assert_eq!(store.metrics().full_snapshots_written.get(), 3);
+        drop(server);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
     fn typed_sync_and_stats_requests_work() {
         let mut server = server_with(2, scripted(2));
         assert_eq!(server.handle(&Request::Sync).unwrap(), Response::Synced);

@@ -16,23 +16,23 @@
 //!   ([`crate::codec::encode_shard_record`]) so recovery can rebuild the
 //!   cross-shard sequence numbers that make the merged view
 //!   byte-identical at any shard count.
-//! * **Snapshots are shard documents.** A full `nemo-shard/v1` document
-//!   wraps an ordinary inner snapshot (at the *local* epoch) together with
-//!   the shard's identity (`shard`/`shards`), the sequence-number bases
-//!   fixed at partition time, the per-row sequence vectors, and the
-//!   highest global epoch the shard had observed. A `nemo-shard/v2`
-//!   *delta* document instead carries just the records logged since the
-//!   previous snapshot (each with its global epoch), so mid-stream
-//!   installs are O(delta); every [`MAX_DELTA_CHAIN`] installs — or
-//!   whenever the backlog is large — a full document anchors a new chain.
+//! * **Snapshots are shard documents.** Every snapshot is a full
+//!   `nemo-shard/v1` document: an ordinary inner snapshot (at the *local*
+//!   epoch) together with the shard's identity (`shard`/`shards`), the
+//!   sequence-number bases fixed at partition time, the per-row sequence
+//!   vectors, and the highest global epoch the shard had observed. The
+//!   WAL alone carries the records between two snapshots; the store's
+//!   thresholds ([`PersistOptions::snapshot_every_epochs`] and
+//!   [`PersistOptions::snapshot_every_bytes`]) set how many of them a
+//!   recovery replays at most.
 //! * **Sweep** — installing deletes nothing. Pruning old snapshots and
 //!   deleting covered WAL segments is a separate sweep, which
 //!   [`Server::sweep_persistence`](crate::Server::sweep_persistence) runs
 //!   at batch boundaries so `append` never waits on filesystem removals.
 //! * **Recovery** rebuilds each partition from its newest *valid*
-//!   snapshot plus the WAL suffix. A delta is resolved down its chain to
-//!   a full base; a damaged link fails that candidate loudly (recorded in
-//!   the report) and recovery falls back to the next older snapshot. A
+//!   snapshot plus the WAL suffix. A damaged document fails that
+//!   candidate loudly (recorded in the report) and recovery falls back to
+//!   the next older retained snapshot, whose WAL suffix retention keeps. A
 //!   torn tail record is truncated (by the store), and every unrecoverable
 //!   condition — CRC mismatch, missing segment, epoch gap, conflicting
 //!   replay — fails loudly.
@@ -47,45 +47,35 @@
 //! **Layouts this build refuses.** A root holding store files directly
 //! is the single-shard layout written before every store moved under
 //! `shard-<k>/` (`nemo-wal/v1` records, `nemo-snapshot/v1,v2` documents).
-//! It is refused with [`ServeError::Layout`], as is a root holding stores
-//! for only some of the requested shards; both checks read the directory
-//! listing only, so a refused root is left exactly as it was. A root
-//! written with more shards than requested fails on the shard identity
-//! every document carries.
+//! It is refused with [`ServeError::Layout`], as is a shard directory
+//! holding a delta snapshot (`snap-<e>-from-<b>.snap`, a `nemo-shard/v2`
+//! document older builds wrote between full snapshots) and a root holding
+//! stores for only some of the requested shards. These checks read the
+//! directory listing only, so a refused root is left exactly as it was. A
+//! root written with more shards than requested fails on the shard
+//! identity every document carries.
 
 use crate::codec::{self, decode_shard_record, encode_shard_record, SHARD_WAL_MAGIC};
 use crate::error::ServeError;
 use crate::live::LiveNetwork;
 use crate::mutation::{Epoch, WalRecord};
-use crate::persist::{with_storage_retry, PersistOptions, RecoveryReport, RetryMetrics};
+use crate::persist::{
+    with_storage_retry, FsyncPolicy, PersistOptions, RecoveryReport, RetryMetrics,
+};
 use crate::shard::{SeqBases, ShardPartition, ShardedNetwork};
 use crate::snapshot::{
     parse_snapshot, snapshot_parts, snapshot_size_hint, write_snapshot_into, SnapshotParts,
 };
 use nemo_bench::pool;
+use nemo_obs::Class;
 use nemo_store::{Store, StoreConfig, StoreMetrics, SweepOutcome};
 use netgraph::json::{write_number, write_string, Escaped, JsonValue};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Longest run of consecutive delta snapshots before a full one is
-/// forced. Bounds both recovery's chain-resolution work and the blast
-/// radius of a damaged link (a broken base invalidates every delta above
-/// it).
-pub const MAX_DELTA_CHAIN: usize = 3;
-
-/// Largest record count a delta document may carry; a bigger backlog
-/// falls back to a full snapshot (re-encoding the state is then cheaper
-/// than replaying the delta on every recovery).
-pub const MAX_DELTA_RECORDS: usize = 4096;
-
-/// Schema tag of the full per-shard snapshot document.
+/// Schema tag of the per-shard snapshot document.
 pub const SHARD_SCHEMA: &str = "nemo-shard/v1";
-
-/// Schema tag of the *delta* per-shard snapshot document: base epoch plus
-/// the records logged since it, each carrying its global epoch.
-pub const SHARD_DELTA_SCHEMA: &str = "nemo-shard/v2";
 
 /// The directory one shard's store lives in, under the server's
 /// persistence root.
@@ -96,7 +86,13 @@ pub fn shard_dir(root: &Path, shard: u32) -> PathBuf {
 fn shard_store_config(options: &PersistOptions) -> StoreConfig {
     StoreConfig {
         magic: SHARD_WAL_MAGIC.to_string(),
-        fsync: options.fsync,
+        // A server is its stores' only appender, and a group commit with
+        // one appender is an fsync per append: the store does it inline,
+        // so an acknowledged mutation is a durable one.
+        fsync: match options.fsync {
+            FsyncPolicy::GroupCommit { .. } => FsyncPolicy::EveryRecord,
+            policy => policy,
+        },
         segment_max_bytes: options.segment_max_bytes,
         snapshot_every_bytes: options.snapshot_every_bytes,
         snapshot_every_epochs: options.snapshot_every_epochs,
@@ -113,15 +109,6 @@ pub struct ShardPersistence {
     bases: SeqBases,
     /// Highest global epoch this shard has logged or recovered.
     last_global: Epoch,
-    /// Records (with their global epochs) logged since the newest
-    /// snapshot, kept for the next delta document. Cleared (with
-    /// `since_overflow` raised) once it exceeds [`MAX_DELTA_RECORDS`].
-    since_snapshot: Vec<(WalRecord, Epoch)>,
-    /// True when `since_snapshot` was discarded as too large — the next
-    /// snapshot must be full.
-    since_overflow: bool,
-    /// Consecutive delta snapshots installed since the last full one.
-    chain_len: usize,
     /// Retry/surfaced-fault counters shared with the options' registry.
     retry: RetryMetrics,
 }
@@ -160,9 +147,6 @@ impl ShardPersistence {
             shards,
             bases,
             last_global: bases.base_epoch,
-            since_snapshot: Vec::new(),
-            since_overflow: false,
-            chain_len: 0,
             retry,
         };
         persistence.force_full_snapshot(partition)?;
@@ -200,12 +184,11 @@ impl ShardPersistence {
             truncated_bytes: open_report.truncated_bytes,
             ..RecoveryReport::default()
         };
-        // Newest shard document whose chain (a delta resolves down to a
-        // full base) still validates; a damaged link fails the candidate
-        // loudly and recovery falls back to the next older one.
+        // Newest shard document that still validates; a damaged one fails
+        // the candidate loudly and recovery falls back to the next older.
         let mut base: Option<(u64, ShardDocument)> = None;
         for &epoch in store.snapshot_epochs().iter().rev() {
-            match resolve_shard_chain(&store, epoch, shard, shards) {
+            match read_shard_snapshot(&store, epoch, shard, shards) {
                 Ok(doc) => {
                     base = Some((epoch, doc));
                     break;
@@ -265,17 +248,12 @@ impl ShardPersistence {
                 )));
             }
         }
-        // The chain counter starts saturated: the next snapshot is
-        // written in full, anchoring a fresh chain.
         let persistence = ShardPersistence {
             store,
             shard,
             shards,
             bases,
             last_global,
-            since_snapshot: Vec::new(),
-            since_overflow: true,
-            chain_len: MAX_DELTA_CHAIN,
             retry,
         };
         Ok((partition, persistence, report))
@@ -294,12 +272,6 @@ impl ShardPersistence {
         let retry = self.retry.clone();
         with_storage_retry(&retry, || Ok(self.store.append(record.epoch, &payload)?))?;
         self.last_global = self.last_global.max(global);
-        if self.since_snapshot.len() >= MAX_DELTA_RECORDS {
-            self.since_snapshot.clear();
-            self.since_overflow = true;
-        } else if !self.since_overflow {
-            self.since_snapshot.push((record.clone(), global));
-        }
         Ok(())
     }
 
@@ -318,65 +290,25 @@ impl ShardPersistence {
         if !self.store.snapshot_due(partition.live.epoch()) {
             return Ok(false);
         }
-        self.force_snapshot(partition)?;
+        self.force_full_snapshot(partition)?;
         Ok(true)
     }
 
-    /// Unconditionally writes and installs a shard snapshot: a
-    /// [`SHARD_DELTA_SCHEMA`] delta document when the backlog since the
-    /// newest snapshot is small, contiguous and the chain is short
-    /// (O(delta) install), a full document otherwise.
-    pub(crate) fn force_snapshot(&mut self, partition: &ShardPartition) -> Result<(), ServeError> {
-        let base = self.store.snapshot_metas().last().map(|m| m.epoch);
-        let local = partition.live.epoch();
-        let delta_eligible = !self.since_overflow
-            && self.chain_len < MAX_DELTA_CHAIN
-            && base.is_some_and(|b| {
-                local > b
-                    && self
-                        .since_snapshot
-                        .first()
-                        .is_some_and(|(r, _)| r.epoch == b + 1)
-                    && self
-                        .since_snapshot
-                        .last()
-                        .is_some_and(|(r, _)| r.epoch == local)
-                    && self.since_snapshot.len() as u64 == local - b
-            });
-        if delta_eligible {
-            let base = base.expect("checked above");
-            let document = self.shard_delta_document(local, base);
-            let retry = self.retry.clone();
-            with_storage_retry(&retry, || {
-                Ok(self
-                    .store
-                    .install_delta_snapshot(local, base, document.as_bytes())?)
-            })?;
-            self.chain_len += 1;
-            self.since_snapshot.clear();
-            self.since_overflow = false;
-            return Ok(());
-        }
-        self.force_full_snapshot(partition)
-    }
-
-    /// Unconditionally writes and installs a *full* shard snapshot,
-    /// anchoring a fresh delta chain.
+    /// Unconditionally writes and installs a full shard snapshot, under a
+    /// Physical `store.snapshot` span covering both the document encoding
+    /// and the install.
     pub(crate) fn force_full_snapshot(
         &mut self,
         partition: &ShardPartition,
     ) -> Result<(), ServeError> {
+        let _snapshot_span = self.store.tracer().span("store.snapshot", Class::Physical);
         let document = self.shard_document(partition);
         let retry = self.retry.clone();
         with_storage_retry(&retry, || {
             Ok(self
                 .store
                 .install_snapshot(partition.live.epoch(), document.as_bytes())?)
-        })?;
-        self.chain_len = 0;
-        self.since_snapshot.clear();
-        self.since_overflow = false;
-        Ok(())
+        })
     }
 
     /// Executes up to `max_removals` deferred removals (snapshot pruning,
@@ -384,33 +316,6 @@ impl ShardPersistence {
     pub(crate) fn sweep(&mut self, max_removals: usize) -> Result<SweepOutcome, ServeError> {
         let retry = self.retry.clone();
         with_storage_retry(&retry, || Ok(self.store.sweep(max_removals)?))
-    }
-
-    fn shard_delta_document(&self, epoch: u64, base: u64) -> String {
-        let records = JsonValue::Array(
-            self.since_snapshot
-                .iter()
-                .map(|(record, global)| {
-                    codec::obj(vec![
-                        ("epoch", JsonValue::Number(record.epoch as f64)),
-                        ("global", JsonValue::Number(*global as f64)),
-                        ("at_ms", JsonValue::Number(record.at_ms as f64)),
-                        ("mutation", codec::mutation_to_json(&record.mutation)),
-                    ])
-                })
-                .collect(),
-        );
-        codec::obj(vec![
-            ("schema", codec::s(SHARD_DELTA_SCHEMA)),
-            ("kind", codec::s("delta")),
-            ("shard", codec::n(self.shard as i64)),
-            ("shards", codec::n(self.shards as i64)),
-            ("epoch", JsonValue::Number(epoch as f64)),
-            ("delta_base", JsonValue::Number(base as f64)),
-            ("last_global", JsonValue::Number(self.last_global as f64)),
-            ("records", records),
-        ])
-        .to_json()
     }
 
     /// The full `nemo-shard/v1` document of `partition`, written into one
@@ -484,25 +389,11 @@ impl ShardPersistence {
     }
 }
 
-/// What a parsed (or chain-resolved) shard snapshot yields.
+/// What a parsed shard snapshot yields.
 struct ShardDocument {
     partition: ShardPartition,
     bases: SeqBases,
     last_global: Epoch,
-}
-
-/// A parsed `nemo-shard/v2` delta document, before chain resolution.
-struct ShardDelta {
-    epoch: u64,
-    delta_base: u64,
-    last_global: Epoch,
-    records: Vec<(WalRecord, Epoch)>,
-}
-
-enum ShardDoc {
-    // Boxed: a restored partition dwarfs a delta link's header.
-    Full(Box<ShardDocument>),
-    Delta(ShardDelta),
 }
 
 /// Reads a sequence vector, which must ascend strictly: the merge orders
@@ -537,140 +428,47 @@ fn get_seqs(root: &BTreeMap<String, JsonValue>, key: &str) -> Result<Vec<u64>, S
     Ok(seqs)
 }
 
-/// Parses either flavor of shard snapshot document, dispatching on the
-/// schema field. A schema version newer than v2 is refused with a
-/// message that stays distinguishable from disk corruption.
-fn parse_shard_any(
+/// Parses a `nemo-shard/v1` document and checks it belongs to shard
+/// `want_shard` of `want_shards`. A schema version newer than this
+/// build's is refused with a message that stays distinguishable from
+/// disk corruption.
+fn parse_shard(
     text: String,
     want_shard: u32,
     want_shards: u32,
-) -> Result<ShardDoc, ServeError> {
+) -> Result<ShardDocument, ServeError> {
     let corrupt = |msg: String| ServeError::Corrupt(msg);
     let doc = JsonValue::parse(&text).map_err(|e| corrupt(format!("not JSON: {e}")))?;
-    // A full document is mostly its inner snapshot: free the raw text
-    // before that is parsed in turn.
+    // A document is mostly its inner snapshot: free the raw text before
+    // that is parsed in turn.
     drop(text);
-    let JsonValue::Object(root) = doc else {
+    let JsonValue::Object(mut root) = doc else {
         return Err(corrupt("shard snapshot root is not an object".to_string()));
     };
     let schema = match root.get("schema") {
         Some(JsonValue::String(s)) => s.clone(),
         other => {
             return Err(corrupt(format!(
-                "schema field is {other:?}, want \"{SHARD_SCHEMA}\" or \"{SHARD_DELTA_SCHEMA}\""
+                "schema field is {other:?}, want \"{SHARD_SCHEMA}\""
             )))
         }
     };
     check_shard_identity(&root, want_shard, want_shards)?;
-    if schema == SHARD_SCHEMA {
-        return Ok(ShardDoc::Full(Box::new(parse_full_shard_body(root)?)));
-    }
-    if schema == SHARD_DELTA_SCHEMA {
-        return Ok(ShardDoc::Delta(parse_delta_shard_body(&root)?));
-    }
-    if let Some(version) = schema
-        .strip_prefix("nemo-shard/v")
-        .and_then(|v| v.parse::<u64>().ok())
-    {
-        if version > 2 {
-            return Err(corrupt(format!(
+    if schema != SHARD_SCHEMA {
+        // v2 is the delta schema of older builds, written only under
+        // delta file names, which `probe_layout` refuses.
+        let newer = schema
+            .strip_prefix("nemo-shard/v")
+            .and_then(|v| v.parse::<u64>().ok())
+            .filter(|&version| version > 2);
+        return Err(corrupt(match newer {
+            Some(version) => format!(
                 "shard snapshot format version {version} is newer than this build supports \
-                 (v2); refusing to load"
-            )));
-        }
+                 (v1); refusing to load"
+            ),
+            None => format!("schema field is {schema:?}, want \"{SHARD_SCHEMA}\""),
+        }));
     }
-    Err(corrupt(format!(
-        "schema field is {schema:?}, want \"{SHARD_SCHEMA}\" or \"{SHARD_DELTA_SCHEMA}\""
-    )))
-}
-
-fn check_shard_identity(
-    root: &BTreeMap<String, JsonValue>,
-    want_shard: u32,
-    want_shards: u32,
-) -> Result<(), ServeError> {
-    let shard = codec::get_u64(root, "shard")?;
-    let shards = codec::get_u64(root, "shards")?;
-    if shard != want_shard as u64 || shards != want_shards as u64 {
-        return Err(ServeError::Corrupt(format!(
-            "snapshot belongs to shard {shard} of {shards}, want shard {want_shard} of \
-             {want_shards} — the directory layout and the documents disagree"
-        )));
-    }
-    Ok(())
-}
-
-fn parse_delta_shard_body(root: &BTreeMap<String, JsonValue>) -> Result<ShardDelta, ServeError> {
-    let corrupt = |msg: String| ServeError::Corrupt(msg);
-    match root.get("kind") {
-        Some(JsonValue::String(kind)) if kind == "delta" => {}
-        other => {
-            return Err(corrupt(format!(
-                "shard delta kind field is {other:?}, want \"delta\""
-            )))
-        }
-    }
-    let epoch = codec::get_u64(root, "epoch")?;
-    let delta_base = codec::get_u64(root, "delta_base")?;
-    if delta_base >= epoch {
-        return Err(corrupt(format!(
-            "shard delta at epoch {epoch} claims base {delta_base} (bases must be older)"
-        )));
-    }
-    let last_global = codec::get_u64(root, "last_global")?;
-    let Some(JsonValue::Array(items)) = root.get("records") else {
-        return Err(corrupt(
-            "shard delta field \"records\" is missing or not an array".to_string(),
-        ));
-    };
-    if items.len() as u64 != epoch - delta_base {
-        return Err(corrupt(format!(
-            "shard delta covering ({delta_base}, {epoch}] carries {} records, want {}",
-            items.len(),
-            epoch - delta_base
-        )));
-    }
-    let mut records = Vec::with_capacity(items.len());
-    for (i, item) in items.iter().enumerate() {
-        let JsonValue::Object(m) = item else {
-            return Err(corrupt(format!("shard delta record {i} is not an object")));
-        };
-        let record_epoch = codec::get_u64(m, "epoch")?;
-        if record_epoch != delta_base + 1 + i as u64 {
-            return Err(corrupt(format!(
-                "shard delta record {i} carries epoch {record_epoch}, want {} \
-                 (records must be contiguous from the base)",
-                delta_base + 1 + i as u64
-            )));
-        }
-        let global = codec::get_u64(m, "global")?;
-        let at_ms = codec::get_u64(m, "at_ms")?;
-        let Some(JsonValue::Object(mutation)) = m.get("mutation") else {
-            return Err(corrupt(format!(
-                "shard delta record {i} mutation is missing or not an object"
-            )));
-        };
-        records.push((
-            WalRecord {
-                epoch: record_epoch,
-                at_ms,
-                mutation: codec::mutation_from_json(mutation)?,
-            },
-            global,
-        ));
-    }
-    Ok(ShardDelta {
-        epoch,
-        delta_base,
-        last_global,
-        records,
-    })
-}
-
-fn parse_full_shard_body(
-    mut root: BTreeMap<String, JsonValue>,
-) -> Result<ShardDocument, ServeError> {
-    let corrupt = |msg: String| ServeError::Corrupt(msg);
     let bases = SeqBases {
         base_epoch: codec::get_u64(&root, "base_epoch")?,
         node_seq_base: codec::get_u64(&root, "node_seq_base")?,
@@ -717,12 +515,27 @@ fn parse_full_shard_body(
     })
 }
 
-/// Resolves the shard snapshot at `epoch` into a restored partition,
-/// following a delta chain down to its full base. Any damaged link —
-/// unreadable file, failed validation, a replay that does not reach the
-/// link's epoch — fails the whole chain with the failing link named in
-/// the error, so the caller can fall back past it loudly.
-fn resolve_shard_chain(
+fn check_shard_identity(
+    root: &BTreeMap<String, JsonValue>,
+    want_shard: u32,
+    want_shards: u32,
+) -> Result<(), ServeError> {
+    let shard = codec::get_u64(root, "shard")?;
+    let shards = codec::get_u64(root, "shards")?;
+    if shard != want_shard as u64 || shards != want_shards as u64 {
+        return Err(ServeError::Corrupt(format!(
+            "snapshot belongs to shard {shard} of {shards}, want shard {want_shard} of \
+             {want_shards} — the directory layout and the documents disagree"
+        )));
+    }
+    Ok(())
+}
+
+/// Reads the shard snapshot at `epoch` into a restored partition. Any
+/// failure — an unreadable file, a failed validation, a document holding
+/// another epoch — is returned whole, so the caller can fall back past
+/// it loudly.
+fn read_shard_snapshot(
     store: &Store,
     epoch: u64,
     shard: u32,
@@ -731,69 +544,19 @@ fn resolve_shard_chain(
     let bytes = store.read_snapshot(epoch)?;
     let text = String::from_utf8(bytes)
         .map_err(|_| ServeError::Corrupt("shard snapshot document is not UTF-8".to_string()))?;
-    match parse_shard_any(text, shard, shards)? {
-        ShardDoc::Full(doc) => {
-            if doc.partition.live.epoch() != epoch {
-                return Err(ServeError::Corrupt(format!(
-                    "shard snapshot file for epoch {epoch} carries state at epoch {}",
-                    doc.partition.live.epoch()
-                )));
-            }
-            Ok(*doc)
-        }
-        ShardDoc::Delta(delta) => {
-            if delta.epoch != epoch {
-                return Err(ServeError::Corrupt(format!(
-                    "shard snapshot file for epoch {epoch} carries a delta at epoch {}",
-                    delta.epoch
-                )));
-            }
-            let mut doc =
-                resolve_shard_chain(store, delta.delta_base, shard, shards).map_err(|e| {
-                    ServeError::Corrupt(format!(
-                        "delta shard snapshot at epoch {epoch}: base {}: {e}",
-                        delta.delta_base
-                    ))
-                })?;
-            for (record, global) in &delta.records {
-                if record.epoch != doc.partition.live.epoch() + 1 {
-                    return Err(ServeError::Corrupt(format!(
-                        "delta shard snapshot at epoch {epoch}: shard state is at epoch {}, \
-                         next record is epoch {}",
-                        doc.partition.live.epoch(),
-                        record.epoch
-                    )));
-                }
-                doc.partition
-                    .apply_record(*global, &record.mutation, &doc.bases)
-                    .map_err(|e| {
-                        ServeError::Corrupt(format!("delta shard snapshot at epoch {epoch}: {e}"))
-                    })?;
-                doc.last_global = doc.last_global.max(*global);
-            }
-            if doc.partition.live.epoch() != epoch {
-                return Err(ServeError::Corrupt(format!(
-                    "delta shard snapshot at epoch {epoch} resolved to state at epoch {}",
-                    doc.partition.live.epoch()
-                )));
-            }
-            // The document records the shard's last observed global epoch
-            // at install time; the resolved chain must compute the same
-            // value or a record was altered.
-            if doc.last_global != delta.last_global {
-                return Err(ServeError::Corrupt(format!(
-                    "delta shard snapshot at epoch {epoch} carries last_global {}, but the \
-                     resolved chain computes {}",
-                    delta.last_global, doc.last_global
-                )));
-            }
-            Ok(doc)
-        }
+    let doc = parse_shard(text, shard, shards)?;
+    if doc.partition.live.epoch() != epoch {
+        return Err(ServeError::Corrupt(format!(
+            "shard snapshot file for epoch {epoch} carries state at epoch {}",
+            doc.partition.live.epoch()
+        )));
     }
+    Ok(doc)
 }
 
 /// Whether `dir` holds WAL segments or snapshot files (a missing
-/// directory holds none). Reads the listing only — a probe through
+/// directory holds none); a delta snapshot file from an older build is
+/// refused with [`ServeError::Layout`]. Reads the listing only — a probe through
 /// `Store::open` would repair torn tails and drop the truncation out of
 /// the recovery report — and ignores a crashed install's `.tmp` files,
 /// which the store's own open removes.
@@ -808,26 +571,32 @@ fn holds_store_files(dir: &Path) -> Result<bool, ServeError> {
             )))
         }
     };
+    let mut found = false;
     for entry in entries {
         let entry =
             entry.map_err(|e| ServeError::Storage(format!("probing {}: {e}", dir.display())))?;
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
-        if nemo_store::segment::parse_segment_name(name).is_some()
-            || nemo_store::parse_snapshot_name(name).is_some()
-            || nemo_store::parse_delta_snapshot_name(name).is_some()
-        {
-            return Ok(true);
+        if name.starts_with("snap-") && name.contains("-from-") && name.ends_with(".snap") {
+            return Err(ServeError::Layout(format!(
+                "{} is a delta snapshot written by an older build (a nemo-shard/v2 document \
+                 between full snapshots). This build does not read it; recover the root with \
+                 the build that wrote it, or start a fresh root",
+                dir.join(name).display()
+            )));
         }
+        found |= nemo_store::segment::parse_segment_name(name).is_some()
+            || nemo_store::parse_snapshot_name(name).is_some();
     }
-    Ok(false)
+    Ok(found)
 }
 
 /// Checks the layout under `root` before anything is opened: `Ok(false)`
 /// when no shard holds a store yet, `Ok(true)` when every one of the
 /// `shards` directories does. A root holding store files directly (the
-/// pre-`shard-<k>/` single-shard layout) or stores for only some shards is
-/// refused with [`ServeError::Layout`], touching nothing.
+/// pre-`shard-<k>/` single-shard layout), a delta snapshot file, or stores
+/// for only some shards is refused with [`ServeError::Layout`], touching
+/// nothing.
 fn probe_layout(root: &Path, shards: u32) -> Result<bool, ServeError> {
     if holds_store_files(root)? {
         return Err(ServeError::Layout(format!(
@@ -1089,7 +858,7 @@ mod tests {
             if i == 19 {
                 for k in 0..shards {
                     persists[k as usize]
-                        .force_snapshot(net.partition(k))
+                        .force_full_snapshot(net.partition(k))
                         .unwrap();
                 }
             }
@@ -1147,15 +916,14 @@ mod tests {
             persists[k as usize].log(&record, global).unwrap();
             if snapshot_at.contains(&i) {
                 for k in 0..shards {
-                    let newest = persists[k as usize]
+                    let newest = *persists[k as usize]
                         .store()
-                        .snapshot_metas()
+                        .snapshot_epochs()
                         .last()
-                        .map(|m| m.epoch)
                         .unwrap();
                     if net.local_epoch(k) > newest {
                         persists[k as usize]
-                            .force_snapshot(net.partition(k))
+                            .force_full_snapshot(net.partition(k))
                             .unwrap();
                     }
                 }
@@ -1168,53 +936,26 @@ mod tests {
     }
 
     #[test]
-    fn shard_delta_chains_recover_and_merge_identically() {
-        let root = temp_root("delta");
+    fn a_damaged_newest_snapshot_falls_back_loudly() {
+        let root = temp_root("snapshot-damage");
         let shards = 2u32;
-        let (reference, persists) = drive_sharded(&root, shards, 40, &[9, 19, 29]);
-        // The mid-stream snapshots took the O(delta) path on every shard
-        // that had logged records since its previous snapshot.
-        assert!(
-            persists
-                .iter()
-                .any(|p| p.store().snapshot_metas().iter().any(|m| m.base.is_some())),
-            "at least one shard must have installed a delta snapshot"
-        );
-        drop(persists);
-        let (recovered, _, reports) =
-            recover_or_create_sharded(&root, &test_options(), shards, 1, || unreachable!())
-                .unwrap();
-        assert!(reports.iter().all(|r| r.skipped_snapshots.is_empty()));
-        assert!(reports.iter().any(|r| r.snapshot_epoch > 0));
-        assert_eq!(recovered.global_epoch(), reference.epoch());
-        assert_eq!(
-            write_snapshot(&recovered.merged()),
-            write_snapshot(&reference)
-        );
-        std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn a_damaged_shard_delta_link_falls_back_loudly() {
-        let root = temp_root("delta-damage");
-        let shards = 2u32;
-        let (reference, persists) = drive_sharded(&root, shards, 40, &[9, 19, 29]);
-        // Pick a shard with at least two chained deltas and damage the
-        // *middle* link, so the tip's failure must name its broken base.
+        let (reference, mut persists) = drive_sharded(&root, shards, 40, &[9, 19, 29]);
+        // Sweep down to what retention keeps: the two newest snapshots and
+        // the WAL from the older one.
+        for p in &mut persists {
+            p.sweep(usize::MAX).unwrap();
+        }
         let victim = persists
             .iter()
-            .find(|p| {
-                let metas = p.store().snapshot_metas();
-                metas.len() >= 3 && metas[1].base.is_some() && metas[2].base.is_some()
-            })
-            .expect("some shard chained at least two deltas");
+            .find(|p| p.store().snapshot_epochs().len() == 2)
+            .expect("some shard retains two snapshots");
         let shard = victim.shard();
-        let metas = victim.store().snapshot_metas().to_vec();
-        let damaged = metas[1];
-        let path = shard_dir(&root, shard).join(nemo_store::delta_snapshot_file_name(
-            damaged.epoch,
-            damaged.base.unwrap(),
-        ));
+        let (older, newest) = match victim.store().snapshot_epochs() {
+            &[older, newest] => (older, newest),
+            other => unreachable!("{other:?}"),
+        };
+        let tip = victim.store().last_epoch().unwrap();
+        let path = shard_dir(&root, shard).join(nemo_store::snapshot_file_name(newest));
         drop(persists);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
@@ -1224,18 +965,14 @@ mod tests {
             recover_or_create_sharded(&root, &test_options(), shards, 1, || unreachable!())
                 .unwrap();
         let report = &reports[shard as usize];
-        // Every snapshot above the damaged link was skipped — each with
-        // the failing base named — and the survivor is the one below it.
-        assert!(!report.skipped_snapshots.is_empty(), "{report:?}");
-        assert!(
-            report
-                .skipped_snapshots
-                .iter()
-                .any(|(_, reason)| reason.contains(&format!("base {}", damaged.epoch))),
-            "{:?}",
-            report.skipped_snapshots
-        );
-        assert!(report.snapshot_epoch < damaged.epoch, "{report:?}");
+        // The damaged snapshot is skipped with its reason, and the older
+        // one plus the WAL reaches the same state.
+        assert_eq!(report.skipped_snapshots.len(), 1, "{report:?}");
+        let (skipped, reason) = &report.skipped_snapshots[0];
+        assert_eq!(*skipped, newest);
+        assert!(reason.contains("checksum"), "{reason}");
+        assert_eq!(report.snapshot_epoch, older, "{report:?}");
+        assert_eq!(report.replayed_records, tip - older, "{report:?}");
         assert_eq!(
             write_snapshot(&recovered.merged()),
             write_snapshot(&reference)
@@ -1246,7 +983,7 @@ mod tests {
     #[test]
     fn newer_or_malformed_shard_schemas_are_refused_with_clear_reasons() {
         fn parse_err(text: &str) -> ServeError {
-            match parse_shard_any(text.to_string(), 0, 1) {
+            match parse_shard(text.to_string(), 0, 1) {
                 Err(e) => e,
                 Ok(_) => panic!("document must be refused: {text}"),
             }
@@ -1257,18 +994,13 @@ mod tests {
             err.to_string().contains("newer than this build supports"),
             "{err}"
         );
-        let wrong_kind = r#"{"schema":"nemo-shard/v2","kind":"full","shard":0,"shards":1}"#;
-        let err = parse_err(wrong_kind);
-        assert!(err.to_string().contains("want \"delta\""), "{err}");
-        let inverted = r#"{"schema":"nemo-shard/v2","kind":"delta","shard":0,"shards":1,"epoch":4,"delta_base":7,"last_global":9,"records":[]}"#;
-        let err = parse_err(inverted);
-        assert!(err.to_string().contains("bases must be older"), "{err}");
-        let short = r#"{"schema":"nemo-shard/v2","kind":"delta","shard":0,"shards":1,"epoch":4,"delta_base":2,"last_global":9,"records":[]}"#;
-        let err = parse_err(short);
-        assert!(
-            err.to_string().contains("carries 0 records, want 2"),
-            "{err}"
-        );
+        // The delta schema older builds wrote is not read.
+        let retired = r#"{"schema":"nemo-shard/v2","kind":"delta","shard":0,"shards":1}"#;
+        let err = parse_err(retired);
+        assert!(err.to_string().contains("want \"nemo-shard/v1\""), "{err}");
+        let untagged = r#"{"shard":0,"shards":1}"#;
+        let err = parse_err(untagged);
+        assert!(err.to_string().contains("schema field is None"), "{err}");
     }
 
     #[test]
@@ -1279,7 +1011,7 @@ mod tests {
             recover_or_create_sharded(&root, &test_options(), 2, 1, || live.clone()).unwrap();
         let genesis = persists[0].store().read_snapshot(0).unwrap();
         let genesis = String::from_utf8(genesis).unwrap();
-        assert!(parse_shard_any(genesis.clone(), 0, 2).is_ok());
+        assert!(parse_shard(genesis.clone(), 0, 2).is_ok());
         // Hand edits: two entries swapped, and one repeated.
         let edits: [fn(&mut Vec<JsonValue>); 2] =
             [|seqs| seqs.swap(0, 1), |seqs| seqs[1] = seqs[0].clone()];
@@ -1293,7 +1025,7 @@ mod tests {
                 };
                 assert!(seqs.len() >= 2, "the shard needs two {field} entries");
                 edit(seqs);
-                match parse_shard_any(JsonValue::Object(doc).to_json(), 0, 2) {
+                match parse_shard(JsonValue::Object(doc).to_json(), 0, 2) {
                     Err(ServeError::Corrupt(msg)) => {
                         assert!(msg.contains(field), "{msg}");
                         assert!(msg.contains("not strictly ascending"), "{msg}");
@@ -1308,35 +1040,25 @@ mod tests {
     }
 
     #[test]
-    fn a_full_snapshot_is_forced_once_the_chain_is_long_enough() {
-        let root = temp_root("chain-cap");
-        // One shard: every stream event advances it, so each snapshot
-        // point installs exactly one snapshot.
-        let (_, persists) = drive_sharded(&root, 1, 40, &[7, 15, 23, 31, 39]);
-        let metas = persists[0].store().snapshot_metas();
-        // Genesis full, then MAX_DELTA_CHAIN deltas, then a full anchor,
-        // then the chain restarts.
-        assert_eq!(metas[0], nemo_store::SnapshotMeta::full(0));
-        for meta in &metas[1..=MAX_DELTA_CHAIN] {
-            assert!(meta.base.is_some(), "{metas:?}");
-        }
-        assert_eq!(metas[MAX_DELTA_CHAIN + 1].base, None, "{metas:?}");
-        assert!(metas[MAX_DELTA_CHAIN + 2].base.is_some(), "{metas:?}");
-        std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
     fn sweep_prunes_aged_out_chains_and_recovery_still_works() {
         let root = temp_root("sweep");
-        // Deltas at 8/16/24 chain to genesis; the chain cap forces a full
-        // at 32 and the delta at 40 builds on it — so with keep=2 the
-        // retained roots are {32, 40} and the whole old chain ages out.
+        // One shard: every stream event advances it, so each snapshot
+        // point installs exactly one snapshot. With keep=2 the retained
+        // snapshots are {32, 40}; genesis and 8/16/24 age out, and so do
+        // the WAL segments wholly at or below 32.
         let (reference, mut persists) = drive_sharded(&root, 1, 40, &[7, 15, 23, 31, 39]);
-        let pending = persists[0].store().sweep_plan().removals();
-        assert!(pending > 0, "aged-out snapshots must be deletable");
+        assert_eq!(
+            persists[0].store().snapshot_epochs(),
+            &[0, 8, 16, 24, 32, 40]
+        );
+        let plan = persists[0].store().sweep_plan();
+        assert_eq!(plan.prune_snapshots, vec![0, 8, 16, 24]);
+        assert_eq!(plan.covered_epoch, Some(32));
         let outcome = persists[0].sweep(usize::MAX).unwrap();
         assert_eq!(outcome.remaining, 0);
-        assert!(outcome.pruned_snapshots > 0);
+        assert_eq!(outcome.pruned_snapshots, 4);
+        assert!(outcome.removed_segments > 0, "{outcome:?}");
+        assert_eq!(persists[0].store().snapshot_epochs(), &[32, 40]);
         drop(persists);
         let (recovered, _, reports) =
             recover_or_create_sharded(&root, &test_options(), 1, 1, || unreachable!()).unwrap();
@@ -1449,6 +1171,27 @@ mod tests {
             ));
         }
         assert_eq!(tree(&root), before, "the old layout was touched");
+        std::fs::remove_dir_all(&root).unwrap();
+        // A delta snapshot an older build wrote between full snapshots,
+        // beside a crashed install's `.tmp` that opening shard 0's store
+        // would delete: refused by name before any store is opened.
+        let root = temp_root("layout-delta");
+        recover_or_create_sharded(&root, &test_options(), 2, 1, || live.clone()).unwrap();
+        let delta = "snap-00000000000000000004-from-00000000000000000000.snap";
+        std::fs::write(shard_dir(&root, 1).join(delta), "{}").unwrap();
+        let tmp = format!("{}.tmp", nemo_store::snapshot_file_name(9));
+        std::fs::write(shard_dir(&root, 0).join(tmp), "half").unwrap();
+        let before = tree(&root);
+        let err = recover_or_create_sharded(&root, &test_options(), 2, 1, || {
+            unreachable!("an occupied root is never re-created")
+        })
+        .unwrap_err();
+        assert!(
+            matches!(&err, ServeError::Layout(msg)
+                if msg.contains(delta) && msg.contains("delta snapshot written by an older build")),
+            "{err}"
+        );
+        assert_eq!(tree(&root), before, "the delta-holding root was touched");
         std::fs::remove_dir_all(&root).unwrap();
     }
 

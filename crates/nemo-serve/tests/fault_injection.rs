@@ -74,10 +74,10 @@ fn stream(events: usize) -> Vec<TimedEvent> {
     evolve(&workload(), &StreamConfig { events, seed: 11 })
 }
 
-/// Every how many epochs the workload installs a snapshot (delta-aware,
-/// through the server's own threshold) and then runs a budgeted sweep —
-/// every quarter of the stream, so installs, chains, a full anchor and
-/// compaction all sit inside the swept op space.
+/// Every how many epochs the workload installs a snapshot (through the
+/// server's own threshold) and then runs a budgeted sweep — every quarter
+/// of the stream, so installs, pruning and compaction all sit inside the
+/// swept op space.
 fn snapshot_every(events: usize) -> u64 {
     (events as u64 / 4).max(1)
 }

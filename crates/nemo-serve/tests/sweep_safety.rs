@@ -1,11 +1,10 @@
 //! Sweep safety, randomized: under arbitrary interleavings of appends,
-//! full/delta snapshot installs, budget-limited sweeps, and crash-reopens,
+//! snapshot installs, budget-limited sweeps, and crash-reopens,
 //! [`Store::sweep`] never deletes a snapshot or WAL segment that replay
 //! from the oldest retained snapshot still needs. After every step the
-//! store must satisfy: every retained snapshot document is readable, every
-//! retained delta still has its base in the manifest, and replaying from
-//! the oldest retained snapshot epoch reproduces exactly the appended
-//! records above it, all the way to the tip.
+//! store must satisfy: every retained snapshot document is readable, and
+//! replaying from the oldest retained snapshot epoch reproduces exactly
+//! the appended records above it, all the way to the tip.
 //!
 //! The proptest lives in nemo-serve (nemo-store carries no dev-deps) but
 //! drives a raw [`Store`] directly — the serving layer is not involved.
@@ -47,31 +46,18 @@ fn clone_dir(from: &Path, to: &Path) {
 
 /// Everything the store must still be able to prove after any step.
 fn check_invariants(store: &Store, appended: &[(u64, Vec<u8>)], context: &str) {
-    let metas = store.snapshot_metas().to_vec();
-    // Every retained snapshot document must still be readable, and every
-    // retained delta must still find its base in the manifest (sweeping a
-    // base out from under a retained delta would orphan the chain).
-    for meta in &metas {
+    let epochs = store.snapshot_epochs();
+    // Every retained snapshot document must still be readable.
+    for &epoch in epochs {
         let doc = store
-            .read_snapshot(meta.epoch)
-            .unwrap_or_else(|e| panic!("{context}: snapshot {} unreadable: {e}", meta.epoch));
-        assert!(
-            !doc.is_empty(),
-            "{context}: snapshot {} is empty",
-            meta.epoch
-        );
-        if let Some(base) = meta.base {
-            assert!(
-                metas.iter().any(|m| m.epoch == base),
-                "{context}: delta snapshot {} lost its base {base}",
-                meta.epoch
-            );
-        }
+            .read_snapshot(epoch)
+            .unwrap_or_else(|e| panic!("{context}: snapshot {epoch} unreadable: {e}"));
+        assert!(!doc.is_empty(), "{context}: snapshot {epoch} is empty");
     }
     // Replay from the oldest retained snapshot must reach the tip with
     // exactly the records appended above it — no swept-away segment may
     // leave a hole.
-    let from = metas.first().map(|m| m.epoch).unwrap_or(0);
+    let from = epochs.first().copied().unwrap_or(0);
     let replayed = store
         .replay(from)
         .unwrap_or_else(|e| panic!("{context}: replay from {from} failed: {e}"));
@@ -119,21 +105,14 @@ proptest! {
                     appended.push((next_epoch, payload));
                     next_epoch += 1;
                 }
-                // Install a snapshot at the tip — a delta on the newest
-                // snapshot when one exists and the arg says so, else full.
+                // Install a snapshot at the tip.
                 5 | 6 => {
                     let Some(tip) = store.last_epoch() else { continue };
-                    let newest = store.snapshot_metas().last().map(|m| m.epoch);
-                    if newest.is_some_and(|n| n >= tip) {
+                    if store.snapshot_epochs().last().is_some_and(|&n| n >= tip) {
                         continue; // nothing appended since the last install
                     }
                     let doc = format!("state at {tip} arg {arg}").into_bytes();
-                    match newest {
-                        Some(base) if arg % 3 != 0 => store
-                            .install_delta_snapshot(tip, base, &doc)
-                            .expect("install delta snapshot"),
-                        _ => store.install_snapshot(tip, &doc).expect("install full snapshot"),
-                    }
+                    store.install_snapshot(tip, &doc).expect("install snapshot");
                 }
                 // Sweep with a small random budget — most sweeps stop
                 // mid-plan, exactly the partial state that must stay safe.

@@ -18,10 +18,14 @@
 //! * **Fault attribution** — a surfaced `FailedFsync` fault appears
 //!   *inside* the owning request's trace as an error-tagged `store.fsync`
 //!   span carrying the poison cause.
+//! * **Snapshot attribution** — a snapshot install shows as a Physical
+//!   `store.snapshot` span under the mutate that triggered it, and leaves
+//!   the logical skeletons unchanged.
 
 use nemo_bench::pool;
 use nemo_core::{Backend, ScriptedLlm};
 use nemo_obs::trace::Tracer;
+use nemo_obs::Class;
 use nemo_serve::{
     validate_chrome_doc, validate_trace_doc, FsyncPolicy, LiveNetwork, PersistOptions, Request,
     Response, ServerBuilder, Session,
@@ -377,5 +381,70 @@ fn a_failed_fsync_is_error_tagged_inside_the_owning_request_trace() {
     assert!(
         span.parent_id.is_some(),
         "the fsync span is a descendant, not the root"
+    );
+}
+
+#[test]
+fn snapshot_installs_are_physical_spans_under_their_mutate() {
+    let run = |snapshot_every_epochs: u64| {
+        let tracer = Tracer::new();
+        tracer.enable(256);
+        let workload = generate(&TrafficConfig {
+            nodes: 12,
+            edges: 16,
+            prefixes: 2,
+            seed: 3,
+        });
+        let dir = temp_dir(&format!("snapshot-span-{snapshot_every_epochs}"));
+        let mut server = ServerBuilder::new()
+            .options(PersistOptions {
+                fsync: FsyncPolicy::Never,
+                snapshot_every_bytes: 0,
+                snapshot_every_epochs,
+                tracer: tracer.clone(),
+                ..PersistOptions::default()
+            })
+            .persist_at(&dir)
+            .build::<ScriptedLlm>(LiveNetwork::from_workload(&workload), Vec::new())
+            .expect("persisted build");
+        for timed in evolve(
+            &workload,
+            &StreamConfig {
+                events: 12,
+                seed: 4,
+            },
+        ) {
+            server
+                .handle(&Request::from(&timed))
+                .expect("stream applies");
+        }
+        assert_eq!(server.network().global_epoch(), 12, "every event applied");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+        assert_eq!(tracer.dropped(), 0, "the ring held the whole drive");
+        tracer
+    };
+    let snapshotting = run(4);
+    let traces = snapshotting.traces(0);
+    let installs: Vec<_> = traces
+        .iter()
+        .flat_map(|t| t.spans.iter().map(move |s| (t, s)))
+        .filter(|(_, s)| s.name == "store.snapshot")
+        .collect();
+    // Epochs 4, 8 and 12; the genesis install runs outside any request.
+    assert_eq!(installs.len(), 3);
+    for (trace, span) in installs {
+        assert_eq!(span.class, Class::Physical);
+        assert_eq!(trace.spans[0].name, "request.mutate");
+        let parent = trace
+            .spans
+            .iter()
+            .find(|s| Some(s.span_id) == span.parent_id)
+            .expect("the snapshot span has a parent");
+        assert_eq!(parent.name, "mutate.route");
+    }
+    assert_eq!(
+        snapshotting.logical_skeletons(0),
+        run(0).logical_skeletons(0),
+        "snapshot installs changed the logical skeletons"
     );
 }

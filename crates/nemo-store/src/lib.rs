@@ -19,9 +19,8 @@
 //!   new one is opened.
 //! * **Snapshots** — opaque documents framed like records in
 //!   `snap-<epoch20>.snap`, written to a temp file and atomically renamed.
-//!   A *delta* snapshot (`snap-<epoch20>-from-<base20>.snap`) captures the
-//!   same state as a difference against an older snapshot, so installs are
-//!   O(delta) instead of O(state).
+//!   Every snapshot is self-contained; the WAL alone carries the records
+//!   between two of them.
 //! * **The store** ([`Store`]) — opens a directory, validates every frame,
 //!   truncates a torn tail on the *newest* segment only (any other tear or
 //!   any CRC mismatch fails loudly), appends with a configurable
@@ -81,8 +80,7 @@ pub use error::StoreError;
 pub use group::GroupCommitter;
 pub use metrics::{CommitMetrics, StoreMetrics};
 pub use store::{
-    delta_snapshot_file_name, parse_delta_snapshot_name, parse_snapshot_name, snapshot_file_name,
-    FsyncPolicy, OpenReport, Store, StoreConfig,
+    parse_snapshot_name, snapshot_file_name, FsyncPolicy, OpenReport, Store, StoreConfig,
 };
-pub use sweep::{SnapshotMeta, SweepOutcome, SweepPlan};
+pub use sweep::{SweepOutcome, SweepPlan};
 pub use vfs::{FaultFs, FaultKind, RealFs, Vfs, VfsFile};

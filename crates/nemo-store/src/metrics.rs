@@ -37,10 +37,8 @@ pub struct StoreMetrics {
     pub segments: Gauge,
     /// Snapshot files currently on disk.
     pub snapshots: Gauge,
-    /// Full snapshots installed.
+    /// Snapshots installed (every snapshot is a full document).
     pub full_snapshots_written: Counter,
-    /// Delta snapshots installed.
-    pub delta_snapshots_written: Counter,
     /// Snapshots deleted by [`crate::Store::sweep`].
     pub sweep_pruned_snapshots: Counter,
     /// WAL segments deleted by [`crate::Store::sweep`].
@@ -63,8 +61,6 @@ impl StoreMetrics {
             snapshots: registry.gauge("store_snapshots", Class::Physical),
             full_snapshots_written: registry
                 .counter("store_full_snapshots_written", Class::Physical),
-            delta_snapshots_written: registry
-                .counter("store_delta_snapshots_written", Class::Physical),
             sweep_pruned_snapshots: registry
                 .counter("store_sweep_pruned_snapshots", Class::Physical),
             sweep_removed_segments: registry

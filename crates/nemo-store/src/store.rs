@@ -15,10 +15,9 @@
 //!   complete frame, is corruption and fails loudly;
 //! * segment first-epochs must chain contiguously (a deleted middle
 //!   segment is unrecoverable and fails loudly);
-//! * a half-executed sweep needs no repair at all: pruning deletes
-//!   newest-first (a delta falls before the base it builds on) and
-//!   compaction ([`Store::sweep`]) deletes segments oldest-first, with
-//!   the manifest updated only after each removal succeeds, so any
+//! * a half-executed sweep needs no repair at all: [`Store::sweep`]
+//!   prunes snapshots, then deletes covered segments, each oldest-first,
+//!   with the manifest updated only after each removal succeeds, so any
 //!   surviving file set is one a clean store could have produced — the
 //!   next open just recomputes the remaining [`SweepPlan`] from the
 //!   directory listing.
@@ -27,11 +26,10 @@ use crate::error::StoreError;
 use crate::metrics::StoreMetrics;
 use crate::record::encode_frame;
 use crate::segment::{scan_segment_with, segment_file_name, SegmentScan};
-use crate::sweep::{SnapshotMeta, SweepOutcome, SweepPlan};
+use crate::sweep::{SweepOutcome, SweepPlan};
 use crate::vfs::{RealFs, Vfs, VfsFile};
 use nemo_obs::trace::Tracer;
 use nemo_obs::Class;
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -53,7 +51,9 @@ pub enum FsyncPolicy {
     /// concurrent appenders onto one [`Store::sync`] per batch, so every
     /// acknowledged record is durable ([`EveryRecord`] semantics) at a
     /// fraction of the fsync count. Segment and snapshot metadata fsyncs
-    /// stay on, exactly as under [`EveryBatch`].
+    /// stay on, exactly as under [`EveryBatch`]. The durability promise
+    /// holds only through a committer: a plain [`Store::append`] under
+    /// this policy acknowledges records before any fsync.
     ///
     /// [`EveryRecord`]: FsyncPolicy::EveryRecord
     /// [`EveryBatch`]: FsyncPolicy::EveryBatch
@@ -83,9 +83,7 @@ pub fn snapshot_file_name(epoch: u64) -> String {
     format!("snap-{epoch:020}.{SNAPSHOT_EXT}")
 }
 
-/// Parses a *full* snapshot file name back to its epoch. Delta snapshot
-/// names ([`delta_snapshot_file_name`]) do not match — readers predating
-/// the delta format simply never see delta files.
+/// Parses a snapshot file name back to its epoch.
 pub fn parse_snapshot_name(name: &str) -> Option<u64> {
     let rest = name.strip_prefix("snap-")?;
     let digits = rest.strip_suffix(&format!(".{SNAPSHOT_EXT}"))?;
@@ -93,27 +91,6 @@ pub fn parse_snapshot_name(name: &str) -> Option<u64> {
         return None;
     }
     digits.parse().ok()
-}
-
-/// File name of a *delta* snapshot capturing state at `epoch` as a
-/// difference against the snapshot at `base`. The base epoch lives in
-/// the file name so retention and recovery can follow delta chains from
-/// the directory listing alone, without opening documents.
-pub fn delta_snapshot_file_name(epoch: u64, base: u64) -> String {
-    format!("snap-{epoch:020}-from-{base:020}.{SNAPSHOT_EXT}")
-}
-
-/// Parses a delta snapshot file name back to `(epoch, base)`.
-pub fn parse_delta_snapshot_name(name: &str) -> Option<(u64, u64)> {
-    let rest = name.strip_prefix("snap-")?;
-    let rest = rest.strip_suffix(&format!(".{SNAPSHOT_EXT}"))?;
-    let (epoch_digits, base_digits) = rest.split_once("-from-")?;
-    for digits in [epoch_digits, base_digits] {
-        if digits.len() != 20 || !digits.bytes().all(|b| b.is_ascii_digit()) {
-            return None;
-        }
-    }
-    Some((epoch_digits.parse().ok()?, base_digits.parse().ok()?))
 }
 
 /// Sizing and durability knobs of one store.
@@ -133,8 +110,7 @@ pub struct StoreConfig {
     /// Report a snapshot as due once this many epochs passed since the
     /// newest snapshot (0 disables the epoch trigger).
     pub snapshot_every_epochs: u64,
-    /// How many snapshots to retain (at least 1). Older ones — except
-    /// bases that a retained delta snapshot still builds on — are deleted
+    /// How many snapshots to retain (at least 1). Older ones are deleted
     /// by [`Store::sweep`], not on install.
     pub keep_snapshots: usize,
 }
@@ -209,8 +185,8 @@ pub struct Store {
     vfs: Arc<dyn Vfs>,
     sealed: Vec<Sealed>,
     active: Option<Active>,
-    /// Snapshots on disk, ascending by epoch.
-    snapshots: Vec<SnapshotMeta>,
+    /// Epochs of the snapshots on disk, ascending.
+    snapshots: Vec<u64>,
     /// Epoch of the last record or snapshot, whichever is newest; `None`
     /// for an empty store.
     last_epoch: Option<u64>,
@@ -227,7 +203,7 @@ pub struct Store {
     /// byte trigger of [`Store::snapshot_due`]. On reopen this is
     /// approximated from segments holding records past the newest
     /// snapshot (whole-segment granularity, conservative).
-    bytes_since_snapshot: u64,
+    bytes_past_snapshot: u64,
     /// Hot-path instrumentation; detached (recording goes nowhere) until
     /// [`Store::attach_metrics`] binds it to a shared registry.
     metrics: StoreMetrics,
@@ -261,7 +237,7 @@ impl Store {
             .map_err(|e| StoreError::io_at("create", dir, e))?;
         let mut report = OpenReport::default();
         let mut segment_paths: Vec<PathBuf> = Vec::new();
-        let mut snapshots: Vec<SnapshotMeta> = Vec::new();
+        let mut snapshots: Vec<u64> = Vec::new();
         let entries = vfs
             .read_dir(dir)
             .map_err(|e| StoreError::io_at("list", dir, e))?;
@@ -276,30 +252,11 @@ impl Store {
             } else if crate::segment::parse_segment_name(name).is_some() {
                 segment_paths.push(path);
             } else if let Some(epoch) = parse_snapshot_name(name) {
-                snapshots.push(SnapshotMeta::full(epoch));
-            } else if let Some((epoch, base)) = parse_delta_snapshot_name(name) {
-                if base >= epoch {
-                    return Err(StoreError::Corrupt(format!(
-                        "{name}: delta snapshot base epoch {base} is not older than its \
-                         own epoch {epoch}"
-                    )));
-                }
-                snapshots.push(SnapshotMeta::delta(epoch, base));
+                snapshots.push(epoch);
             }
         }
         segment_paths.sort();
-        snapshots.sort_unstable_by_key(|m| m.epoch);
-        for pair in snapshots.windows(2) {
-            if pair[0].epoch == pair[1].epoch {
-                // The installers refuse an epoch at or below the newest
-                // snapshot, so two documents for one epoch cannot arise
-                // from any crash — only from external meddling.
-                return Err(StoreError::Corrupt(format!(
-                    "two snapshot files capture epoch {} — cannot tell which to trust",
-                    pair[0].epoch
-                )));
-            }
-        }
+        snapshots.sort_unstable();
 
         // Scan and validate every segment; repair the newest one's tail.
         let mut scans: Vec<SegmentScan> = Vec::with_capacity(segment_paths.len());
@@ -388,7 +345,7 @@ impl Store {
                 .last()
                 .and_then(|s| s.records.checked_sub(1).map(|i| s.first_epoch + i))
         });
-        let snap_last = snapshots.last().map(|m| m.epoch);
+        let snap_last = snapshots.last().copied();
         let last_epoch = match (wal_last, snap_last) {
             (Some(w), Some(s)) => Some(w.max(s)),
             (w, s) => w.or(s),
@@ -407,7 +364,7 @@ impl Store {
                 _ => bytes,
             }
         };
-        let bytes_since_snapshot = sealed
+        let bytes_past_snapshot = sealed
             .iter()
             .map(|s| segment_counts(s.first_epoch, s.records, s.bytes))
             .sum::<u64>()
@@ -425,7 +382,7 @@ impl Store {
             // Whatever survived on the platter to be scanned is durable.
             durable_epoch: last_epoch,
             poisoned: None,
-            bytes_since_snapshot,
+            bytes_past_snapshot,
             metrics: StoreMetrics::default(),
             tracer: Tracer::default(),
         };
@@ -540,12 +497,7 @@ impl Store {
     }
 
     /// Snapshot epochs on disk, ascending.
-    pub fn snapshot_epochs(&self) -> Vec<u64> {
-        self.snapshots.iter().map(|m| m.epoch).collect()
-    }
-
-    /// Snapshots on disk (epoch plus delta base), ascending by epoch.
-    pub fn snapshot_metas(&self) -> &[SnapshotMeta] {
+    pub fn snapshot_epochs(&self) -> &[u64] {
         &self.snapshots
     }
 
@@ -656,7 +608,7 @@ impl Store {
         }
         active.records += 1;
         active.bytes += frame.len() as u64;
-        self.bytes_since_snapshot += frame.len() as u64;
+        self.bytes_past_snapshot += frame.len() as u64;
         self.metrics.appends.inc();
         self.metrics.bytes_written.add(frame.len() as u64);
         // Count the record *before* the policy fsync: it is physically in
@@ -765,14 +717,14 @@ impl Store {
             .map_err(|e| StoreError::io_at("fsync dir", &self.dir, e))
     }
 
-    /// Validations shared by both snapshot installers.
+    /// Validates a snapshot install before anything is written.
     fn check_snapshot_install(&self, epoch: u64, document: &[u8]) -> Result<(), StoreError> {
         if document.is_empty() {
             return Err(StoreError::InvalidArgument(
                 "snapshot documents must be non-empty".to_string(),
             ));
         }
-        if let Some(newest) = self.snapshots.last().map(|m| m.epoch) {
+        if let Some(&newest) = self.snapshots.last() {
             if epoch <= newest {
                 return Err(StoreError::InvalidArgument(format!(
                     "snapshot epoch {epoch} is not newer than the existing snapshot at {newest}"
@@ -796,13 +748,14 @@ impl Store {
     /// snapshot" (best-effort removal of the temp file *and* the final
     /// name — a torn rename can report failure after the entry already
     /// moved). The manifest never records a snapshot this function
-    /// errored on, so disk must not keep one either: a leftover
-    /// same-epoch file would collide with a retried install of a
-    /// different kind (full vs delta) and read as corruption on reopen.
-    /// No poisoning — the rollback erases the only pages a failed fsync
-    /// here could have covered, and no appended record depends on them.
-    fn write_snapshot_file(&self, file_name: &str, document: &[u8]) -> Result<(), StoreError> {
-        let final_path = self.dir.join(file_name);
+    /// errored on, so disk must not keep one either: a leftover file
+    /// would reappear on reopen as a snapshot the caller was told had
+    /// failed. No poisoning — the rollback erases the only pages a failed
+    /// fsync here could have covered, and no appended record depends on
+    /// them.
+    fn write_snapshot_file(&self, epoch: u64, document: &[u8]) -> Result<(), StoreError> {
+        let file_name = snapshot_file_name(epoch);
+        let final_path = self.dir.join(&file_name);
         let tmp_path = self.dir.join(format!("{file_name}.tmp"));
         let staged: Result<(), StoreError> = (|| {
             let mut file = self
@@ -844,8 +797,8 @@ impl Store {
     pub fn install_snapshot(&mut self, epoch: u64, document: &[u8]) -> Result<(), StoreError> {
         self.check_poisoned()?;
         self.check_snapshot_install(epoch, document)?;
-        self.write_snapshot_file(&snapshot_file_name(epoch), document)?;
-        self.snapshots.push(SnapshotMeta::full(epoch));
+        self.write_snapshot_file(epoch, document)?;
+        self.snapshots.push(epoch);
         self.metrics.snapshots.add(1);
         self.metrics.full_snapshots_written.inc();
         self.last_epoch = Some(self.last_epoch.map_or(epoch, |l| l.max(epoch)));
@@ -853,89 +806,23 @@ impl Store {
             // The fsynced, renamed document durably captures `epoch`.
             self.note_synced(epoch);
         }
-        self.bytes_since_snapshot = 0;
+        self.bytes_past_snapshot = 0;
         Ok(())
     }
 
-    /// Atomically installs a *delta* snapshot of the state at `epoch`,
-    /// expressed against the existing snapshot at `base`. The write is
-    /// O(delta document); like [`Store::install_snapshot`] it deletes
-    /// nothing — deferred work accrues to the [`SweepPlan`].
-    pub fn install_delta_snapshot(
-        &mut self,
-        epoch: u64,
-        base: u64,
-        document: &[u8],
-    ) -> Result<(), StoreError> {
-        self.check_poisoned()?;
-        self.check_snapshot_install(epoch, document)?;
-        if !self.snapshots.iter().any(|m| m.epoch == base) {
-            return Err(StoreError::InvalidArgument(format!(
-                "delta snapshot at epoch {epoch} names base {base}, but no snapshot \
-                 captures that epoch"
-            )));
-        }
-        self.write_snapshot_file(&delta_snapshot_file_name(epoch, base), document)?;
-        self.snapshots.push(SnapshotMeta::delta(epoch, base));
-        self.metrics.snapshots.add(1);
-        self.metrics.delta_snapshots_written.inc();
-        self.last_epoch = Some(self.last_epoch.map_or(epoch, |l| l.max(epoch)));
-        if self.config.fsync.durable_metadata() {
-            self.note_synced(epoch);
-        }
-        self.bytes_since_snapshot = 0;
-        Ok(())
-    }
-
-    /// Epochs of the snapshots retention must keep, ascending: the newest
-    /// `keep_snapshots` by epoch, plus — transitively — every base a
-    /// retained delta snapshot builds on.
-    fn retained_roots(&self) -> Vec<u64> {
+    /// Computes what a sweep would delete, purely from the in-memory
+    /// manifest: snapshots older than the newest `keep_snapshots`, then
+    /// WAL segments wholly covered by the oldest *retained* snapshot.
+    /// Every retained snapshot keeps a replayable WAL suffix, so recovery
+    /// can fall back past a damaged newer document; with
+    /// `keep_snapshots == 1`, coverage reaches the newest snapshot.
+    pub fn sweep_plan(&self) -> SweepPlan {
         let keep_from = self
             .snapshots
             .len()
             .saturating_sub(self.config.keep_snapshots);
-        let mut roots: BTreeSet<u64> = self.snapshots[keep_from..]
-            .iter()
-            .map(|m| m.epoch)
-            .collect();
-        let mut frontier: Vec<u64> = roots.iter().copied().collect();
-        while let Some(epoch) = frontier.pop() {
-            let base = self
-                .snapshots
-                .iter()
-                .find(|m| m.epoch == epoch)
-                .and_then(|m| m.base);
-            // A base missing from the manifest means the chain is already
-            // broken (external damage); retention just keeps what exists.
-            if let Some(base) = base {
-                if self.snapshots.iter().any(|m| m.epoch == base) && roots.insert(base) {
-                    frontier.push(base);
-                }
-            }
-        }
-        roots.into_iter().collect()
-    }
-
-    /// Computes what a sweep would delete, purely from the in-memory
-    /// manifest: snapshots outside the retention set, then WAL segments
-    /// wholly covered by the oldest *retained* snapshot. Every retained
-    /// snapshot keeps a replayable WAL suffix, so recovery can fall back
-    /// past a damaged newer document; with `keep_snapshots == 1` and no
-    /// delta chain, coverage reaches the newest snapshot.
-    pub fn sweep_plan(&self) -> SweepPlan {
-        let roots = self.retained_roots();
-        let covered = roots.first().copied();
-        // Newest first: a delta is always deleted before the base it
-        // builds on (bases are strictly older), so no prefix of the plan
-        // ever leaves an on-disk snapshot whose chain cannot resolve.
-        let prune_snapshots: Vec<u64> = self
-            .snapshots
-            .iter()
-            .rev()
-            .map(|m| m.epoch)
-            .filter(|e| !roots.contains(e))
-            .collect();
+        let prune_snapshots = self.snapshots[..keep_from].to_vec();
+        let covered = self.snapshots.get(keep_from).copied();
         let mut remove_segments: Vec<PathBuf> = Vec::new();
         if let Some(covered) = covered {
             for segment in &self.sealed {
@@ -976,9 +863,8 @@ impl Store {
     }
 
     /// Executes up to `max_removals` steps of the current [`SweepPlan`]:
-    /// prunes unretained snapshots (newest first, so a delta never
-    /// outlives losing its base), then deletes WAL segments wholly
-    /// covered by the oldest retained snapshot (oldest first). Call with
+    /// prunes unretained snapshots, then deletes WAL segments wholly
+    /// covered by the oldest retained snapshot, each oldest first. Call with
     /// `usize::MAX` to sweep everything at once, or with a small budget
     /// from batch boundaries / idle ticks to keep removals off the write
     /// path.
@@ -988,30 +874,17 @@ impl Store {
     /// point leaves memory and disk in agreement and the next call — or
     /// the next open — resumes from the remaining plan. The ordering
     /// guarantees any prefix of a sweep leaves every retained snapshot
-    /// resolvable (deltas fall before their bases, segments only after
-    /// all pruning) plus an unbroken WAL suffix from the oldest retained
-    /// snapshot to the tip.
+    /// plus an unbroken WAL suffix from the oldest retained snapshot to
+    /// the tip.
     pub fn sweep(&mut self, max_removals: usize) -> Result<SweepOutcome, StoreError> {
         self.check_poisoned()?;
         let mut outcome = SweepOutcome::default();
         let mut budget = max_removals;
         let plan = self.sweep_plan();
-        for epoch in &plan.prune_snapshots {
-            if budget == 0 {
-                break;
-            }
-            let index = self
-                .snapshots
-                .iter()
-                .position(|m| m.epoch == *epoch)
-                .expect("planned snapshot is in the manifest");
-            let meta = self.snapshots[index];
-            let name = match meta.base {
-                Some(base) => delta_snapshot_file_name(meta.epoch, base),
-                None => snapshot_file_name(meta.epoch),
-            };
-            self.remove_swept_file(&self.dir.join(name))?;
-            self.snapshots.remove(index);
+        // Pruned snapshots are a prefix of the manifest.
+        for &epoch in plan.prune_snapshots.iter().take(budget) {
+            self.remove_swept_file(&self.dir.join(snapshot_file_name(epoch)))?;
+            self.snapshots.remove(0);
             outcome.pruned_snapshots += 1;
             budget -= 1;
         }
@@ -1058,9 +931,9 @@ impl Store {
     /// `current_epoch`: enough WAL bytes or enough epochs accumulated past
     /// the newest snapshot.
     pub fn snapshot_due(&self, current_epoch: u64) -> bool {
-        let newest = self.snapshots.last().map(|m| m.epoch);
+        let newest = self.snapshots.last().copied();
         let byte_due = self.config.snapshot_every_bytes > 0
-            && self.bytes_since_snapshot >= self.config.snapshot_every_bytes;
+            && self.bytes_past_snapshot >= self.config.snapshot_every_bytes;
         let epoch_due = self.config.snapshot_every_epochs > 0
             && newest.map_or(true, |n| {
                 current_epoch.saturating_sub(n) >= self.config.snapshot_every_epochs
@@ -1068,16 +941,9 @@ impl Store {
         byte_due || epoch_due
     }
 
-    /// Reads and checksum-verifies a snapshot document (full or delta —
-    /// the manifest resolves which file captures `epoch`).
+    /// Reads and checksum-verifies the snapshot document at `epoch`.
     pub fn read_snapshot(&self, epoch: u64) -> Result<Vec<u8>, StoreError> {
-        let name = match self.snapshots.iter().find(|m| m.epoch == epoch) {
-            Some(SnapshotMeta {
-                base: Some(base), ..
-            }) => delta_snapshot_file_name(epoch, *base),
-            _ => snapshot_file_name(epoch),
-        };
-        let path = self.dir.join(name);
+        let path = self.dir.join(snapshot_file_name(epoch));
         let bytes = self
             .vfs
             .read(&path)
@@ -1558,85 +1424,16 @@ mod tests {
     }
 
     #[test]
-    fn delta_snapshots_install_resolve_and_retain_their_bases() {
-        let dir = temp_dir("delta");
-        let (mut store, _) = Store::open(&dir, test_config()).unwrap();
-        store.install_snapshot(0, b"full at zero").unwrap();
-        for epoch in 1..=10 {
-            store.append(epoch, &payload(epoch)).unwrap();
-        }
-        // A delta against a base no snapshot captures is refused.
-        assert!(matches!(
-            store.install_delta_snapshot(6, 3, b"delta 3->6"),
-            Err(StoreError::InvalidArgument(_))
-        ));
-        store.install_delta_snapshot(6, 0, b"delta 0->6").unwrap();
-        store.install_delta_snapshot(10, 6, b"delta 6->10").unwrap();
-        assert_eq!(store.snapshot_epochs(), &[0, 6, 10]);
-        assert_eq!(store.read_snapshot(6).unwrap(), b"delta 0->6");
-        // keep_snapshots is 2, but the retained deltas chain back to the
-        // full snapshot at 0: everything is a root, nothing is deletable,
-        // and compaction cannot pass epoch 0.
-        let plan = store.sweep_plan();
-        assert!(plan.is_empty(), "{plan:?}");
-        assert_eq!(plan.covered_epoch, Some(0));
-        // Reopen: the delta file names restore the base relationships.
-        drop(store);
-        let (mut store, report) = Store::open(&dir, test_config()).unwrap();
-        assert_eq!(report.snapshots, 3);
-        assert_eq!(
-            store.snapshot_metas(),
-            &[
-                SnapshotMeta::full(0),
-                SnapshotMeta::delta(6, 0),
-                SnapshotMeta::delta(10, 6),
-            ]
-        );
-        // Two newer full snapshots age the whole chain out of retention.
-        store.append(11, &payload(11)).unwrap();
-        store.install_snapshot(11, b"full at eleven").unwrap();
-        store.append(12, &payload(12)).unwrap();
-        store.install_snapshot(12, b"full at twelve").unwrap();
-        let plan = store.sweep_plan();
-        // Newest first: deltas fall before the bases they build on.
-        assert_eq!(plan.prune_snapshots, vec![10, 6, 0]);
-        assert_eq!(plan.covered_epoch, Some(11));
-        let outcome = store.sweep(usize::MAX).unwrap();
-        assert_eq!(outcome.pruned_snapshots, 3);
-        assert_eq!(outcome.remaining, 0);
-        assert_eq!(store.snapshot_epochs(), &[11, 12]);
-        assert!(store.read_snapshot(6).is_err(), "pruned delta is gone");
-        assert_eq!(store.replay(11).unwrap().len(), 1);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn snapshot_name_parsers_distinguish_full_and_delta() {
-        assert_eq!(
-            delta_snapshot_file_name(42, 7),
-            "snap-00000000000000000042-from-00000000000000000007.snap"
-        );
-        assert_eq!(
-            parse_delta_snapshot_name("snap-00000000000000000042-from-00000000000000000007.snap"),
-            Some((42, 7))
-        );
-        // A v1 reader's parser never matches a delta name, and the delta
-        // parser never matches a full name.
+        assert_eq!(snapshot_file_name(42), "snap-00000000000000000042.snap");
+        assert_eq!(parse_snapshot_name(&snapshot_file_name(42)), Some(42));
+        // Delta snapshot names written by older builds never parse as
+        // snapshots, and neither does a name with short digits.
         assert_eq!(
             parse_snapshot_name("snap-00000000000000000042-from-00000000000000000007.snap"),
             None
         );
-        assert_eq!(parse_delta_snapshot_name(&snapshot_file_name(42)), None);
-        assert_eq!(parse_delta_snapshot_name("snap-42-from-7.snap"), None);
-        // A delta whose base is not older than itself is corruption.
-        let dir = temp_dir("delta-bad-name");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(delta_snapshot_file_name(5, 9)), b"x").unwrap();
-        assert!(matches!(
-            Store::open(&dir, test_config()),
-            Err(StoreError::Corrupt(_))
-        ));
-        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(parse_snapshot_name("snap-42.snap"), None);
     }
 
     use crate::vfs::{FaultFs, FaultKind};
@@ -1816,14 +1613,14 @@ mod tests {
     fn torn_snapshot_rename_cannot_create_a_duplicate_epoch() {
         let dir = temp_dir("fault-torn-rename");
         // A torn rename *lands in the directory* but reports failure. If
-        // the store left the file there, a follow-up install capturing the
-        // same epoch as a *delta* would put two files for one epoch on
-        // disk — which reopen rejects as corruption. The rollback must
-        // remove the landed file.
+        // the store left the file there, the directory would hold a
+        // snapshot at epoch 1 that the manifest — and the caller, told the
+        // install failed — never accepted. The rollback must remove the
+        // landed file so the retry is the only document for the epoch.
         let (mut store, fault) = open_faulty(&dir, test_config(), FaultKind::TornRename, 5);
         store.install_snapshot(0, b"genesis").unwrap(); // rename op 4: passes
         store.append(1, &payload(1)).unwrap();
-        let err = store.install_snapshot(1, b"full at one").unwrap_err();
+        let err = store.install_snapshot(1, b"first try").unwrap_err();
         assert!(
             matches!(&err, StoreError::Io { op, .. } if op == "rename"),
             "{err:?}"
@@ -1834,16 +1631,13 @@ mod tests {
             !dir.join(snapshot_file_name(1)).exists(),
             "torn-rename landed file must be rolled back"
         );
-        // The same epoch now installs as a delta — no duplicate on disk.
-        store.install_delta_snapshot(1, 0, b"delta 0->1").unwrap();
-        assert_eq!(store.read_snapshot(1).unwrap(), b"delta 0->1");
+        store.install_snapshot(1, b"retried").unwrap();
+        assert_eq!(store.read_snapshot(1).unwrap(), b"retried");
         drop(store);
         let (store, report) = Store::open(&dir, test_config()).unwrap();
         assert_eq!(report.snapshots, 2);
-        assert_eq!(
-            store.snapshot_metas(),
-            &[SnapshotMeta::full(0), SnapshotMeta::delta(1, 0)]
-        );
+        assert_eq!(store.snapshot_epochs(), &[0, 1]);
+        assert_eq!(store.read_snapshot(1).unwrap(), b"retried");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -7,8 +7,6 @@
 //! memory from disk. This module carries the types of the replacement
 //! discipline:
 //!
-//! * [`SnapshotMeta`] describes one snapshot on disk, including the base
-//!   epoch of a delta document, so retention can follow delta chains.
 //! * [`SweepPlan`] is what [`Store::sweep_plan`] computes: everything a
 //!   sweep *would* delete, derived purely from the current manifest.
 //!   Nothing about the plan is persisted — after a crash the next open
@@ -29,46 +27,18 @@
 
 use std::path::PathBuf;
 
-/// One snapshot on disk: the epoch it captures and, for a delta
-/// document, the epoch of the snapshot it builds on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SnapshotMeta {
-    /// Epoch of the state the snapshot captures.
-    pub epoch: u64,
-    /// For a delta snapshot, the epoch of the snapshot the document
-    /// builds on; `None` for a full (self-contained) snapshot.
-    pub base: Option<u64>,
-}
-
-impl SnapshotMeta {
-    /// A full (self-contained) snapshot at `epoch`.
-    pub fn full(epoch: u64) -> SnapshotMeta {
-        SnapshotMeta { epoch, base: None }
-    }
-
-    /// A delta snapshot at `epoch` building on the snapshot at `base`.
-    pub fn delta(epoch: u64, base: u64) -> SnapshotMeta {
-        SnapshotMeta {
-            epoch,
-            base: Some(base),
-        }
-    }
-}
-
 /// Everything a sweep would delete, computed from the current manifest:
-/// snapshots outside the retention set (newest first), then WAL segments
-/// wholly covered by the oldest *retained* snapshot (oldest first).
+/// snapshots older than the newest `keep_snapshots`, then WAL segments
+/// wholly covered by the oldest *retained* snapshot, both oldest first.
 ///
 /// The ordering is the crash-safety argument: snapshots are pruned
-/// before segments, pruning runs newest-first so a delta is always
-/// deleted before the base it builds on, and segment removal runs
-/// oldest-first — so after any prefix of the plan the surviving files
-/// still include every retained snapshot (with its full delta chain) and
-/// an unbroken WAL suffix from the oldest retained snapshot to the tip.
+/// before segments and each kind goes oldest-first, so after any prefix
+/// of the plan the surviving files still include every retained snapshot
+/// and an unbroken WAL suffix from the oldest retained snapshot to the
+/// tip.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SweepPlan {
-    /// Epochs of snapshots to prune, newest first (a delta always falls
-    /// before the base it builds on).
+    /// Epochs of snapshots to prune, oldest first.
     pub prune_snapshots: Vec<u64>,
     /// Paths of WAL segments wholly covered by `covered_epoch`, oldest
     /// first.
