@@ -116,33 +116,3 @@ fn torn_tails_on_individual_shards_recover_and_resume() {
     assert_eq!(resumed, uninterrupted);
     std::fs::remove_dir_all(&dir).unwrap();
 }
-
-#[test]
-fn group_commit_runs_match_every_record_runs() {
-    // The commit policy changes *when* bytes hit the platter, never what
-    // the serving layer computes: transcripts under GroupCommit equal the
-    // EveryRecord transcripts, and the stores recover identically.
-    let strict = tiny(34);
-    let grouped = DurabilityConfig {
-        options: PersistOptions {
-            fsync: FsyncPolicy::GroupCommit {
-                max_batch: 8,
-                max_wait_micros: 200,
-            },
-            ..strict.options.clone()
-        },
-        ..strict.clone()
-    };
-    let strict_dir = temp_dir("gc-strict");
-    let grouped_dir = temp_dir("gc-grouped");
-    let (a, _) = run_sharded(&strict, &strict_dir, 2, 1, None).unwrap();
-    let (b, _) = run_sharded(&grouped, &grouped_dir, 2, 1, None).unwrap();
-    assert_eq!(a, b);
-    // Re-open the group-commit stores: recovery sees the same state.
-    let (recovered, crashed) = run_sharded(&grouped, &grouped_dir, 2, 1, None).unwrap();
-    assert!(!crashed);
-    assert_eq!(recovered, a);
-    for dir in [strict_dir, grouped_dir] {
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-}

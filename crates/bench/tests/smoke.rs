@@ -2,8 +2,7 @@
 //! runs as a real process at `NEMO_SMALL=1` in a scratch directory, its
 //! exit code is checked, and its transcripts and documents are compared
 //! byte for byte (`cmp`). Crash cases are real process exits: a driver
-//! asked to crash stops without its final fsync and exits 3, and the
-//! group-commit kill exits the process the instant an append is acked.
+//! asked to crash stops without its final fsync and exits 3.
 //!
 //! The exhaustive single-fault sweep is not repeated here: the
 //! `fault_injection` and `fault_scripts` suites of `nemo-serve` already run
@@ -29,9 +28,8 @@ impl Scratch {
     }
 
     /// Runs `bin args` inside the scratch directory at `NEMO_SMALL=1` and
-    /// `NEMO_THREADS=threads`, asserts that it exits with `code`, and
-    /// returns its stdout.
-    fn run(&self, bin: &str, threads: usize, args: &[&str], code: i32) -> String {
+    /// `NEMO_THREADS=threads` and asserts that it exits with `code`.
+    fn run(&self, bin: &str, threads: usize, args: &[&str], code: i32) {
         let output = Command::new(bin)
             .args(args)
             .current_dir(&self.0)
@@ -45,7 +43,6 @@ impl Scratch {
             "{bin} {args:?} at NEMO_THREADS={threads}\nstderr:\n{}",
             String::from_utf8_lossy(&output.stderr)
         );
-        String::from_utf8(output.stdout).expect("stdout is UTF-8")
     }
 
     /// `cmp a b`: the two files hold the same bytes.
@@ -175,8 +172,7 @@ fn faults_are_absorbed_or_surface_and_resume() {
 }
 
 /// Sharded transcripts are the same across threads {1, 4} x shards
-/// {1, 4}, a killed sharded run resumes to them, and a hard kill under
-/// group commit leaves every acked epoch on disk.
+/// {1, 4}, and a killed sharded run resumes to them.
 #[test]
 fn shard_transcripts_are_invariant_and_survive_kills() {
     let s = Scratch::new("shard");
@@ -212,18 +208,6 @@ fn shard_transcripts_are_invariant_and_survive_kills() {
         );
         s.assert_same("shard-t1-s1.txt", &out);
     }
-    let crash = ["--group-crash", "--dir", "group-store", "--after", "200"];
-    let stdout = s.run(SHARD, 4, &crash, 3);
-    let acked = stdout
-        .trim()
-        .strip_prefix("acked=")
-        .unwrap_or_else(|| panic!("--group-crash printed {stdout:?}"));
-    s.run(
-        SHARD,
-        4,
-        &["--group-verify", "--dir", "group-store", "--acked", acked],
-        0,
-    );
 }
 
 /// Over threads {1, 4} x shards {1, 2, 4}, every stats, trace and Chrome

@@ -17,11 +17,11 @@ use netgraph::json::JsonValue;
 
 /// The serving layer's own metric families, registered once per server.
 ///
-/// Store (`store_*`), committer (`commit_*`) and worker-pool (`pool_*`)
-/// families are registered by their owning crates against the same
-/// [`Registry`]; [`ServeMetrics::register`] pre-registers all of them so
-/// a `Stats` document covers every family (at zero) even for a server
-/// that never touched disk.
+/// Store (`store_*`) and worker-pool (`pool_*`) families are registered
+/// by their owning crates against the same [`Registry`];
+/// [`ServeMetrics::register`] pre-registers all of them so a `Stats`
+/// document covers every family (at zero) even for a server that never
+/// touched disk.
 #[derive(Debug, Clone)]
 pub struct ServeMetrics {
     /// Typed `Mutate` requests handled (logical).
@@ -78,13 +78,12 @@ pub struct ServeMetrics {
 
 impl ServeMetrics {
     /// Binds the serving-layer families in `registry` and pre-registers
-    /// the store, committer, retry and pool families so every `Stats`
-    /// document carries all six prefixes. Idempotent: re-registering
-    /// returns handles onto the same underlying metrics.
+    /// the store, retry and pool families so every `Stats` document
+    /// carries all five prefixes. Idempotent: re-registering returns
+    /// handles onto the same underlying metrics.
     pub fn register(registry: &Registry, shards: u32) -> ServeMetrics {
         // Pre-register the families owned by other crates.
         let _ = nemo_store::StoreMetrics::register(registry);
-        let _ = nemo_store::CommitMetrics::register(registry);
         let _ = nemo_bench::pool::PoolMetrics::register(registry);
         let _ = crate::persist::RetryMetrics::register(registry);
         let shard_epochs = (0..shards)
@@ -131,7 +130,7 @@ impl ServeMetrics {
 
 /// The metric-name prefixes a full `Stats` document must cover: one per
 /// subsystem the paper's serving pipeline touches.
-pub const METRIC_FAMILIES: [&str; 6] = ["serve_", "cache_", "shard", "store_", "commit_", "pool_"];
+pub const METRIC_FAMILIES: [&str; 5] = ["serve_", "cache_", "shard", "store_", "pool_"];
 
 /// Validates a parsed `nemo-metrics/v1` document: schema tag, per-metric
 /// shape (class, kind, value type) and family coverage. Returns the first

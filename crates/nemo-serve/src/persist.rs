@@ -68,10 +68,9 @@ pub(crate) fn with_storage_retry<T>(
 /// Durability and sizing knobs for one persistence directory.
 #[derive(Debug, Clone)]
 pub struct PersistOptions {
-    /// When appended records are fsynced. A server is its stores' only
-    /// appender, so it opens them with [`FsyncPolicy::EveryRecord`] under
-    /// [`FsyncPolicy::GroupCommit`]: one fsync per append is what a group
-    /// commit with a lone appender does.
+    /// When appended records are fsynced; passed to every store as is.
+    /// Under [`FsyncPolicy::EveryRecord`] an acknowledged mutation is a
+    /// durable one.
     pub fsync: FsyncPolicy,
     /// WAL segment rotation threshold in bytes.
     pub segment_max_bytes: u64,

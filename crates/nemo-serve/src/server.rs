@@ -117,7 +117,7 @@ impl ServerBuilder {
         self
     }
 
-    /// Every persistence setting: fsync/commit policy, segment size,
+    /// Every persistence setting: fsync policy, segment size,
     /// snapshot thresholds, retention, the filesystem, and the metrics
     /// registry and flight recorder the server and its stores record
     /// into (see [`PersistOptions`]).
@@ -633,8 +633,7 @@ impl<L: Llm> Server<L> {
     /// [`Response::Degraded`] while queries keep answering.
     pub fn handle(&mut self, request: &Request) -> Result<Response, ServeError> {
         // Mint the request's trace root; every span below (routing, cache,
-        // WAL, fsync, group commit) hangs off it. A no-op when the tracer
-        // is disabled.
+        // WAL, fsync) hangs off it. A no-op when the tracer is disabled.
         let _trace = self.tracer.begin(match request {
             Request::Mutate { .. } => "request.mutate",
             Request::Query { .. } => "request.query",
@@ -1206,9 +1205,9 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_acknowledges_only_durable_mutations() {
+    fn every_record_acknowledges_only_durable_mutations() {
         let root =
-            std::env::temp_dir().join(format!("nemo-server-group-commit-{}", std::process::id()));
+            std::env::temp_dir().join(format!("nemo-server-every-record-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let workload = generate(&TrafficConfig {
             nodes: 10,
@@ -1219,10 +1218,7 @@ mod tests {
         let mut server = ServerBuilder::new()
             .shards(2)
             .options(PersistOptions {
-                fsync: crate::FsyncPolicy::GroupCommit {
-                    max_batch: 8,
-                    max_wait_micros: 200,
-                },
+                fsync: crate::FsyncPolicy::EveryRecord,
                 ..PersistOptions::default()
             })
             .persist_at(&root)

@@ -59,9 +59,7 @@ use crate::codec::{self, decode_shard_record, encode_shard_record, SHARD_WAL_MAG
 use crate::error::ServeError;
 use crate::live::LiveNetwork;
 use crate::mutation::{Epoch, WalRecord};
-use crate::persist::{
-    with_storage_retry, FsyncPolicy, PersistOptions, RecoveryReport, RetryMetrics,
-};
+use crate::persist::{with_storage_retry, PersistOptions, RecoveryReport, RetryMetrics};
 use crate::shard::{SeqBases, ShardPartition, ShardedNetwork};
 use crate::snapshot::{
     parse_snapshot, snapshot_parts, snapshot_size_hint, write_snapshot_into, SnapshotParts,
@@ -86,13 +84,7 @@ pub fn shard_dir(root: &Path, shard: u32) -> PathBuf {
 fn shard_store_config(options: &PersistOptions) -> StoreConfig {
     StoreConfig {
         magic: SHARD_WAL_MAGIC.to_string(),
-        // A server is its stores' only appender, and a group commit with
-        // one appender is an fsync per append: the store does it inline,
-        // so an acknowledged mutation is a durable one.
-        fsync: match options.fsync {
-            FsyncPolicy::GroupCommit { .. } => FsyncPolicy::EveryRecord,
-            policy => policy,
-        },
+        fsync: options.fsync,
         segment_max_bytes: options.segment_max_bytes,
         snapshot_every_bytes: options.snapshot_every_bytes,
         snapshot_every_epochs: options.snapshot_every_epochs,

@@ -14,7 +14,7 @@ pub enum StoreError {
     Io {
         /// What the store was doing: `"create"`, `"append"`, `"fsync"`,
         /// `"fsync dir"`, `"rename"`, `"remove"`, `"read"`, `"list"`,
-        /// `"open"`, `"truncate"`, `"clone"`, `"write header"`, `"write"`.
+        /// `"open"`, `"truncate"`, `"write header"`, `"write"`.
         op: String,
         /// The file or directory the operation targeted.
         path: String,
@@ -33,9 +33,8 @@ pub enum StoreError {
     /// already-appended records failed (fsyncgate — the kernel may have
     /// dropped the dirty pages, so retrying the fsync would falsely
     /// report durability), or a failed write could not be rolled back to
-    /// a clean frame boundary, or an appender panicked while holding the
-    /// group-commit lock. Every subsequent mutation is rejected with this
-    /// error; reads and recovery-by-reopen remain available.
+    /// a clean frame boundary. Every subsequent mutation is rejected with
+    /// this error; reads and recovery-by-reopen remain available.
     Poisoned(String),
 }
 

@@ -25,6 +25,9 @@
 //!   truncates a torn tail on the *newest* segment only (any other tear or
 //!   any CRC mismatch fails loudly), appends with a configurable
 //!   [`FsyncPolicy`], and triggers snapshots on byte/epoch thresholds.
+//!   A store has a single appender: every mutating call takes
+//!   `&mut self`, so under [`FsyncPolicy::EveryRecord`] a record is on
+//!   the platter before its `append` returns.
 //! * **The sweep** ([`sweep`], [`Store::sweep`]) — pruning of unretained
 //!   snapshots and deletion of WAL segments wholly covered by the oldest
 //!   retained snapshot, deferred off the write path: installs only write,
@@ -47,8 +50,14 @@
 //!
 //! let dir = std::env::temp_dir().join(format!("nemo-store-doc-{}", std::process::id()));
 //! let _ = std::fs::remove_dir_all(&dir);
-//! let mut config = StoreConfig::new("nemo-wal/v1");
-//! config.fsync = FsyncPolicy::Never;
+//! let config = StoreConfig {
+//!     magic: "nemo-wal/v1".to_string(),
+//!     fsync: FsyncPolicy::Never,
+//!     segment_max_bytes: 1 << 20,
+//!     snapshot_every_bytes: 0,
+//!     snapshot_every_epochs: 0,
+//!     keep_snapshots: 2,
+//! };
 //! let (mut store, report) = Store::open(&dir, config.clone()).unwrap();
 //! assert_eq!(report.truncated_bytes, 0);
 //! store.install_snapshot(0, b"genesis state").unwrap();
@@ -68,7 +77,6 @@
 
 pub mod crc32;
 mod error;
-pub mod group;
 pub mod metrics;
 pub mod record;
 pub mod segment;
@@ -77,8 +85,7 @@ pub mod sweep;
 pub mod vfs;
 
 pub use error::StoreError;
-pub use group::GroupCommitter;
-pub use metrics::{CommitMetrics, StoreMetrics};
+pub use metrics::StoreMetrics;
 pub use store::{
     parse_snapshot_name, snapshot_file_name, FsyncPolicy, OpenReport, Store, StoreConfig,
 };

@@ -1,10 +1,9 @@
 //! Metric handles for the storage engine.
 //!
-//! Both structs are bundles of pre-registered [`nemo_obs`] handles:
+//! [`StoreMetrics`] is a bundle of pre-registered [`nemo_obs`] handles:
 //! `Default` yields detached cells (recording goes nowhere visible, at
-//! the same near-zero cost), [`StoreMetrics::register`] /
-//! [`CommitMetrics::register`] bind the bundle to a shared
-//! [`Registry`] under the `store_*` / `commit_*` name families. Several
+//! the same near-zero cost), [`StoreMetrics::register`] binds the
+//! bundle to a shared [`Registry`] under the `store_*` name family. Several
 //! stores (e.g. one per shard) may share one registry: counters and
 //! histograms aggregate naturally, and the gauges are maintained with
 //! delta updates so they sum correctly too.
@@ -74,35 +73,5 @@ impl StoreMetrics {
         self.fsyncs.inc();
         self.fsync_micros
             .record(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));
-    }
-}
-
-/// Instrumentation of one [`crate::GroupCommitter`].
-#[derive(Debug, Clone, Default)]
-pub struct CommitMetrics {
-    /// Completed group fsyncs.
-    pub fsyncs: Counter,
-    /// Group fsyncs that failed (each one poisons the committer).
-    pub fsync_failures: Counter,
-    /// Records covered per group fsync — the achieved batch size.
-    pub records_per_fsync: Histogram,
-    /// Appenders in flight at the moment each batch froze: how much of
-    /// the pipeline the leader's disk wait overlapped with.
-    pub pipeline_occupancy: Histogram,
-    /// Time from entering `append` to the durability acknowledgement, in
-    /// microseconds (leaders and followers alike).
-    pub waiter_micros: Histogram,
-}
-
-impl CommitMetrics {
-    /// Binds the bundle to `registry` under the `commit_*` names.
-    pub fn register(registry: &Registry) -> CommitMetrics {
-        CommitMetrics {
-            fsyncs: registry.counter("commit_fsyncs", Class::Physical),
-            fsync_failures: registry.counter("commit_fsync_failures", Class::Physical),
-            records_per_fsync: registry.histogram("commit_records_per_fsync", Class::Physical),
-            pipeline_occupancy: registry.histogram("commit_pipeline_occupancy", Class::Physical),
-            waiter_micros: registry.histogram("commit_waiter_micros", Class::Physical),
-        }
     }
 }

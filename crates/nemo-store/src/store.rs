@@ -46,24 +46,6 @@ pub enum FsyncPolicy {
     /// Never `fsync` (tests and benchmarks): durability degrades to
     /// whatever the OS page cache survives.
     Never,
-    /// Group commit: `append` itself never fsyncs (like [`EveryBatch`]),
-    /// but a committer — [`crate::group::GroupCommitter`] — coalesces
-    /// concurrent appenders onto one [`Store::sync`] per batch, so every
-    /// acknowledged record is durable ([`EveryRecord`] semantics) at a
-    /// fraction of the fsync count. Segment and snapshot metadata fsyncs
-    /// stay on, exactly as under [`EveryBatch`]. The durability promise
-    /// holds only through a committer: a plain [`Store::append`] under
-    /// this policy acknowledges records before any fsync.
-    ///
-    /// [`EveryRecord`]: FsyncPolicy::EveryRecord
-    /// [`EveryBatch`]: FsyncPolicy::EveryBatch
-    GroupCommit {
-        /// Sync as soon as this many records are pending (at least 1).
-        max_batch: u32,
-        /// Sync no later than this many microseconds after the oldest
-        /// pending record arrived, even if the batch is not full.
-        max_wait_micros: u64,
-    },
 }
 
 impl FsyncPolicy {
@@ -93,7 +75,8 @@ pub fn parse_snapshot_name(name: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// Sizing and durability knobs of one store.
+/// Sizing and durability knobs of one store. The crate sets no defaults:
+/// the caller (the serving layer's `PersistOptions`) writes every field.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
     /// Magic string written into (and required from) every segment header;
@@ -113,22 +96,6 @@ pub struct StoreConfig {
     /// How many snapshots to retain (at least 1). Older ones are deleted
     /// by [`Store::sweep`], not on install.
     pub keep_snapshots: usize,
-}
-
-impl StoreConfig {
-    /// A config with the given magic and defaults sized for serving: 1 MiB
-    /// segments, batch-boundary fsync, snapshot every 256 KiB of WAL or
-    /// 1024 epochs, two snapshots retained.
-    pub fn new(magic: &str) -> Self {
-        StoreConfig {
-            magic: magic.to_string(),
-            fsync: FsyncPolicy::EveryBatch,
-            segment_max_bytes: 1 << 20,
-            snapshot_every_bytes: 256 << 10,
-            snapshot_every_epochs: 1024,
-            keep_snapshots: 2,
-        }
-    }
 }
 
 /// A fully validated, no-longer-written segment.
@@ -429,7 +396,7 @@ impl Store {
     }
 
     /// The store's tracer (disabled unless [`Store::attach_tracer`] was
-    /// called); the group committer hooks its spans onto the same one.
+    /// called); the caller hooks its own store-level spans onto it.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
@@ -460,9 +427,10 @@ impl Store {
     }
 
     /// Permanently wounds the write path (idempotent: the first cause
-    /// wins). Used internally on fsync failure and by the group committer,
-    /// whose batch fsync runs outside the store.
-    pub(crate) fn mark_poisoned(&mut self, cause: StoreError) {
+    /// wins), counting the event in `store_poison_events` and tagging the
+    /// owning trace. A cause that is already [`StoreError::Poisoned`] is
+    /// kept verbatim; any other is wrapped with the durable epoch.
+    fn mark_poisoned(&mut self, cause: StoreError) {
         if self.poisoned.is_none() {
             self.metrics.poison_events.inc();
             self.poisoned = Some(match cause {
@@ -481,9 +449,9 @@ impl Store {
         }
     }
 
-    /// Records a successful externally-issued fsync covering everything
-    /// appended up to `epoch` (the group committer's batch fsync).
-    pub(crate) fn note_synced(&mut self, epoch: u64) {
+    /// Advances the durable epoch to `epoch` (never backwards) after an
+    /// fsync that covers it: a segment seal or a snapshot install.
+    fn note_synced(&mut self, epoch: u64) {
         if self.durable_epoch.map_or(true, |d| epoch > d) {
             self.durable_epoch = Some(epoch);
         }
@@ -543,8 +511,8 @@ impl Store {
             if let Some(active) = self.active.take() {
                 self.metrics.rotations.inc();
                 // Seal durably: `sync` only ever covers the *active* file,
-                // so under EveryBatch/GroupCommit an unsynced outgoing
-                // segment would never be covered by a later batch fsync.
+                // so under EveryBatch an unsynced outgoing segment would
+                // never be covered by a later batch fsync.
                 if self.config.fsync.durable_metadata() {
                     let started = Instant::now();
                     let _fsync_span = self.tracer.span("store.fsync", Class::Physical);
@@ -601,7 +569,7 @@ impl Store {
                     active.path.display(),
                     active.bytes,
                 ));
-                self.poisoned = Some(poison.clone());
+                self.mark_poisoned(poison.clone());
                 return Err(poison);
             }
             return Err(err);
@@ -649,27 +617,6 @@ impl Store {
         }
         self.durable_epoch = self.last_epoch;
         Ok(())
-    }
-
-    /// A duplicated handle to the active segment file (`None` when no
-    /// segment is open). Fsyncing the duplicate covers every record
-    /// already written to the active segment — the group committer uses
-    /// this to issue the batch fsync *without* holding the store, so
-    /// appends land during the disk wait and form the next batch. Records
-    /// in sealed segments need no further coverage: rotation seals them
-    /// with their own fsync.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn clone_active_handle(
-        &self,
-    ) -> Result<Option<(Box<dyn VfsFile>, PathBuf)>, StoreError> {
-        match &self.active {
-            Some(active) => active
-                .file
-                .try_clone()
-                .map(|file| Some((file, active.path.clone())))
-                .map_err(|e| StoreError::io_at("clone", &active.path, e)),
-            None => Ok(None),
-        }
     }
 
     /// Creates a fresh segment whose first record will carry `first_epoch`.
@@ -1019,12 +966,14 @@ mod tests {
     }
 
     fn test_config() -> StoreConfig {
-        let mut config = StoreConfig::new("test-wal/v1");
-        config.fsync = FsyncPolicy::Never;
-        config.segment_max_bytes = 64; // tiny: a few records per segment
-        config.snapshot_every_bytes = 0;
-        config.snapshot_every_epochs = 0;
-        config
+        StoreConfig {
+            magic: "test-wal/v1".to_string(),
+            fsync: FsyncPolicy::Never,
+            segment_max_bytes: 64, // tiny: a few records per segment
+            snapshot_every_bytes: 0,
+            snapshot_every_epochs: 0,
+            keep_snapshots: 2,
+        }
     }
 
     fn payload(epoch: u64) -> Vec<u8> {
@@ -1261,31 +1210,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn group_commit_policy_appends_and_replays() {
-        let dir = temp_dir("group-policy");
-        let mut config = test_config();
-        config.fsync = FsyncPolicy::GroupCommit {
-            max_batch: 4,
-            max_wait_micros: 100,
-        };
-        assert!(config.fsync.durable_metadata());
-        assert!(!FsyncPolicy::Never.durable_metadata());
-        let (mut store, _) = Store::open(&dir, config.clone()).unwrap();
-        // Enough records to rotate: the outgoing segment is fsynced at the
-        // seal, so a later `sync` genuinely covers everything appended.
-        for epoch in 1..=12 {
-            store.append(epoch, &payload(epoch)).unwrap();
-        }
-        assert!(store.segment_paths().len() > 1);
-        store.sync().unwrap();
-        drop(store);
-        let (store, report) = Store::open(&dir, config).unwrap();
-        assert_eq!(report.truncated_bytes, 0);
-        assert_eq!(store.replay(0).unwrap().len(), 12);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     /// Replaces `path` with an empty directory of the same name, so
     /// `remove_file` fails (EISDIR) even when the test runs as root —
     /// read-only directory permissions would not stop root.
@@ -1476,6 +1400,105 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A filesystem whose segment files take their header frame, then
+    /// fail every later write *and* the truncation that would roll the
+    /// failed write back. `FaultFs` never fails a truncation, so this
+    /// path needs its own seam.
+    #[derive(Debug)]
+    struct UnrepairableTailFs;
+
+    #[derive(Debug)]
+    struct UnrepairableTail {
+        inner: Box<dyn VfsFile>,
+        writes: u32,
+    }
+
+    impl VfsFile for UnrepairableTail {
+        fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+            self.writes += 1;
+            if self.writes > 1 {
+                return Err(std::io::Error::other("injected write failure"));
+            }
+            self.inner.write_all(buf)
+        }
+        fn sync_data(&self) -> std::io::Result<()> {
+            self.inner.sync_data()
+        }
+        fn set_len(&self, _len: u64) -> std::io::Result<()> {
+            Err(std::io::Error::other("injected truncate failure"))
+        }
+    }
+
+    impl Vfs for UnrepairableTailFs {
+        fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
+            RealFs.create_dir_all(path)
+        }
+        fn read_dir(&self, path: &Path) -> std::io::Result<Vec<PathBuf>> {
+            RealFs.read_dir(path)
+        }
+        fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+            RealFs.read(path)
+        }
+        fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+            RealFs.remove_file(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            RealFs.rename(from, to)
+        }
+        fn open_append(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>> {
+            RealFs.open_append(path)
+        }
+        fn create_new(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>> {
+            let inner = RealFs.create_new(path)?;
+            Ok(Box::new(UnrepairableTail { inner, writes: 0 }))
+        }
+        fn create_truncate(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>> {
+            RealFs.create_truncate(path)
+        }
+        fn open_write(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>> {
+            RealFs.open_write(path)
+        }
+        fn sync_dir(&self, path: &Path) -> std::io::Result<()> {
+            RealFs.sync_dir(path)
+        }
+    }
+
+    #[test]
+    fn unrepairable_append_tail_is_a_counted_traced_poison() {
+        let dir = temp_dir("unrepairable-tail");
+        let (mut store, _) =
+            Store::open_with(&dir, test_config(), Arc::new(UnrepairableTailFs)).unwrap();
+        let tracer = Tracer::new();
+        tracer.enable(4);
+        store.attach_tracer(tracer.clone());
+        {
+            let _trace = tracer.begin("request.mutate");
+            let err = store.append(1, &payload(1)).unwrap_err();
+            let StoreError::Poisoned(msg) = &err else {
+                panic!("expected a typed poison, got {err:?}");
+            };
+            assert!(msg.contains("the segment tail is unknowable"), "{msg}");
+            assert_eq!(store.poisoned(), Some(&err));
+        }
+        assert_eq!(store.metrics().poison_events.get(), 1);
+        let traces = tracer.traces(0);
+        assert_eq!(traces.len(), 1);
+        let root = &traces[0].spans[0];
+        assert_eq!(root.name, "request.mutate");
+        assert_eq!(
+            root.error.as_deref(),
+            Some(store.poisoned().unwrap().to_string().as_str())
+        );
+        // Later mutations are refused without counting a second event.
+        assert!(matches!(
+            store.append(1, &payload(1)),
+            Err(StoreError::Poisoned(_))
+        ));
+        assert_eq!(store.metrics().poison_events.get(), 1);
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn failed_record_fsync_poisons_but_reopen_recovers() {
         let dir = temp_dir("fault-fsyncgate");
@@ -1646,6 +1669,8 @@ mod tests {
         let dir = temp_dir("durable-epoch");
         let mut config = test_config();
         config.fsync = FsyncPolicy::EveryBatch;
+        assert!(config.fsync.durable_metadata());
+        assert!(!FsyncPolicy::Never.durable_metadata());
         let (mut store, _) = Store::open(&dir, config.clone()).unwrap();
         assert_eq!(store.durable_epoch(), None);
         store.append(1, &payload(1)).unwrap();

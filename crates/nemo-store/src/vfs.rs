@@ -28,9 +28,8 @@ use std::sync::{Arc, Mutex};
 /// An open file handle behind the [`Vfs`] seam.
 ///
 /// Only the operations the store actually performs are exposed: appends
-/// (`write_all`), data fsync, truncation (crash-tail and short-write
-/// repair) and handle duplication (the group committer fsyncs a duplicate
-/// with the store lock released).
+/// (`write_all`), data fsync and truncation (crash-tail and short-write
+/// repair).
 pub trait VfsFile: Send + fmt::Debug {
     /// Writes the whole buffer (at end-of-file for append-opened handles).
     fn write_all(&mut self, buf: &[u8]) -> io::Result<()>;
@@ -38,8 +37,6 @@ pub trait VfsFile: Send + fmt::Debug {
     fn sync_data(&self) -> io::Result<()>;
     /// Truncates (or extends) the file to `len` bytes.
     fn set_len(&self, len: u64) -> io::Result<()>;
-    /// Duplicates the handle; both cover the same underlying file.
-    fn try_clone(&self) -> io::Result<Box<dyn VfsFile>>;
 }
 
 /// The filesystem operations the store performs, behind one seam.
@@ -84,9 +81,6 @@ impl VfsFile for RealFile {
     }
     fn set_len(&self, len: u64) -> io::Result<()> {
         self.0.set_len(len)
-    }
-    fn try_clone(&self) -> io::Result<Box<dyn VfsFile>> {
-        Ok(Box::new(RealFile(self.0.try_clone()?)))
     }
 }
 
@@ -335,16 +329,6 @@ impl VfsFile for FaultFile {
         // it is not a faultable class, but it still counts as an op.
         self.core.tick(FaultOp::Read, &self.path);
         self.inner.set_len(len)
-    }
-    fn try_clone(&self) -> io::Result<Box<dyn VfsFile>> {
-        if let Some(err) = self.core.tick(FaultOp::Open, &self.path) {
-            return Err(err);
-        }
-        Ok(Box::new(FaultFile {
-            core: Arc::clone(&self.core),
-            inner: self.inner.try_clone()?,
-            path: self.path.clone(),
-        }))
     }
 }
 
