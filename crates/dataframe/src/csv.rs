@@ -43,23 +43,12 @@ pub fn write_csv<W: fmt::Write + ?Sized>(df: &DataFrame, out: &mut W) -> fmt::Re
         write_quoted(name, out)?;
     }
     out.write_char('\n')?;
-    write_rows(df, 0, out)
+    write_rows(df, out)
 }
 
-/// Serializes only the data lines (no header) for rows `from..`, in the
-/// exact dialect of [`to_csv`]: `to_csv(df)` is the header line followed by
-/// `to_csv_rows(df, 0)`, and for any `k <= n_rows` the serialization of the
-/// first `k` rows followed by `to_csv_rows(df, k)` is `to_csv(df)` byte for
-/// byte.
-pub fn to_csv_rows(df: &DataFrame, from: usize) -> String {
-    let mut out = String::new();
-    write_rows(df, from, &mut out).expect("writing to a String cannot fail");
-    out
-}
-
-fn write_rows<W: fmt::Write + ?Sized>(df: &DataFrame, from: usize, out: &mut W) -> fmt::Result {
+fn write_rows<W: fmt::Write + ?Sized>(df: &DataFrame, out: &mut W) -> fmt::Result {
     let columns = df.columns();
-    for row in from..df.n_rows() {
+    for row in 0..df.n_rows() {
         for (i, column) in columns.iter().enumerate() {
             if i > 0 {
                 out.write_char(',')?;
@@ -314,18 +303,6 @@ mod tests {
         let df = from_csv("a,b\n\"\",\n").unwrap();
         assert_eq!(df.value(0, "a").unwrap().as_str(), Some(""));
         assert!(df.value(0, "b").unwrap().is_null());
-    }
-
-    #[test]
-    fn tail_rows_splice_onto_a_prefix_byte_identically() {
-        let df = sample();
-        let full = to_csv(&df);
-        for split in 0..=df.n_rows() {
-            let prefix = to_csv(&df.head(split));
-            let spliced = format!("{prefix}{}", to_csv_rows(&df, split));
-            assert_eq!(spliced, full, "split at {split}");
-        }
-        assert_eq!(to_csv_rows(&df, df.n_rows()), "");
     }
 
     #[test]

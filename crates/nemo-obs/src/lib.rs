@@ -3,17 +3,16 @@
 //! The crate is deliberately dependency-free: it offers three atomic
 //! primitives — [`Counter`], [`Gauge`] and [`Histogram`] (fixed
 //! exponential buckets, mergeable snapshots) — collected under a
-//! cheaply-cloneable [`Registry`], plus [`SpanTimer`] guards that feed a
-//! histogram and an optional bounded structured event log.
+//! cheaply-cloneable [`Registry`], plus [`SpanTimer`] guards that time a
+//! span into a histogram. Request-scoped span trees are the [`trace`]
+//! module's.
 //!
 //! # Hot-path cost
 //!
 //! Recording is a handful of `Relaxed` atomic operations on
 //! pre-registered handles; the registry's interior `Mutex` is touched
-//! only at registration and snapshot time, never while recording. When
-//! the event log is disabled (the default) span timers skip it behind a
-//! single atomic load. Taking a [`Snapshot`] is the only operation that
-//! walks the registry.
+//! only at registration and snapshot time, never while recording. Taking
+//! a [`Snapshot`] is the only operation that walks the registry.
 //!
 //! # Logical vs physical metrics
 //!
@@ -37,9 +36,9 @@
 
 pub mod trace;
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -172,6 +171,15 @@ impl Histogram {
         self.0.sum.fetch_add(value, Ordering::Relaxed);
     }
 
+    /// Starts timing a span: the returned guard records its wall-clock
+    /// duration in microseconds into this histogram on drop.
+    pub fn time(&self) -> SpanTimer {
+        SpanTimer {
+            histogram: self.clone(),
+            started: Instant::now(),
+        }
+    }
+
     /// A point-in-time copy of the bucket counts. Concurrent recording
     /// may make `count` and the bucket total momentarily disagree by the
     /// records in flight; quiesce before snapshotting when exactness
@@ -230,44 +238,9 @@ enum Metric {
     Histogram(Class, Histogram),
 }
 
-/// One span completion in the structured event log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanEvent {
-    /// Position in the log (monotonic, survives trimming).
-    pub seq: u64,
-    /// The span's name.
-    pub name: String,
-    /// Wall-clock duration in microseconds.
-    pub micros: u64,
-}
-
-impl SpanEvent {
-    /// Renders the event as one canonical JSON line.
-    pub fn to_json_line(&self) -> String {
-        format!(
-            "{{\"micros\":{},\"name\":{},\"seq\":{}}}",
-            self.micros,
-            json_string(&self.name),
-            self.seq
-        )
-    }
-}
-
-#[derive(Debug, Default)]
-struct EventBuf {
-    capacity: usize,
-    next_seq: u64,
-    items: VecDeque<SpanEvent>,
-    /// Counts events evicted by overflow; registered (as
-    /// `span_events_dropped`) when the log is enabled.
-    dropped: Counter,
-}
-
 #[derive(Debug, Default)]
 struct RegistryCells {
     metrics: Mutex<BTreeMap<String, Metric>>,
-    events_enabled: AtomicBool,
-    events: Mutex<EventBuf>,
 }
 
 /// A shareable collection of named metrics. Cloning shares the
@@ -324,59 +297,6 @@ impl Registry {
         }
     }
 
-    /// Turns the structured event log on, keeping at most `capacity`
-    /// most-recent events. The log is off by default and costs one
-    /// atomic load per span while off.
-    pub fn enable_events(&self, capacity: usize) {
-        let dropped = self.counter("span_events_dropped", Class::Physical);
-        let mut buf = self.cells.events.lock().expect("events lock");
-        buf.capacity = capacity;
-        buf.dropped = dropped;
-        self.cells
-            .events_enabled
-            .store(capacity > 0, Ordering::Release);
-    }
-
-    /// Appends a completed span to the event log (no-op while disabled).
-    pub fn record_span(&self, name: &str, micros: u64) {
-        if !self.cells.events_enabled.load(Ordering::Acquire) {
-            return;
-        }
-        let mut buf = self.cells.events.lock().expect("events lock");
-        if buf.capacity == 0 {
-            return;
-        }
-        let seq = buf.next_seq;
-        buf.next_seq += 1;
-        let over = buf.items.len() + 1 > buf.capacity;
-        if over {
-            buf.items.pop_front();
-            buf.dropped.inc();
-        }
-        buf.items.push_back(SpanEvent {
-            seq,
-            name: name.to_string(),
-            micros,
-        });
-    }
-
-    /// The retained span events, oldest first.
-    pub fn events(&self) -> Vec<SpanEvent> {
-        let buf = self.cells.events.lock().expect("events lock");
-        buf.items.iter().cloned().collect()
-    }
-
-    /// Starts a span: the returned guard records its wall-clock duration
-    /// into `histogram` (and the event log, when enabled) on drop.
-    pub fn span(&self, name: &'static str, histogram: &Histogram) -> SpanTimer {
-        SpanTimer {
-            registry: self.clone(),
-            histogram: histogram.clone(),
-            name,
-            started: Instant::now(),
-        }
-    }
-
     /// A point-in-time copy of every registered metric.
     pub fn snapshot(&self) -> Snapshot {
         let metrics = self.cells.metrics.lock().expect("metrics lock");
@@ -413,12 +333,10 @@ fn kind_name(metric: &Metric) -> &'static str {
     }
 }
 
-/// A guard measuring one span; see [`Registry::span`].
+/// A guard measuring one span; see [`Histogram::time`].
 #[derive(Debug)]
 pub struct SpanTimer {
-    registry: Registry,
     histogram: Histogram,
-    name: &'static str,
     started: Instant,
 }
 
@@ -426,7 +344,6 @@ impl Drop for SpanTimer {
     fn drop(&mut self) {
         let micros = u64::try_from(self.started.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.histogram.record(micros);
-        self.registry.record_span(self.name, micros);
     }
 }
 
@@ -752,62 +669,13 @@ mod tests {
     }
 
     #[test]
-    fn the_event_log_is_off_by_default_and_bounded_when_on() {
+    fn span_timers_record_into_their_histogram() {
         let registry = Registry::new();
-        registry.record_span("ignored", 10);
-        assert!(registry.events().is_empty());
-
-        registry.enable_events(2);
-        registry.record_span("a", 1);
-        registry.record_span("b", 2);
-        registry.record_span("c", 3);
-        let events = registry.events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].name, "b");
-        assert_eq!(events[0].seq, 1);
-        assert_eq!(events[1].name, "c");
-        assert_eq!(events[1].seq, 2);
-        assert_eq!(
-            events[1].to_json_line(),
-            "{\"micros\":3,\"name\":\"c\",\"seq\":2}"
-        );
-    }
-
-    #[test]
-    fn overflowing_the_event_log_counts_the_drops() {
-        let registry = Registry::new();
-        registry.enable_events(3);
-        for i in 0..10 {
-            registry.record_span("work", i);
-        }
-        let events = registry.events();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].seq, 7, "oldest retained is the 8th record");
-        let dropped = registry.counter("span_events_dropped", Class::Physical);
-        assert_eq!(dropped.get(), 7);
-        let doc = registry.snapshot().to_json();
-        assert!(doc.contains(
-            "\"span_events_dropped\":{\"class\":\"physical\",\"kind\":\"counter\",\"value\":7}"
-        ));
-        assert!(registry
-            .snapshot()
-            .to_prometheus()
-            .contains("span_events_dropped 7"));
-    }
-
-    #[test]
-    fn span_timers_record_into_their_histogram_and_event_log() {
-        let registry = Registry::new();
-        registry.enable_events(16);
         let h = registry.histogram("span_micros", Class::Physical);
         {
-            let _span = registry.span("unit_of_work", &h);
+            let _span = h.time();
         }
-        let snap = h.snapshot();
-        assert_eq!(snap.count, 1);
-        let events = registry.events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].name, "unit_of_work");
+        assert_eq!(h.snapshot().count, 1);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 /// every WAL segment and refuses segments carrying anything else.
 pub const SHARD_WAL_MAGIC: &str = "nemo-shard-wal/v1";
 
-pub(crate) fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
+fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
     JsonValue::Object(
         fields
             .into_iter()
@@ -34,11 +34,11 @@ pub(crate) fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
     )
 }
 
-pub(crate) fn s(text: &str) -> JsonValue {
+fn s(text: &str) -> JsonValue {
     JsonValue::String(text.to_string())
 }
 
-pub(crate) fn n(value: i64) -> JsonValue {
+fn n(value: i64) -> JsonValue {
     JsonValue::Number(value as f64)
 }
 
@@ -88,9 +88,9 @@ fn value_from_json(value: &JsonValue) -> Result<AttrValue, ServeError> {
     }
 }
 
-/// The canonical JSON form of one [`Mutation`] (shared by the WAL codec
-/// and the typed request/response protocol).
-pub(crate) fn mutation_to_json(mutation: &Mutation) -> JsonValue {
+/// The canonical JSON form of one [`Mutation`], the `mutation` field of a
+/// WAL record.
+fn mutation_to_json(mutation: &Mutation) -> JsonValue {
     match mutation {
         Mutation::AddNode {
             id,
@@ -159,7 +159,7 @@ pub fn encode_shard_record(record: &WalRecord, global: u64) -> Vec<u8> {
     .into_bytes()
 }
 
-pub(crate) fn get_str(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<String, ServeError> {
+fn get_str(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<String, ServeError> {
     match map.get(key) {
         Some(JsonValue::String(text)) => Ok(text.clone()),
         other => Err(ServeError::Corrupt(format!(
@@ -187,7 +187,7 @@ fn get_i64(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<i64, ServeErr
 }
 
 /// Decodes the canonical JSON form of one [`Mutation`].
-pub(crate) fn mutation_from_json(m: &BTreeMap<String, JsonValue>) -> Result<Mutation, ServeError> {
+fn mutation_from_json(m: &BTreeMap<String, JsonValue>) -> Result<Mutation, ServeError> {
     let mutation = match get_str(m, "op")?.as_str() {
         "add_node" => Mutation::AddNode {
             id: get_str(m, "id")?,

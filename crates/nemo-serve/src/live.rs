@@ -10,18 +10,21 @@
 //! durable one a persistent server keeps ([`crate::shard_persist`]); the
 //! live network holds only the state.
 //!
-//! **Row indices.** Every write-path lookup goes through an index, never a
-//! column scan. A node's row never moves (nodes are never removed), so the
-//! node index maps an id to its row. An edge's row moves whenever a row
-//! above it is removed, so the edge index maps each `(source, target)` pair
-//! to a *key* instead: a number fixed when the row is appended. The keys
-//! ascend strictly with the rows, so a key's row is its position in the key
-//! vector, found by binary search. A removal deletes one index entry and one
-//! key and rewrites no other entry; what still grows with the state is the
-//! memmove that shifts the later keys and frame rows up. (A shard partition
-//! keys its rows by their merge sequence numbers, see [`crate::shard`]; a
-//! standalone network numbers its initial rows `0..n` and counts upward
-//! from the last key.)
+//! **Row keys and indices.** Every row of both frames carries a *key*, a
+//! number fixed when the row is appended, and each frame's keys ascend
+//! strictly with its rows. A standalone or merged network keys each
+//! frame's rows `0..n` and counts upward from the last key; a shard
+//! partition keys them by their merge sequence numbers, which is all the
+//! merge needs (see [`crate::shard`]).
+//!
+//! Every write-path lookup goes through an index, never a column scan. A
+//! node's row never moves (nodes are never removed), so the node index maps
+//! an id to its row. An edge's row moves whenever a row above it is
+//! removed, so the edge index maps each `(source, target)` pair to its key
+//! instead, and a key's row is its position in the key vector, found by
+//! binary search. A removal deletes one index entry and one key and
+//! rewrites no other entry; what still grows with the state is the memmove
+//! that shifts the later keys and frame rows up.
 //!
 //! The substrates sit behind `Arc`s. [`LiveNetwork::state`] hands those
 //! `Arc`s to the sandbox instead of copying them, and a mutation writes
@@ -51,6 +54,9 @@ pub struct LiveNetwork {
     epoch: Epoch,
     /// Row index of each node id in the node frame (see the module docs).
     node_rows: HashMap<String, usize>,
+    /// The key of every node-frame row, in row order and strictly
+    /// ascending.
+    node_seqs: Vec<u64>,
     /// Row key of each `(source, target)` pair in the edge frame, nested
     /// by source so lookups probe with `&str` — no per-lookup key
     /// allocation on the hot mutation path.
@@ -102,29 +108,34 @@ impl LiveNetwork {
         LiveNetwork::from_parts(export::to_graph(workload), nodes, edges, 0)
     }
 
-    /// Reassembles a network from restored substrates (the snapshot path),
-    /// keying the edge rows `0..n`.
+    /// Reassembles a network from restored substrates (the snapshot path,
+    /// and the merge), keying each frame's rows `0..n`.
     pub(crate) fn from_parts(
         graph: Graph,
         nodes: DataFrame,
         edges: DataFrame,
         epoch: Epoch,
     ) -> Self {
+        let node_seqs = (0..nodes.n_rows() as u64).collect();
         let edge_seqs = (0..edges.n_rows() as u64).collect();
-        LiveNetwork::from_keyed_parts(graph, nodes, edges, epoch, edge_seqs)
+        LiveNetwork::from_keyed_parts(graph, nodes, edges, epoch, node_seqs, edge_seqs)
     }
 
-    /// Reassembles a network whose edge row `r` is keyed `edge_seqs[r]`.
-    /// The caller guarantees one key per edge row, strictly ascending.
+    /// Reassembles a network whose node row `r` is keyed `node_seqs[r]`
+    /// and edge row `r` `edge_seqs[r]`. The caller guarantees one key per
+    /// row, strictly ascending in each frame.
     pub(crate) fn from_keyed_parts(
         graph: Graph,
         nodes: DataFrame,
         edges: DataFrame,
         epoch: Epoch,
+        node_seqs: Vec<u64>,
         edge_seqs: Vec<u64>,
     ) -> Self {
-        debug_assert_eq!(edge_seqs.len(), edges.n_rows());
-        debug_assert!(edge_seqs.windows(2).all(|w| w[0] < w[1]));
+        for (seqs, frame) in [(&node_seqs, &nodes), (&edge_seqs, &edges)] {
+            debug_assert_eq!(seqs.len(), frame.n_rows());
+            debug_assert!(seqs.windows(2).all(|w| w[0] < w[1]));
+        }
         let (node_rows, edge_rows) = row_indices(&nodes, &edges, &edge_seqs);
         LiveNetwork {
             graph: Arc::new(graph),
@@ -132,13 +143,14 @@ impl LiveNetwork {
             edges: Arc::new(edges),
             epoch,
             node_rows,
+            node_seqs,
             edge_rows,
             edge_seqs,
         }
     }
 
     /// A copy that shares no substrate with `self` (`clone` shares them
-    /// all), its edge rows keyed `0..n` afresh. A server partition starts
+    /// all), the rows of each frame keyed `0..n` afresh. A server partition starts
     /// from one: its first mutation then writes in place even while the
     /// caller keeps the network it was built from, and the fresh copy is
     /// laid out compactly, which measurably speeds up the mutations that
@@ -159,6 +171,7 @@ impl LiveNetwork {
             edges: Arc::new(DataFrame::clone(&self.edges)),
             epoch: self.epoch,
             node_rows: self.node_rows.clone(),
+            node_seqs: (0..self.node_seqs.len() as u64).collect(),
             edge_rows,
             edge_seqs: (0..self.edge_seqs.len() as u64).collect(),
         }
@@ -210,40 +223,52 @@ impl LiveNetwork {
     /// epoch advances by one and the new epoch is returned; on conflict the
     /// state is untouched.
     pub fn apply(&mut self, mutation: &Mutation) -> Result<Epoch, ServeError> {
-        self.check(mutation)?;
-        let next_key = self.edge_seqs.last().map_or(0, |&key| key + 1);
-        Ok(self.apply_unchecked(mutation, next_key))
+        self.check(mutation, true)?;
+        let key = self
+            .appended_keys(mutation)
+            .last()
+            .map_or(0, |&key| key + 1);
+        Ok(self.apply_unchecked(mutation, key))
     }
 
-    /// Applies a mutation that was validated *shard-locally* (see
-    /// [`LiveNetwork::check_routed`]): what a shard partition runs after
-    /// the router validated the mutation globally. The one semantic
-    /// difference from [`LiveNetwork::apply`] is that an `AddEdge` whose
-    /// endpoints live on other shards is applied through the graph's
-    /// auto-created attribute-less *ghost* endpoints. An `AddEdge` keys
-    /// its row `edge_seq`, which must exceed every key present; the other
-    /// kinds ignore it.
+    /// Applies a mutation on a shard partition, after the router validated
+    /// it globally. The one semantic difference from
+    /// [`LiveNetwork::apply`] is that an `AddEdge` need not find its
+    /// endpoints: those another shard owns are applied through the graph's
+    /// auto-created attribute-less *ghost* endpoints. An `AddNode` or
+    /// `AddEdge` keys the row it appends `key`, which must exceed every key
+    /// of that frame; the other kinds ignore it.
     pub(crate) fn apply_routed(
         &mut self,
         mutation: &Mutation,
-        edge_seq: u64,
+        key: u64,
     ) -> Result<Epoch, ServeError> {
-        self.check_routed(mutation)?;
-        if let (Mutation::AddEdge { .. }, Some(&last)) = (mutation, self.edge_seqs.last()) {
-            if edge_seq <= last {
+        self.check(mutation, false)?;
+        if let (Mutation::AddNode { .. } | Mutation::AddEdge { .. }, Some(&last)) =
+            (mutation, self.appended_keys(mutation).last())
+        {
+            if key <= last {
                 return Err(ServeError::Corrupt(format!(
-                    "edge row key {edge_seq} does not exceed the last row's key {last}"
+                    "row key {key} does not exceed the last key {last} of its frame"
                 )));
             }
         }
-        Ok(self.apply_unchecked(mutation, edge_seq))
+        Ok(self.apply_unchecked(mutation, key))
+    }
+
+    /// The keys of the frame an `AddNode` or `AddEdge` appends its row to.
+    fn appended_keys(&self, mutation: &Mutation) -> &[u64] {
+        match mutation {
+            Mutation::AddNode { .. } => &self.node_seqs,
+            _ => &self.edge_seqs,
+        }
     }
 
     /// The write path shared by [`LiveNetwork::apply`] and
     /// [`LiveNetwork::apply_routed`]; the mutation must already be
-    /// validated against this network, and `edge_seq` (used by `AddEdge`
-    /// only) must exceed every key present.
-    fn apply_unchecked(&mut self, mutation: &Mutation, edge_seq: u64) -> Epoch {
+    /// validated against this network, and `key` (the appended row's, for
+    /// `AddNode` and `AddEdge` only) must exceed every key of its frame.
+    fn apply_unchecked(&mut self, mutation: &Mutation, key: u64) -> Epoch {
         match mutation {
             Mutation::AddNode {
                 id,
@@ -258,6 +283,7 @@ impl LiveNetwork {
                     ]),
                 );
                 self.node_rows.insert(id.clone(), self.nodes.n_rows());
+                self.node_seqs.push(key);
                 Arc::make_mut(&mut self.nodes)
                     .push_row(export::endpoint_row_parts(id, prefix16, prefix24))
                     .expect("node row matches schema");
@@ -281,8 +307,8 @@ impl LiveNetwork {
                 self.edge_rows
                     .entry(source.clone())
                     .or_default()
-                    .insert(target.clone(), edge_seq);
-                self.edge_seqs.push(edge_seq);
+                    .insert(target.clone(), key);
+                self.edge_seqs.push(key);
                 Arc::make_mut(&mut self.edges)
                     .push_row(export::flow_row_parts(
                         source,
@@ -370,74 +396,15 @@ impl LiveNetwork {
         self.apply(&Mutation::from_event(&event.event))
     }
 
-    /// Validates a mutation against the current state without touching it.
-    fn check(&self, mutation: &Mutation) -> Result<(), ServeError> {
-        let conflict = |msg: String| Err(ServeError::Conflict(msg));
-        match mutation {
-            Mutation::AddNode { id, .. } => {
-                if self.graph.has_node(id) {
-                    return conflict(format!("node {id} already exists"));
-                }
-            }
-            Mutation::AddEdge { source, target, .. } => {
-                if !self.graph.has_node(source) || !self.graph.has_node(target) {
-                    return conflict(format!("edge {source}->{target} names an unknown endpoint"));
-                }
-                if self.graph.has_edge(source, target) {
-                    return conflict(format!("edge {source}->{target} already exists"));
-                }
-            }
-            Mutation::SetFlow { source, target, .. } | Mutation::RemoveEdge { source, target } => {
-                if !self.graph.has_edge(source, target) {
-                    return conflict(format!("edge {source}->{target} does not exist"));
-                }
-            }
-            Mutation::SetNodeAttr { id, key, .. } => {
-                if !self.graph.has_node(id) {
-                    return conflict(format!("node {id} does not exist"));
-                }
-                // Rewriting the identity column would desync the tabular
-                // substrates from the graph (node names are immutable).
-                if key == "id" {
-                    return conflict("the 'id' attribute is the node's identity".to_string());
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Shard-local validation: identical to [`LiveNetwork::check`] except
-    /// that `AddEdge` does not require its endpoints — the router already
-    /// checked them against the *owning* shards, and this partition may
-    /// legitimately hold neither.
-    fn check_routed(&self, mutation: &Mutation) -> Result<(), ServeError> {
-        let conflict = |msg: String| Err(ServeError::Conflict(msg));
-        match mutation {
-            Mutation::AddNode { id, .. } => {
-                if self.graph.has_node(id) {
-                    return conflict(format!("node {id} already exists"));
-                }
-            }
-            Mutation::AddEdge { source, target, .. } => {
-                if self.graph.has_edge(source, target) {
-                    return conflict(format!("edge {source}->{target} already exists"));
-                }
-            }
-            Mutation::SetFlow { source, target, .. } | Mutation::RemoveEdge { source, target } => {
-                if !self.graph.has_edge(source, target) {
-                    return conflict(format!("edge {source}->{target} does not exist"));
-                }
-            }
-            Mutation::SetNodeAttr { id, key, .. } => {
-                if !self.graph.has_node(id) {
-                    return conflict(format!("node {id} does not exist"));
-                }
-                if key == "id" {
-                    return conflict("the 'id' attribute is the node's identity".to_string());
-                }
-            }
-        }
-        Ok(())
+    /// Validates a mutation against this network's own graph without
+    /// touching it (see [`Mutation::check`]).
+    fn check(&self, mutation: &Mutation, endpoints_required: bool) -> Result<(), ServeError> {
+        let graph = &self.graph;
+        mutation.check(
+            |id| graph.has_node(id),
+            |source, target| graph.has_edge(source, target),
+            endpoints_required,
+        )
     }
 
     /// `(strong count, address)` of the graph, node-frame and edge-frame
@@ -463,6 +430,11 @@ impl LiveNetwork {
     pub(crate) fn edge_row(&self, source: &str, target: &str) -> Option<usize> {
         let key = self.edge_rows.get(source)?.get(target)?;
         self.edge_seqs.binary_search(key).ok()
+    }
+
+    /// The key of every node-frame row, in row order (strictly ascending).
+    pub(crate) fn node_seqs(&self) -> &[u64] {
+        &self.node_seqs
     }
 
     /// The key of every edge-frame row, in row order (strictly ascending).
@@ -606,9 +578,14 @@ mod tests {
             for (id, &row) in &live.node_rows {
                 assert_eq!(live.nodes().value(row, "id").unwrap().as_str(), Some(&**id));
             }
-            // One strictly ascending key per edge row...
-            assert_eq!(live.edge_seqs().len(), live.edges().n_rows());
-            assert!(live.edge_seqs().windows(2).all(|w| w[0] < w[1]));
+            // One strictly ascending key per row of each frame...
+            for (seqs, frame) in [
+                (live.node_seqs(), live.nodes()),
+                (live.edge_seqs(), live.edges()),
+            ] {
+                assert_eq!(seqs.len(), frame.n_rows());
+                assert!(seqs.windows(2).all(|w| w[0] < w[1]));
+            }
             // ...and every indexed pair finds a row holding that pair, so
             // the index maps the pairs one to one onto the rows.
             let index = edge_index(live);

@@ -161,7 +161,6 @@ impl ServerBuilder {
             net,
             sessions,
             stores,
-            merged: None,
             degraded: None,
             degraded_cause: None,
             registry: self.options.registry.clone(),
@@ -218,15 +217,14 @@ impl ServerBuilder {
 
 /// The serving loop.
 pub struct Server<L: Llm> {
+    /// The live state. It also decides which view queries read
+    /// (`ShardedNetwork::view`).
     net: ShardedNetwork,
     /// One cache per shard; a query hashes to its cache shard by text.
     caches: Vec<ProgramCache>,
     sessions: Vec<Session<L>>,
     /// One store per shard (`root/shard-<k>/`); empty when in memory.
     stores: Vec<ShardPersistence>,
-    /// Memoized merged view and the global epoch it reflects (multi-shard
-    /// servers only; a single shard serves its partition directly).
-    merged: Option<(Epoch, LiveNetwork)>,
     /// Set once a store's write path is poisoned: `(poisoned shard, epoch
     /// through which that store is known durable)`. The server is then in
     /// **degraded read-only mode** — mutations come back as
@@ -352,12 +350,10 @@ impl<L: Llm> Server<L> {
     }
 
     /// The merged view of the live state at the current global epoch —
-    /// byte-identical to what an unsharded network would hold. Memoized
-    /// per epoch; a single-shard server returns its partition directly.
+    /// byte-identical to what an unsharded network would hold, and the
+    /// view queries read. Built at most once per state.
     pub fn merged_view(&mut self) -> &LiveNetwork {
-        let epoch = self.net.global_epoch();
-        self.ensure_merged(epoch);
-        self.current_view()
+        self.net.view()
     }
 
     /// Cache counters summed over every cache shard.
@@ -502,19 +498,6 @@ impl<L: Llm> Server<L> {
         Ok(())
     }
 
-    fn ensure_merged(&mut self, epoch: Epoch) {
-        if self.net.shards() == 1 {
-            return;
-        }
-        if !matches!(&self.merged, Some((e, _)) if *e == epoch) {
-            self.merged = Some((epoch, self.net.merged()));
-        }
-    }
-
-    fn current_view(&self) -> &LiveNetwork {
-        served_view(&self.net, &self.merged)
-    }
-
     /// Answers one query for one client through the cache hierarchy.
     ///
     /// Misses run the full pipeline (prompt → LLM → sandbox) via
@@ -528,7 +511,7 @@ impl<L: Llm> Server<L> {
     pub(crate) fn handle_query(&mut self, client: usize, query: &str) -> Reply {
         // Every reply counts — including the error reply for an unknown
         // client, which is just as much a function of the request stream.
-        let _timer = self.registry.span("query", &self.metrics.query_micros);
+        let _timer = self.metrics.query_micros.time();
         let reply = self.handle_query_uncounted(client, query);
         self.metrics.queries_answered.inc();
         reply
@@ -559,9 +542,8 @@ impl<L: Llm> Server<L> {
         let (cache, answer) = match lookup {
             Lookup::Answer(_outcome, rendered) => (CacheOutcome::AnswerHit, rendered.to_string()),
             Lookup::Program(program) => {
-                self.ensure_merged(epoch);
                 let _execute_span = self.tracer.span("query.execute", Class::Physical);
-                let state = self.current_view().state(backend);
+                let state = self.net.view().state(backend);
                 match execute_code(backend, &program, &state) {
                     Ok(outcome) => {
                         let answer = self.caches[ci].insert_answer(query, backend, epoch, outcome);
@@ -579,18 +561,16 @@ impl<L: Llm> Server<L> {
                 }
             }
             Lookup::Miss => {
-                self.ensure_merged(epoch);
                 let _compile_span = self.tracer.span("query.compile", Class::Physical);
-                // Field-level split: the view (net/merged) is borrowed
-                // immutably while the session's model is borrowed mutably.
+                // Field-level split: the view (in `net`) is borrowed while
+                // the session's model is borrowed mutably.
                 let Server {
                     net,
-                    merged,
                     sessions,
                     caches,
                     ..
                 } = self;
-                let live = served_view(net, merged);
+                let live = net.view();
                 let prompt = codegen_prompt(live, backend, query);
                 let state = live.state(backend);
                 let mut manager = NetworkManager::new(live, &mut sessions[si].llm);
@@ -644,7 +624,7 @@ impl<L: Llm> Server<L> {
         match request {
             Request::Mutate { at_ms, mutation } => {
                 self.metrics.requests_mutate.inc();
-                let _timer = self.registry.span("mutate", &self.metrics.mutate_micros);
+                let _timer = self.metrics.mutate_micros.time();
                 match self.apply_mutation(*at_ms, mutation.clone()) {
                     Ok(epoch) => Ok(Response::Mutated {
                         epoch,
@@ -680,7 +660,7 @@ impl<L: Llm> Server<L> {
             }
             Request::Sync => {
                 self.metrics.requests_sync.inc();
-                let _timer = self.registry.span("sync", &self.metrics.sync_micros);
+                let _timer = self.metrics.sync_micros.time();
                 self.sync_persistence()?;
                 Ok(Response::Synced)
             }
@@ -697,22 +677,6 @@ impl<L: Llm> Server<L> {
                 Ok(Response::Trace { doc })
             }
         }
-    }
-}
-
-/// The view queries are answered from: partition 0 itself on a single
-/// shard — a borrow, never a copy, so the read path copies no state — and
-/// the merged view [`Server::ensure_merged`] memoized otherwise. Takes the
-/// fields rather than the server so a caller can hold the view while
-/// borrowing a session mutably.
-fn served_view<'a>(
-    net: &'a ShardedNetwork,
-    merged: &'a Option<(Epoch, LiveNetwork)>,
-) -> &'a LiveNetwork {
-    if net.shards() == 1 {
-        &net.partition(0).live
-    } else {
-        &merged.as_ref().expect("ensure_merged refreshed the view").1
     }
 }
 
@@ -857,7 +821,7 @@ mod tests {
         // Every substrate is held by the live network alone, so a mutation
         // writes in place: the addresses survive it.
         let unshared = |server: &Server<ScriptedLlm>, context: &str| {
-            let handles = server.net.partition(0).live.substrate_handles();
+            let handles = server.net.partition(0).substrate_handles();
             for (count, _) in handles {
                 assert_eq!(count, 1, "{context}: a substrate is still shared");
             }

@@ -19,8 +19,9 @@
 //! partitions of a multi-shard network start counting at zero, so the
 //! global epoch is `base + Σ local`; a single partition is the whole
 //! network and keeps the network's epoch, so its local epoch *is* the
-//! global one — which is what lets a single-shard server serve partition
-//! 0 itself as its view. Per-shard mutation streams are
+//! global one — which is what lets `ShardedNetwork::view` serve
+//! partition 0 itself on one shard. That is the one place the shard count
+//! changes how reads are served. Per-shard mutation streams are
 //! independently applicable in any interleaving (ghosts make cross-shard
 //! edges shard-locally valid), which is what lets each shard recover from
 //! its own WAL with no cross-shard coordination — and what the
@@ -31,9 +32,8 @@
 //! unsharded frame, mutation-inserted rows get `seq_base + (global -
 //! base)`. Merging k frames is a k-way merge ascending by sequence
 //! number, which reproduces the unsharded frame *byte-identically* — the
-//! foundation of the shard-count-invariance guarantee. A partition's edge
-//! sequence numbers double as its [`LiveNetwork`]'s edge row keys, so the
-//! partition keeps only the node ones itself.
+//! foundation of the shard-count-invariance guarantee. A partition is a
+//! plain [`LiveNetwork`]: its sequence numbers are its row keys.
 
 use crate::error::ServeError;
 use crate::live::LiveNetwork;
@@ -61,38 +61,6 @@ pub fn route_mutation(mutation: &Mutation, shards: u32) -> u32 {
     }
 }
 
-/// One shard's slice of the live state plus the per-row sequence numbers
-/// that make the merge deterministic. The edge rows' numbers are the live
-/// network's row keys ([`LiveNetwork::edge_seqs`]).
-#[derive(Debug, Clone)]
-pub(crate) struct ShardPartition {
-    pub(crate) live: LiveNetwork,
-    /// One entry per node-frame row: its position in the merged order.
-    pub(crate) node_seqs: Vec<u64>,
-}
-
-impl ShardPartition {
-    /// Applies one globally-validated mutation carrying global epoch
-    /// `global`, maintaining the sequence vectors. `meta` supplies the
-    /// bases of the sequence-number formula.
-    pub(crate) fn apply_record(
-        &mut self,
-        global: Epoch,
-        mutation: &Mutation,
-        meta: &SeqBases,
-    ) -> Result<(), ServeError> {
-        debug_assert!(global > meta.base_epoch);
-        let step = global - meta.base_epoch;
-        self.live
-            .apply_routed(mutation, meta.edge_seq_base + step)?;
-        if let Mutation::AddNode { .. } = mutation {
-            self.node_seqs.push(meta.node_seq_base + step);
-        }
-        debug_assert_eq!(self.node_seqs.len(), self.live.nodes().n_rows());
-        Ok(())
-    }
-}
-
 /// The constants of the sequence-number formula, fixed at partition time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SeqBases {
@@ -104,14 +72,38 @@ pub(crate) struct SeqBases {
     pub(crate) edge_seq_base: u64,
 }
 
+impl SeqBases {
+    /// Applies one globally validated mutation carrying global epoch
+    /// `global` to `partition`, keying the row it appends (if any) by the
+    /// sequence-number formula: its frame's base plus `global -
+    /// base_epoch`.
+    pub(crate) fn apply(
+        &self,
+        partition: &mut LiveNetwork,
+        global: Epoch,
+        mutation: &Mutation,
+    ) -> Result<Epoch, ServeError> {
+        debug_assert!(global > self.base_epoch);
+        let step = global - self.base_epoch;
+        let base = match mutation {
+            Mutation::AddNode { .. } => self.node_seq_base,
+            _ => self.edge_seq_base,
+        };
+        partition.apply_routed(mutation, base + step)
+    }
+}
+
 /// N live partitions behind one globally-validating router.
 #[derive(Debug, Clone)]
 pub struct ShardedNetwork {
-    partitions: Vec<ShardPartition>,
+    partitions: Vec<LiveNetwork>,
     bases: SeqBases,
     /// Highest global epoch applied anywhere (equals `base + Σ local`
     /// except after a jagged per-shard recovery).
     next_global: Epoch,
+    /// The merged view [`ShardedNetwork::view`] serves on more than one
+    /// shard, built on demand and dropped by every applied mutation.
+    view: Option<LiveNetwork>,
 }
 
 impl ShardedNetwork {
@@ -132,16 +124,12 @@ impl ShardedNetwork {
             edge_seq_base: live.edges().n_rows() as u64,
         };
         if shards == 1 {
-            // The copy keys its edge rows `0..n`: their sequence numbers.
-            let partition = ShardPartition {
-                live: live.private_copy(),
-                node_seqs: (0..live.nodes().n_rows() as u64).collect(),
-            };
-            return Ok(ShardedNetwork {
-                partitions: vec![partition],
+            // The copy keys its rows `0..n`: their sequence numbers.
+            return Ok(ShardedNetwork::from_partitions(
+                vec![live.private_copy()],
                 bases,
-                next_global: base_epoch,
-            });
+                base_epoch,
+            ));
         }
         let n = shards as usize;
         let mut node_idx: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -181,31 +169,25 @@ impl ShardedNetwork {
             .zip(node_idx)
             .zip(edge_idx)
             .map(|((graph, nodes), edges)| {
-                let node_frame = live.nodes().take(&nodes).expect("indices from enumerate");
-                let edge_frame = live.edges().take(&edges).expect("indices from enumerate");
-                ShardPartition {
-                    live: LiveNetwork::from_keyed_parts(
-                        graph,
-                        node_frame,
-                        edge_frame,
-                        0,
-                        edges.iter().map(|&r| r as u64).collect(),
-                    ),
-                    node_seqs: nodes.iter().map(|&r| r as u64).collect(),
-                }
+                LiveNetwork::from_keyed_parts(
+                    graph,
+                    live.nodes().take(&nodes).expect("indices from enumerate"),
+                    live.edges().take(&edges).expect("indices from enumerate"),
+                    0,
+                    nodes.iter().map(|&r| r as u64).collect(),
+                    edges.iter().map(|&r| r as u64).collect(),
+                )
             })
             .collect();
-        Ok(ShardedNetwork {
-            partitions,
-            bases,
-            next_global: base_epoch,
-        })
+        Ok(ShardedNetwork::from_partitions(
+            partitions, bases, base_epoch,
+        ))
     }
 
-    /// Reassembles a sharded network from independently recovered
-    /// partitions (the per-shard persistence path).
-    pub(crate) fn from_recovered(
-        partitions: Vec<ShardPartition>,
+    /// Assembles a sharded network from its partitions: fresh ones, or
+    /// ones recovered independently (the per-shard persistence path).
+    pub(crate) fn from_partitions(
+        partitions: Vec<LiveNetwork>,
         bases: SeqBases,
         next_global: Epoch,
     ) -> ShardedNetwork {
@@ -214,6 +196,7 @@ impl ShardedNetwork {
             partitions,
             bases,
             next_global,
+            view: None,
         }
     }
 
@@ -236,7 +219,7 @@ impl ShardedNetwork {
         self.bases
     }
 
-    pub(crate) fn partition(&self, shard: u32) -> &ShardPartition {
+    pub(crate) fn partition(&self, shard: u32) -> &LiveNetwork {
         &self.partitions[shard as usize]
     }
 
@@ -249,61 +232,26 @@ impl ShardedNetwork {
     /// the module docs). Reads served from the merged view observe
     /// exactly this cut.
     pub fn epoch_vector(&self) -> Vec<Epoch> {
-        self.partitions.iter().map(|p| p.live.epoch()).collect()
+        self.partitions.iter().map(LiveNetwork::epoch).collect()
     }
 
     /// Local epoch of one shard: its partition's own epoch counter, which
     /// is also the positional epoch of the shard's store.
     pub(crate) fn local_epoch(&self, shard: u32) -> Epoch {
-        self.partitions[shard as usize].live.epoch()
+        self.partitions[shard as usize].epoch()
     }
 
-    /// True when the *owning* shard holds a real (non-ghost) node `id`.
-    fn has_node_global(&self, id: &str) -> bool {
-        let owner = shard_of(id, self.shards()) as usize;
-        self.partitions[owner].live.graph().has_node(id)
-    }
-
-    /// True when the shard owning `source` holds the edge.
-    fn has_edge_global(&self, source: &str, target: &str) -> bool {
-        let owner = shard_of(source, self.shards()) as usize;
-        self.partitions[owner].live.graph().has_edge(source, target)
-    }
-
-    /// Validates a mutation against the *global* state, consulting the
-    /// owning shards — same checks, same order, same conflict strings as
-    /// the unsharded [`LiveNetwork::apply`].
+    /// Validates a mutation against the *global* state: the conflict
+    /// rules of the unsharded [`LiveNetwork::apply`], each lookup asking
+    /// the shard that owns the node (a real one, never a ghost) or the
+    /// edge's source.
     pub(crate) fn check_global(&self, mutation: &Mutation) -> Result<(), ServeError> {
-        let conflict = |msg: String| Err(ServeError::Conflict(msg));
-        match mutation {
-            Mutation::AddNode { id, .. } => {
-                if self.has_node_global(id) {
-                    return conflict(format!("node {id} already exists"));
-                }
-            }
-            Mutation::AddEdge { source, target, .. } => {
-                if !self.has_node_global(source) || !self.has_node_global(target) {
-                    return conflict(format!("edge {source}->{target} names an unknown endpoint"));
-                }
-                if self.has_edge_global(source, target) {
-                    return conflict(format!("edge {source}->{target} already exists"));
-                }
-            }
-            Mutation::SetFlow { source, target, .. } | Mutation::RemoveEdge { source, target } => {
-                if !self.has_edge_global(source, target) {
-                    return conflict(format!("edge {source}->{target} does not exist"));
-                }
-            }
-            Mutation::SetNodeAttr { id, key, .. } => {
-                if !self.has_node_global(id) {
-                    return conflict(format!("node {id} does not exist"));
-                }
-                if key == "id" {
-                    return conflict("the 'id' attribute is the node's identity".to_string());
-                }
-            }
-        }
-        Ok(())
+        let owner = |id: &str| self.partitions[shard_of(id, self.shards()) as usize].graph();
+        mutation.check(
+            |id| owner(id).has_node(id),
+            |source, target| owner(source).has_edge(source, target),
+            true,
+        )
     }
 
     /// Validates globally, assigns the next global epoch, and applies the
@@ -323,11 +271,26 @@ impl ShardedNetwork {
     /// Validation is shard-local only; the caller vouches the record came
     /// from a globally-validated stream.
     pub fn apply_at(&mut self, global: Epoch, mutation: &Mutation) -> Result<(), ServeError> {
-        let owner = self.route(mutation);
-        let bases = self.bases;
-        self.partitions[owner as usize].apply_record(global, mutation, &bases)?;
+        let owner = self.route(mutation) as usize;
+        self.bases
+            .apply(&mut self.partitions[owner], global, mutation)?;
         self.next_global = self.next_global.max(global);
+        self.view = None;
         Ok(())
+    }
+
+    /// The view reads are served from, at the global epoch: on one shard
+    /// partition 0 itself (its epoch is the global one, see the module
+    /// docs) — a borrow, so the read path copies no state — and otherwise
+    /// the merged view, built at most once per state.
+    pub(crate) fn view(&mut self) -> &LiveNetwork {
+        if self.partitions.len() == 1 {
+            return &self.partitions[0];
+        }
+        if self.view.is_none() {
+            self.view = Some(self.merged());
+        }
+        self.view.as_ref().expect("built above")
     }
 
     /// The merged view: one [`LiveNetwork`] equal — snapshot-byte-equal —
@@ -341,27 +304,19 @@ impl ShardedNetwork {
         // Real nodes first (with their attributes), so no edge below has
         // to ghost-create an endpoint: globally every endpoint exists.
         for (k, partition) in self.partitions.iter().enumerate() {
-            for (id, attrs) in partition.live.graph().nodes() {
+            for (id, attrs) in partition.graph().nodes() {
                 if shard_of(id, shards) as usize == k {
                     graph.add_node(id, attrs.clone());
                 }
             }
         }
         for partition in &self.partitions {
-            for (u, v, attrs) in partition.live.graph().edges() {
+            for (u, v, attrs) in partition.graph().edges() {
                 graph.add_edge(u, v, attrs.clone());
             }
         }
-        let nodes = merge_frames(
-            self.partitions
-                .iter()
-                .map(|p| (p.live.nodes(), p.node_seqs.as_slice())),
-        );
-        let edges = merge_frames(
-            self.partitions
-                .iter()
-                .map(|p| (p.live.edges(), p.live.edge_seqs())),
-        );
+        let nodes = merge_frames(self.partitions.iter().map(|p| (p.nodes(), p.node_seqs())));
+        let edges = merge_frames(self.partitions.iter().map(|p| (p.edges(), p.edge_seqs())));
         LiveNetwork::from_parts(graph, nodes, edges, global)
     }
 }
@@ -460,38 +415,78 @@ mod tests {
                 assert_eq!(got, expected, "shards={}", net.shards());
             }
         }
-        // Conflicting mutations produce the exact unsharded strings.
+        // Conflicting mutations produce the exact unsharded strings, pinned
+        // here: the sharded and unsharded paths share one validator, so
+        // comparing them alone would not catch a changed message.
         let existing = w.endpoints[0].to_string_dotted();
+        let edge = |column| control.edges().value(0, column).unwrap().to_string();
+        let (source, target) = (edge("source"), edge("target"));
         let conflicts = [
-            Mutation::AddNode {
-                id: existing.clone(),
-                prefix16: "0.0".into(),
-                prefix24: "0.0.0".into(),
-            },
-            Mutation::AddEdge {
-                source: "1.2.3.4".into(),
-                target: existing.clone(),
-                bytes: 1,
-                connections: 1,
-                packets: 1,
-            },
-            Mutation::RemoveEdge {
-                source: "1.2.3.4".into(),
-                target: existing.clone(),
-            },
-            Mutation::SetNodeAttr {
-                id: "9.9.9.9".into(),
-                key: "label".into(),
-                value: "x".into(),
-            },
-            Mutation::SetNodeAttr {
-                id: existing,
-                key: "id".into(),
-                value: "x".into(),
-            },
+            (
+                Mutation::AddNode {
+                    id: existing.clone(),
+                    prefix16: "0.0".into(),
+                    prefix24: "0.0.0".into(),
+                },
+                format!("mutation conflict: node {existing} already exists"),
+            ),
+            (
+                Mutation::AddEdge {
+                    source: "1.2.3.4".into(),
+                    target: existing.clone(),
+                    bytes: 1,
+                    connections: 1,
+                    packets: 1,
+                },
+                format!("mutation conflict: edge 1.2.3.4->{existing} names an unknown endpoint"),
+            ),
+            (
+                Mutation::AddEdge {
+                    source: source.clone(),
+                    target: target.clone(),
+                    bytes: 1,
+                    connections: 1,
+                    packets: 1,
+                },
+                format!("mutation conflict: edge {source}->{target} already exists"),
+            ),
+            (
+                Mutation::RemoveEdge {
+                    source: "1.2.3.4".into(),
+                    target: existing.clone(),
+                },
+                format!("mutation conflict: edge 1.2.3.4->{existing} does not exist"),
+            ),
+            (
+                Mutation::SetFlow {
+                    source: existing.clone(),
+                    target: "9.9.9.9".into(),
+                    bytes: 1,
+                    connections: 1,
+                    packets: 1,
+                },
+                format!("mutation conflict: edge {existing}->9.9.9.9 does not exist"),
+            ),
+            (
+                Mutation::SetNodeAttr {
+                    id: "9.9.9.9".into(),
+                    key: "label".into(),
+                    value: "x".into(),
+                },
+                "mutation conflict: node 9.9.9.9 does not exist".to_string(),
+            ),
+            (
+                Mutation::SetNodeAttr {
+                    id: existing.clone(),
+                    key: "id".into(),
+                    value: "x".into(),
+                },
+                "mutation conflict: the 'id' attribute is the node's identity".to_string(),
+            ),
         ];
-        for mutation in conflicts {
+        for (mutation, message) in conflicts {
             let expected = control.apply(&mutation).unwrap_err();
+            assert_eq!(expected.to_string(), message);
             for net in &mut nets {
                 assert_eq!(
                     net.apply(&mutation).unwrap_err(),
@@ -525,14 +520,14 @@ mod tests {
             packets: 1,
         };
         net.apply_at(5, &add("1.1.1.1")).unwrap();
-        let rows = net.partition(0).live.edges().n_rows();
+        let rows = net.partition(0).edges().n_rows();
         // Global epoch 3 keys its row below the one epoch 5 appended: a
         // damaged record stream, refused before anything moves.
         assert!(matches!(
             net.apply_at(3, &add("2.2.2.2")),
             Err(ServeError::Corrupt(_))
         ));
-        assert_eq!(net.partition(0).live.edges().n_rows(), rows);
+        assert_eq!(net.partition(0).edges().n_rows(), rows);
         assert_eq!(net.local_epoch(0), 1);
     }
 
@@ -544,9 +539,7 @@ mod tests {
         // Partitions hold ghosts (cross-shard edge targets)...
         let ghost_total: usize = (0..4u32)
             .map(|k| {
-                let partition = net.partition(k);
-                partition
-                    .live
+                net.partition(k)
                     .graph()
                     .nodes()
                     .filter(|(id, _)| shard_of(id, 4) != k)

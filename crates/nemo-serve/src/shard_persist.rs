@@ -60,7 +60,7 @@ use crate::error::ServeError;
 use crate::live::LiveNetwork;
 use crate::mutation::{Epoch, WalRecord};
 use crate::persist::{with_storage_retry, PersistOptions, RecoveryReport, RetryMetrics};
-use crate::shard::{SeqBases, ShardPartition, ShardedNetwork};
+use crate::shard::{SeqBases, ShardedNetwork};
 use crate::snapshot::{
     parse_snapshot, snapshot_parts, snapshot_size_hint, write_snapshot_into, SnapshotParts,
 };
@@ -115,7 +115,7 @@ impl ShardPersistence {
         shard: u32,
         shards: u32,
         bases: SeqBases,
-        partition: &ShardPartition,
+        partition: &LiveNetwork,
     ) -> Result<ShardPersistence, ServeError> {
         let retry = RetryMetrics::register(&options.registry);
         let (mut store, _) = with_storage_retry(&retry, || {
@@ -155,7 +155,7 @@ impl ShardPersistence {
         options: &PersistOptions,
         shard: u32,
         shards: u32,
-    ) -> Result<(ShardPartition, ShardPersistence, RecoveryReport), ServeError> {
+    ) -> Result<(LiveNetwork, ShardPersistence, RecoveryReport), ServeError> {
         let retry = RetryMetrics::register(&options.registry);
         let (mut store, open_report) = with_storage_retry(&retry, || {
             Ok(Store::open_with(
@@ -218,25 +218,37 @@ impl ShardPersistence {
                     record.epoch
                 )));
             }
-            if record.epoch != partition.live.epoch() + 1 {
+            if record.epoch != partition.epoch() + 1 {
                 return Err(ServeError::Corrupt(format!(
                     "WAL gap: shard state is at epoch {}, next record is epoch {}",
-                    partition.live.epoch(),
+                    partition.epoch(),
                     record.epoch
                 )));
             }
-            partition.apply_record(global, &record.mutation, &bases)?;
+            // The record was validated globally when it was logged, so one
+            // that does not apply is damage, not a rejected request.
+            bases
+                .apply(&mut partition, global, &record.mutation)
+                .map_err(|e| match e {
+                    ServeError::Conflict(why) | ServeError::Corrupt(why) => {
+                        ServeError::Corrupt(format!(
+                            "shard WAL record at log position {epoch} does not apply to the \
+                             recovered state: {why}"
+                        ))
+                    }
+                    other => other,
+                })?;
             last_global = last_global.max(global);
             report.replayed_records += 1;
         }
         // Completeness: recovering below the newest epoch the store ever
         // held would be silent data loss.
         if let Some(last) = store.last_epoch() {
-            if partition.live.epoch() < last {
+            if partition.epoch() < last {
                 return Err(ServeError::Corrupt(format!(
                     "recovery reached epoch {} but the store once held epoch {last}; \
                      the WAL covering the difference is gone (compacted or deleted)",
-                    partition.live.epoch()
+                    partition.epoch()
                 )));
             }
         }
@@ -275,11 +287,8 @@ impl ShardPersistence {
 
     /// Writes and installs a shard snapshot if the store's thresholds say
     /// one is due; returns whether it did.
-    pub(crate) fn maybe_snapshot(
-        &mut self,
-        partition: &ShardPartition,
-    ) -> Result<bool, ServeError> {
-        if !self.store.snapshot_due(partition.live.epoch()) {
+    pub(crate) fn maybe_snapshot(&mut self, partition: &LiveNetwork) -> Result<bool, ServeError> {
+        if !self.store.snapshot_due(partition.epoch()) {
             return Ok(false);
         }
         self.force_full_snapshot(partition)?;
@@ -291,7 +300,7 @@ impl ShardPersistence {
     /// and the install.
     pub(crate) fn force_full_snapshot(
         &mut self,
-        partition: &ShardPartition,
+        partition: &LiveNetwork,
     ) -> Result<(), ServeError> {
         let _snapshot_span = self.store.tracer().span("store.snapshot", Class::Physical);
         let document = self.shard_document(partition);
@@ -299,7 +308,7 @@ impl ShardPersistence {
         with_storage_retry(&retry, || {
             Ok(self
                 .store
-                .install_snapshot(partition.live.epoch(), document.as_bytes())?)
+                .install_snapshot(partition.epoch(), document.as_bytes())?)
         })
     }
 
@@ -313,12 +322,11 @@ impl ShardPersistence {
     /// The full `nemo-shard/v1` document of `partition`, written into one
     /// string sized up front. The inner snapshot is written through
     /// [`Escaped`], straight into its string literal.
-    fn shard_document(&self, partition: &ShardPartition) -> String {
-        let live = &partition.live;
+    fn shard_document(&self, partition: &LiveNetwork) -> String {
         // Each sequence number takes at most ~8 bytes; escaping the inner
         // snapshot adds about a fifth.
-        let capacity = 8 * (partition.node_seqs.len() + live.edge_seqs().len())
-            + snapshot_size_hint(live) * 6 / 5;
+        let capacity = 8 * (partition.node_seqs().len() + partition.edge_seqs().len())
+            + snapshot_size_hint(partition) * 6 / 5;
         let mut out = String::with_capacity(capacity);
         self.write_shard_document(partition, &mut out)
             .expect("writing to a String cannot fail");
@@ -327,7 +335,7 @@ impl ShardPersistence {
 
     /// Writes the document's fields with their keys in sorted order, as a
     /// `JsonValue` object writes them.
-    fn write_shard_document(&self, partition: &ShardPartition, out: &mut String) -> fmt::Result {
+    fn write_shard_document(&self, partition: &LiveNetwork, out: &mut String) -> fmt::Result {
         fn field(out: &mut String, key: &str, value: u64) -> fmt::Result {
             write_string(key, out)?;
             out.push(':');
@@ -350,17 +358,17 @@ impl ShardPersistence {
         out.push('{');
         field(out, "base_epoch", self.bases.base_epoch)?;
         field(out, "edge_seq_base", self.bases.edge_seq_base)?;
-        seqs(out, "edge_seqs", partition.live.edge_seqs())?;
+        seqs(out, "edge_seqs", partition.edge_seqs())?;
         field(out, "last_global", self.last_global)?;
         field(out, "node_seq_base", self.bases.node_seq_base)?;
-        seqs(out, "node_seqs", &partition.node_seqs)?;
+        seqs(out, "node_seqs", partition.node_seqs())?;
         out.push_str("\"schema\":");
         write_string(SHARD_SCHEMA, out)?;
         out.push(',');
         field(out, "shard", self.shard.into())?;
         field(out, "shards", self.shards.into())?;
         out.push_str("\"snapshot\":\"");
-        write_snapshot_into(&partition.live, &mut Escaped(&mut *out))?;
+        write_snapshot_into(partition, &mut Escaped(&mut *out))?;
         out.push_str("\"}");
         Ok(())
     }
@@ -383,14 +391,14 @@ impl ShardPersistence {
 
 /// What a parsed shard snapshot yields.
 struct ShardDocument {
-    partition: ShardPartition,
+    partition: LiveNetwork,
     bases: SeqBases,
     last_global: Epoch,
 }
 
 /// Reads a sequence vector, which must ascend strictly: the merge orders
-/// rows by these numbers, and the edge rows' numbers are the live
-/// network's binary-searched row keys.
+/// rows by these numbers, and they are the partition's row keys (the edge
+/// ones binary-searched).
 fn get_seqs(root: &BTreeMap<String, JsonValue>, key: &str) -> Result<Vec<u64>, ServeError> {
     let Some(JsonValue::Array(items)) = root.get(key) else {
         return Err(ServeError::Corrupt(format!(
@@ -498,10 +506,7 @@ fn parse_shard(
         )));
     }
     Ok(ShardDocument {
-        partition: ShardPartition {
-            live: LiveNetwork::from_keyed_parts(graph, nodes, edges, epoch, edge_seqs),
-            node_seqs,
-        },
+        partition: LiveNetwork::from_keyed_parts(graph, nodes, edges, epoch, node_seqs, edge_seqs),
         bases,
         last_global,
     })
@@ -537,10 +542,10 @@ fn read_shard_snapshot(
     let text = String::from_utf8(bytes)
         .map_err(|_| ServeError::Corrupt("shard snapshot document is not UTF-8".to_string()))?;
     let doc = parse_shard(text, shard, shards)?;
-    if doc.partition.live.epoch() != epoch {
+    if doc.partition.epoch() != epoch {
         return Err(ServeError::Corrupt(format!(
             "shard snapshot file for epoch {epoch} carries state at epoch {}",
-            doc.partition.live.epoch()
+            doc.partition.epoch()
         )));
     }
     Ok(doc)
@@ -690,7 +695,7 @@ pub(crate) fn recover_or_create_sharded(
         .max()
         .expect("shards > 0")
         .max(bases.base_epoch);
-    let net = ShardedNetwork::from_recovered(partitions, bases, next_global);
+    let net = ShardedNetwork::from_partitions(partitions, bases, next_global);
     Ok((net, persists, reports))
 }
 
@@ -792,6 +797,47 @@ mod tests {
         assert_eq!(
             persists.iter().map(|p| p.last_global()).max(),
             Some(reference.epoch())
+        );
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_logged_record_that_conflicts_in_replay_is_corruption() {
+        let root = temp_root("conflicting-replay");
+        let (net, persists, _) =
+            recover_or_create_sharded(&root, &test_options(), 2, 1, || evolved_live(0)).unwrap();
+        drop(persists);
+        // An `AddNode` for a node shard 1 already holds, appended at the
+        // shard's next local epoch: the store accepts the record, replay
+        // cannot apply it.
+        let id = net.partition(1).nodes().value(0, "id").unwrap().to_string();
+        let record = WalRecord {
+            epoch: net.local_epoch(1) + 1,
+            at_ms: 0,
+            mutation: crate::mutation::Mutation::AddNode {
+                id: id.clone(),
+                prefix16: "0.0".into(),
+                prefix24: "0.0.0".into(),
+            },
+        };
+        let options = test_options();
+        let mut store = Store::open_with(
+            &shard_dir(&root, 1),
+            shard_store_config(&options),
+            options.vfs.clone(),
+        )
+        .unwrap()
+        .0;
+        let payload = encode_shard_record(&record, net.global_epoch() + 1);
+        store.append(record.epoch, &payload).unwrap();
+        store.sync().unwrap();
+        drop(store);
+        let err = recover_or_create_sharded(&root, &options, 2, 1, || unreachable!()).unwrap_err();
+        let position = format!("shard 1: shard WAL record at log position {}", record.epoch);
+        assert!(
+            matches!(&err, ServeError::Corrupt(msg)
+                if msg.starts_with(&position) && msg.ends_with(&format!("node {id} already exists"))),
+            "{err}"
         );
         std::fs::remove_dir_all(&root).unwrap();
     }

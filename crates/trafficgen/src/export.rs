@@ -214,29 +214,6 @@ pub fn endpoint_row_parts(id: &str, prefix16: &str, prefix24: &str) -> Vec<AttrV
     ]
 }
 
-/// Appends edge-frame rows for `flows` to an existing edge frame in place —
-/// the incremental export path. Historically every export rebuilt the full
-/// table; a serving loop that appends a handful of flows per epoch only
-/// pays for the new rows.
-pub fn append_flows(edges: &mut DataFrame, flows: &[Flow]) {
-    for flow in flows {
-        edges
-            .push_row(flow_row(flow))
-            .expect("flow rows match the edge-frame schema");
-    }
-}
-
-/// Builds the edge frame holding only `workload.flows[from..]` — what an
-/// exporter that already shipped the first `from` flows still owes. The
-/// schema matches [`to_frames`]; `to_frames(w).1` equals the `from = 0`
-/// frame.
-pub fn export_flows_since(workload: &TrafficWorkload, from: usize) -> DataFrame {
-    let names = ["source", "target", "bytes", "connections", "packets"];
-    let from = from.min(workload.flows.len());
-    let rows: Vec<Vec<AttrValue>> = workload.flows[from..].iter().map(flow_row).collect();
-    DataFrame::from_rows(&names, rows).expect("flow rows are uniform")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,16 +286,11 @@ mod tests {
             ..w.clone()
         };
         let (_, mut incremental) = to_frames(&prefix);
-        append_flows(&mut incremental, &w.flows[25..]);
+        for flow in &w.flows[25..] {
+            incremental.push_row(flow_row(flow)).unwrap();
+        }
         assert_eq!(incremental.n_rows(), full.n_rows());
         assert!(incremental.approx_eq(&full));
-
-        // export_flows_since produces exactly the still-owed tail.
-        let tail = export_flows_since(&w, 25);
-        assert_eq!(tail.n_rows(), 15);
-        assert_eq!(tail.column_names(), full.column_names());
-        assert!(export_flows_since(&w, 0).approx_eq(&full));
-        assert_eq!(export_flows_since(&w, 10_000).n_rows(), 0);
     }
 
     #[test]
