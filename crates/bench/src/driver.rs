@@ -38,7 +38,7 @@ use nemo_serve::shard::route_mutation;
 use nemo_serve::snapshot::write_snapshot;
 use nemo_serve::{
     FsyncPolicy, LiveNetwork, Mutation, PersistOptions, Request, Response, ServeError, Server,
-    ServerBuilder, Session,
+    ServerBuilder, Session, Tracer,
 };
 use nemo_store::{FaultFs, FaultKind};
 use std::path::Path;
@@ -449,7 +449,9 @@ fn durable_client(
 /// `base_dir` (one `c<i>` subdirectory each; existing stores are
 /// recovered and resumed). Returns the combined transcript in client order
 /// plus whether any client crashed: with `crash_after: Some(k)`, client
-/// `c` stops abruptly after `k + c` applied epochs.
+/// `c` stops abruptly after `k + c` applied epochs. Each client records
+/// into its own fork of the configured tracer, absorbed back in client
+/// order, so trace ids follow the transcript's order at any thread count.
 pub fn run(
     config: &DurabilityConfig,
     base_dir: &Path,
@@ -457,9 +459,17 @@ pub fn run(
     crash_after: Option<u64>,
 ) -> Result<(Vec<String>, bool), ServeError> {
     let pool_metrics = pool::PoolMetrics::register(&config.options.registry);
+    let tracers: Vec<Tracer> = (0..config.clients)
+        .map(|_| config.options.tracer.fork())
+        .collect();
     let runs = pool::run_indexed_observed(config.clients, threads, Some(&pool_metrics), |client| {
-        durable_client(config, base_dir, client, crash_after)
+        let mut config = config.clone();
+        config.options.tracer = tracers[client].clone();
+        durable_client(&config, base_dir, client, crash_after)
     });
+    for tracer in &tracers {
+        config.options.tracer.absorb(tracer);
+    }
     let mut lines = Vec::new();
     let mut crashed = false;
     for (client, run) in runs.into_iter().enumerate() {
@@ -670,6 +680,25 @@ mod tests {
     fn client_schedule(config: &DriveConfig, client: usize) -> Vec<Request> {
         let workload = generate(&config.traffic);
         schedule(config, client, &load_stream(config, &workload))
+    }
+
+    #[test]
+    fn durable_traces_follow_client_order_at_any_thread_count() {
+        let traced = |threads: usize| {
+            let mut config = tiny_durable();
+            config.options.tracer = Tracer::new();
+            config.options.tracer.enable(4096);
+            let dir = temp_dir(&format!("traces-t{threads}"));
+            run(&config, &dir, threads, None).unwrap();
+            std::fs::remove_dir_all(&dir).unwrap();
+            let tracer = &config.options.tracer;
+            let ids: Vec<u64> = tracer.traces(0).iter().map(|t| t.trace_id).collect();
+            (tracer.logical_skeletons(0), ids)
+        };
+        let (skeletons, ids) = traced(1);
+        assert!(skeletons.contains("request.query"));
+        assert_eq!(ids, (1..=ids.len() as u64).collect::<Vec<_>>());
+        assert_eq!(traced(3), (skeletons, ids));
     }
 
     #[test]

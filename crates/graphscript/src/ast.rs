@@ -1,5 +1,7 @@
 //! Abstract syntax tree for GraphScript.
 
+use std::sync::Arc;
+
 /// A parsed program: a sequence of statements.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Program {
@@ -132,8 +134,8 @@ pub enum Expr {
     Int(i64),
     /// Float literal.
     Float(f64),
-    /// String literal.
-    Str(String),
+    /// String literal, shared with every value it evaluates to.
+    Str(Arc<str>),
     /// A variable reference.
     Name(String),
     /// `[a, b, c]`

@@ -1,10 +1,10 @@
 //! Methods on lists, dictionaries and strings.
 
 use crate::bindings::expect_arity;
+use crate::dict::{self, Dict};
 use crate::error::{Result, ScriptError};
 use crate::value::Value;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// Dispatches a method call on a list.
@@ -108,45 +108,33 @@ pub fn call_list(items: &Rc<RefCell<Vec<Value>>>, method: &str, args: &[Value]) 
 }
 
 /// Dispatches a method call on a dictionary.
-pub fn call_dict(
-    map: &Rc<RefCell<BTreeMap<String, Value>>>,
-    method: &str,
-    args: &[Value],
-) -> Result<Value> {
+pub fn call_dict(map: &Rc<RefCell<Dict>>, method: &str, args: &[Value]) -> Result<Value> {
     match method {
         "get" => {
             expect_arity("get", args, &[1, 2])?;
             let key = args[0].as_key()?;
-            Ok(map
-                .borrow()
-                .get(&key)
-                .cloned()
-                .unwrap_or_else(|| args.get(1).cloned().unwrap_or(Value::Null)))
+            Ok(
+                dict::read(map, &key)
+                    .unwrap_or_else(|| args.get(1).cloned().unwrap_or(Value::Null)),
+            )
         }
         "set" => {
             expect_arity("set", args, &[2])?;
             let key = args[0].as_key()?;
-            map.borrow_mut().insert(key, args[1].clone());
+            map.borrow_mut().map_mut().insert(key, args[1].clone());
             Ok(Value::Null)
         }
         "keys" => {
             expect_arity("keys", args, &[0])?;
-            Ok(Value::list(
-                map.borrow().keys().map(|k| Value::Str(k.clone())).collect(),
-            ))
+            Ok(keys(map))
         }
         "values" => {
             expect_arity("values", args, &[0])?;
-            Ok(Value::list(map.borrow().values().cloned().collect()))
+            Ok(values(map))
         }
         "items" => {
             expect_arity("items", args, &[0])?;
-            Ok(Value::list(
-                map.borrow()
-                    .iter()
-                    .map(|(k, v)| Value::list(vec![Value::Str(k.clone()), v.clone()]))
-                    .collect(),
-            ))
+            Ok(items(map))
         }
         "contains" | "has_key" => {
             expect_arity(method, args, &[1])?;
@@ -157,18 +145,19 @@ pub fn call_dict(
             expect_arity(method, args, &[1])?;
             let key = args[0].as_key()?;
             map.borrow_mut()
+                .map_mut()
                 .remove(&key)
                 .ok_or_else(|| ScriptError::MissingAttribute {
                     owner: "dict".to_string(),
-                    key,
+                    key: key.to_string(),
                 })
         }
         "update" => {
             expect_arity("update", args, &[1])?;
             match &args[0] {
                 Value::Dict(other) => {
-                    let extra = other.borrow().clone();
-                    map.borrow_mut().extend(extra);
+                    let extra = dict::read_entries(other);
+                    map.borrow_mut().map_mut().extend(extra);
                     Ok(Value::Null)
                 }
                 other => Err(ScriptError::TypeError(format!(
@@ -184,54 +173,75 @@ pub fn call_dict(
     }
 }
 
+/// The keys of a dict as a list of strings, in sorted order.
+pub(crate) fn keys(map: &RefCell<Dict>) -> Value {
+    let entries = map.borrow().entries();
+    Value::list(entries.into_iter().map(|(k, _)| Value::Str(k)).collect())
+}
+
+/// The values of a dict, in key order.
+pub(crate) fn values(map: &RefCell<Dict>) -> Value {
+    Value::list(
+        dict::read_entries(map)
+            .into_iter()
+            .map(|(_, v)| v)
+            .collect(),
+    )
+}
+
+/// The `[key, value]` pairs of a dict, in key order.
+pub(crate) fn items(map: &RefCell<Dict>) -> Value {
+    Value::list(
+        dict::read_entries(map)
+            .into_iter()
+            .map(|(k, v)| Value::list(vec![Value::Str(k), v]))
+            .collect(),
+    )
+}
+
 /// Dispatches a method call on a string.
 pub fn call_str(s: &str, method: &str, args: &[Value]) -> Result<Value> {
     match method {
         "split" => {
             expect_arity("split", args, &[0, 1])?;
             let parts: Vec<Value> = match args.first() {
-                Some(sep) => {
-                    let sep = sep.expect_str("split")?;
-                    s.split(sep.as_str())
-                        .map(|p| Value::Str(p.to_string()))
-                        .collect()
-                }
-                None => s
-                    .split_whitespace()
-                    .map(|p| Value::Str(p.to_string()))
+                Some(sep) => s
+                    .split(sep.expect_str("split")?)
+                    .map(|p| Value::Str(p.into()))
                     .collect(),
+                None => s.split_whitespace().map(|p| Value::Str(p.into())).collect(),
             };
             Ok(Value::list(parts))
         }
         "startswith" | "starts_with" => {
             expect_arity(method, args, &[1])?;
-            Ok(Value::Bool(s.starts_with(&args[0].expect_str(method)?)))
+            Ok(Value::Bool(s.starts_with(args[0].expect_str(method)?)))
         }
         "endswith" | "ends_with" => {
             expect_arity(method, args, &[1])?;
-            Ok(Value::Bool(s.ends_with(&args[0].expect_str(method)?)))
+            Ok(Value::Bool(s.ends_with(args[0].expect_str(method)?)))
         }
         "contains" => {
             expect_arity("contains", args, &[1])?;
-            Ok(Value::Bool(s.contains(&args[0].expect_str("contains")?)))
+            Ok(Value::Bool(s.contains(args[0].expect_str("contains")?)))
         }
         "upper" => {
             expect_arity("upper", args, &[0])?;
-            Ok(Value::Str(s.to_uppercase()))
+            Ok(Value::Str(s.to_uppercase().into()))
         }
         "lower" => {
             expect_arity("lower", args, &[0])?;
-            Ok(Value::Str(s.to_lowercase()))
+            Ok(Value::Str(s.to_lowercase().into()))
         }
         "strip" => {
             expect_arity("strip", args, &[0])?;
-            Ok(Value::Str(s.trim().to_string()))
+            Ok(Value::Str(s.trim().into()))
         }
         "replace" => {
             expect_arity("replace", args, &[2])?;
             let from = args[0].expect_str("replace")?;
             let to = args[1].expect_str("replace")?;
-            Ok(Value::Str(s.replace(&from, &to)))
+            Ok(Value::Str(s.replace(from, to).into()))
         }
         "join" => {
             expect_arity("join", args, &[1])?;
@@ -242,7 +252,8 @@ pub fn call_str(s: &str, method: &str, args: &[Value]) -> Result<Value> {
                         .iter()
                         .map(Value::to_string)
                         .collect::<Vec<_>>()
-                        .join(s),
+                        .join(s)
+                        .into(),
                 )),
                 other => Err(ScriptError::TypeError(format!(
                     "join() expects a list, got {}",
@@ -291,7 +302,7 @@ mod tests {
 
     #[test]
     fn dict_methods() {
-        let d = Value::dict(BTreeMap::new());
+        let d = Value::dict(Vec::<(&str, Value)>::new());
         call_method(&d, "set", &[Value::Str("a".into()), Value::Int(1)]).unwrap();
         assert_eq!(
             call_method(&d, "get", &[Value::Str("a".into())])
@@ -368,7 +379,7 @@ mod tests {
         assert!(call_method(&list, "append", &[])
             .unwrap_err()
             .is_argument_error());
-        let d = Value::dict(BTreeMap::new());
+        let d = Value::dict(Vec::<(&str, Value)>::new());
         assert!(call_method(&d, "set", &[Value::Int(1)])
             .unwrap_err()
             .is_argument_error());

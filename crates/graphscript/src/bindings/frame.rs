@@ -8,6 +8,7 @@
 //! unknown methods raise [`ScriptError::AttributeError`].
 
 use crate::bindings::expect_arity;
+use crate::dict::Dict;
 use crate::error::{Result, ScriptError};
 use crate::value::{frame_mut, Value};
 use dataframe::ops::{inner_join, AggFunc, CmpOp};
@@ -34,14 +35,14 @@ pub fn call(df: &Rc<RefCell<Arc<DataFrame>>>, method: &str, args: &[Value]) -> R
                 df.borrow()
                     .column_names()
                     .iter()
-                    .map(|c| Value::Str(c.to_string()))
+                    .map(|&c| Value::Str(c.into()))
                     .collect(),
             ))
         }
         "has_column" => {
             expect_arity(method, args, &[1])?;
             let name = args[0].expect_str(method)?;
-            Ok(Value::Bool(df.borrow().has_column(&name)))
+            Ok(Value::Bool(df.borrow().has_column(name)))
         }
         "head" => {
             expect_arity(method, args, &[1])?;
@@ -65,7 +66,7 @@ pub fn call(df: &Rc<RefCell<Arc<DataFrame>>>, method: &str, args: &[Value]) -> R
                     frame.n_rows()
                 )));
             }
-            let v = frame.value(row as usize, &col).map_err(frame_err)?;
+            let v = frame.value(row as usize, col).map_err(frame_err)?;
             Ok(Value::from_attr(v))
         }
         "set_value" => {
@@ -74,7 +75,7 @@ pub fn call(df: &Rc<RefCell<Arc<DataFrame>>>, method: &str, args: &[Value]) -> R
             let col = args[1].expect_str(method)?;
             let value = args[2].to_attr()?;
             frame_mut(df)
-                .set_value(row, &col, value)
+                .set_value(row, col, value)
                 .map_err(frame_err)?;
             Ok(Value::Null)
         }
@@ -82,37 +83,27 @@ pub fn call(df: &Rc<RefCell<Arc<DataFrame>>>, method: &str, args: &[Value]) -> R
             expect_arity(method, args, &[1])?;
             let name = args[0].expect_str(method)?;
             let frame = df.borrow();
-            let col = frame.column(&name).map_err(frame_err)?;
+            let col = frame.column(name).map_err(frame_err)?;
             Ok(Value::list(col.iter().map(Value::from_attr).collect()))
         }
         "row" => {
             expect_arity(method, args, &[1])?;
             let i = args[0].expect_i64(method)?.max(0) as usize;
             let frame = df.borrow();
-            let row = frame.row(i).map_err(frame_err)?;
-            let dict: std::collections::BTreeMap<String, Value> = frame
-                .column_names()
-                .iter()
-                .zip(&row)
-                .map(|(name, v)| (name.to_string(), Value::from_attr(v)))
-                .collect();
-            Ok(Value::dict(dict))
+            let len = frame.n_rows();
+            if i >= len {
+                return Err(frame_err(FrameError::RowOutOfBounds { index: i, len }));
+            }
+            Ok(Value::from_dict(Dict::frame_row(&frame, i)))
         }
         "to_rows" => {
             expect_arity(method, args, &[0])?;
             let frame = df.borrow();
-            let mut rows = Vec::with_capacity(frame.n_rows());
-            for i in 0..frame.n_rows() {
-                let row = frame.row(i).map_err(frame_err)?;
-                let dict: std::collections::BTreeMap<String, Value> = frame
-                    .column_names()
-                    .iter()
-                    .zip(&row)
-                    .map(|(name, v)| (name.to_string(), Value::from_attr(v)))
-                    .collect();
-                rows.push(Value::dict(dict));
-            }
-            Ok(Value::list(rows))
+            Ok(Value::list(
+                (0..frame.n_rows())
+                    .map(|i| Value::from_dict(Dict::frame_row(&frame, i)))
+                    .collect(),
+            ))
         }
 
         // --------------------------------------------------------- querying
@@ -122,12 +113,12 @@ pub fn call(df: &Rc<RefCell<Arc<DataFrame>>>, method: &str, args: &[Value]) -> R
             expect_arity(method, args, &[3])?;
             let col = args[0].expect_str(method)?;
             let op_text = args[1].expect_str(method)?;
-            let op = CmpOp::parse(&op_text).ok_or_else(|| ScriptError::ArgumentError {
+            let op = CmpOp::parse(op_text).ok_or_else(|| ScriptError::ArgumentError {
                 function: "filter".to_string(),
                 message: format!("unknown comparison operator '{op_text}'"),
             })?;
             let value = args[2].to_attr()?;
-            let out = df.borrow().filter_by(&col, op, value).map_err(frame_err)?;
+            let out = df.borrow().filter_by(col, op, value).map_err(frame_err)?;
             Ok(Value::frame(out))
         }
         "sort_values" => {
@@ -136,24 +127,20 @@ pub fn call(df: &Rc<RefCell<Arc<DataFrame>>>, method: &str, args: &[Value]) -> R
             let ascending = args.get(1).map(|v| v.is_truthy()).unwrap_or(true);
             let out = df
                 .borrow()
-                .sort_values(&[col.as_str()], ascending)
+                .sort_values(&[col], ascending)
                 .map_err(frame_err)?;
             Ok(Value::frame(out))
         }
         "unique" => {
             expect_arity(method, args, &[1])?;
             let col = args[0].expect_str(method)?;
-            let values = df.borrow().unique(&col).map_err(frame_err)?;
+            let values = df.borrow().unique(col).map_err(frame_err)?;
             Ok(Value::list(values.iter().map(Value::from_attr).collect()))
         }
         "select" => {
             expect_arity(method, args, &[1])?;
-            let cols: Vec<String> = match &args[0] {
-                Value::List(items) => items
-                    .borrow()
-                    .iter()
-                    .map(|v| v.expect_str("select"))
-                    .collect::<Result<_>>()?,
+            let cols = match &args[0] {
+                Value::List(items) => items.borrow().clone(),
                 other => {
                     return Err(ScriptError::TypeError(format!(
                         "select() expects a list of column names, got {}",
@@ -161,7 +148,10 @@ pub fn call(df: &Rc<RefCell<Arc<DataFrame>>>, method: &str, args: &[Value]) -> R
                     )))
                 }
             };
-            let refs: Vec<&str> = cols.iter().map(String::as_str).collect();
+            let refs: Vec<&str> = cols
+                .iter()
+                .map(|v| v.expect_str("select"))
+                .collect::<Result<_>>()?;
             let out = df.borrow().select(&refs).map_err(frame_err)?;
             Ok(Value::frame(out))
         }
@@ -179,8 +169,8 @@ pub fn call(df: &Rc<RefCell<Arc<DataFrame>>>, method: &str, args: &[Value]) -> R
             };
             let left_on = args[1].expect_str(method)?;
             let right_on = args[2].expect_str(method)?;
-            let out = inner_join(&df.borrow(), &other, &left_on, &right_on, "_right")
-                .map_err(frame_err)?;
+            let out =
+                inner_join(&df.borrow(), &other, left_on, right_on, "_right").map_err(frame_err)?;
             Ok(Value::frame(out))
         }
 
@@ -189,7 +179,7 @@ pub fn call(df: &Rc<RefCell<Arc<DataFrame>>>, method: &str, args: &[Value]) -> R
             expect_arity(method, args, &[1])?;
             let col = args[0].expect_str(method)?;
             let frame = df.borrow();
-            let column = frame.column(&col).map_err(frame_err)?;
+            let column = frame.column(col).map_err(frame_err)?;
             let result = match method {
                 "sum" => column.sum(),
                 "mean" => column.mean(),
@@ -205,7 +195,7 @@ pub fn call(df: &Rc<RefCell<Arc<DataFrame>>>, method: &str, args: &[Value]) -> R
             match args.first() {
                 Some(col) => {
                     let col = col.expect_str(method)?;
-                    let column = frame.column(&col).map_err(frame_err)?;
+                    let column = frame.column(col).map_err(frame_err)?;
                     Ok(Value::Int(column.count() as i64))
                 }
                 None => Ok(Value::Int(frame.n_rows() as i64)),
@@ -216,7 +206,7 @@ pub fn call(df: &Rc<RefCell<Arc<DataFrame>>>, method: &str, args: &[Value]) -> R
             let col = args[0].expect_str(method)?;
             let frame = df.borrow();
             Ok(Value::Int(
-                frame.column(&col).map_err(frame_err)?.nunique() as i64
+                frame.column(col).map_err(frame_err)?.nunique() as i64
             ))
         }
         "groupby_agg" => {
@@ -226,13 +216,13 @@ pub fn call(df: &Rc<RefCell<Arc<DataFrame>>>, method: &str, args: &[Value]) -> R
             let value_col = args[1].expect_str(method)?;
             let func_name = args[2].expect_str(method)?;
             let out_name = args[3].expect_str(method)?;
-            let func = AggFunc::parse(&func_name).ok_or_else(|| ScriptError::ArgumentError {
+            let func = AggFunc::parse(func_name).ok_or_else(|| ScriptError::ArgumentError {
                 function: "groupby_agg".to_string(),
                 message: format!("unknown aggregation '{func_name}'"),
             })?;
             let out = df
                 .borrow()
-                .group_agg(&key, &value_col, func, &out_name)
+                .group_agg(key, value_col, func, out_name)
                 .map_err(frame_err)?;
             Ok(Value::frame(out))
         }
@@ -241,7 +231,7 @@ pub fn call(df: &Rc<RefCell<Arc<DataFrame>>>, method: &str, args: &[Value]) -> R
             let key = args[0].expect_str(method)?;
             let frame = df.borrow();
             let out = frame
-                .groupby(&[key.as_str()])
+                .groupby(&[key])
                 .map_err(frame_err)?
                 .count()
                 .map_err(frame_err)?;
@@ -268,9 +258,9 @@ pub fn call(df: &Rc<RefCell<Arc<DataFrame>>>, method: &str, args: &[Value]) -> R
             let column: Column = values.into_iter().collect();
             let mut frame = frame_mut(df);
             let result = if method == "add_column" {
-                frame.add_column(&name, column)
+                frame.add_column(name, column)
             } else {
-                frame.set_column(&name, column)
+                frame.set_column(name, column)
             };
             result.map_err(frame_err)?;
             Ok(Value::Null)
@@ -278,14 +268,14 @@ pub fn call(df: &Rc<RefCell<Arc<DataFrame>>>, method: &str, args: &[Value]) -> R
         "drop_column" => {
             expect_arity(method, args, &[1])?;
             let name = args[0].expect_str(method)?;
-            frame_mut(df).drop_column(&name).map_err(frame_err)?;
+            frame_mut(df).drop_column(name).map_err(frame_err)?;
             Ok(Value::Null)
         }
         "rename_column" => {
             expect_arity(method, args, &[2])?;
             let from = args[0].expect_str(method)?;
             let to = args[1].expect_str(method)?;
-            frame_mut(df).rename_column(&from, &to).map_err(frame_err)?;
+            frame_mut(df).rename_column(from, to).map_err(frame_err)?;
             Ok(Value::Null)
         }
         "push_row" => {
@@ -311,16 +301,16 @@ pub fn call(df: &Rc<RefCell<Arc<DataFrame>>>, method: &str, args: &[Value]) -> R
             expect_arity(method, args, &[3])?;
             let col = args[0].expect_str(method)?;
             let op_text = args[1].expect_str(method)?;
-            let op = CmpOp::parse(&op_text).ok_or_else(|| ScriptError::ArgumentError {
+            let op = CmpOp::parse(op_text).ok_or_else(|| ScriptError::ArgumentError {
                 function: "delete_rows".to_string(),
                 message: format!("unknown comparison operator '{op_text}'"),
             })?;
             let value = args[2].to_attr()?;
             let kept = {
                 let frame = df.borrow();
-                frame.column(&col).map_err(frame_err)?;
+                frame.column(col).map_err(frame_err)?;
                 frame.filter_rows(|d, i| {
-                    d.value(i, &col)
+                    d.value(i, col)
                         .map(|cell| !op.eval(cell, &value))
                         .unwrap_or(true)
                 })

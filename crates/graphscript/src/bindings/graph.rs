@@ -8,6 +8,7 @@
 //! become [`ScriptError::AttributeError`].
 
 use crate::bindings::expect_arity;
+use crate::dict::Dict;
 use crate::error::{Result, ScriptError};
 use crate::stdlib::graph_err;
 use crate::value::{graph_mut, Value};
@@ -34,22 +35,26 @@ pub fn call(g: &Rc<RefCell<Arc<Graph>>>, method: &str, args: &[Value]) -> Result
         }
         "nodes" => {
             expect_arity(method, args, &[0])?;
+            let graph = g.borrow();
             Ok(Value::list(
-                g.borrow()
-                    .node_ids()
-                    .map(|n| Value::Str(n.to_string()))
+                graph
+                    .node_id_list()
+                    .iter()
+                    .map(|&id| Value::Str(graph.node_name_shared(id)))
                     .collect(),
             ))
         }
         "nodes_data" => {
             expect_arity(method, args, &[0])?;
+            let graph = g.borrow();
             Ok(Value::list(
-                g.borrow()
-                    .nodes()
-                    .map(|(id, attrs)| {
+                graph
+                    .node_id_list()
+                    .iter()
+                    .map(|&id| {
                         Value::list(vec![
-                            Value::Str(id.to_string()),
-                            Value::from_attr_map(attrs),
+                            Value::Str(graph.node_name_shared(id)),
+                            Value::from_dict(Dict::graph_row(&graph, id, None)),
                         ])
                     })
                     .collect(),
@@ -57,25 +62,30 @@ pub fn call(g: &Rc<RefCell<Arc<Graph>>>, method: &str, args: &[Value]) -> Result
         }
         "edges" => {
             expect_arity(method, args, &[0])?;
+            let graph = g.borrow();
             Ok(Value::list(
-                g.borrow()
-                    .edges()
-                    .map(|(u, v, _)| {
-                        Value::list(vec![Value::Str(u.to_string()), Value::Str(v.to_string())])
+                graph
+                    .edge_id_iter()
+                    .map(|(u, v)| {
+                        Value::list(vec![
+                            Value::Str(graph.node_name_shared(u)),
+                            Value::Str(graph.node_name_shared(v)),
+                        ])
                     })
                     .collect(),
             ))
         }
         "edges_data" => {
             expect_arity(method, args, &[0])?;
+            let graph = g.borrow();
             Ok(Value::list(
-                g.borrow()
-                    .edges()
-                    .map(|(u, v, attrs)| {
+                graph
+                    .edge_id_iter()
+                    .map(|(u, v)| {
                         Value::list(vec![
-                            Value::Str(u.to_string()),
-                            Value::Str(v.to_string()),
-                            Value::from_attr_map(attrs),
+                            Value::Str(graph.node_name_shared(u)),
+                            Value::Str(graph.node_name_shared(v)),
+                            Value::from_dict(Dict::graph_row(&graph, u, Some(v))),
                         ])
                     })
                     .collect(),
@@ -84,13 +94,13 @@ pub fn call(g: &Rc<RefCell<Arc<Graph>>>, method: &str, args: &[Value]) -> Result
         "has_node" => {
             expect_arity(method, args, &[1])?;
             let id = args[0].expect_str(method)?;
-            Ok(Value::Bool(g.borrow().has_node(&id)))
+            Ok(Value::Bool(g.borrow().has_node(id)))
         }
         "has_edge" => {
             expect_arity(method, args, &[2])?;
             let u = args[0].expect_str(method)?;
             let v = args[1].expect_str(method)?;
-            Ok(Value::Bool(g.borrow().has_edge(&u, &v)))
+            Ok(Value::Bool(g.borrow().has_edge(u, v)))
         }
 
         // -------------------------------------------------------- adjacency
@@ -99,21 +109,23 @@ pub fn call(g: &Rc<RefCell<Arc<Graph>>>, method: &str, args: &[Value]) -> Result
             let id = args[0].expect_str(method)?;
             let graph = g.borrow();
             let list = match method {
-                "neighbors" => graph.neighbors(&id),
-                "successors" => graph.successors(&id),
-                _ => graph.predecessors(&id),
+                "neighbors" => graph.neighbors(id),
+                "successors" => graph.successors(id),
+                _ => graph.predecessors(id),
             }
             .map_err(graph_err)?;
-            Ok(Value::list(list.into_iter().map(Value::Str).collect()))
+            Ok(Value::list(
+                list.into_iter().map(|n| Value::Str(n.into())).collect(),
+            ))
         }
         "degree" | "in_degree" | "out_degree" => {
             expect_arity(method, args, &[1])?;
             let id = args[0].expect_str(method)?;
             let graph = g.borrow();
             let d = match method {
-                "degree" => graph.degree(&id),
-                "in_degree" => graph.in_degree(&id),
-                _ => graph.out_degree(&id),
+                "degree" => graph.degree(id),
+                "in_degree" => graph.in_degree(id),
+                _ => graph.out_degree(id),
             }
             .map_err(graph_err)?;
             Ok(Value::Int(d as i64))
@@ -124,7 +136,7 @@ pub fn call(g: &Rc<RefCell<Arc<Graph>>>, method: &str, args: &[Value]) -> Result
             expect_arity(method, args, &[1])?;
             let id = args[0].expect_str(method)?;
             let graph = g.borrow();
-            let attrs = graph.node_attrs(&id).map_err(graph_err)?;
+            let attrs = graph.node_attrs(id).map_err(graph_err)?;
             Ok(Value::from_attr_map(attrs))
         }
         "edge_attrs" => {
@@ -132,7 +144,7 @@ pub fn call(g: &Rc<RefCell<Arc<Graph>>>, method: &str, args: &[Value]) -> Result
             let u = args[0].expect_str(method)?;
             let v = args[1].expect_str(method)?;
             let graph = g.borrow();
-            let attrs = graph.edge_attrs(&u, &v).map_err(graph_err)?;
+            let attrs = graph.edge_attrs(u, v).map_err(graph_err)?;
             Ok(Value::from_attr_map(attrs))
         }
         "get_node_attr" => {
@@ -140,7 +152,7 @@ pub fn call(g: &Rc<RefCell<Arc<Graph>>>, method: &str, args: &[Value]) -> Result
             let id = args[0].expect_str(method)?;
             let key = args[1].expect_str(method)?;
             let graph = g.borrow();
-            match graph.get_node_attr(&id, &key) {
+            match graph.get_node_attr(id, key) {
                 Ok(v) => Ok(Value::from_attr(v)),
                 Err(netgraph::GraphError::AttrNotFound { .. }) if args.len() == 3 => {
                     Ok(args[2].clone())
@@ -154,7 +166,7 @@ pub fn call(g: &Rc<RefCell<Arc<Graph>>>, method: &str, args: &[Value]) -> Result
             let v = args[1].expect_str(method)?;
             let key = args[2].expect_str(method)?;
             let graph = g.borrow();
-            match graph.get_edge_attr(&u, &v, &key) {
+            match graph.get_edge_attr(u, v, key) {
                 Ok(val) => Ok(Value::from_attr(val)),
                 Err(netgraph::GraphError::AttrNotFound { .. }) if args.len() == 4 => {
                     Ok(args[3].clone())
@@ -168,7 +180,7 @@ pub fn call(g: &Rc<RefCell<Arc<Graph>>>, method: &str, args: &[Value]) -> Result
             let key = args[1].expect_str(method)?;
             let value = args[2].to_attr()?;
             graph_mut(g)
-                .set_node_attr(&id, &key, value)
+                .set_node_attr(id, key, value)
                 .map_err(graph_err)?;
             Ok(Value::Null)
         }
@@ -179,14 +191,14 @@ pub fn call(g: &Rc<RefCell<Arc<Graph>>>, method: &str, args: &[Value]) -> Result
             let key = args[2].expect_str(method)?;
             let value = args[3].to_attr()?;
             graph_mut(g)
-                .set_edge_attr(&u, &v, &key, value)
+                .set_edge_attr(u, v, key, value)
                 .map_err(graph_err)?;
             Ok(Value::Null)
         }
         "total_edge_attr" => {
             expect_arity(method, args, &[1])?;
             let key = args[0].expect_str(method)?;
-            Ok(Value::Float(g.borrow().total_edge_attr(&key)))
+            Ok(Value::Float(g.borrow().total_edge_attr(key)))
         }
 
         // --------------------------------------------------------- mutation
@@ -197,7 +209,7 @@ pub fn call(g: &Rc<RefCell<Arc<Graph>>>, method: &str, args: &[Value]) -> Result
                 Some(v) => v.to_attr_map()?,
                 None => Default::default(),
             };
-            graph_mut(g).add_node(&id, attrs);
+            graph_mut(g).add_node(id, attrs);
             Ok(Value::Null)
         }
         "add_edge" => {
@@ -208,32 +220,28 @@ pub fn call(g: &Rc<RefCell<Arc<Graph>>>, method: &str, args: &[Value]) -> Result
                 Some(a) => a.to_attr_map()?,
                 None => Default::default(),
             };
-            graph_mut(g).add_edge(&u, &v, attrs);
+            graph_mut(g).add_edge(u, v, attrs);
             Ok(Value::Null)
         }
         "remove_node" => {
             expect_arity(method, args, &[1])?;
             let id = args[0].expect_str(method)?;
-            graph_mut(g).remove_node(&id).map_err(graph_err)?;
+            graph_mut(g).remove_node(id).map_err(graph_err)?;
             Ok(Value::Null)
         }
         "remove_edge" => {
             expect_arity(method, args, &[2])?;
             let u = args[0].expect_str(method)?;
             let v = args[1].expect_str(method)?;
-            graph_mut(g).remove_edge(&u, &v).map_err(graph_err)?;
+            graph_mut(g).remove_edge(u, v).map_err(graph_err)?;
             Ok(Value::Null)
         }
 
         // ---------------------------------------------------------- derived
         "subgraph" => {
             expect_arity(method, args, &[1])?;
-            let keep: Vec<String> = match &args[0] {
-                Value::List(items) => items
-                    .borrow()
-                    .iter()
-                    .map(|v| v.expect_str("subgraph"))
-                    .collect::<Result<_>>()?,
+            let keep = match &args[0] {
+                Value::List(items) => items.borrow().clone(),
                 other => {
                     return Err(ScriptError::TypeError(format!(
                         "subgraph() expects a list of node ids, got {}",
@@ -241,7 +249,11 @@ pub fn call(g: &Rc<RefCell<Arc<Graph>>>, method: &str, args: &[Value]) -> Result
                     )))
                 }
             };
-            let sub = g.borrow().subgraph(keep.iter().map(String::as_str));
+            let keep: Vec<&str> = keep
+                .iter()
+                .map(|v| v.expect_str("subgraph"))
+                .collect::<Result<_>>()?;
+            let sub = g.borrow().subgraph(keep);
             Ok(Value::graph(sub))
         }
         "reverse" => {
@@ -263,8 +275,10 @@ pub fn call(g: &Rc<RefCell<Arc<Graph>>>, method: &str, args: &[Value]) -> Result
             let want = args[1].to_attr()?;
             let graph = g.borrow();
             let ids =
-                graph.nodes_where(|a| a.get(&key).map(|v| v.approx_eq(&want)).unwrap_or(false));
-            Ok(Value::list(ids.into_iter().map(Value::Str).collect()))
+                graph.nodes_where(|a| a.get(key).map(|v| v.approx_eq(&want)).unwrap_or(false));
+            Ok(Value::list(
+                ids.into_iter().map(|n| Value::Str(n.into())).collect(),
+            ))
         }
         "nodes_with_prefix" => {
             // nodes_with_prefix(prefix): node ids whose id starts with prefix.
@@ -272,9 +286,10 @@ pub fn call(g: &Rc<RefCell<Arc<Graph>>>, method: &str, args: &[Value]) -> Result
             let prefix = args[0].expect_str(method)?;
             let graph = g.borrow();
             let ids: Vec<Value> = graph
-                .node_ids()
-                .filter(|n| n.starts_with(&prefix))
-                .map(|n| Value::Str(n.to_string()))
+                .node_id_list()
+                .iter()
+                .filter(|&&id| graph.node_name(id).starts_with(prefix))
+                .map(|&id| Value::Str(graph.node_name_shared(id)))
                 .collect();
             Ok(Value::list(ids))
         }

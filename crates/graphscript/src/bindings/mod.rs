@@ -10,6 +10,8 @@ mod collections;
 mod frame;
 mod graph;
 
+pub(crate) use collections::{items, keys, values};
+
 use crate::error::{Result, ScriptError};
 use crate::value::Value;
 

@@ -47,13 +47,13 @@ impl Env {
 
     /// Assigns a variable: inside a function the innermost frame is used,
     /// otherwise the global scope (Python local-by-default semantics).
+    /// Rebinding a bound name allocates nothing.
     pub fn assign(&mut self, name: &str, value: Value) {
-        match self.frames.last_mut() {
-            Some(frame) => {
-                frame.insert(name.to_string(), value);
-            }
+        let scope = self.frames.last_mut().unwrap_or(&mut self.globals);
+        match scope.get_mut(name) {
+            Some(slot) => *slot = value,
             None => {
-                self.globals.insert(name.to_string(), value);
+                scope.insert(name.to_string(), value);
             }
         }
     }

@@ -2,6 +2,7 @@
 
 use crate::ast::*;
 use crate::bindings;
+use crate::dict;
 use crate::env::Env;
 use crate::error::{Result, ScriptError};
 use crate::parser::parse_program;
@@ -9,6 +10,7 @@ use crate::stdlib;
 use crate::value::{FunctionDef, Value};
 use std::collections::BTreeMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Default execution-step budget; generous for benchmark-sized programs but
 /// small enough to stop a runaway `while true` loop quickly.
@@ -84,6 +86,12 @@ impl Interpreter {
     pub fn with_step_limit(mut self, limit: u64) -> Self {
         self.step_limit = limit;
         self
+    }
+
+    /// Execution steps charged so far against the step limit: one per
+    /// statement, expression and loop iteration, summed over every run.
+    pub fn steps(&self) -> u64 {
+        self.steps
     }
 
     /// Injects a global binding before running.
@@ -284,13 +292,23 @@ impl Interpreter {
         let value = self.eval(iterable)?;
         match &value {
             Value::List(items) => Ok(items.borrow().clone()),
-            Value::Dict(map) => Ok(map.borrow().keys().map(|k| Value::Str(k.clone())).collect()),
-            Value::Str(s) => Ok(s.chars().map(|c| Value::Str(c.to_string())).collect()),
-            Value::Graph(g) => Ok(g
+            Value::Dict(map) => Ok(map
                 .borrow()
-                .node_ids()
-                .map(|n| Value::Str(n.to_string()))
+                .entries()
+                .into_iter()
+                .map(|(k, _)| Value::Str(k))
                 .collect()),
+            Value::Str(s) => Ok(s
+                .chars()
+                .map(|c| Value::Str(c.encode_utf8(&mut [0; 4]).into()))
+                .collect()),
+            Value::Graph(g) => {
+                let g = g.borrow();
+                Ok(g.node_id_list()
+                    .iter()
+                    .map(|&id| Value::Str(g.node_name_shared(id)))
+                    .collect())
+            }
             other => Err(ScriptError::TypeError(format!(
                 "cannot iterate over a {}",
                 other.type_name()
@@ -315,7 +333,7 @@ impl Interpreter {
             }
             Value::Dict(map) => {
                 let key = key.as_key()?;
-                map.borrow_mut().insert(key, value);
+                map.borrow_mut().map_mut().insert(key, value);
                 Ok(())
             }
             other => Err(ScriptError::TypeError(format!(
@@ -334,7 +352,7 @@ impl Interpreter {
             Expr::Bool(b) => Ok(Value::Bool(*b)),
             Expr::Int(i) => Ok(Value::Int(*i)),
             Expr::Float(x) => Ok(Value::Float(*x)),
-            Expr::Str(s) => Ok(Value::Str(s.clone())),
+            Expr::Str(s) => Ok(Value::Str(Arc::clone(s))),
             Expr::Name(name) => self.env.lookup(name),
             Expr::List(items) => {
                 let values: Vec<Value> =
@@ -342,13 +360,13 @@ impl Interpreter {
                 Ok(Value::list(values))
             }
             Expr::Dict(pairs) => {
-                let mut map = BTreeMap::new();
+                let mut entries = Vec::with_capacity(pairs.len());
                 for (k, v) in pairs {
                     let key = self.eval(k)?.as_key()?;
                     let value = self.eval(v)?;
-                    map.insert(key, value);
+                    entries.push((key, value));
                 }
-                Ok(Value::dict(map))
+                Ok(Value::dict(entries))
             }
             Expr::Neg(inner) => {
                 let v = self.eval(inner)?;
@@ -402,12 +420,12 @@ impl Interpreter {
                 let receiver = self.eval(object)?;
                 match &receiver {
                     // Dict field access sugar: d.key reads the key.
-                    Value::Dict(map) => map.borrow().get(name).cloned().ok_or_else(|| {
-                        ScriptError::MissingAttribute {
+                    Value::Dict(map) => {
+                        dict::read(map, name).ok_or_else(|| ScriptError::MissingAttribute {
                             owner: "dict".to_string(),
                             key: name.clone(),
-                        }
-                    }),
+                        })
+                    }
                     other => Err(ScriptError::AttributeError {
                         type_name: other.type_name().to_string(),
                         attr: name.clone(),
@@ -436,13 +454,10 @@ impl Interpreter {
             }
             Value::Dict(map) => {
                 let key = key.as_key()?;
-                map.borrow()
-                    .get(&key)
-                    .cloned()
-                    .ok_or_else(|| ScriptError::MissingAttribute {
-                        owner: "dict".to_string(),
-                        key,
-                    })
+                dict::read(map, &key).ok_or_else(|| ScriptError::MissingAttribute {
+                    owner: "dict".to_string(),
+                    key: key.to_string(),
+                })
             }
             Value::Str(s) => {
                 let idx = key.expect_i64("string index")?;
@@ -454,7 +469,7 @@ impl Interpreter {
                         "string index {idx} out of range for length {len}"
                     )));
                 }
-                Ok(Value::Str(chars[idx as usize].to_string()))
+                Ok(Value::Str(chars[idx as usize].to_string().into()))
             }
             other => Err(ScriptError::TypeError(format!(
                 "a {} cannot be indexed",
@@ -533,18 +548,9 @@ impl Interpreter {
             In | NotIn => {
                 let contained = match r {
                     Value::List(items) => items.borrow().iter().any(|v| v.approx_eq(l)),
-                    Value::Dict(map) => {
-                        let key = l.as_key()?;
-                        map.borrow().contains_key(&key)
-                    }
-                    Value::Str(s) => {
-                        let needle = l.expect_str("in")?;
-                        s.contains(&needle)
-                    }
-                    Value::Graph(g) => {
-                        let id = l.expect_str("in")?;
-                        g.borrow().has_node(&id)
-                    }
+                    Value::Dict(map) => map.borrow().contains_key(&l.as_key()?),
+                    Value::Str(s) => s.contains(l.expect_str("in")?),
+                    Value::Graph(g) => g.borrow().has_node(l.expect_str("in")?),
                     other => {
                         return Err(ScriptError::TypeError(format!(
                             "'in' is not supported for {}",
@@ -561,11 +567,11 @@ impl Interpreter {
         // String / list concatenation and repetition.
         if op == Add {
             if let (Value::Str(a), Value::Str(b)) = (l, r) {
-                return Ok(Value::Str(format!("{a}{b}")));
+                return Ok(Value::Str(format!("{a}{b}").into()));
             }
             if let (Value::Str(a), b) = (l, r) {
                 if b.as_f64().is_some() {
-                    return Ok(Value::Str(format!("{a}{b}")));
+                    return Ok(Value::Str(format!("{a}{b}").into()));
                 }
             }
             if let (Value::List(a), Value::List(b)) = (l, r) {
@@ -576,7 +582,7 @@ impl Interpreter {
         }
         if op == Mul {
             if let (Value::Str(s), Value::Int(n)) = (l, r) {
-                return Ok(Value::Str(s.repeat((*n).max(0) as usize)));
+                return Ok(Value::Str(s.repeat((*n).max(0) as usize).into()));
             }
         }
 

@@ -42,6 +42,7 @@
 
 pub mod ast;
 mod bindings;
+mod dict;
 mod env;
 mod error;
 mod interp;
@@ -51,6 +52,7 @@ mod stdlib;
 mod token;
 mod value;
 
+pub use dict::Dict;
 pub use error::{Result, ScriptError};
 pub use interp::{Interpreter, RunOutcome, DEFAULT_STEP_LIMIT};
 pub use lexer::tokenize;

@@ -455,7 +455,7 @@ impl Parser {
             }
             TokenKind::Str(s) => {
                 self.advance();
-                Ok(Expr::Str(s))
+                Ok(Expr::Str(s.into()))
             }
             TokenKind::Keyword(Keyword::True) => {
                 self.advance();

@@ -7,9 +7,12 @@
 //! (`shortest_path`, `connected_components`, `node_weight_totals`,
 //! `kmeans_groups`, ...).
 
+use crate::bindings::{items, keys, values};
+use crate::dict::Dict;
 use crate::error::{Result, ScriptError};
 use crate::value::Value;
 use netgraph::algo::{coloring, components, degree, grouping, shortest_path as sp, traversal};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 /// Calls a built-in function by name. Returns `Ok(None)` when the name is
@@ -164,7 +167,10 @@ pub fn call_builtin(name: &str, args: &[Value], output: &mut Vec<String>) -> Res
         }
         "str" => {
             arity("1", args.len() == 1)?;
-            Value::Str(args[0].to_string())
+            match &args[0] {
+                Value::Str(s) => Value::Str(s.clone()),
+                other => Value::Str(other.to_string().into()),
+            }
         }
         "int" => {
             arity("1", args.len() == 1)?;
@@ -201,26 +207,19 @@ pub fn call_builtin(name: &str, args: &[Value], output: &mut Vec<String>) -> Res
         }
         "type" => {
             arity("1", args.len() == 1)?;
-            Value::Str(args[0].type_name().to_string())
+            Value::Str(args[0].type_name().into())
         }
         "keys" => {
             arity("1", args.len() == 1)?;
-            let map = expect_dict(name, &args[0])?;
-            Value::list(map.keys().map(|k| Value::Str(k.clone())).collect())
+            keys(expect_dict(name, &args[0])?)
         }
         "values" => {
             arity("1", args.len() == 1)?;
-            let map = expect_dict(name, &args[0])?;
-            Value::list(map.values().cloned().collect())
+            values(expect_dict(name, &args[0])?)
         }
         "items" => {
             arity("1", args.len() == 1)?;
-            let map = expect_dict(name, &args[0])?;
-            Value::list(
-                map.iter()
-                    .map(|(k, v)| Value::list(vec![Value::Str(k.clone()), v.clone()]))
-                    .collect(),
-            )
+            items(expect_dict(name, &args[0])?)
         }
         "enumerate" => {
             arity("1", args.len() == 1)?;
@@ -253,7 +252,8 @@ pub fn call_builtin(name: &str, args: &[Value], output: &mut Vec<String>) -> Res
                     .iter()
                     .map(Value::to_string)
                     .collect::<Vec<_>>()
-                    .join(&sep),
+                    .join(sep)
+                    .into(),
             )
         }
 
@@ -262,29 +262,32 @@ pub fn call_builtin(name: &str, args: &[Value], output: &mut Vec<String>) -> Res
             arity("2", args.len() == 2)?;
             let addr = args[0].expect_str("ip_prefix")?;
             let octets = args[1].expect_i64("ip_prefix")?.clamp(1, 4) as usize;
-            let parts: Vec<&str> = addr.split('.').take(octets).collect();
-            Value::Str(parts.join("."))
+            // Everything before the `octets`-th dot.
+            let end = addr
+                .match_indices('.')
+                .nth(octets - 1)
+                .map_or(addr.len(), |(i, _)| i);
+            Value::Str(addr[..end].into())
         }
         "palette_color" => {
             arity("1", args.len() == 1)?;
             let i = args[0].expect_i64("palette_color")?.max(0) as usize;
-            Value::Str(coloring::palette_color(i))
+            Value::Str(coloring::palette_color(i).into())
         }
         "shortest_path" => {
             arity("3", args.len() == 3)?;
             let g = expect_graph(name, &args[0])?;
             let source = args[1].expect_str("shortest_path")?;
             let target = args[2].expect_str("shortest_path")?;
-            let path = sp::shortest_path(&g.borrow(), &source, &target).map_err(graph_err)?;
-            Value::list(path.into_iter().map(Value::Str).collect())
+            let path = sp::shortest_path(&g.borrow(), source, target).map_err(graph_err)?;
+            Value::list(path.into_iter().map(|n| Value::Str(n.into())).collect())
         }
         "shortest_path_length" => {
             arity("3", args.len() == 3)?;
             let g = expect_graph(name, &args[0])?;
             let source = args[1].expect_str(name)?;
             let target = args[2].expect_str(name)?;
-            let hops =
-                sp::shortest_path_length(&g.borrow(), &source, &target).map_err(graph_err)?;
+            let hops = sp::shortest_path_length(&g.borrow(), source, target).map_err(graph_err)?;
             Value::Int(hops as i64)
         }
         "has_path" => {
@@ -292,7 +295,7 @@ pub fn call_builtin(name: &str, args: &[Value], output: &mut Vec<String>) -> Res
             let g = expect_graph(name, &args[0])?;
             let source = args[1].expect_str(name)?;
             let target = args[2].expect_str(name)?;
-            Value::Bool(traversal::has_path(&g.borrow(), &source, &target).map_err(graph_err)?)
+            Value::Bool(traversal::has_path(&g.borrow(), source, target).map_err(graph_err)?)
         }
         "connected_components" => {
             arity("1", args.len() == 1)?;
@@ -301,7 +304,7 @@ pub fn call_builtin(name: &str, args: &[Value], output: &mut Vec<String>) -> Res
             Value::list(
                 comps
                     .into_iter()
-                    .map(|set| Value::list(set.into_iter().map(Value::Str).collect()))
+                    .map(|set| Value::list(set.into_iter().map(|n| Value::Str(n.into())).collect()))
                     .collect(),
             )
         }
@@ -314,48 +317,37 @@ pub fn call_builtin(name: &str, args: &[Value], output: &mut Vec<String>) -> Res
             arity("1", args.len() == 1)?;
             let g = expect_graph(name, &args[0])?;
             let map = degree::degree_map(&g.borrow());
-            Value::dict(
-                map.into_iter()
-                    .map(|(k, v)| (k, Value::Int(v as i64)))
-                    .collect(),
-            )
+            Value::dict(map.into_iter().map(|(k, v)| (k, Value::Int(v as i64))))
         }
         "degree_centrality" => {
             arity("1", args.len() == 1)?;
             let g = expect_graph(name, &args[0])?;
             let map = degree::degree_centrality(&g.borrow());
-            Value::dict(map.into_iter().map(|(k, v)| (k, Value::Float(v))).collect())
+            Value::dict(map.into_iter().map(|(k, v)| (k, Value::Float(v))))
         }
         "node_weight_totals" => {
             arity("2", args.len() == 2)?;
             let g = expect_graph(name, &args[0])?;
             let attr = args[1].expect_str(name)?;
-            let totals = degree::node_weight_totals(&g.borrow(), &attr).map_err(graph_err)?;
-            Value::dict(
-                totals
-                    .into_iter()
-                    .map(|(k, v)| (k, Value::Float(v)))
-                    .collect(),
-            )
+            let totals = degree::node_weight_totals(&g.borrow(), attr).map_err(graph_err)?;
+            Value::dict(totals.into_iter().map(|(k, v)| (k, Value::Float(v))))
         }
         "top_k" => {
             arity("2", args.len() == 2)?;
-            let map = expect_dict(name, &args[0])?;
+            let scores = scores(&expect_dict(name, &args[0])?.borrow());
             let k = args[1].expect_i64(name)?.max(0) as usize;
-            let scores: BTreeMap<String, f64> = map
-                .iter()
-                .map(|(key, v)| (key.clone(), v.as_f64().unwrap_or(0.0)))
-                .collect();
             let top = degree::top_k_by_score(&scores, k);
             Value::list(
                 top.into_iter()
-                    .map(|(key, score)| Value::list(vec![Value::Str(key), Value::Float(score)]))
+                    .map(|(key, score)| {
+                        Value::list(vec![Value::Str(key.into()), Value::Float(score)])
+                    })
                     .collect(),
             )
         }
         "kmeans_groups" | "quantile_groups" => {
             arity("2", args.len() == 2)?;
-            let map = expect_dict(name, &args[0])?;
+            let scores = scores(&expect_dict(name, &args[0])?.borrow());
             let k = args[1].expect_i64(name)?;
             if k <= 0 {
                 return Err(ScriptError::ArgumentError {
@@ -363,10 +355,6 @@ pub fn call_builtin(name: &str, args: &[Value], output: &mut Vec<String>) -> Res
                     message: "group count must be positive".to_string(),
                 });
             }
-            let scores: BTreeMap<String, f64> = map
-                .iter()
-                .map(|(key, v)| (key.clone(), v.as_f64().unwrap_or(0.0)))
-                .collect();
             let groups = if name == "kmeans_groups" {
                 grouping::kmeans_1d_groups(&scores, k as usize, 100).map_err(graph_err)?
             } else {
@@ -375,8 +363,7 @@ pub fn call_builtin(name: &str, args: &[Value], output: &mut Vec<String>) -> Res
             Value::dict(
                 groups
                     .into_iter()
-                    .map(|(key, g)| (key, Value::Int(g as i64)))
-                    .collect(),
+                    .map(|(key, g)| (key, Value::Int(g as i64))),
             )
         }
         _ => return Ok(None),
@@ -413,14 +400,23 @@ fn expect_list(context: &str, v: &Value) -> Result<Vec<Value>> {
     }
 }
 
-fn expect_dict(context: &str, v: &Value) -> Result<BTreeMap<String, Value>> {
+fn expect_dict<'a>(context: &str, v: &'a Value) -> Result<&'a RefCell<Dict>> {
     match v {
-        Value::Dict(map) => Ok(map.borrow().clone()),
+        Value::Dict(map) => Ok(map),
         other => Err(ScriptError::TypeError(format!(
             "{context}() expects a dict, got {}",
             other.type_name()
         ))),
     }
+}
+
+/// A dict's values as numeric scores (0 where not a number), for the
+/// ranking and grouping helpers.
+fn scores(dict: &Dict) -> BTreeMap<String, f64> {
+    dict.entries()
+        .into_iter()
+        .map(|(key, v)| (key.to_string(), v.as_f64().unwrap_or(0.0)))
+        .collect()
 }
 
 fn expect_graph<'a>(
@@ -515,10 +511,7 @@ mod tests {
 
     #[test]
     fn dict_helpers() {
-        let mut m = BTreeMap::new();
-        m.insert("a".to_string(), Value::Int(1));
-        m.insert("b".to_string(), Value::Int(2));
-        let d = Value::dict(m);
+        let d = Value::dict([("a", Value::Int(1)), ("b", Value::Int(2))]);
         assert_eq!(
             call("keys", std::slice::from_ref(&d)).unwrap().to_string(),
             "[a, b]"
@@ -583,7 +576,7 @@ mod tests {
         )
         .unwrap();
         if let Value::Dict(map) = &totals {
-            assert_eq!(map.borrow()["b"].as_f64(), Some(15.0));
+            assert_eq!(map.borrow().get("b").unwrap().as_f64(), Some(15.0));
         } else {
             panic!("expected dict");
         }

@@ -1,12 +1,24 @@
 //! Runtime values for the GraphScript interpreter.
+//!
+//! Values are cheap to make and to copy, because the read path makes one
+//! per string, cell and row it touches:
+//!
+//! * strings are `Arc<str>`, the type [`AttrValue::Str`] uses, so reading
+//!   a string out of a frame or graph, or evaluating a string literal, is
+//!   a refcount bump;
+//! * dict keys are the same shared strings, and lookups borrow a `&str`;
+//! * the rows that `to_rows()`, `row(i)`, `edges_data()` and
+//!   `nodes_data()` return read through to the substrate snapshot taken
+//!   when the method was called, and become owned maps only on their first
+//!   write (see [`Dict`]).
 
 use crate::ast::Stmt;
+use crate::dict::Dict;
 use crate::error::{Result, ScriptError};
 use dataframe::DataFrame;
 use netgraph::{AttrMap, AttrValue, Graph};
 use std::cell::{RefCell, RefMut};
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -26,8 +38,10 @@ pub struct FunctionDef {
 ///
 /// Lists and dictionaries have reference semantics (mutating a list obtained
 /// from a variable mutates the original), matching the Python programs the
-/// LLM-generated code imitates. Graphs and dataframes are also shared
-/// references so the sandbox can observe mutations made by the program.
+/// LLM-generated code imitates. A dict's shared cell may hold a
+/// read-through row; its first write makes the row an owned map in that
+/// same cell. Graphs and dataframes are also shared references so the
+/// sandbox can observe mutations made by the program.
 ///
 /// Inside that shared cell a graph or dataframe is an `Arc` that may be
 /// shared with owners outside the interpreter (the live network, another
@@ -46,12 +60,12 @@ pub enum Value {
     Int(i64),
     /// 64-bit float.
     Float(f64),
-    /// String.
-    Str(String),
+    /// Shared immutable string.
+    Str(Arc<str>),
     /// Mutable list.
     List(Rc<RefCell<Vec<Value>>>),
-    /// Mutable dictionary with string keys, deterministically ordered.
-    Dict(Rc<RefCell<BTreeMap<String, Value>>>),
+    /// Mutable dictionary with string keys, iterated in sorted order.
+    Dict(Rc<RefCell<Dict>>),
     /// A property graph (the `G` global of the NetworkX backend).
     Graph(Rc<RefCell<Arc<Graph>>>),
     /// A dataframe (the `nodes` / `edges` globals of the pandas backend).
@@ -66,9 +80,14 @@ impl Value {
         Value::List(Rc::new(RefCell::new(items)))
     }
 
-    /// Builds a dictionary value.
-    pub fn dict(map: BTreeMap<String, Value>) -> Value {
-        Value::Dict(Rc::new(RefCell::new(map)))
+    /// Builds a dictionary value from its entries.
+    pub fn dict<K: Into<Arc<str>>>(entries: impl IntoIterator<Item = (K, Value)>) -> Value {
+        Value::from_dict(entries.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// Wraps dict contents (an owned map or a read-through row).
+    pub(crate) fn from_dict(dict: Dict) -> Value {
+        Value::Dict(Rc::new(RefCell::new(dict)))
     }
 
     /// Wraps a graph. Pass an `Arc` to share it copy-on-write.
@@ -160,8 +179,8 @@ impl Value {
     }
 
     /// Requires a string, erroring with `context` otherwise.
-    pub fn expect_str(&self, context: &str) -> Result<String> {
-        self.as_str().map(|s| s.to_string()).ok_or_else(|| {
+    pub fn expect_str(&self, context: &str) -> Result<&str> {
+        self.as_str().ok_or_else(|| {
             ScriptError::TypeError(format!(
                 "{context} expects a string, got {}",
                 self.type_name()
@@ -169,13 +188,14 @@ impl Value {
         })
     }
 
-    /// The string used when this value is a dictionary key.
-    pub fn as_key(&self) -> Result<String> {
+    /// The string used when this value is a dictionary key: a string
+    /// shares its allocation, a number or bool becomes its display form.
+    pub fn as_key(&self) -> Result<Arc<str>> {
         match self {
-            Value::Str(s) => Ok(s.clone()),
-            Value::Int(i) => Ok(i.to_string()),
-            Value::Bool(b) => Ok(b.to_string()),
-            Value::Float(f) => Ok(f.to_string()),
+            Value::Str(s) => Ok(Arc::clone(s)),
+            Value::Int(i) => Ok(i.to_string().into()),
+            Value::Bool(b) => Ok(b.to_string().into()),
+            Value::Float(f) => Ok(f.to_string().into()),
             other => Err(ScriptError::TypeError(format!(
                 "{} cannot be used as a dictionary key",
                 other.type_name()
@@ -192,7 +212,7 @@ impl Value {
             Value::Bool(b) => AttrValue::Bool(*b),
             Value::Int(i) => AttrValue::Int(*i),
             Value::Float(f) => AttrValue::Float(*f),
-            Value::Str(s) => AttrValue::Str(s.as_str().into()),
+            Value::Str(s) => AttrValue::Str(Arc::clone(s)),
             Value::List(items) => AttrValue::List(
                 items
                     .borrow()
@@ -216,7 +236,7 @@ impl Value {
             AttrValue::Bool(b) => Value::Bool(*b),
             AttrValue::Int(i) => Value::Int(*i),
             AttrValue::Float(f) => Value::Float(*f),
-            AttrValue::Str(s) => Value::Str(s.to_string()),
+            AttrValue::Str(s) => Value::Str(Arc::clone(s)),
             AttrValue::List(items) => Value::list(items.iter().map(Value::from_attr).collect()),
         }
     }
@@ -227,8 +247,8 @@ impl Value {
         match self {
             Value::Dict(map) => {
                 let mut out = AttrMap::new();
-                for (k, v) in map.borrow().iter() {
-                    out.insert(k.clone(), v.to_attr()?);
+                for (k, v) in map.borrow().entries() {
+                    out.insert(k.to_string(), v.to_attr()?);
                 }
                 Ok(out)
             }
@@ -242,11 +262,7 @@ impl Value {
 
     /// Converts an attribute map into a dictionary value.
     pub fn from_attr_map(map: &AttrMap) -> Value {
-        Value::dict(
-            map.iter()
-                .map(|(k, v)| (k.clone(), Value::from_attr(v)))
-                .collect(),
-        )
+        Value::dict(map.iter().map(|(k, v)| (k.as_str(), Value::from_attr(v))))
     }
 
     /// Ordering used by comparisons and `sorted()`. Numbers compare
@@ -291,8 +307,9 @@ impl Value {
                 let a = a.borrow();
                 let b = b.borrow();
                 a.len() == b.len()
-                    && a.iter()
-                        .all(|(k, v)| b.get(k).map(|o| v.approx_eq(o)).unwrap_or(false))
+                    && a.entries()
+                        .iter()
+                        .all(|(k, v)| b.get(k).is_some_and(|o| v.approx_eq(&o)))
             }
             (Value::Graph(a), Value::Graph(b)) => {
                 netgraph::graphs_approx_eq(&a.borrow(), &b.borrow())
@@ -347,7 +364,7 @@ impl fmt::Display for Value {
             }
             Value::Dict(map) => {
                 write!(f, "{{")?;
-                for (i, (k, v)) in map.borrow().iter().enumerate() {
+                for (i, (k, v)) in map.borrow().entries().iter().enumerate() {
                     if i > 0 {
                         write!(f, ", ")?;
                     }
@@ -376,14 +393,15 @@ impl fmt::Display for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn truthiness_and_type_names() {
         assert!(!Value::Null.is_truthy());
-        assert!(!Value::Str(String::new()).is_truthy());
+        assert!(!Value::Str("".into()).is_truthy());
         assert!(Value::Int(3).is_truthy());
         assert!(Value::list(vec![Value::Int(1)]).is_truthy());
-        assert!(!Value::dict(BTreeMap::new()).is_truthy());
+        assert!(!Value::dict(Vec::<(&str, Value)>::new()).is_truthy());
         assert_eq!(Value::graph(Graph::directed()).type_name(), "graph");
     }
 
@@ -450,7 +468,7 @@ mod tests {
             Value::Str("a".into()).partial_cmp_value(&Value::Int(1)),
             None
         );
-        assert_eq!(Value::Int(5).as_key().unwrap(), "5");
+        assert_eq!(&*Value::Int(5).as_key().unwrap(), "5");
         assert!(Value::list(vec![]).as_key().is_err());
     }
 

@@ -169,14 +169,15 @@ impl From<&Value> for ScriptValue {
             Value::Bool(b) => ScriptValue::Bool(*b),
             Value::Int(i) => ScriptValue::Int(*i),
             Value::Float(f) => ScriptValue::Float(*f),
-            Value::Str(s) => ScriptValue::Str(s.clone()),
+            Value::Str(s) => ScriptValue::Str(s.to_string()),
             Value::List(items) => {
                 ScriptValue::List(items.borrow().iter().map(ScriptValue::from).collect())
             }
             Value::Dict(map) => ScriptValue::Dict(
                 map.borrow()
+                    .entries()
                     .iter()
-                    .map(|(k, v)| (k.clone(), ScriptValue::from(v)))
+                    .map(|(k, v)| (k.to_string(), ScriptValue::from(v)))
                     .collect(),
             ),
             Value::Graph(g) => ScriptValue::Graph(Box::new(Graph::clone(&g.borrow()))),

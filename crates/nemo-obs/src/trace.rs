@@ -275,6 +275,65 @@ impl Tracer {
         self.inner.enabled.store(capacity > 0, Ordering::Release);
     }
 
+    /// A new recorder for one worker of a parallel run: enabled, sized
+    /// and thresholded like this one, numbering its own traces. Give each
+    /// worker a fork and [`Tracer::absorb`] the forks in a fixed worker
+    /// order afterwards.
+    pub fn fork(&self) -> Tracer {
+        let fork = Tracer::new();
+        let capacity = self.inner.state.lock().expect("tracer lock").capacity;
+        fork.enable(if self.is_enabled() { capacity } else { 0 });
+        fork.set_slow_threshold_micros(self.inner.slow_threshold_micros.load(Ordering::Relaxed));
+        fork
+    }
+
+    /// Moves the traces `fork` completed into this recorder, oldest
+    /// first, numbered after the ones already here, along with its drop
+    /// and slow counts. Absorbing per-worker forks in worker order
+    /// numbers every trace by its worker and its place in that worker's
+    /// request order, however the workers interleaved in time.
+    pub fn absorb(&self, fork: &Tracer) {
+        let (completed, slow) = {
+            let mut theirs = fork.inner.state.lock().expect("tracer lock");
+            (
+                std::mem::take(&mut theirs.completed),
+                std::mem::take(&mut theirs.slow),
+            )
+        };
+        // The fork's ids, evicted traces' included, become a block after
+        // this tracer's own; start times (physical) move to its epoch.
+        let begun = fork.inner.next_trace_id.load(Ordering::Relaxed) - 1;
+        let offset = self.inner.next_trace_id.fetch_add(begun, Ordering::Relaxed) - 1;
+        let shift = clock::micros(
+            fork.inner
+                .epoch_ticks
+                .saturating_sub(self.inner.epoch_ticks),
+        );
+        let mut state = self.inner.state.lock().expect("tracer lock");
+        let state = &mut *state;
+        for (traces, into, dropped) in [
+            (completed, &mut state.completed, &self.inner.dropped),
+            (slow, &mut state.slow, &self.inner.slow_dropped),
+        ] {
+            for mut trace in traces {
+                trace.trace_id += offset;
+                trace.base_micros += shift;
+                if into.len() + 1 > state.capacity {
+                    into.pop_front();
+                    dropped.fetch_add(1, Ordering::Relaxed);
+                }
+                into.push_back(trace);
+            }
+        }
+        for (ours, theirs) in [
+            (&self.inner.dropped, &fork.inner.dropped),
+            (&self.inner.slow_total, &fork.inner.slow_total),
+            (&self.inner.slow_dropped, &fork.inner.slow_dropped),
+        ] {
+            ours.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+    }
+
     /// Whether the recorder is on.
     pub fn is_enabled(&self) -> bool {
         self.inner.enabled.load(Ordering::Acquire)

@@ -39,7 +39,7 @@ fn s(text: &str) -> JsonValue {
 }
 
 fn n(value: i64) -> JsonValue {
-    JsonValue::Number(value as f64)
+    JsonValue::from(value)
 }
 
 /// Type-tagged [`AttrValue`] encoding (lossless, unlike the untagged
@@ -76,6 +76,7 @@ fn value_from_json(value: &JsonValue) -> Result<AttrValue, ServeError> {
         ("null", _) => Ok(AttrValue::Null),
         ("bool", Some(JsonValue::Bool(b))) => Ok(AttrValue::Bool(*b)),
         ("int", Some(JsonValue::Number(x))) if x.fract() == 0.0 => Ok(AttrValue::Int(*x as i64)),
+        ("int", Some(JsonValue::Int(i))) => Ok(AttrValue::Int(*i)),
         ("float", Some(JsonValue::Number(x))) => Ok(AttrValue::Float(*x)),
         ("str", Some(JsonValue::String(text))) => Ok(AttrValue::Str(text.as_str().into())),
         ("list", Some(JsonValue::Array(items))) => Ok(AttrValue::List(
@@ -180,6 +181,7 @@ pub(crate) fn get_u64(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<u6
 fn get_i64(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<i64, ServeError> {
     match map.get(key) {
         Some(JsonValue::Number(x)) if x.fract() == 0.0 => Ok(*x as i64),
+        Some(JsonValue::Int(i)) => Ok(*i),
         other => Err(ServeError::Corrupt(format!(
             "WAL record field {key:?} is {other:?}, want an integer"
         ))),
@@ -347,6 +349,32 @@ mod tests {
                 std::mem::discriminant(&value)
             );
             assert_eq!(decoded, value);
+        }
+    }
+
+    #[test]
+    fn integers_beyond_f64_precision_round_trip_exactly() {
+        for big in [(1i64 << 53) + 1, i64::MAX, i64::MIN] {
+            let record = WalRecord {
+                epoch: 2,
+                at_ms: 1,
+                mutation: Mutation::SetFlow {
+                    source: "10.0.0.1".into(),
+                    target: "10.0.0.2".into(),
+                    bytes: big,
+                    connections: big - big.signum(),
+                    packets: 3,
+                },
+            };
+            let (back, _) = decode_shard_record(&encode_shard_record(&record, 2)).unwrap();
+            assert_eq!(back, record, "{big}");
+            let value = AttrValue::Int(big);
+            let tagged = value_to_json(&value).to_json();
+            let parsed = netgraph::json::JsonValue::parse(&tagged).unwrap();
+            assert!(
+                matches!(value_from_json(&parsed), Ok(AttrValue::Int(i)) if i == big),
+                "{big}: {tagged}"
+            );
         }
     }
 

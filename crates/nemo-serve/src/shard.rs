@@ -102,8 +102,12 @@ pub struct ShardedNetwork {
     /// except after a jagged per-shard recovery).
     next_global: Epoch,
     /// The merged view [`ShardedNetwork::view`] serves on more than one
-    /// shard, built on demand and dropped by every applied mutation.
+    /// shard, built on demand.
     view: Option<LiveNetwork>,
+    /// Set by every applied mutation. The stale view is freed by the next
+    /// [`ShardedNetwork::view`], just before its successor is built, so
+    /// the free stays off the write's acknowledgement.
+    view_stale: bool,
 }
 
 impl ShardedNetwork {
@@ -197,6 +201,7 @@ impl ShardedNetwork {
             bases,
             next_global,
             view: None,
+            view_stale: false,
         }
     }
 
@@ -275,7 +280,7 @@ impl ShardedNetwork {
         self.bases
             .apply(&mut self.partitions[owner], global, mutation)?;
         self.next_global = self.next_global.max(global);
-        self.view = None;
+        self.view_stale = true;
         Ok(())
     }
 
@@ -287,8 +292,11 @@ impl ShardedNetwork {
         if self.partitions.len() == 1 {
             return &self.partitions[0];
         }
-        if self.view.is_none() {
+        if self.view.is_none() || self.view_stale {
+            // Freed before the rebuild: one merged view alive at a time.
+            self.view = None;
             self.view = Some(self.merged());
+            self.view_stale = false;
         }
         self.view.as_ref().expect("built above")
     }
@@ -552,5 +560,35 @@ mod tests {
             net.merged().graph().number_of_nodes(),
             live.graph().number_of_nodes()
         );
+    }
+
+    #[test]
+    fn a_mutation_marks_the_merged_view_stale_without_freeing_it() {
+        let w = workload();
+        let live = LiveNetwork::from_workload(&w);
+        let mut net = ShardedNetwork::from_live(&live, 3).unwrap();
+        let fresh = |net: &mut ShardedNetwork| {
+            let merged = net.merged();
+            *net.view() == merged
+        };
+        assert!(fresh(&mut net));
+        let events = evolve(
+            &w,
+            &StreamConfig {
+                events: 30,
+                seed: 4,
+            },
+        );
+        for (i, event) in events.iter().enumerate() {
+            net.apply(&Mutation::from_event(&event.event)).unwrap();
+            // The stale view is still held: freeing it is the next read's
+            // work, not the write's.
+            assert!(net.view.is_some() && net.view_stale);
+            if i % 7 == 0 {
+                assert!(fresh(&mut net), "after event {i}");
+                assert!(!net.view_stale);
+            }
+        }
+        assert!(fresh(&mut net));
     }
 }

@@ -215,6 +215,7 @@ pub fn replay(snapshot: &str, wal: &[WalRecord]) -> Result<LiveNetwork, ServeErr
 mod tests {
     use super::*;
     use crate::mutation::Mutation;
+    use netgraph::AttrValue;
     use trafficgen::{evolve, generate, StreamConfig, TrafficConfig};
 
     fn evolved(events: usize) -> LiveNetwork {
@@ -239,6 +240,50 @@ mod tests {
         assert_eq!(restored, live);
         assert_eq!(write_snapshot(&restored), text);
         assert_eq!(restored.epoch(), 40);
+    }
+
+    #[test]
+    fn integer_attributes_keep_their_exact_value_and_type() {
+        let mut live = evolved(0);
+        let (source, target) = {
+            let (u, v, _) = live.graph().edges().next().expect("an edge");
+            (u.to_string(), v.to_string())
+        };
+        for big in [(1i64 << 53) + 1, i64::MAX, i64::MIN] {
+            live.apply(&Mutation::SetFlow {
+                source: source.clone(),
+                target: target.clone(),
+                bytes: big,
+                connections: -big.saturating_add(1),
+                packets: 7,
+            })
+            .unwrap();
+            let restored = read_snapshot(&write_snapshot(&live)).unwrap();
+            // Matched on the variant and the exact integer: `==` on
+            // attribute values compares numbers through f64.
+            let attrs = restored.graph().edge_attrs(&source, &target).unwrap();
+            assert!(
+                matches!(attrs.get("bytes"), Some(AttrValue::Int(i)) if *i == big),
+                "{big}: graph holds {:?}",
+                attrs.get("bytes")
+            );
+            assert!(
+                matches!(attrs.get("connections"), Some(AttrValue::Int(i)) if *i == -big.saturating_add(1)),
+                "{big}: graph holds {:?}",
+                attrs.get("connections")
+            );
+            let row = (0..restored.edges().n_rows())
+                .find(|&r| {
+                    restored.edges().value(r, "source").unwrap().as_str() == Some(&source)
+                        && restored.edges().value(r, "target").unwrap().as_str() == Some(&target)
+                })
+                .expect("the edge's row");
+            assert!(
+                matches!(restored.edges().value(row, "bytes"), Ok(AttrValue::Int(i)) if *i == big),
+                "{big}: frame holds {:?}",
+                restored.edges().value(row, "bytes")
+            );
+        }
     }
 
     #[test]

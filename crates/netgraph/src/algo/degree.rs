@@ -34,15 +34,23 @@ pub fn degree_centrality(g: &Graph) -> BTreeMap<String, f64> {
 /// For directed graphs both incoming and outgoing edges contribute, which is
 /// what "total byte weight on each node" means in the benchmark queries.
 pub fn node_weight_totals(g: &Graph, attr: &str) -> Result<BTreeMap<String, f64>> {
-    let mut totals: BTreeMap<String, f64> = g.node_ids().map(|n| (n.to_string(), 0.0)).collect();
-    for (u, v, attrs) in g.edges() {
-        let w = attrs.get_f64(attr).unwrap_or(0.0);
-        *totals.get_mut(u).expect("endpoint exists") += w;
+    // Summed per node id, in canonical edge order (so every total is
+    // bit-identical to a walk that keys by name), then named once.
+    let mut totals = vec![0.0; g.id_bound()];
+    for (u, v) in g.edge_id_iter() {
+        let w = g
+            .edge_attrs_by_id(u, v)
+            .and_then(|attrs| attrs.get_f64(attr))
+            .unwrap_or(0.0);
+        totals[u.index()] += w;
         if u != v {
-            *totals.get_mut(v).expect("endpoint exists") += w;
+            totals[v.index()] += w;
         }
     }
-    Ok(totals)
+    Ok(g.node_id_list()
+        .iter()
+        .map(|&id| (g.node_name(id).to_string(), totals[id.index()]))
+        .collect())
 }
 
 /// Nodes sorted descending by a numeric score map, ties broken by node id,

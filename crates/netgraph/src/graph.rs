@@ -14,7 +14,7 @@ use crate::intern::{Interner, Symbol};
 use crate::value::AttrValue;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Dense integer handle for a graph node (the node's [`Symbol`] in the
 /// graph's private interner). Ids are stable for the lifetime of the graph
@@ -100,6 +100,13 @@ impl Graph {
     #[inline]
     pub fn node_name(&self, id: NodeId) -> &str {
         self.interner.resolve(id)
+    }
+
+    /// The name behind a [`NodeId`] as an owned string that shares the
+    /// graph's allocation: a refcount bump, not a copy.
+    #[inline]
+    pub fn node_name_shared(&self, id: NodeId) -> Arc<str> {
+        self.interner.shared(id)
     }
 
     #[inline]
@@ -437,9 +444,8 @@ impl Graph {
 
     /// An edge's attributes by interned endpoint ids.
     pub fn edge_attrs_by_id(&self, u: NodeId, v: NodeId) -> Option<&AttrMap> {
-        if !self.has_edge_by_id(u, v) {
-            return None;
-        }
+        // Every edge, and nothing else, has an entry under its canonical
+        // key, so the map answers presence without an adjacency search.
         self.edge_attrs.get(&self.edge_key(u, v))
     }
 

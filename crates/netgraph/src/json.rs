@@ -33,8 +33,13 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number (stored as f64; integers round-trip exactly up to 2^53).
+    /// Any JSON number that f64 holds exactly: every integer up to 2^53 in
+    /// magnitude, and every literal with a fraction or an exponent.
     Number(f64),
+    /// An integer literal beyond 2^53 in magnitude, which f64 would round.
+    /// [`JsonValue::parse`] makes one only there, so every other consumer
+    /// of numbers still sees `Number`.
+    Int(i64),
     /// A string.
     String(String),
     /// An array.
@@ -56,6 +61,7 @@ impl JsonValue {
             JsonValue::Null => out.write_str("null"),
             JsonValue::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
             JsonValue::Number(n) => write_number(*n, out),
+            JsonValue::Int(i) => write!(out, "{i}"),
             JsonValue::String(s) => write_string(s, out),
             JsonValue::Array(items) => {
                 out.write_char('[')?;
@@ -108,12 +114,13 @@ impl JsonValue {
             JsonValue::Null => AttrValue::Null,
             JsonValue::Bool(b) => AttrValue::Bool(b),
             JsonValue::Number(n) => {
-                if n.fract() == 0.0 && n.is_finite() && n.abs() < 9e15 {
+                if n.fract() == 0.0 && n.abs() <= MAX_EXACT_INT as f64 {
                     AttrValue::Int(n as i64)
                 } else {
                     AttrValue::Float(n)
                 }
             }
+            JsonValue::Int(i) => AttrValue::Int(i),
             JsonValue::String(s) => AttrValue::Str(s.into()),
             JsonValue::Array(items) => {
                 AttrValue::List(items.into_iter().map(JsonValue::into_attr).collect())
@@ -123,6 +130,21 @@ impl JsonValue {
                     .map(|(k, v)| AttrValue::List(vec![AttrValue::Str(k.into()), v.into_attr()]))
                     .collect(),
             ),
+        }
+    }
+}
+
+/// The largest magnitude up to which f64 holds every integer: 2^53.
+const MAX_EXACT_INT: u64 = 1 << 53;
+
+impl From<i64> for JsonValue {
+    /// The variant [`JsonValue::parse`] gives the integer's literal:
+    /// `Number` where f64 holds it exactly, `Int` beyond.
+    fn from(i: i64) -> Self {
+        if i.unsigned_abs() <= MAX_EXACT_INT {
+            JsonValue::Number(i as f64)
+        } else {
+            JsonValue::Int(i)
         }
     }
 }
@@ -257,6 +279,13 @@ impl Parser<'_> {
             self.pos += 1;
         }
         self.skip_digits();
+        // An integer literal that f64 would round keeps its exact value.
+        if !matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
+            let exact = self.text[start..self.pos].parse::<i64>();
+            if let Ok(int @ JsonValue::Int(_)) = exact.map(JsonValue::from) {
+                return Ok(int);
+            }
+        }
         if self.peek() == Some(b'.') {
             self.pos += 1;
             self.skip_digits();
@@ -414,13 +443,13 @@ impl<W: fmt::Write + ?Sized> fmt::Write for Escaped<'_, W> {
     }
 }
 
-/// Writes an attribute value as JSON. Integers go through [`write_number`]
-/// as `f64`, like every JSON number.
+/// Writes an attribute value as JSON. An integer is written exactly, digit
+/// for digit (the bytes [`write_number`] gives it wherever f64 holds it).
 fn write_attr<W: fmt::Write + ?Sized>(value: &AttrValue, out: &mut W) -> fmt::Result {
     match value {
         AttrValue::Null => out.write_str("null"),
         AttrValue::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
-        AttrValue::Int(i) => write_number(*i as f64, out),
+        AttrValue::Int(i) => write!(out, "{i}"),
         AttrValue::Float(f) => write_number(*f, out),
         AttrValue::Str(s) => write_string(s, out),
         AttrValue::List(items) => {
@@ -669,6 +698,38 @@ mod tests {
         let mut text = String::new();
         write_attr(&attr, &mut text).unwrap();
         assert_eq!(JsonValue::parse(&text).unwrap().into_attr(), attr);
+    }
+
+    #[test]
+    fn integers_round_trip_exactly_as_integers() {
+        for i in [
+            0,
+            -7,
+            9e15 as i64,
+            1 << 53,
+            (1 << 53) + 1,
+            i64::MAX,
+            i64::MIN,
+        ] {
+            let mut text = String::new();
+            write_attr(&AttrValue::Int(i), &mut text).unwrap();
+            assert_eq!(text, i.to_string());
+            let back = JsonValue::parse(&text).unwrap();
+            assert_eq!(back, JsonValue::from(i));
+            assert_eq!(back.to_json(), text);
+            assert!(
+                matches!(back.into_attr(), AttrValue::Int(j) if j == i),
+                "{i}"
+            );
+        }
+        // Literals with a fraction or an exponent, and integers beyond
+        // i64, stay floating point.
+        assert_eq!(JsonValue::parse("2.5").unwrap(), JsonValue::Number(2.5));
+        assert_eq!(JsonValue::parse("1e300").unwrap(), JsonValue::Number(1e300));
+        assert_eq!(
+            JsonValue::parse("18446744073709551616").unwrap(),
+            JsonValue::Number(18446744073709551616.0)
+        );
     }
 
     #[test]
