@@ -94,7 +94,11 @@ pub fn call(df: &Rc<RefCell<Arc<DataFrame>>>, method: &str, args: &[Value]) -> R
             if i >= len {
                 return Err(frame_err(FrameError::RowOutOfBounds { index: i, len }));
             }
-            Ok(Value::from_dict(Dict::frame_row(&frame, i)))
+            // Owned, not read through: one row is cheap to copy, and a
+            // bound read-through row would make the next write to `df` copy
+            // the whole frame (a `row(i)`-then-`set_value` loop, quadratic).
+            let row: Dict = Dict::frame_row(&frame, i).entries().into_iter().collect();
+            Ok(Value::from_dict(row))
         }
         "to_rows" => {
             expect_arity(method, args, &[0])?;

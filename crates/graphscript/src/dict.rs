@@ -16,8 +16,8 @@ use std::sync::Arc;
 /// a program: every listing goes through [`Dict::entries`], which sorts by
 /// key.
 ///
-/// The rows that `df.to_rows()`, `df.row(i)`, `G.edges_data()` and
-/// `G.nodes_data()` return start out instead as a read-through view: the
+/// The rows that `df.to_rows()`, `G.edges_data()` and `G.nodes_data()`
+/// return start out instead as a read-through view: the
 /// `Arc` of the frame or graph taken when the method was called, plus a row
 /// index or node and edge ids. Making one copies no data, and a read
 /// converts only the value it reads. The first write turns the row into an
@@ -27,6 +27,15 @@ use std::sync::Arc;
 /// key returns the same list. Keys iterate in sorted order either way, and
 /// every read returns the value an owned copy of the row would hold, so a
 /// program cannot tell the two apart.
+///
+/// The cost a program can see is in the frame or graph it listed: while a
+/// read-through row is alive it shares that snapshot, so the next write to
+/// `df` or `G` copies it whole (`frame_mut`/`graph_mut` are
+/// `Arc::make_mut`). A listing taken and then written after pays one such
+/// copy, and none when the snapshot was shared with the caller anyway (the
+/// first write of a sandbox run copies it regardless). `df.row(i)` hands
+/// out an owned dict for that reason: a loop that takes one row and writes
+/// the frame on every iteration would otherwise copy the frame each time.
 #[derive(Debug, Clone)]
 pub struct Dict(Repr);
 

@@ -7,10 +7,10 @@
 //!   a string out of a frame or graph, or evaluating a string literal, is
 //!   a refcount bump;
 //! * dict keys are the same shared strings, and lookups borrow a `&str`;
-//! * the rows that `to_rows()`, `row(i)`, `edges_data()` and
-//!   `nodes_data()` return read through to the substrate snapshot taken
-//!   when the method was called, and become owned maps only on their first
-//!   write (see [`Dict`]).
+//! * the rows that `to_rows()`, `edges_data()` and `nodes_data()` return
+//!   read through to the substrate snapshot taken when the method was
+//!   called, and become owned maps only on their first write (see
+//!   [`Dict`]); `row(i)` hands out one owned row.
 
 use crate::ast::Stmt;
 use crate::dict::Dict;

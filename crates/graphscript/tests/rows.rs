@@ -6,6 +6,7 @@
 use dataframe::{Column, DataFrame};
 use graphscript::{Interpreter, Value};
 use netgraph::{attrs, Graph};
+use std::sync::Arc;
 
 fn frame() -> DataFrame {
     // Column order deliberately differs from sorted key order.
@@ -229,4 +230,43 @@ row = rows[2]
 result = [row["tags"], row.tags, edges.value(2, "tags")]
 "#;
     assert_eq!(run(program), "[[3, 9], [3, 9], [3]]");
+}
+
+/// How many references share the snapshot behind `edges` (`1`: the next
+/// write to the frame copies nothing).
+fn frame_sharers(interp: &Interpreter) -> usize {
+    match interp.global("edges") {
+        Some(Value::Frame(df)) => Arc::strong_count(&df.borrow()),
+        other => panic!("edges is {other:?}"),
+    }
+}
+
+#[test]
+fn only_listings_share_the_frame_they_read() {
+    let mut interp = interp();
+    // A row loop that writes the frame: no row keeps the frame shared, so
+    // no write after the first copies it.
+    let program = r#"
+for i in range(edges.n_rows()) {
+    r = edges.row(i)
+    edges.set_value(i, "bytes", r["bytes"] * 2)
+}
+"#;
+    interp.run(program).unwrap();
+    assert_eq!(frame_sharers(&interp), 1);
+    interp.run("r = edges.row(0)").unwrap();
+    assert_eq!(frame_sharers(&interp), 1);
+    // A listing reads through to the frame until its rows are dropped.
+    interp.run("rows = edges.to_rows()").unwrap();
+    assert_eq!(frame_sharers(&interp), 4);
+    interp.run("rows = []").unwrap();
+    assert_eq!(frame_sharers(&interp), 1);
+    assert_eq!(
+        interp
+            .run("edges.column(\"bytes\")")
+            .unwrap()
+            .value
+            .to_string(),
+        "[200, 500, 80]"
+    );
 }

@@ -78,6 +78,10 @@ fn value_from_json(value: &JsonValue) -> Result<AttrValue, ServeError> {
         ("int", Some(JsonValue::Number(x))) if x.fract() == 0.0 => Ok(AttrValue::Int(*x as i64)),
         ("int", Some(JsonValue::Int(i))) => Ok(AttrValue::Int(*i)),
         ("float", Some(JsonValue::Number(x))) => Ok(AttrValue::Float(*x)),
+        // Builds before integral floats beyond 2^53 gained a trailing `.0`
+        // logged them as bare digits, which now parse as an exact `Int`;
+        // those digits are the float's shortest form, so this is exact.
+        ("float", Some(JsonValue::Int(i))) => Ok(AttrValue::Float(*i as f64)),
         ("str", Some(JsonValue::String(text))) => Ok(AttrValue::Str(text.as_str().into())),
         ("list", Some(JsonValue::Array(items))) => Ok(AttrValue::List(
             items
@@ -322,6 +326,10 @@ mod tests {
             // value must come back as a float.
             AttrValue::Float(5.0),
             AttrValue::Float(2.25),
+            // Integral floats beyond 2^53, where bare digits would parse as
+            // an exact integer.
+            AttrValue::Float(1e17),
+            AttrValue::Float(-(2f64.powi(60))),
             AttrValue::Str("app:web \"quoted\"\nline".into()),
             AttrValue::List(vec![
                 AttrValue::Int(1),
@@ -349,6 +357,30 @@ mod tests {
                 std::mem::discriminant(&value)
             );
             assert_eq!(decoded, value);
+        }
+    }
+
+    #[test]
+    fn large_integral_floats_logged_as_bare_digits_decode_as_floats() {
+        for f in [1e17, -(2f64.powi(60))] {
+            let record = WalRecord {
+                epoch: 3,
+                at_ms: 1,
+                mutation: Mutation::SetNodeAttr {
+                    id: "10.0.0.1".into(),
+                    key: "weight".into(),
+                    value: AttrValue::Float(f),
+                },
+            };
+            // The form older builds logged: the float's digits without `.0`.
+            let text = String::from_utf8(encode_shard_record(&record, 3)).unwrap();
+            let old = text.replace(&format!("{f}.0"), &format!("{f}"));
+            assert_ne!(old, text);
+            let (back, _) = decode_shard_record(old.as_bytes()).unwrap();
+            assert!(
+                matches!(back.mutation, Mutation::SetNodeAttr { value: AttrValue::Float(g), .. } if g == f),
+                "{old}"
+            );
         }
     }
 

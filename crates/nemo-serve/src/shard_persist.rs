@@ -1332,7 +1332,7 @@ mod tests {
                     .store()
                     .read_snapshot(net.local_epoch(k))
                     .unwrap();
-                documents.push(digest(&bytes));
+                documents.push(String::from_utf8(bytes).unwrap());
             }
             assert_eq!(
                 write_snapshot(&net.merged()),
@@ -1355,18 +1355,39 @@ mod tests {
         let restored = crate::snapshot::read_snapshot(&snapshot).unwrap();
         assert_eq!(write_snapshot(&restored), snapshot);
         let raw = reference.raw_json();
-        let got = (
-            digest(snapshot.as_bytes()),
-            digest(raw.as_bytes()),
-            documents,
+        let digests = |old_literal: bool| {
+            // The graph encoder used to write the `big` attribute,
+            // `Int(i64::MAX)`, through f64 as 9223372036854776000 (read back
+            // as a float); it now writes it exactly.
+            let text = |doc: &str| match old_literal {
+                true => doc.replace("9223372036854775807", "9223372036854776000"),
+                false => doc.to_string(),
+            };
+            (
+                digest(text(&snapshot).as_bytes()),
+                digest(text(&raw).as_bytes()),
+                documents
+                    .iter()
+                    .map(|doc| digest(text(doc).as_bytes()))
+                    .collect::<Vec<_>>(),
+            )
+        };
+        // Computed by the tree-building encoders these writers replaced.
+        // With the old literal put back, the documents hash to exactly
+        // those digests, so no other byte moved.
+        let before_exact_ints = (
+            (40900, 1060199794),
+            (26579, 19693951),
+            vec![
+                (49985, 867782737),
+                (15716, 3057864168),
+                (15295, 2306062431),
+                (21946, 2381505205),
+            ],
         );
-        // Computed by the tree-building encoders these writers replaced,
-        // except for one literal: the graph encoder used to write the
-        // `big` attribute, `Int(i64::MAX)`, through f64 as
-        // 9223372036854776000 (read back as a float) and now writes it
-        // exactly. Putting the old literal back reproduces the old digests
-        // of the snapshot, the raw graph and the two shard documents that
-        // hold the node.
+        assert_eq!(digests(true), before_exact_ints);
+        // The bytes written now: the snapshot, the raw graph and the two
+        // shard documents that hold the `big` node differ in that literal.
         let pinned = (
             (40900, 1538155888),
             (26579, 2331508755),
@@ -1377,6 +1398,6 @@ mod tests {
                 (21946, 2381505205),
             ],
         );
-        assert_eq!(got, pinned);
+        assert_eq!(digests(false), pinned);
     }
 }

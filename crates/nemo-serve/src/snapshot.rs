@@ -287,6 +287,27 @@ mod tests {
     }
 
     #[test]
+    fn large_integral_float_attributes_stay_floats() {
+        let mut live = evolved(0);
+        let node = live.graph().nodes().next().expect("a node").0.to_string();
+        for f in [1e17, -(2f64.powi(60))] {
+            live.apply(&Mutation::SetNodeAttr {
+                id: node.clone(),
+                key: "weight".into(),
+                value: AttrValue::Float(f),
+            })
+            .unwrap();
+            let restored = read_snapshot(&write_snapshot(&live)).unwrap();
+            let attrs = restored.graph().node_attrs(&node).unwrap();
+            assert!(
+                matches!(attrs.get("weight"), Some(AttrValue::Float(g)) if *g == f),
+                "{f}: graph holds {:?}",
+                attrs.get("weight")
+            );
+        }
+    }
+
+    #[test]
     fn replay_from_mid_snapshot_reconstructs_the_tip() {
         let w = generate(&TrafficConfig {
             nodes: 12,

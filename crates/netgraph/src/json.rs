@@ -34,7 +34,8 @@ pub enum JsonValue {
     /// `true` / `false`
     Bool(bool),
     /// Any JSON number that f64 holds exactly: every integer up to 2^53 in
-    /// magnitude, and every literal with a fraction or an exponent.
+    /// magnitude, and every literal with a fraction or an exponent. Written
+    /// by [`write_number`], it always parses back as a `Number`.
     Number(f64),
     /// An integer literal beyond 2^53 in magnitude, which f64 would round.
     /// [`JsonValue::parse`] makes one only there, so every other consumer
@@ -394,10 +395,14 @@ impl Parser<'_> {
 }
 
 /// Writes a JSON number: an integral value below 10^15 in magnitude as an
-/// integer, anything else in Rust's shortest round-trip form.
+/// integer, anything else in Rust's shortest round-trip form. An integral
+/// value beyond 2^53 that i64 holds gets a trailing `.0`: bare digits there
+/// would read back as an exact [`JsonValue::Int`], not as the float written.
 pub fn write_number<W: fmt::Write + ?Sized>(n: f64, out: &mut W) -> fmt::Result {
     if n.fract() == 0.0 && n.is_finite() && n.abs() < 1e15 {
         write!(out, "{}", n as i64)
+    } else if n.abs() > MAX_EXACT_INT as f64 && n as i64 as f64 == n {
+        write!(out, "{n}.0")
     } else {
         write!(out, "{n}")
     }
@@ -730,6 +735,31 @@ mod tests {
             JsonValue::parse("18446744073709551616").unwrap(),
             JsonValue::Number(18446744073709551616.0)
         );
+        // An integral float beyond 2^53 that i64 holds is written with a
+        // trailing `.0`, so it reads back as the float it was, not as an
+        // `Int`. Beyond i64, bare digits already parse as a `Number`.
+        assert_eq!(JsonValue::Number(1e17).to_json(), "100000000000000000.0");
+        assert_eq!(JsonValue::Number(1e20).to_json(), "100000000000000000000");
+        for f in [
+            1e17,
+            -(2f64.powi(60)),
+            -(2f64.powi(63)),
+            1e20,
+            (1u64 << 53) as f64 + 2.0,
+        ] {
+            let text = JsonValue::Number(f).to_json();
+            assert_eq!(
+                JsonValue::parse(&text).unwrap(),
+                JsonValue::Number(f),
+                "{text}"
+            );
+            let mut text = String::new();
+            write_attr(&AttrValue::Float(f), &mut text).unwrap();
+            assert!(
+                matches!(JsonValue::parse(&text).unwrap().into_attr(), AttrValue::Float(g) if g == f),
+                "{text}"
+            );
+        }
     }
 
     #[test]
