@@ -223,12 +223,18 @@ impl LiveNetwork {
     /// epoch advances by one and the new epoch is returned; on conflict the
     /// state is untouched.
     pub fn apply(&mut self, mutation: &Mutation) -> Result<Epoch, ServeError> {
-        self.check(mutation, true)?;
+        mutation.check(&self.graph, true)?;
+        Ok(self.apply_checked(mutation))
+    }
+
+    /// [`LiveNetwork::apply`] for a mutation already checked against this
+    /// very state: it is not checked again.
+    pub(crate) fn apply_checked(&mut self, mutation: &Mutation) -> Epoch {
         let key = self
             .appended_keys(mutation)
             .last()
             .map_or(0, |&key| key + 1);
-        Ok(self.apply_unchecked(mutation, key))
+        self.apply_unchecked(mutation, key)
     }
 
     /// Applies a mutation on a shard partition, after the router validated
@@ -243,7 +249,7 @@ impl LiveNetwork {
         mutation: &Mutation,
         key: u64,
     ) -> Result<Epoch, ServeError> {
-        self.check(mutation, false)?;
+        mutation.check(&self.graph, false)?;
         if let (Mutation::AddNode { .. } | Mutation::AddEdge { .. }, Some(&last)) =
             (mutation, self.appended_keys(mutation).last())
         {
@@ -394,17 +400,6 @@ impl LiveNetwork {
     /// Normalizes and applies one [`trafficgen`] stream event.
     pub fn apply_event(&mut self, event: &TimedEvent) -> Result<Epoch, ServeError> {
         self.apply(&Mutation::from_event(&event.event))
-    }
-
-    /// Validates a mutation against this network's own graph without
-    /// touching it (see [`Mutation::check`]).
-    fn check(&self, mutation: &Mutation, endpoints_required: bool) -> Result<(), ServeError> {
-        let graph = &self.graph;
-        mutation.check(
-            |id| graph.has_node(id),
-            |source, target| graph.has_edge(source, target),
-            endpoints_required,
-        )
     }
 
     /// `(strong count, address)` of the graph, node-frame and edge-frame

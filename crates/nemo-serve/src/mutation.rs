@@ -9,7 +9,7 @@
 //! [`Mutation::from_event`].
 
 use crate::error::ServeError;
-use netgraph::AttrValue;
+use netgraph::{AttrValue, Graph};
 use trafficgen::{Flow, NetEvent};
 
 /// Monotonically increasing state version: epoch `N` is the state after the
@@ -127,38 +127,33 @@ impl Mutation {
     }
 
     /// The six conflict rules of the write path, in their fixed order and
-    /// with their messages, checked through `has_node`/`has_edge`. With
-    /// `endpoints_required` false an `AddEdge` need not find its
+    /// with their messages, checked against `graph` without touching it.
+    /// With `endpoints_required` false an `AddEdge` need not find its
     /// endpoints: a shard partition checks that way, because another
     /// shard may own an edge's target.
-    pub(crate) fn check(
-        &self,
-        has_node: impl Fn(&str) -> bool,
-        has_edge: impl Fn(&str, &str) -> bool,
-        endpoints_required: bool,
-    ) -> Result<(), ServeError> {
+    pub(crate) fn check(&self, graph: &Graph, endpoints_required: bool) -> Result<(), ServeError> {
         let conflict = |msg: String| Err(ServeError::Conflict(msg));
         match self {
             Mutation::AddNode { id, .. } => {
-                if has_node(id) {
+                if graph.has_node(id) {
                     return conflict(format!("node {id} already exists"));
                 }
             }
             Mutation::AddEdge { source, target, .. } => {
-                if endpoints_required && (!has_node(source) || !has_node(target)) {
+                if endpoints_required && (!graph.has_node(source) || !graph.has_node(target)) {
                     return conflict(format!("edge {source}->{target} names an unknown endpoint"));
                 }
-                if has_edge(source, target) {
+                if graph.has_edge(source, target) {
                     return conflict(format!("edge {source}->{target} already exists"));
                 }
             }
             Mutation::SetFlow { source, target, .. } | Mutation::RemoveEdge { source, target } => {
-                if !has_edge(source, target) {
+                if !graph.has_edge(source, target) {
                     return conflict(format!("edge {source}->{target} does not exist"));
                 }
             }
             Mutation::SetNodeAttr { id, key, .. } => {
-                if !has_node(id) {
+                if !graph.has_node(id) {
                     return conflict(format!("node {id} does not exist"));
                 }
                 // Rewriting the identity column would desync the tabular

@@ -14,7 +14,7 @@
 //! [`Server::sweep_persistence`]. Processing is sequential and
 //! deterministic: the transcript of a request stream is a pure function
 //! of `(initial state, requests, model seeds)` — and, because reads are
-//! answered from the **merged view** (byte-identical to an unsharded
+//! answered from the **served state** (byte-identical to an unsharded
 //! network at the same global epoch), it is also independent of the shard
 //! count.
 
@@ -179,9 +179,9 @@ impl ServerBuilder {
         live: LiveNetwork,
         sessions: Vec<Session<L>>,
     ) -> Result<Server<L>, ServeError> {
-        let net = ShardedNetwork::from_live(&live, self.shards)?;
+        let mut net = ShardedNetwork::from_live(&live, self.shards)?;
         let stores = match &self.root {
-            Some(root) => shard_persist::create_sharded(root, &self.options, &net)?,
+            Some(root) => shard_persist::create_sharded(root, &self.options, &mut net)?,
             None => Vec::new(),
         };
         Ok(self.server(net, stores, sessions))
@@ -217,8 +217,8 @@ impl ServerBuilder {
 
 /// The serving loop.
 pub struct Server<L: Llm> {
-    /// The live state. It also decides which view queries read
-    /// (`ShardedNetwork::view`).
+    /// The live state, and the served state queries read and mutations
+    /// are checked against (`ShardedNetwork::view`).
     net: ShardedNetwork,
     /// One cache per shard; a query hashes to its cache shard by text.
     caches: Vec<ProgramCache>,
@@ -349,9 +349,9 @@ impl<L: Llm> Server<L> {
         &self.net
     }
 
-    /// The merged view of the live state at the current global epoch —
-    /// byte-identical to what an unsharded network would hold, and the
-    /// view queries read. Built at most once per state.
+    /// The served state at the current global epoch — byte-identical to
+    /// what an unsharded network would hold, and the state queries read.
+    /// Kept per mutation; rebuilt only after recovery or an out-of-order redo.
     pub fn merged_view(&mut self) -> &LiveNetwork {
         self.net.view()
     }
@@ -449,7 +449,7 @@ impl<L: Llm> Server<L> {
         let _route_span = self.tracer.span("mutate.route", Class::Logical);
         self.net.check_global(&mutation)?;
         let global = self.net.global_epoch() + 1;
-        self.log_apply_snapshot(global, at_ms, mutation)?;
+        self.log_apply_snapshot(global, at_ms, mutation, ShardedNetwork::apply_checked)?;
         Ok(global)
     }
 
@@ -461,19 +461,22 @@ impl<L: Llm> Server<L> {
         if self.degraded.is_some() {
             return Err(self.degraded_error());
         }
-        self.log_apply_snapshot(global, event.at_ms, Mutation::from_event(&event.event))
+        let mutation = Mutation::from_event(&event.event);
+        self.log_apply_snapshot(global, event.at_ms, mutation, ShardedNetwork::apply_at)
     }
 
     /// The write path every mutation shares: log the record to its owner
     /// shard's store *first* (WAL order: memory never runs ahead of the
-    /// log), apply it to the owner partition at `global`, then install a
-    /// snapshot when one is due. A storage failure that poisons the store
-    /// flips the server into degraded mode.
+    /// log), `apply` it at `global` — [`ShardedNetwork::apply_checked`]
+    /// after a global check, [`ShardedNetwork::apply_at`] for a redo —
+    /// then install a snapshot when one is due. A storage failure that
+    /// poisons the store flips the server into degraded mode.
     fn log_apply_snapshot(
         &mut self,
         global: Epoch,
         at_ms: u64,
         mutation: Mutation,
+        apply: fn(&mut ShardedNetwork, Epoch, &Mutation) -> Result<(), ServeError>,
     ) -> Result<(), ServeError> {
         let k = self.net.route(&mutation);
         let record = WalRecord {
@@ -488,10 +491,10 @@ impl<L: Llm> Server<L> {
         }
         {
             let _apply_span = self.tracer.span("mutate.apply", Class::Physical);
-            self.net.apply_at(global, &record.mutation)?;
+            apply(&mut self.net, global, &record.mutation)?;
         }
         if let Some(store) = self.stores.get_mut(k as usize) {
-            if let Err(e) = store.maybe_snapshot(self.net.partition(k)) {
+            if let Err(e) = store.maybe_snapshot(&mut self.net) {
                 return Err(self.note_storage_failure(e.with_shard(k, Some(global))));
             }
         }
@@ -501,8 +504,8 @@ impl<L: Llm> Server<L> {
     /// Answers one query for one client through the cache hierarchy.
     ///
     /// Misses run the full pipeline (prompt → LLM → sandbox) via
-    /// [`NetworkManager::serve_prompt`] over the merged view; program hits
-    /// re-execute the cached code against the current merged state; answer
+    /// [`NetworkManager::serve_prompt`] over the served state; program hits
+    /// re-execute the cached code against it; answer
     /// hits return the cached outcome untouched. Failures never enter the
     /// *program* cache — only a negatively cached error reply scoped to
     /// the current global epoch — so the same request at the same state
@@ -562,8 +565,8 @@ impl<L: Llm> Server<L> {
             }
             Lookup::Miss => {
                 let _compile_span = self.tracer.span("query.compile", Class::Physical);
-                // Field-level split: the view (in `net`) is borrowed while
-                // the session's model is borrowed mutably.
+                // Field-level split: the served state (in `net`) is
+                // borrowed while the session's model is borrowed mutably.
                 let Server {
                     net,
                     sessions,
@@ -783,6 +786,16 @@ mod tests {
 
     #[test]
     fn no_request_leaves_the_live_substrates_shared() {
+        for shards in [1u32, 3] {
+            served_substrates_stay_unshared(shards);
+        }
+    }
+
+    /// Every substrate of the served state is held by the network alone
+    /// after each kind of request, so a mutation writes in place: the
+    /// addresses survive it. A pinned substrate would make every write
+    /// that follows copy it.
+    fn served_substrates_stay_unshared(shards: u32) {
         let program = |lang: &str, code: &str| format!("```{lang}\n{code}\n```");
         let session = |client, backend, replies: Vec<String>| Session {
             client,
@@ -790,6 +803,7 @@ mod tests {
             llm: ScriptedLlm::new("scripted", replies),
         };
         let mut server = ServerBuilder::new()
+            .shards(shards)
             .build(
                 live(),
                 vec![
@@ -818,12 +832,13 @@ mod tests {
                 ],
             )
             .expect("in-memory build");
-        // Every substrate is held by the live network alone, so a mutation
-        // writes in place: the addresses survive it.
-        let unshared = |server: &Server<ScriptedLlm>, context: &str| {
-            let handles = server.net.partition(0).substrate_handles();
+        let unshared = |server: &mut Server<ScriptedLlm>, context: &str| {
+            let handles = server.merged_view().substrate_handles();
             for (count, _) in handles {
-                assert_eq!(count, 1, "{context}: a substrate is still shared");
+                assert_eq!(
+                    count, 1,
+                    "shards={shards}, {context}: a substrate is shared"
+                );
             }
             handles
         };
@@ -839,7 +854,11 @@ mod tests {
                 },
             )
             .unwrap();
-            assert_eq!(unshared(server, "after a mutation"), before);
+            assert_eq!(
+                unshared(server, "after a mutation"),
+                before,
+                "shards={shards}"
+            );
         };
         let q = "How many edges are there?";
         let expect = |server: &mut Server<ScriptedLlm>, client, query, cache| {

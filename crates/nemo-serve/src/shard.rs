@@ -3,29 +3,36 @@
 //! Nodes hash to shards by `crc32(id) % shards`; a mutation is owned by
 //! the shard of the node it names (`AddNode`/`SetNodeAttr`) or of its
 //! *source* endpoint (`AddEdge`/`SetFlow`/`RemoveEdge`), so every edge
-//! lives in exactly one partition. The router validates each mutation
-//! *globally* — consulting the owning shards, with exactly the conflict
-//! semantics of an unsharded [`LiveNetwork::apply`] — then applies it to
-//! its owner partition only.
+//! lives in exactly one partition.
 //!
 //! **Ghost endpoints.** A cross-shard edge names a target the owning
 //! partition does not hold; the graph substrate auto-creates it as an
-//! attribute-less *ghost* node. The invariant (relied on by the merge and
-//! the global checks): in shard `k`'s graph, a node is real — carries its
-//! attributes and counts toward the merged view — iff the hash owns it
-//! (`shard_of(id) == k`); any node the hash routes elsewhere is a ghost.
+//! attribute-less *ghost* node. The invariant (relied on by the merge):
+//! in shard `k`'s graph, a node is real — carries its attributes and
+//! counts toward the merged view — iff the hash owns it (`shard_of(id) ==
+//! k`); any node the hash routes elsewhere is a ghost.
 //!
 //! **Epoch vector.** Each partition counts its own *local* epochs. The
 //! partitions of a multi-shard network start counting at zero, so the
 //! global epoch is `base + Σ local`; a single partition is the whole
 //! network and keeps the network's epoch, so its local epoch *is* the
-//! global one — which is what lets `ShardedNetwork::view` serve
-//! partition 0 itself on one shard. That is the one place the shard count
-//! changes how reads are served. Per-shard mutation streams are
-//! independently applicable in any interleaving (ghosts make cross-shard
-//! edges shard-locally valid), which is what lets each shard recover from
-//! its own WAL with no cross-shard coordination — and what the
-//! consistent-cut property test in `tests/sharding.rs` exercises.
+//! global one. Per-shard mutation streams are independently applicable in
+//! any interleaving (ghosts make cross-shard edges shard-locally valid),
+//! which is what lets each shard recover from its own WAL with no
+//! cross-shard coordination — and what the consistent-cut property test
+//! in `tests/sharding.rs` exercises.
+//!
+//! **The served state.** Reads are served from, and mutations validated
+//! against, one unsharded [`LiveNetwork`] at the global epoch. On one
+//! shard the partition is the served state: the one place the shard count
+//! changes how the state is served. On more, it is kept beside the
+//! partitions. A checked mutation is applied to it at once and queued for
+//! its owner partition, which catches up when its store snapshots it, when
+//! a merge or a redo needs it, or when its backlog outgrows its edge
+//! frame; a write's acknowledgement pays one apply at any shard count.
+//! Recovery, and a redo that lands out of order or does not apply
+//! globally, drop the served state; the next read rebuilds it by the
+//! merge below.
 //!
 //! **Deterministic merge.** Every partition carries one *sequence number*
 //! per frame row: genesis rows keep their row index in the original
@@ -76,20 +83,25 @@ impl SeqBases {
     /// Applies one globally validated mutation carrying global epoch
     /// `global` to `partition`, keying the row it appends (if any) by the
     /// sequence-number formula: its frame's base plus `global -
-    /// base_epoch`.
+    /// base_epoch`. A `global` at or below the partition-time epoch comes
+    /// from a damaged record and is refused before anything moves.
     pub(crate) fn apply(
         &self,
         partition: &mut LiveNetwork,
         global: Epoch,
         mutation: &Mutation,
     ) -> Result<Epoch, ServeError> {
-        debug_assert!(global > self.base_epoch);
-        let step = global - self.base_epoch;
+        if global <= self.base_epoch {
+            return Err(ServeError::Corrupt(format!(
+                "global epoch {global} does not exceed the partition-time epoch {}",
+                self.base_epoch
+            )));
+        }
         let base = match mutation {
             Mutation::AddNode { .. } => self.node_seq_base,
             _ => self.edge_seq_base,
         };
-        partition.apply_routed(mutation, base + step)
+        partition.apply_routed(mutation, base + (global - self.base_epoch))
     }
 }
 
@@ -97,28 +109,26 @@ impl SeqBases {
 #[derive(Debug, Clone)]
 pub struct ShardedNetwork {
     partitions: Vec<LiveNetwork>,
+    /// Per shard, the checked mutations, with their global epochs, that
+    /// the served state has taken and the partition has not yet.
+    backlog: Vec<Vec<(Epoch, Mutation)>>,
     bases: SeqBases,
     /// Highest global epoch applied anywhere (equals `base + Σ local`
     /// except after a jagged per-shard recovery).
     next_global: Epoch,
-    /// The merged view [`ShardedNetwork::view`] serves on more than one
-    /// shard, built on demand.
-    view: Option<LiveNetwork>,
-    /// Set by every applied mutation. The stale view is freed by the next
-    /// [`ShardedNetwork::view`], just before its successor is built, so
-    /// the free stays off the write's acknowledgement.
-    view_stale: bool,
+    /// The served state on more than one shard (see the module docs), at
+    /// `next_global`; `None` until [`ShardedNetwork::view`] rebuilds it.
+    served: Option<LiveNetwork>,
 }
 
 impl ShardedNetwork {
-    /// Partitions `live` into `shards` hash partitions. With `shards ==
-    /// 1` the single partition is a private copy of `live`, verbatim —
-    /// epoch included, so the partition doubles as the global view. A
-    /// frame whose id or source column holds a non-string value — a
-    /// recovered snapshot from a hand-edited or damaged store can produce
-    /// one — is a typed
-    /// [`ServeError::Corrupt`], not a panic: partitioning sits on the
-    /// recovery path, and one bad row must not take down the server.
+    /// Partitions `live` into `shards` hash partitions and serves a private
+    /// copy of it, which on one shard is the single partition, epoch
+    /// included. A frame whose id or source column holds a non-string
+    /// value — a recovered snapshot from a hand-edited or damaged store
+    /// can produce one — is a typed [`ServeError::Corrupt`], not a panic:
+    /// partitioning sits on the recovery path, and one bad row must not
+    /// take down the server.
     pub fn from_live(live: &LiveNetwork, shards: u32) -> Result<ShardedNetwork, ServeError> {
         assert!(shards > 0, "a sharded network needs at least one shard");
         let base_epoch = live.epoch();
@@ -127,13 +137,10 @@ impl ShardedNetwork {
             node_seq_base: live.nodes().n_rows() as u64,
             edge_seq_base: live.edges().n_rows() as u64,
         };
+        let served = live.private_copy();
         if shards == 1 {
             // The copy keys its rows `0..n`: their sequence numbers.
-            return Ok(ShardedNetwork::from_partitions(
-                vec![live.private_copy()],
-                bases,
-                base_epoch,
-            ));
+            return Ok(Self::from_partitions(vec![served], bases, base_epoch));
         }
         let n = shards as usize;
         let mut node_idx: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -183,13 +190,14 @@ impl ShardedNetwork {
                 )
             })
             .collect();
-        Ok(ShardedNetwork::from_partitions(
-            partitions, bases, base_epoch,
-        ))
+        let mut net = Self::from_partitions(partitions, bases, base_epoch);
+        net.served = Some(served);
+        Ok(net)
     }
 
     /// Assembles a sharded network from its partitions: fresh ones, or
-    /// ones recovered independently (the per-shard persistence path).
+    /// ones recovered independently (the per-shard persistence path). The
+    /// served state is built by the first read.
     pub(crate) fn from_partitions(
         partitions: Vec<LiveNetwork>,
         bases: SeqBases,
@@ -197,11 +205,11 @@ impl ShardedNetwork {
     ) -> ShardedNetwork {
         assert!(!partitions.is_empty());
         ShardedNetwork {
+            backlog: vec![Vec::new(); partitions.len()],
             partitions,
             bases,
             next_global,
-            view: None,
-            view_stale: false,
+            served: None,
         }
     }
 
@@ -224,8 +232,19 @@ impl ShardedNetwork {
         self.bases
     }
 
-    pub(crate) fn partition(&self, shard: u32) -> &LiveNetwork {
+    /// One shard's partition, brought up to date.
+    pub(crate) fn partition(&mut self, shard: u32) -> &LiveNetwork {
+        self.catch_up(shard as usize);
         &self.partitions[shard as usize]
+    }
+
+    /// Applies shard `k`'s backlog to its partition.
+    fn catch_up(&mut self, k: usize) {
+        for (global, mutation) in std::mem::take(&mut self.backlog[k]) {
+            self.bases
+                .apply(&mut self.partitions[k], global, &mutation)
+                .expect("a globally checked mutation applies to its owner partition");
+        }
     }
 
     /// The global epoch: the highest global epoch applied anywhere.
@@ -234,29 +253,23 @@ impl ShardedNetwork {
     }
 
     /// The cross-shard epoch vector: each partition's local epoch (see
-    /// the module docs). Reads served from the merged view observe
-    /// exactly this cut.
+    /// the module docs). Reads of the served state observe exactly this
+    /// cut.
     pub fn epoch_vector(&self) -> Vec<Epoch> {
-        self.partitions.iter().map(LiveNetwork::epoch).collect()
+        (0..self.shards()).map(|k| self.local_epoch(k)).collect()
     }
 
-    /// Local epoch of one shard: its partition's own epoch counter, which
-    /// is also the positional epoch of the shard's store.
+    /// Local epoch of one shard: its partition's own epoch counter, backlog
+    /// included, which is also the positional epoch of the shard's store.
     pub(crate) fn local_epoch(&self, shard: u32) -> Epoch {
-        self.partitions[shard as usize].epoch()
+        let k = shard as usize;
+        self.partitions[k].epoch() + self.backlog[k].len() as Epoch
     }
 
-    /// Validates a mutation against the *global* state: the conflict
-    /// rules of the unsharded [`LiveNetwork::apply`], each lookup asking
-    /// the shard that owns the node (a real one, never a ghost) or the
-    /// edge's source.
-    pub(crate) fn check_global(&self, mutation: &Mutation) -> Result<(), ServeError> {
-        let owner = |id: &str| self.partitions[shard_of(id, self.shards()) as usize].graph();
-        mutation.check(
-            |id| owner(id).has_node(id),
-            |source, target| owner(source).has_edge(source, target),
-            true,
-        )
+    /// Validates a mutation against the served state, with the conflict
+    /// rules of [`LiveNetwork::apply`].
+    pub(crate) fn check_global(&mut self, mutation: &Mutation) -> Result<(), ServeError> {
+        mutation.check(self.view().graph(), true)
     }
 
     /// Validates globally, assigns the next global epoch, and applies the
@@ -264,41 +277,70 @@ impl ShardedNetwork {
     /// epoch is consumed — exactly [`LiveNetwork::apply`] semantics.
     pub fn apply(&mut self, mutation: &Mutation) -> Result<Epoch, ServeError> {
         self.check_global(mutation)?;
-        let global = self.next_global + 1;
-        self.apply_at(global, mutation)
-            .expect("mutation was validated globally");
-        Ok(global)
+        self.apply_checked(self.next_global + 1, mutation)?;
+        Ok(self.next_global)
     }
 
     /// Applies a mutation that already carries its global epoch — the
     /// redo path (per-shard recovery resume, and the epoch-vector tests,
-    /// which replay per-shard streams in arbitrary interleavings).
-    /// Validation is shard-local only; the caller vouches the record came
-    /// from a globally-validated stream.
+    /// which replay per-shard streams in arbitrary interleavings). The
+    /// owner partition checks it shard-locally; the served state takes it
+    /// only at the next global epoch, if it applies there, and is dropped
+    /// otherwise.
     pub fn apply_at(&mut self, global: Epoch, mutation: &Mutation) -> Result<(), ServeError> {
         let owner = self.route(mutation) as usize;
+        self.catch_up(owner);
         self.bases
             .apply(&mut self.partitions[owner], global, mutation)?;
+        let in_order = global == self.next_global + 1;
         self.next_global = self.next_global.max(global);
-        self.view_stale = true;
+        let served = self.served.take();
+        self.served = served.filter(|s| in_order && mutation.check(s.graph(), true).is_ok());
+        if let Some(served) = &mut self.served {
+            served.apply_checked(mutation);
+        }
         Ok(())
     }
 
-    /// The view reads are served from, at the global epoch: on one shard
-    /// partition 0 itself (its epoch is the global one, see the module
-    /// docs) — a borrow, so the read path copies no state — and otherwise
-    /// the merged view, built at most once per state.
+    /// Applies a mutation [`ShardedNetwork::check_global`] accepted, at the
+    /// next global epoch `global`: to the served state, unchecked, and to
+    /// its owner partition's backlog — or, on one shard, to the partition
+    /// itself.
+    pub(crate) fn apply_checked(
+        &mut self,
+        global: Epoch,
+        mutation: &Mutation,
+    ) -> Result<(), ServeError> {
+        let owner = self.route(mutation) as usize;
+        match &mut self.served {
+            Some(served) => {
+                served.apply_checked(mutation);
+                self.backlog[owner].push((global, mutation.clone()));
+                // Caught up before it outgrows the partition it is for: a
+                // server with no snapshots or reads still holds O(state).
+                if self.backlog[owner].len() > self.partitions[owner].edges().n_rows() {
+                    self.catch_up(owner);
+                }
+            }
+            None => {
+                self.bases
+                    .apply(&mut self.partitions[owner], global, mutation)?;
+            }
+        }
+        self.next_global = self.next_global.max(global);
+        Ok(())
+    }
+
+    /// The served state at the global epoch (see the module docs), rebuilt
+    /// by [`ShardedNetwork::merged`] if a recovery or a redo dropped it.
     pub(crate) fn view(&mut self) -> &LiveNetwork {
         if self.partitions.len() == 1 {
             return &self.partitions[0];
         }
-        if self.view.is_none() || self.view_stale {
-            // Freed before the rebuild: one merged view alive at a time.
-            self.view = None;
-            self.view = Some(self.merged());
-            self.view_stale = false;
+        if self.served.is_none() {
+            self.served = Some(self.merged());
         }
-        self.view.as_ref().expect("built above")
+        self.served.as_ref().expect("built above")
     }
 
     /// The merged view: one [`LiveNetwork`] equal — snapshot-byte-equal —
@@ -306,6 +348,11 @@ impl ShardedNetwork {
     /// at the global epoch. Ghost nodes are filtered by ownership; frames
     /// are k-way merged by sequence number.
     pub fn merged(&self) -> LiveNetwork {
+        if self.backlog.iter().any(|backlog| !backlog.is_empty()) {
+            let mut caught_up = self.clone();
+            (0..self.partitions.len()).for_each(|k| caught_up.catch_up(k));
+            return caught_up.merged();
+        }
         let global = self.global_epoch();
         let shards = self.shards();
         let mut graph = Graph::directed();
@@ -543,7 +590,7 @@ mod tests {
     fn ghosts_never_leak_into_the_merged_view() {
         let w = workload();
         let live = LiveNetwork::from_workload(&w);
-        let net = ShardedNetwork::from_live(&live, 4).unwrap();
+        let mut net = ShardedNetwork::from_live(&live, 4).unwrap();
         // Partitions hold ghosts (cross-shard edge targets)...
         let ghost_total: usize = (0..4u32)
             .map(|k| {
@@ -563,32 +610,137 @@ mod tests {
     }
 
     #[test]
-    fn a_mutation_marks_the_merged_view_stale_without_freeing_it() {
+    fn a_redo_at_or_below_the_partition_epoch_is_refused() {
         let w = workload();
-        let live = LiveNetwork::from_workload(&w);
-        let mut net = ShardedNetwork::from_live(&live, 3).unwrap();
-        let fresh = |net: &mut ShardedNetwork| {
-            let merged = net.merged();
-            *net.view() == merged
-        };
-        assert!(fresh(&mut net));
-        let events = evolve(
+        let mut live = LiveNetwork::from_workload(&w);
+        for event in &evolve(
             &w,
             &StreamConfig {
-                events: 30,
-                seed: 4,
+                events: 10,
+                seed: 2,
             },
-        );
-        for (i, event) in events.iter().enumerate() {
-            net.apply(&Mutation::from_event(&event.event)).unwrap();
-            // The stale view is still held: freeing it is the next read's
-            // work, not the write's.
-            assert!(net.view.is_some() && net.view_stale);
-            if i % 7 == 0 {
-                assert!(fresh(&mut net), "after event {i}");
-                assert!(!net.view_stale);
+        ) {
+            live.apply_event(event).unwrap();
+        }
+        let redo = Mutation::AddEdge {
+            source: live.nodes().value(0, "id").unwrap().to_string(),
+            target: "9.9.9.9".into(),
+            bytes: 1,
+            connections: 1,
+            packets: 1,
+        };
+        for shards in [1u32, 2] {
+            let mut net = ShardedNetwork::from_live(&live, shards).unwrap();
+            let vector = net.epoch_vector();
+            for global in [0, 3, 10] {
+                assert!(
+                    matches!(net.apply_at(global, &redo), Err(ServeError::Corrupt(_))),
+                    "shards={shards} global={global}"
+                );
+                assert_eq!(net.epoch_vector(), vector);
+                assert_eq!(net.global_epoch(), 10);
+                assert!(net.merged() == live);
             }
         }
-        assert!(fresh(&mut net));
+    }
+
+    /// The served state equals a fresh merge of the partitions, snapshot
+    /// bytes included.
+    fn assert_served_is_merged(net: &mut ShardedNetwork, context: &str) {
+        let merged = net.merged();
+        assert!(*net.view() == merged, "{context}");
+        assert_eq!(
+            write_snapshot(net.view()),
+            write_snapshot(&merged),
+            "{context}"
+        );
+    }
+
+    #[test]
+    fn a_checked_write_waits_in_its_partitions_backlog_until_read() {
+        let w = workload();
+        let mut net = ShardedNetwork::from_live(&LiveNetwork::from_workload(&w), 3).unwrap();
+        let event = &evolve(&w, &StreamConfig { events: 1, seed: 4 })[0];
+        let mutation = Mutation::from_event(&event.event);
+        let k = net.route(&mutation);
+        net.apply(&mutation).unwrap();
+        // The write moved the served state and queued for the partition...
+        assert_eq!(net.partitions[k as usize].epoch(), 0);
+        assert_eq!(net.local_epoch(k), 1);
+        assert_eq!(net.epoch_vector().iter().sum::<u64>(), 1);
+        // ...which catches up when it is read.
+        assert_eq!(net.partition(k).epoch(), 1);
+        assert!(net.backlog.iter().all(Vec::is_empty));
+        assert_served_is_merged(&mut net, "after the catch-up");
+    }
+
+    #[test]
+    fn the_served_state_follows_every_write_in_lockstep() {
+        let w = workload();
+        let live = LiveNetwork::from_workload(&w);
+        let stream: Vec<Mutation> = evolve(
+            &w,
+            &StreamConfig {
+                events: 60,
+                seed: 4,
+            },
+        )
+        .iter()
+        .map(|event| Mutation::from_event(&event.event))
+        .collect();
+        let kinds: std::collections::HashSet<_> =
+            stream.iter().map(std::mem::discriminant).collect();
+        assert_eq!(kinds.len(), 5, "the stream must hold every mutation kind");
+
+        // In order, through `apply` and `apply_at` alike: the served
+        // substrates are written in place, never rebuilt.
+        let mut net = ShardedNetwork::from_live(&live, 3).unwrap();
+        assert_served_is_merged(&mut net, "fresh");
+        for (i, mutation) in stream.iter().enumerate() {
+            let before = net.view().substrate_handles();
+            if i % 2 == 0 {
+                net.apply(mutation).unwrap();
+            } else {
+                net.apply_at(net.global_epoch() + 1, mutation).unwrap();
+            }
+            assert_eq!(net.view().substrate_handles(), before, "event {i}");
+            assert_served_is_merged(&mut net, &format!("in order, event {i}"));
+        }
+        // No backlog outgrows its partition's edge frame.
+        assert!((0..3).all(|k| net.backlog[k].len() <= net.partitions[k].edges().n_rows()));
+
+        // Below the global epoch: two records of different shards swapped.
+        // The first skips an epoch, the second lands below the global one;
+        // each drops the served state, and the next read rebuilds it.
+        let j = (0..stream.len() - 1)
+            .find(|&j| net.route(&stream[j]) != net.route(&stream[j + 1]))
+            .expect("consecutive records on different shards");
+        let mut net = ShardedNetwork::from_live(&live, 3).unwrap();
+        for (i, mutation) in stream[..j].iter().enumerate() {
+            net.apply_at(i as u64 + 1, mutation).unwrap();
+        }
+        for global in [j + 2, j + 1] {
+            net.apply_at(global as u64, &stream[global - 1]).unwrap();
+            assert!(net.served.is_none(), "global {global}");
+            assert_served_is_merged(&mut net, &format!("out of order, global {global}"));
+        }
+        for (i, mutation) in stream.iter().enumerate().skip(j + 2) {
+            net.apply_at(i as u64 + 1, mutation).unwrap();
+            assert_served_is_merged(&mut net, &format!("after the swap, event {i}"));
+        }
+
+        // A redo that conflicts globally: its owner partition takes the
+        // edge through a ghost, the served state cannot.
+        let mut net = ShardedNetwork::from_live(&live, 3).unwrap();
+        let redo = Mutation::AddEdge {
+            source: live.nodes().value(0, "id").unwrap().to_string(),
+            target: "9.9.9.9".into(),
+            bytes: 1,
+            connections: 1,
+            packets: 1,
+        };
+        net.apply_at(1, &redo).unwrap();
+        assert!(net.served.is_none());
+        assert_served_is_merged(&mut net, "a redo that conflicts globally");
     }
 }

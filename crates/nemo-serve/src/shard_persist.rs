@@ -285,13 +285,13 @@ impl ShardPersistence {
         Ok(())
     }
 
-    /// Writes and installs a shard snapshot if the store's thresholds say
-    /// one is due; returns whether it did.
-    pub(crate) fn maybe_snapshot(&mut self, partition: &LiveNetwork) -> Result<bool, ServeError> {
-        if !self.store.snapshot_due(partition.epoch()) {
+    /// Writes and installs a snapshot of this shard's partition of `net`
+    /// if the store's thresholds say one is due; returns whether it did.
+    pub(crate) fn maybe_snapshot(&mut self, net: &mut ShardedNetwork) -> Result<bool, ServeError> {
+        if !self.store.snapshot_due(net.local_epoch(self.shard)) {
             return Ok(false);
         }
-        self.force_full_snapshot(partition)?;
+        self.force_full_snapshot(net.partition(self.shard))?;
         Ok(true)
     }
 
@@ -626,7 +626,7 @@ fn probe_layout(root: &Path, shards: u32) -> Result<bool, ServeError> {
 pub(crate) fn create_sharded(
     root: &Path,
     options: &PersistOptions,
-    net: &ShardedNetwork,
+    net: &mut ShardedNetwork,
 ) -> Result<Vec<ShardPersistence>, ServeError> {
     probe_layout(root, net.shards())?;
     (0..net.shards())
@@ -659,8 +659,8 @@ pub(crate) fn recover_or_create_sharded(
 ) -> Result<(ShardedNetwork, Vec<ShardPersistence>, Vec<RecoveryReport>), ServeError> {
     assert!(shards > 0, "a sharded layout needs at least one shard");
     if !probe_layout(root, shards)? {
-        let net = ShardedNetwork::from_live(&init(), shards)?;
-        let persists = create_sharded(root, options, &net)?;
+        let mut net = ShardedNetwork::from_live(&init(), shards)?;
+        let persists = create_sharded(root, options, &mut net)?;
         let reports = vec![RecoveryReport::default(); shards as usize];
         return Ok((net, persists, reports));
     }
@@ -804,7 +804,7 @@ mod tests {
     #[test]
     fn a_logged_record_that_conflicts_in_replay_is_corruption() {
         let root = temp_root("conflicting-replay");
-        let (net, persists, _) =
+        let (mut net, persists, _) =
             recover_or_create_sharded(&root, &test_options(), 2, 1, || evolved_live(0)).unwrap();
         drop(persists);
         // An `AddNode` for a node shard 1 already holds, appended at the
@@ -837,6 +837,50 @@ mod tests {
         assert!(
             matches!(&err, ServeError::Corrupt(msg)
                 if msg.starts_with(&position) && msg.ends_with(&format!("node {id} already exists"))),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_logged_record_at_the_partition_epoch_is_corruption() {
+        let root = temp_root("partition-epoch-replay");
+        let (mut net, persists, _) =
+            recover_or_create_sharded(&root, &test_options(), 2, 1, || evolved_live(0)).unwrap();
+        drop(persists);
+        // A mutation shard 1 can apply, carrying the partition-time global
+        // epoch: no applied record can hold it.
+        let record = WalRecord {
+            epoch: net.local_epoch(1) + 1,
+            at_ms: 0,
+            mutation: crate::mutation::Mutation::SetNodeAttr {
+                id: net.partition(1).nodes().value(0, "id").unwrap().to_string(),
+                key: "label".into(),
+                value: "x".into(),
+            },
+        };
+        let options = test_options();
+        let mut store = Store::open_with(
+            &shard_dir(&root, 1),
+            shard_store_config(&options),
+            options.vfs.clone(),
+        )
+        .unwrap()
+        .0;
+        store
+            .append(
+                record.epoch,
+                &encode_shard_record(&record, net.base_epoch()),
+            )
+            .unwrap();
+        store.sync().unwrap();
+        drop(store);
+        let err = recover_or_create_sharded(&root, &options, 2, 1, || unreachable!()).unwrap_err();
+        let position = format!("shard 1: shard WAL record at log position {}", record.epoch);
+        assert!(
+            matches!(&err, ServeError::Corrupt(msg)
+                if msg.starts_with(&position)
+                    && msg.ends_with("global epoch 0 does not exceed the partition-time epoch 0")),
             "{err}"
         );
         std::fs::remove_dir_all(&root).unwrap();
@@ -1112,10 +1156,10 @@ mod tests {
     #[test]
     fn create_refuses_an_occupied_directory_and_recover_an_empty_one() {
         let root = temp_root("occupied");
-        let net = ShardedNetwork::from_live(&evolved_live(0), 1).unwrap();
-        let _stores = create_sharded(&root, &test_options(), &net).unwrap();
+        let mut net = ShardedNetwork::from_live(&evolved_live(0), 1).unwrap();
+        let _stores = create_sharded(&root, &test_options(), &mut net).unwrap();
         assert!(matches!(
-            create_sharded(&root, &test_options(), &net),
+            create_sharded(&root, &test_options(), &mut net),
             Err(ServeError::Storage(_))
         ));
         let empty = temp_root("empty");
@@ -1202,9 +1246,9 @@ mod tests {
                 matches!(&err, ServeError::Layout(msg) if msg.contains("nemo-wal/v1")),
                 "{err}"
             );
-            let net = ShardedNetwork::from_live(&live, shards).unwrap();
+            let mut net = ShardedNetwork::from_live(&live, shards).unwrap();
             assert!(matches!(
-                create_sharded(&root, &test_options(), &net),
+                create_sharded(&root, &test_options(), &mut net),
                 Err(ServeError::Layout(_))
             ));
         }

@@ -1,0 +1,384 @@
+//! A whole-server oracle: seeded request streams sent through
+//! [`Server::handle`] at shards {1, 2, 4}, in memory and persisted, checked
+//! against an unsharded [`LiveNetwork`] and uncached [`execute_code`].
+//!
+//! Each stream mixes `evolve` mutations, the seven conflict kinds of the
+//! write path, queries on all three code-generating backends and — when
+//! persisted — sync-then-crash-and-recover points. Every mutation must get
+//! the reference's epoch or its exact conflict error, every answer must
+//! equal the golden program run fresh over the reference, and the served
+//! state must be snapshot-byte-equal to the reference at intervals and
+//! after each recovery.
+
+use nemo_core::llm::LlmResponse;
+use nemo_core::prompt::QUERY_MARKER;
+use nemo_core::sandbox::execute_code;
+use nemo_core::{Backend, Llm};
+use nemo_serve::snapshot::write_snapshot;
+use nemo_serve::{
+    CacheOutcome, FsyncPolicy, LiveNetwork, Mutation, PersistOptions, Request, Response, Server,
+    ServerBuilder, Session,
+};
+use std::collections::HashMap;
+use std::path::PathBuf;
+use trafficgen::{evolve, generate, StreamConfig, TrafficConfig, TrafficWorkload};
+
+fn workload() -> TrafficWorkload {
+    generate(&TrafficConfig {
+        nodes: 16,
+        edges: 22,
+        prefixes: 2,
+        seed: 5,
+    })
+}
+
+/// A model that answers every traffic query with its golden program for
+/// one backend, so the oracle knows exactly which program produced each
+/// answer.
+struct GoldenLlm {
+    backend: Backend,
+    programs: HashMap<String, String>,
+}
+
+impl GoldenLlm {
+    fn new(backend: Backend) -> Self {
+        GoldenLlm {
+            backend,
+            programs: golden_programs(backend),
+        }
+    }
+}
+
+/// Every traffic query's golden program for `backend`.
+fn golden_programs(backend: Backend) -> HashMap<String, String> {
+    nemo_bench::traffic_queries()
+        .into_iter()
+        .map(|spec| (spec.text.to_string(), spec.programs()[&backend].clone()))
+        .collect()
+}
+
+impl Llm for GoldenLlm {
+    fn name(&self) -> &str {
+        "golden"
+    }
+
+    fn complete(&mut self, prompt: &str) -> LlmResponse {
+        let start = prompt
+            .find(QUERY_MARKER)
+            .expect("codegen prompts name the query")
+            + QUERY_MARKER.len();
+        let query = prompt[start..].trim_start().lines().next().unwrap_or("");
+        let program = &self.programs[query];
+        let fence = match self.backend {
+            Backend::Sql => "sql",
+            _ => "graphscript",
+        };
+        LlmResponse {
+            text: format!("```{fence}\n{program}\n```"),
+        }
+    }
+}
+
+const CLIENTS: [(usize, Backend); 3] = [
+    (0, Backend::NetworkX),
+    (1, Backend::Pandas),
+    (2, Backend::Sql),
+];
+
+fn sessions() -> Vec<Session<GoldenLlm>> {
+    CLIENTS
+        .iter()
+        .map(|&(client, backend)| Session {
+            client,
+            backend,
+            llm: GoldenLlm::new(backend),
+        })
+        .collect()
+}
+
+/// One step of a request stream.
+#[derive(Debug, Clone)]
+enum Step {
+    /// A mutation from the `evolve` stream: applies.
+    Mutate(Mutation),
+    /// One of the seven conflict kinds, built against the state it meets.
+    Conflict(usize),
+    /// A traffic query from one client.
+    Query(usize, usize),
+    /// Sync, crash (drop the server) and recover; in memory, a no-op.
+    Crash,
+}
+
+/// A small deterministic generator (xorshift64).
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 % n as u64) as usize
+    }
+}
+
+/// The seeded request stream: every `evolve` mutation in order, with
+/// conflicts, queries and crash points interleaved.
+fn steps(w: &TrafficWorkload, seed: u64, queries: usize) -> Vec<Step> {
+    let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+    let mut out = Vec::new();
+    let mut kinds = (0..7).cycle();
+    for event in evolve(w, &StreamConfig { events: 90, seed }) {
+        out.push(Step::Mutate(Mutation::from_event(&event.event)));
+        match rng.below(10) {
+            0 | 1 => out.push(Step::Conflict(kinds.next().expect("cycles"))),
+            2..=4 => {
+                // Asked twice at one epoch now and then: an answer hit.
+                let query = Step::Query(rng.below(CLIENTS.len()), rng.below(queries));
+                if rng.below(2) == 0 {
+                    out.push(query.clone());
+                }
+                out.push(query);
+            }
+            5 if rng.below(3) == 0 => out.push(Step::Crash),
+            _ => {}
+        }
+    }
+    out
+}
+
+/// Conflict kind `kind` against `state`: the seven rules of the write
+/// path, each naming what `state` holds or lacks.
+fn conflict(state: &LiveNetwork, kind: usize, pick: usize) -> Mutation {
+    let node = |row: usize| {
+        let rows = state.nodes().n_rows();
+        state.nodes().value(row % rows, "id").unwrap().to_string()
+    };
+    let edges = state.edges().n_rows();
+    let at = |column| {
+        state
+            .edges()
+            .value(pick % edges, column)
+            .unwrap()
+            .to_string()
+    };
+    let (source, target) = (at("source"), at("target"));
+    let unknown = "250.250.250.250".to_string();
+    match kind {
+        0 => Mutation::AddNode {
+            id: node(pick),
+            prefix16: "0.0".into(),
+            prefix24: "0.0.0".into(),
+        },
+        1 => Mutation::AddEdge {
+            source: node(pick),
+            target: unknown,
+            bytes: 1,
+            connections: 1,
+            packets: 1,
+        },
+        2 => Mutation::AddEdge {
+            source,
+            target,
+            bytes: 1,
+            connections: 1,
+            packets: 1,
+        },
+        3 => Mutation::RemoveEdge {
+            source: unknown,
+            target: node(pick),
+        },
+        4 => Mutation::SetFlow {
+            source: node(pick),
+            target: unknown,
+            bytes: 1,
+            connections: 1,
+            packets: 1,
+        },
+        5 => Mutation::SetNodeAttr {
+            id: unknown,
+            key: "label".into(),
+            value: "x".into(),
+        },
+        _ => Mutation::SetNodeAttr {
+            id: node(pick),
+            key: "id".into(),
+            value: "x".into(),
+        },
+    }
+}
+
+fn temp_root(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("nemo-oracle-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn builder(shards: u32, root: Option<&PathBuf>) -> ServerBuilder {
+    let builder = ServerBuilder::new().shards(shards);
+    match root {
+        Some(root) => builder
+            .options(PersistOptions {
+                fsync: FsyncPolicy::Never,
+                segment_max_bytes: 2048,
+                snapshot_every_epochs: 13,
+                ..PersistOptions::default()
+            })
+            .persist_at(root),
+        None => builder,
+    }
+}
+
+fn assert_served_state(server: &mut Server<GoldenLlm>, reference: &LiveNetwork, context: &str) {
+    assert_eq!(
+        server.network().global_epoch(),
+        reference.epoch(),
+        "{context}"
+    );
+    assert!(
+        write_snapshot(server.merged_view()) == write_snapshot(reference),
+        "{context}: the served state diverged from the unsharded reference"
+    );
+}
+
+/// Sends one mutation and checks the response against the reference:
+/// the same epoch, or the same conflict error with the epoch unchanged.
+fn mutate(
+    server: &mut Server<GoldenLlm>,
+    reference: &mut LiveNetwork,
+    mutation: Mutation,
+    conflicts: bool,
+    context: &str,
+) {
+    let expected = reference.apply(&mutation);
+    assert_eq!(expected.is_err(), conflicts, "{context}: {expected:?}");
+    let request = Request::Mutate { at_ms: 0, mutation };
+    match (
+        server.handle(&request).expect("no storage faults"),
+        expected,
+    ) {
+        (Response::Mutated { epoch, .. }, Ok(want)) => assert_eq!(epoch, want, "{context}"),
+        (Response::Rejected { epoch, reason, .. }, Err(want)) => {
+            assert_eq!(epoch, reference.epoch(), "{context}");
+            assert_eq!(reason, want.to_string(), "{context}");
+        }
+        (got, want) => panic!("{context}: got {got:?}, want {want:?}"),
+    }
+}
+
+/// Runs one seeded stream at `shards`, persisted under `root` or in
+/// memory, checking every response against the unsharded oracle.
+/// Returns each `(client, cache outcome)` pair its queries reached.
+fn run(seed: u64, shards: u32, root: Option<PathBuf>) -> Vec<(usize, CacheOutcome)> {
+    let w = workload();
+    // Every sixth query, so the stream repeats them: program hits.
+    let queries: Vec<String> = nemo_bench::traffic_queries()
+        .iter()
+        .step_by(6)
+        .map(|spec| spec.text.to_string())
+        .collect();
+    let golden: Vec<HashMap<String, String>> = CLIENTS
+        .iter()
+        .map(|&(_, backend)| golden_programs(backend))
+        .collect();
+    let mut reference = LiveNetwork::from_workload(&w);
+    let mut server = builder(shards, root.as_ref())
+        .build(reference.clone(), sessions())
+        .expect("fresh build");
+    let mut conflicts = [0usize; 7];
+    let mut outcomes = Vec::new();
+    let mut recoveries = 0;
+    for (i, step) in steps(&w, seed, queries.len()).into_iter().enumerate() {
+        let context = format!(
+            "seed {seed}, shards {shards}, persisted {}, step {i} {step:?}",
+            root.is_some()
+        );
+        match step {
+            Step::Mutate(mutation) => {
+                mutate(&mut server, &mut reference, mutation, false, &context)
+            }
+            Step::Conflict(kind) => {
+                conflicts[kind] += 1;
+                let mutation = conflict(&reference, kind, i);
+                mutate(&mut server, &mut reference, mutation, true, &context);
+            }
+            Step::Query(c, q) => {
+                let (client, backend) = CLIENTS[c];
+                let query = &queries[q];
+                let request = Request::Query {
+                    client,
+                    query: query.clone(),
+                };
+                let Response::Answered(reply) = server.handle(&request).expect("queries answer")
+                else {
+                    panic!("{context}: a query got a non-answer");
+                };
+                let want = match execute_code(backend, &golden[c][query], &reference.state(backend))
+                {
+                    Ok(outcome) => outcome.value.render(),
+                    Err(e) => format!("error: {e}"),
+                };
+                assert_eq!(reply.epoch, reference.epoch(), "{context}");
+                assert_eq!(reply.answer, want, "{context}");
+                if !outcomes.contains(&(c, reply.cache)) {
+                    outcomes.push((c, reply.cache));
+                }
+            }
+            Step::Crash => {
+                if let Some(root) = &root {
+                    server.handle(&Request::Sync).expect("sync");
+                    drop(server);
+                    server = builder(shards, Some(root))
+                        .recover_or_create(sessions(), || unreachable!("the stores exist"))
+                        .expect("recovery")
+                        .0;
+                    assert_served_state(&mut server, &reference, &format!("{context}: recovered"));
+                    recoveries += 1;
+                }
+            }
+        }
+        if i % 16 == 0 {
+            assert_served_state(&mut server, &reference, &context);
+        }
+    }
+    assert_served_state(&mut server, &reference, "end of stream");
+    assert!(
+        conflicts.iter().all(|&n| n > 0),
+        "seed {seed} must exercise every conflict kind: {conflicts:?}"
+    );
+    assert!(
+        root.is_none() || recoveries > 0,
+        "seed {seed} never crashed"
+    );
+    drop(server);
+    if let Some(root) = root {
+        std::fs::remove_dir_all(root).unwrap();
+    }
+    outcomes
+}
+
+#[test]
+fn sharded_servers_answer_like_an_unsharded_network() {
+    let mut outcomes = Vec::new();
+    for seed in [1u64, 2] {
+        for shards in [1u32, 2, 4] {
+            outcomes.extend(run(seed, shards, None));
+            outcomes.extend(run(
+                seed,
+                shards,
+                Some(temp_root(&format!("{seed}-{shards}"))),
+            ));
+        }
+    }
+    for (client, _) in CLIENTS {
+        for cache in [
+            CacheOutcome::Miss,
+            CacheOutcome::ProgramHit,
+            CacheOutcome::AnswerHit,
+        ] {
+            assert!(
+                outcomes.contains(&(client, cache)),
+                "no {cache:?} for client {client}"
+            );
+        }
+    }
+}
