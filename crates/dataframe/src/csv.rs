@@ -12,69 +12,80 @@
 //! quoted fields are never type-inferred on the way back in. Unquoted
 //! fields carry the numeric/bool/null scalars.
 //!
-//! Both directions stream. [`write_csv`] writes each field in place into any
-//! [`fmt::Write`] sink (a snapshot passes one that JSON-escapes as it goes),
-//! and [`from_csv`] appends each field to its column as soon as the field
-//! ends, with no table of raw rows in between.
+//! Both directions stream. [`write_csv`] writes each field in place into a
+//! `netgraph::json::JsonWriter` (a snapshot writes the table inside a JSON
+//! string literal, escaped as it goes), and [`from_csv`] appends each field
+//! to its column as soon as the field ends, with no table of raw rows in
+//! between.
 
 use crate::column::Column;
 use crate::error::{FrameError, Result};
 use crate::frame::DataFrame;
+use netgraph::json::JsonWriter;
 use netgraph::AttrValue;
-use std::fmt;
 
 /// Serializes a frame as CSV with a header row.
 ///
 /// Ints, floats and bools are written unquoted and nulls as empty fields;
 /// strings (and list values, via their display form) are always quoted so
-/// the reader can reconstruct them verbatim without type inference.
+/// the reader can reconstruct them verbatim without type inference. A
+/// float is written in its shortest round-trip form, and an integral one
+/// below 2^63 in magnitude ends in `.0`, so that it never reads back as an
+/// integer.
 pub fn to_csv(df: &DataFrame) -> String {
-    let mut out = String::new();
-    write_csv(df, &mut out).expect("writing to a String cannot fail");
-    out
+    let mut out = JsonWriter::new();
+    write_csv(df, &mut out);
+    out.finish()
 }
 
-/// [`to_csv`] into any sink.
-pub fn write_csv<W: fmt::Write + ?Sized>(df: &DataFrame, out: &mut W) -> fmt::Result {
+/// [`to_csv`] into a writer, as text at the writer's current depth: a
+/// snapshot writes a table inside a JSON string literal this way.
+pub fn write_csv(df: &DataFrame, out: &mut JsonWriter) {
     for (i, name) in df.column_names().into_iter().enumerate() {
         if i > 0 {
-            out.write_char(',')?;
+            out.text(",");
         }
-        write_quoted(name, out)?;
+        write_quoted(name, out);
     }
-    out.write_char('\n')?;
-    write_rows(df, out)
-}
-
-fn write_rows<W: fmt::Write + ?Sized>(df: &DataFrame, out: &mut W) -> fmt::Result {
+    out.text("\n");
     let columns = df.columns();
     for row in 0..df.n_rows() {
         for (i, column) in columns.iter().enumerate() {
             if i > 0 {
-                out.write_char(',')?;
+                out.text(",");
             }
             match &column.values()[row] {
                 AttrValue::Null => {}
-                AttrValue::Str(s) => write_quoted(s, out)?,
-                v @ AttrValue::List(_) => write_quoted(&v.to_string(), out)?,
-                v => write!(out, "{v}")?,
+                AttrValue::Bool(b) => out.text(if *b { "true" } else { "false" }),
+                AttrValue::Int(i) => out.int(*i),
+                AttrValue::Float(f) => {
+                    out.float(*f);
+                    if f.fract() == 0.0 && f.abs() < I64_BOUND {
+                        out.text(".0");
+                    }
+                }
+                AttrValue::Str(s) => write_quoted(s, out),
+                v @ AttrValue::List(_) => write_quoted(&v.to_string(), out),
             }
         }
-        out.write_char('\n')?;
+        out.text("\n");
     }
-    Ok(())
 }
 
+/// 2^63: an integral float below it in magnitude has a shortest form that
+/// [`infer_value`] would read as an `i64`.
+const I64_BOUND: f64 = 9_223_372_036_854_775_808.0;
+
 /// Writes `s` quoted, doubling every quote inside it.
-fn write_quoted<W: fmt::Write + ?Sized>(s: &str, out: &mut W) -> fmt::Result {
-    out.write_char('"')?;
+fn write_quoted(s: &str, out: &mut JsonWriter) {
+    out.text("\"");
     for (i, part) in s.split('"').enumerate() {
         if i > 0 {
-            out.write_str("\"\"")?;
+            out.text("\"\"");
         }
-        out.write_str(part)?;
+        out.text(part);
     }
-    out.write_char('"')
+    out.text("\"");
 }
 
 /// Parses CSV text (first row = header) into a frame.
@@ -265,6 +276,81 @@ mod tests {
         assert_eq!(back.value(0, "bytes").unwrap(), &AttrValue::Int(10));
         assert!(back.value(1, "ratio").unwrap().is_null());
         assert_eq!(back.value(2, "ratio").unwrap(), &AttrValue::Float(1.5));
+    }
+
+    #[test]
+    fn csv_bytes_are_pinned_at_depths_0_1_2() {
+        let df = DataFrame::from_columns(vec![
+            (
+                "s".to_string(),
+                Column::from_values(["15.76", "a\"b", "é\n"]),
+            ),
+            (
+                "n".to_string(),
+                Column::from_iter(vec![
+                    AttrValue::Int(-3),
+                    AttrValue::Float(2.0),
+                    AttrValue::Null,
+                ]),
+            ),
+        ])
+        .unwrap();
+        let at = |depth: usize| {
+            let mut out = JsonWriter::new();
+            for _ in 0..depth {
+                out.begin_string();
+            }
+            write_csv(&df, &mut out);
+            for _ in 0..depth {
+                out.end_string();
+            }
+            out.finish()
+        };
+        // Written by hand, one escape level per depth.
+        assert_eq!(
+            at(0),
+            "\"s\",\"n\"\n\"15.76\",-3\n\"a\"\"b\",2.0\n\"é\n\",\n"
+        );
+        assert_eq!(
+            at(1),
+            r#""\"s\",\"n\"\n\"15.76\",-3\n\"a\"\"b\",2.0\n\"é\n\",\n""#
+        );
+        assert_eq!(
+            at(2),
+            r#""\"\\\"s\\\",\\\"n\\\"\\n\\\"15.76\\\",-3\\n\\\"a\\\"\\\"b\\\",2.0\\n\\\"é\\n\\\",\\n\"""#
+        );
+    }
+
+    #[test]
+    fn integral_floats_come_back_as_floats() {
+        let values = [
+            2.0,
+            -0.0,
+            1e15,
+            2.5e15,
+            1e17,
+            -(2f64.powi(60)),
+            -(2f64.powi(63)),
+            2f64.powi(63),
+            1e20,
+        ];
+        let df = DataFrame::from_columns(vec![(
+            "f".to_string(),
+            Column::from_iter(values.iter().map(|&f| AttrValue::Float(f))),
+        )])
+        .unwrap();
+        let text = to_csv(&df);
+        let back = from_csv(&text).unwrap();
+        for (row, f) in values.into_iter().enumerate() {
+            // Matched on the variant and the exact value: `==` on attribute
+            // values compares numbers through f64.
+            assert!(
+                matches!(back.value(row, "f"), Ok(AttrValue::Float(g)) if g.to_bits() == f.to_bits()),
+                "{f}: read back as {:?} from {text:?}",
+                back.value(row, "f")
+            );
+        }
+        assert_eq!(to_csv(&back), text);
     }
 
     #[test]

@@ -11,13 +11,18 @@
 //! required to be: [`netgraph::AttrValue`]s are tagged with their type
 //! (`{"t":"float","v":5.0}` stays a float instead of collapsing to the
 //! integer 5 as untagged JSON would), so a decoded record replays exactly
-//! the mutation that was logged. Integers are carried in JSON numbers and
-//! therefore exact up to 2^53 — far beyond any flow counter the generators
-//! produce.
+//! the mutation that was logged. Integers are written digit for digit and
+//! read back as exact `i64`s over their whole range; an integral float past
+//! 2^53 carries a trailing `.0` so it never reads back as an integer. A
+//! non-finite float has no JSON spelling, so `Mutation::check` refuses it
+//! before it is ever logged.
+//!
+//! Records are written straight into a `netgraph::json::JsonWriter`, keys
+//! in sorted order, with no `JsonValue` tree in between.
 
 use crate::error::ServeError;
 use crate::mutation::{Mutation, WalRecord};
-use netgraph::json::JsonValue;
+use netgraph::json::{JsonValue, JsonWriter};
 use netgraph::AttrValue;
 use std::collections::BTreeMap;
 
@@ -25,42 +30,46 @@ use std::collections::BTreeMap;
 /// every WAL segment and refuses segments carrying anything else.
 pub const SHARD_WAL_MAGIC: &str = "nemo-shard-wal/v1";
 
-fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect::<BTreeMap<_, _>>(),
-    )
-}
-
-fn s(text: &str) -> JsonValue {
-    JsonValue::String(text.to_string())
-}
-
-fn n(value: i64) -> JsonValue {
-    JsonValue::from(value)
-}
-
-/// Type-tagged [`AttrValue`] encoding (lossless, unlike the untagged
-/// numbers of the node-link graph encoding, which
+/// Writes the type-tagged [`AttrValue`] encoding (lossless, unlike the
+/// untagged numbers of the node-link graph encoding, which
 /// [`netgraph::json::graph_from_json`] reads back as ints when they are
-/// integral).
-fn value_to_json(value: &AttrValue) -> JsonValue {
+/// integral): `{"t":<type>,"v":<value>}`, with no `v` for a null.
+fn write_value(value: &AttrValue, out: &mut JsonWriter) {
     match value {
-        AttrValue::Null => obj(vec![("t", s("null"))]),
-        AttrValue::Bool(b) => obj(vec![("t", s("bool")), ("v", JsonValue::Bool(*b))]),
-        AttrValue::Int(i) => obj(vec![("t", s("int")), ("v", n(*i))]),
-        AttrValue::Float(f) => obj(vec![("t", s("float")), ("v", JsonValue::Number(*f))]),
-        AttrValue::Str(text) => obj(vec![("t", s("str")), ("v", s(text))]),
-        AttrValue::List(items) => obj(vec![
-            ("t", s("list")),
-            (
-                "v",
-                JsonValue::Array(items.iter().map(value_to_json).collect()),
-            ),
-        ]),
+        AttrValue::Null => out.text("{\"t\":\"null\""),
+        AttrValue::Bool(b) => {
+            out.text("{\"t\":\"bool\",\"v\":");
+            out.text(if *b { "true" } else { "false" });
+        }
+        AttrValue::Int(i) => {
+            out.text("{\"t\":\"int\",\"v\":");
+            out.int(*i);
+        }
+        AttrValue::Float(f) => {
+            out.text("{\"t\":\"float\",\"v\":");
+            // A JSON number writes -0.0 as `0`; the tag keeps its sign.
+            if *f == 0.0 && f.is_sign_negative() {
+                out.text("-0.0");
+            } else {
+                out.number(*f);
+            }
+        }
+        AttrValue::Str(text) => {
+            out.text("{\"t\":\"str\",\"v\":");
+            out.string(text);
+        }
+        AttrValue::List(items) => {
+            out.text("{\"t\":\"list\",\"v\":[");
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.text(",");
+                }
+                write_value(item, out);
+            }
+            out.text("]");
+        }
     }
+    out.text("}");
 }
 
 fn value_from_json(value: &JsonValue) -> Result<AttrValue, ServeError> {
@@ -93,75 +102,96 @@ fn value_from_json(value: &JsonValue) -> Result<AttrValue, ServeError> {
     }
 }
 
-/// The canonical JSON form of one [`Mutation`], the `mutation` field of a
-/// WAL record.
-fn mutation_to_json(mutation: &Mutation) -> JsonValue {
+/// Writes one string field, `"key":"text"`.
+fn str_field(out: &mut JsonWriter, key: &str, text: &str) {
+    out.string(key);
+    out.text(":");
+    out.string(text);
+}
+
+/// Writes the canonical JSON form of one [`Mutation`], the `mutation`
+/// field of a WAL record: an object with its keys in sorted order.
+fn write_mutation(mutation: &Mutation, out: &mut JsonWriter) {
     match mutation {
         Mutation::AddNode {
             id,
             prefix16,
             prefix24,
-        } => obj(vec![
-            ("op", s("add_node")),
-            ("id", s(id)),
-            ("prefix16", s(prefix16)),
-            ("prefix24", s(prefix24)),
-        ]),
+        } => {
+            out.text("{");
+            str_field(out, "id", id);
+            out.text(",\"op\":\"add_node\",");
+            str_field(out, "prefix16", prefix16);
+            out.text(",");
+            str_field(out, "prefix24", prefix24);
+        }
         Mutation::AddEdge {
             source,
             target,
             bytes,
             connections,
             packets,
-        } => obj(vec![
-            ("op", s("add_edge")),
-            ("source", s(source)),
-            ("target", s(target)),
-            ("bytes", n(*bytes)),
-            ("connections", n(*connections)),
-            ("packets", n(*packets)),
-        ]),
-        Mutation::SetFlow {
+        }
+        | Mutation::SetFlow {
             source,
             target,
             bytes,
             connections,
             packets,
-        } => obj(vec![
-            ("op", s("set_flow")),
-            ("source", s(source)),
-            ("target", s(target)),
-            ("bytes", n(*bytes)),
-            ("connections", n(*connections)),
-            ("packets", n(*packets)),
-        ]),
-        Mutation::SetNodeAttr { id, key, value } => obj(vec![
-            ("op", s("set_node_attr")),
-            ("id", s(id)),
-            ("key", s(key)),
-            ("value", value_to_json(value)),
-        ]),
-        Mutation::RemoveEdge { source, target } => obj(vec![
-            ("op", s("remove_edge")),
-            ("source", s(source)),
-            ("target", s(target)),
-        ]),
+        } => {
+            let op = match mutation {
+                Mutation::AddEdge { .. } => "add_edge",
+                _ => "set_flow",
+            };
+            out.text("{\"bytes\":");
+            out.int(*bytes);
+            out.text(",\"connections\":");
+            out.int(*connections);
+            out.text(",\"op\":");
+            out.string(op);
+            out.text(",\"packets\":");
+            out.int(*packets);
+            out.text(",");
+            str_field(out, "source", source);
+            out.text(",");
+            str_field(out, "target", target);
+        }
+        Mutation::SetNodeAttr { id, key, value } => {
+            out.text("{");
+            str_field(out, "id", id);
+            out.text(",");
+            str_field(out, "key", key);
+            out.text(",\"op\":\"set_node_attr\",\"value\":");
+            write_value(value, out);
+        }
+        Mutation::RemoveEdge { source, target } => {
+            out.text("{\"op\":\"remove_edge\",");
+            str_field(out, "source", source);
+            out.text(",");
+            str_field(out, "target", target);
+        }
     }
+    out.text("}");
 }
 
 /// Encodes one WAL record: the record's `epoch` field is the
 /// shard's local epoch (what the store's positional check verifies), and
 /// the global epoch rides along in a `global` root field so recovery can
-/// rebuild the cross-shard sequence numbers.
+/// rebuild the cross-shard sequence numbers. The fields are written
+/// straight into one buffer, keys in sorted order.
 pub fn encode_shard_record(record: &WalRecord, global: u64) -> Vec<u8> {
-    obj(vec![
-        ("epoch", JsonValue::Number(record.epoch as f64)),
-        ("global", JsonValue::Number(global as f64)),
-        ("at_ms", JsonValue::Number(record.at_ms as f64)),
-        ("mutation", mutation_to_json(&record.mutation)),
-    ])
-    .to_json()
-    .into_bytes()
+    // Room for a typical record (about 155 bytes) without regrowing.
+    let mut out = JsonWriter::with_capacity(192);
+    out.text("{\"at_ms\":");
+    out.uint(record.at_ms);
+    out.text(",\"epoch\":");
+    out.uint(record.epoch);
+    out.text(",\"global\":");
+    out.uint(global);
+    out.text(",\"mutation\":");
+    write_mutation(&record.mutation, &mut out);
+    out.text("}");
+    out.finish().into_bytes()
 }
 
 fn get_str(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<String, ServeError> {
@@ -269,8 +299,126 @@ pub fn decode_shard_record(payload: &[u8]) -> Result<(WalRecord, u64), ServeErro
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Integers at the edges of their encodings.
+    const INTS: [i64; 6] = [0, -1, 7, i64::MIN, i64::MAX, (1 << 53) + 1];
+
+    /// Text built from the pieces every escape path has to get right.
+    pub(crate) fn adversarial_string(rng: &mut StdRng) -> String {
+        const PIECES: [&str; 16] = [
+            "",
+            "\"",
+            "\\",
+            "\n",
+            "\r",
+            "\t",
+            "\u{1}",
+            "\u{1f}",
+            "é€日本",
+            "15.76",
+            "a,b",
+            "\"\"",
+            "\\\"",
+            "x",
+            "{\"k\":1}",
+            "null",
+        ];
+        (0..rng.gen_range(0..4))
+            .map(|_| PIECES[rng.gen_range(0..PIECES.len())])
+            .collect()
+    }
+
+    /// An attribute value of any type, nested up to `depth` lists deep,
+    /// with the integers and floats at the edges of their encodings.
+    pub(crate) fn adversarial_value(rng: &mut StdRng, depth: u32) -> AttrValue {
+        const FLOATS: [f64; 9] = [
+            -0.0,
+            2.5,
+            1e17,
+            -1.152921504606847e18,
+            1e20,
+            0.1,
+            5.0,
+            2.5e15,
+            -3e-9,
+        ];
+        match rng.gen_range(0..if depth > 0 { 6 } else { 5 }) {
+            0 => AttrValue::Null,
+            1 => AttrValue::Bool(rng.gen_bool(0.5)),
+            2 => AttrValue::Int(INTS[rng.gen_range(0..INTS.len())]),
+            3 => AttrValue::Float(FLOATS[rng.gen_range(0..FLOATS.len())]),
+            4 => AttrValue::Str(adversarial_string(rng).into()),
+            _ => AttrValue::List(
+                (0..rng.gen_range(0..4))
+                    .map(|_| adversarial_value(rng, depth - 1))
+                    .collect(),
+            ),
+        }
+    }
+
+    fn adversarial_mutation(rng: &mut StdRng) -> Mutation {
+        let mut int = || INTS[rng.gen_range(0..INTS.len())];
+        let (bytes, connections, packets) = (int(), int(), int());
+        let source = adversarial_string(rng);
+        let target = adversarial_string(rng);
+        match rng.gen_range(0..5) {
+            0 => Mutation::AddNode {
+                id: source,
+                prefix16: target,
+                prefix24: adversarial_string(rng),
+            },
+            1 => Mutation::AddEdge {
+                source,
+                target,
+                bytes,
+                connections,
+                packets,
+            },
+            2 => Mutation::SetFlow {
+                source,
+                target,
+                bytes,
+                connections,
+                packets,
+            },
+            3 => Mutation::SetNodeAttr {
+                id: source,
+                key: target,
+                value: adversarial_value(rng, 3),
+            },
+            _ => Mutation::RemoveEdge { source, target },
+        }
+    }
+
+    proptest! {
+        /// Every record decodes to exactly the record encoded (variants
+        /// and float bits included, which `==` on values does not check),
+        /// and encodes again to the same bytes.
+        #[test]
+        fn random_records_round_trip_exactly(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..16 {
+                let record = WalRecord {
+                    epoch: rng.gen_range(0..1u64 << 53),
+                    at_ms: rng.gen_range(0..1u64 << 53),
+                    mutation: adversarial_mutation(&mut rng),
+                };
+                let global = rng.gen_range(0..1u64 << 53);
+                let bytes = encode_shard_record(&record, global);
+                let decoded = decode_shard_record(&bytes);
+                prop_assert!(decoded.is_ok(), "{:?}", String::from_utf8_lossy(&bytes));
+                let (back, back_global) = decoded.unwrap();
+                prop_assert_eq!(format!("{back:?}"), format!("{record:?}"));
+                prop_assert_eq!(back_global, global);
+                prop_assert_eq!(encode_shard_record(&back, back_global), bytes);
+            }
+        }
+    }
 
     fn round_trip(record: WalRecord) {
         let bytes = encode_shard_record(&record, record.epoch + 3);
@@ -401,7 +549,9 @@ mod tests {
             let (back, _) = decode_shard_record(&encode_shard_record(&record, 2)).unwrap();
             assert_eq!(back, record, "{big}");
             let value = AttrValue::Int(big);
-            let tagged = value_to_json(&value).to_json();
+            let mut out = JsonWriter::new();
+            write_value(&value, &mut out);
+            let tagged = out.finish();
             let parsed = netgraph::json::JsonValue::parse(&tagged).unwrap();
             assert!(
                 matches!(value_from_json(&parsed), Ok(AttrValue::Int(i)) if i == big),

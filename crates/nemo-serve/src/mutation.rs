@@ -126,7 +126,7 @@ impl Mutation {
         }
     }
 
-    /// The six conflict rules of the write path, in their fixed order and
+    /// The seven conflict rules of the write path, in their fixed order and
     /// with their messages, checked against `graph` without touching it.
     /// With `endpoints_required` false an `AddEdge` need not find its
     /// endpoints: a shard partition checks that way, because another
@@ -152,7 +152,7 @@ impl Mutation {
                     return conflict(format!("edge {source}->{target} does not exist"));
                 }
             }
-            Mutation::SetNodeAttr { id, key, .. } => {
+            Mutation::SetNodeAttr { id, key, value } => {
                 if !graph.has_node(id) {
                     return conflict(format!("node {id} does not exist"));
                 }
@@ -160,6 +160,11 @@ impl Mutation {
                 // substrates from the graph (node names are immutable).
                 if key == "id" {
                     return conflict("the 'id' attribute is the node's identity".to_string());
+                }
+                // JSON has no spelling for such a float: the WAL record and
+                // every later snapshot could not be read back.
+                if !finite(value) {
+                    return conflict(format!("attribute {key}={value} is not a finite number"));
                 }
             }
         }
@@ -185,6 +190,15 @@ impl Mutation {
             Mutation::SetNodeAttr { id, key, value } => format!("set-attr {id} {key}={value}"),
             Mutation::RemoveEdge { source, target } => format!("remove-edge {source}->{target}"),
         }
+    }
+}
+
+/// True when every float in `value`, list items included, is finite.
+fn finite(value: &AttrValue) -> bool {
+    match value {
+        AttrValue::Float(f) => f.is_finite(),
+        AttrValue::List(items) => items.iter().all(finite),
+        _ => true,
     }
 }
 

@@ -687,6 +687,7 @@ impl<L: Llm> Server<L> {
 mod tests {
     use super::*;
     use nemo_core::ScriptedLlm;
+    use netgraph::AttrValue;
     use trafficgen::{generate, NetEvent, TrafficConfig};
 
     fn live() -> LiveNetwork {
@@ -1183,6 +1184,80 @@ mod tests {
                 .unwrap();
             assert_eq!(recovered.network().global_epoch(), 60, "shards={shards}");
             assert!(*recovered.merged_view() == reference, "shards={shards}");
+            std::fs::remove_dir_all(&root).unwrap();
+        }
+    }
+
+    #[test]
+    fn non_finite_floats_are_refused_and_recovery_still_succeeds() {
+        let workload = generate(&TrafficConfig {
+            nodes: 10,
+            edges: 14,
+            prefixes: 2,
+            seed: 9,
+        });
+        let events = trafficgen::evolve(
+            &workload,
+            &trafficgen::StreamConfig {
+                events: 20,
+                seed: 4,
+            },
+        );
+        let node = workload.endpoints[0].to_string_dotted();
+        let bad = [
+            AttrValue::Float(f64::INFINITY),
+            AttrValue::Float(f64::NEG_INFINITY),
+            AttrValue::Float(f64::NAN),
+            AttrValue::List(vec![
+                AttrValue::Int(1),
+                AttrValue::List(vec![AttrValue::from("x"), AttrValue::Float(f64::NAN)]),
+            ]),
+        ];
+        for shards in [1u32, 3] {
+            let root = std::env::temp_dir().join(format!(
+                "nemo-server-non-finite-{shards}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&root);
+            let builder = || {
+                ServerBuilder::new()
+                    .shards(shards)
+                    .options(PersistOptions {
+                        snapshot_every_epochs: 8,
+                        ..PersistOptions::default()
+                    })
+                    .persist_at(&root)
+            };
+            let mut server = builder()
+                .build::<ScriptedLlm>(LiveNetwork::from_workload(&workload), Vec::new())
+                .unwrap();
+            for (i, timed) in events.iter().enumerate() {
+                server.handle(&Request::from(timed)).unwrap();
+                let value = bad[i % bad.len()].clone();
+                let epoch = server.network().global_epoch();
+                let request = Request::Mutate {
+                    at_ms: timed.at_ms,
+                    mutation: Mutation::SetNodeAttr {
+                        id: node.clone(),
+                        key: "weight".to_string(),
+                        value,
+                    },
+                };
+                let response = server.handle(&request).unwrap();
+                assert!(
+                    matches!(&response, Response::Rejected { epoch: e, .. } if *e == epoch),
+                    "shards={shards}: {response:?}"
+                );
+                assert_eq!(server.network().global_epoch(), epoch, "shards={shards}");
+            }
+            assert_eq!(server.handle(&Request::Sync).unwrap(), Response::Synced);
+            let served = server.merged_view().clone();
+            drop(server);
+            let (mut recovered, _) = builder()
+                .recover_or_create::<ScriptedLlm>(Vec::new(), || unreachable!())
+                .expect("recovery reads every record and snapshot back");
+            assert_eq!(recovered.network().global_epoch(), 20, "shards={shards}");
+            assert!(*recovered.merged_view() == served, "shards={shards}");
             std::fs::remove_dir_all(&root).unwrap();
         }
     }

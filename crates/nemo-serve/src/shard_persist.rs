@@ -20,7 +20,10 @@
 //!   `nemo-shard/v1` document: an ordinary inner snapshot (at the *local*
 //!   epoch) together with the shard's identity (`shard`/`shards`), the
 //!   sequence-number bases fixed at partition time, the per-row sequence
-//!   vectors, and the highest global epoch the shard had observed. The
+//!   vectors, and the highest global epoch the shard had observed. One
+//!   `netgraph::json::JsonWriter` writes the whole document in one pass:
+//!   the inner snapshot one string level deep, its CSV tables two levels
+//!   deep, each byte escaped once for its level. The
 //!   WAL alone carries the records between two snapshots; the store's
 //!   thresholds ([`PersistOptions::snapshot_every_epochs`] and
 //!   [`PersistOptions::snapshot_every_bytes`]) set how many of them a
@@ -67,9 +70,8 @@ use crate::snapshot::{
 use nemo_bench::pool;
 use nemo_obs::Class;
 use nemo_store::{Store, StoreConfig, StoreMetrics, SweepOutcome};
-use netgraph::json::{write_number, write_string, Escaped, JsonValue};
+use netgraph::json::{JsonValue, JsonWriter};
 use std::collections::BTreeMap;
-use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Schema tag of the per-shard snapshot document.
@@ -297,13 +299,17 @@ impl ShardPersistence {
 
     /// Unconditionally writes and installs a full shard snapshot, under a
     /// Physical `store.snapshot` span covering both the document encoding
-    /// and the install.
+    /// (its `snapshot.encode` child) and the install (the store's
+    /// `store.write` and `store.fsync` children).
     pub(crate) fn force_full_snapshot(
         &mut self,
         partition: &LiveNetwork,
     ) -> Result<(), ServeError> {
         let _snapshot_span = self.store.tracer().span("store.snapshot", Class::Physical);
-        let document = self.shard_document(partition);
+        let document = {
+            let _encode_span = self.store.tracer().span("snapshot.encode", Class::Physical);
+            self.shard_document(partition)
+        };
         let retry = self.retry.clone();
         with_storage_retry(&retry, || {
             Ok(self
@@ -320,57 +326,55 @@ impl ShardPersistence {
     }
 
     /// The full `nemo-shard/v1` document of `partition`, written into one
-    /// string sized up front. The inner snapshot is written through
-    /// [`Escaped`], straight into its string literal.
+    /// writer sized up front. The inner snapshot is written one string
+    /// level deep, straight into its literal.
     fn shard_document(&self, partition: &LiveNetwork) -> String {
         // Each sequence number takes at most ~8 bytes; escaping the inner
         // snapshot adds about a fifth.
         let capacity = 8 * (partition.node_seqs().len() + partition.edge_seqs().len())
             + snapshot_size_hint(partition) * 6 / 5;
-        let mut out = String::with_capacity(capacity);
-        self.write_shard_document(partition, &mut out)
-            .expect("writing to a String cannot fail");
-        out
+        let mut out = JsonWriter::with_capacity(capacity);
+        self.write_shard_document(partition, &mut out);
+        out.finish()
     }
 
     /// Writes the document's fields with their keys in sorted order, as a
     /// `JsonValue` object writes them.
-    fn write_shard_document(&self, partition: &LiveNetwork, out: &mut String) -> fmt::Result {
-        fn field(out: &mut String, key: &str, value: u64) -> fmt::Result {
-            write_string(key, out)?;
-            out.push(':');
-            write_number(value as f64, out)?;
-            out.push(',');
-            Ok(())
+    fn write_shard_document(&self, partition: &LiveNetwork, out: &mut JsonWriter) {
+        fn field(out: &mut JsonWriter, key: &str, value: u64) {
+            out.string(key);
+            out.text(":");
+            out.uint(value);
+            out.text(",");
         }
-        fn seqs(out: &mut String, key: &str, values: &[u64]) -> fmt::Result {
-            write_string(key, out)?;
-            out.push_str(":[");
+        fn seqs(out: &mut JsonWriter, key: &str, values: &[u64]) {
+            out.string(key);
+            out.text(":[");
             for (i, &value) in values.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.text(",");
                 }
-                write_number(value as f64, out)?;
+                out.uint(value);
             }
-            out.push_str("],");
-            Ok(())
+            out.text("],");
         }
-        out.push('{');
-        field(out, "base_epoch", self.bases.base_epoch)?;
-        field(out, "edge_seq_base", self.bases.edge_seq_base)?;
-        seqs(out, "edge_seqs", partition.edge_seqs())?;
-        field(out, "last_global", self.last_global)?;
-        field(out, "node_seq_base", self.bases.node_seq_base)?;
-        seqs(out, "node_seqs", partition.node_seqs())?;
-        out.push_str("\"schema\":");
-        write_string(SHARD_SCHEMA, out)?;
-        out.push(',');
-        field(out, "shard", self.shard.into())?;
-        field(out, "shards", self.shards.into())?;
-        out.push_str("\"snapshot\":\"");
-        write_snapshot_into(partition, &mut Escaped(&mut *out))?;
-        out.push_str("\"}");
-        Ok(())
+        out.text("{");
+        field(out, "base_epoch", self.bases.base_epoch);
+        field(out, "edge_seq_base", self.bases.edge_seq_base);
+        seqs(out, "edge_seqs", partition.edge_seqs());
+        field(out, "last_global", self.last_global);
+        field(out, "node_seq_base", self.bases.node_seq_base);
+        seqs(out, "node_seqs", partition.node_seqs());
+        out.text("\"schema\":");
+        out.string(SHARD_SCHEMA);
+        out.text(",");
+        field(out, "shard", self.shard.into());
+        field(out, "shards", self.shards.into());
+        out.text("\"snapshot\":");
+        out.begin_string();
+        write_snapshot_into(partition, out);
+        out.end_string();
+        out.text("}");
     }
 
     /// Which shard this store belongs to.
@@ -702,8 +706,13 @@ pub(crate) fn recover_or_create_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::tests::{adversarial_string, adversarial_value};
+    use crate::mutation::Mutation;
     use crate::persist::FsyncPolicy;
-    use crate::snapshot::write_snapshot;
+    use crate::snapshot::{read_snapshot, write_snapshot};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use trafficgen::{evolve, generate, StreamConfig, TrafficConfig};
 
     fn temp_root(tag: &str) -> PathBuf {
@@ -735,6 +744,100 @@ mod tests {
             live.apply_event(event).unwrap();
         }
         live
+    }
+
+    /// `live` without edge attributes named `source` or `target`: a link
+    /// object holds its endpoints under those names, and they win.
+    fn without_link_fields(live: &LiveNetwork) -> LiveNetwork {
+        let mut graph = live.graph().clone();
+        let links: Vec<(String, String)> = graph
+            .edges()
+            .map(|(u, v, _)| (u.to_string(), v.to_string()))
+            .collect();
+        for (u, v) in &links {
+            let attrs = graph.edge_attrs_mut(u, v).unwrap();
+            attrs.remove("source");
+            attrs.remove("target");
+        }
+        LiveNetwork::from_parts(
+            graph,
+            live.nodes().clone(),
+            live.edges().clone(),
+            live.epoch(),
+        )
+    }
+
+    proptest! {
+        /// The snapshot a shard document embeds, parsed back out of the
+        /// document, reads back as the partition it was written from, and
+        /// writes again to the same text. The states carry attributes
+        /// with every escape and value type, and edge attributes named
+        /// like a link's endpoint fields.
+        #[test]
+        fn embedded_snapshots_read_back_as_the_partition(seed in 0u64..u64::MAX, shards in 1u32..4) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let w = generate(&TrafficConfig {
+                nodes: 12,
+                edges: 16,
+                prefixes: 2,
+                seed: rng.gen_range(0..1000),
+            });
+            let mut live = LiveNetwork::from_workload(&w);
+            let events = rng.gen_range(0..40);
+            for event in &evolve(&w, &StreamConfig { events, seed }) {
+                live.apply_event(event).unwrap();
+            }
+            for _ in 0..rng.gen_range(0..10) {
+                let id = w.endpoints[rng.gen_range(0..w.endpoints.len())].to_string_dotted();
+                // Frame columns hold scalars: a list has no CSV form that
+                // reads back as a list.
+                let (key, depth) = match rng.gen_range(0..5) {
+                    0 => ("prefix16".to_string(), 0),
+                    1 => ("source".to_string(), 2),
+                    2 => ("target".to_string(), 2),
+                    _ => (adversarial_string(&mut rng), 2),
+                };
+                let value = adversarial_value(&mut rng, depth);
+                let _ = live.apply(&Mutation::SetNodeAttr { id, key, value });
+            }
+            let mut graph = live.graph().clone();
+            let links: Vec<(String, String)> = graph
+                .edges()
+                .map(|(u, v, _)| (u.to_string(), v.to_string()))
+                .collect();
+            for (u, v) in links.iter().step_by(2) {
+                for name in ["source", "target"] {
+                    let value = adversarial_value(&mut rng, 1);
+                    graph.set_edge_attr(u, v, name, value).unwrap();
+                }
+            }
+            let state =
+                LiveNetwork::from_parts(graph, live.nodes().clone(), live.edges().clone(), live.epoch());
+            let root = temp_root("embedded-snapshots");
+            let (mut net, persists, _) =
+                recover_or_create_sharded(&root, &test_options(), shards, 1, || state.clone()).unwrap();
+            for k in 0..shards {
+                let bytes = persists[k as usize]
+                    .store()
+                    .read_snapshot(net.local_epoch(k))
+                    .unwrap();
+                let text = String::from_utf8(bytes).unwrap();
+                let Ok(JsonValue::Object(mut document)) = JsonValue::parse(&text) else {
+                    return Err(format!("shard {k}: the document is not a JSON object"));
+                };
+                let Some(JsonValue::String(inner)) = document.remove("snapshot") else {
+                    return Err(format!("shard {k}: no snapshot string"));
+                };
+                let restored = read_snapshot(&inner).unwrap();
+                prop_assert!(
+                    restored == without_link_fields(net.partition(k)),
+                    "shard {k} of {shards} read back differently"
+                );
+                prop_assert_eq!(write_snapshot(&restored), inner);
+            }
+            drop(persists);
+            std::fs::remove_dir_all(&root).unwrap();
+        }
     }
 
     #[test]

@@ -11,11 +11,12 @@
 //! build)`.
 //!
 //! **Writing** streams: [`write_snapshot`] writes the document's fields
-//! straight into one pre-sized string, keys in the sorted order a
-//! `JsonValue` object writes them in. The graph and both CSV tables go
-//! through `netgraph::json::Escaped`, so no table, string or JSON tree is
-//! built on the way, and the bytes are exactly those of the `JsonValue`
-//! encoding. A shard document embeds the same writer's output the same way.
+//! straight into one pre-sized `netgraph::json::JsonWriter`, keys in the
+//! sorted order a `JsonValue` object writes them in. The graph is written
+//! in place and each CSV table one string level deeper, escaped as it is
+//! written, so no table, string or JSON tree is built on the way. A shard
+//! document writes the same document one level deeper still, as the
+//! string literal it embeds.
 //!
 //! **Reading** parses the document once and then consumes the parsed
 //! tree: the graph is built by draining its node-link tree, and each CSV
@@ -26,12 +27,9 @@ use crate::live::LiveNetwork;
 use crate::mutation::{Epoch, WalRecord};
 use dataframe::csv::{from_csv, write_csv};
 use dataframe::DataFrame;
-use netgraph::json::{
-    graph_from_json, write_graph_json, write_number, write_string, Escaped, JsonValue,
-};
+use netgraph::json::{graph_from_json, write_graph_json, JsonValue, JsonWriter};
 use netgraph::Graph;
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// Schema tag written into (and required from) every snapshot document.
 pub const SNAPSHOT_SCHEMA: &str = "nemo-snapshot/v1";
@@ -43,9 +41,9 @@ pub const SNAPSHOT_VERSION: u64 = 1;
 
 /// Serializes a live network into a versioned snapshot document.
 pub fn write_snapshot(live: &LiveNetwork) -> String {
-    let mut out = String::with_capacity(snapshot_size_hint(live));
-    write_snapshot_into(live, &mut out).expect("writing to a String cannot fail");
-    out
+    let mut out = JsonWriter::with_capacity(snapshot_size_hint(live));
+    write_snapshot_into(live, &mut out);
+    out.finish()
 }
 
 /// A capacity for [`write_snapshot`]'s output, so the document is written
@@ -55,28 +53,28 @@ pub(crate) fn snapshot_size_hint(live: &LiveNetwork) -> usize {
     1024 + 112 * live.nodes().n_rows() + 160 * live.edges().n_rows()
 }
 
-/// Writes the snapshot document of `live` into `out`.
-pub(crate) fn write_snapshot_into<W: fmt::Write + ?Sized>(
-    live: &LiveNetwork,
-    out: &mut W,
-) -> fmt::Result {
-    let epoch = live.epoch() as f64;
+/// Writes the snapshot document of `live` at the writer's depth.
+pub(crate) fn write_snapshot_into(live: &LiveNetwork, out: &mut JsonWriter) {
     // Stable provenance header: the epoch the writer observed when the
     // document was produced. Always equal to "epoch"; kept as its own
     // field so readers can rely on it unconditionally.
-    out.write_str("{\"created_epoch\":")?;
-    write_number(epoch, out)?;
-    out.write_str(",\"edges_csv\":\"")?;
-    write_csv(live.edges(), &mut Escaped(&mut *out))?;
-    out.write_str("\",\"epoch\":")?;
-    write_number(epoch, out)?;
-    out.write_str(",\"graph\":")?;
-    write_graph_json(live.graph(), out)?;
-    out.write_str(",\"nodes_csv\":\"")?;
-    write_csv(live.nodes(), &mut Escaped(&mut *out))?;
-    out.write_str("\",\"schema\":")?;
-    write_string(SNAPSHOT_SCHEMA, out)?;
-    out.write_char('}')
+    out.text("{\"created_epoch\":");
+    out.uint(live.epoch());
+    out.text(",\"edges_csv\":");
+    out.begin_string();
+    write_csv(live.edges(), out);
+    out.end_string();
+    out.text(",\"epoch\":");
+    out.uint(live.epoch());
+    out.text(",\"graph\":");
+    write_graph_json(live.graph(), out);
+    out.text(",\"nodes_csv\":");
+    out.begin_string();
+    write_csv(live.nodes(), out);
+    out.end_string();
+    out.text(",\"schema\":");
+    out.string(SNAPSHOT_SCHEMA);
+    out.text("}");
 }
 
 /// The version gate: a schema naming a version newer than this build
@@ -304,6 +302,34 @@ mod tests {
                 "{f}: graph holds {:?}",
                 attrs.get("weight")
             );
+        }
+    }
+
+    #[test]
+    fn large_integral_floats_in_frame_columns_stay_floats() {
+        let mut live = evolved(0);
+        let node = live.graph().nodes().next().expect("a node").0.to_string();
+        for f in [1e17, -(2f64.powi(60)), 2.5e15, 1e15, -0.0, 3.0] {
+            live.apply(&Mutation::SetNodeAttr {
+                id: node.clone(),
+                key: "prefix16".into(),
+                value: AttrValue::Float(f),
+            })
+            .unwrap();
+            let text = write_snapshot(&live);
+            let restored = read_snapshot(&text).unwrap();
+            let nodes = restored.nodes();
+            let row = (0..nodes.n_rows())
+                .find(|&r| nodes.value(r, "id").unwrap().as_str() == Some(&node))
+                .expect("the node's row");
+            // Matched on the variant and the exact value: `==` on
+            // attribute values compares numbers through f64.
+            assert!(
+                matches!(nodes.value(row, "prefix16"), Ok(AttrValue::Float(g)) if g.to_bits() == f.to_bits()),
+                "{f}: frame holds {:?}",
+                nodes.value(row, "prefix16")
+            );
+            assert_eq!(write_snapshot(&restored), text);
         }
     }
 

@@ -19,8 +19,9 @@
 //!   *inside* the owning request's trace as an error-tagged `store.fsync`
 //!   span carrying the poison cause.
 //! * **Snapshot attribution** — a snapshot install shows as a Physical
-//!   `store.snapshot` span under the mutate that triggered it, and leaves
-//!   the logical skeletons unchanged.
+//!   `store.snapshot` span under the mutate that triggered it, split into
+//!   Physical `snapshot.encode`, `store.write` and `store.fsync` children,
+//!   and leaves the logical skeletons unchanged.
 
 use nemo_bench::pool;
 use nemo_core::{Backend, ScriptedLlm};
@@ -398,7 +399,9 @@ fn snapshot_installs_are_physical_spans_under_their_mutate() {
         let dir = temp_dir(&format!("snapshot-span-{snapshot_every_epochs}"));
         let mut server = ServerBuilder::new()
             .options(PersistOptions {
-                fsync: FsyncPolicy::Never,
+                // Durable metadata, so an install syncs its file and the
+                // directory.
+                fsync: FsyncPolicy::EveryBatch,
                 snapshot_every_bytes: 0,
                 snapshot_every_epochs,
                 tracer: tracer.clone(),
@@ -441,6 +444,23 @@ fn snapshot_installs_are_physical_spans_under_their_mutate() {
             .find(|s| Some(s.span_id) == span.parent_id)
             .expect("the snapshot span has a parent");
         assert_eq!(parent.name, "mutate.route");
+        // The install splits into the encode, the framed write, and the
+        // file and directory syncs, in that order.
+        let children: Vec<_> = trace
+            .spans
+            .iter()
+            .filter(|s| s.parent_id == Some(span.span_id))
+            .collect();
+        assert_eq!(
+            children.iter().map(|s| s.name).collect::<Vec<_>>(),
+            [
+                "snapshot.encode",
+                "store.write",
+                "store.fsync",
+                "store.fsync"
+            ]
+        );
+        assert!(children.iter().all(|s| s.class == Class::Physical));
     }
     assert_eq!(
         snapshotting.logical_skeletons(0),

@@ -709,9 +709,13 @@ impl Store {
                 .vfs
                 .create_truncate(&tmp_path)
                 .map_err(|e| StoreError::io_at("create", &tmp_path, e))?;
-            file.write_all(&encode_frame(document))
-                .map_err(|e| StoreError::io_at("write", &tmp_path, e))?;
+            {
+                let _write_span = self.tracer.span("store.write", Class::Physical);
+                file.write_all(&encode_frame(document))
+                    .map_err(|e| StoreError::io_at("write", &tmp_path, e))?;
+            }
             if self.config.fsync.durable_metadata() {
+                let _fsync_span = self.tracer.span("store.fsync", Class::Physical);
                 file.sync_data()
                     .map_err(|e| StoreError::io_at("fsync", &tmp_path, e))?;
             }
@@ -728,6 +732,7 @@ impl Store {
             return Err(err);
         }
         if self.config.fsync.durable_metadata() {
+            let _fsync_span = self.tracer.span("store.fsync", Class::Physical);
             if let Err(err) = self.sync_dir() {
                 let _ = self.vfs.remove_file(&final_path);
                 return Err(err);

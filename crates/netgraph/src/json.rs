@@ -6,13 +6,14 @@
 //! analysis (Figure 4) therefore depends on exactly how the graph serializes,
 //! so the encoder lives here rather than behind an external dependency.
 //!
-//! **Encoding streams.** [`write_graph_json`] writes the node-link document
-//! straight into any [`fmt::Write`] sink, building no [`JsonValue`] tree on
-//! the way. Numbers and strings go through [`write_number`] and
-//! [`write_string`], the routines [`JsonValue::to_json`] uses, so both paths
-//! write the same bytes. [`Escaped`] JSON-escapes everything written through
-//! it: a document can embed another document, or a CSV table, as a string
-//! literal without building the inner text first.
+//! **Encoding** goes through one writer, [`JsonWriter`]: a growable buffer
+//! that knows how many string literals it is nested in, and writes every
+//! byte once, already escaped for that depth. [`write_graph_json`] writes
+//! the node-link document straight into it, building no [`JsonValue`] tree
+//! on the way, and [`JsonValue::to_json`] writes through the same number
+//! and string routines, so both write the same bytes. A document embeds
+//! another document, or a CSV table (`dataframe::csv::write_csv`), as a
+//! string literal by writing it one level deeper.
 //!
 //! **Decoding.** [`JsonValue::parse`] walks the input's bytes and copies
 //! each string out in whole runs; [`JsonError::position`] still counts
@@ -22,6 +23,7 @@
 use crate::attr::AttrMap;
 use crate::graph::Graph;
 use crate::value::AttrValue;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -35,7 +37,7 @@ pub enum JsonValue {
     Bool(bool),
     /// Any JSON number that f64 holds exactly: every integer up to 2^53 in
     /// magnitude, and every literal with a fraction or an exponent. Written
-    /// by [`write_number`], it always parses back as a `Number`.
+    /// by [`JsonWriter::number`], it always parses back as a `Number`.
     Number(f64),
     /// An integer literal beyond 2^53 in magnitude, which f64 would round.
     /// [`JsonValue::parse`] makes one only there, so every other consumer
@@ -52,41 +54,9 @@ pub enum JsonValue {
 impl JsonValue {
     /// Serializes to a compact JSON string.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        self.write(&mut s).expect("writing to a String cannot fail");
-        s
-    }
-
-    fn write<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
-        match self {
-            JsonValue::Null => out.write_str("null"),
-            JsonValue::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
-            JsonValue::Number(n) => write_number(*n, out),
-            JsonValue::Int(i) => write!(out, "{i}"),
-            JsonValue::String(s) => write_string(s, out),
-            JsonValue::Array(items) => {
-                out.write_char('[')?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.write_char(',')?;
-                    }
-                    item.write(out)?;
-                }
-                out.write_char(']')
-            }
-            JsonValue::Object(map) => {
-                out.write_char('{')?;
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        out.write_char(',')?;
-                    }
-                    write_string(k, out)?;
-                    out.write_char(':')?;
-                    v.write(out)?;
-                }
-                out.write_char('}')
-            }
-        }
+        let mut out = JsonWriter::new();
+        out.value(self);
+        out.finish()
     }
 
     /// Parses a JSON document.
@@ -152,7 +122,7 @@ impl From<i64> for JsonValue {
 
 impl fmt::Display for JsonValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.write(f)
+        f.write_str(&self.to_json())
     }
 }
 
@@ -394,78 +364,250 @@ impl Parser<'_> {
     }
 }
 
-/// Writes a JSON number: an integral value below 10^15 in magnitude as an
-/// integer, anything else in Rust's shortest round-trip form. An integral
-/// value beyond 2^53 that i64 holds gets a trailing `.0`: bare digits there
-/// would read back as an exact [`JsonValue::Int`], not as the float written.
-pub fn write_number<W: fmt::Write + ?Sized>(n: f64, out: &mut W) -> fmt::Result {
-    if n.fract() == 0.0 && n.is_finite() && n.abs() < 1e15 {
-        write!(out, "{}", n as i64)
-    } else if n.abs() > MAX_EXACT_INT as f64 && n as i64 as f64 == n {
-        write!(out, "{n}.0")
-    } else {
-        write!(out, "{n}")
+/// The one JSON writer: a growable buffer that knows how many string
+/// literals it is writing inside of.
+///
+/// Depth 0 is the top level; at depth 1 everything written lands inside one
+/// string literal, at depth 2 inside a literal inside a literal. Each byte
+/// is written once, already escaped for its depth, so a document embeds
+/// another document (or a CSV table) as a string literal without writing
+/// the inner text first or re-scanning it once per level. Escapes split the
+/// text only at ASCII bytes, so every slice pushed is whole UTF-8.
+///
+/// [`JsonWriter::begin_string`] and [`JsonWriter::end_string`] move one
+/// level in and out; [`JsonWriter::text`] writes text as it reads at the
+/// current level, which is how a CSV table (and the structure of an inner
+/// document) is written.
+#[derive(Debug, Default)]
+pub struct JsonWriter {
+    out: String,
+    depth: u32,
+}
+
+impl JsonWriter {
+    /// An empty writer at the top level.
+    pub fn new() -> Self {
+        JsonWriter::default()
     }
-}
 
-/// Writes `s` as a JSON string literal.
-pub fn write_string<W: fmt::Write + ?Sized>(s: &str, out: &mut W) -> fmt::Result {
-    out.write_char('"')?;
-    Escaped(&mut *out).write_str(s)?;
-    out.write_char('"')
-}
-
-/// A [`fmt::Write`] adapter that JSON-escapes everything written through
-/// it into the wrapped sink: the body of a string literal, without the
-/// quotes. Runs that need no escape are forwarded as whole slices, and
-/// every escape splits the text at an ASCII byte, so each slice boundary is
-/// a char boundary.
-pub struct Escaped<'a, W: fmt::Write + ?Sized>(pub &'a mut W);
-
-impl<W: fmt::Write + ?Sized> fmt::Write for Escaped<'_, W> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        let out = &mut *self.0;
-        let mut run = 0;
-        for (i, byte) in s.bytes().enumerate() {
-            let escape = match byte {
-                b'"' => "\\\"",
-                b'\\' => "\\\\",
-                b'\n' => "\\n",
-                b'\r' => "\\r",
-                b'\t' => "\\t",
-                0..=0x1f => "",
-                _ => continue,
-            };
-            out.write_str(&s[run..i])?;
-            if escape.is_empty() {
-                write!(out, "\\u{byte:04x}")?;
-            } else {
-                out.write_str(escape)?;
-            }
-            run = i + 1;
+    /// An empty writer at the top level whose buffer holds `capacity`
+    /// bytes before it grows.
+    pub fn with_capacity(capacity: usize) -> Self {
+        JsonWriter {
+            out: String::with_capacity(capacity),
+            depth: 0,
         }
-        out.write_str(&s[run..])
     }
-}
 
-/// Writes an attribute value as JSON. An integer is written exactly, digit
-/// for digit (the bytes [`write_number`] gives it wherever f64 holds it).
-fn write_attr<W: fmt::Write + ?Sized>(value: &AttrValue, out: &mut W) -> fmt::Result {
-    match value {
-        AttrValue::Null => out.write_str("null"),
-        AttrValue::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
-        AttrValue::Int(i) => write!(out, "{i}"),
-        AttrValue::Float(f) => write_number(*f, out),
-        AttrValue::Str(s) => write_string(s, out),
-        AttrValue::List(items) => {
-            out.write_char('[')?;
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.write_char(',')?;
-                }
-                write_attr(item, out)?;
+    /// The text written so far. Every literal opened must be closed.
+    pub fn finish(self) -> String {
+        debug_assert_eq!(self.depth, 0, "a string literal was left open");
+        self.out
+    }
+
+    /// Writes `text` as it reads at the current depth: as is at the top
+    /// level, escaped once per enclosing literal below it.
+    #[inline]
+    pub fn text(&mut self, text: &str) {
+        self.text_at(text, self.depth);
+    }
+
+    /// Writes `text` as it reads at `depth`, in whole runs between the
+    /// bytes that need an escape.
+    #[inline]
+    fn text_at(&mut self, text: &str, depth: u32) {
+        if depth == 0 {
+            self.out.push_str(text);
+            return;
+        }
+        let mut run = 0;
+        for (i, &byte) in text.as_bytes().iter().enumerate() {
+            if byte < 0x20 || byte == b'"' || byte == b'\\' {
+                self.out.push_str(&text[run..i]);
+                self.escape(byte, depth);
+                run = i + 1;
             }
-            out.write_char(']')
+        }
+        self.out.push_str(&text[run..]);
+    }
+
+    /// Writes the escape of `byte` at `depth` (at least 1). One level of
+    /// escaping puts a backslash before `"` and `\` and spells control
+    /// bytes as `\n`, `\r`, `\t` or `\u00xx`; each further level doubles
+    /// every backslash and escapes the `"` again, so the escape at depth d
+    /// is 2^(d-1) backslashes before the letter of a control byte, 2^d of
+    /// them for `\`, and 2^d - 1 before a `"`.
+    fn escape(&mut self, byte: u8, depth: u32) {
+        let level = 1usize << (depth - 1);
+        match byte {
+            b'"' => self.quote(depth),
+            b'\\' => self.backslashes(2 * level),
+            b'\n' | b'\r' | b'\t' => {
+                self.backslashes(level);
+                self.out.push(match byte {
+                    b'\n' => 'n',
+                    b'\r' => 'r',
+                    _ => 't',
+                });
+            }
+            _ => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                self.backslashes(level);
+                self.out.push_str("u00");
+                self.out.push(char::from(HEX[usize::from(byte >> 4)]));
+                self.out.push(char::from(HEX[usize::from(byte & 0xf)]));
+            }
+        }
+    }
+
+    /// Writes `n` backslashes.
+    fn backslashes(&mut self, n: usize) {
+        for _ in 0..n {
+            self.out.push('\\');
+        }
+    }
+
+    /// Writes a `"` as it reads at `depth`: behind 2^depth - 1 backslashes.
+    /// The depths a document reaches are spelled out, so each is a
+    /// fixed-size copy.
+    #[inline]
+    fn quote(&mut self, depth: u32) {
+        match depth {
+            0 => self.out.push('"'),
+            1 => self.out.push_str("\\\""),
+            2 => self.out.push_str("\\\\\\\""),
+            _ => {
+                self.backslashes((1 << depth) - 1);
+                self.out.push('"');
+            }
+        }
+    }
+
+    /// Opens a string literal: writes its quote and moves one level in.
+    pub fn begin_string(&mut self) {
+        self.quote(self.depth);
+        self.depth += 1;
+    }
+
+    /// Closes the literal [`JsonWriter::begin_string`] opened.
+    pub fn end_string(&mut self) {
+        self.depth -= 1;
+        self.quote(self.depth);
+    }
+
+    /// Writes `s` as a JSON string literal.
+    #[inline]
+    pub fn string(&mut self, s: &str) {
+        self.quote(self.depth);
+        self.text_at(s, self.depth + 1);
+        self.quote(self.depth);
+    }
+
+    /// Writes an integer's decimal digits. Digits and `-` need no escape at
+    /// any depth.
+    pub fn int(&mut self, value: i64) {
+        if value < 0 {
+            self.out.push('-');
+        }
+        self.uint(value.unsigned_abs());
+    }
+
+    /// Writes an unsigned integer's decimal digits.
+    pub fn uint(&mut self, mut value: u64) {
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (value % 10) as u8;
+            value /= 10;
+            if value == 0 {
+                break;
+            }
+        }
+        for &digit in &digits[start..] {
+            self.out.push(char::from(digit));
+        }
+    }
+
+    /// Writes a float in Rust's shortest round-trip form, which never uses
+    /// an exponent (`1e17` is `100000000000000000`) and spells the
+    /// non-finite values `inf`, `-inf` and `NaN`; callers add any suffix.
+    /// [`JsonWriter::number`] is the JSON number.
+    pub fn float(&mut self, value: f64) {
+        write!(self.out, "{value}").expect("writing to a String cannot fail");
+    }
+
+    /// Writes a JSON number: an integral value below 10^15 in magnitude as
+    /// an integer, anything else in its shortest round-trip form. An
+    /// integral value beyond 2^53 that i64 holds gets a trailing `.0`: bare
+    /// digits there would read back as an exact [`JsonValue::Int`], not as
+    /// the float written. JSON has no spelling for a non-finite value, so
+    /// none may be given.
+    pub fn number(&mut self, n: f64) {
+        debug_assert!(n.is_finite(), "JSON has no spelling for {n}");
+        if n.fract() == 0.0 && n.abs() < 1e15 {
+            self.int(n as i64);
+        } else {
+            self.float(n);
+            if n.abs() > MAX_EXACT_INT as f64 && n as i64 as f64 == n {
+                self.out.push_str(".0");
+            }
+        }
+    }
+
+    /// Writes a [`JsonValue`], object keys in their sorted order.
+    fn value(&mut self, value: &JsonValue) {
+        match value {
+            JsonValue::Null => self.out.push_str("null"),
+            JsonValue::Bool(b) => self.out.push_str(if *b { "true" } else { "false" }),
+            JsonValue::Number(n) => self.number(*n),
+            JsonValue::Int(i) => self.int(*i),
+            JsonValue::String(s) => self.string(s),
+            JsonValue::Array(items) => {
+                self.out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        self.out.push(',');
+                    }
+                    self.value(item);
+                }
+                self.out.push(']');
+            }
+            JsonValue::Object(map) => {
+                self.out.push('{');
+                for (i, (key, item)) in map.iter().enumerate() {
+                    if i > 0 {
+                        self.out.push(',');
+                    }
+                    self.string(key);
+                    self.out.push(':');
+                    self.value(item);
+                }
+                self.out.push('}');
+            }
+        }
+    }
+
+    /// Writes an attribute value as JSON. An integer is written exactly,
+    /// digit for digit (the bytes [`JsonWriter::number`] gives it wherever
+    /// f64 holds it).
+    fn attr(&mut self, value: &AttrValue) {
+        match value {
+            AttrValue::Null => self.out.push_str("null"),
+            AttrValue::Bool(b) => self.out.push_str(if *b { "true" } else { "false" }),
+            AttrValue::Int(i) => self.int(*i),
+            AttrValue::Float(f) => self.number(*f),
+            AttrValue::Str(s) => self.string(s),
+            AttrValue::List(items) => {
+                self.out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        self.out.push(',');
+                    }
+                    self.attr(item);
+                }
+                self.out.push(']');
+            }
         }
     }
 }
@@ -473,39 +615,39 @@ fn write_attr<W: fmt::Write + ?Sized>(value: &AttrValue, out: &mut W) -> fmt::Re
 /// Writes `attrs` plus the string fields `named` as one object with sorted
 /// keys. `named` must be sorted by key; a named field replaces an attribute
 /// of the same name.
-fn write_attr_object<W: fmt::Write + ?Sized>(
-    attrs: &AttrMap,
-    named: &[(&str, &str)],
-    out: &mut W,
-) -> fmt::Result {
-    fn field<W: fmt::Write + ?Sized>(sep: &mut &str, key: &str, out: &mut W) -> fmt::Result {
-        out.write_str(sep)?;
-        *sep = ",";
-        write_string(key, out)?;
-        out.write_char(':')
+fn write_attr_object(attrs: &AttrMap, named: &[(&str, &str)], out: &mut JsonWriter) {
+    fn field(first: &mut bool, key: &str, out: &mut JsonWriter) {
+        if !std::mem::take(first) {
+            out.out.push(',');
+        }
+        out.string(key);
+        out.out.push(':');
     }
-    out.write_char('{')?;
-    let mut sep = "";
+    out.out.push('{');
+    let mut first = true;
     let mut rest = named;
     for (key, value) in attrs {
+        let mut shadowed = false;
         while let Some(((name, text), tail)) = rest.split_first() {
-            if *name > key.as_str() {
-                break;
+            match (*name).cmp(key.as_str()) {
+                Ordering::Greater => break,
+                Ordering::Equal => shadowed = true,
+                Ordering::Less => {}
             }
-            field(&mut sep, name, out)?;
-            write_string(text, out)?;
+            field(&mut first, name, out);
+            out.string(text);
             rest = tail;
         }
-        if named.iter().all(|(name, _)| name != key) {
-            field(&mut sep, key, out)?;
-            write_attr(value, out)?;
+        if !shadowed {
+            field(&mut first, key, out);
+            out.attr(value);
         }
     }
     for (name, text) in rest {
-        field(&mut sep, name, out)?;
-        write_string(text, out)?;
+        field(&mut first, name, out);
+        out.string(text);
     }
-    out.write_char('}')
+    out.out.push('}');
 }
 
 /// Writes a graph in node-link form, keys sorted in every object:
@@ -514,33 +656,33 @@ fn write_attr_object<W: fmt::Write + ?Sized>(
 ///
 /// This is the JSON shape fed to the strawman prompt and counted by the cost
 /// model, and the graph part of a serving snapshot.
-pub fn write_graph_json<W: fmt::Write + ?Sized>(g: &Graph, out: &mut W) -> fmt::Result {
-    out.write_str(if g.is_directed() {
+pub fn write_graph_json(g: &Graph, out: &mut JsonWriter) {
+    out.text(if g.is_directed() {
         "{\"directed\":true,\"links\":["
     } else {
         "{\"directed\":false,\"links\":["
-    })?;
+    });
     for (i, (u, v, attrs)) in g.edges().enumerate() {
         if i > 0 {
-            out.write_char(',')?;
+            out.out.push(',');
         }
-        write_attr_object(attrs, &[("source", u), ("target", v)], out)?;
+        write_attr_object(attrs, &[("source", u), ("target", v)], out);
     }
-    out.write_str("],\"nodes\":[")?;
+    out.text("],\"nodes\":[");
     for (i, (id, attrs)) in g.nodes().enumerate() {
         if i > 0 {
-            out.write_char(',')?;
+            out.out.push(',');
         }
-        write_attr_object(attrs, &[("id", id)], out)?;
+        write_attr_object(attrs, &[("id", id)], out);
     }
-    out.write_str("]}")
+    out.text("]}");
 }
 
 /// [`write_graph_json`] into a new string.
 pub fn graph_to_json(g: &Graph) -> String {
-    let mut out = String::new();
-    write_graph_json(g, &mut out).expect("writing to a String cannot fail");
-    out
+    let mut out = JsonWriter::new();
+    write_graph_json(g, &mut out);
+    out.finish()
 }
 
 /// Decodes a node-link JSON document written by [`write_graph_json`],
@@ -615,15 +757,115 @@ mod tests {
         assert_eq!(object.to_string(), object.to_json());
     }
 
+    /// `s` written as a string literal inside `depth` enclosing literals.
+    fn nested(depth: usize, s: &str) -> String {
+        let mut out = JsonWriter::new();
+        for _ in 0..depth {
+            out.begin_string();
+        }
+        out.string(s);
+        for _ in 0..depth {
+            out.end_string();
+        }
+        out.finish()
+    }
+
     #[test]
     fn escaped_writers_nest() {
-        // A literal written through `Escaped` is the body of the literal
-        // that encodes the inner literal's text.
-        let mut inner = String::new();
-        write_string("a\"b\n€", &mut inner).unwrap();
-        let mut nested = String::new();
-        write_string("a\"b\n€", &mut Escaped(&mut nested)).unwrap();
-        assert_eq!(format!("\"{nested}\""), JsonValue::String(inner).to_json());
+        // Written by hand: at depth 1 the literal is the body of the
+        // literal that spells its text, at depth 2 the body of that one's.
+        assert_eq!(nested(0, "a\"b"), r#""a\"b""#);
+        assert_eq!(nested(1, "a\"b"), r#""\"a\\\"b\"""#);
+        assert_eq!(nested(2, "a\"b"), r#""\"\\\"a\\\\\\\"b\\\"\"""#);
+        // Text written between the literals reads at its own depth.
+        let mut out = JsonWriter::new();
+        out.text("{\"k\":");
+        out.begin_string();
+        out.text("{\"k\":");
+        out.string("\n");
+        out.text("}");
+        out.end_string();
+        out.text("}");
+        assert_eq!(out.finish(), r#"{"k":"{\"k\":\"\\n\"}"}"#);
+    }
+
+    #[test]
+    fn every_escape_class_is_pinned_at_depths_0_1_2() {
+        let pins = [
+            (
+                "\"",
+                [r#""\"""#, r#""\"\\\"\"""#, r#""\"\\\"\\\\\\\"\\\"\"""#],
+            ),
+            (
+                "\\",
+                [r#""\\""#, r#""\"\\\\\"""#, r#""\"\\\"\\\\\\\\\\\"\"""#],
+            ),
+            ("\n", [r#""\n""#, r#""\"\\n\"""#, r#""\"\\\"\\\\n\\\"\"""#]),
+            ("\r", [r#""\r""#, r#""\"\\r\"""#, r#""\"\\\"\\\\r\\\"\"""#]),
+            ("\t", [r#""\t""#, r#""\"\\t\"""#, r#""\"\\\"\\\\t\\\"\"""#]),
+            (
+                "\u{1}",
+                [
+                    r#""\u0001""#,
+                    r#""\"\\u0001\"""#,
+                    r#""\"\\\"\\\\u0001\\\"\"""#,
+                ],
+            ),
+            (
+                "\u{1f}",
+                [
+                    r#""\u001f""#,
+                    r#""\"\\u001f\"""#,
+                    r#""\"\\\"\\\\u001f\\\"\"""#,
+                ],
+            ),
+            (
+                "é€日本",
+                [r#""é€日本""#, r#""\"é€日本\"""#, r#""\"\\\"é€日本\\\"\"""#],
+            ),
+            ("", [r#""""#, r#""\"\"""#, r#""\"\\\"\\\"\"""#]),
+            (
+                "15.76",
+                [r#""15.76""#, r#""\"15.76\"""#, r#""\"\\\"15.76\\\"\"""#],
+            ),
+        ];
+        for (text, want) in pins {
+            for (depth, want) in want.into_iter().enumerate() {
+                assert_eq!(nested(depth, text), want, "{text:?} at depth {depth}");
+            }
+        }
+    }
+
+    #[test]
+    fn numbers_are_written_from_their_digits() {
+        let mut out = JsonWriter::new();
+        for i in [0, 7, -7, 1 << 53, i64::MAX, i64::MIN] {
+            out.int(i);
+            out.text(" ");
+        }
+        out.uint(u64::MAX);
+        out.text(" ");
+        for f in [
+            2.5,
+            -0.0,
+            3.0,
+            1e15,
+            1e17,
+            -(2f64.powi(60)),
+            1e20,
+            0.1,
+            -1e-7,
+        ] {
+            out.number(f);
+            out.text(" ");
+        }
+        assert_eq!(
+            out.finish(),
+            "0 7 -7 9007199254740992 9223372036854775807 -9223372036854775808 \
+             18446744073709551615 \
+             2.5 0 3 1000000000000000 100000000000000000.0 -1152921504606847000.0 \
+             100000000000000000000 0.1 -0.0000001 "
+        );
     }
 
     #[test]
@@ -700,9 +942,9 @@ mod tests {
             AttrValue::from("x"),
             AttrValue::Null,
         ]);
-        let mut text = String::new();
-        write_attr(&attr, &mut text).unwrap();
-        assert_eq!(JsonValue::parse(&text).unwrap().into_attr(), attr);
+        let mut text = JsonWriter::new();
+        text.attr(&attr);
+        assert_eq!(JsonValue::parse(&text.finish()).unwrap().into_attr(), attr);
     }
 
     #[test]
@@ -716,8 +958,9 @@ mod tests {
             i64::MAX,
             i64::MIN,
         ] {
-            let mut text = String::new();
-            write_attr(&AttrValue::Int(i), &mut text).unwrap();
+            let mut out = JsonWriter::new();
+            out.attr(&AttrValue::Int(i));
+            let text = out.finish();
             assert_eq!(text, i.to_string());
             let back = JsonValue::parse(&text).unwrap();
             assert_eq!(back, JsonValue::from(i));
@@ -753,8 +996,9 @@ mod tests {
                 JsonValue::Number(f),
                 "{text}"
             );
-            let mut text = String::new();
-            write_attr(&AttrValue::Float(f), &mut text).unwrap();
+            let mut out = JsonWriter::new();
+            out.attr(&AttrValue::Float(f));
+            let text = out.finish();
             assert!(
                 matches!(JsonValue::parse(&text).unwrap().into_attr(), AttrValue::Float(g) if g == f),
                 "{text}"
