@@ -14,9 +14,9 @@
 //!
 //! Both directions stream. [`write_csv`] writes each field in place into a
 //! `netgraph::json::JsonWriter` (a snapshot writes the table inside a JSON
-//! string literal, escaped as it goes), and [`from_csv`] appends each field
-//! to its column as soon as the field ends, with no table of raw rows in
-//! between.
+//! string literal, the one level of escaping the writer has, escaped as it
+//! goes), and [`from_csv`] appends each field to its column as soon as the
+//! field ends, with no table of raw rows in between.
 
 use crate::column::Column;
 use crate::error::{FrameError, Result};
@@ -38,8 +38,8 @@ pub fn to_csv(df: &DataFrame) -> String {
     out.finish()
 }
 
-/// [`to_csv`] into a writer, as text at the writer's current depth: a
-/// snapshot writes a table inside a JSON string literal this way.
+/// [`to_csv`] into a writer, as text where the writer is: a snapshot
+/// writes a table inside a JSON string literal this way.
 pub fn write_csv(df: &DataFrame, out: &mut JsonWriter) {
     for (i, name) in df.column_names().into_iter().enumerate() {
         if i > 0 {
@@ -297,14 +297,20 @@ mod tests {
         .unwrap();
         let at = |depth: usize| {
             let mut out = JsonWriter::new();
-            for _ in 0..depth {
+            if depth > 0 {
                 out.begin_string();
             }
             write_csv(&df, &mut out);
-            for _ in 0..depth {
+            if depth > 0 {
                 out.end_string();
             }
-            out.finish()
+            let mut text = out.finish();
+            // Depth 2 is the table inside a snapshot that a `nemo-shard/v1`
+            // document held as a string literal in turn.
+            for _ in 1..depth {
+                text = netgraph::json::JsonValue::String(text).to_json();
+            }
+            text
         };
         // Written by hand, one escape level per depth.
         assert_eq!(

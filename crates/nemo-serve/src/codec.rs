@@ -203,13 +203,27 @@ fn get_str(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<String, Serve
     }
 }
 
-pub(crate) fn get_u64(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<u64, ServeError> {
-    match map.get(key) {
-        Some(JsonValue::Number(x)) if x.fract() == 0.0 && *x >= 0.0 => Ok(*x as u64),
-        other => Err(ServeError::Corrupt(format!(
-            "WAL record field {key:?} is {other:?}, want a non-negative integer"
-        ))),
+/// The one reader of a non-negative integer field (epochs, sequence
+/// numbers, timestamps): an exact `Int` at or above zero, or an integral
+/// `Number` up to 2^53. A `Number` beyond that is a literal past `i64`
+/// that f64 has rounded, so it is refused rather than read as a neighbour.
+pub(crate) fn non_negative(value: &JsonValue) -> Option<u64> {
+    match *value {
+        JsonValue::Int(i) => u64::try_from(i).ok(),
+        JsonValue::Number(x) if x.fract() == 0.0 && (0.0..=(1u64 << 53) as f64).contains(&x) => {
+            Some(x as u64)
+        }
+        _ => None,
     }
+}
+
+pub(crate) fn get_u64(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<u64, ServeError> {
+    let value = map.get(key);
+    value.and_then(non_negative).ok_or_else(|| {
+        ServeError::Corrupt(format!(
+            "WAL record field {key:?} is {value:?}, want a non-negative integer"
+        ))
+    })
 }
 
 fn get_i64(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<i64, ServeError> {
@@ -361,6 +375,12 @@ pub(crate) mod tests {
         }
     }
 
+    /// A value in `0..=i64::MAX`, every magnitude equally likely: below and
+    /// beyond 2^53, where the parser's integers change variant.
+    fn any_u63(rng: &mut StdRng) -> u64 {
+        rng.gen_range(0..=i64::MAX as u64) >> rng.gen_range(0..63)
+    }
+
     fn adversarial_mutation(rng: &mut StdRng) -> Mutation {
         let mut int = || INTS[rng.gen_range(0..INTS.len())];
         let (bytes, connections, packets) = (int(), int(), int());
@@ -404,11 +424,11 @@ pub(crate) mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             for _ in 0..16 {
                 let record = WalRecord {
-                    epoch: rng.gen_range(0..1u64 << 53),
-                    at_ms: rng.gen_range(0..1u64 << 53),
+                    epoch: any_u63(&mut rng),
+                    at_ms: any_u63(&mut rng),
                     mutation: adversarial_mutation(&mut rng),
                 };
-                let global = rng.gen_range(0..1u64 << 53);
+                let global = any_u63(&mut rng);
                 let bytes = encode_shard_record(&record, global);
                 let decoded = decode_shard_record(&bytes);
                 prop_assert!(decoded.is_ok(), "{:?}", String::from_utf8_lossy(&bytes));
@@ -592,6 +612,9 @@ pub(crate) mod tests {
             br#"{"epoch":1,"global":1,"at_ms":0,"mutation":{"op":"warp_core_breach"}}"#,
             br#"{"epoch":1.5,"global":1,"at_ms":0,"mutation":{"op":"remove_edge","source":"a","target":"b"}}"#,
             br#"{"epoch":1,"global":1,"at_ms":0,"mutation":{"op":"add_node","id":"a"}}"#,
+            // Below zero, and past i64 where the literal reads back rounded.
+            br#"{"epoch":1,"global":1,"at_ms":-1,"mutation":{"op":"remove_edge","source":"a","target":"b"}}"#,
+            br#"{"epoch":1,"global":1,"at_ms":9223372036854775809,"mutation":{"op":"remove_edge","source":"a","target":"b"}}"#,
         ] {
             assert!(
                 matches!(decode_shard_record(bad), Err(ServeError::Corrupt(_))),

@@ -14,10 +14,11 @@
 //!   epoch. A persistent server logs each one as a [`WalRecord`] first.
 //!   [`trafficgen::evolve`] generates the deterministic timestamped
 //!   mutation streams that feed it.
-//! * **Snapshot + replay** — [`snapshot::write_snapshot`] serializes a live
+//! * **Snapshots** — [`snapshot::write_snapshot`] serializes a live
 //!   network to a versioned document (node-link graph JSON + lossless frame
-//!   CSV) and [`snapshot::replay`] proves `snapshot(e) + WAL[e..]`
-//!   reconstructs byte-identical state and identical query answers.
+//!   CSV) and [`snapshot::read_snapshot`] restores it. Recovery from a
+//!   durable snapshot plus its WAL suffix reconstructs byte-identical state
+//!   and identical query answers (`tests/wal_properties.rs`).
 //! * **Read path** — a [`Server`] answers typed [`Request`]s through
 //!   [`Server::handle`], interleaving mutations with queries from N
 //!   simulated client [`Session`]s. Queries reuse `nemo-core`'s prompt →

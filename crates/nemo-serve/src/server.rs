@@ -447,6 +447,14 @@ impl<L: Llm> Server<L> {
         // the trace skeleton is shard-invariant even when the mutation
         // conflicts.
         let _route_span = self.tracer.span("mutate.route", Class::Logical);
+        // A log record reads a timestamp back exactly up to i64::MAX; past
+        // it the JSON number would come back rounded.
+        if at_ms > i64::MAX as u64 {
+            return Err(ServeError::Conflict(format!(
+                "timestamp {at_ms} ms is past the largest a record holds, {} ms",
+                i64::MAX
+            )));
+        }
         self.net.check_global(&mutation)?;
         let global = self.net.global_epoch() + 1;
         self.log_apply_snapshot(global, at_ms, mutation, ShardedNetwork::apply_checked)?;
@@ -1258,6 +1266,68 @@ mod tests {
                 .expect("recovery reads every record and snapshot back");
             assert_eq!(recovered.network().global_epoch(), 20, "shards={shards}");
             assert!(*recovered.merged_view() == served, "shards={shards}");
+            std::fs::remove_dir_all(&root).unwrap();
+        }
+    }
+
+    #[test]
+    fn timestamps_past_2_53_are_logged_exactly_and_past_i64_refused() {
+        let workload = generate(&TrafficConfig {
+            nodes: 10,
+            edges: 14,
+            prefixes: 2,
+            seed: 9,
+        });
+        let node = workload.endpoints[0].to_string_dotted();
+        let stamps = [(1u64 << 53) + 1, i64::MAX as u64, i64::MAX as u64 + 1];
+        for shards in [1u32, 3] {
+            let root = std::env::temp_dir().join(format!(
+                "nemo-server-timestamps-{shards}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&root);
+            let builder = || ServerBuilder::new().shards(shards).persist_at(&root);
+            let mut server = builder()
+                .build::<ScriptedLlm>(LiveNetwork::from_workload(&workload), Vec::new())
+                .unwrap();
+            for (i, &at_ms) in stamps.iter().enumerate() {
+                let request = Request::Mutate {
+                    at_ms,
+                    mutation: Mutation::SetNodeAttr {
+                        id: node.clone(),
+                        key: "weight".to_string(),
+                        value: AttrValue::Int(i as i64),
+                    },
+                };
+                let response = server.handle(&request).unwrap();
+                let acked = matches!(response, Response::Mutated { at_ms: a, .. } if a == at_ms);
+                let refused = matches!(response, Response::Rejected { epoch: 2, .. });
+                assert!(
+                    if at_ms <= i64::MAX as u64 {
+                        acked
+                    } else {
+                        refused
+                    },
+                    "shards={shards}, at_ms={at_ms}: {response:?}"
+                );
+            }
+            assert_eq!(server.handle(&Request::Sync).unwrap(), Response::Synced);
+            let served = server.merged_view().clone();
+            drop(server);
+            let (mut recovered, _) = builder()
+                .recover_or_create::<ScriptedLlm>(Vec::new(), || unreachable!())
+                .expect("recovery reads every record back");
+            assert_eq!(recovered.network().global_epoch(), 2, "shards={shards}");
+            assert!(*recovered.merged_view() == served, "shards={shards}");
+            let mut logged: Vec<u64> = recovered
+                .shard_persistence()
+                .iter()
+                .flat_map(|p| p.store().replay(0).unwrap())
+                .map(|(_, payload)| crate::codec::decode_shard_record(&payload).unwrap().0.at_ms)
+                .collect();
+            logged.sort_unstable();
+            assert_eq!(logged, stamps[..2], "shards={shards}");
+            drop(recovered);
             std::fs::remove_dir_all(&root).unwrap();
         }
     }

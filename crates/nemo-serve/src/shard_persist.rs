@@ -17,13 +17,17 @@
 //!   cross-shard sequence numbers that make the merged view
 //!   byte-identical at any shard count.
 //! * **Snapshots are shard documents.** Every snapshot is a full
-//!   `nemo-shard/v1` document: an ordinary inner snapshot (at the *local*
+//!   `nemo-shard/v3` document: an ordinary inner snapshot (at the *local*
 //!   epoch) together with the shard's identity (`shard`/`shards`), the
 //!   sequence-number bases fixed at partition time, the per-row sequence
-//!   vectors, and the highest global epoch the shard had observed. One
-//!   `netgraph::json::JsonWriter` writes the whole document in one pass:
-//!   the inner snapshot one string level deep, its CSV tables two levels
-//!   deep, each byte escaped once for its level. The
+//!   vectors, and the highest global epoch the shard had observed. The
+//!   inner snapshot is nested as an object, byte for byte the text
+//!   `crate::snapshot::write_snapshot` gives the partition, so one
+//!   `netgraph::json::JsonWriter` writes the whole document in one pass
+//!   (only the snapshot's CSV tables sit inside string literals) and
+//!   recovery parses it once. `nemo-shard/v1` documents, which held the
+//!   same snapshot as a string literal, are still read: a store written
+//!   by an older build recovers, and its next install writes v3. The
 //!   WAL alone carries the records between two snapshots; the store's
 //!   thresholds ([`PersistOptions::snapshot_every_epochs`] and
 //!   [`PersistOptions::snapshot_every_bytes`]) set how many of them a
@@ -75,7 +79,11 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Schema tag of the per-shard snapshot document.
-pub const SHARD_SCHEMA: &str = "nemo-shard/v1";
+pub const SHARD_SCHEMA: &str = "nemo-shard/v3";
+
+/// The schema older builds wrote: the same fields, with the snapshot held
+/// as a string literal instead of an object. Read, never written.
+const SHARD_SCHEMA_V1: &str = "nemo-shard/v1";
 
 /// The directory one shard's store lives in, under the server's
 /// persistence root.
@@ -325,14 +333,13 @@ impl ShardPersistence {
         with_storage_retry(&retry, || Ok(self.store.sweep(max_removals)?))
     }
 
-    /// The full `nemo-shard/v1` document of `partition`, written into one
-    /// writer sized up front. The inner snapshot is written one string
-    /// level deep, straight into its literal.
+    /// The full `nemo-shard/v3` document of `partition`, written into one
+    /// writer sized up front. The inner snapshot is written in place, as
+    /// an object.
     fn shard_document(&self, partition: &LiveNetwork) -> String {
-        // Each sequence number takes at most ~8 bytes; escaping the inner
-        // snapshot adds about a fifth.
+        // Each sequence number takes at most ~8 bytes.
         let capacity = 8 * (partition.node_seqs().len() + partition.edge_seqs().len())
-            + snapshot_size_hint(partition) * 6 / 5;
+            + snapshot_size_hint(partition);
         let mut out = JsonWriter::with_capacity(capacity);
         self.write_shard_document(partition, &mut out);
         out.finish()
@@ -371,9 +378,7 @@ impl ShardPersistence {
         field(out, "shard", self.shard.into());
         field(out, "shards", self.shards.into());
         out.text("\"snapshot\":");
-        out.begin_string();
         write_snapshot_into(partition, out);
-        out.end_string();
         out.text("}");
     }
 
@@ -411,13 +416,10 @@ fn get_seqs(root: &BTreeMap<String, JsonValue>, key: &str) -> Result<Vec<u64>, S
     };
     let mut seqs: Vec<u64> = Vec::with_capacity(items.len());
     for item in items {
-        let seq = match item {
-            JsonValue::Number(x) if x.fract() == 0.0 && *x >= 0.0 => *x as u64,
-            other => {
-                return Err(ServeError::Corrupt(format!(
-                    "shard snapshot {key} entry is {other:?}, want a non-negative integer"
-                )))
-            }
+        let Some(seq) = codec::non_negative(item) else {
+            return Err(ServeError::Corrupt(format!(
+                "shard snapshot {key} entry is {item:?}, want a non-negative integer"
+            )));
         };
         if let Some(&last) = seqs.last() {
             if seq <= last {
@@ -432,8 +434,8 @@ fn get_seqs(root: &BTreeMap<String, JsonValue>, key: &str) -> Result<Vec<u64>, S
     Ok(seqs)
 }
 
-/// Parses a `nemo-shard/v1` document and checks it belongs to shard
-/// `want_shard` of `want_shards`. A schema version newer than this
+/// Parses a `nemo-shard/v3` (or `v1`) document and checks it belongs to
+/// shard `want_shard` of `want_shards`. A schema version newer than this
 /// build's is refused with a message that stays distinguishable from
 /// disk corruption.
 fn parse_shard(
@@ -443,8 +445,7 @@ fn parse_shard(
 ) -> Result<ShardDocument, ServeError> {
     let corrupt = |msg: String| ServeError::Corrupt(msg);
     let doc = JsonValue::parse(&text).map_err(|e| corrupt(format!("not JSON: {e}")))?;
-    // A document is mostly its inner snapshot: free the raw text before
-    // that is parsed in turn.
+    // The parsed tree holds everything the text does: free the text.
     drop(text);
     let JsonValue::Object(mut root) = doc else {
         return Err(corrupt("shard snapshot root is not an object".to_string()));
@@ -458,17 +459,17 @@ fn parse_shard(
         }
     };
     check_shard_identity(&root, want_shard, want_shards)?;
-    if schema != SHARD_SCHEMA {
+    if schema != SHARD_SCHEMA && schema != SHARD_SCHEMA_V1 {
         // v2 is the delta schema of older builds, written only under
         // delta file names, which `probe_layout` refuses.
         let newer = schema
             .strip_prefix("nemo-shard/v")
             .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&version| version > 2);
+            .filter(|&version| version > 3);
         return Err(corrupt(match newer {
             Some(version) => format!(
                 "shard snapshot format version {version} is newer than this build supports \
-                 (v1); refusing to load"
+                 (v3); refusing to load"
             ),
             None => format!("schema field is {schema:?}, want \"{SHARD_SCHEMA}\""),
         }));
@@ -482,24 +483,25 @@ fn parse_shard(
     let node_seqs = get_seqs(&root, "node_seqs")?;
     let edge_seqs = get_seqs(&root, "edge_seqs")?;
     // Moved out, not copied, and the rest of the document freed before
-    // the inner snapshot is parsed.
-    let inner = match root.remove("snapshot") {
-        Some(JsonValue::String(inner)) => inner,
-        other => {
+    // the snapshot is decoded.
+    let snapshot = match (schema == SHARD_SCHEMA, root.remove("snapshot")) {
+        (true, Some(JsonValue::Object(snapshot))) => snapshot,
+        // The one v1 arm: the same snapshot, held as a string literal.
+        (false, Some(JsonValue::String(text))) => parse_snapshot(&text)?,
+        (v3, _) => {
             return Err(corrupt(format!(
-                "shard snapshot field \"snapshot\" is {other:?}, want a string"
+                "shard snapshot field \"snapshot\" is not {} as {schema} has it",
+                if v3 { "an object" } else { "a string" }
             )))
         }
     };
     drop(root);
-    let doc = parse_snapshot(&inner)?;
-    drop(inner);
     let SnapshotParts {
         graph,
         nodes,
         edges,
         epoch,
-    } = snapshot_parts(doc)?;
+    } = snapshot_parts(snapshot)?;
     if node_seqs.len() != nodes.n_rows() || edge_seqs.len() != edges.n_rows() {
         return Err(corrupt(format!(
             "sequence vectors ({} nodes, {} edges) do not match the frames ({} nodes, {} edges)",
@@ -767,10 +769,56 @@ mod tests {
         )
     }
 
+    /// The text of the snapshot a `nemo-shard/v3` document nests: the value
+    /// of its last key, `snapshot`, up to the document's closing brace.
+    fn nested_snapshot(document: &str) -> &str {
+        let (_, snapshot) = document
+            .split_once("\"snapshot\":")
+            .expect("a snapshot field");
+        snapshot
+            .strip_suffix('}')
+            .expect("the document's closing brace")
+    }
+
+    /// `document` re-escaped as the `nemo-shard/v1` document of the same
+    /// state: its snapshot held as a string literal, the schema set back.
+    fn as_v1(document: &str) -> String {
+        let (head, _) = document.split_once("\"snapshot\":").unwrap();
+        let snapshot = JsonValue::String(nested_snapshot(document).to_string());
+        format!(
+            "{}\"snapshot\":{}}}",
+            head.replace(SHARD_SCHEMA, SHARD_SCHEMA_V1),
+            snapshot.to_json()
+        )
+    }
+
+    /// The `nemo-shard/v1` document an older build wrote for shard `shard`
+    /// of `net`, built as a `JsonValue` tree: [`write_snapshot`] of the
+    /// partition, embedded as a string.
+    fn v1_document(net: &mut ShardedNetwork, shard: u32, last_global: Epoch) -> String {
+        let int = |value: u64| JsonValue::from(value as i64);
+        let seqs = |values: &[u64]| JsonValue::Array(values.iter().map(|&v| int(v)).collect());
+        let (bases, shards) = (net.bases(), net.shards());
+        let partition = net.partition(shard);
+        let fields = [
+            ("base_epoch", int(bases.base_epoch)),
+            ("edge_seq_base", int(bases.edge_seq_base)),
+            ("edge_seqs", seqs(partition.edge_seqs())),
+            ("last_global", int(last_global)),
+            ("node_seq_base", int(bases.node_seq_base)),
+            ("node_seqs", seqs(partition.node_seqs())),
+            ("schema", JsonValue::String(SHARD_SCHEMA_V1.to_string())),
+            ("shard", int(shard.into())),
+            ("shards", int(shards.into())),
+            ("snapshot", JsonValue::String(write_snapshot(partition))),
+        ];
+        JsonValue::Object(fields.map(|(k, v)| (k.to_string(), v)).into()).to_json()
+    }
+
     proptest! {
-        /// The snapshot a shard document embeds, parsed back out of the
-        /// document, reads back as the partition it was written from, and
-        /// writes again to the same text. The states carry attributes
+        /// The snapshot a shard document nests, cut back out of the
+        /// document's text, reads back as the partition it was written
+        /// from, and writes again to the same text. The states carry attributes
         /// with every escape and value type, and edge attributes named
         /// like a link's endpoint fields.
         #[test]
@@ -822,13 +870,14 @@ mod tests {
                     .read_snapshot(net.local_epoch(k))
                     .unwrap();
                 let text = String::from_utf8(bytes).unwrap();
-                let Ok(JsonValue::Object(mut document)) = JsonValue::parse(&text) else {
+                let Ok(JsonValue::Object(document)) = JsonValue::parse(&text) else {
                     return Err(format!("shard {k}: the document is not a JSON object"));
                 };
-                let Some(JsonValue::String(inner)) = document.remove("snapshot") else {
-                    return Err(format!("shard {k}: no snapshot string"));
+                let Some(JsonValue::Object(_)) = document.get("snapshot") else {
+                    return Err(format!("shard {k}: no snapshot object"));
                 };
-                let restored = read_snapshot(&inner).unwrap();
+                let inner = nested_snapshot(&text);
+                let restored = read_snapshot(inner).unwrap();
                 prop_assert!(
                     restored == without_link_fields(net.partition(k)),
                     "shard {k} of {shards} read back differently"
@@ -1173,19 +1222,184 @@ mod tests {
                 Ok(_) => panic!("document must be refused: {text}"),
             }
         }
-        let future = r#"{"schema":"nemo-shard/v3","shard":0,"shards":1}"#;
+        let future = r#"{"schema":"nemo-shard/v4","shard":0,"shards":1}"#;
         let err = parse_err(future);
         assert!(
-            err.to_string().contains("newer than this build supports"),
+            err.to_string()
+                .contains("version 4 is newer than this build supports (v3)"),
             "{err}"
         );
         // The delta schema older builds wrote is not read.
         let retired = r#"{"schema":"nemo-shard/v2","kind":"delta","shard":0,"shards":1}"#;
         let err = parse_err(retired);
-        assert!(err.to_string().contains("want \"nemo-shard/v1\""), "{err}");
+        assert!(err.to_string().contains("want \"nemo-shard/v3\""), "{err}");
         let untagged = r#"{"shard":0,"shards":1}"#;
         let err = parse_err(untagged);
         assert!(err.to_string().contains("schema field is None"), "{err}");
+        // A snapshot of the JSON type the other schema holds it as.
+        for (schema, snapshot, want) in [
+            ("nemo-shard/v3", r#""{}""#, "an object"),
+            ("nemo-shard/v1", "{}", "a string"),
+        ] {
+            let document = format!(
+                r#"{{"base_epoch":0,"edge_seq_base":0,"edge_seqs":[],"last_global":0,"node_seq_base":0,"node_seqs":[],"schema":"{schema}","shard":0,"shards":1,"snapshot":{snapshot}}}"#
+            );
+            let err = parse_err(&document);
+            assert!(
+                err.to_string()
+                    .contains(&format!("is not {want} as {schema} has it")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn v1_stores_recover_and_upgrade_in_place() {
+        let w = generate(&TrafficConfig {
+            nodes: 16,
+            edges: 22,
+            prefixes: 2,
+            seed: 8,
+        });
+        let events = evolve(
+            &w,
+            &StreamConfig {
+                events: 60,
+                seed: 21,
+            },
+        );
+        let options = test_options();
+        for shards in 1u32..=3 {
+            let root = temp_root(&format!("upgrade-{shards}"));
+            let mut reference = LiveNetwork::from_workload(&w);
+            let mut net = ShardedNetwork::from_live(&reference, shards).unwrap();
+            // The store an older build wrote: v1 genesis documents, 40
+            // events logged, and a v1 snapshot of every shard after 20.
+            let mut stores: Vec<Store> = (0..shards)
+                .map(|k| {
+                    let dir = shard_dir(&root, k);
+                    let config = shard_store_config(&options);
+                    Store::open_with(&dir, config, options.vfs.clone())
+                        .unwrap()
+                        .0
+                })
+                .collect();
+            let mut last_global = vec![net.base_epoch(); shards as usize];
+            for k in 0..shards {
+                let genesis = v1_document(&mut net, k, last_global[k as usize]);
+                stores[k as usize]
+                    .install_snapshot(0, genesis.as_bytes())
+                    .unwrap();
+            }
+            for (i, event) in events[..40].iter().enumerate() {
+                let mutation = Mutation::from_event(&event.event);
+                if reference.apply(&mutation).is_err() {
+                    continue;
+                }
+                let global = net.apply(&mutation).unwrap();
+                let k = net.route(&mutation);
+                let record = WalRecord {
+                    epoch: net.local_epoch(k),
+                    at_ms: event.at_ms,
+                    mutation,
+                };
+                let payload = encode_shard_record(&record, global);
+                stores[k as usize].append(record.epoch, &payload).unwrap();
+                last_global[k as usize] = global;
+                if i == 19 {
+                    for k in 0..shards {
+                        let epoch = net.local_epoch(k);
+                        let document = v1_document(&mut net, k, last_global[k as usize]);
+                        if epoch > 0 {
+                            stores[k as usize]
+                                .install_snapshot(epoch, document.as_bytes())
+                                .unwrap();
+                        }
+                    }
+                }
+            }
+            for store in &mut stores {
+                store.sync().unwrap();
+            }
+            drop(stores);
+            // It recovers to the same partitions.
+            let (mut recovered, mut persists, reports) =
+                recover_or_create_sharded(&root, &options, shards, 1, || unreachable!()).unwrap();
+            assert!(reports.iter().any(|r| r.snapshot_epoch > 0), "{reports:?}");
+            assert!(reports.iter().all(|r| r.skipped_snapshots.is_empty()));
+            for k in 0..shards {
+                let (got, want) = (recovered.partition(k).clone(), net.partition(k));
+                assert_eq!(
+                    write_snapshot(&got),
+                    write_snapshot(want),
+                    "{k} of {shards}"
+                );
+                assert_eq!(got.node_seqs(), want.node_seqs(), "{k} of {shards}");
+                assert_eq!(got.edge_seqs(), want.edge_seqs(), "{k} of {shards}");
+            }
+            // The rest logged by this build, then a later install: v3.
+            for event in &events[40..] {
+                let mutation = Mutation::from_event(&event.event);
+                if reference.apply(&mutation).is_err() {
+                    continue;
+                }
+                let global = recovered.apply(&mutation).unwrap();
+                let k = recovered.route(&mutation);
+                let record = WalRecord {
+                    epoch: recovered.local_epoch(k),
+                    at_ms: event.at_ms,
+                    mutation,
+                };
+                persists[k as usize].log(&record, global).unwrap();
+            }
+            let mut upgraded = Vec::new();
+            for (k, persistence) in persists.iter_mut().enumerate() {
+                let epoch = recovered.local_epoch(k as u32);
+                if persistence.store().snapshot_epochs().last() < Some(&epoch) {
+                    persistence
+                        .force_full_snapshot(recovered.partition(k as u32))
+                        .unwrap();
+                    upgraded.push((k as u32, epoch));
+                }
+                persistence.sync().unwrap();
+            }
+            let &(victim, newest) = upgraded.first().expect("some shard advanced");
+            let text = persists[victim as usize].store().read_snapshot(newest);
+            let Ok(JsonValue::Object(document)) =
+                JsonValue::parse(std::str::from_utf8(&text.unwrap()).unwrap())
+            else {
+                panic!("a shard document is a JSON object");
+            };
+            assert_eq!(
+                document.get("schema"),
+                Some(&JsonValue::String(SHARD_SCHEMA.to_string()))
+            );
+            assert!(matches!(
+                document.get("snapshot"),
+                Some(JsonValue::Object(_))
+            ));
+            let older = persists[victim as usize].store().snapshot_epochs();
+            let older = older[older.len() - 2];
+            drop(persists);
+            // A damaged v3 document falls back to the retained v1 one.
+            let path = shard_dir(&root, victim).join(nemo_store::snapshot_file_name(newest));
+            let mut bytes = std::fs::read(&path).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x20;
+            std::fs::write(&path, &bytes).unwrap();
+            let (recovered, _, reports) =
+                recover_or_create_sharded(&root, &options, shards, 1, || unreachable!()).unwrap();
+            let report = &reports[victim as usize];
+            assert_eq!(report.skipped_snapshots.len(), 1, "{report:?}");
+            assert_eq!(report.skipped_snapshots[0].0, newest, "{report:?}");
+            assert_eq!(report.snapshot_epoch, older, "{report:?}");
+            assert_eq!(
+                write_snapshot(&recovered.merged()),
+                write_snapshot(&reference),
+                "{shards} shards"
+            );
+            std::fs::remove_dir_all(&root).unwrap();
+        }
     }
 
     #[test]
@@ -1479,7 +1693,11 @@ mod tests {
                     .store()
                     .read_snapshot(net.local_epoch(k))
                     .unwrap();
-                documents.push(String::from_utf8(bytes).unwrap());
+                let document = String::from_utf8(bytes).unwrap();
+                // Re-escaped, it is the v1 document an older build wrote.
+                let last_global = persists[k as usize].last_global();
+                assert_eq!(as_v1(&document), v1_document(&mut net, k, last_global));
+                documents.push(document);
             }
             assert_eq!(
                 write_snapshot(&net.merged()),
@@ -1502,7 +1720,7 @@ mod tests {
         let restored = crate::snapshot::read_snapshot(&snapshot).unwrap();
         assert_eq!(write_snapshot(&restored), snapshot);
         let raw = reference.raw_json();
-        let digests = |old_literal: bool| {
+        let digests = |v1: bool, old_literal: bool| {
             // The graph encoder used to write the `big` attribute,
             // `Int(i64::MAX)`, through f64 as 9223372036854776000 (read back
             // as a float); it now writes it exactly.
@@ -1510,18 +1728,24 @@ mod tests {
                 true => doc.replace("9223372036854775807", "9223372036854776000"),
                 false => doc.to_string(),
             };
+            // Shard documents were `nemo-shard/v1`, their snapshot held as
+            // a string literal, until they nested it as an object.
+            let document = |doc: &String| match v1 {
+                true => as_v1(doc),
+                false => doc.clone(),
+            };
             (
                 digest(text(&snapshot).as_bytes()),
                 digest(text(&raw).as_bytes()),
                 documents
                     .iter()
-                    .map(|doc| digest(text(doc).as_bytes()))
+                    .map(|doc| digest(text(&document(doc)).as_bytes()))
                     .collect::<Vec<_>>(),
             )
         };
         // Computed by the tree-building encoders these writers replaced.
-        // With the old literal put back, the documents hash to exactly
-        // those digests, so no other byte moved.
+        // As v1 documents with the old literal put back, the documents hash
+        // to exactly those digests, so no other byte moved.
         let before_exact_ints = (
             (40900, 1060199794),
             (26579, 19693951),
@@ -1532,10 +1756,11 @@ mod tests {
                 (21946, 2381505205),
             ],
         );
-        assert_eq!(digests(true), before_exact_ints);
-        // The bytes written now: the snapshot, the raw graph and the two
-        // shard documents that hold the `big` node differ in that literal.
-        let pinned = (
+        assert_eq!(digests(true, true), before_exact_ints);
+        // The v1 bytes written before shard documents nested their
+        // snapshot: the snapshot, the raw graph and the two shard
+        // documents that hold the `big` node differ in that literal.
+        let v1 = (
             (40900, 1538155888),
             (26579, 2331508755),
             vec![
@@ -1545,6 +1770,19 @@ mod tests {
                 (21946, 2381505205),
             ],
         );
-        assert_eq!(digests(false), pinned);
+        assert_eq!(digests(true, false), v1);
+        // The bytes written now. Only the shard documents moved: each
+        // nests its snapshot unescaped, under the v3 tag.
+        let pinned = (
+            (40900, 1538155888),
+            (26579, 2331508755),
+            vec![
+                (42125, 3072692799),
+                (13263, 2181919436),
+                (12872, 1231311907),
+                (18478, 813271069),
+            ],
+        );
+        assert_eq!(digests(false, false), pinned);
     }
 }

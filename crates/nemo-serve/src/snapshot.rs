@@ -1,4 +1,4 @@
-//! Versioned snapshots and WAL replay.
+//! Versioned snapshots.
 //!
 //! A snapshot is a single JSON document carrying the schema tag
 //! [`SNAPSHOT_SCHEMA`], the epoch, the property graph in node-link form
@@ -6,25 +6,25 @@
 //! (`dataframe::csv`). Because every encoder involved is canonical — graph
 //! JSON iterates nodes and edges in sorted order, CSV preserves row order
 //! and value types exactly — two equal states serialize to byte-identical
-//! documents, which is how the replay property tests phrase their proof:
-//! `write_snapshot(snapshot(e) + WAL[e..]) == write_snapshot(direct
-//! build)`.
+//! documents, which is how the recovery property tests phrase their proof:
+//! `write_snapshot(recovered from snapshot(e) + WAL[e..]) ==
+//! write_snapshot(direct build)`.
 //!
 //! **Writing** streams: [`write_snapshot`] writes the document's fields
 //! straight into one pre-sized `netgraph::json::JsonWriter`, keys in the
 //! sorted order a `JsonValue` object writes them in. The graph is written
-//! in place and each CSV table one string level deeper, escaped as it is
+//! in place and each CSV table inside a string literal, escaped as it is
 //! written, so no table, string or JSON tree is built on the way. A shard
-//! document writes the same document one level deeper still, as the
-//! string literal it embeds.
+//! document nests the same document, byte for byte, as an object.
 //!
 //! **Reading** parses the document once and then consumes the parsed
 //! tree: the graph is built by draining its node-link tree, and each CSV
 //! string is freed as soon as its frame is built.
 
+use crate::codec::non_negative;
 use crate::error::ServeError;
 use crate::live::LiveNetwork;
-use crate::mutation::{Epoch, WalRecord};
+use crate::mutation::Epoch;
 use dataframe::csv::{from_csv, write_csv};
 use dataframe::DataFrame;
 use netgraph::json::{graph_from_json, write_graph_json, JsonValue, JsonWriter};
@@ -147,16 +147,15 @@ pub(crate) fn snapshot_parts(
             )))
         }
     }
-    let epoch = match root.get("epoch") {
-        Some(JsonValue::Number(n)) if n.fract() == 0.0 && *n >= 0.0 => *n as u64,
-        other => return Err(corrupt(format!("epoch field is {other:?}"))),
+    let Some(epoch) = root.get("epoch").and_then(non_negative) else {
+        return Err(corrupt(format!("epoch field is {:?}", root.get("epoch"))));
     };
     // The provenance header is optional (documents written before it
     // existed stay readable), but when present it must agree with the
     // state epoch — a mismatch means a corrupted or hand-edited file.
     match root.get("created_epoch") {
         None => {}
-        Some(JsonValue::Number(n)) if n.fract() == 0.0 && *n as u64 == epoch => {}
+        Some(value) if non_negative(value) == Some(epoch) => {}
         Some(other) => {
             return Err(corrupt(format!(
                 "created_epoch field is {other:?}, want {epoch}"
@@ -181,32 +180,6 @@ pub(crate) fn snapshot_parts(
         edges,
         epoch,
     })
-}
-
-/// Restores a snapshot and replays a WAL segment on top of it.
-///
-/// Records at or below the snapshot's epoch are skipped (the snapshot
-/// already contains them); the remainder must continue the epoch sequence
-/// contiguously, and every mutation must apply cleanly — a conflict in a
-/// WAL that the live network accepted means the snapshot does not match
-/// the log, so both cases surface as [`ServeError`].
-pub fn replay(snapshot: &str, wal: &[WalRecord]) -> Result<LiveNetwork, ServeError> {
-    let mut live = read_snapshot(snapshot)?;
-    for record in wal {
-        if record.epoch <= live.epoch() {
-            continue;
-        }
-        if record.epoch != live.epoch() + 1 {
-            return Err(ServeError::Corrupt(format!(
-                "WAL gap: state is at epoch {}, next record is epoch {}",
-                live.epoch(),
-                record.epoch
-            )));
-        }
-        let applied = live.apply(&record.mutation)?;
-        debug_assert_eq!(applied, record.epoch);
-    }
-    Ok(live)
 }
 
 #[cfg(test)]
@@ -334,39 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_from_mid_snapshot_reconstructs_the_tip() {
-        let w = generate(&TrafficConfig {
-            nodes: 12,
-            edges: 16,
-            prefixes: 2,
-            seed: 6,
-        });
-        let mut live = LiveNetwork::from_workload(&w);
-        let events = evolve(
-            &w,
-            &StreamConfig {
-                events: 50,
-                seed: 2,
-            },
-        );
-        let mut mid = None;
-        let mut wal = Vec::new();
-        for (i, event) in events.iter().enumerate() {
-            if i == 20 {
-                mid = Some(write_snapshot(&live));
-            }
-            wal.push(WalRecord {
-                epoch: live.apply_event(event).unwrap(),
-                at_ms: event.at_ms,
-                mutation: Mutation::from_event(&event.event),
-            });
-        }
-        let replayed = replay(&mid.unwrap(), &wal).unwrap();
-        assert_eq!(replayed, live);
-        assert_eq!(write_snapshot(&replayed), write_snapshot(&live));
-    }
-
-    #[test]
     fn snapshot_carries_a_stable_created_epoch_header() {
         let live = evolved(7);
         let text = write_snapshot(&live);
@@ -400,23 +340,9 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_documents_and_wal_gaps_are_rejected() {
+    fn corrupt_documents_are_rejected() {
         assert!(read_snapshot("not json").is_err());
         assert!(read_snapshot("{}").is_err());
         assert!(read_snapshot(r#"{"schema":"nemo-snapshot/v9"}"#).is_err());
-        let live = evolved(10);
-        let snapshot = write_snapshot(&live);
-        // A WAL whose epochs do not continue the snapshot is a gap.
-        let gapped = [WalRecord {
-            epoch: 99,
-            at_ms: 0,
-            mutation: Mutation::RemoveEdge {
-                source: "10.0.0.1".into(),
-                target: "10.0.0.2".into(),
-            },
-        }];
-        let err = replay(&snapshot, &gapped);
-        // Snapshot is at epoch 10; record 99 does not continue it.
-        assert!(matches!(err, Err(ServeError::Corrupt(_))));
     }
 }

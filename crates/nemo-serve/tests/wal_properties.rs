@@ -1,19 +1,20 @@
-//! WAL semantics, randomized: replay-from-snapshot must equal the directly
-//! built state (byte-identical snapshot, equal graph/frames, identical
-//! SQL / pandas / NetworkX answers), and a cached-program answer must equal
-//! a fresh execution of the same program at every epoch.
+//! WAL semantics, randomized: recovery from a durable snapshot plus the
+//! WAL after it must equal the directly built state (byte-identical
+//! snapshot, equal graph/frames, identical SQL / pandas / NetworkX
+//! answers), and a cached-program answer must equal a fresh execution of
+//! the same program at every epoch.
 
 use nemo_core::llm::profiles;
 use nemo_core::sandbox::execute_code;
-use nemo_core::{Backend, SimulatedLlm};
+use nemo_core::{Backend, ScriptedLlm, SimulatedLlm};
 use nemo_serve::driver::serving_knowledge;
-use nemo_serve::snapshot::{replay, write_snapshot};
+use nemo_serve::snapshot::write_snapshot;
 use nemo_serve::{
-    CacheOutcome, LiveNetwork, Mutation, Reply, Request, Response, ServerBuilder, Session,
-    WalRecord,
+    CacheOutcome, FsyncPolicy, LiveNetwork, PersistOptions, Reply, Request, Response,
+    ServerBuilder, Session,
 };
 use proptest::prelude::*;
-use trafficgen::{evolve, generate, StreamConfig, TimedEvent, TrafficConfig};
+use trafficgen::{evolve, generate, StreamConfig, TrafficConfig};
 
 fn base_workload() -> trafficgen::TrafficWorkload {
     generate(&TrafficConfig {
@@ -22,19 +23,6 @@ fn base_workload() -> trafficgen::TrafficWorkload {
         prefixes: 2,
         seed: 3,
     })
-}
-
-/// Applies `event` and returns the record a durable log holds for it; the
-/// returned epochs must continue the state's epoch contiguously.
-fn apply_logged(live: &mut LiveNetwork, event: &TimedEvent) -> WalRecord {
-    let before = live.epoch();
-    let epoch = live.apply_event(event).unwrap();
-    assert_eq!(epoch, before + 1, "applied epochs are contiguous");
-    WalRecord {
-        epoch,
-        at_ms: event.at_ms,
-        mutation: Mutation::from_event(&event.event),
-    }
 }
 
 /// Renders probe answers over all three backends: edge count and byte
@@ -67,9 +55,9 @@ fn probe_answers(live: &LiveNetwork) -> Vec<String> {
 }
 
 proptest! {
-    /// `snapshot(at e) + replay(WAL[e..])` reconstructs the direct build:
-    /// equal state, byte-identical snapshot bytes, identical answers on
-    /// every backend.
+    /// A durable server's snapshot at epoch `split` plus the WAL after it
+    /// recovers the direct build: equal state, byte-identical snapshot
+    /// bytes, identical answers on every backend.
     #[test]
     fn replay_from_snapshot_equals_direct_build(
         seed in 0u64..400,
@@ -79,20 +67,52 @@ proptest! {
         let workload = base_workload();
         let stream = evolve(&workload, &StreamConfig { events, seed });
         let split = split % (stream.len() + 1);
+        let root = std::env::temp_dir().join(format!(
+            "nemo-wal-properties-{}-{seed}-{events}-{split}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        // Installs a snapshot every `every` epochs (never at 0) beside the
+        // genesis one.
+        let durable = |every: usize| {
+            ServerBuilder::new()
+                .options(PersistOptions {
+                    fsync: FsyncPolicy::Never,
+                    snapshot_every_epochs: every as u64,
+                    snapshot_every_bytes: 0,
+                    ..PersistOptions::default()
+                })
+                .persist_at(&root)
+        };
         let mut live = LiveNetwork::from_workload(&workload);
-        let mut mid = None;
-        let mut wal = Vec::new();
+        let mut server = durable(split)
+            .build::<ScriptedLlm>(live.clone(), Vec::new())
+            .unwrap();
         for (i, event) in stream.iter().enumerate() {
             if i == split {
-                mid = Some(write_snapshot(&live));
+                // The snapshot at `split` is installed; log the rest only.
+                drop(server);
+                server = durable(0)
+                    .recover_or_create::<ScriptedLlm>(Vec::new(), || unreachable!())
+                    .unwrap()
+                    .0;
             }
-            wal.push(apply_logged(&mut live, event));
+            let response = server.handle(&Request::from(event)).unwrap();
+            prop_assert!(matches!(response, Response::Mutated { .. }), "{:?}", response);
+            live.apply_event(event).unwrap();
         }
-        let mid = mid.unwrap_or_else(|| write_snapshot(&live));
-        let replayed = replay(&mid, &wal).unwrap();
-        prop_assert!(replayed == live, "replayed state diverged at seed {}", seed);
-        prop_assert_eq!(write_snapshot(&replayed), write_snapshot(&live));
-        prop_assert_eq!(probe_answers(&replayed), probe_answers(&live));
+        drop(server);
+        let (mut server, reports) = durable(0)
+            .recover_or_create::<ScriptedLlm>(Vec::new(), || unreachable!())
+            .unwrap();
+        prop_assert_eq!(reports[0].snapshot_epoch, split as u64);
+        prop_assert_eq!(reports[0].replayed_records, (stream.len() - split) as u64);
+        let recovered = server.merged_view();
+        prop_assert!(*recovered == live, "recovered state diverged at seed {}", seed);
+        prop_assert_eq!(write_snapshot(recovered), write_snapshot(&live));
+        prop_assert_eq!(probe_answers(recovered), probe_answers(&live));
+        drop(server);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     /// Serving equivalence at every epoch: an answer-cache hit repeats the
@@ -158,24 +178,4 @@ proptest! {
             }
         }
     }
-}
-
-#[test]
-fn snapshot_at_tip_replays_to_itself() {
-    let workload = base_workload();
-    let mut live = LiveNetwork::from_workload(&workload);
-    let wal: Vec<WalRecord> = evolve(
-        &workload,
-        &StreamConfig {
-            events: 25,
-            seed: 1,
-        },
-    )
-    .iter()
-    .map(|event| apply_logged(&mut live, event))
-    .collect();
-    let tip = write_snapshot(&live);
-    let replayed = replay(&tip, &wal).unwrap();
-    assert!(replayed == live);
-    assert_eq!(write_snapshot(&replayed), tip);
 }

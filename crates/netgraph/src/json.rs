@@ -7,13 +7,14 @@
 //! so the encoder lives here rather than behind an external dependency.
 //!
 //! **Encoding** goes through one writer, [`JsonWriter`]: a growable buffer
-//! that knows how many string literals it is nested in, and writes every
-//! byte once, already escaped for that depth. [`write_graph_json`] writes
+//! that knows whether it is inside a string literal, and writes every byte
+//! once, already escaped for where it lands. [`write_graph_json`] writes
 //! the node-link document straight into it, building no [`JsonValue`] tree
 //! on the way, and [`JsonValue::to_json`] writes through the same number
-//! and string routines, so both write the same bytes. A document embeds
-//! another document, or a CSV table (`dataframe::csv::write_csv`), as a
-//! string literal by writing it one level deeper.
+//! and string routines, so both write the same bytes. A document embeds a
+//! CSV table (`dataframe::csv::write_csv`) as a string literal by writing
+//! it between [`JsonWriter::begin_string`] and [`JsonWriter::end_string`];
+//! a document nested in another is written in place, as an object.
 //!
 //! **Decoding.** [`JsonValue::parse`] walks the input's bytes and copies
 //! each string out in whole runs; [`JsonError::position`] still counts
@@ -364,24 +365,23 @@ impl Parser<'_> {
     }
 }
 
-/// The one JSON writer: a growable buffer that knows how many string
-/// literals it is writing inside of.
+/// The one JSON writer: a growable buffer that knows whether it is writing
+/// inside a string literal.
 ///
-/// Depth 0 is the top level; at depth 1 everything written lands inside one
-/// string literal, at depth 2 inside a literal inside a literal. Each byte
-/// is written once, already escaped for its depth, so a document embeds
-/// another document (or a CSV table) as a string literal without writing
-/// the inner text first or re-scanning it once per level. Escapes split the
+/// At the top level text is written as is. Between
+/// [`JsonWriter::begin_string`] and [`JsonWriter::end_string`] everything
+/// written lands inside one string literal, and each byte is written once,
+/// already escaped, so a document embeds a CSV table as a string literal
+/// without writing the table first or re-scanning it. Escapes split the
 /// text only at ASCII bytes, so every slice pushed is whole UTF-8.
 ///
-/// [`JsonWriter::begin_string`] and [`JsonWriter::end_string`] move one
-/// level in and out; [`JsonWriter::text`] writes text as it reads at the
-/// current level, which is how a CSV table (and the structure of an inner
-/// document) is written.
+/// No document nests a literal inside a literal, so there is one escaping
+/// level: opening a literal (or writing one with [`JsonWriter::string`])
+/// inside another is a bug, caught by a debug assertion.
 #[derive(Debug, Default)]
 pub struct JsonWriter {
     out: String,
-    depth: u32,
+    in_string: bool,
 }
 
 impl JsonWriter {
@@ -395,116 +395,81 @@ impl JsonWriter {
     pub fn with_capacity(capacity: usize) -> Self {
         JsonWriter {
             out: String::with_capacity(capacity),
-            depth: 0,
+            in_string: false,
         }
     }
 
     /// The text written so far. Every literal opened must be closed.
     pub fn finish(self) -> String {
-        debug_assert_eq!(self.depth, 0, "a string literal was left open");
+        debug_assert!(!self.in_string, "a string literal was left open");
         self.out
     }
 
-    /// Writes `text` as it reads at the current depth: as is at the top
-    /// level, escaped once per enclosing literal below it.
+    /// Writes `text` as it reads where the writer is: as is at the top
+    /// level, escaped inside a literal.
     #[inline]
     pub fn text(&mut self, text: &str) {
-        self.text_at(text, self.depth);
+        if self.in_string {
+            self.escaped(text);
+        } else {
+            self.out.push_str(text);
+        }
     }
 
-    /// Writes `text` as it reads at `depth`, in whole runs between the
-    /// bytes that need an escape.
+    /// Writes `text` escaped for the inside of a string literal, in whole
+    /// runs between the bytes that need an escape: a backslash before `"`
+    /// and `\`, and control bytes spelled `\n`, `\r`, `\t` or `\u00xx`.
     #[inline]
-    fn text_at(&mut self, text: &str, depth: u32) {
-        if depth == 0 {
-            self.out.push_str(text);
-            return;
-        }
+    fn escaped(&mut self, text: &str) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
         let mut run = 0;
         for (i, &byte) in text.as_bytes().iter().enumerate() {
             if byte < 0x20 || byte == b'"' || byte == b'\\' {
                 self.out.push_str(&text[run..i]);
-                self.escape(byte, depth);
+                match byte {
+                    b'"' => self.out.push_str("\\\""),
+                    b'\\' => self.out.push_str("\\\\"),
+                    b'\n' => self.out.push_str("\\n"),
+                    b'\r' => self.out.push_str("\\r"),
+                    b'\t' => self.out.push_str("\\t"),
+                    _ => {
+                        self.out.push_str("\\u00");
+                        self.out.push(char::from(HEX[usize::from(byte >> 4)]));
+                        self.out.push(char::from(HEX[usize::from(byte & 0xf)]));
+                    }
+                }
                 run = i + 1;
             }
         }
         self.out.push_str(&text[run..]);
     }
 
-    /// Writes the escape of `byte` at `depth` (at least 1). One level of
-    /// escaping puts a backslash before `"` and `\` and spells control
-    /// bytes as `\n`, `\r`, `\t` or `\u00xx`; each further level doubles
-    /// every backslash and escapes the `"` again, so the escape at depth d
-    /// is 2^(d-1) backslashes before the letter of a control byte, 2^d of
-    /// them for `\`, and 2^d - 1 before a `"`.
-    fn escape(&mut self, byte: u8, depth: u32) {
-        let level = 1usize << (depth - 1);
-        match byte {
-            b'"' => self.quote(depth),
-            b'\\' => self.backslashes(2 * level),
-            b'\n' | b'\r' | b'\t' => {
-                self.backslashes(level);
-                self.out.push(match byte {
-                    b'\n' => 'n',
-                    b'\r' => 'r',
-                    _ => 't',
-                });
-            }
-            _ => {
-                const HEX: &[u8; 16] = b"0123456789abcdef";
-                self.backslashes(level);
-                self.out.push_str("u00");
-                self.out.push(char::from(HEX[usize::from(byte >> 4)]));
-                self.out.push(char::from(HEX[usize::from(byte & 0xf)]));
-            }
-        }
-    }
-
-    /// Writes `n` backslashes.
-    fn backslashes(&mut self, n: usize) {
-        for _ in 0..n {
-            self.out.push('\\');
-        }
-    }
-
-    /// Writes a `"` as it reads at `depth`: behind 2^depth - 1 backslashes.
-    /// The depths a document reaches are spelled out, so each is a
-    /// fixed-size copy.
-    #[inline]
-    fn quote(&mut self, depth: u32) {
-        match depth {
-            0 => self.out.push('"'),
-            1 => self.out.push_str("\\\""),
-            2 => self.out.push_str("\\\\\\\""),
-            _ => {
-                self.backslashes((1 << depth) - 1);
-                self.out.push('"');
-            }
-        }
-    }
-
-    /// Opens a string literal: writes its quote and moves one level in.
+    /// Opens a string literal: writes its quote, and escapes everything
+    /// written until [`JsonWriter::end_string`].
     pub fn begin_string(&mut self) {
-        self.quote(self.depth);
-        self.depth += 1;
+        debug_assert!(!self.in_string, "a string literal inside a literal");
+        self.out.push('"');
+        self.in_string = true;
     }
 
     /// Closes the literal [`JsonWriter::begin_string`] opened.
     pub fn end_string(&mut self) {
-        self.depth -= 1;
-        self.quote(self.depth);
+        debug_assert!(self.in_string, "no string literal is open");
+        self.in_string = false;
+        self.out.push('"');
     }
 
     /// Writes `s` as a JSON string literal.
     #[inline]
     pub fn string(&mut self, s: &str) {
-        self.quote(self.depth);
-        self.text_at(s, self.depth + 1);
-        self.quote(self.depth);
+        debug_assert!(!self.in_string, "a string literal inside a literal");
+        self.out.push('"');
+        self.escaped(s);
+        self.out.push('"');
     }
 
-    /// Writes an integer's decimal digits. Digits and `-` need no escape at
-    /// any depth.
+    /// Writes an integer's decimal digits. Digits and `-` need no escape,
+    /// inside a literal or out.
     pub fn int(&mut self, value: i64) {
         if value < 0 {
             self.out.push('-');
@@ -757,17 +722,27 @@ mod tests {
         assert_eq!(object.to_string(), object.to_json());
     }
 
-    /// `s` written as a string literal inside `depth` enclosing literals.
+    /// `s` as a string literal, embedded `depth` times as the text of an
+    /// enclosing literal: how a `nemo-shard/v1` document held its snapshot,
+    /// and so the snapshot's CSV tables, two literals deep.
     fn nested(depth: usize, s: &str) -> String {
-        let mut out = JsonWriter::new();
+        let mut literal = JsonValue::String(s.into()).to_json();
         for _ in 0..depth {
-            out.begin_string();
+            literal = JsonValue::String(literal).to_json();
         }
-        out.string(s);
-        for _ in 0..depth {
-            out.end_string();
+        literal
+    }
+
+    /// The text of `literal` once each of its `depth + 1` levels is parsed.
+    fn unnested(depth: usize, literal: &str) -> String {
+        let mut text = literal.to_string();
+        for _ in 0..=depth {
+            let Ok(JsonValue::String(inner)) = JsonValue::parse(&text) else {
+                panic!("{text} is not a string literal");
+            };
+            text = inner;
         }
-        out.finish()
+        text
     }
 
     #[test]
@@ -777,16 +752,24 @@ mod tests {
         assert_eq!(nested(0, "a\"b"), r#""a\"b""#);
         assert_eq!(nested(1, "a\"b"), r#""\"a\\\"b\"""#);
         assert_eq!(nested(2, "a\"b"), r#""\"\\\"a\\\\\\\"b\\\"\"""#);
-        // Text written between the literals reads at its own depth.
+        // Text written inside a literal is escaped once, text around it
+        // not at all.
         let mut out = JsonWriter::new();
         out.text("{\"k\":");
         out.begin_string();
-        out.text("{\"k\":");
-        out.string("\n");
-        out.text("}");
+        out.text(r#"{"k":"\n"}"#);
         out.end_string();
         out.text("}");
         assert_eq!(out.finish(), r#"{"k":"{\"k\":\"\\n\"}"}"#);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a string literal inside a literal")]
+    fn a_literal_inside_a_literal_is_refused() {
+        let mut out = JsonWriter::new();
+        out.begin_string();
+        out.string("x");
     }
 
     #[test]
@@ -830,8 +813,20 @@ mod tests {
             ),
         ];
         for (text, want) in pins {
+            // The writer's one level: a literal's text written inside a
+            // literal.
+            let mut out = JsonWriter::new();
+            out.begin_string();
+            out.text(&nested(0, text));
+            out.end_string();
+            assert_eq!(out.finish(), want[1], "{text:?} written at depth 1");
             for (depth, want) in want.into_iter().enumerate() {
                 assert_eq!(nested(depth, text), want, "{text:?} at depth {depth}");
+                assert_eq!(
+                    unnested(depth, want),
+                    text,
+                    "{want} read from depth {depth}"
+                );
             }
         }
     }
