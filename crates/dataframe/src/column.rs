@@ -3,6 +3,27 @@
 use crate::error::{FrameError, Result};
 use netgraph::AttrValue;
 
+/// Removes the elements at `rows` (strictly ascending, in range) from
+/// `values` in one pass that starts at the first of them and keeps the
+/// survivors in order. A frame's columns and any vector kept row for row
+/// beside them are compacted by this one function, so they stay aligned.
+pub fn remove_sorted<T>(values: &mut Vec<T>, rows: &[usize]) {
+    let Some(&first) = rows.first() else {
+        return;
+    };
+    debug_assert!(rows.windows(2).all(|w| w[0] < w[1]));
+    let mut dead = rows.iter().copied().peekable();
+    let mut kept = first;
+    for row in first..values.len() {
+        if dead.next_if_eq(&row).is_none() {
+            values.swap(kept, row);
+            kept += 1;
+        }
+    }
+    debug_assert!(dead.next().is_none(), "a row to remove is out of range");
+    values.truncate(kept);
+}
+
 /// The inferred type of a column, used for display and validation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DType {
@@ -73,11 +94,10 @@ impl Column {
         self.values[index] = value;
     }
 
-    /// Removes and returns the value at `index`, shifting later values
-    /// down. Panics if out of range (callers check bounds via the owning
-    /// frame).
-    pub(crate) fn remove(&mut self, index: usize) -> AttrValue {
-        self.values.remove(index)
+    /// Removes the values at `rows`, which ascend strictly and lie in range
+    /// (callers check through the owning frame); see [`remove_sorted`].
+    pub(crate) fn remove_sorted(&mut self, rows: &[usize]) {
+        remove_sorted(&mut self.values, rows);
     }
 
     /// Iterator over the values.

@@ -229,19 +229,30 @@ impl DataFrame {
         Ok(())
     }
 
-    /// Removes row `row` in place, shifting later rows down one position
-    /// and returning the removed values. Unlike [`DataFrame::take`] this
-    /// clones nothing, but the shift is still one memmove per column of
-    /// every later value: O(rows), the one step of the serving layer's
-    /// `RemoveEdge` write path whose cost grows with the frame.
-    pub fn remove_row(&mut self, row: usize) -> Result<Vec<AttrValue>> {
-        if row >= self.n_rows() {
+    /// Removes the rows at `rows` in place, in one pass per column that
+    /// starts at the first of them and keeps the survivors in order: the
+    /// frame [`DataFrame::take`] of the other rows would build, without
+    /// cloning a value. `rows` must ascend strictly and lie in range;
+    /// otherwise nothing is removed. Removing `k` rows from `n` costs
+    /// O(n - first row) however large `k` is, so a caller that batches its
+    /// removals pays the shift of the later rows once, not once per row
+    /// (the serving layer's tombstoned `RemoveEdge`).
+    pub fn remove_rows(&mut self, rows: &[usize]) -> Result<()> {
+        if let Some(&last) = rows.last().filter(|&&last| last >= self.n_rows()) {
             return Err(FrameError::RowOutOfBounds {
-                index: row,
+                index: last,
                 len: self.n_rows(),
             });
         }
-        Ok(self.columns.iter_mut().map(|col| col.remove(row)).collect())
+        if !rows.windows(2).all(|w| w[0] < w[1]) {
+            return Err(FrameError::InvalidOperation(
+                "rows to remove must ascend strictly".to_string(),
+            ));
+        }
+        for col in &mut self.columns {
+            col.remove_sorted(rows);
+        }
+        Ok(())
     }
 
     /// Returns a new frame containing the rows at `indices`, in that order.
@@ -456,24 +467,25 @@ mod tests {
     }
 
     #[test]
-    fn remove_row_shifts_in_place() {
+    fn remove_rows_compacts_in_place() {
         let mut df = sample();
-        let removed = df.remove_row(1).unwrap();
-        assert_eq!(removed[0].as_str(), Some("b"));
-        assert_eq!(removed[1], AttrValue::Int(2500));
-        assert_eq!(df.n_rows(), 3);
-        // Order of the survivors is preserved, matching `take` semantics.
-        let expected = sample().take(&[0, 2, 3]).unwrap();
-        assert_eq!(df, expected);
-        assert!(matches!(
-            df.remove_row(3),
-            Err(FrameError::RowOutOfBounds { .. })
-        ));
-        // Removing down to empty works.
-        for _ in 0..3 {
-            df.remove_row(0).unwrap();
+        df.remove_rows(&[]).unwrap();
+        assert_eq!(df, sample());
+        df.remove_rows(&[1, 3]).unwrap();
+        // The survivors keep their order, matching `take` semantics.
+        assert_eq!(df, sample().take(&[0, 2]).unwrap());
+        for bad in [&[2][..], &[0, 0], &[1, 0]] {
+            assert!(df.remove_rows(bad).is_err(), "{bad:?}");
         }
+        assert_eq!(
+            df,
+            sample().take(&[0, 2]).unwrap(),
+            "a refused batch removes nothing"
+        );
+        // Removing down to empty works.
+        df.remove_rows(&[0, 1]).unwrap();
         assert_eq!(df.n_rows(), 0);
+        assert_eq!(df.n_cols(), 3);
     }
 
     #[test]

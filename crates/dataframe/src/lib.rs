@@ -42,7 +42,7 @@ mod frame;
 pub mod key;
 pub mod ops;
 
-pub use column::{Column, DType};
+pub use column::{remove_sorted, Column, DType};
 pub use error::{FrameError, Result};
 pub use frame::DataFrame;
 pub use netgraph::AttrValue;

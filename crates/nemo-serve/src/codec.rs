@@ -81,25 +81,25 @@ fn value_from_json(value: &JsonValue) -> Result<AttrValue, ServeError> {
         return bad("missing type tag");
     };
     let v = map.get("v");
-    match (tag.as_str(), v) {
-        ("null", _) => Ok(AttrValue::Null),
-        ("bool", Some(JsonValue::Bool(b))) => Ok(AttrValue::Bool(*b)),
-        ("int", Some(JsonValue::Number(x))) if x.fract() == 0.0 => Ok(AttrValue::Int(*x as i64)),
-        ("int", Some(JsonValue::Int(i))) => Ok(AttrValue::Int(*i)),
-        ("float", Some(JsonValue::Number(x))) => Ok(AttrValue::Float(*x)),
+    let value = match (tag.as_str(), v) {
+        ("null", _) => Some(AttrValue::Null),
+        ("bool", Some(JsonValue::Bool(b))) => Some(AttrValue::Bool(*b)),
+        ("int", Some(v)) => integer(v).map(AttrValue::Int),
+        ("float", Some(JsonValue::Number(x))) => Some(AttrValue::Float(*x)),
         // Builds before integral floats beyond 2^53 gained a trailing `.0`
         // logged them as bare digits, which now parse as an exact `Int`;
         // those digits are the float's shortest form, so this is exact.
-        ("float", Some(JsonValue::Int(i))) => Ok(AttrValue::Float(*i as f64)),
-        ("str", Some(JsonValue::String(text))) => Ok(AttrValue::Str(text.as_str().into())),
-        ("list", Some(JsonValue::Array(items))) => Ok(AttrValue::List(
+        ("float", Some(JsonValue::Int(i))) => Some(AttrValue::Float(*i as f64)),
+        ("str", Some(JsonValue::String(text))) => Some(AttrValue::Str(text.as_str().into())),
+        ("list", Some(JsonValue::Array(items))) => Some(AttrValue::List(
             items
                 .iter()
                 .map(value_from_json)
                 .collect::<Result<Vec<_>, _>>()?,
         )),
-        _ => bad(&format!("malformed value of type {tag:?}")),
-    }
+        _ => None,
+    };
+    value.map_or_else(|| bad(&format!("malformed value of type {tag:?}")), Ok)
 }
 
 /// Writes one string field, `"key":"text"`.
@@ -217,6 +217,20 @@ pub(crate) fn non_negative(value: &JsonValue) -> Option<u64> {
     }
 }
 
+/// The one reader of a signed integer field (flow counters, `Int`
+/// attribute values): an exact `Int`, or an integral `Number` within
+/// ±2^53. A `Number` beyond that is a literal past `i64`, or one f64 has
+/// rounded, so it is refused rather than saturated to `i64::MIN`/`MAX`.
+fn integer(value: &JsonValue) -> Option<i64> {
+    match *value {
+        JsonValue::Int(i) => Some(i),
+        JsonValue::Number(x) if x.fract() == 0.0 && x.abs() <= (1u64 << 53) as f64 => {
+            Some(x as i64)
+        }
+        _ => None,
+    }
+}
+
 pub(crate) fn get_u64(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<u64, ServeError> {
     let value = map.get(key);
     value.and_then(non_negative).ok_or_else(|| {
@@ -227,13 +241,12 @@ pub(crate) fn get_u64(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<u6
 }
 
 fn get_i64(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<i64, ServeError> {
-    match map.get(key) {
-        Some(JsonValue::Number(x)) if x.fract() == 0.0 => Ok(*x as i64),
-        Some(JsonValue::Int(i)) => Ok(*i),
-        other => Err(ServeError::Corrupt(format!(
-            "WAL record field {key:?} is {other:?}, want an integer"
-        ))),
-    }
+    let value = map.get(key);
+    value.and_then(integer).ok_or_else(|| {
+        ServeError::Corrupt(format!(
+            "WAL record field {key:?} is {value:?}, want an integer"
+        ))
+    })
 }
 
 /// Decodes the canonical JSON form of one [`Mutation`].
@@ -620,6 +633,57 @@ pub(crate) mod tests {
                 matches!(decode_shard_record(bad), Err(ServeError::Corrupt(_))),
                 "payload {:?} must be rejected",
                 String::from_utf8_lossy(bad)
+            );
+        }
+    }
+
+    /// A flow counter or an `Int` value whose literal is past the exact
+    /// range (beyond `i64`, or a float beyond ±2^53) is refused instead of
+    /// saturating to `i64::MIN`/`MAX`; integers in range, exact or
+    /// written as integral floats, still decode to themselves.
+    #[test]
+    fn integers_past_the_exact_range_are_corrupt_not_saturated() {
+        let flow = |bytes: &str| {
+            format!(
+                r#"{{"at_ms":0,"epoch":1,"global":1,"mutation":{{"bytes":{bytes},"connections":1,"op":"set_flow","packets":1,"source":"a","target":"b"}}}}"#
+            )
+        };
+        let attr = |value: &str| {
+            format!(
+                r#"{{"at_ms":0,"epoch":1,"global":1,"mutation":{{"id":"a","key":"k","op":"set_node_attr","value":{{"t":"int","v":{value}}}}}}}"#
+            )
+        };
+        for literal in ["1e19", "9223372036854775808", "-1e300", "1e16", "-9.1e15"] {
+            for payload in [flow(literal), attr(literal)] {
+                assert!(
+                    matches!(
+                        decode_shard_record(payload.as_bytes()),
+                        Err(ServeError::Corrupt(_))
+                    ),
+                    "{payload} must be rejected"
+                );
+            }
+        }
+        let exact = [0, -1, 1 << 53, -(1 << 53), i64::MAX, i64::MIN];
+        let spelled = [
+            ("1e3", 1000),
+            ("-4.0e1", -40),
+            ("9007199254740992.0", 1 << 53),
+        ];
+        let cases = exact
+            .iter()
+            .map(|&i| (i.to_string(), i))
+            .chain(spelled.map(|(text, i)| (text.to_string(), i)));
+        for (literal, want) in cases {
+            let (record, _) = decode_shard_record(flow(&literal).as_bytes()).unwrap();
+            assert!(
+                matches!(record.mutation, Mutation::SetFlow { bytes, .. } if bytes == want),
+                "{literal}"
+            );
+            let (record, _) = decode_shard_record(attr(&literal).as_bytes()).unwrap();
+            assert!(
+                matches!(&record.mutation, Mutation::SetNodeAttr { value: AttrValue::Int(i), .. } if *i == want),
+                "{literal}"
             );
         }
     }

@@ -19,12 +19,28 @@
 //!
 //! Every write-path lookup goes through an index, never a column scan. A
 //! node's row never moves (nodes are never removed), so the node index maps
-//! an id to its row. An edge's row moves whenever a row above it is
-//! removed, so the edge index maps each `(source, target)` pair to its key
+//! an id to its row. An edge's row moves when rows above it are compacted
+//! away, so the edge index maps each `(source, target)` pair to its key
 //! instead, and a key's row is its position in the key vector, found by
-//! binary search. A removal deletes one index entry and one key and
-//! rewrites no other entry; what still grows with the state is the memmove
-//! that shifts the later keys and frame rows up.
+//! binary search.
+//!
+//! **Tombstones.** A `RemoveEdge` removes the graph edge, deletes the
+//! pair's index entry and marks its row dead. The row and its key stay
+//! where they are, so every live row keeps its position and the binary
+//! search still finds it: a removal costs O(degree), like the others, not
+//! a shift of every later row. [`LiveNetwork::settle`] compacts all dead
+//! rows in one pass per column and over the key vector, from the first
+//! dead row on, keeping row order; the frames then hold exactly the live
+//! edges, as if each removal had shifted its rows at once. Removals are
+//! batched without a knob: the removal that would leave more dead rows
+//! than live ones settles at once, so a removal costs amortized O(1) and
+//! the edge frame never holds more than twice its live rows.
+//!
+//! Only a server's sharded network holds an unsettled network, and it
+//! settles one before lending it out (see [`crate::shard`]).
+//! [`LiveNetwork::apply`] leaves its network settled, so standalone users
+//! never see a dead row; the frame and key-vector accessors, the backend
+//! states and equality assert that in debug builds.
 //!
 //! The substrates sit behind `Arc`s. [`LiveNetwork::state`] hands those
 //! `Arc`s to the sandbox instead of copying them, and a mutation writes
@@ -64,6 +80,9 @@ pub struct LiveNetwork {
     /// The key of every edge-frame row, in row order and strictly
     /// ascending.
     edge_seqs: Vec<u64>,
+    /// The edge-frame rows `RemoveEdge` marked dead since the last
+    /// [`LiveNetwork::settle`], in the order they died.
+    dead_edge_rows: Vec<usize>,
 }
 
 /// Builds the row indices from frames, keying edge row `r` by
@@ -146,6 +165,7 @@ impl LiveNetwork {
             node_seqs,
             edge_rows,
             edge_seqs,
+            dead_edge_rows: Vec::new(),
         }
     }
 
@@ -156,6 +176,7 @@ impl LiveNetwork {
     /// laid out compactly, which measurably speeds up the mutations that
     /// follow.
     pub(crate) fn private_copy(&self) -> LiveNetwork {
+        debug_assert!(self.is_settled());
         // Renumbering a cloned index is cheaper than rebuilding it: no
         // string is hashed again.
         let mut edge_rows = self.edge_rows.clone();
@@ -174,6 +195,7 @@ impl LiveNetwork {
             node_seqs: (0..self.node_seqs.len() as u64).collect(),
             edge_rows,
             edge_seqs: (0..self.edge_seqs.len() as u64).collect(),
+            dead_edge_rows: Vec::new(),
         }
     }
 
@@ -195,6 +217,7 @@ impl LiveNetwork {
 
     /// The edge frame of the tabular substrate.
     pub fn edges(&self) -> &DataFrame {
+        debug_assert!(self.is_settled(), "the edge frame holds dead rows");
         &self.edges
     }
 
@@ -204,6 +227,7 @@ impl LiveNetwork {
     /// the live one. Drop the state before the next mutation; while it is
     /// held, that mutation has to copy the substrates it writes.
     pub fn state(&self, backend: Backend) -> NetworkState {
+        debug_assert!(self.is_settled(), "the edge frame holds dead rows");
         match backend {
             Backend::Strawman | Backend::NetworkX => NetworkState::Graph(Arc::clone(&self.graph)),
             Backend::Pandas => NetworkState::Frames {
@@ -221,14 +245,17 @@ impl LiveNetwork {
 
     /// Applies one mutation to every substrate in lockstep. On success the
     /// epoch advances by one and the new epoch is returned; on conflict the
-    /// state is untouched.
+    /// state is untouched. Either way the network is left settled.
     pub fn apply(&mut self, mutation: &Mutation) -> Result<Epoch, ServeError> {
         mutation.check(&self.graph, true)?;
-        Ok(self.apply_checked(mutation))
+        let epoch = self.apply_checked(mutation);
+        self.settle();
+        Ok(epoch)
     }
 
     /// [`LiveNetwork::apply`] for a mutation already checked against this
-    /// very state: it is not checked again.
+    /// very state: it is not checked again, and a removal may leave its
+    /// row dead (see the module docs).
     pub(crate) fn apply_checked(&mut self, mutation: &Mutation) -> Epoch {
         let key = self
             .appended_keys(mutation)
@@ -243,17 +270,26 @@ impl LiveNetwork {
     /// endpoints: those another shard owns are applied through the graph's
     /// auto-created attribute-less *ghost* endpoints. An `AddNode` or
     /// `AddEdge` keys the row it appends `key`, which must exceed every key
-    /// of that frame; the other kinds ignore it.
+    /// of that frame's live rows; the other kinds ignore it. Like
+    /// [`LiveNetwork::apply_checked`], a removal may leave its row dead.
     pub(crate) fn apply_routed(
         &mut self,
         mutation: &Mutation,
         key: u64,
     ) -> Result<Epoch, ServeError> {
         mutation.check(&self.graph, false)?;
-        if let (Mutation::AddNode { .. } | Mutation::AddEdge { .. }, Some(&last)) =
-            (mutation, self.appended_keys(mutation).last())
-        {
-            if key <= last {
+        if matches!(
+            mutation,
+            Mutation::AddNode { .. } | Mutation::AddEdge { .. }
+        ) {
+            // The key is judged against the live rows, whenever dead ones
+            // are compacted: one at or below the last key (a damaged
+            // record) compacts them first, and a key may not land above a
+            // dead row's.
+            if self.appended_keys(mutation).last() >= Some(&key) {
+                self.settle();
+            }
+            if let Some(&last) = self.appended_keys(mutation).last().filter(|&&l| key <= l) {
                 return Err(ServeError::Corrupt(format!(
                     "row key {key} does not exceed the last key {last} of its frame"
                 )));
@@ -381,20 +417,53 @@ impl LiveNetwork {
                 if by_target.is_empty() {
                     self.edge_rows.remove(source.as_str());
                 }
-                // The later rows move up one position, their keys with
-                // them; no other index entry changes.
+                // The row and its key stay in place, dead; no other row
+                // moves and no other index entry changes.
                 let row = self
                     .edge_seqs
                     .binary_search(&key)
                     .expect("every indexed key has a row");
-                self.edge_seqs.remove(row);
-                Arc::make_mut(&mut self.edges)
-                    .remove_row(row)
-                    .expect("row index in range");
+                self.dead_edge_rows.push(row);
+                if 2 * self.dead_edge_rows.len() > self.edge_seqs.len() {
+                    self.settle();
+                }
             }
         }
         self.epoch += 1;
         self.epoch
+    }
+
+    /// Compacts every dead edge row (see the module docs): one pass per
+    /// frame column and one over the key vector, starting at the first
+    /// dead row and keeping the live rows in order. No live row's key or
+    /// index entry changes. A settled network is left as it is.
+    pub(crate) fn settle(&mut self) {
+        if self.dead_edge_rows.is_empty() {
+            return;
+        }
+        let mut dead = std::mem::take(&mut self.dead_edge_rows);
+        dead.sort_unstable();
+        Arc::make_mut(&mut self.edges)
+            .remove_rows(&dead)
+            .expect("dead rows are distinct rows of the frame");
+        dataframe::remove_sorted(&mut self.edge_seqs, &dead);
+    }
+
+    /// Whether no edge row is dead.
+    pub(crate) fn is_settled(&self) -> bool {
+        self.dead_edge_rows.is_empty()
+    }
+
+    /// The number of dead edge rows.
+    #[cfg(test)]
+    pub(crate) fn dead_edge_rows(&self) -> usize {
+        self.dead_edge_rows.len()
+    }
+
+    /// The edge frame, dead rows included.
+    #[cfg(test)]
+    pub(crate) fn unsettled_edges(&self) -> &DataFrame {
+        &self.edges
     }
 
     /// Normalizes and applies one [`trafficgen`] stream event.
@@ -434,14 +503,16 @@ impl LiveNetwork {
 
     /// The key of every edge-frame row, in row order (strictly ascending).
     pub(crate) fn edge_seqs(&self) -> &[u64] {
+        debug_assert!(self.is_settled(), "the key vector holds dead rows");
         &self.edge_seqs
     }
 }
 
 /// Equality of the *state* (graph, frames, epoch) — not of the row
-/// indices, which are derived from the frames.
+/// indices, which are derived from the frames. Both sides must be settled.
 impl PartialEq for LiveNetwork {
     fn eq(&self, other: &Self) -> bool {
+        debug_assert!(self.is_settled() && other.is_settled());
         self.epoch == other.epoch
             && self.graph == other.graph
             && self.nodes == other.nodes
@@ -568,7 +639,8 @@ mod tests {
                 seed: 21,
             },
         );
-        let check = |live: &LiveNetwork| {
+        let check = |live: &mut LiveNetwork| {
+            live.settle();
             assert_eq!(live.node_rows.len(), live.nodes().n_rows());
             for (id, &row) in &live.node_rows {
                 assert_eq!(live.nodes().value(row, "id").unwrap().as_str(), Some(&**id));
@@ -596,19 +668,21 @@ mod tests {
                 );
             }
         };
-        check(&live);
+        check(&mut live);
         let mut removed_any = false;
         for event in &events {
             removed_any |= matches!(event.event, trafficgen::NetEvent::DropFlow { .. });
-            live.apply_event(event).unwrap();
-            check(&live);
+            // The deferred path: a removal leaves its row dead until the
+            // check settles it.
+            live.apply_checked(&Mutation::from_event(&event.event));
+            check(&mut live);
         }
         assert!(removed_any, "stream must exercise RemoveEdge; enlarge it");
         // A snapshot-restored network rebuilds identical indices (its keys
         // are renumbered, the rows they find are not).
-        let restored = crate::snapshot::read_snapshot(&crate::snapshot::write_snapshot(&live))
+        let mut restored = crate::snapshot::read_snapshot(&crate::snapshot::write_snapshot(&live))
             .expect("round trip");
-        check(&restored);
+        check(&mut restored);
         assert_eq!(restored.node_rows, live.node_rows);
         assert_eq!(edge_index(&restored), edge_index(&live));
     }

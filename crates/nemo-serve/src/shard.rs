@@ -34,6 +34,15 @@
 //! globally, drop the served state; the next read rebuilds it by the
 //! merge below.
 //!
+//! **Dead rows.** A removal leaves its edge row dead in the served state
+//! and in its partition (see [`LiveNetwork`]'s tombstones). Nothing here
+//! lends out a network that holds one: `ShardedNetwork::view` and
+//! `ShardedNetwork::partition` settle theirs first, so every read and
+//! every snapshot install compacts what accumulated since, in one pass;
+//! [`ShardedNetwork::merged`] settles a copy; recovery settles each
+//! partition it rebuilds. Validation reads only the graph, so a write
+//! settles nothing except through the bound on dead rows.
+//!
 //! **Deterministic merge.** Every partition carries one *sequence number*
 //! per frame row: genesis rows keep their row index in the original
 //! unsharded frame, mutation-inserted rows get `seq_base + (global -
@@ -204,6 +213,7 @@ impl ShardedNetwork {
         next_global: Epoch,
     ) -> ShardedNetwork {
         assert!(!partitions.is_empty());
+        debug_assert!(partitions.iter().all(LiveNetwork::is_settled));
         ShardedNetwork {
             backlog: vec![Vec::new(); partitions.len()],
             partitions,
@@ -232,10 +242,12 @@ impl ShardedNetwork {
         self.bases
     }
 
-    /// One shard's partition, brought up to date.
+    /// One shard's partition, brought up to date and settled.
     pub(crate) fn partition(&mut self, shard: u32) -> &LiveNetwork {
-        self.catch_up(shard as usize);
-        &self.partitions[shard as usize]
+        let k = shard as usize;
+        self.catch_up(k);
+        self.partitions[k].settle();
+        &self.partitions[k]
     }
 
     /// Applies shard `k`'s backlog to its partition.
@@ -269,7 +281,7 @@ impl ShardedNetwork {
     /// Validates a mutation against the served state, with the conflict
     /// rules of [`LiveNetwork::apply`].
     pub(crate) fn check_global(&mut self, mutation: &Mutation) -> Result<(), ServeError> {
-        mutation.check(self.view().graph(), true)
+        mutation.check(self.served_unsettled().graph(), true)
     }
 
     /// Validates globally, assigns the next global epoch, and applies the
@@ -318,7 +330,7 @@ impl ShardedNetwork {
                 self.backlog[owner].push((global, mutation.clone()));
                 // Caught up before it outgrows the partition it is for: a
                 // server with no snapshots or reads still holds O(state).
-                if self.backlog[owner].len() > self.partitions[owner].edges().n_rows() {
+                if self.backlog[owner].len() > self.partitions[owner].graph().number_of_edges() {
                     self.catch_up(owner);
                 }
             }
@@ -332,15 +344,23 @@ impl ShardedNetwork {
     }
 
     /// The served state at the global epoch (see the module docs), rebuilt
-    /// by [`ShardedNetwork::merged`] if a recovery or a redo dropped it.
+    /// by [`ShardedNetwork::merged`] if a recovery or a redo dropped it,
+    /// and settled.
     pub(crate) fn view(&mut self) -> &LiveNetwork {
+        let served = self.served_unsettled();
+        served.settle();
+        served
+    }
+
+    /// [`ShardedNetwork::view`], with its dead rows still in place.
+    fn served_unsettled(&mut self) -> &mut LiveNetwork {
         if self.partitions.len() == 1 {
-            return &self.partitions[0];
+            return &mut self.partitions[0];
         }
         if self.served.is_none() {
             self.served = Some(self.merged());
         }
-        self.served.as_ref().expect("built above")
+        self.served.as_mut().expect("built above")
     }
 
     /// The merged view: one [`LiveNetwork`] equal — snapshot-byte-equal —
@@ -348,9 +368,12 @@ impl ShardedNetwork {
     /// at the global epoch. Ghost nodes are filtered by ownership; frames
     /// are k-way merged by sequence number.
     pub fn merged(&self) -> LiveNetwork {
-        if self.backlog.iter().any(|backlog| !backlog.is_empty()) {
+        let pending = |k: usize| !self.backlog[k].is_empty() || !self.partitions[k].is_settled();
+        if (0..self.partitions.len()).any(pending) {
             let mut caught_up = self.clone();
-            (0..self.partitions.len()).for_each(|k| caught_up.catch_up(k));
+            for k in 0..self.shards() {
+                caught_up.partition(k);
+            }
             return caught_up.merged();
         }
         let global = self.global_epoch();
@@ -674,6 +697,74 @@ mod tests {
         assert_served_is_merged(&mut net, "after the catch-up");
     }
 
+    /// A write-only, remove-heavy stream with no read and no snapshot:
+    /// nothing but the bound on dead rows settles, and no network of the
+    /// sharded one ever holds more dead edge rows than live ones.
+    #[test]
+    fn dead_rows_never_outnumber_live_ones_without_reads() {
+        let w = generate(&TrafficConfig {
+            nodes: 40,
+            edges: 160,
+            prefixes: 3,
+            seed: 2,
+        });
+        let live = LiveNetwork::from_workload(&w);
+        let ids: Vec<String> = (0..live.nodes().n_rows())
+            .map(|row| live.nodes().value(row, "id").unwrap().to_string())
+            .collect();
+        for shards in [1u32, 3] {
+            let mut reference = live.clone();
+            let mut net = ShardedNetwork::from_live(&live, shards).unwrap();
+            let (mut most_dead, mut bound_settles) = (0, 0);
+            for i in 0..2_000usize {
+                let rows = reference.edges().n_rows();
+                let at =
+                    |row: usize, column| reference.edges().value(row, column).unwrap().to_string();
+                // Three removals to one insertion, while edges remain.
+                let mutation = if rows > 0 && i % 4 != 0 {
+                    let row = (i * 7919) % rows;
+                    Mutation::RemoveEdge {
+                        source: at(row, "source"),
+                        target: at(row, "target"),
+                    }
+                } else {
+                    Mutation::AddEdge {
+                        source: ids[(i * 31) % ids.len()].clone(),
+                        target: ids[(i * 17 + 1) % ids.len()].clone(),
+                        bytes: 1,
+                        connections: 1,
+                        packets: 1,
+                    }
+                };
+                // Only mutations the unsharded reference takes are sent.
+                if reference.apply(&mutation).is_err() {
+                    continue;
+                }
+                let before: usize = net.partitions.iter().map(LiveNetwork::dead_edge_rows).sum();
+                net.apply(&mutation).unwrap();
+                let networks = net.partitions.iter().chain(net.served.as_ref());
+                for network in networks {
+                    let (dead, live) =
+                        (network.dead_edge_rows(), network.graph().number_of_edges());
+                    assert!(
+                        dead <= live,
+                        "shards={shards} write {i}: {dead} dead, {live} live"
+                    );
+                    most_dead = most_dead.max(dead);
+                }
+                let after: usize = net.partitions.iter().map(LiveNetwork::dead_edge_rows).sum();
+                bound_settles += usize::from(after < before);
+            }
+            assert!(
+                most_dead > 10,
+                "shards={shards}: the stream must leave rows dead"
+            );
+            assert!(bound_settles > 0, "shards={shards}: the bound must settle");
+            assert_served_is_merged(&mut net, &format!("shards={shards}"));
+            assert!(net.merged() == reference);
+        }
+    }
+
     #[test]
     fn the_served_state_follows_every_write_in_lockstep() {
         let w = workload();
@@ -707,7 +798,9 @@ mod tests {
             assert_served_is_merged(&mut net, &format!("in order, event {i}"));
         }
         // No backlog outgrows its partition's edge frame.
-        assert!((0..3).all(|k| net.backlog[k].len() <= net.partitions[k].edges().n_rows()));
+        assert!(
+            (0..3).all(|k| { net.backlog[k].len() <= net.partitions[k].graph().number_of_edges() })
+        );
 
         // Below the global epoch: two records of different shards swapped.
         // The first skips an epoch, the second lands below the global one;

@@ -73,6 +73,7 @@ use crate::snapshot::{
 };
 use nemo_bench::pool;
 use nemo_obs::Class;
+use nemo_store::record::{Framed, FRAME_HEADER_BYTES};
 use nemo_store::{Store, StoreConfig, StoreMetrics, SweepOutcome};
 use netgraph::json::{JsonValue, JsonWriter};
 use std::collections::BTreeMap;
@@ -262,6 +263,7 @@ impl ShardPersistence {
                 )));
             }
         }
+        partition.settle();
         let persistence = ShardPersistence {
             store,
             shard,
@@ -320,9 +322,7 @@ impl ShardPersistence {
         };
         let retry = self.retry.clone();
         with_storage_retry(&retry, || {
-            Ok(self
-                .store
-                .install_snapshot(partition.epoch(), document.as_bytes())?)
+            Ok(self.store.install_snapshot(partition.epoch(), &document)?)
         })
     }
 
@@ -334,15 +334,16 @@ impl ShardPersistence {
     }
 
     /// The full `nemo-shard/v3` document of `partition`, written into one
-    /// writer sized up front. The inner snapshot is written in place, as
-    /// an object.
-    fn shard_document(&self, partition: &LiveNetwork) -> String {
+    /// writer sized up front, behind the bytes its store frame's header
+    /// takes, and framed in place. The inner snapshot is written in place,
+    /// as an object.
+    fn shard_document(&self, partition: &LiveNetwork) -> Framed {
         // Each sequence number takes at most ~8 bytes.
         let capacity = 8 * (partition.node_seqs().len() + partition.edge_seqs().len())
             + snapshot_size_hint(partition);
-        let mut out = JsonWriter::with_capacity(capacity);
+        let mut out = JsonWriter::reserving(FRAME_HEADER_BYTES, capacity);
         self.write_shard_document(partition, &mut out);
-        out.finish()
+        Framed::seal(out.finish().into_bytes())
     }
 
     /// Writes the document's fields with their keys in sorted order, as a
@@ -889,6 +890,101 @@ mod tests {
         }
     }
 
+    proptest! {
+        /// Tombstones change no byte. A partition that leaves each removed
+        /// row dead and settles at random points (with `settle_odds` 0,
+        /// only at the end) matches one that compacts every removal at
+        /// once, as `remove_row` did: at every settle the two hold the same
+        /// frames, `edge_row` answers, snapshot bytes and shard document,
+        /// and in between every live pair's row in the deferred frame holds
+        /// the eager row. A standalone network on the deferred path (the
+        /// served state's) matches [`LiveNetwork::apply`] the same way.
+        #[test]
+        fn deferred_removals_match_eager_ones(seed in 0u64..u64::MAX, settle_odds in 0u32..6) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let w = generate(&TrafficConfig {
+                nodes: 12,
+                edges: 24,
+                prefixes: 2,
+                seed: rng.gen_range(0..1000),
+            });
+            let initial = LiveNetwork::from_workload(&w);
+            let root = temp_root("deferred-removals");
+            let (mut net, persists, _) =
+                recover_or_create_sharded(&root, &test_options(), 1, 1, || initial.clone()).unwrap();
+            let bases = net.bases();
+            // [partition, standalone], each eager and deferred.
+            let mut eager = [net.partition(0).clone(), initial.clone()];
+            let mut deferred = eager.clone();
+            let mut global = bases.base_epoch;
+            for event in &evolve(&w, &StreamConfig { events: 80, seed }) {
+                let mut mutations = vec![Mutation::from_event(&event.event)];
+                // Remove-heavy: a random live edge is dropped as well now
+                // and then (later events naming it then conflict, skipped).
+                let rows = eager[1].edges().n_rows();
+                if rows > 0 && rng.gen_bool(0.4) {
+                    let row = rng.gen_range(0..rows);
+                    let at = |column| eager[1].edges().value(row, column).unwrap().to_string();
+                    mutations.push(Mutation::RemoveEdge {
+                        source: at("source"),
+                        target: at("target"),
+                    });
+                }
+                for mutation in mutations {
+                    if eager[1].apply(&mutation).is_err() {
+                        continue;
+                    }
+                    global += 1;
+                    deferred[1].apply_checked(&mutation);
+                    bases.apply(&mut eager[0], global, &mutation).unwrap();
+                    eager[0].settle();
+                    bases.apply(&mut deferred[0], global, &mutation).unwrap();
+                }
+                if settle_odds > 0 && rng.gen_range(0..settle_odds) == 0 {
+                    deferred.iter_mut().for_each(LiveNetwork::settle);
+                }
+                for (eager, deferred) in eager.iter().zip(&deferred) {
+                    prop_assert!(eager.is_settled());
+                    for row in 0..eager.edges().n_rows() {
+                        let at = |column| eager.edges().value(row, column).unwrap().to_string();
+                        let (source, target) = (at("source"), at("target"));
+                        prop_assert_eq!(eager.edge_row(&source, &target), Some(row));
+                        let found = deferred.edge_row(&source, &target);
+                        match deferred.is_settled() {
+                            true => prop_assert_eq!(found, Some(row)),
+                            false => prop_assert_eq!(
+                                deferred.unsettled_edges().row(found.unwrap()).unwrap(),
+                                eager.edges().row(row).unwrap()
+                            ),
+                        }
+                    }
+                }
+                for (eager, deferred) in eager.iter().zip(&deferred).filter(|(_, d)| d.is_settled()) {
+                    prop_assert!(deferred == eager);
+                    prop_assert_eq!(write_snapshot(deferred), write_snapshot(eager));
+                }
+                if deferred[0].is_settled() {
+                    prop_assert_eq!(deferred[0].edge_seqs(), eager[0].edge_seqs());
+                    prop_assert_eq!(
+                        persists[0].shard_document(&deferred[0]),
+                        persists[0].shard_document(&eager[0])
+                    );
+                }
+            }
+            deferred.iter_mut().for_each(LiveNetwork::settle);
+            for (eager, deferred) in eager.iter().zip(&deferred) {
+                prop_assert!(deferred == eager);
+                prop_assert_eq!(write_snapshot(deferred), write_snapshot(eager));
+            }
+            prop_assert_eq!(
+                persists[0].shard_document(&deferred[0]),
+                persists[0].shard_document(&eager[0])
+            );
+            drop(persists);
+            std::fs::remove_dir_all(&root).unwrap();
+        }
+    }
+
     #[test]
     fn sharded_log_then_recover_merges_identically() {
         let root = temp_root("roundtrip");
@@ -1288,7 +1384,7 @@ mod tests {
             for k in 0..shards {
                 let genesis = v1_document(&mut net, k, last_global[k as usize]);
                 stores[k as usize]
-                    .install_snapshot(0, genesis.as_bytes())
+                    .install_snapshot(0, &Framed::copy(genesis.as_bytes()))
                     .unwrap();
             }
             for (i, event) in events[..40].iter().enumerate() {
@@ -1312,7 +1408,7 @@ mod tests {
                         let document = v1_document(&mut net, k, last_global[k as usize]);
                         if epoch > 0 {
                             stores[k as usize]
-                                .install_snapshot(epoch, document.as_bytes())
+                                .install_snapshot(epoch, &Framed::copy(document.as_bytes()))
                                 .unwrap();
                         }
                     }

@@ -3,12 +3,13 @@
 //! against an unsharded [`LiveNetwork`] and uncached [`execute_code`].
 //!
 //! Each stream mixes `evolve` mutations, the seven conflict kinds of the
-//! write path, queries on all three code-generating backends and — when
-//! persisted — sync-then-crash-and-recover points. Every mutation must get
-//! the reference's epoch or its exact conflict error, every answer must
-//! equal the golden program run fresh over the reference, and the served
-//! state must be snapshot-byte-equal to the reference at intervals and
-//! after each recovery.
+//! write path, bursts of removals with no read between them (each burst's
+//! edges then added back), queries on all three code-generating backends
+//! and — when persisted — sync-then-crash-and-recover points. Every
+//! mutation must get the reference's epoch or its exact conflict error,
+//! every answer must equal the golden program run fresh over the
+//! reference, and the served state must be snapshot-byte-equal to the
+//! reference at intervals and after each recovery.
 
 use nemo_core::llm::LlmResponse;
 use nemo_core::prompt::QUERY_MARKER;
@@ -103,6 +104,10 @@ enum Step {
     Mutate(Mutation),
     /// One of the seven conflict kinds, built against the state it meets.
     Conflict(usize),
+    /// Removes this many edges of the state it meets, then adds them back
+    /// with their flows: the removals share one compaction on the server,
+    /// and the re-added rows are appended after the dead ones.
+    Churn(usize),
     /// A traffic query from one client.
     Query(usize, usize),
     /// Sync, crash (drop the server) and recover; in memory, a no-op.
@@ -140,6 +145,7 @@ fn steps(w: &TrafficWorkload, seed: u64, queries: usize) -> Vec<Step> {
                 out.push(query);
             }
             5 if rng.below(3) == 0 => out.push(Step::Crash),
+            6 => out.push(Step::Churn(2 + out.len() % 3)),
             _ => {}
         }
     }
@@ -287,6 +293,7 @@ fn run(seed: u64, shards: u32, root: Option<PathBuf>) -> Vec<(usize, CacheOutcom
     let mut conflicts = [0usize; 7];
     let mut outcomes = Vec::new();
     let mut recoveries = 0;
+    let mut churns = 0;
     for (i, step) in steps(&w, seed, queries.len()).into_iter().enumerate() {
         let context = format!(
             "seed {seed}, shards {shards}, persisted {}, step {i} {step:?}",
@@ -300,6 +307,33 @@ fn run(seed: u64, shards: u32, root: Option<PathBuf>) -> Vec<(usize, CacheOutcom
                 conflicts[kind] += 1;
                 let mutation = conflict(&reference, kind, i);
                 mutate(&mut server, &mut reference, mutation, true, &context);
+            }
+            Step::Churn(k) => {
+                let rows = reference.edges().n_rows();
+                let (removals, additions): (Vec<Mutation>, Vec<Mutation>) = (0..k.min(rows))
+                    .map(|j| {
+                        let row = (i * 7919 + j) % rows;
+                        let at = |column| reference.edges().value(row, column).unwrap();
+                        let int = |column| at(column).as_i64().unwrap();
+                        let (source, target) = (at("source").to_string(), at("target").to_string());
+                        let removal = Mutation::RemoveEdge {
+                            source: source.clone(),
+                            target: target.clone(),
+                        };
+                        let addition = Mutation::AddEdge {
+                            source,
+                            target,
+                            bytes: int("bytes"),
+                            connections: int("connections"),
+                            packets: int("packets"),
+                        };
+                        (removal, addition)
+                    })
+                    .unzip();
+                churns += 1;
+                for mutation in removals.into_iter().chain(additions) {
+                    mutate(&mut server, &mut reference, mutation, false, &context);
+                }
             }
             Step::Query(c, q) => {
                 let (client, backend) = CLIENTS[c];
@@ -349,6 +383,7 @@ fn run(seed: u64, shards: u32, root: Option<PathBuf>) -> Vec<(usize, CacheOutcom
         root.is_none() || recoveries > 0,
         "seed {seed} never crashed"
     );
+    assert!(churns > 0, "seed {seed} never removed edges in a burst");
     drop(server);
     if let Some(root) = root {
         std::fs::remove_dir_all(root).unwrap();

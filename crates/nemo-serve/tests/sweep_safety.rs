@@ -9,6 +9,7 @@
 //! The proptest lives in nemo-serve (nemo-store carries no dev-deps) but
 //! drives a raw [`Store`] directly — the serving layer is not involved.
 
+use nemo_store::record::Framed;
 use nemo_store::{FsyncPolicy, Store, StoreConfig};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -112,7 +113,7 @@ proptest! {
                         continue; // nothing appended since the last install
                     }
                     let doc = format!("state at {tip} arg {arg}").into_bytes();
-                    store.install_snapshot(tip, &doc).expect("install snapshot");
+                    store.install_snapshot(tip, &Framed::copy(&doc)).expect("install snapshot");
                 }
                 // Sweep with a small random budget — most sweeps stop
                 // mid-plan, exactly the partial state that must stay safe.

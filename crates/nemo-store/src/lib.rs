@@ -46,6 +46,7 @@
 //!   retryable ([`StoreError::retryable`]).
 //!
 //! ```
+//! use nemo_store::record::Framed;
 //! use nemo_store::{FsyncPolicy, Store, StoreConfig};
 //!
 //! let dir = std::env::temp_dir().join(format!("nemo-store-doc-{}", std::process::id()));
@@ -60,7 +61,7 @@
 //! };
 //! let (mut store, report) = Store::open(&dir, config.clone()).unwrap();
 //! assert_eq!(report.truncated_bytes, 0);
-//! store.install_snapshot(0, b"genesis state").unwrap();
+//! store.install_snapshot(0, &Framed::copy(b"genesis state")).unwrap();
 //! store.append(1, b"first mutation").unwrap();
 //! store.append(2, b"second mutation").unwrap();
 //! store.sync().unwrap();

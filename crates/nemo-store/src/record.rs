@@ -20,19 +20,56 @@ use crate::error::StoreError;
 /// Bytes of frame overhead before the payload (length + checksum).
 pub const FRAME_HEADER_BYTES: usize = 8;
 
-/// Encodes one payload as a frame. Payloads must be non-empty: an empty
-/// frame is `8` zero bytes (`crc32("") == 0`), which is exactly what a
-/// zero-filled crash tail looks like — see [`decode_frame`].
+/// Encodes one payload as a frame, copying it behind its header. Payloads
+/// must be non-empty: an empty frame is `8` zero bytes (`crc32("") == 0`),
+/// which is exactly what a zero-filled crash tail looks like — see
+/// [`decode_frame`].
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     debug_assert!(
         !payload.is_empty(),
         "empty frames are reserved for tear detection"
     );
-    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    Framed::copy(payload).0
+}
+
+/// A frame built where its payload was written: the payload's producer
+/// reserves [`FRAME_HEADER_BYTES`] bytes ahead of it, and sealing fills in
+/// the header, so a large payload (a snapshot document) reaches its one
+/// write without being copied. The bytes are those of [`encode_frame`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Framed(Vec<u8>);
+
+impl Framed {
+    /// Seals `buf`, whose first [`FRAME_HEADER_BYTES`] bytes are reserved
+    /// for the header (they are overwritten) and whose rest is the payload.
+    pub fn seal(mut buf: Vec<u8>) -> Framed {
+        assert!(
+            buf.len() >= FRAME_HEADER_BYTES,
+            "a frame reserves its header"
+        );
+        let (header, payload) = buf.split_at_mut(FRAME_HEADER_BYTES);
+        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+        Framed(buf)
+    }
+
+    /// Frames a copy of `payload`.
+    pub fn copy(payload: &[u8]) -> Framed {
+        let mut buf = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
+        buf.extend_from_slice(&[0; FRAME_HEADER_BYTES]);
+        buf.extend_from_slice(payload);
+        Framed::seal(buf)
+    }
+
+    /// The payload.
+    pub fn payload(&self) -> &[u8] {
+        &self.0[FRAME_HEADER_BYTES..]
+    }
+
+    /// The whole frame, header first.
+    pub fn bytes(&self) -> &[u8] {
+        &self.0
+    }
 }
 
 /// One decoded frame: its payload and the byte range it occupied.
@@ -151,6 +188,18 @@ pub fn scan_frames(buf: &[u8], context: &str) -> Result<Scan, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_frame_sealed_in_place_is_the_encoded_frame() {
+        for payload in [b"x".as_slice(), b"a longer payload \xff\x00"] {
+            let mut buf = vec![0xAA; FRAME_HEADER_BYTES];
+            buf.extend_from_slice(payload);
+            let framed = Framed::seal(buf);
+            assert_eq!(framed.bytes(), encode_frame(payload));
+            assert_eq!(framed.payload(), payload);
+            assert_eq!(Framed::copy(payload), framed);
+        }
+    }
 
     #[test]
     fn round_trip_and_scan() {

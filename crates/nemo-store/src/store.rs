@@ -24,7 +24,7 @@
 
 use crate::error::StoreError;
 use crate::metrics::StoreMetrics;
-use crate::record::encode_frame;
+use crate::record::{encode_frame, Framed};
 use crate::segment::{scan_segment_with, segment_file_name, SegmentScan};
 use crate::sweep::{SweepOutcome, SweepPlan};
 use crate::vfs::{RealFs, Vfs, VfsFile};
@@ -688,8 +688,9 @@ impl Store {
         Ok(())
     }
 
-    /// Writes a snapshot document to `file_name` atomically: temp file,
-    /// framed and checksummed, fsynced (per policy), renamed into place.
+    /// Writes a framed snapshot document to `file_name` atomically: temp
+    /// file, one `write_all` of the frame, fsynced (per policy), renamed
+    /// into place.
     ///
     /// Error safety: every failure rolls the filesystem back to "no such
     /// snapshot" (best-effort removal of the temp file *and* the final
@@ -700,7 +701,7 @@ impl Store {
     /// failed. No poisoning — the rollback erases the only pages a failed
     /// fsync here could have covered, and no appended record depends on
     /// them.
-    fn write_snapshot_file(&self, epoch: u64, document: &[u8]) -> Result<(), StoreError> {
+    fn write_snapshot_file(&self, epoch: u64, document: &Framed) -> Result<(), StoreError> {
         let file_name = snapshot_file_name(epoch);
         let final_path = self.dir.join(&file_name);
         let tmp_path = self.dir.join(format!("{file_name}.tmp"));
@@ -711,7 +712,7 @@ impl Store {
                 .map_err(|e| StoreError::io_at("create", &tmp_path, e))?;
             {
                 let _write_span = self.tracer.span("store.write", Class::Physical);
-                file.write_all(&encode_frame(document))
+                file.write_all(document.bytes())
                     .map_err(|e| StoreError::io_at("write", &tmp_path, e))?;
             }
             if self.config.fsync.durable_metadata() {
@@ -746,9 +747,13 @@ impl Store {
     /// nothing is deleted here: pruning and compaction are recorded as a
     /// [`SweepPlan`] (recomputable at any time, so a crash loses nothing)
     /// and executed off the write path by [`Store::sweep`].
-    pub fn install_snapshot(&mut self, epoch: u64, document: &[u8]) -> Result<(), StoreError> {
+    ///
+    /// The document comes framed ([`Framed`]), so a producer that reserved
+    /// the header ahead of it hands over a document the store writes as
+    /// is, never copying it into a second buffer.
+    pub fn install_snapshot(&mut self, epoch: u64, document: &Framed) -> Result<(), StoreError> {
         self.check_poisoned()?;
-        self.check_snapshot_install(epoch, document)?;
+        self.check_snapshot_install(epoch, document.payload())?;
         self.write_snapshot_file(epoch, document)?;
         self.snapshots.push(epoch);
         self.metrics.snapshots.add(1);
@@ -1030,7 +1035,9 @@ mod tests {
             Err(StoreError::InvalidArgument(_))
         ));
         // A snapshot also anchors the sequence.
-        store.install_snapshot(5, b"state at five").unwrap_err();
+        store
+            .install_snapshot(5, &Framed::copy(b"state at five"))
+            .unwrap_err();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1117,13 +1124,17 @@ mod tests {
     fn snapshots_install_prune_and_compact() {
         let dir = temp_dir("snap");
         let (mut store, _) = Store::open(&dir, test_config()).unwrap();
-        store.install_snapshot(0, b"genesis").unwrap();
+        store
+            .install_snapshot(0, &Framed::copy(b"genesis"))
+            .unwrap();
         for epoch in 1..=20 {
             store.append(epoch, &payload(epoch)).unwrap();
         }
         let before = store.segment_paths().len();
         assert!(before >= 3);
-        store.install_snapshot(12, b"state at twelve").unwrap();
+        store
+            .install_snapshot(12, &Framed::copy(b"state at twelve"))
+            .unwrap();
         assert!(store.sweep(usize::MAX).unwrap().removed() == 0);
         // Both snapshots are retained, and the WAL is compacted only to
         // the *oldest* retained one (epoch 0): nothing deletable yet, so a
@@ -1134,7 +1145,9 @@ mod tests {
         // The third snapshot prunes epoch 0 and compacts to epoch 12:
         // segments wholly at or below 12 are gone, the suffix stays.
         store.append(21, &payload(21)).unwrap();
-        store.install_snapshot(21, b"state at twenty-one").unwrap();
+        store
+            .install_snapshot(21, &Framed::copy(b"state at twenty-one"))
+            .unwrap();
         // Installing deletes nothing — removals happen in the sweep.
         assert_eq!(store.snapshot_epochs(), &[0, 12, 21]);
         assert!(store.segment_paths().len() >= before);
@@ -1169,7 +1182,9 @@ mod tests {
         let (mut store, _) = Store::open(&dir, config).unwrap();
         // No snapshot at all: due immediately (the genesis snapshot).
         assert!(store.snapshot_due(0));
-        store.install_snapshot(0, b"genesis").unwrap();
+        store
+            .install_snapshot(0, &Framed::copy(b"genesis"))
+            .unwrap();
         for epoch in 1..=4 {
             store.append(epoch, &payload(epoch)).unwrap();
             assert!(!store.snapshot_due(epoch));
@@ -1185,14 +1200,16 @@ mod tests {
         let mut config = test_config();
         config.snapshot_every_bytes = 200;
         let (mut store, _) = Store::open(&dir, config).unwrap();
-        store.install_snapshot(0, b"genesis").unwrap();
+        store
+            .install_snapshot(0, &Framed::copy(b"genesis"))
+            .unwrap();
         let mut epoch = 0;
         while !store.snapshot_due(epoch) {
             epoch += 1;
             store.append(epoch, &payload(epoch)).unwrap();
         }
         store
-            .install_snapshot(epoch, b"threshold snapshot")
+            .install_snapshot(epoch, &Framed::copy(b"threshold snapshot"))
             .unwrap();
         assert!(
             !store.snapshot_due(epoch),
@@ -1229,12 +1246,18 @@ mod tests {
     fn store_with_pending_sweep(tag: &str) -> (PathBuf, Store) {
         let dir = temp_dir(tag);
         let (mut store, _) = Store::open(&dir, test_config()).unwrap();
-        store.install_snapshot(0, b"genesis").unwrap();
+        store
+            .install_snapshot(0, &Framed::copy(b"genesis"))
+            .unwrap();
         for epoch in 1..=21 {
             store.append(epoch, &payload(epoch)).unwrap();
         }
-        store.install_snapshot(12, b"state at twelve").unwrap();
-        store.install_snapshot(21, b"state at twenty-one").unwrap();
+        store
+            .install_snapshot(12, &Framed::copy(b"state at twelve"))
+            .unwrap();
+        store
+            .install_snapshot(21, &Framed::copy(b"state at twenty-one"))
+            .unwrap();
         let plan = store.sweep_plan();
         assert_eq!(plan.prune_snapshots, vec![0]);
         assert!(
@@ -1296,7 +1319,9 @@ mod tests {
         assert_eq!(store.snapshot_epochs(), &[0, 12, 21]);
         // A subsequent install still succeeds on the consistent store...
         store.append(22, &payload(22)).unwrap();
-        store.install_snapshot(22, b"state at twenty-two").unwrap();
+        store
+            .install_snapshot(22, &Framed::copy(b"state at twenty-two"))
+            .unwrap();
         assert_eq!(store.snapshot_epochs(), &[0, 12, 21, 22]);
         // ...and once the obstruction clears, sweep and reopen recover.
         std::fs::remove_dir(&snap0).unwrap();
@@ -1528,7 +1553,7 @@ mod tests {
         ));
         assert!(matches!(store.sync(), Err(StoreError::Poisoned(_))));
         assert!(matches!(
-            store.install_snapshot(1, b"doc"),
+            store.install_snapshot(1, &Framed::copy(b"doc")),
             Err(StoreError::Poisoned(_))
         ));
         assert!(matches!(
@@ -1616,7 +1641,9 @@ mod tests {
         // rename-class op, wherever it falls.
         let (mut store, fault) = open_faulty(&dir, test_config(), FaultKind::FailedRename, 0);
         store.append(1, &payload(1)).unwrap();
-        let err = store.install_snapshot(1, b"state at one").unwrap_err();
+        let err = store
+            .install_snapshot(1, &Framed::copy(b"state at one"))
+            .unwrap_err();
         assert!(
             matches!(&err, StoreError::Io { op, .. } if op == "rename"),
             "{err:?}"
@@ -1628,7 +1655,9 @@ mod tests {
         assert!(!dir.join(snapshot_file_name(1)).exists());
         assert!(!dir.join(format!("{}.tmp", snapshot_file_name(1))).exists());
         // The retry succeeds and reopen agrees.
-        store.install_snapshot(1, b"state at one").unwrap();
+        store
+            .install_snapshot(1, &Framed::copy(b"state at one"))
+            .unwrap();
         assert_eq!(store.read_snapshot(1).unwrap(), b"state at one");
         drop(store);
         let (store, report) = Store::open(&dir, test_config()).unwrap();
@@ -1646,9 +1675,13 @@ mod tests {
         // install failed — never accepted. The rollback must remove the
         // landed file so the retry is the only document for the epoch.
         let (mut store, fault) = open_faulty(&dir, test_config(), FaultKind::TornRename, 5);
-        store.install_snapshot(0, b"genesis").unwrap(); // rename op 4: passes
+        store
+            .install_snapshot(0, &Framed::copy(b"genesis"))
+            .unwrap(); // rename op 4: passes
         store.append(1, &payload(1)).unwrap();
-        let err = store.install_snapshot(1, b"first try").unwrap_err();
+        let err = store
+            .install_snapshot(1, &Framed::copy(b"first try"))
+            .unwrap_err();
         assert!(
             matches!(&err, StoreError::Io { op, .. } if op == "rename"),
             "{err:?}"
@@ -1659,7 +1692,9 @@ mod tests {
             !dir.join(snapshot_file_name(1)).exists(),
             "torn-rename landed file must be rolled back"
         );
-        store.install_snapshot(1, b"retried").unwrap();
+        store
+            .install_snapshot(1, &Framed::copy(b"retried"))
+            .unwrap();
         assert_eq!(store.read_snapshot(1).unwrap(), b"retried");
         drop(store);
         let (store, report) = Store::open(&dir, test_config()).unwrap();
@@ -1690,7 +1725,9 @@ mod tests {
         store.append(3, &payload(3)).unwrap();
         assert_eq!(store.durable_epoch(), Some(2));
         // A durable snapshot install advances coverage to its epoch.
-        store.install_snapshot(3, b"state at three").unwrap();
+        store
+            .install_snapshot(3, &Framed::copy(b"state at three"))
+            .unwrap();
         assert_eq!(store.durable_epoch(), Some(3));
         drop(store);
         // On reopen everything scanned off the platter counts as durable.
@@ -1703,7 +1740,9 @@ mod tests {
     fn corrupt_snapshot_read_is_loud_but_scoped() {
         let dir = temp_dir("snapflip");
         let (mut store, _) = Store::open(&dir, test_config()).unwrap();
-        store.install_snapshot(0, b"genesis document").unwrap();
+        store
+            .install_snapshot(0, &Framed::copy(b"genesis document"))
+            .unwrap();
         let path = dir.join(snapshot_file_name(0));
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 1;

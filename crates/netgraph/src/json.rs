@@ -399,6 +399,20 @@ impl JsonWriter {
         }
     }
 
+    /// An empty writer at the top level whose buffer starts with
+    /// `reserved` NUL bytes that are not part of the document, with room
+    /// for `capacity` more bytes before it grows. A caller that frames the
+    /// document (a store's length-and-checksum header) writes the header
+    /// over them instead of copying the document behind one.
+    pub fn reserving(reserved: usize, capacity: usize) -> Self {
+        let mut out = String::with_capacity(reserved + capacity);
+        out.extend(std::iter::repeat('\0').take(reserved));
+        JsonWriter {
+            out,
+            in_string: false,
+        }
+    }
+
     /// The text written so far. Every literal opened must be closed.
     pub fn finish(self) -> String {
         debug_assert!(!self.in_string, "a string literal was left open");
