@@ -58,12 +58,7 @@ pub fn write_csv(df: &DataFrame, out: &mut JsonWriter) {
                 AttrValue::Null => {}
                 AttrValue::Bool(b) => out.text(if *b { "true" } else { "false" }),
                 AttrValue::Int(i) => out.int(*i),
-                AttrValue::Float(f) => {
-                    out.float(*f);
-                    if f.fract() == 0.0 && f.abs() < I64_BOUND {
-                        out.text(".0");
-                    }
-                }
+                AttrValue::Float(f) => out.typed_float(*f),
                 AttrValue::Str(s) => write_quoted(s, out),
                 v @ AttrValue::List(_) => write_quoted(&v.to_string(), out),
             }
@@ -71,10 +66,6 @@ pub fn write_csv(df: &DataFrame, out: &mut JsonWriter) {
         out.text("\n");
     }
 }
-
-/// 2^63: an integral float below it in magnitude has a shortest form that
-/// [`infer_value`] would read as an `i64`.
-const I64_BOUND: f64 = 9_223_372_036_854_775_808.0;
 
 /// Writes `s` quoted, doubling every quote inside it.
 fn write_quoted(s: &str, out: &mut JsonWriter) {

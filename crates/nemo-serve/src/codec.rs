@@ -85,7 +85,9 @@ fn value_from_json(value: &JsonValue) -> Result<AttrValue, ServeError> {
         ("null", _) => Some(AttrValue::Null),
         ("bool", Some(JsonValue::Bool(b))) => Some(AttrValue::Bool(*b)),
         ("int", Some(v)) => integer(v).map(AttrValue::Int),
-        ("float", Some(JsonValue::Number(x))) => Some(AttrValue::Float(*x)),
+        ("float", Some(JsonValue::Number(x) | JsonValue::IntegralFloat(x))) => {
+            Some(AttrValue::Float(*x))
+        }
         // Builds before integral floats beyond 2^53 gained a trailing `.0`
         // logged them as bare digits, which now parse as an exact `Int`;
         // those digits are the float's shortest form, so this is exact.
@@ -205,12 +207,14 @@ fn get_str(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<String, Serve
 
 /// The one reader of a non-negative integer field (epochs, sequence
 /// numbers, timestamps): an exact `Int` at or above zero, or an integral
-/// `Number` up to 2^53. A `Number` beyond that is a literal past `i64`
+/// `Number` or `IntegralFloat` (`1e3`) up to 2^53. A `Number` beyond that is a literal past `i64`
 /// that f64 has rounded, so it is refused rather than read as a neighbour.
 pub(crate) fn non_negative(value: &JsonValue) -> Option<u64> {
     match *value {
         JsonValue::Int(i) => u64::try_from(i).ok(),
-        JsonValue::Number(x) if x.fract() == 0.0 && (0.0..=(1u64 << 53) as f64).contains(&x) => {
+        JsonValue::Number(x) | JsonValue::IntegralFloat(x)
+            if x.fract() == 0.0 && (0.0..=(1u64 << 53) as f64).contains(&x) =>
+        {
             Some(x as u64)
         }
         _ => None,
@@ -218,13 +222,15 @@ pub(crate) fn non_negative(value: &JsonValue) -> Option<u64> {
 }
 
 /// The one reader of a signed integer field (flow counters, `Int`
-/// attribute values): an exact `Int`, or an integral `Number` within
-/// ±2^53. A `Number` beyond that is a literal past `i64`, or one f64 has
+/// attribute values): an exact `Int`, or an integral `Number` or
+/// `IntegralFloat` within ±2^53. A `Number` beyond that is a literal past `i64`, or one f64 has
 /// rounded, so it is refused rather than saturated to `i64::MIN`/`MAX`.
 fn integer(value: &JsonValue) -> Option<i64> {
     match *value {
         JsonValue::Int(i) => Some(i),
-        JsonValue::Number(x) if x.fract() == 0.0 && x.abs() <= (1u64 << 53) as f64 => {
+        JsonValue::Number(x) | JsonValue::IntegralFloat(x)
+            if x.fract() == 0.0 && x.abs() <= (1u64 << 53) as f64 =>
+        {
             Some(x as i64)
         }
         _ => None,

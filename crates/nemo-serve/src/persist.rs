@@ -74,12 +74,18 @@ pub struct PersistOptions {
     pub fsync: FsyncPolicy,
     /// WAL segment rotation threshold in bytes.
     pub segment_max_bytes: u64,
-    /// Snapshot once this many WAL bytes accumulated (0 disables).
-    /// Every snapshot is a full document, so this and
-    /// `snapshot_every_epochs` also bound the WAL a recovery replays.
+    /// The floor of each store's byte trigger: snapshot once the WAL
+    /// past the newest snapshot reaches this many bytes or half that
+    /// snapshot's document, whichever is larger (0 disables the byte
+    /// trigger; see [`nemo_store::SNAPSHOT_WAL_DIVISOR`]). Every snapshot
+    /// is a full document, so installs cost O(1) rewritten bytes per WAL
+    /// byte at any state size, and a recovery replays at most about half
+    /// a document of WAL. A reopened store knows no document size until
+    /// its first install, so the floor alone applies until then.
     pub snapshot_every_bytes: u64,
     /// Snapshot once this many epochs passed since the last one
-    /// (0 disables).
+    /// (0, the default, disables): a fixed install point for tests and
+    /// drivers that want installs at known epochs.
     pub snapshot_every_epochs: u64,
     /// Snapshots retained on disk.
     pub keep_snapshots: usize,
@@ -106,7 +112,7 @@ impl Default for PersistOptions {
             fsync: FsyncPolicy::EveryBatch,
             segment_max_bytes: 1 << 20,
             snapshot_every_bytes: 1 << 20,
-            snapshot_every_epochs: 4096,
+            snapshot_every_epochs: 0,
             keep_snapshots: 2,
             vfs: Arc::new(RealFs),
             registry: Registry::new(),

@@ -1271,6 +1271,81 @@ mod tests {
     }
 
     #[test]
+    fn integral_and_negative_zero_floats_keep_their_type_through_install_and_crash() {
+        let workload = generate(&TrafficConfig {
+            nodes: 10,
+            edges: 14,
+            prefixes: 2,
+            seed: 9,
+        });
+        let node = workload.endpoints[0].to_string_dotted();
+        for shards in [1u32, 3] {
+            let root = std::env::temp_dir().join(format!(
+                "nemo-server-float-types-{shards}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&root);
+            let builder = || {
+                ServerBuilder::new()
+                    .shards(shards)
+                    .options(PersistOptions {
+                        snapshot_every_epochs: 2,
+                        ..PersistOptions::default()
+                    })
+                    .persist_at(&root)
+            };
+            let mut server = builder()
+                .build::<ScriptedLlm>(LiveNetwork::from_workload(&workload), Vec::new())
+                .unwrap();
+            // Both records go to the node's owner, whose second local
+            // epoch installs a snapshot holding them.
+            for (at_ms, key, value) in [(1, "weight", 5.0), (2, "bias", -0.0)] {
+                let request = Request::Mutate {
+                    at_ms,
+                    mutation: Mutation::SetNodeAttr {
+                        id: node.clone(),
+                        key: key.to_string(),
+                        value: AttrValue::Float(value),
+                    },
+                };
+                let response = server.handle(&request).unwrap();
+                assert!(matches!(response, Response::Mutated { .. }), "{response:?}");
+            }
+            let served = crate::snapshot::write_snapshot(server.merged_view());
+            // A crash: no drop, so no shutdown flush.
+            std::mem::forget(server);
+            let (mut recovered, reports) = builder()
+                .recover_or_create::<ScriptedLlm>(Vec::new(), || unreachable!())
+                .unwrap();
+            assert!(
+                reports
+                    .iter()
+                    .any(|r| r.snapshot_epoch == 2 && r.replayed_records == 0),
+                "shards={shards}: recovery must read the floats from the snapshot: {reports:?}"
+            );
+            // Matched on the variant and the bits: `==` on attribute values
+            // compares numbers through f64, and -0.0 == 0.0.
+            let attrs = recovered.merged_view().graph().node_attrs(&node).unwrap();
+            for (key, want) in [("weight", 5.0f64), ("bias", -0.0)] {
+                assert!(
+                    matches!(attrs.get(key), Some(AttrValue::Float(f)) if f.to_bits() == want.to_bits()),
+                    "shards={shards}: {key} is {:?}",
+                    attrs.get(key)
+                );
+            }
+            // The whole state as a snapshot writes it, which spells an
+            // integral float with its `.0` in the graph and the frames.
+            assert_eq!(
+                crate::snapshot::write_snapshot(recovered.merged_view()),
+                served,
+                "shards={shards}"
+            );
+            drop(recovered);
+            std::fs::remove_dir_all(&root).unwrap();
+        }
+    }
+
+    #[test]
     fn timestamps_past_2_53_are_logged_exactly_and_past_i64_refused() {
         let workload = generate(&TrafficConfig {
             nodes: 10,
@@ -1319,12 +1394,16 @@ mod tests {
                 .expect("recovery reads every record back");
             assert_eq!(recovered.network().global_epoch(), 2, "shards={shards}");
             assert!(*recovered.merged_view() == served, "shards={shards}");
-            let mut logged: Vec<u64> = recovered
-                .shard_persistence()
-                .iter()
-                .flat_map(|p| p.store().replay(0).unwrap())
-                .map(|(_, payload)| crate::codec::decode_shard_record(&payload).unwrap().0.at_ms)
-                .collect();
+            let mut logged: Vec<u64> = Vec::new();
+            for persistence in recovered.shard_persistence() {
+                persistence
+                    .store()
+                    .replay(0, |_, payload| {
+                        logged.push(crate::codec::decode_shard_record(payload)?.0.at_ms);
+                        Ok::<_, ServeError>(())
+                    })
+                    .unwrap();
+            }
             logged.sort_unstable();
             assert_eq!(logged, stamps[..2], "shards={shards}");
             drop(recovered);
@@ -1378,7 +1457,7 @@ mod tests {
     }
 
     #[test]
-    fn default_options_install_a_full_snapshot_every_4096_local_epochs() {
+    fn default_options_install_once_the_wal_reaches_half_the_newest_document() {
         let root = std::env::temp_dir().join(format!("nemo-server-cadence-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let workload = generate(&TrafficConfig {
@@ -1387,29 +1466,63 @@ mod tests {
             prefixes: 2,
             seed: 9,
         });
+        let ids: Vec<String> = workload
+            .endpoints
+            .iter()
+            .map(|e| e.to_string_dotted())
+            .collect();
         let mut server = ServerBuilder::new()
             .persist_at(&root)
             .build::<ScriptedLlm>(LiveNetwork::from_workload(&workload), Vec::new())
             .unwrap();
-        let events = trafficgen::evolve(
-            &workload,
-            &trafficgen::StreamConfig {
-                events: 8_400,
-                seed: 6,
-            },
-        );
-        for timed in &events {
-            server.handle(&Request::from(timed)).unwrap();
+        let floor = PersistOptions::default().snapshot_every_bytes;
+        // Each record sets a new 16 KiB attribute, so the document grows
+        // with the WAL. Right after the first install one 4 MiB attribute
+        // makes the next document far larger than twice the floor.
+        let mut installs: Vec<(u64, u64)> = Vec::new();
+        for i in 0.. {
+            let metrics = server.shard_persistence()[0].store().metrics().clone();
+            let past = metrics.wal_bytes_past_snapshot.get() as u64;
+            let document = metrics.snapshot_bytes.get() as u64;
+            let written = metrics.bytes_written.get();
+            let installed = metrics.full_snapshots_written.get();
+            let request = Request::Mutate {
+                at_ms: i as u64,
+                mutation: Mutation::SetNodeAttr {
+                    id: ids[i % ids.len()].clone(),
+                    key: format!("blob{}", i / ids.len()),
+                    value: AttrValue::from(
+                        "x".repeat(if installs.len() == 1 {
+                            4 << 20
+                        } else {
+                            16 << 10
+                        })
+                        .as_str(),
+                    ),
+                },
+            };
+            let response = server.handle(&request).unwrap();
+            assert!(matches!(response, Response::Mutated { .. }), "{response:?}");
+            if metrics.full_snapshots_written.get() == installed {
+                continue;
+            }
+            // The WAL between the two installs reached the threshold with
+            // this record and not before it.
+            let gap = past + (metrics.bytes_written.get() - written);
+            let threshold = floor.max(document / 2);
+            assert!(
+                past < threshold && gap >= threshold,
+                "install {}: {past} -> {gap} bytes against {threshold}",
+                installs.len() + 1
+            );
+            installs.push((document, gap));
+            if installs.len() == 3 {
+                break;
+            }
         }
-        // No sync, so no sweep: every snapshot ever installed is on disk.
-        let store = server.shard_persistence()[0].store();
-        assert!(
-            store.last_epoch().unwrap() > 8192,
-            "{:?}",
-            store.last_epoch()
-        );
-        assert_eq!(store.snapshot_epochs(), &[0, 4096, 8192]);
-        assert_eq!(store.metrics().full_snapshots_written.get(), 3);
+        // The floor decided the first install, half the document the third.
+        assert!(installs[0].0 / 2 < floor, "{installs:?}");
+        assert!(installs[2].0 / 2 > 2 * floor, "{installs:?}");
         drop(server);
         std::fs::remove_dir_all(&root).unwrap();
     }

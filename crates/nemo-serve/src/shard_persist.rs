@@ -28,10 +28,12 @@
 //!   recovery parses it once. `nemo-shard/v1` documents, which held the
 //!   same snapshot as a string literal, are still read: a store written
 //!   by an older build recovers, and its next install writes v3. The
-//!   WAL alone carries the records between two snapshots; the store's
-//!   thresholds ([`PersistOptions::snapshot_every_epochs`] and
-//!   [`PersistOptions::snapshot_every_bytes`]) set how many of them a
-//!   recovery replays at most.
+//!   WAL alone carries the records between two snapshots. A shard's
+//!   store installs once the WAL past its newest snapshot reaches half
+//!   that document, or [`PersistOptions::snapshot_every_bytes`] if that is
+//!   larger, so a recovery replays at most about that much WAL (after a
+//!   restart, until the first install, the floor alone applies).
+//!   [`PersistOptions::snapshot_every_epochs`] adds a fixed install point.
 //! * **Sweep** — installing deletes nothing. Pruning old snapshots and
 //!   deleting covered WAL segments is a separate sweep, which
 //!   [`Server::sweep_persistence`](crate::Server::sweep_persistence) runs
@@ -221,8 +223,8 @@ impl ShardPersistence {
         // positional (local) epochs against the records' own, and folding
         // the carried global epochs back into the sequence numbers.
         let mut last_global = last_global;
-        for (epoch, payload) in store.replay(snapshot_epoch)? {
-            let (record, global) = decode_shard_record(&payload)?;
+        store.replay(snapshot_epoch, |epoch, payload| {
+            let (record, global) = decode_shard_record(payload)?;
             if record.epoch != epoch {
                 return Err(ServeError::Corrupt(format!(
                     "shard WAL record at log position {epoch} carries epoch {}",
@@ -251,7 +253,8 @@ impl ShardPersistence {
                 })?;
             last_global = last_global.max(global);
             report.replayed_records += 1;
-        }
+            Ok::<_, ServeError>(())
+        })?;
         // Completeness: recovering below the newest epoch the store ever
         // held would be silent data loss.
         if let Some(last) = store.last_epoch() {
@@ -1816,7 +1819,7 @@ mod tests {
         let restored = crate::snapshot::read_snapshot(&snapshot).unwrap();
         assert_eq!(write_snapshot(&restored), snapshot);
         let raw = reference.raw_json();
-        let digests = |v1: bool, old_literal: bool| {
+        let digests = |v1: bool, old_literal: bool, typed_floats: bool| {
             // The graph encoder used to write the `big` attribute,
             // `Int(i64::MAX)`, through f64 as 9223372036854776000 (read back
             // as a float); it now writes it exactly.
@@ -1824,14 +1827,24 @@ mod tests {
                 true => doc.replace("9223372036854775807", "9223372036854776000"),
                 false => doc.to_string(),
             };
+            // A snapshot's graph wrote the integral floats `Float(3.0)` and
+            // `Float(-0.0)` as the JSON numbers `3` and `0` (read back as
+            // integers) until it gave them the CSV writer's `.0`. The raw
+            // graph, the prompt's JSON, still writes JSON numbers.
+            let floats = |doc: &str| match typed_floats {
+                true => doc.to_string(),
+                false => doc
+                    .replace("\"prefix24\":3.0", "\"prefix24\":3")
+                    .replace("\"tags\":[\"é\",-0.0]", "\"tags\":[\"é\",0]"),
+            };
             // Shard documents were `nemo-shard/v1`, their snapshot held as
             // a string literal, until they nested it as an object.
             let document = |doc: &String| match v1 {
-                true => as_v1(doc),
-                false => doc.clone(),
+                true => as_v1(&floats(doc)),
+                false => floats(doc),
             };
             (
-                digest(text(&snapshot).as_bytes()),
+                digest(text(&floats(&snapshot)).as_bytes()),
                 digest(text(&raw).as_bytes()),
                 documents
                     .iter()
@@ -1852,7 +1865,7 @@ mod tests {
                 (21946, 2381505205),
             ],
         );
-        assert_eq!(digests(true, true), before_exact_ints);
+        assert_eq!(digests(true, true, false), before_exact_ints);
         // The v1 bytes written before shard documents nested their
         // snapshot: the snapshot, the raw graph and the two shard
         // documents that hold the `big` node differ in that literal.
@@ -1866,9 +1879,10 @@ mod tests {
                 (21946, 2381505205),
             ],
         );
-        assert_eq!(digests(true, false), v1);
-        // The bytes written now. Only the shard documents moved: each
-        // nests its snapshot unescaped, under the v3 tag.
+        assert_eq!(digests(true, false, false), v1);
+        // The v3 bytes before the graph typed its floats. Only the shard
+        // documents moved: each nests its snapshot unescaped, under the v3
+        // tag.
         let pinned = (
             (40900, 1538155888),
             (26579, 2331508755),
@@ -1879,6 +1893,20 @@ mod tests {
                 (18478, 813271069),
             ],
         );
-        assert_eq!(digests(false, false), pinned);
+        assert_eq!(digests(false, false, false), pinned);
+        // The bytes written now: the snapshot and the two shard documents
+        // that hold those floats gained their `.0`s; the raw graph is
+        // unchanged.
+        let typed = (
+            (40905, 3337761502),
+            (26579, 2331508755),
+            vec![
+                (42130, 1808811995),
+                (13263, 2181919436),
+                (12877, 2240191531),
+                (18478, 813271069),
+            ],
+        );
+        assert_eq!(digests(false, false, true), typed);
     }
 }

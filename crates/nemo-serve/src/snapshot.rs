@@ -67,7 +67,7 @@ pub(crate) fn write_snapshot_into(live: &LiveNetwork, out: &mut JsonWriter) {
     out.text(",\"epoch\":");
     out.uint(live.epoch());
     out.text(",\"graph\":");
-    write_graph_json(live.graph(), out);
+    write_graph_json(live.graph(), true, out);
     out.text(",\"nodes_csv\":");
     out.begin_string();
     write_csv(live.nodes(), out);
@@ -261,7 +261,7 @@ mod tests {
     fn large_integral_float_attributes_stay_floats() {
         let mut live = evolved(0);
         let node = live.graph().nodes().next().expect("a node").0.to_string();
-        for f in [1e17, -(2f64.powi(60))] {
+        for f in [1e17, -(2f64.powi(60)), 5.0, -0.0] {
             live.apply(&Mutation::SetNodeAttr {
                 id: node.clone(),
                 key: "weight".into(),
@@ -271,7 +271,7 @@ mod tests {
             let restored = read_snapshot(&write_snapshot(&live)).unwrap();
             let attrs = restored.graph().node_attrs(&node).unwrap();
             assert!(
-                matches!(attrs.get("weight"), Some(AttrValue::Float(g)) if *g == f),
+                matches!(attrs.get("weight"), Some(AttrValue::Float(g)) if g.to_bits() == f.to_bits()),
                 "{f}: graph holds {:?}",
                 attrs.get("weight")
             );

@@ -10,7 +10,7 @@
 //! drives a raw [`Store`] directly — the serving layer is not involved.
 
 use nemo_store::record::Framed;
-use nemo_store::{FsyncPolicy, Store, StoreConfig};
+use nemo_store::{FsyncPolicy, Store, StoreConfig, StoreError};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
@@ -59,8 +59,12 @@ fn check_invariants(store: &Store, appended: &[(u64, Vec<u8>)], context: &str) {
     // exactly the records appended above it — no swept-away segment may
     // leave a hole.
     let from = epochs.first().copied().unwrap_or(0);
-    let replayed = store
-        .replay(from)
+    let mut replayed: Vec<(u64, Vec<u8>)> = Vec::new();
+    store
+        .replay(from, |epoch, payload| {
+            replayed.push((epoch, payload.to_vec()));
+            Ok::<_, StoreError>(())
+        })
         .unwrap_or_else(|e| panic!("{context}: replay from {from} failed: {e}"));
     let expected: Vec<(u64, Vec<u8>)> = appended
         .iter()

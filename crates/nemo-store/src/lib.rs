@@ -24,7 +24,9 @@
 //! * **The store** ([`Store`]) — opens a directory, validates every frame,
 //!   truncates a torn tail on the *newest* segment only (any other tear or
 //!   any CRC mismatch fails loudly), appends with a configurable
-//!   [`FsyncPolicy`], and triggers snapshots on byte/epoch thresholds.
+//!   [`FsyncPolicy`], and reports a snapshot as due once the WAL past
+//!   the newest one reaches a byte floor or half that document
+//!   ([`SNAPSHOT_WAL_DIVISOR`]), or an optional epoch count.
 //!   A store has a single appender: every mutating call takes
 //!   `&mut self`, so under [`FsyncPolicy::EveryRecord`] a record is on
 //!   the platter before its `append` returns.
@@ -68,7 +70,13 @@
 //!
 //! // A reopened store sees the same log.
 //! let (store, _) = Store::open(&dir, config).unwrap();
-//! let suffix = store.replay(0).unwrap();
+//! let mut suffix = Vec::new();
+//! store
+//!     .replay(0, |epoch, payload| {
+//!         suffix.push((epoch, payload.to_vec()));
+//!         Ok::<_, nemo_store::StoreError>(())
+//!     })
+//!     .unwrap();
 //! assert_eq!(suffix.len(), 2);
 //! assert_eq!(suffix[1], (2, b"second mutation".to_vec()));
 //! std::fs::remove_dir_all(&dir).unwrap();
@@ -89,6 +97,7 @@ pub use error::StoreError;
 pub use metrics::StoreMetrics;
 pub use store::{
     parse_snapshot_name, snapshot_file_name, FsyncPolicy, OpenReport, Store, StoreConfig,
+    SNAPSHOT_WAL_DIVISOR,
 };
 pub use sweep::{SweepOutcome, SweepPlan};
 pub use vfs::{FaultFs, FaultKind, RealFs, Vfs, VfsFile};

@@ -36,6 +36,13 @@ pub struct StoreMetrics {
     pub segments: Gauge,
     /// Snapshot files currently on disk.
     pub snapshots: Gauge,
+    /// Framed bytes of the newest snapshot each store installed since it
+    /// was opened (0 for a store that has not installed one): what the
+    /// proportional byte trigger scales with.
+    pub snapshot_bytes: Gauge,
+    /// WAL bytes appended since each store's newest snapshot: the byte
+    /// trigger's count, so the distance to the next install is readable.
+    pub wal_bytes_past_snapshot: Gauge,
     /// Snapshots installed (every snapshot is a full document).
     pub full_snapshots_written: Counter,
     /// Snapshots deleted by [`crate::Store::sweep`].
@@ -58,6 +65,9 @@ impl StoreMetrics {
             rotations: registry.counter("store_rotations", Class::Physical),
             segments: registry.gauge("store_segments", Class::Physical),
             snapshots: registry.gauge("store_snapshots", Class::Physical),
+            snapshot_bytes: registry.gauge("store_snapshot_bytes", Class::Physical),
+            wal_bytes_past_snapshot: registry
+                .gauge("store_wal_bytes_past_snapshot", Class::Physical),
             full_snapshots_written: registry
                 .counter("store_full_snapshots_written", Class::Physical),
             sweep_pruned_snapshots: registry

@@ -75,6 +75,13 @@ pub fn parse_snapshot_name(name: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
+/// The byte trigger's proportional part: a snapshot is due once the WAL
+/// past the newest snapshot reaches `1/SNAPSHOT_WAL_DIVISOR` of that
+/// snapshot's framed size (see [`StoreConfig::snapshot_every_bytes`]). At
+/// 2 an install rewrites the state once per half a document of WAL, and
+/// a recovery replays at most about half a document.
+pub const SNAPSHOT_WAL_DIVISOR: u64 = 2;
+
 /// Sizing and durability knobs of one store. The crate sets no defaults:
 /// the caller (the serving layer's `PersistOptions`) writes every field.
 #[derive(Debug, Clone)]
@@ -87,11 +94,16 @@ pub struct StoreConfig {
     /// Seal the active segment and open a new one once it holds at least
     /// this many bytes.
     pub segment_max_bytes: u64,
-    /// Report a snapshot as due once this many WAL bytes accumulated since
-    /// the newest snapshot (0 disables the byte trigger).
+    /// The floor of the byte trigger: report a snapshot as due once the
+    /// WAL bytes appended since the newest snapshot reach this many, or
+    /// `1/`[`SNAPSHOT_WAL_DIVISOR`] of that snapshot's framed size,
+    /// whichever is larger (0 disables the byte trigger). The proportional
+    /// part rewrites each byte of state a bounded number of times per WAL
+    /// byte, however large the state grows.
     pub snapshot_every_bytes: u64,
     /// Report a snapshot as due once this many epochs passed since the
-    /// newest snapshot (0 disables the epoch trigger).
+    /// newest snapshot (0 disables the epoch trigger): a deterministic
+    /// install point for tests.
     pub snapshot_every_epochs: u64,
     /// How many snapshots to retain (at least 1). Older ones are deleted
     /// by [`Store::sweep`], not on install.
@@ -171,6 +183,11 @@ pub struct Store {
     /// approximated from segments holding records past the newest
     /// snapshot (whole-segment granularity, conservative).
     bytes_past_snapshot: u64,
+    /// Framed size of the newest snapshot this handle installed, which
+    /// scales the byte trigger. A reopened store starts at 0 (it reads no
+    /// document), so only [`StoreConfig::snapshot_every_bytes`] applies
+    /// until its first install.
+    snapshot_bytes: u64,
     /// Hot-path instrumentation; detached (recording goes nowhere) until
     /// [`Store::attach_metrics`] binds it to a shared registry.
     metrics: StoreMetrics,
@@ -350,6 +367,7 @@ impl Store {
             durable_epoch: last_epoch,
             poisoned: None,
             bytes_past_snapshot,
+            snapshot_bytes: 0,
             metrics: StoreMetrics::default(),
             tracer: Tracer::default(),
         };
@@ -372,15 +390,28 @@ impl Store {
 
     /// Binds the store's instrumentation to `metrics` (typically
     /// [`StoreMetrics::register`]ed on a shared registry) and folds the
-    /// current on-disk state into the `store_segments` /
-    /// `store_snapshots` gauges. The gauges are maintained with delta
-    /// updates — and given back on drop — so several stores sharing one
-    /// registry sum correctly. Call at most once per store.
+    /// store's current state into the gauges. The gauges are maintained
+    /// with delta updates — and given back on drop — so several stores
+    /// sharing one registry sum correctly. Call at most once per store.
     pub fn attach_metrics(&mut self, metrics: StoreMetrics) {
         self.metrics = metrics;
+        self.add_gauges(1);
+    }
+
+    /// Adds this store's share of every gauge to the bound metrics, times
+    /// `sign` (1 on attach, -1 on drop).
+    fn add_gauges(&self, sign: i64) {
         let segments = self.sealed.len() + usize::from(self.active.is_some());
-        self.metrics.segments.add(segments as i64);
-        self.metrics.snapshots.add(self.snapshots.len() as i64);
+        self.metrics.segments.add(sign * segments as i64);
+        self.metrics
+            .snapshots
+            .add(sign * self.snapshots.len() as i64);
+        self.metrics
+            .snapshot_bytes
+            .add(sign * self.snapshot_bytes as i64);
+        self.metrics
+            .wal_bytes_past_snapshot
+            .add(sign * self.bytes_past_snapshot as i64);
     }
 
     /// The store's instrumentation handles (detached unless
@@ -577,6 +608,7 @@ impl Store {
         active.records += 1;
         active.bytes += frame.len() as u64;
         self.bytes_past_snapshot += frame.len() as u64;
+        self.metrics.wal_bytes_past_snapshot.add(frame.len() as i64);
         self.metrics.appends.inc();
         self.metrics.bytes_written.add(frame.len() as u64);
         // Count the record *before* the policy fsync: it is physically in
@@ -763,7 +795,15 @@ impl Store {
             // The fsynced, renamed document durably captures `epoch`.
             self.note_synced(epoch);
         }
+        self.metrics
+            .wal_bytes_past_snapshot
+            .sub(self.bytes_past_snapshot as i64);
         self.bytes_past_snapshot = 0;
+        let size = document.bytes().len() as u64;
+        self.metrics
+            .snapshot_bytes
+            .add(size as i64 - self.snapshot_bytes as i64);
+        self.snapshot_bytes = size;
         Ok(())
     }
 
@@ -885,12 +925,18 @@ impl Store {
     }
 
     /// Whether the configured thresholds call for a snapshot at
-    /// `current_epoch`: enough WAL bytes or enough epochs accumulated past
-    /// the newest snapshot.
+    /// `current_epoch`: enough WAL bytes (the larger of
+    /// [`StoreConfig::snapshot_every_bytes`] and a
+    /// `1/`[`SNAPSHOT_WAL_DIVISOR`] share of the newest installed document)
+    /// or enough epochs accumulated past the newest snapshot.
     pub fn snapshot_due(&self, current_epoch: u64) -> bool {
         let newest = self.snapshots.last().copied();
         let byte_due = self.config.snapshot_every_bytes > 0
-            && self.bytes_past_snapshot >= self.config.snapshot_every_bytes;
+            && self.bytes_past_snapshot
+                >= self
+                    .config
+                    .snapshot_every_bytes
+                    .max(self.snapshot_bytes / SNAPSHOT_WAL_DIVISOR);
         let epoch_due = self.config.snapshot_every_epochs > 0
             && newest.map_or(true, |n| {
                 current_epoch.saturating_sub(n) >= self.config.snapshot_every_epochs
@@ -915,53 +961,54 @@ impl Store {
         Ok(scan.frames.into_iter().next().expect("one frame").payload)
     }
 
-    /// Replays the WAL: every `(epoch, payload)` with epoch strictly above
-    /// `from_epoch`, in order. Segments wholly at or below `from_epoch` are
-    /// skipped without reading.
-    pub fn replay(&self, from_epoch: u64) -> Result<Vec<(u64, Vec<u8>)>, StoreError> {
-        let mut out = Vec::new();
-        let ranges: Vec<(PathBuf, u64, u64)> = self
+    /// Replays the WAL: hands every `(epoch, payload)` with epoch strictly
+    /// above `from_epoch` to `each`, in order, and stops at the first error
+    /// either side raises. Segments wholly at or below `from_epoch` are
+    /// skipped without reading, and the rest are read one at a time, so a
+    /// replay holds one segment in memory however long the suffix is.
+    pub fn replay<E: From<StoreError>>(
+        &self,
+        from_epoch: u64,
+        mut each: impl FnMut(u64, &[u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let ranges = self
             .sealed
             .iter()
-            .map(|s| (s.path.clone(), s.first_epoch, s.records))
+            .map(|s| (&s.path, s.first_epoch, s.records))
             .chain(
                 self.active
                     .as_ref()
-                    .map(|a| (a.path.clone(), a.first_epoch, a.records)),
-            )
-            .collect();
+                    .map(|a| (&a.path, a.first_epoch, a.records)),
+            );
         for (path, first_epoch, records) in ranges {
             if records > 0 && first_epoch + records - 1 <= from_epoch {
                 continue;
             }
-            let scan = scan_segment_with(self.vfs.as_ref(), &path, &self.config.magic)?;
+            let scan = scan_segment_with(self.vfs.as_ref(), path, &self.config.magic)?;
             if scan.torn_at.is_some() {
                 return Err(StoreError::Corrupt(format!(
                     "{}: segment changed since open (unexpected torn frame)",
                     path.display()
-                )));
+                ))
+                .into());
             }
-            for (i, frame) in scan.frames.iter().enumerate() {
-                let epoch = first_epoch + i as u64;
+            for (epoch, frame) in (first_epoch..).zip(&scan.frames) {
                 if epoch > from_epoch {
-                    out.push((epoch, frame.payload.clone()));
+                    each(epoch, &frame.payload)?;
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 }
 
 impl Drop for Store {
     /// Best-effort flush so a clean shutdown never depends on the caller
-    /// remembering a final [`Store::sync`], plus giving the on-disk
-    /// counts this store contributed back to the (possibly shared)
-    /// `store_segments` / `store_snapshots` gauges.
+    /// remembering a final [`Store::sync`], plus giving this store's
+    /// share of every (possibly shared) gauge back.
     fn drop(&mut self) {
         let _ = self.sync();
-        let segments = self.sealed.len() + usize::from(self.active.is_some());
-        self.metrics.segments.sub(segments as i64);
-        self.metrics.snapshots.sub(self.snapshots.len() as i64);
+        self.add_gauges(-1);
     }
 }
 
@@ -990,6 +1037,18 @@ mod tests {
         format!("record-{epoch}").into_bytes()
     }
 
+    /// Collects a replay: the `(epoch, payload)` pairs past `from_epoch`.
+    fn replayed(store: &Store, from_epoch: u64) -> Vec<(u64, Vec<u8>)> {
+        let mut out = Vec::new();
+        store
+            .replay(from_epoch, |epoch, payload| {
+                out.push((epoch, payload.to_vec()));
+                Ok::<_, StoreError>(())
+            })
+            .unwrap();
+        out
+    }
+
     #[test]
     fn append_rotate_reopen_replay() {
         let dir = temp_dir("rotate");
@@ -1006,16 +1065,27 @@ mod tests {
         let (store, report) = Store::open(&dir, test_config()).unwrap();
         assert_eq!(report.truncated_bytes, 0);
         assert_eq!(store.last_epoch(), Some(20));
-        let all = store.replay(0).unwrap();
+        let all = replayed(&store, 0);
         assert_eq!(all.len(), 20);
         for (i, (epoch, bytes)) in all.iter().enumerate() {
             assert_eq!(*epoch, i as u64 + 1);
             assert_eq!(*bytes, payload(*epoch));
         }
         // Suffix replay skips early segments.
-        let suffix = store.replay(15).unwrap();
+        let suffix = replayed(&store, 15);
         assert_eq!(suffix.len(), 5);
         assert_eq!(suffix[0].0, 16);
+        // The first error the caller returns stops the replay there.
+        let mut seen = 0;
+        let stopped = store.replay(0, |epoch, _| {
+            seen += 1;
+            match epoch {
+                3 => Err(StoreError::Corrupt("stop".to_string())),
+                _ => Ok(()),
+            }
+        });
+        assert!(matches!(stopped, Err(StoreError::Corrupt(_))));
+        assert_eq!(seen, 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1059,7 +1129,7 @@ mod tests {
             let tail_frame = encode_frame(&payload(3));
             tail_frame.len() as u64 - 3
         });
-        let all = store.replay(0).unwrap();
+        let all = replayed(&store, 0);
         assert_eq!(all.last().map(|(e, _)| *e), Some(2), "torn record dropped");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1141,7 +1211,7 @@ mod tests {
         // fallback past snap-12 can still replay from genesis.
         assert_eq!(store.snapshot_epochs(), &[0, 12]);
         assert_eq!(store.segment_paths().len(), before);
-        assert_eq!(store.replay(0).unwrap().len(), 20);
+        assert_eq!(replayed(&store, 0).len(), 20);
         // The third snapshot prunes epoch 0 and compacts to epoch 12:
         // segments wholly at or below 12 are gone, the suffix stays.
         store.append(21, &payload(21)).unwrap();
@@ -1158,20 +1228,34 @@ mod tests {
         assert_eq!(store.snapshot_epochs(), &[12, 21]);
         let after = store.segment_paths().len();
         assert!(after < before, "compaction must delete covered segments");
-        let suffix = store.replay(12).unwrap();
+        let suffix = replayed(&store, 12);
         assert_eq!(suffix.first().map(|(e, _)| *e), Some(13));
         assert_eq!(suffix.last().map(|(e, _)| *e), Some(21));
         assert_eq!(store.read_snapshot(21).unwrap(), b"state at twenty-one");
         assert!(store.read_snapshot(0).is_err(), "pruned snapshot is gone");
         // Nothing newer than epoch 21 remains; appends continue at 22.
-        assert_eq!(store.replay(21).unwrap(), vec![]);
+        assert_eq!(replayed(&store, 21), vec![]);
         store.append(22, &payload(22)).unwrap();
         drop(store);
         let (store, report) = Store::open(&dir, test_config()).unwrap();
         assert_eq!(report.pending_sweep_removals, 0);
         assert_eq!(store.last_epoch(), Some(22));
-        assert_eq!(store.replay(21).unwrap().len(), 1);
+        assert_eq!(replayed(&store, 21).len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Appends records from `epoch + 1` until the store reports a snapshot
+    /// as due; returns the last epoch and the WAL bytes past the newest
+    /// snapshot before and after that last append.
+    fn append_until_due(store: &mut Store, mut epoch: u64) -> (u64, u64, u64) {
+        let mut before = 0;
+        while !store.snapshot_due(epoch) {
+            before = store.metrics().wal_bytes_past_snapshot.get() as u64;
+            epoch += 1;
+            store.append(epoch, &payload(epoch)).unwrap();
+        }
+        let after = store.metrics().wal_bytes_past_snapshot.get() as u64;
+        (epoch, before, after)
     }
 
     #[test]
@@ -1216,6 +1300,82 @@ mod tests {
             "a fresh snapshot must clear the byte trigger (wal bytes: {})",
             store.wal_bytes()
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        // The byte trigger is the larger of the floor and half the newest
+        // document; each install resets the count and sets the size.
+        let dir = temp_dir("due-proportional");
+        let mut config = test_config();
+        config.snapshot_every_bytes = 100;
+        let registry = nemo_obs::Registry::new();
+        let (mut store, _) = Store::open(&dir, config.clone()).unwrap();
+        store.attach_metrics(StoreMetrics::register(&registry));
+        let gauges = store.metrics().clone();
+        // A 28-byte framed document: half of it is below the floor, so
+        // the floor decides.
+        let small = Framed::copy(&[b's'; 20]);
+        store.install_snapshot(0, &small).unwrap();
+        assert_eq!(gauges.snapshot_bytes.get(), 28);
+        let (epoch, before, after) = append_until_due(&mut store, 0);
+        assert!(before < 100 && after >= 100, "{before} -> {after}");
+        // A 1,008-byte document: the trigger moves to half of it, and the
+        // install reset the byte count.
+        let big = Framed::copy(&[b'b'; 1000]);
+        store.install_snapshot(epoch, &big).unwrap();
+        assert_eq!(gauges.snapshot_bytes.get(), 1008);
+        assert_eq!(gauges.wal_bytes_past_snapshot.get(), 0);
+        assert!(!store.snapshot_due(epoch));
+        let (epoch, before, after) = append_until_due(&mut store, epoch);
+        assert!(before < 504 && after >= 504, "{before} -> {after}");
+        // A smaller document brings the trigger back down to the floor.
+        store.install_snapshot(epoch, &small).unwrap();
+        assert_eq!(gauges.snapshot_bytes.get(), 28);
+        let (epoch, before, after) = append_until_due(&mut store, epoch);
+        assert!(before < 100 && after >= 100, "{before} -> {after}");
+        // A zero floor disables the byte trigger whatever the document.
+        let mut off = config.clone();
+        off.snapshot_every_bytes = 0;
+        let dir_off = temp_dir("due-proportional-off");
+        let (mut quiet, _) = Store::open(&dir_off, off).unwrap();
+        quiet.install_snapshot(0, &big).unwrap();
+        for e in 1..=200 {
+            quiet.append(e, &payload(e)).unwrap();
+            assert!(!quiet.snapshot_due(e));
+        }
+        drop(quiet);
+        std::fs::remove_dir_all(&dir_off).unwrap();
+
+        // Reopening forgets the document's size: a WAL past the floor but
+        // below half the big document is not due before the restart, and
+        // due after it, until the first install sets the size again.
+        store.install_snapshot(epoch, &big).unwrap();
+        let mut epoch = epoch;
+        while gauges.wal_bytes_past_snapshot.get() < 200 {
+            epoch += 1;
+            store.append(epoch, &payload(epoch)).unwrap();
+        }
+        assert!(!store.snapshot_due(epoch));
+        drop(store);
+        assert_eq!(
+            gauges.snapshot_bytes.get(),
+            0,
+            "a dropped store gives its share back"
+        );
+        assert_eq!(gauges.wal_bytes_past_snapshot.get(), 0);
+        let (mut store, _) = Store::open(&dir, config).unwrap();
+        store.attach_metrics(StoreMetrics::register(&registry));
+        // Reopen counts whole segments past the snapshot, which with
+        // these 64-byte segments stays below half the big document: only
+        // the forgotten size makes the store due.
+        assert_eq!(gauges.snapshot_bytes.get(), 0);
+        let past = gauges.wal_bytes_past_snapshot.get();
+        assert!((200..504).contains(&past), "{past}");
+        assert!(store.snapshot_due(epoch));
+        store.install_snapshot(epoch, &big).unwrap();
+        assert_eq!(gauges.snapshot_bytes.get(), 1008);
+        let (_, before, after) = append_until_due(&mut store, epoch);
+        assert!(before < 504 && after >= 504, "{before} -> {after}");
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1283,7 +1443,7 @@ mod tests {
         assert!(store.segment_paths().contains(&blocked));
         // The store stays usable: appends and covered replay still work.
         store.append(22, &payload(22)).unwrap();
-        let suffix = store.replay(12).unwrap();
+        let suffix = replayed(&store, 12);
         assert_eq!(suffix.first().map(|(e, _)| *e), Some(13));
         assert_eq!(suffix.last().map(|(e, _)| *e), Some(22));
         // Clearing the obstruction leaves the file gone; the next sweep
@@ -1304,7 +1464,7 @@ mod tests {
         assert_eq!(outcome.remaining, 0);
         assert!(!store.segment_paths().contains(&gone));
         store.append(22, &payload(22)).unwrap();
-        assert_eq!(store.replay(12).unwrap().len(), 10);
+        assert_eq!(replayed(&store, 12).len(), 10);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1363,7 +1523,7 @@ mod tests {
             );
             assert_eq!(reopened.read_snapshot(12).unwrap(), b"state at twelve");
             assert_eq!(reopened.read_snapshot(21).unwrap(), b"state at twenty-one");
-            let suffix = reopened.replay(12).unwrap();
+            let suffix = replayed(&reopened, 12);
             assert_eq!(suffix.first().map(|(e, _)| *e), Some(13), "step {step}");
             assert_eq!(suffix.last().map(|(e, _)| *e), Some(21), "step {step}");
             drop(reopened);
@@ -1422,11 +1582,11 @@ mod tests {
         // clean boundary and replay sees exactly the retried record.
         store.append(1, &payload(1)).unwrap();
         store.append(2, &payload(2)).unwrap();
-        assert_eq!(store.replay(0).unwrap().len(), 2);
+        assert_eq!(replayed(&store, 0).len(), 2);
         drop(store);
         let (store, report) = Store::open(&dir, test_config()).unwrap();
         assert_eq!(report.truncated_bytes, 0, "no crash tail left behind");
-        assert_eq!(store.replay(0).unwrap().len(), 2);
+        assert_eq!(replayed(&store, 0).len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1560,7 +1720,7 @@ mod tests {
             store.sweep(usize::MAX),
             Err(StoreError::Poisoned(_))
         ));
-        assert_eq!(store.replay(0).unwrap().len(), 1, "reads still answer");
+        assert_eq!(replayed(&store, 0).len(), 1, "reads still answer");
         assert_eq!(
             store.durable_epoch(),
             None,
@@ -1572,7 +1732,7 @@ mod tests {
         // (append succeeded, crash before ack).
         let (store, _) = Store::open(&dir, config).unwrap();
         assert!(store.poisoned().is_none());
-        assert_eq!(store.replay(0).unwrap().len(), 1);
+        assert_eq!(replayed(&store, 0).len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1598,7 +1758,7 @@ mod tests {
         // The outgoing segment's records are on disk; the manifest must
         // still list them (sealed), not drop them.
         assert_eq!(store.segment_paths().len(), 1);
-        assert_eq!(store.replay(0).unwrap().len(), 3);
+        assert_eq!(replayed(&store, 0).len(), 3);
         assert_eq!(
             store.last_epoch(),
             Some(3),
@@ -1606,7 +1766,7 @@ mod tests {
         );
         drop(store);
         let (store, _) = Store::open(&dir, config).unwrap();
-        assert_eq!(store.replay(0).unwrap().len(), 3);
+        assert_eq!(replayed(&store, 0).len(), 3);
         assert_eq!(store.last_epoch(), Some(3));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1629,7 +1789,7 @@ mod tests {
             "orphaned segment file must be rolled back"
         );
         store.append(1, &payload(1)).unwrap();
-        assert_eq!(store.replay(0).unwrap().len(), 1);
+        assert_eq!(replayed(&store, 0).len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

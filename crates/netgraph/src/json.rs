@@ -37,9 +37,15 @@ pub enum JsonValue {
     /// `true` / `false`
     Bool(bool),
     /// Any JSON number that f64 holds exactly: every integer up to 2^53 in
-    /// magnitude, and every literal with a fraction or an exponent. Written
-    /// by [`JsonWriter::number`], it always parses back as a `Number`.
+    /// magnitude, and every literal with a fraction or an exponent that is
+    /// not an [`JsonValue::IntegralFloat`]. Written by
+    /// [`JsonWriter::number`], it always parses back as a `Number`.
     Number(f64),
+    /// A literal with a fraction or an exponent whose value is an integer
+    /// within ±2^53 (`5.0`, `-0.0`, `1e3`): spelled as a float, so read as
+    /// one where numeric type matters ([`JsonWriter::typed_float`] writes
+    /// it). [`JsonValue::parse`] makes one only there.
+    IntegralFloat(f64),
     /// An integer literal beyond 2^53 in magnitude, which f64 would round.
     /// [`JsonValue::parse`] makes one only there, so every other consumer
     /// of numbers still sees `Number`.
@@ -92,6 +98,7 @@ impl JsonValue {
                     AttrValue::Float(n)
                 }
             }
+            JsonValue::IntegralFloat(f) => AttrValue::Float(f),
             JsonValue::Int(i) => AttrValue::Int(i),
             JsonValue::String(s) => AttrValue::Str(s.into()),
             JsonValue::Array(items) => {
@@ -108,6 +115,10 @@ impl JsonValue {
 
 /// The largest magnitude up to which f64 holds every integer: 2^53.
 const MAX_EXACT_INT: u64 = 1 << 53;
+
+/// 2^63: an integral float below it in magnitude has a shortest form that
+/// reads back as an `i64`.
+const I64_BOUND: f64 = 9_223_372_036_854_775_808.0;
 
 impl From<i64> for JsonValue {
     /// The variant [`JsonValue::parse`] gives the integer's literal:
@@ -251,8 +262,9 @@ impl Parser<'_> {
             self.pos += 1;
         }
         self.skip_digits();
+        let float_shaped = matches!(self.peek(), Some(b'.' | b'e' | b'E'));
         // An integer literal that f64 would round keeps its exact value.
-        if !matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
+        if !float_shaped {
             let exact = self.text[start..self.pos].parse::<i64>();
             if let Ok(int @ JsonValue::Int(_)) = exact.map(JsonValue::from) {
                 return Ok(int);
@@ -269,10 +281,16 @@ impl Parser<'_> {
             }
             self.skip_digits();
         }
-        self.text[start..self.pos]
+        let n = self.text[start..self.pos]
             .parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|_| JsonError::new(start, "invalid number"))
+            .map_err(|_| JsonError::new(start, "invalid number"))?;
+        Ok(
+            if float_shaped && n.fract() == 0.0 && n.abs() <= MAX_EXACT_INT as f64 {
+                JsonValue::IntegralFloat(n)
+            } else {
+                JsonValue::Number(n)
+            },
+        )
     }
 
     /// Parses a string literal, copying the text between escapes as whole
@@ -516,6 +534,19 @@ impl JsonWriter {
         write!(self.out, "{value}").expect("writing to a String cannot fail");
     }
 
+    /// Writes a float so that it reads back as a float: its shortest
+    /// round-trip form, plus `.0` when that form is an integer below 2^63
+    /// in magnitude (`5.0`, `-0.0`). [`JsonValue::parse`] reads such a
+    /// literal back as an [`JsonValue::IntegralFloat`] up to 2^53 and as a
+    /// non-integer-typed `Number` beyond, and the CSV reader as a float.
+    /// Non-finite values are spelled as [`JsonWriter::float`] spells them.
+    pub fn typed_float(&mut self, value: f64) {
+        self.float(value);
+        if value.fract() == 0.0 && value.abs() < I64_BOUND {
+            self.out.push_str(".0");
+        }
+    }
+
     /// Writes a JSON number: an integral value below 10^15 in magnitude as
     /// an integer, anything else in its shortest round-trip form. An
     /// integral value beyond 2^53 that i64 holds gets a trailing `.0`: bare
@@ -540,6 +571,7 @@ impl JsonWriter {
             JsonValue::Null => self.out.push_str("null"),
             JsonValue::Bool(b) => self.out.push_str(if *b { "true" } else { "false" }),
             JsonValue::Number(n) => self.number(*n),
+            JsonValue::IntegralFloat(f) => self.typed_float(*f),
             JsonValue::Int(i) => self.int(*i),
             JsonValue::String(s) => self.string(s),
             JsonValue::Array(items) => {
@@ -569,12 +601,14 @@ impl JsonWriter {
 
     /// Writes an attribute value as JSON. An integer is written exactly,
     /// digit for digit (the bytes [`JsonWriter::number`] gives it wherever
-    /// f64 holds it).
-    fn attr(&mut self, value: &AttrValue) {
+    /// f64 holds it); a float as a JSON number, or with `typed_floats` as a
+    /// [`JsonWriter::typed_float`], which reads back as a float.
+    fn attr(&mut self, value: &AttrValue, typed_floats: bool) {
         match value {
             AttrValue::Null => self.out.push_str("null"),
             AttrValue::Bool(b) => self.out.push_str(if *b { "true" } else { "false" }),
             AttrValue::Int(i) => self.int(*i),
+            AttrValue::Float(f) if typed_floats => self.typed_float(*f),
             AttrValue::Float(f) => self.number(*f),
             AttrValue::Str(s) => self.string(s),
             AttrValue::List(items) => {
@@ -583,7 +617,7 @@ impl JsonWriter {
                     if i > 0 {
                         self.out.push(',');
                     }
-                    self.attr(item);
+                    self.attr(item, typed_floats);
                 }
                 self.out.push(']');
             }
@@ -592,9 +626,14 @@ impl JsonWriter {
 }
 
 /// Writes `attrs` plus the string fields `named` as one object with sorted
-/// keys. `named` must be sorted by key; a named field replaces an attribute
-/// of the same name.
-fn write_attr_object(attrs: &AttrMap, named: &[(&str, &str)], out: &mut JsonWriter) {
+/// keys, floats as [`JsonWriter::attr`] writes them. `named` must be sorted
+/// by key; a named field replaces an attribute of the same name.
+fn write_attr_object(
+    attrs: &AttrMap,
+    named: &[(&str, &str)],
+    typed_floats: bool,
+    out: &mut JsonWriter,
+) {
     fn field(first: &mut bool, key: &str, out: &mut JsonWriter) {
         if !std::mem::take(first) {
             out.out.push(',');
@@ -619,7 +658,7 @@ fn write_attr_object(attrs: &AttrMap, named: &[(&str, &str)], out: &mut JsonWrit
         }
         if !shadowed {
             field(&mut first, key, out);
-            out.attr(value);
+            out.attr(value, typed_floats);
         }
     }
     for (name, text) in rest {
@@ -634,8 +673,12 @@ fn write_attr_object(attrs: &AttrMap, named: &[(&str, &str)], out: &mut JsonWrit
 /// "nodes": [{...attrs, "id": ...}]}`.
 ///
 /// This is the JSON shape fed to the strawman prompt and counted by the cost
-/// model, and the graph part of a serving snapshot.
-pub fn write_graph_json(g: &Graph, out: &mut JsonWriter) {
+/// model, where a float attribute is a JSON number, so an integral one reads
+/// back as an integer. With `typed_floats` every float is a
+/// [`JsonWriter::typed_float`], so that [`graph_from_json`] gives back
+/// `Float(5.0)` and `Float(-0.0)`, not integers: the graph part of a
+/// serving snapshot.
+pub fn write_graph_json(g: &Graph, typed_floats: bool, out: &mut JsonWriter) {
     out.text(if g.is_directed() {
         "{\"directed\":true,\"links\":["
     } else {
@@ -645,22 +688,22 @@ pub fn write_graph_json(g: &Graph, out: &mut JsonWriter) {
         if i > 0 {
             out.out.push(',');
         }
-        write_attr_object(attrs, &[("source", u), ("target", v)], out);
+        write_attr_object(attrs, &[("source", u), ("target", v)], typed_floats, out);
     }
     out.text("],\"nodes\":[");
     for (i, (id, attrs)) in g.nodes().enumerate() {
         if i > 0 {
             out.out.push(',');
         }
-        write_attr_object(attrs, &[("id", id)], out);
+        write_attr_object(attrs, &[("id", id)], typed_floats, out);
     }
     out.text("]}");
 }
 
-/// [`write_graph_json`] into a new string.
+/// [`write_graph_json`] into a new string, floats as JSON numbers.
 pub fn graph_to_json(g: &Graph) -> String {
     let mut out = JsonWriter::new();
-    write_graph_json(g, &mut out);
+    write_graph_json(g, false, &mut out);
     out.finish()
 }
 
@@ -952,7 +995,7 @@ mod tests {
             AttrValue::Null,
         ]);
         let mut text = JsonWriter::new();
-        text.attr(&attr);
+        text.attr(&attr, false);
         assert_eq!(JsonValue::parse(&text.finish()).unwrap().into_attr(), attr);
     }
 
@@ -968,7 +1011,7 @@ mod tests {
             i64::MIN,
         ] {
             let mut out = JsonWriter::new();
-            out.attr(&AttrValue::Int(i));
+            out.attr(&AttrValue::Int(i), false);
             let text = out.finish();
             assert_eq!(text, i.to_string());
             let back = JsonValue::parse(&text).unwrap();
@@ -1006,13 +1049,79 @@ mod tests {
                 "{text}"
             );
             let mut out = JsonWriter::new();
-            out.attr(&AttrValue::Float(f));
+            out.attr(&AttrValue::Float(f), false);
             let text = out.finish();
             assert!(
                 matches!(JsonValue::parse(&text).unwrap().into_attr(), AttrValue::Float(g) if g == f),
                 "{text}"
             );
         }
+    }
+
+    #[test]
+    fn typed_floats_read_back_as_floats() {
+        for f in [
+            5.0,
+            -0.0,
+            0.0,
+            2.5,
+            1e15,
+            2.5e15,
+            (1u64 << 53) as f64,
+            1e17,
+            -(2f64.powi(60)),
+            1e20,
+        ] {
+            let mut out = JsonWriter::new();
+            out.attr(&AttrValue::Float(f), true);
+            let text = out.finish();
+            let back = JsonValue::parse(&text).unwrap();
+            assert_eq!(back.to_json(), text, "{f}");
+            assert!(
+                matches!(back.into_attr(), AttrValue::Float(g) if g.to_bits() == f.to_bits()),
+                "{f} as {text}"
+            );
+        }
+        assert_eq!(
+            JsonValue::parse("5.0").unwrap(),
+            JsonValue::IntegralFloat(5.0)
+        );
+        assert_eq!(
+            JsonValue::parse("1e3").unwrap(),
+            JsonValue::IntegralFloat(1000.0)
+        );
+        assert_eq!(JsonValue::IntegralFloat(-0.0).to_json(), "-0.0");
+        // The untyped writer keeps writing JSON numbers, which read back as
+        // integers: the prompt's bytes do not move.
+        let mut g = Graph::undirected();
+        g.add_node(
+            "a",
+            [
+                ("w".to_string(), AttrValue::Float(5.0)),
+                ("z".to_string(), AttrValue::Float(-0.0)),
+                ("n".to_string(), AttrValue::Int(5)),
+            ]
+            .into_iter()
+            .collect(),
+        );
+        assert_eq!(
+            graph_to_json(&g),
+            r#"{"directed":false,"links":[],"nodes":[{"id":"a","n":5,"w":5,"z":0}]}"#
+        );
+        let mut typed = JsonWriter::new();
+        write_graph_json(&g, true, &mut typed);
+        let text = typed.finish();
+        assert_eq!(
+            text,
+            r#"{"directed":false,"links":[],"nodes":[{"id":"a","n":5,"w":5.0,"z":-0.0}]}"#
+        );
+        let back = graph_from_json(JsonValue::parse(&text).unwrap()).unwrap();
+        let attrs = back.node_attrs("a").unwrap();
+        assert!(matches!(attrs.get("w"), Some(AttrValue::Float(f)) if *f == 5.0));
+        assert!(
+            matches!(attrs.get("z"), Some(AttrValue::Float(f)) if f.to_bits() == (-0.0f64).to_bits())
+        );
+        assert!(matches!(attrs.get("n"), Some(AttrValue::Int(5))));
     }
 
     #[test]
