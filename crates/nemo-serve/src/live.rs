@@ -12,10 +12,10 @@
 //!
 //! **Row keys and indices.** Every row of both frames carries a *key*, a
 //! number fixed when the row is appended, and each frame's keys ascend
-//! strictly with its rows. A standalone or merged network keys each
-//! frame's rows `0..n` and counts upward from the last key; a shard
-//! partition keys them by their merge sequence numbers, which is all the
-//! merge needs (see [`crate::shard`]).
+//! strictly with its rows. A standalone network keys each frame's rows
+//! `0..n` and counts upward from the last key; a server's state, and every
+//! partition cut from it or merged into it, keys a row by its sequence
+//! number, the one key scheme of [`crate::shard`].
 //!
 //! Every write-path lookup goes through an index, never a column scan. A
 //! node's row never moves (nodes are never removed), so the node index maps
@@ -37,7 +37,7 @@
 //! the edge frame never holds more than twice its live rows.
 //!
 //! Only a server's sharded network holds an unsettled network, and it
-//! settles one before lending it out (see [`crate::shard`]).
+//! settles one before lending, cutting or merging it (see [`crate::shard`]).
 //! [`LiveNetwork::apply`] leaves its network settled, so standalone users
 //! never see a dead row; the frame and key-vector accessors, the backend
 //! states and equality assert that in debug builds.
@@ -170,11 +170,11 @@ impl LiveNetwork {
     }
 
     /// A copy that shares no substrate with `self` (`clone` shares them
-    /// all), the rows of each frame keyed `0..n` afresh. A server partition starts
-    /// from one: its first mutation then writes in place even while the
-    /// caller keeps the network it was built from, and the fresh copy is
-    /// laid out compactly, which measurably speeds up the mutations that
-    /// follow.
+    /// all), the rows of each frame keyed `0..n` afresh. A server's served
+    /// state starts from one: its first mutation then writes in place even
+    /// while the caller keeps the network it was built from, and the fresh
+    /// copy is laid out compactly, which measurably speeds up the
+    /// mutations that follow.
     pub(crate) fn private_copy(&self) -> LiveNetwork {
         debug_assert!(self.is_settled());
         // Renumbering a cloned index is cheaper than rebuilding it: no
@@ -261,7 +261,7 @@ impl LiveNetwork {
             .appended_keys(mutation)
             .last()
             .map_or(0, |&key| key + 1);
-        self.apply_unchecked(mutation, key)
+        self.apply_keyed(mutation, key)
     }
 
     /// Applies a mutation on a shard partition, after the router validated
@@ -295,7 +295,7 @@ impl LiveNetwork {
                 )));
             }
         }
-        Ok(self.apply_unchecked(mutation, key))
+        Ok(self.apply_keyed(mutation, key))
     }
 
     /// The keys of the frame an `AddNode` or `AddEdge` appends its row to.
@@ -306,11 +306,11 @@ impl LiveNetwork {
         }
     }
 
-    /// The write path shared by [`LiveNetwork::apply`] and
-    /// [`LiveNetwork::apply_routed`]; the mutation must already be
+    /// The write path every apply shares; the mutation must already be
     /// validated against this network, and `key` (the appended row's, for
-    /// `AddNode` and `AddEdge` only) must exceed every key of its frame.
-    fn apply_unchecked(&mut self, mutation: &Mutation, key: u64) -> Epoch {
+    /// `AddNode` and `AddEdge` only) must exceed every key of its frame. A
+    /// removal may leave its row dead.
+    pub(crate) fn apply_keyed(&mut self, mutation: &Mutation, key: u64) -> Epoch {
         match mutation {
             Mutation::AddNode {
                 id,

@@ -80,8 +80,8 @@ pub struct PersistOptions {
     /// trigger; see [`nemo_store::SNAPSHOT_WAL_DIVISOR`]). Every snapshot
     /// is a full document, so installs cost O(1) rewritten bytes per WAL
     /// byte at any state size, and a recovery replays at most about half
-    /// a document of WAL. A reopened store knows no document size until
-    /// its first install, so the floor alone applies until then.
+    /// a document of WAL. A recovered store takes the size from the
+    /// document it recovered from.
     pub snapshot_every_bytes: u64,
     /// Snapshot once this many epochs passed since the last one
     /// (0, the default, disables): a fixed install point for tests and

@@ -1,8 +1,8 @@
 //! The serving loop: mutation batches interleaved with client queries,
 //! over a sharded live state.
 //!
-//! A [`Server`] owns a [`ShardedNetwork`] (N hash partitions of the live
-//! state), one [`ProgramCache`] per shard (queries hash to a cache shard
+//! A [`Server`] owns a [`ShardedNetwork`] (the served state of N hash
+//! shards), one [`ProgramCache`] per shard (queries hash to a cache shard
 //! by text), a set of client [`Session`]s, and — when the
 //! [`ServerBuilder`] configured a persistence root — one store per shard
 //! under `root/shard-<k>/`, a single-shard server included.
@@ -110,7 +110,7 @@ impl ServerBuilder {
         }
     }
 
-    /// Number of hash partitions of the live state (default 1).
+    /// Number of hash shards of the live state (default 1).
     pub fn shards(mut self, shards: u32) -> Self {
         assert!(shards > 0, "a server needs at least one shard");
         self.shards = shards;
@@ -158,7 +158,7 @@ impl ServerBuilder {
             caches: (0..self.shards)
                 .map(|_| ProgramCache::with_capacity(self.cache_capacity))
                 .collect(),
-            net,
+            net: net.traced(self.options.tracer.clone()),
             sessions,
             stores,
             degraded: None,
@@ -351,7 +351,8 @@ impl<L: Llm> Server<L> {
 
     /// The served state at the current global epoch — byte-identical to
     /// what an unsharded network would hold, and the state queries read.
-    /// Kept per mutation; rebuilt only after recovery or an out-of-order redo.
+    /// Kept per mutation; merged from partitions only after recovery or an
+    /// out-of-order redo.
     pub fn merged_view(&mut self) -> &LiveNetwork {
         self.net.view()
     }

@@ -1,61 +1,49 @@
-//! Sharded live state: N [`LiveNetwork`] partitions behind one router.
+//! Sharded live state: one served [`LiveNetwork`] behind a router that
+//! hashes every node to a shard.
 //!
 //! Nodes hash to shards by `crc32(id) % shards`; a mutation is owned by
 //! the shard of the node it names (`AddNode`/`SetNodeAttr`) or of its
 //! *source* endpoint (`AddEdge`/`SetFlow`/`RemoveEdge`), so every edge
-//! lives in exactly one partition.
-//!
-//! **Ghost endpoints.** A cross-shard edge names a target the owning
-//! partition does not hold; the graph substrate auto-creates it as an
-//! attribute-less *ghost* node. The invariant (relied on by the merge):
-//! in shard `k`'s graph, a node is real — carries its attributes and
-//! counts toward the merged view — iff the hash owns it (`shard_of(id) ==
-//! k`); any node the hash routes elsewhere is a ghost.
-//!
-//! **Epoch vector.** Each partition counts its own *local* epochs. The
-//! partitions of a multi-shard network start counting at zero, so the
-//! global epoch is `base + Σ local`; a single partition is the whole
-//! network and keeps the network's epoch, so its local epoch *is* the
-//! global one. Per-shard mutation streams are independently applicable in
-//! any interleaving (ghosts make cross-shard edges shard-locally valid),
-//! which is what lets each shard recover from its own WAL with no
-//! cross-shard coordination — and what the consistent-cut property test
-//! in `tests/sharding.rs` exercises.
+//! belongs to one shard, whose store ([`crate::shard_persist`]) logs it.
 //!
 //! **The served state.** Reads are served from, and mutations validated
-//! against, one unsharded [`LiveNetwork`] at the global epoch. On one
-//! shard the partition is the served state: the one place the shard count
-//! changes how the state is served. On more, it is kept beside the
-//! partitions. A checked mutation is applied to it at once and queued for
-//! its owner partition, which catches up when its store snapshots it, when
-//! a merge or a redo needs it, or when its backlog outgrows its edge
-//! frame; a write's acknowledgement pays one apply at any shard count.
-//! Recovery, and a redo that lands out of order or does not apply
-//! globally, drop the served state; the next read rebuilds it by the
-//! merge below.
+//! against, one unsharded [`LiveNetwork`] at the global epoch, at every
+//! shard count. Its rows are keyed by *sequence number*, the one key
+//! scheme: genesis rows keep their row index in the original unsharded
+//! frame, and a row a mutation appends gets `seq_base + (global - base)`.
 //!
-//! **Dead rows.** A removal leaves its edge row dead in the served state
-//! and in its partition (see [`LiveNetwork`]'s tombstones). Nothing here
-//! lends out a network that holds one: `ShardedNetwork::view` and
-//! `ShardedNetwork::partition` settle theirs first, so every read and
-//! every snapshot install compacts what accumulated since, in one pass;
-//! [`ShardedNetwork::merged`] settles a copy; recovery settles each
-//! partition it rebuilds. Validation reads only the graph, so a write
-//! settles nothing except through the bound on dead rows.
+//! **Epoch vector.** Each shard counts its own *local* epochs, the records
+//! its store logged, from zero; a single shard keeps the network's epoch.
+//! Per-shard streams apply in any interleaving (ghosts make cross-shard
+//! edges shard-locally valid), so each shard recovers from its own WAL
+//! alone (the consistent-cut property test in `tests/sharding.rs`).
 //!
-//! **Deterministic merge.** Every partition carries one *sequence number*
-//! per frame row: genesis rows keep their row index in the original
-//! unsharded frame, mutation-inserted rows get `seq_base + (global -
-//! base)`. Merging k frames is a k-way merge ascending by sequence
-//! number, which reproduces the unsharded frame *byte-identically* — the
-//! foundation of the shard-count-invariance guarantee. A partition is a
-//! plain [`LiveNetwork`]: its sequence numbers are its row keys.
+//! **Cut and merge.** Partitions exist only at rest. An install cuts its
+//! shard's partition from the served state: the owned node rows, the edge
+//! rows of owned sources, each with its key, and the graph over them, in
+//! which every other endpoint is an attribute-less *ghost*. A node counts
+//! as real only with a node row: after a jagged merge the served graph
+//! can hold a node an edge names before its owner redid its `AddNode`.
+//! Recovery's partitions, and those an out-of-order redo (or one the
+//! served state refuses) cuts it into, are held until the first read or
+//! checked write merges them, consuming them: ghosts are filtered by
+//! ownership and frames k-way merged by key, which reproduces the
+//! unsharded frames byte-identically. On one shard the served state is
+//! the partition and nothing is cut or merged: the one place the shard
+//! count changes how state is held.
+//!
+//! **Dead rows.** A removal leaves its edge row dead (see [`LiveNetwork`]'s
+//! tombstones); a view, a cut and a merge settle first. Validation reads
+//! only the graph, so a write settles nothing but through that bound.
 
 use crate::error::ServeError;
 use crate::live::LiveNetwork;
 use crate::mutation::{Epoch, Mutation};
 use dataframe::DataFrame;
+use nemo_obs::trace::Tracer;
+use nemo_obs::Class;
 use netgraph::Graph;
+use std::borrow::Cow;
 
 /// Which shard owns the node `id` (stable across runs and platforms:
 /// CRC32 of the id bytes, modulo the shard count).
@@ -89,11 +77,20 @@ pub(crate) struct SeqBases {
 }
 
 impl SeqBases {
+    /// The key of the row `mutation` appends at global epoch `global`, if
+    /// any: its frame's base plus `global - base_epoch`.
+    fn key(&self, global: Epoch, mutation: &Mutation) -> u64 {
+        let base = match mutation {
+            Mutation::AddNode { .. } => self.node_seq_base,
+            _ => self.edge_seq_base,
+        };
+        base + (global - self.base_epoch)
+    }
+
     /// Applies one globally validated mutation carrying global epoch
-    /// `global` to `partition`, keying the row it appends (if any) by the
-    /// sequence-number formula: its frame's base plus `global -
-    /// base_epoch`. A `global` at or below the partition-time epoch comes
-    /// from a damaged record and is refused before anything moves.
+    /// `global` to `partition`, shard-locally, keying the row it appends
+    /// by the formula. A `global` at or below the partition-time epoch
+    /// comes from a damaged record and is refused before anything moves.
     pub(crate) fn apply(
         &self,
         partition: &mut LiveNetwork,
@@ -106,126 +103,101 @@ impl SeqBases {
                 self.base_epoch
             )));
         }
-        let base = match mutation {
-            Mutation::AddNode { .. } => self.node_seq_base,
-            _ => self.edge_seq_base,
-        };
-        partition.apply_routed(mutation, base + (global - self.base_epoch))
+        partition.apply_routed(mutation, self.key(global, mutation))
     }
 }
 
-/// N live partitions behind one globally-validating router.
+/// How a [`ShardedNetwork`] holds its state (see the module docs).
+#[derive(Debug, Clone)]
+enum State {
+    /// The served state, at the global epoch.
+    Served(LiveNetwork),
+    /// One partition per shard, each at its local epoch. Never on one
+    /// shard.
+    Parts(Vec<LiveNetwork>),
+}
+
+/// The served state of N shards behind one globally-validating router.
 #[derive(Debug, Clone)]
 pub struct ShardedNetwork {
-    partitions: Vec<LiveNetwork>,
-    /// Per shard, the checked mutations, with their global epochs, that
-    /// the served state has taken and the partition has not yet.
-    backlog: Vec<Vec<(Epoch, Mutation)>>,
+    state: State,
     bases: SeqBases,
+    /// Each shard's local epoch.
+    epochs: Vec<Epoch>,
     /// Highest global epoch applied anywhere (equals `base + Σ local`
     /// except after a jagged per-shard recovery).
     next_global: Epoch,
-    /// The served state on more than one shard (see the module docs), at
-    /// `next_global`; `None` until [`ShardedNetwork::view`] rebuilds it.
-    served: Option<LiveNetwork>,
+    /// Where the merge records its Physical `shard.merge` span.
+    tracer: Tracer,
 }
 
 impl ShardedNetwork {
-    /// Partitions `live` into `shards` hash partitions and serves a private
-    /// copy of it, which on one shard is the single partition, epoch
-    /// included. A frame whose id or source column holds a non-string
-    /// value — a recovered snapshot from a hand-edited or damaged store
-    /// can produce one — is a typed [`ServeError::Corrupt`], not a panic:
-    /// partitioning sits on the recovery path, and one bad row must not
-    /// take down the server.
+    /// Serves a private copy of `live`, keyed `0..n` (its sequence
+    /// numbers), as `shards` shards. On more than one, a frame whose id or
+    /// source column holds a non-string value — a hand-edited or damaged
+    /// store can produce one — is a typed [`ServeError::Corrupt`], not a
+    /// panic: no shard can own the row, so no cut could hold it.
     pub fn from_live(live: &LiveNetwork, shards: u32) -> Result<ShardedNetwork, ServeError> {
         assert!(shards > 0, "a sharded network needs at least one shard");
+        if shards > 1 {
+            for (frame, column) in [(live.nodes(), "id"), (live.edges(), "source")] {
+                let values = frame.column(column).map_or(&[][..], |c| c.values());
+                for (row, value) in values.iter().enumerate() {
+                    if value.as_str().is_none() {
+                        return Err(ServeError::Corrupt(format!(
+                            "frame row {row}: {column} is {value:?}, want a string — cannot \
+                             route it to a shard"
+                        )));
+                    }
+                }
+            }
+        }
         let base_epoch = live.epoch();
         let bases = SeqBases {
             base_epoch,
             node_seq_base: live.nodes().n_rows() as u64,
             edge_seq_base: live.edges().n_rows() as u64,
         };
-        let served = live.private_copy();
-        if shards == 1 {
-            // The copy keys its rows `0..n`: their sequence numbers.
-            return Ok(Self::from_partitions(vec![served], bases, base_epoch));
-        }
-        let n = shards as usize;
-        let mut node_idx: Vec<Vec<usize>> = vec![Vec::new(); n];
-        if let Ok(ids) = live.nodes().column("id") {
-            for (row, v) in ids.values().iter().enumerate() {
-                let Some(id) = v.as_str() else {
-                    return Err(ServeError::Corrupt(format!(
-                        "node frame row {row}: id is {v:?}, want a string — cannot route it \
-                         to a shard"
-                    )));
-                };
-                node_idx[shard_of(id, shards) as usize].push(row);
-            }
-        }
-        let mut edge_idx: Vec<Vec<usize>> = vec![Vec::new(); n];
-        if let Ok(sources) = live.edges().column("source") {
-            for (row, v) in sources.values().iter().enumerate() {
-                let Some(source) = v.as_str() else {
-                    return Err(ServeError::Corrupt(format!(
-                        "edge frame row {row}: source is {v:?}, want a string — cannot route \
-                         it to a shard"
-                    )));
-                };
-                edge_idx[shard_of(source, shards) as usize].push(row);
-            }
-        }
-        let mut graphs: Vec<Graph> = (0..n).map(|_| Graph::directed()).collect();
-        for (id, attrs) in live.graph().nodes() {
-            graphs[shard_of(id, shards) as usize].add_node(id, attrs.clone());
-        }
-        for (u, v, attrs) in live.graph().edges() {
-            // Auto-creates `v` as a ghost when another shard owns it.
-            graphs[shard_of(u, shards) as usize].add_edge(u, v, attrs.clone());
-        }
-        let partitions = graphs
-            .into_iter()
-            .zip(node_idx)
-            .zip(edge_idx)
-            .map(|((graph, nodes), edges)| {
-                LiveNetwork::from_keyed_parts(
-                    graph,
-                    live.nodes().take(&nodes).expect("indices from enumerate"),
-                    live.edges().take(&edges).expect("indices from enumerate"),
-                    0,
-                    nodes.iter().map(|&r| r as u64).collect(),
-                    edges.iter().map(|&r| r as u64).collect(),
-                )
-            })
-            .collect();
-        let mut net = Self::from_partitions(partitions, bases, base_epoch);
-        net.served = Some(served);
-        Ok(net)
+        let local = if shards == 1 { base_epoch } else { 0 };
+        Ok(ShardedNetwork {
+            state: State::Served(live.private_copy()),
+            bases,
+            epochs: vec![local; shards as usize],
+            next_global: base_epoch,
+            tracer: Tracer::default(),
+        })
     }
 
-    /// Assembles a sharded network from its partitions: fresh ones, or
-    /// ones recovered independently (the per-shard persistence path). The
-    /// served state is built by the first read.
+    /// Assembles a network from partitions recovered independently, one
+    /// per shard. The first read merges them; one shard's partition is the
+    /// served state as it is.
     pub(crate) fn from_partitions(
-        partitions: Vec<LiveNetwork>,
+        mut partitions: Vec<LiveNetwork>,
         bases: SeqBases,
         next_global: Epoch,
     ) -> ShardedNetwork {
-        assert!(!partitions.is_empty());
-        debug_assert!(partitions.iter().all(LiveNetwork::is_settled));
+        let epochs = partitions.iter().map(LiveNetwork::epoch).collect();
+        let state = match partitions.len() {
+            1 => State::Served(partitions.remove(0)),
+            _ => State::Parts(partitions),
+        };
         ShardedNetwork {
-            backlog: vec![Vec::new(); partitions.len()],
-            partitions,
+            state,
             bases,
+            epochs,
             next_global,
-            served: None,
+            tracer: Tracer::default(),
         }
+    }
+
+    /// The network, recording its merges into `tracer`.
+    pub(crate) fn traced(self, tracer: Tracer) -> ShardedNetwork {
+        ShardedNetwork { tracer, ..self }
     }
 
     /// Number of shards.
     pub fn shards(&self) -> u32 {
-        self.partitions.len() as u32
+        self.epochs.len() as u32
     }
 
     /// Which shard owns `mutation`.
@@ -233,30 +205,8 @@ impl ShardedNetwork {
         route_mutation(mutation, self.shards())
     }
 
-    /// Global epoch at partition time.
-    pub fn base_epoch(&self) -> Epoch {
-        self.bases.base_epoch
-    }
-
     pub(crate) fn bases(&self) -> SeqBases {
         self.bases
-    }
-
-    /// One shard's partition, brought up to date and settled.
-    pub(crate) fn partition(&mut self, shard: u32) -> &LiveNetwork {
-        let k = shard as usize;
-        self.catch_up(k);
-        self.partitions[k].settle();
-        &self.partitions[k]
-    }
-
-    /// Applies shard `k`'s backlog to its partition.
-    fn catch_up(&mut self, k: usize) {
-        for (global, mutation) in std::mem::take(&mut self.backlog[k]) {
-            self.bases
-                .apply(&mut self.partitions[k], global, &mutation)
-                .expect("a globally checked mutation applies to its owner partition");
-        }
     }
 
     /// The global epoch: the highest global epoch applied anywhere.
@@ -264,18 +214,35 @@ impl ShardedNetwork {
         self.next_global
     }
 
-    /// The cross-shard epoch vector: each partition's local epoch (see
-    /// the module docs). Reads of the served state observe exactly this
-    /// cut.
+    /// The cross-shard epoch vector: each shard's local epoch, which is
+    /// also the positional epoch of its store. Reads of the served state
+    /// observe exactly this cut.
     pub fn epoch_vector(&self) -> Vec<Epoch> {
-        (0..self.shards()).map(|k| self.local_epoch(k)).collect()
+        self.epochs.clone()
     }
 
-    /// Local epoch of one shard: its partition's own epoch counter, backlog
-    /// included, which is also the positional epoch of the shard's store.
     pub(crate) fn local_epoch(&self, shard: u32) -> Epoch {
-        let k = shard as usize;
-        self.partitions[k].epoch() + self.backlog[k].len() as Epoch
+        self.epochs[shard as usize]
+    }
+
+    /// Shard `shard`'s partition at its local epoch, settled: what an
+    /// install writes. Cut from the served state unless the network holds
+    /// partitions; on one shard, the served state itself.
+    pub(crate) fn partition(&mut self, shard: u32) -> Cow<'_, LiveNetwork> {
+        let (k, shards) = (shard as usize, self.shards());
+        match &mut self.state {
+            State::Served(served) => {
+                served.settle();
+                if shards > 1 {
+                    return Cow::Owned(cut(served, shard, shards, self.epochs[k]));
+                }
+                Cow::Borrowed(served)
+            }
+            State::Parts(parts) => {
+                parts[k].settle();
+                Cow::Borrowed(&parts[k])
+            }
+        }
     }
 
     /// Validates a mutation against the served state, with the conflict
@@ -285,8 +252,8 @@ impl ShardedNetwork {
     }
 
     /// Validates globally, assigns the next global epoch, and applies the
-    /// mutation to its owner shard. On conflict nothing moves and no
-    /// epoch is consumed — exactly [`LiveNetwork::apply`] semantics.
+    /// mutation. On conflict nothing moves and no epoch is consumed —
+    /// exactly [`LiveNetwork::apply`] semantics.
     pub fn apply(&mut self, mutation: &Mutation) -> Result<Epoch, ServeError> {
         self.check_global(mutation)?;
         self.apply_checked(self.next_global + 1, mutation)?;
@@ -296,56 +263,51 @@ impl ShardedNetwork {
     /// Applies a mutation that already carries its global epoch — the
     /// redo path (per-shard recovery resume, and the epoch-vector tests,
     /// which replay per-shard streams in arbitrary interleavings). The
-    /// owner partition checks it shard-locally; the served state takes it
-    /// only at the next global epoch, if it applies there, and is dropped
-    /// otherwise.
+    /// served state takes it at the next global epoch if it applies there;
+    /// otherwise its owner's partition takes it shard-locally, the served
+    /// state cut into partitions first (on one shard, it is the partition),
+    /// which holds them all beside it for a moment: about twice the state.
+    /// A resume that redoes before it reads never gets there.
     pub fn apply_at(&mut self, global: Epoch, mutation: &Mutation) -> Result<(), ServeError> {
-        let owner = self.route(mutation) as usize;
-        self.catch_up(owner);
-        self.bases
-            .apply(&mut self.partitions[owner], global, mutation)?;
-        let in_order = global == self.next_global + 1;
-        self.next_global = self.next_global.max(global);
-        let served = self.served.take();
-        self.served = served.filter(|s| in_order && mutation.check(s.graph(), true).is_ok());
-        if let Some(served) = &mut self.served {
-            served.apply_checked(mutation);
+        let shards = self.shards();
+        if let State::Served(served) = &mut self.state {
+            if global == self.next_global + 1 && mutation.check(served.graph(), true).is_ok() {
+                return self.apply_checked(global, mutation);
+            }
+            if shards > 1 {
+                served.settle();
+                let parts = (0..shards).map(|k| cut(served, k, shards, self.epochs[k as usize]));
+                self.state = State::Parts(parts.collect());
+            }
         }
+        let owner = self.route(mutation) as usize;
+        let partition = match &mut self.state {
+            State::Served(served) => served,
+            State::Parts(parts) => &mut parts[owner],
+        };
+        self.bases.apply(partition, global, mutation)?;
+        self.epochs[owner] += 1;
+        self.next_global = self.next_global.max(global);
         Ok(())
     }
 
-    /// Applies a mutation [`ShardedNetwork::check_global`] accepted, at the
-    /// next global epoch `global`: to the served state, unchecked, and to
-    /// its owner partition's backlog — or, on one shard, to the partition
-    /// itself.
+    /// Applies a mutation [`ShardedNetwork::check_global`] accepted to the
+    /// served state, unchecked, at the next global epoch `global`.
     pub(crate) fn apply_checked(
         &mut self,
         global: Epoch,
         mutation: &Mutation,
     ) -> Result<(), ServeError> {
+        let key = self.bases.key(global, mutation);
+        self.served_unsettled().apply_keyed(mutation, key);
         let owner = self.route(mutation) as usize;
-        match &mut self.served {
-            Some(served) => {
-                served.apply_checked(mutation);
-                self.backlog[owner].push((global, mutation.clone()));
-                // Caught up before it outgrows the partition it is for: a
-                // server with no snapshots or reads still holds O(state).
-                if self.backlog[owner].len() > self.partitions[owner].graph().number_of_edges() {
-                    self.catch_up(owner);
-                }
-            }
-            None => {
-                self.bases
-                    .apply(&mut self.partitions[owner], global, mutation)?;
-            }
-        }
-        self.next_global = self.next_global.max(global);
+        self.epochs[owner] += 1;
+        self.next_global = global;
         Ok(())
     }
 
-    /// The served state at the global epoch (see the module docs), rebuilt
-    /// by [`ShardedNetwork::merged`] if a recovery or a redo dropped it,
-    /// and settled.
+    /// The served state at the global epoch, merged from the partitions if
+    /// the network holds them, and settled.
     pub(crate) fn view(&mut self) -> &LiveNetwork {
         let served = self.served_unsettled();
         served.settle();
@@ -354,55 +316,94 @@ impl ShardedNetwork {
 
     /// [`ShardedNetwork::view`], with its dead rows still in place.
     fn served_unsettled(&mut self) -> &mut LiveNetwork {
-        if self.partitions.len() == 1 {
-            return &mut self.partitions[0];
+        if let State::Parts(parts) = &mut self.state {
+            let _merge_span = self.tracer.span("shard.merge", Class::Physical);
+            self.state = State::Served(merge(std::mem::take(parts), self.next_global));
         }
-        if self.served.is_none() {
-            self.served = Some(self.merged());
-        }
-        self.served.as_mut().expect("built above")
+        let State::Served(served) = &mut self.state else {
+            unreachable!("merged above")
+        };
+        served
     }
 
     /// The merged view: one [`LiveNetwork`] equal — snapshot-byte-equal —
-    /// to what an unsharded network would hold after the same mutations,
-    /// at the global epoch. Ghost nodes are filtered by ownership; frames
-    /// are k-way merged by sequence number.
+    /// to what an unsharded network would hold after the same mutations.
     pub fn merged(&self) -> LiveNetwork {
-        let pending = |k: usize| !self.backlog[k].is_empty() || !self.partitions[k].is_settled();
-        if (0..self.partitions.len()).any(pending) {
-            let mut caught_up = self.clone();
-            for k in 0..self.shards() {
-                caught_up.partition(k);
-            }
-            return caught_up.merged();
-        }
-        let global = self.global_epoch();
-        let shards = self.shards();
-        let mut graph = Graph::directed();
-        // Real nodes first (with their attributes), so no edge below has
-        // to ghost-create an endpoint: globally every endpoint exists.
-        for (k, partition) in self.partitions.iter().enumerate() {
-            for (id, attrs) in partition.graph().nodes() {
-                if shard_of(id, shards) as usize == k {
-                    graph.add_node(id, attrs.clone());
-                }
-            }
-        }
-        for partition in &self.partitions {
-            for (u, v, attrs) in partition.graph().edges() {
-                graph.add_edge(u, v, attrs.clone());
-            }
-        }
-        let nodes = merge_frames(self.partitions.iter().map(|p| (p.nodes(), p.node_seqs())));
-        let edges = merge_frames(self.partitions.iter().map(|p| (p.edges(), p.edge_seqs())));
-        LiveNetwork::from_parts(graph, nodes, edges, global)
+        let mut copy = match &self.state {
+            State::Served(served) => served.clone(),
+            State::Parts(parts) => merge(parts.clone(), self.next_global),
+        };
+        copy.settle();
+        copy
     }
 }
 
-/// K-way merges frames ascending by per-row sequence number. Sequence
-/// numbers are unique across partitions (each comes from a distinct
-/// original row or a distinct global epoch), so the order is total.
-fn merge_frames<'a>(parts: impl Iterator<Item = (&'a DataFrame, &'a [u64])>) -> DataFrame {
+/// Shard `shard`'s partition of the settled `served` state, at local epoch
+/// `epoch` (see the module docs): the owned nodes that have a node row,
+/// and the edges of owned sources, each with its row and key.
+fn cut(served: &LiveNetwork, shard: u32, shards: u32, epoch: Epoch) -> LiveNetwork {
+    let whole = served.graph();
+    let mut graph = Graph::directed();
+    let (mut node_rows, mut edge_rows) = (Vec::new(), Vec::new());
+    for (id, attrs) in whole
+        .nodes()
+        .filter(|(id, _)| shard_of(id, shards) == shard)
+    {
+        if let Some(row) = served.node_row(id) {
+            graph.add_node(id, attrs.clone());
+            node_rows.push(row);
+        }
+        // Auto-creates each target the shard holds no node row of as a
+        // ghost.
+        for target in whole.successors_iter(id).expect("a listed node") {
+            let attrs = whole.edge_attrs(id, target).expect("a listed edge");
+            graph.add_edge(id, target, attrs.clone());
+            edge_rows.extend(served.edge_row(id, target));
+        }
+    }
+    node_rows.sort_unstable();
+    edge_rows.sort_unstable();
+    LiveNetwork::from_keyed_parts(
+        graph,
+        served.nodes().take(&node_rows).expect("rows of the frame"),
+        served.edges().take(&edge_rows).expect("rows of the frame"),
+        epoch,
+        node_rows.iter().map(|&r| served.node_seqs()[r]).collect(),
+        edge_rows.iter().map(|&r| served.edge_seqs()[r]).collect(),
+    )
+}
+
+/// Merges one partition per shard into the served state at `global`,
+/// consuming them: each is dropped once its graph is copied, so the merge
+/// never holds two full graphs (the merged frames do sit beside theirs).
+fn merge(mut parts: Vec<LiveNetwork>, global: Epoch) -> LiveNetwork {
+    parts.iter_mut().for_each(LiveNetwork::settle);
+    let (nodes, node_seqs) = merge_frames(parts.iter().map(|p| (p.nodes(), p.node_seqs())));
+    let (edges, edge_seqs) = merge_frames(parts.iter().map(|p| (p.edges(), p.edge_seqs())));
+    let shards = parts.len() as u32;
+    let mut graph = Graph::directed();
+    for (k, part) in parts.into_iter().enumerate() {
+        for (id, attrs) in part.graph().nodes() {
+            if shard_of(id, shards) as usize == k {
+                graph.add_node(id, attrs.clone());
+            }
+        }
+        // An endpoint no partition has added yet comes in attribute-less;
+        // the partition that owns it adds its attributes later.
+        for (u, v, attrs) in part.graph().edges() {
+            graph.add_edge(u, v, attrs.clone());
+        }
+    }
+    LiveNetwork::from_keyed_parts(graph, nodes, edges, global, node_seqs, edge_seqs)
+}
+
+/// K-way merges frames ascending by per-row key, returning the merged
+/// frame and its keys. Keys are unique across partitions (each comes from
+/// a distinct original row or a distinct global epoch), so the order is
+/// total.
+fn merge_frames<'a>(
+    parts: impl Iterator<Item = (&'a DataFrame, &'a [u64])>,
+) -> (DataFrame, Vec<u64>) {
     let parts: Vec<(&DataFrame, &[u64])> = parts.collect();
     let mut order: Vec<(u64, usize, usize)> = Vec::new();
     for (pi, (frame, seqs)) in parts.iter().enumerate() {
@@ -413,17 +414,21 @@ fn merge_frames<'a>(parts: impl Iterator<Item = (&'a DataFrame, &'a [u64])>) -> 
     }
     order.sort_unstable();
     let mut out = parts[0].0.take(&[]).expect("empty take keeps the schema");
-    for (_, pi, row) in order {
+    for &(_, pi, row) in &order {
         out.push_row(parts[pi].0.row(row).expect("row from enumerate"))
             .expect("all partitions share the schema");
     }
-    out
+    (out, order.into_iter().map(|(seq, _, _)| seq).collect())
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::snapshot::write_snapshot;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::VecDeque;
     use trafficgen::{evolve, generate, StreamConfig, TrafficConfig};
 
     fn workload() -> trafficgen::TrafficWorkload {
@@ -433,6 +438,87 @@ mod tests {
             prefixes: 3,
             seed: 6,
         })
+    }
+
+    /// Every shard's partition of the settled `served` state, cut.
+    fn cut_all(served: &LiveNetwork, shards: u32, epochs: &[Epoch]) -> Vec<LiveNetwork> {
+        (0..shards)
+            .map(|k| cut(served, k, shards, epochs[k as usize]))
+            .collect()
+    }
+
+    /// Snapshot bytes and both key vectors: what a shard document holds.
+    fn keyed_bytes(live: &LiveNetwork) -> (String, Vec<u64>, Vec<u64>) {
+        (
+            write_snapshot(live),
+            live.node_seqs().to_vec(),
+            live.edge_seqs().to_vec(),
+        )
+    }
+
+    /// `part` without its orphan ghosts: nodes without a node row that no
+    /// edge names.
+    pub(crate) fn without_orphans(part: &LiveNetwork) -> LiveNetwork {
+        let mut graph = part.graph().clone();
+        let orphans: Vec<String> = graph
+            .node_ids()
+            .filter(|id| part.node_row(id).is_none())
+            .filter(|id| graph.degree(id).unwrap() == 0)
+            .map(str::to_string)
+            .collect();
+        for id in &orphans {
+            graph.remove_node(id).unwrap();
+        }
+        LiveNetwork::from_keyed_parts(
+            graph,
+            part.nodes().clone(),
+            part.edges().clone(),
+            part.epoch(),
+            part.node_seqs().to_vec(),
+            part.edge_seqs().to_vec(),
+        )
+    }
+
+    /// A seeded `evolve` stream over `w` with removal bursts, kept to the
+    /// mutations an unsharded network takes in order. Returns the stream
+    /// and that network.
+    fn churned_stream(
+        w: &trafficgen::TrafficWorkload,
+        rng: &mut StdRng,
+        events: usize,
+    ) -> (Vec<Mutation>, LiveNetwork) {
+        let mut reference = LiveNetwork::from_workload(w);
+        let mut stream = Vec::new();
+        let seed = rng.gen_range(0..1000);
+        for event in &evolve(w, &StreamConfig { events, seed }) {
+            let mut batch = vec![Mutation::from_event(&event.event)];
+            // Now and then a burst drops a run of live edges.
+            if rng.gen_bool(0.1) {
+                for _ in 0..rng.gen_range(1..6) {
+                    let rows = reference.edges().n_rows();
+                    if rows == 0 {
+                        break;
+                    }
+                    let row = rng.gen_range(0..rows);
+                    let at = |column| reference.edges().value(row, column).unwrap().to_string();
+                    batch.push(Mutation::RemoveEdge {
+                        source: at("source"),
+                        target: at("target"),
+                    });
+                    reference.apply(batch.last().unwrap()).unwrap();
+                }
+                let first = batch.remove(0);
+                if reference.apply(&first).is_ok() {
+                    batch.push(first);
+                }
+                stream.extend(batch);
+                continue;
+            }
+            if reference.apply(&batch[0]).is_ok() {
+                stream.extend(batch);
+            }
+        }
+        (stream, reference)
     }
 
     #[test]
@@ -462,12 +548,34 @@ mod tests {
         }
         let reference = write_snapshot(&live);
         for shards in [1u32, 2, 3, 4, 7] {
-            let net = ShardedNetwork::from_live(&live, shards).unwrap();
+            let mut net = ShardedNetwork::from_live(&live, shards).unwrap();
             assert_eq!(net.global_epoch(), live.epoch());
-            let merged = net.merged();
+            let parts: Vec<LiveNetwork> =
+                (0..shards).map(|k| net.partition(k).into_owned()).collect();
+            let merged = merge(parts, net.global_epoch());
             assert_eq!(merged, live, "shards={shards}");
             assert_eq!(write_snapshot(&merged), reference, "shards={shards}");
+            assert_eq!(write_snapshot(&net.merged()), reference, "shards={shards}");
         }
+    }
+
+    #[test]
+    fn a_frame_row_no_shard_can_own_is_refused_when_sharded() {
+        let live = LiveNetwork::from_workload(&workload());
+        let mut nodes = live.nodes().clone();
+        nodes
+            .set_value(2, "id", netgraph::AttrValue::Int(7))
+            .unwrap();
+        let edges = live.edges().clone();
+        let damaged = LiveNetwork::from_parts(live.graph().clone(), nodes, edges, 0);
+        assert!(ShardedNetwork::from_live(&damaged, 1).is_ok());
+        let err = ShardedNetwork::from_live(&damaged, 3).unwrap_err();
+        assert_eq!(
+            err,
+            ServeError::Corrupt(
+                "frame row 2: id is Int(7), want a string — cannot route it to a shard".to_string()
+            )
+        );
     }
 
     #[test]
@@ -626,8 +734,9 @@ mod tests {
             .sum();
         assert!(ghost_total > 0, "this workload must produce ghosts");
         // ...but the merged node count is exactly the real one.
+        let parts = (0..4).map(|k| net.partition(k).into_owned());
         assert_eq!(
-            net.merged().graph().number_of_nodes(),
+            merge(parts.collect(), 0).graph().number_of_nodes(),
             live.graph().number_of_nodes()
         );
     }
@@ -667,39 +776,39 @@ mod tests {
         }
     }
 
-    /// The served state equals a fresh merge of the partitions, snapshot
-    /// bytes included.
+    /// The served state equals a fresh merge of its cut, snapshot bytes
+    /// and keys included.
     fn assert_served_is_merged(net: &mut ShardedNetwork, context: &str) {
-        let merged = net.merged();
-        assert!(*net.view() == merged, "{context}");
-        assert_eq!(
-            write_snapshot(net.view()),
-            write_snapshot(&merged),
-            "{context}"
-        );
+        let (shards, epochs, global) = (net.shards(), net.epoch_vector(), net.global_epoch());
+        let served = net.view();
+        let merged = merge(cut_all(served, shards, &epochs), global);
+        assert!(*served == merged, "{context}");
+        assert_eq!(keyed_bytes(served), keyed_bytes(&merged), "{context}");
     }
 
     #[test]
-    fn a_checked_write_waits_in_its_partitions_backlog_until_read() {
+    fn a_checked_write_moves_the_served_state_and_its_shards_epoch() {
         let w = workload();
         let mut net = ShardedNetwork::from_live(&LiveNetwork::from_workload(&w), 3).unwrap();
+        let before = net.view().substrate_handles();
         let event = &evolve(&w, &StreamConfig { events: 1, seed: 4 })[0];
         let mutation = Mutation::from_event(&event.event);
         let k = net.route(&mutation);
         net.apply(&mutation).unwrap();
-        // The write moved the served state and queued for the partition...
-        assert_eq!(net.partitions[k as usize].epoch(), 0);
+        // The write moved the served state in place and its owner's epoch,
+        // and left no partition behind.
+        assert!(!matches!(net.state, State::Parts(_)));
+        assert_eq!(net.view().substrate_handles(), before);
         assert_eq!(net.local_epoch(k), 1);
         assert_eq!(net.epoch_vector().iter().sum::<u64>(), 1);
-        // ...which catches up when it is read.
+        // Its owner's partition, cut at install, holds it.
         assert_eq!(net.partition(k).epoch(), 1);
-        assert!(net.backlog.iter().all(Vec::is_empty));
-        assert_served_is_merged(&mut net, "after the catch-up");
+        assert_served_is_merged(&mut net, "after the write");
     }
 
     /// A write-only, remove-heavy stream with no read and no snapshot:
-    /// nothing but the bound on dead rows settles, and no network of the
-    /// sharded one ever holds more dead edge rows than live ones.
+    /// nothing but the bound on dead rows settles, and the served state
+    /// never holds more dead edge rows than live ones.
     #[test]
     fn dead_rows_never_outnumber_live_ones_without_reads() {
         let w = generate(&TrafficConfig {
@@ -715,6 +824,10 @@ mod tests {
         for shards in [1u32, 3] {
             let mut reference = live.clone();
             let mut net = ShardedNetwork::from_live(&live, shards).unwrap();
+            let served = |net: &ShardedNetwork| match &net.state {
+                State::Served(served) => served.dead_edge_rows(),
+                State::Parts(_) => unreachable!("checked writes never leave parts"),
+            };
             let (mut most_dead, mut bound_settles) = (0, 0);
             for i in 0..2_000usize {
                 let rows = reference.edges().n_rows();
@@ -740,20 +853,16 @@ mod tests {
                 if reference.apply(&mutation).is_err() {
                     continue;
                 }
-                let before: usize = net.partitions.iter().map(LiveNetwork::dead_edge_rows).sum();
+                let before = served(&net);
                 net.apply(&mutation).unwrap();
-                let networks = net.partitions.iter().chain(net.served.as_ref());
-                for network in networks {
-                    let (dead, live) =
-                        (network.dead_edge_rows(), network.graph().number_of_edges());
-                    assert!(
-                        dead <= live,
-                        "shards={shards} write {i}: {dead} dead, {live} live"
-                    );
-                    most_dead = most_dead.max(dead);
-                }
-                let after: usize = net.partitions.iter().map(LiveNetwork::dead_edge_rows).sum();
-                bound_settles += usize::from(after < before);
+                let dead = served(&net);
+                let live_edges = reference.graph().number_of_edges();
+                assert!(
+                    dead <= live_edges,
+                    "shards={shards} write {i}: {dead} dead, {live_edges} live"
+                );
+                most_dead = most_dead.max(dead);
+                bound_settles += usize::from(dead < before);
             }
             assert!(
                 most_dead > 10,
@@ -794,17 +903,14 @@ mod tests {
             } else {
                 net.apply_at(net.global_epoch() + 1, mutation).unwrap();
             }
+            assert!(!matches!(net.state, State::Parts(_)), "event {i}");
             assert_eq!(net.view().substrate_handles(), before, "event {i}");
             assert_served_is_merged(&mut net, &format!("in order, event {i}"));
         }
-        // No backlog outgrows its partition's edge frame.
-        assert!(
-            (0..3).all(|k| { net.backlog[k].len() <= net.partitions[k].graph().number_of_edges() })
-        );
 
         // Below the global epoch: two records of different shards swapped.
         // The first skips an epoch, the second lands below the global one;
-        // each drops the served state, and the next read rebuilds it.
+        // each leaves parts, and the next read merges them.
         let j = (0..stream.len() - 1)
             .find(|&j| net.route(&stream[j]) != net.route(&stream[j + 1]))
             .expect("consecutive records on different shards");
@@ -814,7 +920,7 @@ mod tests {
         }
         for global in [j + 2, j + 1] {
             net.apply_at(global as u64, &stream[global - 1]).unwrap();
-            assert!(net.served.is_none(), "global {global}");
+            assert!(matches!(net.state, State::Parts(_)), "global {global}");
             assert_served_is_merged(&mut net, &format!("out of order, global {global}"));
         }
         for (i, mutation) in stream.iter().enumerate().skip(j + 2) {
@@ -822,7 +928,7 @@ mod tests {
             assert_served_is_merged(&mut net, &format!("after the swap, event {i}"));
         }
 
-        // A redo that conflicts globally: its owner partition takes the
+        // A redo that conflicts globally: its owner's partition takes the
         // edge through a ghost, the served state cannot.
         let mut net = ShardedNetwork::from_live(&live, 3).unwrap();
         let redo = Mutation::AddEdge {
@@ -833,7 +939,148 @@ mod tests {
             packets: 1,
         };
         net.apply_at(1, &redo).unwrap();
-        assert!(net.served.is_none());
+        assert!(matches!(net.state, State::Parts(_)));
         assert_served_is_merged(&mut net, "a redo that conflicts globally");
+    }
+
+    /// The jagged resume the cut must survive: shard `j` redoes an edge
+    /// `Y→X` before `X`'s owner redoes `AddNode X`. A read merges them in
+    /// between, so the served graph holds `X` without a node row; the
+    /// next out-of-order redo cuts it, and `AddNode X` must still apply.
+    #[test]
+    fn a_node_named_before_its_own_redo_is_no_real_node_of_any_cut() {
+        let live = LiveNetwork::from_workload(&workload());
+        let shards = 3;
+        let x = "250.0.0.1".to_string();
+        let owner = shard_of(&x, shards);
+        let y = (0..live.nodes().n_rows())
+            .map(|row| live.nodes().value(row, "id").unwrap().to_string())
+            .find(|id| shard_of(id, shards) != owner)
+            .expect("a node another shard owns");
+        let add_node = Mutation::AddNode {
+            id: x.clone(),
+            prefix16: "250.0".into(),
+            prefix24: "250.0.0".into(),
+        };
+        let add_edge = Mutation::AddEdge {
+            source: y.clone(),
+            target: x.clone(),
+            bytes: 1,
+            connections: 1,
+            packets: 1,
+        };
+        let mut reference = live.clone();
+        reference.apply(&add_node).unwrap();
+        reference.apply(&add_edge).unwrap();
+        let mut net = ShardedNetwork::from_live(&live, shards).unwrap();
+        net.apply_at(2, &add_edge).unwrap();
+        let served = net.view();
+        assert!(served.graph().has_node(&x) && served.node_row(&x).is_none());
+        for k in 0..shards {
+            let partition = net.partition(k);
+            assert_eq!(partition.node_row(&x), None, "shard {k}");
+            let named = k == shard_of(&y, shards);
+            assert_eq!(partition.graph().has_node(&x), named, "shard {k}");
+        }
+        net.apply_at(1, &add_node).unwrap();
+        assert_eq!(keyed_bytes(net.view()).0, write_snapshot(&reference));
+        assert_eq!(net.epoch_vector().iter().sum::<u64>(), 2);
+    }
+
+    proptest! {
+        /// The cut and the merge are inverses: a served state cut into
+        /// 1–5 shards merges back to itself, keys included, and the cut
+        /// of a merge gives back each partition, less the ghosts no live
+        /// edge names any more.
+        #[test]
+        fn cut_and_merge_are_inverses(seed in 0u64..u64::MAX, shards in 1u32..6) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let w = generate(&TrafficConfig {
+                nodes: 16,
+                edges: 24,
+                prefixes: 2,
+                seed: rng.gen_range(0..1000),
+            });
+            let (stream, reference) = churned_stream(&w, &mut rng, 60);
+            let mut net = ShardedNetwork::from_live(&LiveNetwork::from_workload(&w), shards).unwrap();
+            // Partitions built the way recovery builds them: each shard's
+            // genesis cut, its own records applied shard-locally.
+            let (bases, epochs) = (net.bases(), net.epoch_vector());
+            let mut parts = cut_all(net.view(), shards, &epochs);
+            for (i, mutation) in stream.iter().enumerate() {
+                net.apply(mutation).unwrap();
+                let owner = net.route(mutation) as usize;
+                bases.apply(&mut parts[owner], i as u64 + 1, mutation).unwrap();
+            }
+            parts.iter_mut().for_each(LiveNetwork::settle);
+            let (epochs, global) = (net.epoch_vector(), net.global_epoch());
+            let served = net.view();
+            prop_assert!(*served == reference);
+            let merged = merge(cut_all(served, shards, &epochs), global);
+            prop_assert_eq!(keyed_bytes(&merged), keyed_bytes(served));
+            let merged = merge(parts.clone(), global);
+            prop_assert_eq!(keyed_bytes(&merged), keyed_bytes(served));
+            for (k, cut) in cut_all(&merged, shards, &epochs).iter().enumerate() {
+                prop_assert_eq!(cut.epoch(), parts[k].epoch());
+                let want = keyed_bytes(&without_orphans(&parts[k]));
+                prop_assert!(keyed_bytes(cut) == want, "shard {k} of {shards}");
+            }
+        }
+    }
+
+    proptest! {
+        /// Per-shard streams redone in a seeded interleaving, out of order,
+        /// with reads and installs at random points between them, all
+        /// apply, and each install's partition is the one its shard alone
+        /// would hold, less orphan ghosts. Each interleaving ends where
+        /// the unsharded network does.
+        #[test]
+        fn redos_interleaved_with_reads_and_installs_reach_the_reference(
+            seed in 0u64..u64::MAX,
+            shards in 2u32..6,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let w = generate(&TrafficConfig {
+                nodes: 12,
+                edges: 16,
+                prefixes: 2,
+                seed: rng.gen_range(0..1000),
+            });
+            let (stream, reference) = churned_stream(&w, &mut rng, 50);
+            let mut net = ShardedNetwork::from_live(&LiveNetwork::from_workload(&w), shards).unwrap();
+            let (bases, epochs) = (net.bases(), net.epoch_vector());
+            let mut models = cut_all(net.view(), shards, &epochs);
+            let mut queues = vec![VecDeque::new(); shards as usize];
+            for (i, mutation) in stream.iter().enumerate() {
+                queues[net.route(mutation) as usize].push_back((i as u64 + 1, mutation));
+            }
+            while queues.iter().any(|q| !q.is_empty()) {
+                let open: Vec<usize> = (0..queues.len()).filter(|&k| !queues[k].is_empty()).collect();
+                let k = open[rng.gen_range(0..open.len())];
+                let (global, mutation) = queues[k].pop_front().unwrap();
+                net.apply_at(global, mutation).unwrap();
+                bases.apply(&mut models[k], global, mutation).unwrap();
+                match rng.gen_range(0..4) {
+                    0 => {
+                        net.view();
+                    }
+                    1 => {
+                        let shard = rng.gen_range(0..shards);
+                        let model = &mut models[shard as usize];
+                        model.settle();
+                        let partition = net.partition(shard);
+                        prop_assert_eq!(partition.epoch(), model.epoch());
+                        prop_assert!(
+                            keyed_bytes(&without_orphans(&partition))
+                                == keyed_bytes(&without_orphans(model)),
+                            "shard {shard} of {shards}"
+                        );
+                    }
+                    _ => {}
+                }
+            }
+            prop_assert_eq!(net.epoch_vector().iter().sum::<u64>(), stream.len() as u64);
+            prop_assert_eq!(write_snapshot(net.view()), write_snapshot(&reference));
+        }
     }
 }

@@ -4,6 +4,7 @@
 //! A durable server keeps `shards` independent stores under
 //! `root/shard-<k>/`, each holding exactly one partition's slice of the
 //! state; a single-shard server is the same layout with one directory.
+//! Every document is cut from the served state at install ([`crate::shard`]).
 //! Each store follows one discipline:
 //!
 //! * **Genesis snapshot** — creating a shard's store installs a snapshot
@@ -31,8 +32,8 @@
 //!   WAL alone carries the records between two snapshots. A shard's
 //!   store installs once the WAL past its newest snapshot reaches half
 //!   that document, or [`PersistOptions::snapshot_every_bytes`] if that is
-//!   larger, so a recovery replays at most about that much WAL (after a
-//!   restart, until the first install, the floor alone applies).
+//!   larger, so a recovery replays at most about that much WAL; a
+//!   recovered store takes the size from the document it recovered from.
 //!   [`PersistOptions::snapshot_every_epochs`] adds a fixed install point.
 //! * **Sweep** — installing deletes nothing. Pruning old snapshots and
 //!   deleting covered WAL segments is a separate sweep, which
@@ -50,8 +51,8 @@
 //! coordination** — ghost endpoints make every per-shard stream
 //! independently applicable — and
 //! [`ServerBuilder::recover_or_create`](crate::ServerBuilder::recover_or_create)
-//! reassembles the [`ShardedNetwork`] from the recovered partitions,
-//! cross-checking that all shards agree on the partition metadata.
+//! hands the recovered partitions, which must agree on the partition
+//! metadata, to the [`ShardedNetwork`] to merge at the first read.
 //!
 //! **Layouts this build refuses.** A root holding store files directly
 //! is the single-shard layout written before every store moved under
@@ -192,8 +193,8 @@ impl ShardPersistence {
         // Newest shard document that still validates; a damaged one fails
         // the candidate loudly and recovery falls back to the next older.
         let mut base: Option<(u64, ShardDocument)> = None;
-        for &epoch in store.snapshot_epochs().iter().rev() {
-            match read_shard_snapshot(&store, epoch, shard, shards) {
+        for epoch in store.snapshot_epochs().to_vec().into_iter().rev() {
+            match read_shard_snapshot(&mut store, epoch, shard, shards) {
                 Ok(doc) => {
                     base = Some((epoch, doc));
                     break;
@@ -306,7 +307,7 @@ impl ShardPersistence {
         if !self.store.snapshot_due(net.local_epoch(self.shard)) {
             return Ok(false);
         }
-        self.force_full_snapshot(net.partition(self.shard))?;
+        self.force_full_snapshot(&net.partition(self.shard))?;
         Ok(true)
     }
 
@@ -538,17 +539,17 @@ fn check_shard_identity(
     Ok(())
 }
 
-/// Reads the shard snapshot at `epoch` into a restored partition. Any
-/// failure — an unreadable file, a failed validation, a document holding
-/// another epoch — is returned whole, so the caller can fall back past
-/// it loudly.
+/// Reads the shard snapshot at `epoch` into a restored partition, the
+/// store taking its size for its install trigger. Any failure — an
+/// unreadable file, a failed validation, a document holding another
+/// epoch — is returned whole, so the caller can fall back past it loudly.
 fn read_shard_snapshot(
-    store: &Store,
+    store: &mut Store,
     epoch: u64,
     shard: u32,
     shards: u32,
 ) -> Result<ShardDocument, ServeError> {
-    let bytes = store.read_snapshot(epoch)?;
+    let bytes = store.recover_snapshot(epoch)?;
     let text = String::from_utf8(bytes)
         .map_err(|_| ServeError::Corrupt("shard snapshot document is not UTF-8".to_string()))?;
     let doc = parse_shard(text, shard, shards)?;
@@ -630,26 +631,21 @@ fn probe_layout(root: &Path, shards: u32) -> Result<bool, ServeError> {
     )))
 }
 
-/// Creates every shard's store under `root` for a freshly partitioned
-/// network, installing each genesis snapshot. An occupied shard directory
-/// or a refused layout (see [`probe_layout`]) is an error.
+/// Creates every shard's store under `root` for a fresh network,
+/// installing each genesis document, one cut at a time. An occupied shard
+/// directory or a refused layout (see [`probe_layout`]) is an error.
 pub(crate) fn create_sharded(
     root: &Path,
     options: &PersistOptions,
     net: &mut ShardedNetwork,
 ) -> Result<Vec<ShardPersistence>, ServeError> {
     probe_layout(root, net.shards())?;
-    (0..net.shards())
+    let (shards, bases) = (net.shards(), net.bases());
+    (0..shards)
         .map(|k| {
-            ShardPersistence::create(
-                &shard_dir(root, k),
-                options,
-                k,
-                net.shards(),
-                net.bases(),
-                net.partition(k),
-            )
-            .map_err(|e| e.with_shard(k, None))
+            let dir = shard_dir(root, k);
+            ShardPersistence::create(&dir, options, k, shards, bases, &net.partition(k))
+                .map_err(|e| e.with_shard(k, None))
         })
         .collect()
 }
@@ -657,8 +653,8 @@ pub(crate) fn create_sharded(
 /// Opens (or creates) the whole layout under `root`: either every shard
 /// directory is recovered — in parallel over `threads` workers, each
 /// shard independently — or, when no shard holds a store yet, the network
-/// is built fresh from `init()`, partitioned, and every shard's genesis
-/// snapshot installed. Layouts [`probe_layout`] refuses fail before
+/// is built fresh from `init()` and every shard's genesis document
+/// installed. Layouts [`probe_layout`] refuses fail before
 /// anything is opened.
 pub(crate) fn recover_or_create_sharded(
     root: &Path,
@@ -715,6 +711,7 @@ mod tests {
     use crate::codec::tests::{adversarial_string, adversarial_value};
     use crate::mutation::Mutation;
     use crate::persist::FsyncPolicy;
+    use crate::shard::tests::without_orphans;
     use crate::snapshot::{read_snapshot, write_snapshot};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -814,7 +811,7 @@ mod tests {
             ("schema", JsonValue::String(SHARD_SCHEMA_V1.to_string())),
             ("shard", int(shard.into())),
             ("shards", int(shards.into())),
-            ("snapshot", JsonValue::String(write_snapshot(partition))),
+            ("snapshot", JsonValue::String(write_snapshot(&partition))),
         ];
         JsonValue::Object(fields.map(|(k, v)| (k.to_string(), v)).into()).to_json()
     }
@@ -883,7 +880,7 @@ mod tests {
                 let inner = nested_snapshot(&text);
                 let restored = read_snapshot(inner).unwrap();
                 prop_assert!(
-                    restored == without_link_fields(net.partition(k)),
+                    restored == without_link_fields(&net.partition(k)),
                     "shard {k} of {shards} read back differently"
                 );
                 prop_assert_eq!(write_snapshot(&restored), inner);
@@ -917,7 +914,7 @@ mod tests {
                 recover_or_create_sharded(&root, &test_options(), 1, 1, || initial.clone()).unwrap();
             let bases = net.bases();
             // [partition, standalone], each eager and deferred.
-            let mut eager = [net.partition(0).clone(), initial.clone()];
+            let mut eager = [net.partition(0).into_owned(), initial.clone()];
             let mut deferred = eager.clone();
             let mut global = bases.base_epoch;
             for event in &evolve(&w, &StreamConfig { events: 80, seed }) {
@@ -1121,7 +1118,7 @@ mod tests {
         store
             .append(
                 record.epoch,
-                &encode_shard_record(&record, net.base_epoch()),
+                &encode_shard_record(&record, net.bases().base_epoch),
             )
             .unwrap();
         store.sync().unwrap();
@@ -1191,7 +1188,7 @@ mod tests {
             if i == 19 {
                 for k in 0..shards {
                     persists[k as usize]
-                        .force_full_snapshot(net.partition(k))
+                        .force_full_snapshot(&net.partition(k))
                         .unwrap();
                 }
             }
@@ -1256,7 +1253,7 @@ mod tests {
                         .unwrap();
                     if net.local_epoch(k) > newest {
                         persists[k as usize]
-                            .force_full_snapshot(net.partition(k))
+                            .force_full_snapshot(&net.partition(k))
                             .unwrap();
                     }
                 }
@@ -1383,7 +1380,7 @@ mod tests {
                         .0
                 })
                 .collect();
-            let mut last_global = vec![net.base_epoch(); shards as usize];
+            let mut last_global = vec![net.bases().base_epoch; shards as usize];
             for k in 0..shards {
                 let genesis = v1_document(&mut net, k, last_global[k as usize]);
                 stores[k as usize]
@@ -1421,16 +1418,18 @@ mod tests {
                 store.sync().unwrap();
             }
             drop(stores);
-            // It recovers to the same partitions.
+            // It recovers to the same partitions, less the ghosts no live
+            // edge names, which a cut of the served state leaves out.
             let (mut recovered, mut persists, reports) =
                 recover_or_create_sharded(&root, &options, shards, 1, || unreachable!()).unwrap();
             assert!(reports.iter().any(|r| r.snapshot_epoch > 0), "{reports:?}");
             assert!(reports.iter().all(|r| r.skipped_snapshots.is_empty()));
             for k in 0..shards {
-                let (got, want) = (recovered.partition(k).clone(), net.partition(k));
+                let got = without_orphans(&recovered.partition(k));
+                let want = net.partition(k);
                 assert_eq!(
                     write_snapshot(&got),
-                    write_snapshot(want),
+                    write_snapshot(&want),
                     "{k} of {shards}"
                 );
                 assert_eq!(got.node_seqs(), want.node_seqs(), "{k} of {shards}");
@@ -1456,7 +1455,7 @@ mod tests {
                 let epoch = recovered.local_epoch(k as u32);
                 if persistence.store().snapshot_epochs().last() < Some(&epoch) {
                     persistence
-                        .force_full_snapshot(recovered.partition(k as u32))
+                        .force_full_snapshot(&recovered.partition(k as u32))
                         .unwrap();
                     upgraded.push((k as u32, epoch));
                 }
@@ -1766,17 +1765,25 @@ mod tests {
         for mutation in codec_identity_mutations(&w) {
             let _ = reference.apply(&mutation);
         }
-        let mut documents = Vec::new();
+        let (mut documents, mut parent_documents) = (Vec::new(), Vec::new());
         for shards in [1u32, 3] {
             let root = temp_root(&format!("codec-identity-{shards}"));
             let (mut net, mut persists, _) =
                 recover_or_create_sharded(&root, &test_options(), shards, 1, || initial.clone())
                     .unwrap();
+            // The partitions builds before cut documents held in memory:
+            // each shard's genesis partition, its own records applied.
+            let bases = net.bases();
+            let mut held: Vec<LiveNetwork> =
+                (0..shards).map(|k| net.partition(k).into_owned()).collect();
             for (i, mutation) in codec_identity_mutations(&w).into_iter().enumerate() {
                 let Ok(global) = net.apply(&mutation) else {
                     continue;
                 };
                 let k = net.route(&mutation);
+                bases
+                    .apply(&mut held[k as usize], global, &mutation)
+                    .unwrap();
                 let record = WalRecord {
                     epoch: net.local_epoch(k),
                     at_ms: i as u64,
@@ -1784,26 +1791,42 @@ mod tests {
                 };
                 persists[k as usize].log(&record, global).unwrap();
             }
+            let mut written = Vec::new();
             for k in 0..shards {
                 persists[k as usize]
-                    .force_full_snapshot(net.partition(k))
+                    .force_full_snapshot(&net.partition(k))
                     .unwrap();
-                let bytes = persists[k as usize]
-                    .store()
-                    .read_snapshot(net.local_epoch(k))
-                    .unwrap();
+                let epoch = net.local_epoch(k);
+                let bytes = persists[k as usize].store().read_snapshot(epoch).unwrap();
                 let document = String::from_utf8(bytes).unwrap();
                 // Re-escaped, it is the v1 document an older build wrote.
                 let last_global = persists[k as usize].last_global();
                 assert_eq!(as_v1(&document), v1_document(&mut net, k, last_global));
+                // What those builds wrote: the held partition's document.
+                // Both parse to one partition once its ghosts that no live
+                // edge names are dropped.
+                held[k as usize].settle();
+                let parent = persists[k as usize].shard_document(&held[k as usize]);
+                let parent = String::from_utf8(parent.payload().to_vec()).unwrap();
+                let cut = parse_shard(document.clone(), k, shards).unwrap().partition;
+                let old = parse_shard(parent.clone(), k, shards).unwrap().partition;
+                assert_eq!(
+                    write_snapshot(&cut),
+                    write_snapshot(&without_orphans(&old)),
+                    "shard {k} of {shards}"
+                );
+                assert_eq!(cut.node_seqs(), old.node_seqs());
+                assert_eq!(cut.edge_seqs(), old.edge_seqs());
+                written.push((epoch, parent.clone()));
                 documents.push(document);
+                parent_documents.push(parent);
             }
             assert_eq!(
                 write_snapshot(&net.merged()),
                 write_snapshot(&reference),
                 "shards={shards}"
             );
-            // The decoders read every document back to the same state.
+            // The decoders read every document back to the same state...
             drop(persists);
             let (recovered, _, _) =
                 recover_or_create_sharded(&root, &test_options(), shards, 1, || unreachable!())
@@ -1813,13 +1836,29 @@ mod tests {
                 write_snapshot(&reference),
                 "shards={shards}"
             );
+            // ...and a store whose newest documents an older build wrote
+            // recovers to the same served state.
+            drop(recovered);
+            for (k, (epoch, parent)) in written.iter().enumerate() {
+                let path = shard_dir(&root, k as u32).join(nemo_store::snapshot_file_name(*epoch));
+                std::fs::write(&path, Framed::copy(parent.as_bytes()).bytes()).unwrap();
+            }
+            let (mut recovered, _, reports) =
+                recover_or_create_sharded(&root, &test_options(), shards, 1, || unreachable!())
+                    .unwrap();
+            assert!(reports.iter().all(|r| r.skipped_snapshots.is_empty()));
+            assert_eq!(
+                write_snapshot(recovered.view()),
+                write_snapshot(&reference),
+                "shards={shards}"
+            );
             std::fs::remove_dir_all(&root).unwrap();
         }
         let snapshot = write_snapshot(&reference);
         let restored = crate::snapshot::read_snapshot(&snapshot).unwrap();
         assert_eq!(write_snapshot(&restored), snapshot);
         let raw = reference.raw_json();
-        let digests = |v1: bool, old_literal: bool, typed_floats: bool| {
+        let digests = |documents: &[String], v1: bool, old_literal: bool, typed_floats: bool| {
             // The graph encoder used to write the `big` attribute,
             // `Int(i64::MAX)`, through f64 as 9223372036854776000 (read back
             // as a float); it now writes it exactly.
@@ -1865,7 +1904,10 @@ mod tests {
                 (21946, 2381505205),
             ],
         );
-        assert_eq!(digests(true, true, false), before_exact_ints);
+        assert_eq!(
+            digests(&parent_documents, true, true, false),
+            before_exact_ints
+        );
         // The v1 bytes written before shard documents nested their
         // snapshot: the snapshot, the raw graph and the two shard
         // documents that hold the `big` node differ in that literal.
@@ -1879,7 +1921,7 @@ mod tests {
                 (21946, 2381505205),
             ],
         );
-        assert_eq!(digests(true, false, false), v1);
+        assert_eq!(digests(&parent_documents, true, false, false), v1);
         // The v3 bytes before the graph typed its floats. Only the shard
         // documents moved: each nests its snapshot unescaped, under the v3
         // tag.
@@ -1893,10 +1935,10 @@ mod tests {
                 (18478, 813271069),
             ],
         );
-        assert_eq!(digests(false, false, false), pinned);
-        // The bytes written now: the snapshot and the two shard documents
-        // that hold those floats gained their `.0`s; the raw graph is
-        // unchanged.
+        assert_eq!(digests(&parent_documents, false, false, false), pinned);
+        // The bytes written before documents were cut from the served
+        // state: the snapshot and the two shard documents that hold those
+        // floats gained their `.0`s; the raw graph is unchanged.
         let typed = (
             (40905, 3337761502),
             (26579, 2331508755),
@@ -1907,6 +1949,21 @@ mod tests {
                 (18478, 813271069),
             ],
         );
-        assert_eq!(digests(false, false, true), typed);
+        assert_eq!(digests(&parent_documents, false, false, true), typed);
+        // The bytes written now. A cut holds only the ghosts live edges
+        // name: the two 3-shard documents that held an orphan ghost lost
+        // it, and nothing else moved (checked above, document by
+        // document).
+        let cut = (
+            typed.0,
+            typed.1,
+            vec![
+                (42130, 1808811995),
+                (13187, 4049036113),
+                (12877, 2240191531),
+                (18401, 2622366964),
+            ],
+        );
+        assert_eq!(digests(&documents, false, false, true), cut);
     }
 }

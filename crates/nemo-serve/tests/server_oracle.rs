@@ -10,6 +10,18 @@
 //! every answer must equal the golden program run fresh over the
 //! reference, and the served state must be snapshot-byte-equal to the
 //! reference at intervals and after each recovery.
+//!
+//! Each persisted run also meets two scripted store faults
+//! (`nemo_store::FaultFs`), each at a seeded operation index: a transient
+//! one before the first crash, which the store rolls back and the server
+//! retries, so the reference sees nothing of it; and, from the recovery
+//! at the last crash on, a failed fsync, which fails the request it lands
+//! in loudly. In a record's fsync it poisons the store: the mutation
+//! stays out, every later one is answered `Degraded`, and queries keep
+//! answering the reference state. In an install's fsync the mutation is
+//! already logged and applied, and the store goes on. Every recovery
+//! before the last runs on a fault-free filesystem, so each
+//! crash-and-recover cycle of the stream is checked in full.
 
 use nemo_core::llm::LlmResponse;
 use nemo_core::prompt::QUERY_MARKER;
@@ -17,11 +29,13 @@ use nemo_core::sandbox::execute_code;
 use nemo_core::{Backend, Llm};
 use nemo_serve::snapshot::write_snapshot;
 use nemo_serve::{
-    CacheOutcome, FsyncPolicy, LiveNetwork, Mutation, PersistOptions, Request, Response, Server,
-    ServerBuilder, Session,
+    CacheOutcome, FsyncPolicy, LiveNetwork, Mutation, PersistOptions, Request, Response,
+    ServeError, Server, ServerBuilder, Session,
 };
+use nemo_store::{FaultFs, FaultKind, RealFs, Vfs};
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::Arc;
 use trafficgen::{evolve, generate, StreamConfig, TrafficConfig, TrafficWorkload};
 
 fn workload() -> TrafficWorkload {
@@ -219,18 +233,53 @@ fn temp_root(tag: &str) -> PathBuf {
     dir
 }
 
-fn builder(shards: u32, root: Option<&PathBuf>) -> ServerBuilder {
+/// A server of `shards` shards, persisted under `root` on `vfs`, or in
+/// memory. Every record is fsynced, so a failed fsync lands in the
+/// mutation whose record it was to make durable.
+fn builder(shards: u32, root: Option<&PathBuf>, vfs: Arc<dyn Vfs>) -> ServerBuilder {
     let builder = ServerBuilder::new().shards(shards);
     match root {
         Some(root) => builder
             .options(PersistOptions {
-                fsync: FsyncPolicy::Never,
+                fsync: FsyncPolicy::EveryRecord,
                 segment_max_bytes: 2048,
                 snapshot_every_epochs: 13,
+                vfs,
                 ..PersistOptions::default()
             })
             .persist_at(root),
         None => builder,
+    }
+}
+
+/// The faults a persisted run meets (see the module docs).
+struct Faults {
+    /// Rolled back and retried; armed from the build to the first crash.
+    transient: Arc<FaultFs>,
+    /// A failed fsync; armed from the recovery at the last crash on.
+    poisoning: Arc<FaultFs>,
+    /// Whether the failed fsync has failed a request.
+    failed: bool,
+    /// Whether it poisoned a store, degrading the server.
+    degraded: bool,
+}
+
+impl Faults {
+    fn seeded(seed: u64) -> Faults {
+        let mut rng = Rng(seed.wrapping_mul(0xd1b5_4a32_d192_ed03) | 1);
+        let transient = [
+            FaultKind::Enospc,
+            FaultKind::Eio,
+            FaultKind::ShortWrite,
+            FaultKind::FailedRename,
+            FaultKind::TornRename,
+        ][rng.below(5)];
+        Faults {
+            transient: Arc::new(FaultFs::new(transient, rng.below(40) as u64)),
+            poisoning: Arc::new(FaultFs::new(FaultKind::FailedFsync, rng.below(40) as u64)),
+            failed: false,
+            degraded: false,
+        }
     }
 }
 
@@ -246,22 +295,81 @@ fn assert_served_state(server: &mut Server<GoldenLlm>, reference: &LiveNetwork, 
     );
 }
 
+/// Checks a failed mutation request: only the failed fsync may fail one,
+/// and only once. Its mutation is in doubt, and where the fault landed
+/// decides it: in the record's fsync, the mutation stays out and the
+/// store is poisoned, so the server degrades; in the fsync of the install
+/// after it, the mutation is logged and applied, and the store rolls the
+/// install back unpoisoned.
+fn failed(
+    server: &mut Server<GoldenLlm>,
+    reference: &mut LiveNetwork,
+    faults: &mut Faults,
+    (mutation, conflicts): (&Mutation, bool),
+    error: ServeError,
+    context: &str,
+) {
+    assert!(!faults.failed, "{context}: a second failure: {error}");
+    assert!(
+        faults.poisoning.injection().is_some(),
+        "{context}: a failure without the failed fsync: {error}"
+    );
+    assert!(
+        matches!(error, ServeError::Store { .. }),
+        "{context}: {error:?}"
+    );
+    faults.failed = true;
+    faults.degraded = server
+        .shard_persistence()
+        .iter()
+        .any(|store| store.store().poisoned().is_some());
+    if faults.degraded {
+        assert_eq!(
+            server.network().global_epoch(),
+            reference.epoch(),
+            "{context}: a mutation whose record failed moved the epoch"
+        );
+    } else {
+        assert!(!conflicts, "{context}: a conflict reached the store");
+        let want = reference.apply(mutation).expect("the mutation applies");
+        assert_eq!(server.network().global_epoch(), want, "{context}");
+    }
+}
+
 /// Sends one mutation and checks the response against the reference:
 /// the same epoch, or the same conflict error with the epoch unchanged.
+/// Once a store is poisoned, every mutation is `Degraded` and leaves the
+/// reference alone.
 fn mutate(
     server: &mut Server<GoldenLlm>,
     reference: &mut LiveNetwork,
+    faults: &mut Faults,
     mutation: Mutation,
     conflicts: bool,
     context: &str,
 ) {
+    let request = Request::Mutate {
+        at_ms: 0,
+        mutation: mutation.clone(),
+    };
+    let response = match server.handle(&request) {
+        Ok(Response::Degraded { .. }) => {
+            assert!(
+                faults.degraded,
+                "{context}: degraded with no poisoned store"
+            );
+            return;
+        }
+        Ok(response) => response,
+        Err(error) => {
+            let request = (&mutation, conflicts);
+            return failed(server, reference, faults, request, error, context);
+        }
+    };
+    assert!(!faults.degraded, "{context}: {response:?} while degraded");
     let expected = reference.apply(&mutation);
     assert_eq!(expected.is_err(), conflicts, "{context}: {expected:?}");
-    let request = Request::Mutate { at_ms: 0, mutation };
-    match (
-        server.handle(&request).expect("no storage faults"),
-        expected,
-    ) {
+    match (response, expected) {
         (Response::Mutated { epoch, .. }, Ok(want)) => assert_eq!(epoch, want, "{context}"),
         (Response::Rejected { epoch, reason, .. }, Err(want)) => {
             assert_eq!(epoch, reference.epoch(), "{context}");
@@ -273,8 +381,9 @@ fn mutate(
 
 /// Runs one seeded stream at `shards`, persisted under `root` or in
 /// memory, checking every response against the unsharded oracle.
-/// Returns each `(client, cache outcome)` pair its queries reached.
-fn run(seed: u64, shards: u32, root: Option<PathBuf>) -> Vec<(usize, CacheOutcome)> {
+/// Returns each `(client, cache outcome)` pair its queries reached, and
+/// whether the failed fsync degraded the server.
+fn run(seed: u64, shards: u32, root: Option<PathBuf>) -> (Vec<(usize, CacheOutcome)>, bool) {
     let w = workload();
     // Every sixth query, so the stream repeats them: program hits.
     let queries: Vec<String> = nemo_bench::traffic_queries()
@@ -287,26 +396,49 @@ fn run(seed: u64, shards: u32, root: Option<PathBuf>) -> Vec<(usize, CacheOutcom
         .map(|&(_, backend)| golden_programs(backend))
         .collect();
     let mut reference = LiveNetwork::from_workload(&w);
-    let mut server = builder(shards, root.as_ref())
+    let mut faults = Faults::seeded(seed ^ u64::from(shards));
+    let steps = steps(&w, seed, queries.len());
+    // Every crash point recovers; the last one arms the failed fsync,
+    // which needs a mutation after it to fail.
+    let crash_points: Vec<usize> = (0..steps.len())
+        .filter(|&i| matches!(steps[i], Step::Crash))
+        .collect();
+    assert!(
+        !matches!(steps.last(), Some(Step::Crash)),
+        "seed {seed}: the stream ends in a crash"
+    );
+    let mut server = builder(shards, root.as_ref(), faults.transient.clone())
         .build(reference.clone(), sessions())
         .expect("fresh build");
     let mut conflicts = [0usize; 7];
     let mut outcomes = Vec::new();
     let mut recoveries = 0;
     let mut churns = 0;
-    for (i, step) in steps(&w, seed, queries.len()).into_iter().enumerate() {
+    for (i, step) in steps.into_iter().enumerate() {
         let context = format!(
             "seed {seed}, shards {shards}, persisted {}, step {i} {step:?}",
             root.is_some()
         );
         match step {
-            Step::Mutate(mutation) => {
-                mutate(&mut server, &mut reference, mutation, false, &context)
-            }
+            Step::Mutate(mutation) => mutate(
+                &mut server,
+                &mut reference,
+                &mut faults,
+                mutation,
+                false,
+                &context,
+            ),
             Step::Conflict(kind) => {
                 conflicts[kind] += 1;
                 let mutation = conflict(&reference, kind, i);
-                mutate(&mut server, &mut reference, mutation, true, &context);
+                mutate(
+                    &mut server,
+                    &mut reference,
+                    &mut faults,
+                    mutation,
+                    true,
+                    &context,
+                );
             }
             Step::Churn(k) => {
                 let rows = reference.edges().n_rows();
@@ -332,7 +464,14 @@ fn run(seed: u64, shards: u32, root: Option<PathBuf>) -> Vec<(usize, CacheOutcom
                     .unzip();
                 churns += 1;
                 for mutation in removals.into_iter().chain(additions) {
-                    mutate(&mut server, &mut reference, mutation, false, &context);
+                    mutate(
+                        &mut server,
+                        &mut reference,
+                        &mut faults,
+                        mutation,
+                        false,
+                        &context,
+                    );
                 }
             }
             Step::Query(c, q) => {
@@ -361,7 +500,18 @@ fn run(seed: u64, shards: u32, root: Option<PathBuf>) -> Vec<(usize, CacheOutcom
                 if let Some(root) = &root {
                     server.handle(&Request::Sync).expect("sync");
                     drop(server);
-                    server = builder(shards, Some(root))
+                    if recoveries == 0 {
+                        assert!(
+                            faults.transient.injection().is_some(),
+                            "{context}: the transient fault never fired"
+                        );
+                    }
+                    let vfs: Arc<dyn Vfs> = if crash_points.last() == Some(&i) {
+                        faults.poisoning.clone()
+                    } else {
+                        Arc::new(RealFs)
+                    };
+                    server = builder(shards, Some(root), vfs)
                         .recover_or_create(sessions(), || unreachable!("the stores exist"))
                         .expect("recovery")
                         .0;
@@ -379,30 +529,40 @@ fn run(seed: u64, shards: u32, root: Option<PathBuf>) -> Vec<(usize, CacheOutcom
         conflicts.iter().all(|&n| n > 0),
         "seed {seed} must exercise every conflict kind: {conflicts:?}"
     );
-    assert!(
-        root.is_none() || recoveries > 0,
-        "seed {seed} never crashed"
-    );
+    if root.is_some() {
+        assert!(!crash_points.is_empty(), "seed {seed} never crashed");
+        assert_eq!(
+            recoveries,
+            crash_points.len(),
+            "seed {seed}, shards {shards}: every crash point must recover"
+        );
+    }
     assert!(churns > 0, "seed {seed} never removed edges in a burst");
+    assert!(
+        root.is_none() || faults.failed,
+        "seed {seed}, shards {shards}: the failed fsync never failed a request"
+    );
     drop(server);
     if let Some(root) = root {
         std::fs::remove_dir_all(root).unwrap();
     }
-    outcomes
+    (outcomes, faults.degraded)
 }
 
 #[test]
 fn sharded_servers_answer_like_an_unsharded_network() {
     let mut outcomes = Vec::new();
-    for seed in [1u64, 2] {
-        for shards in [1u32, 2, 4] {
-            outcomes.extend(run(seed, shards, None));
-            outcomes.extend(run(
-                seed,
-                shards,
-                Some(temp_root(&format!("{seed}-{shards}"))),
-            ));
+    for shards in [1u32, 2, 4] {
+        let mut degraded = false;
+        for seed in [1u64, 2] {
+            outcomes.extend(run(seed, shards, None).0);
+            let root = temp_root(&format!("{seed}-{shards}"));
+            let (reached, degrades) = run(seed, shards, Some(root));
+            outcomes.extend(reached);
+            degraded |= degrades;
         }
+        // The degraded-mode checks run at every shard count.
+        assert!(degraded, "shards {shards}: no persisted run degraded");
     }
     for (client, _) in CLIENTS {
         for cache in [

@@ -22,6 +22,9 @@
 //!   `store.snapshot` span under the mutate that triggered it, split into
 //!   Physical `snapshot.encode`, `store.write` and `store.fsync` children,
 //!   and leaves the logical skeletons unchanged.
+//! * **Merge attribution** — the one merge left, of the partitions a
+//!   multi-shard recovery leaves, is a Physical `shard.merge` span in the
+//!   first request's trace; a single shard never merges.
 
 use nemo_bench::pool;
 use nemo_core::{Backend, ScriptedLlm};
@@ -467,4 +470,81 @@ fn snapshot_installs_are_physical_spans_under_their_mutate() {
         run(0).logical_skeletons(0),
         "snapshot installs changed the logical skeletons"
     );
+}
+
+#[test]
+fn the_first_request_after_a_multi_shard_recovery_carries_the_one_merge() {
+    let workload = generate(&TrafficConfig {
+        nodes: 12,
+        edges: 16,
+        prefixes: 2,
+        seed: 5,
+    });
+    let stream = evolve(
+        &workload,
+        &StreamConfig {
+            events: 16,
+            seed: 6,
+        },
+    );
+    for shards in [1u32, 4] {
+        let dir = temp_dir(&format!("merge-span-{shards}"));
+        let builder = |tracer: &Tracer| {
+            ServerBuilder::new()
+                .shards(shards)
+                .options(PersistOptions {
+                    fsync: FsyncPolicy::Never,
+                    tracer: tracer.clone(),
+                    ..PersistOptions::default()
+                })
+                .persist_at(&dir)
+        };
+        let mut server = builder(&Tracer::new())
+            .build(
+                LiveNetwork::from_workload(&workload),
+                vec![scripted_session()],
+            )
+            .expect("persisted build");
+        for timed in &stream[..8] {
+            server
+                .handle(&Request::from(timed))
+                .expect("stream applies");
+        }
+        drop(server);
+        let tracer = Tracer::new();
+        tracer.enable(64);
+        let (mut server, _) = builder(&tracer)
+            .recover_or_create(vec![scripted_session()], || unreachable!())
+            .expect("recovery");
+        let query = Request::Query {
+            client: 0,
+            query: "How many edges are there?".to_string(),
+        };
+        server.handle(&query).expect("query");
+        for timed in &stream[8..] {
+            server
+                .handle(&Request::from(timed))
+                .expect("stream applies");
+        }
+        server.handle(&query).expect("query");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+        let merges: Vec<usize> = tracer
+            .traces(0)
+            .iter()
+            .map(|trace| {
+                let merges = trace.spans.iter().filter(|s| s.name == "shard.merge");
+                merges
+                    .inspect(|span| assert_eq!(span.class, Class::Physical))
+                    .count()
+            })
+            .collect();
+        assert_eq!(merges.len(), 10, "shards={shards}");
+        let want = usize::from(shards > 1);
+        assert_eq!(merges[0], want, "shards={shards}: the first request");
+        assert_eq!(
+            merges.iter().sum::<usize>(),
+            want,
+            "shards={shards}: one merge"
+        );
+    }
 }

@@ -24,7 +24,7 @@
 
 use crate::error::StoreError;
 use crate::metrics::StoreMetrics;
-use crate::record::{encode_frame, Framed};
+use crate::record::{encode_frame, Framed, FRAME_HEADER_BYTES};
 use crate::segment::{scan_segment_with, segment_file_name, SegmentScan};
 use crate::sweep::{SweepOutcome, SweepPlan};
 use crate::vfs::{RealFs, Vfs, VfsFile};
@@ -183,10 +183,9 @@ pub struct Store {
     /// approximated from segments holding records past the newest
     /// snapshot (whole-segment granularity, conservative).
     bytes_past_snapshot: u64,
-    /// Framed size of the newest snapshot this handle installed, which
-    /// scales the byte trigger. A reopened store starts at 0 (it reads no
-    /// document), so only [`StoreConfig::snapshot_every_bytes`] applies
-    /// until its first install.
+    /// Framed size of the newest snapshot this handle installed, or of the
+    /// one recovery read ([`Store::recover_snapshot`]), which scales the
+    /// byte trigger.
     snapshot_bytes: u64,
     /// Hot-path instrumentation; detached (recording goes nowhere) until
     /// [`Store::attach_metrics`] binds it to a shared registry.
@@ -799,12 +798,16 @@ impl Store {
             .wal_bytes_past_snapshot
             .sub(self.bytes_past_snapshot as i64);
         self.bytes_past_snapshot = 0;
-        let size = document.bytes().len() as u64;
+        self.set_snapshot_bytes(document.bytes().len() as u64);
+        Ok(())
+    }
+
+    /// Records `size` as the newest document's framed size, gauge included.
+    fn set_snapshot_bytes(&mut self, size: u64) {
         self.metrics
             .snapshot_bytes
             .add(size as i64 - self.snapshot_bytes as i64);
         self.snapshot_bytes = size;
-        Ok(())
     }
 
     /// Computes what a sweep would delete, purely from the in-memory
@@ -959,6 +962,17 @@ impl Store {
             )));
         }
         Ok(scan.frames.into_iter().next().expect("one frame").payload)
+    }
+
+    /// [`Store::read_snapshot`] for recovery: the document's framed size
+    /// then scales the byte trigger of [`Store::snapshot_due`], as an
+    /// install of it would have. A reopened store learns the size from the
+    /// read recovery makes anyway, with no filesystem operation of its
+    /// own; of several reads, the last (the document recovery kept) wins.
+    pub fn recover_snapshot(&mut self, epoch: u64) -> Result<Vec<u8>, StoreError> {
+        let payload = self.read_snapshot(epoch)?;
+        self.set_snapshot_bytes((FRAME_HEADER_BYTES + payload.len()) as u64);
+        Ok(payload)
     }
 
     /// Replays the WAL: hands every `(epoch, payload)` with epoch strictly
@@ -1345,9 +1359,10 @@ mod tests {
         drop(quiet);
         std::fs::remove_dir_all(&dir_off).unwrap();
 
-        // Reopening forgets the document's size: a WAL past the floor but
-        // below half the big document is not due before the restart, and
-        // due after it, until the first install sets the size again.
+        // Reopening alone knows no document's size; the read recovery
+        // makes teaches it. A WAL past the floor but below half the big
+        // document is not due before the restart, due after a reopen that
+        // reads nothing, and not due once recovery has read the document.
         store.install_snapshot(epoch, &big).unwrap();
         let mut epoch = epoch;
         while gauges.wal_bytes_past_snapshot.get() < 200 {
@@ -1366,11 +1381,17 @@ mod tests {
         store.attach_metrics(StoreMetrics::register(&registry));
         // Reopen counts whole segments past the snapshot, which with
         // these 64-byte segments stays below half the big document: only
-        // the forgotten size makes the store due.
+        // the unknown size makes the store due.
         assert_eq!(gauges.snapshot_bytes.get(), 0);
         let past = gauges.wal_bytes_past_snapshot.get();
         assert!((200..504).contains(&past), "{past}");
         assert!(store.snapshot_due(epoch));
+        let newest = *store.snapshot_epochs().last().unwrap();
+        assert_eq!(store.recover_snapshot(newest).unwrap(), vec![b'b'; 1000]);
+        assert_eq!(gauges.snapshot_bytes.get(), 1008);
+        assert!(!store.snapshot_due(epoch));
+        let (epoch, before, after) = append_until_due(&mut store, epoch);
+        assert!(before < 504 && after >= 504, "{before} -> {after}");
         store.install_snapshot(epoch, &big).unwrap();
         assert_eq!(gauges.snapshot_bytes.get(), 1008);
         let (_, before, after) = append_until_due(&mut store, epoch);
